@@ -1,24 +1,51 @@
 // Package ac implements the Aho–Corasick multi-pattern string matching
 // algorithm used by the DPI/IDS network functions (the paper's Snap-derived
-// string matcher). The automaton is built in two forms: the classic
-// goto/fail machine and a fully materialized DFA (failure transitions
-// pre-resolved), which is the form GPU implementations use because every
-// input byte costs exactly one table access.
+// string matcher). The automaton is a fully materialized DFA (failure
+// transitions pre-resolved — the form GPU implementations use because every
+// input byte costs exactly one table access), stored compactly:
+//
+//   - the alphabet is the set of byte equivalence classes — one class per
+//     byte value that occurs in a pattern plus one for all the bytes that do
+//     not — behind a 256-byte class map, so a row is as wide as the patterns'
+//     alphabet, not 256;
+//   - rows are padded to a power of two and the table stores the next state
+//     already multiplied by the row width: one step is tab[s+class[c]];
+//   - states are numbered shallow-first (the states random traffic lives in
+//     share cache lines) with every output-bearing state after every silent
+//     one, so "does this state report a match" is s >= firstMatch.
+//
+// Every scan entry point walks this one table. ScanStatsBatch and
+// ScanFromBatch walk it four payloads at a time: the four table loads of a
+// step are independent, so they overlap where a single payload's walk waits
+// on each load in turn.
 package ac
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Lanes is how many payloads the batch kernels advance per step. A caller
+// that has to hold payloads back to form a group gains nothing from holding
+// more than this many.
+const Lanes = 4
 
 // Matcher is an immutable Aho–Corasick automaton over byte patterns.
 type Matcher struct {
-	// dfa[s*256+c] is the next state from state s on byte c, with failure
-	// transitions pre-applied.
-	dfa []int32
-	// out[s] lists the indices of patterns ending at state s (including
-	// via suffix links).
-	out [][]int32
-	// depth[s] is the distance of s from the root; the cost model uses
-	// the visited-state statistics it enables.
-	depth    []int32
+	// class maps a byte to its column.
+	class [256]uint8
+	// tab[s+class[c]] is the state after reading c in state s, with failure
+	// transitions pre-applied. States are multiples of the row width 1<<shift;
+	// the root is 0.
+	tab   []uint32
+	shift uint
+	// firstMatch is the smallest state at which a pattern ends (directly or
+	// through a suffix link); every state at or above it has output.
+	firstMatch uint32
+	// Output state number i (state firstMatch + i<<shift) reports patterns
+	// outs[outStart[i]:outStart[i+1]].
+	outStart []int32
+	outs     []int32
 	patterns [][]byte
 }
 
@@ -34,80 +61,119 @@ func NewMatcher(patterns [][]byte) (*Matcher, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("ac: empty pattern set")
 	}
+	m := &Matcher{patterns: patterns}
+
+	// Byte classes: 0 for every byte no pattern uses (when there is one),
+	// then one class per used byte.
+	var used [256]bool
 	for i, p := range patterns {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("ac: pattern %d is empty", i)
 		}
+		for _, c := range p {
+			used[c] = true
+		}
 	}
+	classes := 0
+	for _, u := range used {
+		if !u {
+			classes = 1
+			break
+		}
+	}
+	for c, u := range used {
+		if u {
+			m.class[c] = uint8(classes)
+			classes++
+		}
+	}
+	m.shift = uint(bits.Len(uint(classes - 1)))
+	width := 1 << m.shift
 
-	// Build the goto trie.
-	type node struct {
-		next [256]int32 // 0 = absent (state 0 is the root)
-		fail int32
-		out  []int32
+	// Goto trie over classes, one row per node (0 = absent; node 0 is the
+	// root), and the node each pattern ends at.
+	maxNodes := 1
+	for _, p := range patterns {
+		maxNodes += len(p)
 	}
-	nodes := []*node{new(node)}
-	depth := []int32{0}
+	trie := make([]int32, width, maxNodes<<m.shift)
+	ends := make([]int32, len(patterns))
 	for pi, p := range patterns {
 		s := int32(0)
 		for _, c := range p {
-			if nodes[s].next[c] == 0 {
-				nodes = append(nodes, new(node))
-				depth = append(depth, depth[s]+1)
-				nodes[s].next[c] = int32(len(nodes) - 1)
+			at := int(s)<<m.shift + int(m.class[c])
+			if trie[at] == 0 {
+				trie[at] = int32(len(trie) >> m.shift)
+				trie = append(trie, make([]int32, width)...)
 			}
-			s = nodes[s].next[c]
+			s = trie[at]
 		}
-		nodes[s].out = append(nodes[s].out, int32(pi))
+		ends[pi] = s
+	}
+	n := len(trie) >> m.shift
+	if uint64(n)<<m.shift > 1<<31 {
+		return nil, fmt.Errorf("ac: automaton too large (%d states × %d classes)", n, width)
+	}
+	own := make([][]int32, n)
+	for pi, s := range ends {
+		own[s] = append(own[s], int32(pi))
 	}
 
-	// BFS to compute failure links and merge outputs.
-	queue := make([]int32, 0, len(nodes))
-	for c := 0; c < 256; c++ {
-		if s := nodes[0].next[c]; s != 0 {
-			nodes[s].fail = 0
-			queue = append(queue, s)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for c := 0; c < 256; c++ {
-			v := nodes[u].next[c]
-			if v == 0 {
-				continue
+	// Breadth-first: resolve failure transitions in place (a node's failure
+	// state is shallower, so its row is already complete) and count each
+	// node's outputs, its own plus its failure state's.
+	fail := make([]int32, n)
+	nout := make([]int32, n)
+	order := make([]int32, 1, n)
+	for qi := 0; qi < len(order); qi++ {
+		u := order[qi]
+		row := trie[int(u)<<m.shift:][:width]
+		frow := trie[int(fail[u])<<m.shift:][:width]
+		nout[u] = int32(len(own[u])) + nout[fail[u]]
+		for k, v := range row {
+			switch {
+			case v != 0:
+				if u != 0 {
+					fail[v] = frow[k]
+				}
+				order = append(order, v)
+			case u != 0:
+				row[k] = frow[k]
 			}
-			queue = append(queue, v)
-			f := nodes[u].fail
-			for f != 0 && nodes[f].next[c] == 0 {
-				f = nodes[f].fail
-			}
-			nodes[v].fail = nodes[f].next[c]
-			if nodes[v].fail == v {
-				nodes[v].fail = 0
-			}
-			nodes[v].out = append(nodes[v].out, nodes[nodes[v].fail].out...)
 		}
 	}
 
-	// Materialize the DFA.
-	m := &Matcher{
-		dfa:      make([]int32, len(nodes)*256),
-		out:      make([][]int32, len(nodes)),
-		depth:    depth,
-		patterns: patterns,
+	// Renumber: silent states first, then output states, both shallow-first.
+	id := make([]uint32, n)
+	silent := 0
+	for _, u := range order {
+		if nout[u] == 0 {
+			id[u] = uint32(silent) << m.shift
+			silent++
+		}
 	}
-	// Rows must be filled in BFS order so a state's failure row (always
-	// shallower) is complete before it is consulted.
-	order := append([]int32{0}, queue...)
-	for _, s := range order {
-		n := nodes[s]
-		m.out[s] = n.out
-		for c := 0; c < 256; c++ {
-			if n.next[c] != 0 {
-				m.dfa[int(s)*256+c] = n.next[c]
-			} else if s != 0 {
-				m.dfa[int(s)*256+c] = m.dfa[int(n.fail)*256+c]
-			}
+	m.firstMatch = uint32(silent) << m.shift
+	m.outStart = make([]int32, 1, n-silent+1)
+	for _, u := range order {
+		if nout[u] == 0 {
+			continue
+		}
+		id[u] = m.firstMatch + uint32(len(m.outStart)-1)<<m.shift
+		// Own patterns first, then the suffix link's, as Scan reports them.
+		m.outs = append(m.outs, own[u]...)
+		if f := fail[u]; nout[f] != 0 {
+			fi := (id[f] - m.firstMatch) >> m.shift
+			m.outs = append(m.outs, m.outs[m.outStart[fi]:m.outStart[fi+1]]...)
+		}
+		m.outStart = append(m.outStart, int32(len(m.outs)))
+	}
+
+	m.tab = make([]uint32, len(trie))
+	for u, nu := range id {
+		row := trie[u<<m.shift:][:width]
+		out := m.tab[nu:][:width]
+		for k, v := range row {
+			out[k] = id[v]
 		}
 	}
 	return m, nil
@@ -122,9 +188,9 @@ func NewMatcherStrings(patterns []string) (*Matcher, error) {
 	return NewMatcher(bs)
 }
 
-// NumStates returns the number of automaton states (the DFA table's memory
-// footprint drives the simulator's DPI cache model).
-func (m *Matcher) NumStates() int { return len(m.out) }
+// NumStates returns the number of automaton states (the dense DFA table's
+// memory footprint drives the simulator's DPI cache model).
+func (m *Matcher) NumStates() int { return len(m.tab) >> m.shift }
 
 // NumPatterns returns the size of the pattern set.
 func (m *Matcher) NumPatterns() int { return len(m.patterns) }
@@ -132,15 +198,23 @@ func (m *Matcher) NumPatterns() int { return len(m.patterns) }
 // Pattern returns pattern i.
 func (m *Matcher) Pattern(i int) []byte { return m.patterns[i] }
 
+// outputs returns the patterns ending at s, which must be >= firstMatch.
+func (m *Matcher) outputs(s uint32) []int32 {
+	i := (s - m.firstMatch) >> m.shift
+	return m.outs[m.outStart[i]:m.outStart[i+1]]
+}
+
 // Scan runs the automaton over data and returns all matches in order of
 // their end offset.
 func (m *Matcher) Scan(data []byte) []Match {
 	var matches []Match
-	s := int32(0)
+	s := uint32(0)
 	for i, c := range data {
-		s = m.dfa[int(s)*256+int(c)]
-		for _, p := range m.out[s] {
-			matches = append(matches, Match{Pattern: int(p), End: i + 1})
+		s = m.tab[s+uint32(m.class[c])]
+		if s >= m.firstMatch {
+			for _, p := range m.outputs(s) {
+				matches = append(matches, Match{Pattern: int(p), End: i + 1})
+			}
 		}
 	}
 	return matches
@@ -149,35 +223,40 @@ func (m *Matcher) Scan(data []byte) []Match {
 // Contains reports whether any pattern occurs in data, stopping at the
 // first hit.
 func (m *Matcher) Contains(data []byte) bool {
-	s := int32(0)
+	s := uint32(0)
 	for _, c := range data {
-		s = m.dfa[int(s)*256+int(c)]
-		if len(m.out[s]) > 0 {
+		s = m.tab[s+uint32(m.class[c])]
+		if s >= m.firstMatch {
 			return true
 		}
 	}
 	return false
 }
 
-// State is a resumable automaton position for stream scanning.
-type State int32
+// State is a resumable automaton position for stream scanning. Its value
+// is meaningful only to the Matcher that returned it.
+type State uint32
 
 // StartState is the automaton root.
 const StartState State = 0
+
+// offRoot is 1 when s is not the root and 0 when it is, without a branch.
+func offRoot(s uint32) int { return int((s | -s) >> 31) }
 
 // ScanFrom resumes the automaton at a saved state and scans data,
 // returning the new state plus the match and deep-state counts. Stateful
 // stream inspection (IDS over reassembled TCP flows) uses it to catch
 // patterns spanning packet boundaries.
 func (m *Matcher) ScanFrom(state State, data []byte) (State, int, int) {
-	s := int32(state)
+	tab, class, first := m.tab, &m.class, m.firstMatch
+	s := uint32(state)
 	matches, deep := 0, 0
 	for _, c := range data {
-		s = m.dfa[int(s)*256+int(c)]
-		if s != 0 {
-			deep++
+		s = tab[s+uint32(class[c])]
+		deep += offRoot(s)
+		if s >= first {
+			matches += len(m.outputs(s))
 		}
-		matches += len(m.out[s])
 	}
 	return State(s), matches, deep
 }
@@ -187,13 +266,76 @@ func (m *Matcher) ScanFrom(state State, data []byte) (State, int, int) {
 // DFA-table memory pressure, which separates the paper's full-match and
 // no-match traffic profiles) and the number of matches.
 func (m *Matcher) ScanStats(data []byte) (matches, deepStates int) {
-	s := int32(0)
-	for _, c := range data {
-		s = m.dfa[int(s)*256+int(c)]
-		if s != 0 {
-			deepStates++
-		}
-		matches += len(m.out[s])
-	}
+	_, matches, deepStates = m.ScanFrom(StartState, data)
 	return matches, deepStates
+}
+
+// ScanStatsBatch is ScanStats over many payloads at once: matches[i] and
+// deepStates[i] receive payload i's counts. Both must be at least as long
+// as payloads.
+func (m *Matcher) ScanStatsBatch(payloads [][]byte, matches, deepStates []int) {
+	i := 0
+	for ; i+Lanes <= len(payloads); i += Lanes {
+		var st [Lanes]State
+		m.scan4(&st, (*[Lanes][]byte)(payloads[i:]), (*[Lanes]int)(matches[i:]), (*[Lanes]int)(deepStates[i:]))
+	}
+	for ; i < len(payloads); i++ {
+		matches[i], deepStates[i] = m.ScanStats(payloads[i])
+	}
+}
+
+// ScanFromBatch is ScanFrom over many independent streams at once: payload
+// i resumes at states[i], which is replaced by the state it ends in. No two
+// payloads of one call may belong to the same stream.
+func (m *Matcher) ScanFromBatch(states []State, payloads [][]byte, matches, deepStates []int) {
+	i := 0
+	for ; i+Lanes <= len(payloads); i += Lanes {
+		m.scan4((*[Lanes]State)(states[i:]), (*[Lanes][]byte)(payloads[i:]), (*[Lanes]int)(matches[i:]), (*[Lanes]int)(deepStates[i:]))
+	}
+	for ; i < len(payloads); i++ {
+		states[i], matches[i], deepStates[i] = m.ScanFrom(states[i], payloads[i])
+	}
+}
+
+// scan4 advances four payloads in lockstep over their common length, then
+// finishes each one's remainder on its own.
+func (m *Matcher) scan4(st *[Lanes]State, p *[Lanes][]byte, matches, deep *[Lanes]int) {
+	n := min(len(p[0]), len(p[1]), len(p[2]), len(p[3]))
+	p0, p1, p2, p3 := p[0][:n], p[1][:n], p[2][:n], p[3][:n]
+	tab, class, first := m.tab, &m.class, m.firstMatch
+	s0, s1, s2, s3 := uint32(st[0]), uint32(st[1]), uint32(st[2]), uint32(st[3])
+	var m0, m1, m2, m3, d0, d1, d2, d3 int
+	for i := 0; i < n; i++ {
+		s0 = tab[s0+uint32(class[p0[i]])]
+		s1 = tab[s1+uint32(class[p1[i]])]
+		s2 = tab[s2+uint32(class[p2[i]])]
+		s3 = tab[s3+uint32(class[p3[i]])]
+		d0 += offRoot(s0)
+		d1 += offRoot(s1)
+		d2 += offRoot(s2)
+		d3 += offRoot(s3)
+		if s0 >= first {
+			m0 += len(m.outputs(s0))
+		}
+		if s1 >= first {
+			m1 += len(m.outputs(s1))
+		}
+		if s2 >= first {
+			m2 += len(m.outputs(s2))
+		}
+		if s3 >= first {
+			m3 += len(m.outputs(s3))
+		}
+	}
+	*st = [Lanes]State{State(s0), State(s1), State(s2), State(s3)}
+	*matches = [Lanes]int{m0, m1, m2, m3}
+	*deep = [Lanes]int{d0, d1, d2, d3}
+	for l, pl := range p {
+		if len(pl) > n {
+			s, mt, dt := m.ScanFrom(st[l], pl[n:])
+			st[l] = s
+			matches[l] += mt
+			deep[l] += dt
+		}
+	}
 }

@@ -4,6 +4,12 @@
 // anti-replay window. It is a functional software implementation on the Go
 // standard library crypto; the platform simulator charges per-byte costs
 // derived from its micro-benchmarks.
+//
+// The per-packet path allocates only what the standard library forces: an
+// SA keys its HMAC once and rewinds it per packet (Reset, Sum into scratch
+// the SA owns), and Seal appends the ESP payload to a buffer the caller
+// supplies, so a gateway builds each outgoing packet in one buffer. What is
+// left per Seal is the CTR stream object. An SA is single-goroutine state.
 package ipsec
 
 import (
@@ -14,6 +20,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"math"
+	"slices"
 )
 
 // Truncated HMAC-SHA1-96 ICV length used by ESP.
@@ -32,14 +41,21 @@ var (
 	ErrTruncated  = errors.New("ipsec: truncated ESP packet")
 	ErrUnknownSPI = errors.New("ipsec: no SA for SPI")
 	ErrBadKeyLen  = errors.New("ipsec: AES-128 requires a 16-byte key")
+	// ErrSeqExhausted reports an SA whose 32-bit sequence counter is used
+	// up: sending on would reuse an (SPI, seq) pair — here also a CTR IV —
+	// so the SA must be replaced (RFC 4303 §3.3.3).
+	ErrSeqExhausted = errors.New("ipsec: sequence number space exhausted")
 )
 
 // SA is one security association.
 type SA struct {
-	SPI     uint32
-	encKey  []byte
-	authKey []byte
-	block   cipher.Block
+	SPI    uint32
+	encKey []byte
+	block  cipher.Block
+	// mac is HMAC-SHA1 under the authentication key, rewound for every
+	// packet; icv receives its untruncated sum.
+	mac hash.Hash
+	icv [sha1.Size]byte
 
 	// Outbound state.
 	seq uint32
@@ -61,39 +77,50 @@ func NewSA(spi uint32, encKey, authKey []byte) (*SA, error) {
 		return nil, err
 	}
 	return &SA{
-		SPI:     spi,
-		encKey:  append([]byte(nil), encKey...),
-		authKey: append([]byte(nil), authKey...),
-		block:   block,
+		SPI:    spi,
+		encKey: append([]byte(nil), encKey...),
+		block:  block,
+		mac:    hmac.New(sha1.New, authKey),
 	}, nil
 }
 
-// Seal encapsulates plaintext into an ESP payload:
+// Seal encapsulates plaintext into an ESP payload, appends it to dst and
+// returns the extended slice:
 //
 //	SPI(4) | Seq(4) | IV(16) | ciphertext | ICV(12)
 //
 // The IV is derived deterministically from (SPI, seq) — unique per packet
-// under a given SA, which CTR mode requires.
-func (sa *SA) Seal(plaintext []byte) ([]byte, error) {
+// under a given SA, which CTR mode requires. plaintext must not overlap the
+// appended region.
+func (sa *SA) Seal(dst, plaintext []byte) ([]byte, error) {
+	if sa.seq == math.MaxUint32 {
+		return nil, ErrSeqExhausted
+	}
 	sa.seq++
-	seq := sa.seq
 
-	out := make([]byte, espHeaderLen+ivLen+len(plaintext)+icvLen)
-	binary.BigEndian.PutUint32(out[0:4], sa.SPI)
-	binary.BigEndian.PutUint32(out[4:8], seq)
+	n := Overhead() + len(plaintext)
+	dst = slices.Grow(dst, n)
+	esp := dst[len(dst) : len(dst)+n]
+	binary.BigEndian.PutUint32(esp[0:4], sa.SPI)
+	binary.BigEndian.PutUint32(esp[4:8], sa.seq)
 
-	iv := out[espHeaderLen : espHeaderLen+ivLen]
-	binary.BigEndian.PutUint32(iv[0:4], sa.SPI)
-	binary.BigEndian.PutUint32(iv[4:8], seq)
-	// Remaining IV bytes stay zero; the block counter occupies the tail.
+	// The IV repeats (SPI, seq); its tail is the block counter, from zero.
+	iv := esp[espHeaderLen : espHeaderLen+ivLen]
+	copy(iv, esp[:espHeaderLen])
+	clear(iv[espHeaderLen:])
 
-	ct := out[espHeaderLen+ivLen : espHeaderLen+ivLen+len(plaintext)]
-	cipher.NewCTR(sa.block, iv).XORKeyStream(ct, plaintext)
+	signed := esp[:n-icvLen]
+	cipher.NewCTR(sa.block, iv).XORKeyStream(signed[espHeaderLen+ivLen:], plaintext)
+	copy(esp[n-icvLen:], sa.sum(signed))
+	return dst[:len(dst)+n], nil
+}
 
-	mac := hmac.New(sha1.New, sa.authKey)
-	mac.Write(out[:len(out)-icvLen])
-	copy(out[len(out)-icvLen:], mac.Sum(nil)[:icvLen])
-	return out, nil
+// sum returns the truncated HMAC of b in SA-owned scratch, valid until the
+// next call.
+func (sa *SA) sum(b []byte) []byte {
+	sa.mac.Reset()
+	sa.mac.Write(b)
+	return sa.mac.Sum(sa.icv[:0])[:icvLen]
 }
 
 // Open verifies and decapsulates an ESP payload produced by Seal, enforcing
@@ -112,9 +139,7 @@ func (sa *SA) Open(esp []byte) ([]byte, error) {
 		return nil, err
 	}
 
-	mac := hmac.New(sha1.New, sa.authKey)
-	mac.Write(esp[:len(esp)-icvLen])
-	if !hmac.Equal(mac.Sum(nil)[:icvLen], esp[len(esp)-icvLen:]) {
+	if !hmac.Equal(sa.sum(esp[:len(esp)-icvLen]), esp[len(esp)-icvLen:]) {
 		return nil, ErrAuthFailed
 	}
 

@@ -3,6 +3,7 @@ package nf
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nfcompass/internal/ac"
 	"nfcompass/internal/acl"
@@ -115,9 +116,39 @@ func (e *ACLFilter) TreeStats() (nodes, leaves, depth int) {
 	return 0, 0, 0
 }
 
+// scanStage is a matcher element's reusable staging for the batch kernel:
+// the packets to scan, their payloads, and the per-payload results.
+type scanStage struct {
+	pkts          []*netpkt.Packet
+	payloads      [][]byte
+	matches, deep []int
+}
+
+// add stages one packet's payload.
+func (st *scanStage) add(p *netpkt.Packet, payload []byte) {
+	st.pkts = append(st.pkts, p)
+	st.payloads = append(st.payloads, payload)
+}
+
+// results returns the result slices sized for the staged payloads.
+func (st *scanStage) results() (matches, deep []int) {
+	st.matches = slices.Grow(st.matches[:0], len(st.pkts))[:len(st.pkts)]
+	st.deep = slices.Grow(st.deep[:0], len(st.pkts))[:len(st.pkts)]
+	return st.matches, st.deep
+}
+
+// reset empties the stage, keeping its capacity but not the packets: a
+// sealed packet's buffer must not stay reachable from here after release.
+func (st *scanStage) reset() {
+	clear(st.pkts)
+	clear(st.payloads)
+	st.pkts, st.payloads = st.pkts[:0], st.payloads[:0]
+}
+
 // AhoCorasickMatch scans payloads against a multi-pattern set (the IDS /
 // DPI string-matching stage). Matched packets are dropped when DropOnMatch
-// is set (IDS inline mode) or counted otherwise.
+// is set (IDS inline mode) or counted otherwise. The batch's live payloads
+// go through the automaton together (ac.Matcher.ScanStatsBatch).
 type AhoCorasickMatch struct {
 	name        string
 	m           *ac.Matcher
@@ -129,6 +160,7 @@ type AhoCorasickMatch struct {
 	// no-match traffic (Fig. 8d/e).
 	DeepStates uint64
 	ScannedB   uint64
+	stage      scanStage
 }
 
 // NewAhoCorasickMatch builds the matcher element. sig must fingerprint the
@@ -157,25 +189,34 @@ func (e *AhoCorasickMatch) Signature() string { return "AhoCorasick/" + e.sig }
 
 // Process implements element.Element.
 func (e *AhoCorasickMatch) Process(b *netpkt.Batch) []*netpkt.Batch {
+	return []*netpkt.Batch{e.ProcessSingle(b)}
+}
+
+// ProcessSingle implements element.SingleOut.
+func (e *AhoCorasickMatch) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
+	st := &e.stage
 	for _, p := range b.Packets {
 		if p.Dropped {
 			continue
 		}
-		pl := p.Payload()
-		if pl == nil {
-			continue
+		if pl := p.Payload(); pl != nil {
+			st.add(p, pl)
 		}
-		matches, deep := e.m.ScanStats(pl)
-		e.DeepStates += uint64(deep)
-		e.ScannedB += uint64(len(pl))
-		if matches > 0 {
+	}
+	matches, deep := st.results()
+	e.m.ScanStatsBatch(st.payloads, matches, deep)
+	for i, p := range st.pkts {
+		e.DeepStates += uint64(deep[i])
+		e.ScannedB += uint64(len(st.payloads[i]))
+		if matches[i] > 0 {
 			e.Alerts++
 			if e.DropOnMatch {
 				p.Drop(e.name)
 			}
 		}
 	}
-	return []*netpkt.Batch{b}
+	st.reset()
+	return b
 }
 
 // Reset implements element.Resetter.
@@ -219,7 +260,7 @@ func (e *RegexMatch) Process(b *netpkt.Batch) []*netpkt.Batch {
 			continue
 		}
 		if pl := p.Payload(); pl != nil {
-			e.Matches += uint64(len(e.set.Match(pl)))
+			e.Matches += uint64(e.set.MatchCount(pl))
 		}
 	}
 	return []*netpkt.Batch{b}
@@ -266,33 +307,38 @@ func (e *IPsecSeal) Signature() string { return fmt.Sprintf("IPsecSeal/%#x", e.s
 
 // Process implements element.Element.
 func (e *IPsecSeal) Process(b *netpkt.Batch) []*netpkt.Batch {
+	return []*netpkt.Batch{e.ProcessSingle(b)}
+}
+
+// ProcessSingle implements element.SingleOut.
+func (e *IPsecSeal) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
 	for _, p := range b.Packets {
 		if p.Dropped || p.L3Proto != netpkt.ProtoIPv4 || p.L4Offset < 0 {
 			continue
 		}
+		// The outgoing packet is built once, in its own buffer: the
+		// original bytes up to L4, then the ESP payload sealed in place.
 		inner := p.Data[p.L4Offset:]
-		esp, err := e.sa.Seal(inner)
+		out := make([]byte, p.L4Offset, p.L4Offset+ipsec.Overhead()+len(inner))
+		copy(out, p.Data)
+		out, err := e.sa.Seal(out, inner)
 		if err != nil {
 			e.Errors++
 			p.Drop(e.name)
 			continue
 		}
-		// Rebuild: original bytes up to L4, then the ESP payload.
-		out := make([]byte, p.L4Offset+len(esp))
-		copy(out, p.Data[:p.L4Offset])
-		copy(out[p.L4Offset:], esp)
 		p.Data = out
-		// Fix the IP header: protocol = ESP, total length, checksum.
-		h := p.Data[p.L3Offset:]
+		// Fix the IP header: protocol = ESP, total length, checksum over
+		// the whole header, options included.
+		h := p.Data[p.L3Offset:p.L4Offset]
 		h[9] = byte(netpkt.IPProtoESP)
 		binary.BigEndian.PutUint16(h[2:4], uint16(len(p.Data)-p.L3Offset))
 		h[10], h[11] = 0, 0
-		sum := netpkt.Checksum(h[:netpkt.IPv4MinHeaderLen])
-		binary.BigEndian.PutUint16(h[10:12], sum)
+		binary.BigEndian.PutUint16(h[10:12], netpkt.Checksum(h))
 		p.L4Proto = netpkt.IPProtoESP
 		e.Sealed++
 	}
-	return []*netpkt.Batch{b}
+	return b
 }
 
 // Reset implements element.Resetter.

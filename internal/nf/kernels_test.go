@@ -1,0 +1,270 @@
+package nf
+
+import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"nfcompass/internal/ac"
+	"nfcompass/internal/element"
+	"nfcompass/internal/netpkt"
+	"nfcompass/internal/trie"
+)
+
+// acPerPacket is the packet-at-a-time walk AhoCorasickMatch.Process used to
+// be, kept as the reference the batch path must agree with.
+func acPerPacket(e *AhoCorasickMatch, b *netpkt.Batch) {
+	for _, p := range b.Packets {
+		if p.Dropped {
+			continue
+		}
+		pl := p.Payload()
+		if pl == nil {
+			continue
+		}
+		matches, deep := e.m.ScanStats(pl)
+		e.DeepStates += uint64(deep)
+		e.ScannedB += uint64(len(pl))
+		if matches > 0 {
+			e.Alerts++
+			if e.DropOnMatch {
+				p.Drop(e.name)
+			}
+		}
+	}
+}
+
+// streamPerPacket is the same for StreamAhoCorasick.Process.
+func streamPerPacket(e *StreamAhoCorasick, b *netpkt.Batch) {
+	for _, p := range b.Packets {
+		if p.Dropped {
+			continue
+		}
+		fs, _ := e.flows.Get(p.FlowID)
+		if e.DropOnMatch && fs.tainted {
+			p.Drop(e.name + "/tainted-flow")
+			continue
+		}
+		pl := p.Payload()
+		if pl == nil {
+			continue
+		}
+		state, matches, deep := e.m.ScanFrom(fs.state, pl)
+		fs.state = state
+		e.DeepStates += uint64(deep)
+		if matches > 0 {
+			e.Alerts++
+			if e.DropOnMatch {
+				fs.tainted = true
+				p.Drop(e.name)
+			}
+		}
+		e.flows.Put(p.FlowID, fs)
+	}
+}
+
+// scanTraffic builds the same batches twice: 0–70 packets each, uneven
+// payload lengths (some empty), some payloads carrying a pattern, some
+// packets already dropped upstream and some unparsed (nil payload).
+func scanTraffic(seed int64, batches, flows int, patterns []string) (a, b []*netpkt.Batch) {
+	build := func() []*netpkt.Batch {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]*netpkt.Batch, batches)
+		for bi := range out {
+			pkts := make([]*netpkt.Packet, rng.Intn(71))
+			for i := range pkts {
+				pay := make([]byte, rng.Intn(90))
+				for j := range pay {
+					pay[j] = "abcdx "[rng.Intn(6)]
+				}
+				if pat := patterns[rng.Intn(len(patterns))]; rng.Intn(4) == 0 && len(pat) <= len(pay) {
+					copy(pay[rng.Intn(len(pay)-len(pat)+1):], pat)
+				}
+				flow := uint64(1 + rng.Intn(flows))
+				p := tcpSeg(flow, uint32(rng.Intn(1<<20)), string(pay))
+				switch rng.Intn(12) {
+				case 0:
+					p.Drop("upstream")
+				case 1:
+					p = netpkt.NewPacket(p.Data) // never parsed: no payload
+					p.FlowID = flow
+				}
+				pkts[i] = p
+			}
+			out[bi] = netpkt.NewBatch(uint64(bi), pkts)
+		}
+		return out
+	}
+	return build(), build()
+}
+
+// sameVerdicts compares the per-packet drop decisions of two runs.
+func sameVerdicts(t *testing.T, got, want []*netpkt.Batch) {
+	t.Helper()
+	for bi := range want {
+		for i, w := range want[bi].Packets {
+			g := got[bi].Packets[i]
+			if g.Dropped != w.Dropped || g.DropReason != w.DropReason {
+				t.Fatalf("batch %d packet %d: dropped=%v %q, per-packet walk dropped=%v %q",
+					bi, i, g.Dropped, g.DropReason, w.Dropped, w.DropReason)
+			}
+		}
+	}
+}
+
+func TestAhoCorasickProcessVsPerPacket(t *testing.T) {
+	patterns := []string{"abc", "bcd", "cab", "dd", "abcab"}
+	m, _ := ac.NewMatcherStrings(patterns)
+	for _, drop := range []bool{false, true} {
+		got, want := scanTraffic(3, 60, 50, patterns)
+		e := NewAhoCorasickMatch("ac", "t", m, drop)
+		ref := NewAhoCorasickMatch("ac", "t", m, drop)
+		for bi := range got {
+			if out := e.Process(got[bi]); len(out) != 1 || out[0] != got[bi] {
+				t.Fatalf("Process returned %v", out)
+			}
+			acPerPacket(ref, want[bi])
+		}
+		sameVerdicts(t, got, want)
+		if e.Alerts != ref.Alerts || e.DeepStates != ref.DeepStates || e.ScannedB != ref.ScannedB {
+			t.Errorf("drop=%v: Alerts/DeepStates/ScannedB = %d/%d/%d, per-packet walk %d/%d/%d", drop,
+				e.Alerts, e.DeepStates, e.ScannedB, ref.Alerts, ref.DeepStates, ref.ScannedB)
+		}
+		if e.Alerts == 0 || e.DeepStates == 0 {
+			t.Error("traffic exercised nothing")
+		}
+	}
+}
+
+func TestStreamAhoCorasickVsPerPacket(t *testing.T) {
+	patterns := []string{"abc", "bcd", "cab", "dd", "abcab"}
+	m, _ := ac.NewMatcherStrings(patterns)
+	// 40 flows: most batches repeat flows. 40000 flows: the 8192-entry
+	// table fills and inserts evict.
+	for _, flows := range []int{40, 40000} {
+		for _, drop := range []bool{false, true} {
+			got, want := scanTraffic(5, 400, flows, patterns)
+			e := NewStreamAhoCorasick("sac", "t", m, drop)
+			ref := NewStreamAhoCorasick("sac", "t", m, drop)
+			for bi := range got {
+				e.Process(got[bi])
+				streamPerPacket(ref, want[bi])
+			}
+			sameVerdicts(t, got, want)
+			if e.Alerts != ref.Alerts || e.DeepStates != ref.DeepStates {
+				t.Errorf("flows=%d drop=%v: Alerts/DeepStates = %d/%d, per-packet walk %d/%d",
+					flows, drop, e.Alerts, e.DeepStates, ref.Alerts, ref.DeepStates)
+			}
+			// Same flow table: same entries, same recency order, same evictions.
+			dump := func(x *StreamAhoCorasick) string {
+				var sb bytes.Buffer
+				x.flows.Range(func(k uint64, v streamFlow) bool {
+					fmt.Fprintf(&sb, "%d:%d:%v ", k, v.state, v.tainted)
+					return true
+				})
+				return sb.String()
+			}
+			if dump(e) != dump(ref) || e.flows.Evictions != ref.flows.Evictions {
+				t.Errorf("flows=%d drop=%v: flow table differs from the per-packet walk's (evictions %d vs %d)",
+					flows, drop, e.flows.Evictions, ref.flows.Evictions)
+			}
+			if flows > reassemblyFlowCapacity && ref.flows.Evictions == 0 {
+				t.Error("table never filled")
+			}
+		}
+	}
+}
+
+func TestAhoCorasickProcessAllocs(t *testing.T) {
+	m, _ := ac.NewMatcherStrings([]string{"attack", "evil", "aaaa"})
+	e := NewAhoCorasickMatch("ac", "t", m, false)
+	host := element.NewHostBackend()
+	b := testBatch(64, 200)
+	host.Process(e, b) // sizes the staging once
+	if n := testing.AllocsPerRun(100, func() { host.Process(e, b) }); n != 0 {
+		t.Errorf("AhoCorasickMatch: %.1f allocs per batch, want 0", n)
+	}
+	if e.Alerts == 0 {
+		t.Error("nothing matched")
+	}
+}
+
+func TestIPsecSealAllocs(t *testing.T) {
+	gw := NewIPsecGateway("ipsec", 0x99, []byte("0123456789abcdef"), []byte("auth"))
+	g := element.NewGraph()
+	_, exit := gw.Build(g, "ipsec")
+	e := g.Node(exit).(*IPsecSeal)
+	host := element.NewHostBackend()
+	b := testBatch(64, 1000)
+	plain := make([][]byte, len(b.Packets))
+	for i, p := range b.Packets {
+		plain[i] = p.Data
+	}
+	run := func() {
+		for i, p := range b.Packets { // unseal: each run sees fresh plaintext
+			p.Data, p.L4Proto = plain[i], netpkt.IPProtoUDP
+		}
+		host.Process(e, b)
+	}
+	run()
+	// Per packet: the outgoing buffer and the standard library's CTR stream
+	// (one object on go1.24 — two allocations in all — three before it).
+	block, _ := aes.NewCipher(make([]byte, 16))
+	var buf [64]byte
+	ctr := testing.AllocsPerRun(50, func() { cipher.NewCTR(block, buf[:16]).XORKeyStream(buf[:], buf[:]) })
+	if n := testing.AllocsPerRun(50, run) / float64(len(b.Packets)); n > 1+ctr {
+		t.Errorf("IPsecSeal: %.2f allocs per packet, want <= %.0f (buffer + CTR stream)", n, 1+ctr)
+	}
+	if e.Sealed == 0 || e.Errors != 0 {
+		t.Errorf("Sealed = %d, Errors = %d", e.Sealed, e.Errors)
+	}
+}
+
+// A sealed packet whose IPv4 header carries options must leave with a
+// checksum over the whole header, or the next header check drops it.
+func TestIPsecSealKeepsOptionHeaderValid(t *testing.T) {
+	base := netpkt.BuildUDPv4(netpkt.UDPPacketSpec{
+		SrcIP: 0x0a000001, DstIP: 0xc0a80001, SrcPort: 1024, DstPort: 80,
+		Payload: []byte("behind four bytes of options"),
+	})
+	// Rebuild the frame with IHL = 6: three NOPs and an end-of-options.
+	l3 := base.L3Offset
+	data := append([]byte(nil), base.Data[:l3+netpkt.IPv4MinHeaderLen]...)
+	data = append(data, 1, 1, 1, 0)
+	data = append(data, base.Data[l3+netpkt.IPv4MinHeaderLen:]...)
+	h := data[l3 : l3+24]
+	h[0] = 4<<4 | 6
+	binary.BigEndian.PutUint16(h[2:4], uint16(len(data)-l3))
+	h[10], h[11] = 0, 0
+	binary.BigEndian.PutUint16(h[10:12], netpkt.Checksum(h))
+	p := netpkt.NewPacket(data)
+	if err := p.Parse(); err != nil {
+		t.Fatal(err)
+	}
+
+	var tr trie.IPv4Trie
+	_ = tr.Insert(0, 0, 1)
+	chain := []*NF{
+		NewIPsecGateway("ipsec", 0x99, []byte("0123456789abcdef"), []byte("auth")),
+		NewIPv4Router("r", trie.BuildDir24_8(&tr), "default"),
+	}
+	g, _, dst := BuildChain(chain)
+	x, err := element.NewExecutor(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := x.RunBatch(netpkt.NewBatch(0, []*netpkt.Packet{p}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out[dst]) == 0 || out[dst][0].Live() != 1 {
+		t.Fatalf("IHL=6 packet not delivered through ipsec,ipv4: dropped=%v %q", p.Dropped, p.DropReason)
+	}
+	if p.L4Proto != netpkt.IPProtoESP || !netpkt.IPv4HeaderChecksumOK(p.L3()) {
+		t.Errorf("delivered packet: proto %d, checksum ok = %v", p.L4Proto, netpkt.IPv4HeaderChecksumOK(p.L3()))
+	}
+}

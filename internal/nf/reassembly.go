@@ -170,6 +170,13 @@ type StreamAhoCorasick struct {
 
 	Alerts     uint64
 	DeepStates uint64
+
+	// stage holds packets of pairwise different flows waiting for one pass
+	// of the batch kernel; states are their flows' resume positions and
+	// newFlows counts those whose flow has no table entry yet.
+	stage    scanStage
+	states   []ac.State
+	newFlows int
 }
 
 // streamFlow is a flow's resumable scan state plus its taint flag (once a
@@ -215,25 +222,68 @@ func (e *StreamAhoCorasick) FootprintBytes() float64 {
 }
 
 // Process implements element.Element. Input must be in per-flow stream
-// order (run it behind TCPReassembly).
+// order (run it behind TCPReassembly). Packets are staged while their flows
+// differ and scanned together; a second packet of a staged flow needs the
+// first one's end state, so it settles the stage first. The flow table sees
+// the operations a packet-at-a-time walk would issue, in the same order.
 func (e *StreamAhoCorasick) Process(b *netpkt.Batch) []*netpkt.Batch {
 	for _, p := range b.Packets {
 		if p.Dropped {
 			continue
 		}
-		fs, _ := e.flows.Get(p.FlowID)
-		if e.DropOnMatch && fs.tainted {
-			p.Drop(e.name + "/tainted-flow")
-			continue
+		if e.staged(p.FlowID) {
+			e.flush()
 		}
+		fs, known := e.flows.Peek(p.FlowID)
 		pl := p.Payload()
-		if pl == nil {
+		tainted := e.DropOnMatch && fs.tainted
+		// Inserting a new flow into a full table evicts another flow's
+		// state; that packet is scanned alone, so no staged state is read
+		// before an eviction that should have cleared it.
+		evicts := !known && e.flows.Len()+e.newFlows >= e.flows.Capacity()
+		if tainted || pl == nil || evicts {
+			e.flush()
+		}
+		if tainted || pl == nil {
+			e.flows.Get(p.FlowID) // the lookup refreshes the flow's recency
+			if tainted {
+				p.Drop(e.name + "/tainted-flow")
+			}
 			continue
 		}
-		state, matches, deep := e.m.ScanFrom(fs.state, pl)
-		fs.state = state
-		e.DeepStates += uint64(deep)
-		if matches > 0 {
+		e.stage.add(p, pl)
+		e.states = append(e.states, fs.state)
+		if !known {
+			e.newFlows++
+		}
+		if evicts || len(e.states) == ac.Lanes {
+			e.flush()
+		}
+	}
+	e.flush()
+	return []*netpkt.Batch{b}
+}
+
+// staged reports whether a packet of the flow is waiting in the stage.
+func (e *StreamAhoCorasick) staged(flow uint64) bool {
+	for _, p := range e.stage.pkts {
+		if p.FlowID == flow {
+			return true
+		}
+	}
+	return false
+}
+
+// flush scans the staged packets and applies the verdicts in arrival order.
+func (e *StreamAhoCorasick) flush() {
+	st := &e.stage
+	matches, deep := st.results()
+	e.m.ScanFromBatch(e.states, st.payloads, matches, deep)
+	for i, p := range st.pkts {
+		fs, _ := e.flows.Get(p.FlowID)
+		fs.state = e.states[i]
+		e.DeepStates += uint64(deep[i])
+		if matches[i] > 0 {
 			e.Alerts++
 			if e.DropOnMatch {
 				fs.tainted = true
@@ -242,7 +292,8 @@ func (e *StreamAhoCorasick) Process(b *netpkt.Batch) []*netpkt.Batch {
 		}
 		e.flows.Put(p.FlowID, fs)
 	}
-	return []*netpkt.Batch{b}
+	st.reset()
+	e.states, e.newFlows = e.states[:0], 0
 }
 
 // Reset implements element.Resetter.

@@ -384,6 +384,18 @@ func (s *Set) Match(data []byte) []int {
 	return out
 }
 
+// MatchCount returns how many patterns occur in data — len(Match(data))
+// without building the index list.
+func (s *Set) MatchCount(data []byte) int {
+	n := 0
+	for _, d := range s.dfas {
+		if d.MatchBytes(data) {
+			n++
+		}
+	}
+	return n
+}
+
 // Len returns the number of patterns in the set.
 func (s *Set) Len() int { return len(s.dfas) }
 

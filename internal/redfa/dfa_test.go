@@ -154,6 +154,11 @@ func TestSet(t *testing.T) {
 	if len(hits) != 1 || hits[0] != 2 {
 		t.Errorf("Match = %v, want [2]", hits)
 	}
+	for _, in := range []string{"download 42.exe now", "eval(attack)", "clean", ""} {
+		if got, want := s.MatchCount([]byte(in)), len(s.Match([]byte(in))); got != want {
+			t.Errorf("MatchCount(%q) = %d, want %d", in, got, want)
+		}
+	}
 	if s.TotalStates() <= 0 {
 		t.Error("TotalStates <= 0")
 	}
