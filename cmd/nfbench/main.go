@@ -2,17 +2,16 @@
 //
 // Usage:
 //
-//	nfbench [-quick] [-batches N] [-batchsize N] [-seed N] [-json FILE] all|<experiment>...
+//	nfbench [-quick] [-batches N] [-batchsize N] [-seed N] [-format table|csv] all|<experiment>...
 //
-// Experiments: fig5 fig6 fig7 fig8a fig8d fig8e fig14 fig15 fig17 ablation.
-// Each prints the rows/series of the corresponding paper artifact (see
-// DESIGN.md §4 for the experiment index). With -json, the run additionally
-// writes every produced table to FILE as a JSON array, for plotting and
-// regression-tracking pipelines.
+// Experiments: ablation algos fig5 fig6 fig7 fig8a fig8d fig8e fig14 fig15
+// fig17 micro scaling. Each prints the rows/series of the corresponding
+// paper artifact (see DESIGN.md §4 for the experiment index). Live-plane
+// performance is not measured here: that is the repo benchmark
+// (benchmarks/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,13 +26,16 @@ func main() {
 	batchSize := flag.Int("batchsize", 0, "packets per batch (0 = default)")
 	seed := flag.Int64("seed", 1, "traffic seed")
 	format := flag.String("format", "table", "output format: table|csv")
-	jsonOut := flag.String("json", "", "also write all tables as a JSON array to this file (\"-\" for stdout)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: nfbench [flags] all|experiment...\n")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", bench.IDs())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "nfbench: unknown -format %q (want table|csv)\n", *format)
+		os.Exit(2)
+	}
 
 	ids := flag.Args()
 	if len(ids) == 0 {
@@ -54,7 +56,6 @@ func main() {
 		cfg.BatchSize = *batchSize
 	}
 
-	var tables []*bench.Table
 	for _, id := range ids {
 		start := time.Now()
 		tbl, err := bench.Run(id, cfg)
@@ -62,27 +63,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nfbench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		tables = append(tables, tbl)
-		switch *format {
-		case "csv":
+		if *format == "csv" {
 			fmt.Print(tbl.CSV())
-		default:
+		} else {
 			fmt.Print(tbl.Format())
 			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-		}
-	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nfbench: encoding JSON: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "nfbench: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
 		}
 	}
 }

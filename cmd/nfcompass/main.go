@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,22 +50,14 @@ func main() {
 		"dataplane replicas for the -metrics run: packets are dispatched by flow affinity and the snapshot aggregates across shards (0 = one per CPU)")
 	assign := flag.Bool("assign", false,
 		"print the task allocator's report (algorithm, objective, cut/load split, per-element offload ratios) and execute the chain on the live dataplane under that assignment: ModeGPU/ModeSplit elements run through the emulated GPU device backend")
-	noFusion := flag.Bool("no-fusion", false,
-		"disable device-resident segment fusion in the -assign dataplane run: every GPU element pays its own H2D/D2H round trip (A/B lever for the fusion saving)")
-	noCompile := flag.Bool("no-compile", false,
-		"disable compiled CPU stage-loops in dataplane runs: every CPU element keeps its own goroutine and channel hop (A/B lever for the compilation saving)")
-	noFlight := flag.Bool("no-flight", false,
-		"disable the pipeline flight recorder in -source and -serve runs: no stage spans, no utilization sampling, no loss ledger, no bottleneck report (A/B lever for the recorder's overhead)")
 	source := flag.String("source", "",
-		"drive the chain from the ingress plane: pcap:FILE (capture replay), udp:ADDR (one frame per datagram), or nic:queues=N[,pcap=FILE] (emulated RSS NIC, per-queue injection into N shards)")
+		"drive the chain from the ingress plane: pcap:FILE (capture replay), udp:ADDR (one frame per datagram), or nic:queues=N[,pcap=FILE] (emulated RSS NIC, per-queue injection into N shards; N > 1 runs one reader and one RX worker per queue)")
 	pin := flag.Bool("pin", false,
 		"lock each shard's element goroutines to dedicated OS threads (runtime.LockOSThread) in the -source run")
 	loops := flag.Int("loops", 1,
 		"replay passes over the -source capture; passes after the first present rekeyed flows (sustained churn)")
 	pps := flag.Float64("pps", 0,
 		"pace the -source capture replay at this packet rate (0 = as fast as the pipeline pulls)")
-	rxWorkers := flag.Int("rx-workers", 0,
-		"parallel ingress for the -source nic run: split the source into up to this many readers feeding one RX worker per queue over SPSC rings, with per-shard egress drains (0 = auto: one reader per queue; 1 = classic single-reader pump, the A/B lever)")
 	serve := flag.String("serve", "",
 		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /trace /decisions /debug/pprof) on this address, e.g. :9090")
 	fleet := flag.Bool("fleet", false,
@@ -81,6 +74,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := checkModes(modeFlags{
+		source: *source, serve: *serve, pcap: *pcapIn,
+		fleet: *fleet, assign: *assign, metrics: *metrics,
+		pin: *pin, loops: *loops, pps: *pps,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "nfcompass:", err)
+		os.Exit(2)
+	}
 
 	chain, err := spec.Parse(flag.Arg(0), *seed)
 	if err != nil {
@@ -90,9 +91,6 @@ func main() {
 	// Multi-tenant control-plane mode: hand the chain to the rollout
 	// coordinator and serve the /chains surface (see fleet.go).
 	if *fleet {
-		if *serve == "" {
-			fatal(fmt.Errorf("-fleet requires -serve ADDR"))
-		}
 		if err := runFleet(fleetOpts{
 			addr: *serve, chain: flag.Arg(0), duration: *duration,
 			shards: *shards, pkt: *pkt, seed: *seed, offload: !*noGTA,
@@ -154,11 +152,16 @@ func main() {
 		return gen.Batches(*batches, *batchSize)
 	}
 
-	var sample []*netpkt.Batch
-	if opt.GTA {
-		sample = mkBatches(1000)
+	// deploy runs the (deterministic) pipeline; every call returns fresh,
+	// structurally identical element instances.
+	deploy := func() (*core.Deployment, error) {
+		var sample []*netpkt.Batch
+		if opt.GTA {
+			sample = mkBatches(1000)
+		}
+		return core.Deploy(chain, p, sample, opt)
 	}
-	d, err := core.Deploy(chain, p, sample, opt)
+	d, err := deploy()
 	if err != nil {
 		fatal(err)
 	}
@@ -170,25 +173,10 @@ func main() {
 	// Ingress mode: replay a packet source through the deployed chain and
 	// report the run (see source.go).
 	if *source != "" {
-		build := func(shard int) (*element.Graph, error) {
-			if shard == 0 {
-				return d.Graph, nil
-			}
-			var s []*netpkt.Batch
-			if opt.GTA {
-				s = mkBatches(1000)
-			}
-			di, err := core.Deploy(chain, p, s, opt)
-			if err != nil {
-				return nil, err
-			}
-			return di.Graph, nil
-		}
-		if err := runSource(build, sourceOpts{
+		if err := runSource(replicas(d, deploy), sourceOpts{
 			spec: *source, shards: *shards, pin: *pin,
-			loops: *loops, pps: *pps, rxWorkers: *rxWorkers,
-			batchSize: *batchSize, noCompile: *noCompile,
-			noFlight: *noFlight, mkBatches: mkBatches,
+			loops: *loops, pps: *pps,
+			batchSize: *batchSize, mkBatches: mkBatches,
 		}); err != nil {
 			fatal(err)
 		}
@@ -198,17 +186,10 @@ func main() {
 	// Continuous telemetry mode: skip the batch comparisons and keep the
 	// deployment running on the live dataplane behind the admin server.
 	if *serve != "" {
-		deploy := func() (*core.Deployment, error) {
-			var s []*netpkt.Batch
-			if opt.GTA {
-				s = mkBatches(1000)
-			}
-			return core.Deploy(chain, p, s, opt)
-		}
 		if err := runServe(d, deploy, opt, serveOpts{
 			addr: *serve, duration: *duration, shards: *shards,
 			pkt: *pkt, batchSize: *batchSize, seed: *seed,
-			platform: p, noCompile: *noCompile, noFlight: *noFlight,
+			platform: p,
 		}); err != nil {
 			fatal(err)
 		}
@@ -238,7 +219,7 @@ func main() {
 		}
 		fmt.Printf("%-10s  %10.2f  %10.1fus\n", r.name,
 			res.Throughput.Gbps(), res.Latency.Percentile(50)/1e3)
-		resetAll(d)
+		d.Graph.Reset()
 	}
 
 	// Placement-aware run: print what the allocator decided, then execute
@@ -267,56 +248,38 @@ func main() {
 				fmt.Printf("    %-24s %.2f\n", name, rep.OffloadByElement[name])
 			}
 		}
-		resetAll(d)
+		d.Graph.Reset()
 		_, pl, err := dataplane.RunBatches(context.Background(), d.Graph,
 			dataplane.Config{
 				PreserveOrder: true, Metrics: true,
-				DisableCompile: *noCompile,
-				Assignment:     d.Assignment,
-				Offload:        &dataplane.OffloadConfig{Platform: &p, DisableFusion: *noFusion},
+				Assignment: d.Assignment,
+				Offload:    &dataplane.OffloadConfig{Platform: &p},
 			}, mkBatches(4000))
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nplacement-aware dataplane run:\n%s", pl.Snapshot())
-		resetAll(d)
+		d.Graph.Reset()
 	}
 
 	// Live observability run: execute the deployment graph for real on the
 	// concurrent dataplane with the per-element metrics layer on, then dump
 	// the typed snapshot and its Prometheus-text form.
 	if *metrics {
-		resetAll(d)
+		d.Graph.Reset()
 		var rep *dataplane.Report
 		if *shards == 1 {
 			_, pl, err := dataplane.RunBatches(context.Background(), d.Graph,
-				dataplane.Config{PreserveOrder: true, Metrics: true,
-					DisableCompile: *noCompile}, mkBatches(3000))
+				dataplane.Config{PreserveOrder: true, Metrics: true},
+				mkBatches(3000))
 			if err != nil {
 				fatal(err)
 			}
 			rep = pl.Snapshot()
 		} else {
-			// Each shard needs its own element instances: shard 0 reuses the
-			// deployment we already have, the rest re-run the (deterministic)
-			// pipeline to produce structurally identical replicas.
-			build := func(shard int) (*element.Graph, error) {
-				if shard == 0 {
-					return d.Graph, nil
-				}
-				var s []*netpkt.Batch
-				if opt.GTA {
-					s = mkBatches(1000)
-				}
-				di, err := core.Deploy(chain, p, s, opt)
-				if err != nil {
-					return nil, err
-				}
-				return di.Graph, nil
-			}
-			_, sp, err := dataplane.RunBatchesSharded(context.Background(), build,
-				dataplane.ShardedConfig{
-					Config:  dataplane.Config{Metrics: true, DisableCompile: *noCompile},
+			_, sp, err := dataplane.RunBatchesSharded(context.Background(),
+				replicas(d, deploy), dataplane.ShardedConfig{
+					Config:  dataplane.Config{Metrics: true},
 					Shards:  *shards,
 					Ordered: true,
 				}, mkBatches(3000))
@@ -330,15 +293,57 @@ func main() {
 		fmt.Printf("\nlive dataplane metrics:\n%s", rep)
 		fmt.Printf("\n# Prometheus text exposition\n")
 		rep.WritePrometheus(os.Stdout)
-		resetAll(d)
+		d.Graph.Reset()
 	}
 }
 
-func resetAll(d *core.Deployment) {
-	for i := 0; i < d.Graph.Len(); i++ {
-		if r, ok := d.Graph.Node(element.NodeID(i)).(element.Resetter); ok {
-			r.Reset()
+// modeFlags are the parsed flag values that select, or only work in, one
+// run mode.
+type modeFlags struct {
+	source, serve, pcap         string
+	fleet, assign, metrics, pin bool
+	loops                       int
+	pps                         float64
+}
+
+// checkModes rejects the flag combinations in which one flag would be
+// silently ignored: the run modes (-source, -serve, -serve -fleet, and the
+// default batch comparison with its -assign/-metrics runs) are exclusive.
+func checkModes(f modeFlags) error {
+	for _, r := range []struct {
+		bad bool
+		why string
+	}{
+		{f.fleet && f.serve == "", "-fleet requires -serve ADDR"},
+		{f.fleet && f.source != "", "-fleet and -source are exclusive: the control plane drives its tenants' traffic itself"},
+		{f.fleet && f.assign, "-fleet and -assign are exclusive: tenants are placed per revision by the control plane"},
+		{f.fleet && f.metrics, "-fleet and -metrics are exclusive: read the fleet's metrics from the served /metrics"},
+		{f.fleet && f.pcap != "", "-fleet and -pcap are exclusive: the control plane profiles each revision on synthetic traffic"},
+		{f.source != "" && f.serve != "", "-source and -serve are exclusive: -source replays one packet source to its end, -serve generates traffic for -duration"},
+		{f.pin && f.source == "", "-pin requires -source: only the ingress run pins shard goroutines"},
+		{f.loops != 1 && f.source == "", "-loops requires -source: it counts passes over the ingress capture"},
+		{f.pps != 0 && f.source == "", "-pps requires -source: it paces the ingress capture replay"},
+	} {
+		if r.bad {
+			return errors.New(r.why)
 		}
+	}
+	return nil
+}
+
+// replicas is the per-shard graph builder of a sharded run. Elements are
+// stateful, so every shard needs its own instances: shard 0 runs d's graph
+// and each further shard a fresh deployment.
+func replicas(d *core.Deployment, deploy func() (*core.Deployment, error)) func(shard int) (*element.Graph, error) {
+	return func(shard int) (*element.Graph, error) {
+		if shard == 0 {
+			return d.Graph, nil
+		}
+		di, err := deploy()
+		if err != nil {
+			return nil, err
+		}
+		return di.Graph, nil
 	}
 }
 

@@ -1,0 +1,49 @@
+package main
+
+import "testing"
+
+// TestCheckModes pins the run-mode table: every combination in which a flag
+// would be ignored is refused with its reason, and every combination some
+// mode reads is accepted.
+func TestCheckModes(t *testing.T) {
+	// The flag defaults, as flag.Parse leaves them.
+	def := modeFlags{loops: 1}
+	with := func(edit func(*modeFlags)) modeFlags {
+		f := def
+		edit(&f)
+		return f
+	}
+	for _, tc := range []struct {
+		name string
+		f    modeFlags
+		want string // the refusal; "" = legal
+	}{
+		{"batch comparison", def, ""},
+		{"batch -assign -metrics -pcap", with(func(f *modeFlags) { f.assign, f.metrics, f.pcap = true, true, "t.pcap" }), ""},
+		{"-source with its knobs", with(func(f *modeFlags) { f.source, f.pin, f.loops, f.pps = "nic:queues=4", true, 4, 6000 }), ""},
+		{"-source -pcap (synthetic-trace override)", with(func(f *modeFlags) { f.source, f.pcap = "nic:queues=2", "t.pcap" }), ""},
+		{"-serve", with(func(f *modeFlags) { f.serve = ":9090" }), ""},
+		{"-serve -fleet", with(func(f *modeFlags) { f.serve, f.fleet = ":9090", true }), ""},
+
+		{"-fleet alone", with(func(f *modeFlags) { f.fleet = true }), "-fleet requires -serve ADDR"},
+		{"-fleet -source", with(func(f *modeFlags) { f.serve, f.fleet, f.source = ":9090", true, "pcap:t.pcap" }), "-fleet and -source are exclusive: the control plane drives its tenants' traffic itself"},
+		{"-fleet -assign", with(func(f *modeFlags) { f.serve, f.fleet, f.assign = ":9090", true, true }), "-fleet and -assign are exclusive: tenants are placed per revision by the control plane"},
+		{"-fleet -metrics", with(func(f *modeFlags) { f.serve, f.fleet, f.metrics = ":9090", true, true }), "-fleet and -metrics are exclusive: read the fleet's metrics from the served /metrics"},
+		{"-fleet -pcap", with(func(f *modeFlags) { f.serve, f.fleet, f.pcap = ":9090", true, "t.pcap" }), "-fleet and -pcap are exclusive: the control plane profiles each revision on synthetic traffic"},
+		{"-source -serve", with(func(f *modeFlags) { f.source, f.serve = "pcap:t.pcap", ":9090" }), "-source and -serve are exclusive: -source replays one packet source to its end, -serve generates traffic for -duration"},
+		{"-pin without -source", with(func(f *modeFlags) { f.pin = true }), "-pin requires -source: only the ingress run pins shard goroutines"},
+		{"-loops without -source", with(func(f *modeFlags) { f.loops = 3 }), "-loops requires -source: it counts passes over the ingress capture"},
+		{"-pps without -source", with(func(f *modeFlags) { f.pps = 1000 }), "-pps requires -source: it paces the ingress capture replay"},
+		{"-pin under -serve", with(func(f *modeFlags) { f.serve, f.pin = ":9090", true }), "-pin requires -source: only the ingress run pins shard goroutines"},
+	} {
+		err := checkModes(tc.f)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted, want refusal %q", tc.name, tc.want)
+		case tc.want != "" && err.Error() != tc.want:
+			t.Errorf("%s: refused with %q, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
-	"nfcompass/internal/element"
 	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
@@ -38,8 +37,6 @@ type serveOpts struct {
 	batchSize int
 	seed      int64
 	platform  hetsim.Platform
-	noCompile bool
-	noFlight  bool
 }
 
 // runServe is the `-serve` continuous mode: deploy the chain onto the live
@@ -76,15 +73,11 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 	ring := dataplane.NewRingTrace(1 << 14)
 	// Flight recorder: stage spans + utilization sampling for the whole
 	// run, served at /trace.chrome, /spans, /bottleneck and folded into
-	// /metrics. -no-flight is the A/B lever for its overhead.
-	var rec *flight.Recorder
-	var smp *flight.Sampler
-	if !o.noFlight {
-		rec = flight.New(flight.Config{})
-		smp = flight.NewSampler(rec, flight.DefaultSampleInterval)
-	}
+	// /metrics.
+	rec := flight.New(flight.Config{})
+	smp := flight.NewSampler(rec, flight.DefaultSampleInterval)
 	cfg := dataplane.Config{PreserveOrder: true, Metrics: true, Trace: ring,
-		DisableCompile: o.noCompile, Flight: rec}
+		Flight: rec}
 	if d.Alloc != nil {
 		cfg.Assignment = d.Assignment
 		cfg.Offload = &dataplane.OffloadConfig{Platform: &o.platform}
@@ -99,17 +92,7 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		pl.Start(ctx)
 		eng = pl
 	} else {
-		build := func(shard int) (*element.Graph, error) {
-			if shard == 0 {
-				return d.Graph, nil
-			}
-			di, err := deploy()
-			if err != nil {
-				return nil, err
-			}
-			return di.Graph, nil
-		}
-		sp, err := dataplane.NewSharded(build, dataplane.ShardedConfig{
+		sp, err := dataplane.NewSharded(replicas(d, deploy), dataplane.ShardedConfig{
 			Config: cfg, Shards: o.shards, Ordered: true,
 		})
 		if err != nil {
@@ -243,22 +226,20 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 	smp.Stop()
 
 	fmt.Printf("\nfinal snapshot:\n%s", eng.Snapshot())
-	if rec != nil {
-		// The drain verdict joins the decision journal so a post-mortem
-		// /decisions read (or the printout below) carries the limiting
-		// stage next to the placement decisions that produced it.
-		rep := smp.Report()
-		if lg := rec.Ledger(); lg.Total() > 0 {
-			fmt.Printf("\nloss attribution: %s\n", lg)
-		}
-		fmt.Printf("\nbottleneck report:\n%s", rep)
-		adaptor.Journal().Record(core.Decision{
-			Accepted:       true,
-			Reason:         "bottleneck",
-			Bottleneck:     rep.Limiting,
-			BottleneckUtil: rep.LimitingUtil,
-		})
+	// The drain verdict joins the decision journal so a post-mortem
+	// /decisions read (or the printout below) carries the limiting
+	// stage next to the placement decisions that produced it.
+	rep := smp.Report()
+	if lg := rec.Ledger(); lg.Total() > 0 {
+		fmt.Printf("\nloss attribution: %s\n", lg)
 	}
+	fmt.Printf("\nbottleneck report:\n%s", rep)
+	adaptor.Journal().Record(core.Decision{
+		Accepted:       true,
+		Reason:         "bottleneck",
+		Bottleneck:     rep.Limiting,
+		BottleneckUtil: rep.LimitingUtil,
+	})
 	fmt.Printf("\ndecision journal (%d total):\n%s",
 		adaptor.Journal().Total(), adaptor.Journal())
 	return nil

@@ -40,10 +40,7 @@ type sourceOpts struct {
 	pin       bool
 	loops     int
 	pps       float64
-	rxWorkers int // 0 = auto (one reader per queue in nic mode), 1 = single-reader pump
 	batchSize int
-	noCompile bool
-	noFlight  bool
 	mkBatches func(off int64) []*netpkt.Batch
 }
 
@@ -135,32 +132,23 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 	if shards < 1 {
 		shards = 1
 	}
-	// Resolve the parallelism knob: auto means one reader per NIC queue;
-	// without a NIC there is nothing for per-queue workers to own, so the
-	// classic single-reader pump runs.
-	workers := o.rxWorkers
-	if workers == 0 && nic != nil {
+	// The pump shape follows the source: a multi-queue NIC gets one reader
+	// and one RX worker per queue; without one there is nothing for
+	// per-queue workers to own, so the single-reader pump runs.
+	workers := 1
+	if nic != nil {
 		workers = nic.Queues()
-	}
-	if workers < 1 || nic == nil {
-		workers = 1
 	}
 	// Flight recorder: span every stage boundary of the run and sample
 	// utilization so the replay summary can name the limiting stage.
-	// -no-flight is the A/B lever for its overhead.
-	var rec *flight.Recorder
-	var smp *flight.Sampler
-	if !o.noFlight {
-		rec = flight.New(flight.Config{})
-		smp = flight.NewSampler(rec, flight.DefaultSampleInterval)
-	}
+	rec := flight.New(flight.Config{})
+	smp := flight.NewSampler(rec, flight.DefaultSampleInterval)
 	sp, err := dataplane.NewSharded(build, dataplane.ShardedConfig{
 		Shards: shards,
 		Config: dataplane.Config{
 			QueueDepth: 8, Metrics: true,
-			PinOSThread:    o.pin,
-			DisableCompile: o.noCompile,
-			Flight:         rec,
+			PinOSThread: o.pin,
+			Flight:      rec,
 		},
 		ShardOut: workers > 1,
 	})
@@ -171,7 +159,7 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 	if nic != nil {
 		mode = fmt.Sprintf("%v, direct per-queue injection", nic)
 		if workers > 1 {
-			mode += fmt.Sprintf(", parallel RX/TX (<=%d readers, %d queue workers, per-shard drains)", workers, nic.Queues())
+			mode += fmt.Sprintf(", parallel RX/TX (<=%[1]d readers, %[1]d queue workers, per-shard drains)", workers)
 		} else {
 			mode += ", single-reader pump"
 		}
@@ -211,11 +199,9 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 	fmt.Printf("  output: %d forwarded, %d dropped, p99 e2e %v\n",
 		st.OutPackets, st.Drops, st.E2ELabel())
 	fmt.Printf("\ndataplane snapshot:\n%s", sp.Snapshot())
-	if rec != nil {
-		if lg := rec.Ledger(); lg.Total() > 0 {
-			fmt.Printf("\nloss attribution: %s\n", lg)
-		}
-		fmt.Printf("\nbottleneck report:\n%s", smp.Report())
+	if lg := rec.Ledger(); lg.Total() > 0 {
+		fmt.Printf("\nloss attribution: %s\n", lg)
 	}
+	fmt.Printf("\nbottleneck report:\n%s", smp.Report())
 	return nil
 }

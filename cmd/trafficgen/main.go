@@ -42,7 +42,7 @@ func main() {
 	pcapOut := flag.String("pcap", "", "write packets to this pcap file instead of text")
 	udpOut := flag.String("udp", "", "emit packets as UDP datagrams (one frame per datagram) to this address — the wire feeding nfcompass -source udp:ADDR")
 	pps := flag.Float64("pps", 0, "pace -udp emission at this packet rate (0 = as fast as possible; with -workers, the rate each worker sends at)")
-	workers := flag.Int("workers", 1, "concurrent -udp senders, each with its own socket and flow space — pairs with the receiver's multi-socket reader pool (-rx-workers)")
+	workers := flag.Int("workers", 1, "concurrent -udp senders, each with its own socket and flow space — pairs with the receiver's multi-socket reader pool")
 	flag.Parse()
 
 	var size traffic.SizeDist

@@ -94,7 +94,7 @@ func Fig17(cfg Config) (*Table, error) {
 			gbps := make([]float64, len(systems))
 			var interarrival float64
 			for si, sys := range systems {
-				resetGraph(sys.graph)
+				sys.graph.Reset()
 				sim, err := hetsim.NewSimulator(cfg.Platform, sys.costs, sys.graph, sys.a)
 				if err != nil {
 					return nil, err
@@ -114,7 +114,7 @@ func Fig17(cfg Config) (*Table, error) {
 
 			// Pass 2: latency under the common offered load.
 			for si, sys := range systems {
-				resetGraph(sys.graph)
+				sys.graph.Reset()
 				sim, err := hetsim.NewSimulator(cfg.Platform, sys.costs, sys.graph, sys.a)
 				if err != nil {
 					return nil, err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"nfcompass/internal/core"
@@ -29,32 +30,6 @@ func liveTraffic(seed int64, n int) []*netpkt.Batch {
 	return gen.Batches(n, 32)
 }
 
-func TestMeasureLive(t *testing.T) {
-	g, _, _ := nf.BuildChain(liveTestChain())
-	lp, err := MeasureLive(g, dataplane.Config{PreserveOrder: true}, liveTraffic(1, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp.Report == nil || !lp.Report.MetricsEnabled {
-		t.Fatal("live profile must carry a metrics-enabled report")
-	}
-	if lp.Report.InPackets != 20*32 {
-		t.Fatalf("in packets = %d", lp.Report.InPackets)
-	}
-	if lp.Intensities.AvgPktBytes != 256 {
-		t.Fatalf("avg pkt bytes = %g", lp.Intensities.AvgPktBytes)
-	}
-	if lp.Throughput.Packets == 0 || lp.Throughput.Nanos <= 0 {
-		t.Fatalf("throughput not derived: %+v", lp.Throughput)
-	}
-	// Linear chain: every node sees every live packet.
-	for id, frac := range lp.Intensities.Node {
-		if frac != 1.0 {
-			t.Errorf("node %d intensity = %g", id, frac)
-		}
-	}
-}
-
 // The end-to-end bridge: live-measured profile feeds the GTA allocator in
 // place of the offline sweep.
 func TestLiveProfileFeedsAllocator(t *testing.T) {
@@ -73,18 +48,23 @@ func TestLiveProfileFeedsAllocator(t *testing.T) {
 
 	// Live run on a fresh graph (elements are stateful).
 	liveG, _, _ := nf.BuildChain(liveTestChain())
-	lp, err := MeasureLive(liveG, dataplane.Config{}, liveTraffic(2, 30))
+	_, pl, err := dataplane.RunBatches(context.Background(), liveG,
+		dataplane.Config{Metrics: true}, liveTraffic(2, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refreshed, in, updated := lp.Refresh(dict)
-	if updated == 0 {
-		t.Fatal("refresh must override at least one CPU timing")
+	rep := pl.Snapshot()
+	in, err := rep.Intensities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ApplyCPUTimings(dict) == 0 {
+		t.Fatal("live timings must override at least one CPU entry")
 	}
 
-	// The refreshed dictionary's CPU numbers are the measured ones.
-	timings := lp.Report.CPUTimings()
-	e, err := refreshed.Lookup("NATRewrite", 256)
+	// The dictionary's CPU numbers are now the measured ones.
+	timings := rep.CPUTimings()
+	e, err := dict.Lookup("NATRewrite", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +74,12 @@ func TestLiveProfileFeedsAllocator(t *testing.T) {
 
 	// Allocate straight from the live profile.
 	allocG, _, _ := nf.BuildChain(liveTestChain())
-	assign, rep, err := core.Allocate(allocG, refreshed, in, p, nil,
+	assign, alloc, err := core.Allocate(allocG, dict, in, p, nil,
 		32, 0.25, core.AlgoMultilevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if assign == nil || rep == nil {
+	if assign == nil || alloc == nil {
 		t.Fatal("allocator returned nothing")
 	}
 }

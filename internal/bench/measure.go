@@ -26,7 +26,7 @@ func measure(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	mkBatches func() []*netpkt.Batch) (Measurement, error) {
 
 	var m Measurement
-	resetGraph(g)
+	g.Reset()
 	sim, err := hetsim.NewSimulator(p, costs, g, a)
 	if err != nil {
 		return m, err
@@ -44,7 +44,7 @@ func measure(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	if res.Throughput.Nanos > 0 && len(sat) > 1 {
 		interarrival = float64(res.Throughput.Nanos) / float64(len(sat)) / 0.8
 	}
-	resetGraph(g)
+	g.Reset()
 	sim2, err := hetsim.NewSimulator(p, costs, g, a)
 	if err != nil {
 		return m, err
@@ -56,13 +56,4 @@ func measure(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	m.MeanLatencyUs = res2.Latency.Mean() / 1e3
 	m.StdLatencyUs = res2.Latency.StdDev() / 1e3
 	return m, nil
-}
-
-// resetGraph clears stateful elements between measurement passes.
-func resetGraph(g *element.Graph) {
-	for i := 0; i < g.Len(); i++ {
-		if r, ok := g.Node(element.NodeID(i)).(element.Resetter); ok {
-			r.Reset()
-		}
-	}
 }

@@ -24,13 +24,9 @@ var Registry = map[string]Experiment{
 	"fig15":    {ID: "fig15", Paper: "Figure 15", Run: Fig15},
 	"fig17":    {ID: "fig17", Paper: "Figures 16-17", Run: Fig17},
 	"ablation": {ID: "ablation", Paper: "DESIGN.md E13", Run: Ablation},
-	"compile":  {ID: "compile", Paper: "DESIGN.md §12 A/B", Run: Compile},
 	"algos":    {ID: "algos", Paper: "§IV-C-3 tradeoff", Run: Algos},
 	"micro":    {ID: "micro", Paper: "§IV-C-2 dictionary", Run: Micro},
 	"scaling":  {ID: "scaling", Paper: "§II-A-2 SFC length", Run: Scaling},
-	"soak":     {ID: "soak", Paper: "Fig. 7 sustained soak", Run: Soak},
-	"rxscale":  {ID: "rxscale", Paper: "Fig. 7 scaling axis", Run: RXScale},
-	"flight":   {ID: "flight", Paper: "DESIGN.md §16 A/B", Run: Flight},
 }
 
 // IDs returns the registered experiment ids in order.

@@ -86,7 +86,7 @@ func TestAdaptorReallocationImprovesShiftedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resetDeployment(d)
+	d.Graph.Reset()
 
 	a := NewAdaptor(d, DefaultOptions())
 	if _, err := a.Observe(idsSample(traffic.PayloadRandom, 31, 4)); err != nil {

@@ -116,8 +116,8 @@ func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Optio
 		if err != nil {
 			return nil, err
 		}
-		resetDeployment(d)
-		resetDeployment(seqD)
+		d.Graph.Reset()
+		seqD.Graph.Reset()
 		if parG.Throughput.Gbps() < 0.9*seqG.Throughput.Gbps() {
 			return seqD, nil
 		}
@@ -133,15 +133,6 @@ func cloneBatches(in []*netpkt.Batch) []*netpkt.Batch {
 		out[i] = b.Clone()
 	}
 	return out
-}
-
-// resetDeployment clears stateful elements after an evaluation run.
-func resetDeployment(d *Deployment) {
-	for i := 0; i < d.Graph.Len(); i++ {
-		if r, ok := d.Graph.Node(element.NodeID(i)).(element.Resetter); ok {
-			r.Reset()
-		}
-	}
 }
 
 // deployPlan builds one stage plan into a full deployment (graph, profile,
@@ -249,7 +240,7 @@ func (d *Deployment) selectAssignment(sample []*netpkt.Batch,
 	bestName, bestGbps := "", -1.0
 	var best hetsim.Assignment
 	for _, c := range candidates {
-		resetDeployment(d)
+		d.Graph.Reset()
 		sim, err := hetsim.NewSimulator(d.Platform, d.Costs, d.Graph, c.a)
 		if err != nil {
 			return "", 0, nil, err
@@ -262,7 +253,7 @@ func (d *Deployment) selectAssignment(sample []*netpkt.Batch,
 			bestName, bestGbps, best = c.name, g, c.a
 		}
 	}
-	resetDeployment(d)
+	d.Graph.Reset()
 	return bestName, bestGbps, best, nil
 }
 

@@ -52,8 +52,8 @@ type Config struct {
 	// DisableCompile turns off compiled CPU stage-loops (see compile.go):
 	// every ModeCPU element keeps its own goroutine+channel hop per batch,
 	// the pre-compile behaviour. The compile differential tests use it as
-	// the A/B lever (`nfcompass -no-compile`); leave it off in production
-	// configurations.
+	// their interpreted reference and the repo benchmark prices a plain
+	// hop with it; no command sets it.
 	DisableCompile bool
 	// Tenants labels graph nodes with the chain (tenant) they belong to on
 	// a shared multi-tenant dataplane; nodes absent from the map are
@@ -67,10 +67,6 @@ type Config struct {
 	// Metrics TimingSample rate), and the shard inbox registers a depth
 	// probe. The per-batch cost when nil is a pointer check per site.
 	Flight *flight.Recorder
-	// DisableFlight forces Flight to nil — the A/B lever (-no-flight)
-	// that proves the recorder's overhead on an otherwise identical
-	// configuration.
-	DisableFlight bool
 	// PinOSThread wires each element goroutine (and so each compiled
 	// stage-loop) to a dedicated OS thread via runtime.LockOSThread — the
 	// NUMA-style worker pinning a DPDK dataplane gets from lcore affinity.
@@ -204,7 +200,7 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 	p.markers.New = func() any { return new(workItem) }
 	p.pool = newDevicePool(p, cfg.Offload)
 	p.placements.Store(p.resolvePlacements(cfg.Assignment, 0))
-	if cfg.Flight != nil && !cfg.DisableFlight {
+	if cfg.Flight != nil {
 		p.initFlight(cfg.Flight, 0)
 	}
 	return p, nil

@@ -55,25 +55,6 @@ func TestPipelineFlightSpans(t *testing.T) {
 	}
 }
 
-// TestPipelineFlightDisabled: DisableFlight severs the recorder even when
-// one is configured — the A/B lever must actually disable recording.
-func TestPipelineFlightDisabled(t *testing.T) {
-	rec := flight.New(flight.Config{})
-	g := testChainGraph()
-	outs, _, err := RunBatches(context.Background(), g,
-		Config{Metrics: true, PreserveOrder: true, Flight: rec, DisableFlight: true},
-		genBatches(10, 16, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 10 {
-		t.Fatalf("out batches = %d", len(outs))
-	}
-	if n := len(rec.Spans()); n != 0 {
-		t.Errorf("DisableFlight still recorded %d spans", n)
-	}
-}
-
 // TestShardedFlightSpans: the sharded pipeline assigns each replica its
 // shard index as the flight lane, records dispatch spans on the funnel, and
 // probes both the dispatch queue and every shard inbox.
@@ -121,20 +102,5 @@ func TestShardedFlightSpans(t *testing.T) {
 	}
 	if probes[flight.StageShard] != shards {
 		t.Errorf("shard inbox probes = %d, want %d", probes[flight.StageShard], shards)
-	}
-}
-
-// TestShardedDisableFlight: the sharded wrapper owns the lever too.
-func TestShardedDisableFlight(t *testing.T) {
-	rec := flight.New(flight.Config{})
-	build := func(int) (*element.Graph, error) { return testChainGraph(), nil }
-	if _, _, err := RunBatchesSharded(context.Background(), build, ShardedConfig{
-		Shards: 2,
-		Config: Config{Metrics: true, Flight: rec, DisableFlight: true},
-	}, genBatches(10, 16, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(rec.Spans()); n != 0 {
-		t.Errorf("DisableFlight still recorded %d spans", n)
 	}
 }

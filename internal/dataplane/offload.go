@@ -39,7 +39,7 @@ type OffloadConfig struct {
 	// DisableFusion turns off device-resident segment fusion: every
 	// ModeGPU element submits individually and pays its own H2D/D2H round
 	// trip, the pre-fusion behaviour. The fusion differential tests use it
-	// as the A/B lever; leave it off in production configurations.
+	// as their unfused reference; no command sets it.
 	DisableFusion bool
 }
 

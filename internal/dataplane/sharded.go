@@ -156,9 +156,6 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 	// their own shard index (initFlight below), so strip the recorder from
 	// the per-shard config or New would register every shard at lane 0.
 	rec := cfg.Flight
-	if cfg.DisableFlight {
-		rec = nil
-	}
 	inner := cfg.Config
 	inner.Flight = nil
 	var ref *element.Graph

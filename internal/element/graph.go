@@ -60,6 +60,16 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // Node returns the element at id.
 func (g *Graph) Node(id NodeID) Element { return g.nodes[id] }
 
+// Reset resets every stateful element (every Resetter) in the graph, the
+// step between two runs over the same element instances.
+func (g *Graph) Reset() {
+	for _, e := range g.nodes {
+		if r, ok := e.(Resetter); ok {
+			r.Reset()
+		}
+	}
+}
+
 // Edges returns a copy of the edge list.
 func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
 

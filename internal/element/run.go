@@ -138,11 +138,7 @@ func (x *Executor) accountDrops(b *netpkt.Batch) {
 // Reset clears run statistics and resets every stateful element.
 func (x *Executor) Reset() {
 	x.Stats = newRunStats()
-	for i := 0; i < x.g.Len(); i++ {
-		if r, ok := x.g.Node(NodeID(i)).(Resetter); ok {
-			r.Reset()
-		}
-	}
+	x.g.Reset()
 }
 
 func countLive(b *netpkt.Batch) int {

@@ -18,8 +18,8 @@
 //
 // Every method on Recorder, LaneRecorder, and Ledger is safe on a nil
 // receiver and does nothing, so instrumented hot paths call
-// unconditionally and a disabled recorder (Config.DisableFlight /
-// -no-flight) costs one predictable nil check per call site.
+// unconditionally and an absent recorder (Config.Flight == nil) costs one
+// predictable nil check per call site.
 package flight
 
 import (

@@ -132,8 +132,8 @@ func sinkConsumer(sink Sink) func(*netpkt.Batch) error {
 }
 
 // mergedDrain consumes the pipeline's single merged output — the egress
-// shape for pipelines built without ShardOut, kept so ingress parallelism
-// (-rx-workers) and per-shard egress can be A/B'd independently.
+// shape for pipelines built without ShardOut, so parallel ingress does not
+// depend on per-shard egress.
 func mergedDrain(sp *dataplane.ShardedPipeline, sink Sink, rec *flight.Recorder) func() (uint64, uint64, error) {
 	done := make(chan struct{})
 	var out, drops uint64

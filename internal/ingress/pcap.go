@@ -38,12 +38,6 @@ type PcapConfig struct {
 	// changes — so per-flow state in the pipeline still behaves, while
 	// conntrack sees genuine churn.
 	RekeyPerPass bool
-	// PacePerReader changes what PacePPS means after a Split: each reader
-	// paces at the full PacePPS (the per-queue line-rate model — offered
-	// load grows with the reader count, the way every RX queue of a NIC
-	// has its own wire). Unset, Split divides PacePPS across readers so
-	// the aggregate offered rate is what the caller asked for.
-	PacePerReader bool
 }
 
 // PcapSource replays a classic pcap capture as a Source. Construct with
@@ -186,7 +180,7 @@ func (s *PcapSource) Split(n int) ([]Source, error) {
 	subs := make([]Source, n)
 	for i := range subs {
 		cfg := s.cfg
-		if cfg.PacePPS > 0 && !cfg.PacePerReader {
+		if cfg.PacePPS > 0 {
 			cfg.PacePPS /= float64(n)
 		}
 		sub := &PcapSource{open: s.open, cfg: cfg, pass: i, stride: n}

@@ -36,13 +36,14 @@ type PumpConfig struct {
 	// reclaimed per injected batch (default 64) — the incremental sweep
 	// that replaces stop-the-world expiry.
 	ExpiryBudget int
-	// RXWorkers is the ingress-parallelism knob. <= 1 keeps the classic
-	// single-goroutine pump (the A/B lever: -rx-workers=1). Any larger
-	// value selects the parallel plane: up to RXWorkers source readers
-	// (sources that cannot split run fewer) feed per-queue SPSC rings,
-	// and one RX worker per NIC queue builds arena batches, touches
-	// conntrack, and injects into its own shard independently. Requires
-	// NIC (per-queue injection is what the workers parallelize over).
+	// RXWorkers is the ingress-parallelism knob; callers pass the NIC's
+	// queue count. <= 1 keeps the classic single-goroutine pump, the only
+	// shape for a source without a NIC. Any larger value selects the
+	// parallel plane: up to RXWorkers source readers (sources that cannot
+	// split run fewer) feed per-queue SPSC rings, and one RX worker per
+	// NIC queue builds arena batches, touches conntrack, and injects into
+	// its own shard independently. Requires NIC (per-queue injection is
+	// what the workers parallelize over).
 	RXWorkers int
 	// PinWorkers locks every reader and RX worker goroutine to its own OS
 	// thread (runtime.LockOSThread) — the RX-core discipline, pairing
@@ -57,7 +58,7 @@ type PumpConfig struct {
 	// injection, and drains record lifecycle spans and busy/stall meters,
 	// the SPSC rings register depth probes, and every drop/abort path
 	// books its packets in the loss ledger. Nil disables all of it at the
-	// cost of one nil check per site (-no-flight).
+	// cost of one nil check per site.
 	Flight *flight.Recorder
 }
 

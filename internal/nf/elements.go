@@ -683,13 +683,13 @@ func (e *WANCompress) Process(b *netpkt.Batch) []*netpkt.Batch {
 			copy(p.Data[plOff:], rle)
 			e.SavedBytes += uint64(len(pl) - len(rle))
 			p.Data = p.Data[:plOff+len(rle)]
-			// Fix IPv4 total length + checksum if applicable.
+			// Fix IPv4 total length + checksum (over the whole header,
+			// options included) if applicable.
 			if p.L3Proto == netpkt.ProtoIPv4 && p.L3Offset >= 0 {
-				hdr := p.Data[p.L3Offset:]
+				hdr := p.Data[p.L3Offset:p.L4Offset]
 				binary.BigEndian.PutUint16(hdr[2:4], uint16(len(p.Data)-p.L3Offset))
 				hdr[10], hdr[11] = 0, 0
-				sum := netpkt.Checksum(hdr[:netpkt.IPv4MinHeaderLen])
-				binary.BigEndian.PutUint16(hdr[10:12], sum)
+				binary.BigEndian.PutUint16(hdr[10:12], netpkt.Checksum(hdr))
 			}
 			e.Compressed++
 		}

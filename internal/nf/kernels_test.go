@@ -224,47 +224,57 @@ func TestIPsecSealAllocs(t *testing.T) {
 	}
 }
 
-// A sealed packet whose IPv4 header carries options must leave with a
-// checksum over the whole header, or the next header check drops it.
+// A packet whose IPv4 header carries options must leave an NF that rewrites
+// its length with a checksum over the whole header, or the next header check
+// drops it. The ESP seal and the WAN compressor both rewrite it.
 func TestIPsecSealKeepsOptionHeaderValid(t *testing.T) {
-	base := netpkt.BuildUDPv4(netpkt.UDPPacketSpec{
-		SrcIP: 0x0a000001, DstIP: 0xc0a80001, SrcPort: 1024, DstPort: 80,
-		Payload: []byte("behind four bytes of options"),
-	})
-	// Rebuild the frame with IHL = 6: three NOPs and an end-of-options.
-	l3 := base.L3Offset
-	data := append([]byte(nil), base.Data[:l3+netpkt.IPv4MinHeaderLen]...)
-	data = append(data, 1, 1, 1, 0)
-	data = append(data, base.Data[l3+netpkt.IPv4MinHeaderLen:]...)
-	h := data[l3 : l3+24]
-	h[0] = 4<<4 | 6
-	binary.BigEndian.PutUint16(h[2:4], uint16(len(data)-l3))
-	h[10], h[11] = 0, 0
-	binary.BigEndian.PutUint16(h[10:12], netpkt.Checksum(h))
-	p := netpkt.NewPacket(data)
-	if err := p.Parse(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		nf    *NF
+		proto netpkt.IPProto
+	}{
+		{"ipsec", NewIPsecGateway("ipsec", 0x99, []byte("0123456789abcdef"), []byte("auth")), netpkt.IPProtoESP},
+		{"wanopt", NewWANOptimizer("wan"), netpkt.IPProtoUDP},
+	} {
+		base := netpkt.BuildUDPv4(netpkt.UDPPacketSpec{
+			SrcIP: 0x0a000001, DstIP: 0xc0a80001, SrcPort: 1024, DstPort: 80,
+			// Byte runs, so that the compressor shortens the packet.
+			Payload: bytes.Repeat([]byte("."), 64),
+		})
+		// Rebuild the frame with IHL = 6: three NOPs and an end-of-options.
+		l3 := base.L3Offset
+		data := append([]byte(nil), base.Data[:l3+netpkt.IPv4MinHeaderLen]...)
+		data = append(data, 1, 1, 1, 0)
+		data = append(data, base.Data[l3+netpkt.IPv4MinHeaderLen:]...)
+		h := data[l3 : l3+24]
+		h[0] = 4<<4 | 6
+		binary.BigEndian.PutUint16(h[2:4], uint16(len(data)-l3))
+		h[10], h[11] = 0, 0
+		binary.BigEndian.PutUint16(h[10:12], netpkt.Checksum(h))
+		p := netpkt.NewPacket(data)
+		if err := p.Parse(); err != nil {
+			t.Fatal(err)
+		}
 
-	var tr trie.IPv4Trie
-	_ = tr.Insert(0, 0, 1)
-	chain := []*NF{
-		NewIPsecGateway("ipsec", 0x99, []byte("0123456789abcdef"), []byte("auth")),
-		NewIPv4Router("r", trie.BuildDir24_8(&tr), "default"),
-	}
-	g, _, dst := BuildChain(chain)
-	x, err := element.NewExecutor(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := x.RunBatch(netpkt.NewBatch(0, []*netpkt.Packet{p}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[dst]) == 0 || out[dst][0].Live() != 1 {
-		t.Fatalf("IHL=6 packet not delivered through ipsec,ipv4: dropped=%v %q", p.Dropped, p.DropReason)
-	}
-	if p.L4Proto != netpkt.IPProtoESP || !netpkt.IPv4HeaderChecksumOK(p.L3()) {
-		t.Errorf("delivered packet: proto %d, checksum ok = %v", p.L4Proto, netpkt.IPv4HeaderChecksumOK(p.L3()))
+		var tr trie.IPv4Trie
+		_ = tr.Insert(0, 0, 1)
+		g, _, dst := BuildChain([]*NF{tc.nf, NewIPv4Router("r", trie.BuildDir24_8(&tr), "default")})
+		x, err := element.NewExecutor(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := x.RunBatch(netpkt.NewBatch(0, []*netpkt.Packet{p}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Data) == len(data) {
+			t.Errorf("%s: packet length unchanged, the header was never rewritten", tc.name)
+		}
+		if len(out[dst]) == 0 || out[dst][0].Live() != 1 {
+			t.Fatalf("IHL=6 packet not delivered through %s,ipv4: dropped=%v %q", tc.name, p.Dropped, p.DropReason)
+		}
+		if p.L4Proto != tc.proto || !netpkt.IPv4HeaderChecksumOK(p.L3()) {
+			t.Errorf("%s: delivered packet: proto %d, checksum ok = %v", tc.name, p.L4Proto, netpkt.IPv4HeaderChecksumOK(p.L3()))
+		}
 	}
 }
