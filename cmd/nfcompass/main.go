@@ -74,10 +74,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// -duration and -shards have non-zero defaults, so "was it given" is
+	// the question to ask of them.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkModes(modeFlags{
 		source: *source, serve: *serve, pcap: *pcapIn,
 		fleet: *fleet, assign: *assign, metrics: *metrics,
 		pin: *pin, loops: *loops, pps: *pps,
+		durationSet: set["duration"], shardsSet: set["shards"],
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "nfcompass:", err)
 		os.Exit(2)
@@ -304,6 +309,7 @@ type modeFlags struct {
 	fleet, assign, metrics, pin bool
 	loops                       int
 	pps                         float64
+	durationSet, shardsSet      bool // the flag was given, whatever its value
 }
 
 // checkModes rejects the flag combinations in which one flag would be
@@ -323,6 +329,8 @@ func checkModes(f modeFlags) error {
 		{f.pin && f.source == "", "-pin requires -source: only the ingress run pins shard goroutines"},
 		{f.loops != 1 && f.source == "", "-loops requires -source: it counts passes over the ingress capture"},
 		{f.pps != 0 && f.source == "", "-pps requires -source: it paces the ingress capture replay"},
+		{f.durationSet && f.serve == "", "-duration requires -serve: only the continuous run has a length"},
+		{f.shardsSet && !f.metrics && f.source == "" && f.serve == "", "-shards requires -metrics, -source or -serve: the batch comparison runs no live dataplane"},
 	} {
 		if r.bad {
 			return errors.New(r.why)

@@ -23,6 +23,9 @@ func TestCheckModes(t *testing.T) {
 		{"-source with its knobs", with(func(f *modeFlags) { f.source, f.pin, f.loops, f.pps = "nic:queues=4", true, 4, 6000 }), ""},
 		{"-source -pcap (synthetic-trace override)", with(func(f *modeFlags) { f.source, f.pcap = "nic:queues=2", "t.pcap" }), ""},
 		{"-serve", with(func(f *modeFlags) { f.serve = ":9090" }), ""},
+		{"-serve -duration -shards", with(func(f *modeFlags) { f.serve, f.durationSet, f.shardsSet = ":9090", true, true }), ""},
+		{"-metrics -shards", with(func(f *modeFlags) { f.metrics, f.shardsSet = true, true }), ""},
+		{"-source -shards", with(func(f *modeFlags) { f.source, f.shardsSet = "pcap:t.pcap", true }), ""},
 		{"-serve -fleet", with(func(f *modeFlags) { f.serve, f.fleet = ":9090", true }), ""},
 
 		{"-fleet alone", with(func(f *modeFlags) { f.fleet = true }), "-fleet requires -serve ADDR"},
@@ -34,6 +37,9 @@ func TestCheckModes(t *testing.T) {
 		{"-pin without -source", with(func(f *modeFlags) { f.pin = true }), "-pin requires -source: only the ingress run pins shard goroutines"},
 		{"-loops without -source", with(func(f *modeFlags) { f.loops = 3 }), "-loops requires -source: it counts passes over the ingress capture"},
 		{"-pps without -source", with(func(f *modeFlags) { f.pps = 1000 }), "-pps requires -source: it paces the ingress capture replay"},
+		{"-duration without -serve", with(func(f *modeFlags) { f.durationSet = true }), "-duration requires -serve: only the continuous run has a length"},
+		{"-duration under -source", with(func(f *modeFlags) { f.source, f.durationSet = "pcap:t.pcap", true }), "-duration requires -serve: only the continuous run has a length"},
+		{"-shards on the batch comparison", with(func(f *modeFlags) { f.assign, f.shardsSet = true, true }), "-shards requires -metrics, -source or -serve: the batch comparison runs no live dataplane"},
 		{"-pin under -serve", with(func(f *modeFlags) { f.serve, f.pin = ":9090", true }), "-pin requires -source: only the ingress run pins shard goroutines"},
 	} {
 		err := checkModes(tc.f)

@@ -1,37 +1,32 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/netpkt"
 )
 
-// Duplicator fans a batch out to the parallel branches of a stage,
-// retaining a pristine clone of each batch so the paired XORMerge can
-// compute per-branch modifications (paper §IV-B-1: "The original packet
-// will be xor-ed to each output packet to get the modified bits").
+// Duplicator fans a batch out to the parallel branches of a stage (paper
+// §IV-B-1: "It just creates the copy of network packets and distributes
+// them"). The batch it is given goes to no branch: it stays pristine and
+// reaches the paired XORMerge behind every branch batch's Origin pointer, so
+// the pair shares no state.
 //
-// When the orchestrator marks branches as read-only (writers flags), the
-// element implements the optimized packet/memory management the paper
-// leaves as future work: read-only branches receive shallow clones that
-// share the original wire bytes (private annotations, shared Data — a RAR
-// branch per Table III never writes packet bytes, so sharing is hazard-free
-// by construction), and only writer branches pay for deep copies. The cost
-// accounting — CopiedBytes, consumed by the simulator through the
-// MemProber interface — counts exactly the copies actually made.
+// The per-branch writer flags implement the optimized packet/memory
+// management the paper leaves as future work: a read-only branch (RAR per
+// Table III, so sharing is hazard-free by construction) gets shallow clones —
+// private annotations, shared wire bytes — and only writer branches get deep
+// copies. Both kinds come from the batch's arena and go back at the merge.
 type Duplicator struct {
-	name     string
-	branches int
-	writers  []bool // writer branches need private copies
-	// mu guards originals: in the concurrent dataplane the paired
-	// XORMerge reads from a different goroutine.
-	mu        sync.Mutex
-	originals map[uint64][]*netpkt.Packet
+	name    string
+	writers []bool // writer branches need private copies
 
-	// CopiedBytes counts bytes the optimized scheme copies (writer
-	// branches plus, when any writer exists, the pristine reference).
+	// CopiedBytes counts the bytes the modelled platform copies under the
+	// optimized scheme (one copy per writer branch after the first, plus
+	// the pristine reference when any branch writes) — the simulator's
+	// MemProber input, not a count of the copies this process makes.
 	CopiedBytes uint64
 }
 
@@ -45,14 +40,10 @@ func NewDuplicator(name string, branches int) *Duplicator {
 	return NewDuplicatorProfiled(name, writers)
 }
 
-// NewDuplicatorProfiled creates the fan-out element with per-branch
-// writer flags (true = the branch's NF writes packets and needs a private
-// copy).
+// NewDuplicatorProfiled creates the fan-out element with per-branch writer
+// flags (true = the branch's NF writes packets and needs a private copy).
 func NewDuplicatorProfiled(name string, writers []bool) *Duplicator {
-	return &Duplicator{
-		name: name, branches: len(writers), writers: writers,
-		originals: make(map[uint64][]*netpkt.Packet),
-	}
+	return &Duplicator{name: name, writers: writers}
 }
 
 // Name implements element.Element.
@@ -64,114 +55,80 @@ func (e *Duplicator) Traits() element.Traits {
 }
 
 // NumOutputs implements element.Element.
-func (e *Duplicator) NumOutputs() int { return e.branches }
+func (e *Duplicator) NumOutputs() int { return len(e.writers) }
 
 // Signature implements element.Element.
 func (e *Duplicator) Signature() string {
-	return fmt.Sprintf("Duplicator/%s/%d", e.name, e.branches)
+	return fmt.Sprintf("Duplicator/%s/%d", e.name, len(e.writers))
 }
 
-// Process implements element.Element: it stores a pristine reference and
-// emits one copy per branch — deep copies for writer branches, shallow
-// (shared-bytes) clones for branches hazard analysis proved read-only.
-// CopiedBytes counts only the deep copies.
+// Process implements element.Element: it emits one pooled copy of b per
+// branch — deep for writers, shallow for branches hazard analysis proved
+// read-only — each pointing back at b, which the merge emits in the end.
 func (e *Duplicator) Process(b *netpkt.Batch) []*netpkt.Batch {
-	bytes := uint64(b.Bytes())
-	anyWriter := false
-	for i := 1; i < e.branches; i++ {
-		if e.writers[i] {
+	size := uint64(b.Bytes())
+	anyWriter := e.writers[0]
+	for _, w := range e.writers[1:] {
+		if w {
 			anyWriter = true
-			e.CopiedBytes += bytes
+			e.CopiedBytes += size
 		}
 	}
-	if anyWriter || e.writers[0] {
-		// The merge needs the pristine reference only when someone can
-		// modify packets.
-		e.CopiedBytes += bytes
+	if anyWriter {
+		e.CopiedBytes += size
 	}
-	// Pristine reference for the paired merge. Deep only when branch 0
-	// (which processes b itself) writes packet bytes; otherwise b's
-	// buffers stay bit-identical through branch 0, so sharing them is
-	// free. Every reader of the shared bytes (read-only branch elements,
-	// the merge's diff) runs before or positionally after branch 0's
-	// read-only traversal — no write ever touches them.
-	var pristine *netpkt.Batch
-	if e.writers[0] {
-		pristine = b.Clone()
-	} else {
-		pristine = b.ShallowClone()
-	}
-	e.mu.Lock()
-	e.originals[b.ID] = pristine.Packets
-	e.mu.Unlock()
-	out := make([]*netpkt.Batch, e.branches)
-	out[0] = b
-	b.Branch = 0
-	for i := 1; i < e.branches; i++ {
-		if e.writers[i] {
-			out[i] = pristine.Clone()
+	out := make([]*netpkt.Batch, len(e.writers))
+	for i, w := range e.writers {
+		if w {
+			out[i] = b.ClonePooled()
 		} else {
-			out[i] = pristine.ShallowClone()
+			out[i] = b.ShallowClone()
 		}
-		out[i].Branch = i
+		out[i].Branch, out[i].Origin = i, b
 	}
 	return out
 }
 
-// MemAccesses implements hetsim.MemProber: cache lines copied by the
-// optimized duplication scheme.
+// MemAccesses implements hetsim.MemProber: cache lines the scheme copies.
 func (e *Duplicator) MemAccesses() uint64 { return e.CopiedBytes / 64 }
 
-// takeOriginal hands the stored pristine packets to the merge (consuming
-// the entry).
-func (e *Duplicator) takeOriginal(id uint64) []*netpkt.Packet {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	o := e.originals[id]
-	delete(e.originals, id)
-	return o
-}
-
 // Reset implements element.Resetter.
-func (e *Duplicator) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.originals = make(map[uint64][]*netpkt.Packet)
-	e.CopiedBytes = 0
-}
+func (e *Duplicator) Reset() { e.CopiedBytes = 0 }
 
-// XORMerge joins the branches of a parallelized stage. It buffers branch
-// outputs per batch ID; once all branches have delivered, it reconstructs
-// each packet as original XOR (OR of per-branch modifications). A packet
-// dropped by any branch stays dropped (the sequential chain would have
-// dropped it too).
+// XORMerge joins the branches of a parallelized stage. It parks branch
+// batches until all of one original batch's have arrived, folds their
+// results into the original packets in place — each packet becomes original
+// XOR (OR of per-writer-branch modifications, paper §IV-B-1) — returns
+// every branch copy to its arena and emits the original batch. The result
+// is what the sequential chain produces, whatever order the branches
+// arrived in: a packet dropped by any branch is dropped once, under the
+// lowest-numbered dropping branch's reason, and annotations merge in branch
+// order (the highest-numbered branch that changed one wins).
 type XORMerge struct {
-	name     string
-	dup      *Duplicator
-	branches int
-	buf      map[uint64][]*netpkt.Batch
-	// Merged counts batches merged; MergeErrors counts length conflicts
-	// (which parallelization criteria should have prevented).
+	name    string
+	writers []bool
+	// pending parks the branch batches delivered so far, by branch index,
+	// under their original batch. Only this element's goroutine touches it.
+	pending map[*netpkt.Batch][]*netpkt.Batch
+	free    [][]*netpkt.Batch // emptied pending vectors, for reuse
+	// spent is the last consumed batch's header, pooled one consume late: the
+	// stage loop that handed it in may still read its ID for a trace event.
+	spent *netpkt.Batch
+
+	// Merged counts batches merged; MergeErrors length conflicts (which the
+	// parallelization criteria forbid) and batches no paired duplicator made.
 	Merged      uint64
 	MergeErrors uint64
-	// DiffedBytes counts the bytes the merge actually XOR-diffs: only
-	// writer branches need diffing (read-only copies are bit-identical
-	// to the original by construction).
+	// DiffedBytes counts the bytes the modelled platform XOR-diffs: writer
+	// branches only (read-only copies are the original's bytes). Like
+	// CopiedBytes it describes the model — here a lone writer goes undiffed.
 	DiffedBytes uint64
-
-	// scratch is the reusable per-packet XOR aggregation buffer. An
-	// element instance is processed by exactly one goroutine (one per
-	// element in the dataplane, one total in the sequential executor), so
-	// reuse is race-free and saves one allocation per merged packet.
-	scratch []byte
 }
 
 // NewXORMerge creates the merge element paired with dup.
 func NewXORMerge(name string, dup *Duplicator) *XORMerge {
-	return &XORMerge{
-		name: name, dup: dup, branches: dup.branches,
-		buf: make(map[uint64][]*netpkt.Batch),
-	}
+	return &XORMerge{name: name, writers: dup.writers,
+		pending: make(map[*netpkt.Batch][]*netpkt.Batch)}
 }
 
 // Name implements element.Element.
@@ -191,140 +148,183 @@ func (e *XORMerge) Signature() string { return "XORMerge/" + e.name }
 
 // ExpectedInputs implements hetsim.Merger: the simulator synchronizes the
 // ready times of all branch deliveries.
-func (e *XORMerge) ExpectedInputs() int { return e.branches }
+func (e *XORMerge) ExpectedInputs() int { return len(e.writers) }
 
-// Process implements element.Element. It returns an empty output until the
-// last branch delivers, then emits the merged batch.
+// Process implements element.Element: nil until the last branch delivers.
 func (e *XORMerge) Process(b *netpkt.Batch) []*netpkt.Batch {
-	e.buf[b.ID] = append(e.buf[b.ID], b)
-	if len(e.buf[b.ID]) < e.branches {
-		return []*netpkt.Batch{nil}
-	}
-	parts := e.buf[b.ID]
-	delete(e.buf, b.ID)
-	orig := e.dup.takeOriginal(b.ID)
-	merged := e.mergeParts(orig, parts)
-	e.Merged++
-	return []*netpkt.Batch{merged}
+	return []*netpkt.Batch{e.ProcessSingle(b)}
 }
 
-// mergeParts applies the XOR/OR merge across branch copies.
-func (e *XORMerge) mergeParts(orig []*netpkt.Packet, parts []*netpkt.Batch) *netpkt.Batch {
-	n := len(orig)
-	out := &netpkt.Batch{ID: parts[0].ID, Packets: make([]*netpkt.Packet, 0, n)}
-	for i := 0; i < n; i++ {
-		op := orig[i]
-		final := op.Clone()
-
-		// Gather this packet's copy from each branch (positional: all
-		// branches preserve batch slots).
-		dropped := false
-		var lengthChanged *netpkt.Packet
-		lengthChanges := 0
-		agg := e.scratch
-		if cap(agg) < len(op.Data) {
-			agg = make([]byte, len(op.Data))
+// ProcessSingle implements element.SingleOut.
+func (e *XORMerge) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
+	orig := b.Origin
+	if orig == nil || b.Branch < 0 || b.Branch >= len(e.writers) {
+		// Not a branch batch of the paired duplicator, so no stage completes
+		// around it: counted, released, nothing emitted. Offline profiling,
+		// which measures each element alone, prices the merge on this path.
+		e.MergeErrors++
+		e.consume(b)
+		return nil
+	}
+	parts := e.pending[orig]
+	if parts == nil {
+		if n := len(e.free); n > 0 {
+			parts, e.free = e.free[n-1], e.free[:n-1]
 		} else {
-			agg = agg[:len(op.Data)]
-			for j := range agg {
-				agg[j] = 0
+			parts = make([]*netpkt.Batch, len(e.writers))
+		}
+		e.pending[orig] = parts
+	}
+	parts[b.Branch] = b
+	for _, part := range parts {
+		if part == nil {
+			return nil
+		}
+	}
+	delete(e.pending, orig)
+	e.mergeParts(orig, parts)
+	for i, part := range parts {
+		if part != b {
+			part.Release()
+		}
+		parts[i] = nil
+	}
+	e.consume(b)
+	e.free = append(e.free, parts)
+	e.Merged++
+	return orig
+}
+
+// consume releases the batch this call was handed: its packets at once, its
+// header through spent.
+func (e *XORMerge) consume(b *netpkt.Batch) {
+	for i, p := range b.Packets {
+		netpkt.PutPacket(p)
+		b.Packets[i] = nil
+	}
+	b.Packets = b.Packets[:0]
+	netpkt.PutBatch(e.spent)
+	e.spent = b
+}
+
+// mergeParts folds the branch copies (indexed by branch, same packet slots
+// as orig) into orig's packets. Wire bytes are touched only when a branch
+// wrote them: a lone writer's (or re-framer's) buffer is swapped into the
+// original packet, two or more same-length writers are first XOR-merged
+// against the still-pristine original inside the first writer's copy.
+func (e *XORMerge) mergeParts(orig *netpkt.Batch, parts []*netpkt.Batch) {
+	for i, op := range orig.Packets {
+		for br, part := range parts {
+			if !e.writers[br] && (i >= len(part.Packets) || !sameBytes(part.Packets[i].Data, op.Data)) {
+				// A reader kept its alias of op (a reassembler holding the
+				// segment): the bytes stay with it, op carries on with a copy.
+				op.Data = append([]byte(nil), op.Data...)
+				break
 			}
 		}
-		e.scratch = agg
-		for _, part := range parts {
+		paint, anno := op.Paint, op.UserAnno
+		// acc is the first same-length writer copy (the OR of the writers'
+		// modification bits once diffed); reframed the first re-framed copy.
+		var acc, reframed *netpkt.Packet
+		diffed, conflict := false, false
+		for br, part := range parts {
 			if i >= len(part.Packets) {
 				continue
 			}
 			bp := part.Packets[i]
 			if bp.Dropped {
-				dropped = true
-				final.DropReason = bp.DropReason
+				if !op.Dropped {
+					op.Drop(bp.DropReason)
+				}
 				continue
 			}
-			if len(bp.Data) != len(op.Data) {
-				lengthChanged = bp
-				lengthChanges++
-				continue
-			}
-			// Read-only branches are bit-identical to the original by
-			// construction: skip their diff (the optimized merge).
-			if part.Branch < len(e.dup.writers) && e.dup.writers[part.Branch] {
+			sameLen := len(bp.Data) == len(op.Data)
+			if sameLen && e.writers[br] {
 				e.DiffedBytes += uint64(len(bp.Data))
-				for j := range bp.Data {
-					agg[j] |= bp.Data[j] ^ op.Data[j]
+			}
+			if op.Dropped {
+				// A lower branch dropped it: the sequential chain would not
+				// have shown the packet to this one.
+				continue
+			}
+			if bp.Paint != paint {
+				op.Paint = bp.Paint
+			}
+			if bp.UserAnno != anno {
+				op.UserAnno = bp.UserAnno
+			}
+			switch {
+			case !sameLen:
+				// Replicated identical NFs (the Fig. 13 evaluation shapes)
+				// produce byte-identical re-framed copies; anything else
+				// the orchestrator's criteria forbid.
+				if reframed == nil {
+					reframed = bp
+				} else if !bytes.Equal(bp.Data, reframed.Data) {
+					conflict = true
+				}
+			case !e.writers[br]: // read-only: its bytes are the original's
+			case acc == nil:
+				acc = bp
+			default:
+				if !diffed {
+					xorBytes(acc.Data, op.Data)
+					diffed = true
+				}
+				for j, c := range bp.Data {
+					acc.Data[j] |= c ^ op.Data[j]
 				}
 			}
-			// Merge annotations: last branch that changed them wins.
-			if bp.Paint != op.Paint {
-				final.Paint = bp.Paint
-			}
-			if bp.UserAnno != op.UserAnno {
-				final.UserAnno = bp.UserAnno
-			}
 		}
-
 		switch {
-		case dropped:
-			final.Dropped = true
-		case lengthChanges > 1 && identicalCopies(parts, i, len(lengthChanged.Data)):
-			// Replicated identical NFs (the Fig. 13 evaluation shapes)
-			// produce byte-identical re-framed copies; adopt one.
-			final.Data = append([]byte(nil), lengthChanged.Data...)
-			final.L3Offset, final.L4Offset = lengthChanged.L3Offset, lengthChanged.L4Offset
-			final.L3Proto, final.L4Proto = lengthChanged.L3Proto, lengthChanged.L4Proto
-		case lengthChanges > 1:
-			// Distinct branches changed the length: the orchestrator's
-			// criteria forbid this pairing; fail safe by dropping.
-			final.Drop(e.name + "/length-conflict")
+		case op.Dropped:
+		case conflict: // fail safe by dropping
+			op.Drop(e.name + "/length-conflict")
 			e.MergeErrors++
-		case lengthChanges == 1:
-			// Exactly one branch re-framed the packet: adopt its bytes
-			// (other branches were read-only on the payload by the
-			// parallelization criteria).
-			final.Data = append([]byte(nil), lengthChanged.Data...)
-			final.L3Offset, final.L4Offset = lengthChanged.L3Offset, lengthChanged.L4Offset
-			final.L3Proto, final.L4Proto = lengthChanged.L3Proto, lengthChanged.L4Proto
-		default:
-			for j := range final.Data {
-				final.Data[j] = op.Data[j] ^ agg[j]
+		case reframed != nil:
+			// Adopted wholesale: the other branches were read-only on the
+			// payload by the parallelization criteria.
+			op.Data, reframed.Data = reframed.Data, op.Data
+			op.L3Offset, op.L4Offset = reframed.L3Offset, reframed.L4Offset
+			op.L3Proto, op.L4Proto = reframed.L3Proto, reframed.L4Proto
+		case acc != nil:
+			if diffed {
+				xorBytes(acc.Data, op.Data)
 			}
+			op.Data, acc.Data = acc.Data, op.Data
 		}
-		out.Packets = append(out.Packets, final)
+		// Every alias of op's bytes is in parts, released before op goes on.
+		op.Unshare()
 	}
-	return out
 }
 
-// identicalCopies reports whether every live copy of packet slot i whose
-// length equals n carries identical bytes across the parts.
-func identicalCopies(parts []*netpkt.Batch, i, n int) bool {
-	var ref []byte
-	for _, part := range parts {
-		if i >= len(part.Packets) {
-			continue
-		}
-		p := part.Packets[i]
-		if p.Dropped || len(p.Data) != n {
-			continue
-		}
-		if ref == nil {
-			ref = p.Data
-			continue
-		}
-		for j := range p.Data {
-			if p.Data[j] != ref[j] {
-				return false
-			}
-		}
-	}
-	return ref != nil
+// sameBytes reports whether a and b are the same memory.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// MemAccesses implements hetsim.MemProber: cache lines the optimized
-// merge actually diffs.
+// xorBytes XORs src into dst (equal lengths).
+func xorBytes(dst, src []byte) {
+	for j, c := range src {
+		dst[j] ^= c
+	}
+}
+
+// MemAccesses implements hetsim.MemProber: cache lines the merge diffs.
 func (e *XORMerge) MemAccesses() uint64 { return e.DiffedBytes / 64 }
 
-// Reset implements element.Resetter.
+// Reset implements element.Resetter. Batches still parked belong to stages
+// that will never complete: the branch copies go back to their arenas. The
+// batch they were made from stays with whoever injected it, its packets
+// still marked shared, so a copy lost in flight never sees them recycled.
 func (e *XORMerge) Reset() {
-	e.buf = make(map[uint64][]*netpkt.Batch)
-	e.Merged, e.MergeErrors, e.DiffedBytes = 0, 0, 0
+	for _, parts := range e.pending {
+		for _, part := range parts {
+			if part != nil {
+				part.Release()
+			}
+		}
+	}
+	e.pending = make(map[*netpkt.Batch][]*netpkt.Batch)
+	e.spent, e.Merged, e.MergeErrors, e.DiffedBytes = nil, 0, 0, 0
 }

@@ -364,7 +364,9 @@ func (p *Pipeline) Start(ctx context.Context) {
 	// Device workers run for the pipeline's lifetime; a janitor retires
 	// them once every submitting goroutine (elements + injector) is done.
 	p.pool.start()
+	workersDone := make(chan struct{})
 	go func() {
+		defer close(workersDone)
 		wg.Wait()
 		p.pool.stop()
 	}()
@@ -446,7 +448,10 @@ func (p *Pipeline) Start(ctx context.Context) {
 				}
 			}
 		}
-		wg.Wait()
+		// A drained pipeline includes its device workers: they signal an
+		// item complete before booking its group's Offload counters, so
+		// without this a reader woken by Wait could miss the last group.
+		<-workersDone
 	}()
 }
 

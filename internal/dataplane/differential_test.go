@@ -13,8 +13,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"nfcompass/internal/acl"
 	"nfcompass/internal/core"
 	"nfcompass/internal/element"
+	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
@@ -292,5 +294,131 @@ func TestDifferentialExactOrder(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// buildBranchPar builds the benchmark's branch_par stage by hand — ids ∥
+// probe ∥ firewall behind a Duplicator that knows all three read-only — with
+// the IDS and the firewall dropping, so verdicts reached on different
+// goroutines meet at the merge. It returns the Aho–Corasick node too.
+func buildBranchPar(ids *nf.NF) (*element.Graph, element.NodeID) {
+	nfs := []*nf.NF{
+		ids,
+		nf.NewProbe("probe"),
+		nf.NewFirewall("fw", &acl.List{Rules: []acl.Rule{{
+			SrcPort: acl.AnyPort, DstPort: acl.PortRange{Lo: 443, Hi: 443}, ProtoAny: true, Action: acl.Deny,
+		}}}, false),
+	}
+	g := element.NewGraph()
+	src := g.Add(element.NewFromDevice("src"))
+	dup := core.NewDuplicatorProfiled("dup", make([]bool, len(nfs)))
+	dupID := g.Add(dup)
+	mergeID := g.Add(core.NewXORMerge("merge", dup))
+	g.MustConnect(src, 0, dupID)
+	var scan element.NodeID
+	for b, f := range nfs {
+		entry, exit := f.Build(g, f.Name)
+		if b == 0 {
+			scan = exit
+		}
+		g.MustConnect(dupID, b, entry)
+		g.MustConnect(exit, 0, mergeID)
+	}
+	dst := g.Add(element.NewToDevice("dst"))
+	g.MustConnect(mergeID, 0, dst)
+	return g, scan
+}
+
+// TestBranchParDifferential: the copy-free parallel stage, its scan branch
+// on the emulated device, against the sequential executor on the same graph
+// — live bytes and drop reasons as multisets. Input packets come from a
+// private arena with poisoning on: every clone the stage drew must be back,
+// and no buffer may have been recycled while a branch still read it. The
+// stream IDS puts a reassembler — an element that emits a batch header of
+// its own — in the scan branch; odd trials trace, so the stage loops read
+// each batch's header after the merge has consumed it.
+func TestBranchParDifferential(t *testing.T) {
+	mkIDS := map[string]func() *nf.NF{
+		"ids":       func() *nf.NF { return nf.NewIDS("ids", []string{"q1"}, true) },
+		"streamids": func() *nf.NF { return nf.NewStreamIDS("ids", []string{"q1"}, true) },
+	}
+	netpkt.SetPoolPoison(true)
+	defer netpkt.SetPoolPoison(false)
+	outcomes := func(batches []*netpkt.Batch) map[string]uint64 {
+		m := make(map[string]uint64)
+		for _, b := range batches {
+			for _, p := range b.Packets {
+				if !p.Dropped {
+					m["live|"+string(p.Data)]++
+				} else if p.DropReason != "" {
+					m["drop|"+p.DropReason]++
+				}
+			}
+		}
+		return m
+	}
+	for trial := int64(0); trial < 8; trial++ {
+		seed := 100*(trial/2) + 19
+		kind := []string{"ids", "streamids"}[trial%2]
+		t.Run(fmt.Sprint(kind, trial/2), func(t *testing.T) {
+			seqG, _ := buildBranchPar(mkIDS[kind]())
+			x, err := element.NewExecutor(seqG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seqOut []*netpkt.Batch
+			for _, b := range diffTraffic(seed, 24, 16) {
+				sinkOut, err := x.RunBatch(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bs := range sinkOut {
+					seqOut = append(seqOut, bs...)
+				}
+			}
+			want := outcomes(seqOut) // the executor already booked (and cleared) the drop reasons
+			drops := uint64(0)
+			for reason, n := range x.Stats.Drops {
+				want["drop|"+reason] = n
+				drops += n
+			}
+			if drops == 0 || drops == 24*16 {
+				t.Fatalf("traffic exercises no verdict mix: %d of %d dropped", drops, 24*16)
+			}
+
+			a := netpkt.NewArena()
+			in := diffTraffic(seed, 24, 16)
+			for i, b := range in {
+				in[i] = a.ClonePooled(b)
+			}
+			g, scan := buildBranchPar(mkIDS[kind]())
+			cfg := Config{
+				QueueDepth: 1 + int(trial%3),
+				Assignment: hetsim.Assignment{scan: {Mode: hetsim.ModeGPU}},
+				Offload:    &OffloadConfig{MaxOutstanding: 1 + int(trial/2)},
+			}
+			if trial/2%2 == 1 {
+				cfg.Trace = NewRingTrace(1 << 12)
+			}
+			conOut, _, err := RunBatches(context.Background(), g, cfg, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := outcomes(conOut)
+			if len(got) != len(want) {
+				t.Fatalf("distinct outcomes: live plane %d, executor %d", len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("outcome %.40q: executor %d, live plane %d", k, n, got[k])
+				}
+			}
+			for _, b := range conOut {
+				b.Release()
+			}
+			if n := a.Outstanding(); n != 0 {
+				t.Errorf("%d arena packets outstanding after the drain", n)
+			}
+		})
 	}
 }

@@ -368,11 +368,7 @@ func (sp *ShardedPipeline) dispatch(ctx context.Context) {
 			if len(pkts) == 0 {
 				continue
 			}
-			sub := &netpkt.Batch{
-				Packets: append(make([]*netpkt.Packet, 0, len(pkts)), pkts...),
-				ID:      b.ID,
-				Branch:  b.Branch,
-			}
+			sub := b.Derive(append(make([]*netpkt.Packet, 0, len(pkts)), pkts...))
 			if !sp.sendShard(ctx, s, sub) {
 				return
 			}

@@ -172,7 +172,7 @@ func (e *Classifier) Process(b *netpkt.Batch) []*netpkt.Batch {
 			continue
 		}
 		if out[port] == nil {
-			out[port] = &netpkt.Batch{ID: b.ID}
+			out[port] = b.Derive(nil)
 		}
 		out[port].Packets = append(out[port].Packets, p)
 	}

@@ -60,7 +60,7 @@ func (e *Queue) Process(b *netpkt.Batch) []*netpkt.Batch {
 	if len(e.buf) > e.HighWater {
 		e.HighWater = len(e.buf)
 	}
-	out := &netpkt.Batch{ID: b.ID, Packets: e.buf}
+	out := b.Derive(e.buf)
 	e.buf = nil
 	return []*netpkt.Batch{out}
 }
@@ -100,7 +100,7 @@ func (e *CheckPaint) Signature() string { return fmt.Sprintf("CheckPaint/%d", e.
 
 // Process implements Element.
 func (e *CheckPaint) Process(b *netpkt.Batch) []*netpkt.Batch {
-	out := []*netpkt.Batch{{ID: b.ID}, {ID: b.ID}}
+	out := []*netpkt.Batch{b.Derive(nil), b.Derive(nil)}
 	for _, p := range b.Packets {
 		if p.Dropped {
 			continue

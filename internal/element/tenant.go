@@ -62,7 +62,7 @@ func (e *TenantDemux) Process(b *netpkt.Batch) []*netpkt.Batch {
 			continue
 		}
 		if out[port] == nil {
-			out[port] = &netpkt.Batch{ID: b.ID, Branch: b.Branch}
+			out[port] = b.Derive(nil)
 		}
 		out[port].Packets = append(out[port].Packets, p)
 	}

@@ -16,6 +16,13 @@ type Batch struct {
 	// and its paired merge).
 	Branch int
 
+	// Origin is the batch the SFC duplicator fanned this branch batch out
+	// from (set together with Branch, meaningful over the same span): the
+	// paired merge finds the stage's original packets through it. An element
+	// that emits a header of its own in place of its input builds it with
+	// Derive, which carries all three identity fields.
+	Origin *Batch
+
 	// pooled marks the batch header as resident in the arena (see pool.go);
 	// PutBatch uses it to panic on double release.
 	pooled bool
@@ -30,6 +37,13 @@ func NewBatch(id uint64, pkts []*Packet) *Batch {
 		p.SeqInBatch = i
 	}
 	return &Batch{Packets: pkts, ID: id}
+}
+
+// Derive returns a new batch header over pkts that stands in for b
+// downstream: it regroups under b's ID and, inside a parallel stage, reaches
+// the merge as b's branch would have.
+func (b *Batch) Derive(pkts []*Packet) *Batch {
+	return &Batch{Packets: pkts, ID: b.ID, Branch: b.Branch, Origin: b.Origin}
 }
 
 // Len returns the number of packets in the batch (including dropped ones).
@@ -76,7 +90,7 @@ func (b *Batch) SplitBy(class func(*Packet) int) []*Batch {
 	}
 	out := make([]*Batch, 0, len(order))
 	for _, c := range order {
-		out = append(out, &Batch{Packets: groups[c], ID: b.ID})
+		out = append(out, b.Derive(groups[c]))
 	}
 	return out
 }
@@ -125,7 +139,7 @@ func (b *Batch) Clone() *Batch {
 	for i, p := range b.Packets {
 		pkts[i] = p.Clone()
 	}
-	return &Batch{Packets: pkts, ID: b.ID, Branch: b.Branch}
+	return b.Derive(pkts)
 }
 
 // CloneInto deep-copies b into dst, reusing dst's packet objects and buffer
@@ -134,10 +148,7 @@ func (b *Batch) Clone() *Batch {
 // from dst's own arena (the default when dst was built outside one), so a
 // per-shard clone never leaks storage into a foreign pool.
 func (b *Batch) CloneInto(dst *Batch) {
-	a := dst.arena
-	if a == nil {
-		a = defaultArena
-	}
+	a := dst.home()
 	for len(dst.Packets) < len(b.Packets) {
 		dst.Packets = append(dst.Packets, a.GetPacket(0))
 	}
@@ -157,13 +168,12 @@ func (b *Batch) CloneInto(dst *Batch) {
 	dst.ID, dst.Branch = b.ID, b.Branch
 }
 
-// ClonePooled is Clone backed by the default arena: batch header and packet
-// storage come from GetBatch/GetPacket. The consumer of the clone calls
-// Release exactly once when done with it.
+// ClonePooled is Clone backed by the arena b was drawn from (the default
+// one for batches built outside any): batch header and packet storage come
+// from GetBatch/GetPacket. The consumer of the clone calls Release exactly
+// once when done with it.
 func (b *Batch) ClonePooled() *Batch {
-	dst := GetBatch(len(b.Packets))
-	b.CloneInto(dst)
-	return dst
+	return b.home().ClonePooled(b)
 }
 
 // ClonePooled is Batch.ClonePooled drawing the header and all packet
@@ -178,11 +188,21 @@ func (a *Arena) ClonePooled(b *Batch) *Batch {
 // ShallowClone copies the batch with per-packet shallow clones: private
 // annotation state, shared wire bytes. Safe to hand to processing that
 // hazard analysis proves read-only on packet bytes (see Packet.ShallowClone
-// and the Duplicator's writer flags).
+// and the Duplicator's writer flags). Header and packet headers are pooled
+// like ClonePooled's; the consumer calls Release exactly once.
 func (b *Batch) ShallowClone() *Batch {
-	pkts := make([]*Packet, len(b.Packets))
-	for i, p := range b.Packets {
-		pkts[i] = p.ShallowClone()
+	dst := b.home().GetBatch(len(b.Packets))
+	for _, p := range b.Packets {
+		dst.Packets = append(dst.Packets, p.ShallowClone())
 	}
-	return &Batch{Packets: pkts, ID: b.ID, Branch: b.Branch}
+	dst.ID, dst.Branch = b.ID, b.Branch
+	return dst
+}
+
+// home is the arena b's clones are drawn from.
+func (b *Batch) home() *Arena {
+	if b.arena != nil {
+		return b.arena
+	}
+	return defaultArena
 }

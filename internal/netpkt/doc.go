@@ -18,10 +18,10 @@
 // Three clone flavours cover the duplication needs of SFC parallelization:
 // Clone (private heap copy), ClonePooled/CloneInto (private copy from the
 // sync.Pool arena, returned with Release/PutPacket), and ShallowClone
-// (private annotations, shared wire bytes — for branches that hazard
-// analysis proves read-only). The arena's ownership rules — one Put per
-// Get, double release panics, shared buffers are never recycled — are
-// spelled out in pool.go and DESIGN.md §8.
+// (a pooled header with private annotations and shared wire bytes — for
+// branches that hazard analysis proves read-only). The arena's ownership
+// rules — one Put per Get, double release panics, shared buffers are never
+// recycled until Unshare — are spelled out in pool.go and DESIGN.md §8.
 //
 // Packet.FlowKey is the flow-affinity dispatch key the sharded dataplane
 // (internal/dataplane.ShardedPipeline) hashes to keep each flow's packets

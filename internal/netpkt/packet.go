@@ -156,12 +156,29 @@ func (p *Packet) ClonePooled() *Packet {
 // writes stay private, byte writes would corrupt the sibling. Both the
 // original and the clone are marked shared so neither buffer is ever
 // recycled by the arena while the other may still read it.
+//
+// The clone is a pooled header: it is drawn from p's arena (the default one
+// for packets built outside any) and PutPacket returns it there, to a pool
+// of buffer-less headers that GetPacket never draws from. Once every clone
+// is released, Unshare makes p's buffer recyclable again.
 func (p *Packet) ShallowClone() *Packet {
+	a := p.arena
+	if a == nil {
+		a = defaultArena
+	}
 	p.shared = true
-	q := *p
-	q.pooled, q.arena, q.counted = false, nil, false
-	return &q
+	q := a.headers.Get().(*Packet)
+	*q = *p
+	q.pooled, q.arena, q.counted = false, a, false
+	return q
 }
+
+// Unshare declares that no shallow clone reads p's wire bytes any more, so
+// they are private again and PutPacket may recycle them. The caller vouches
+// for that (the parallel stage's merge, which collects every clone its
+// duplicator made) and for p not being a shallow clone itself, whose bytes
+// would belong to someone else.
+func (p *Packet) Unshare() { p.shared = false }
 
 // EnsureOwned gives the packet private wire bytes if they are currently
 // shared with a shallow clone — the copy-on-write escape hatch for a caller

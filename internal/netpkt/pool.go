@@ -20,7 +20,12 @@ import (
 //     of as corruption downstream.
 //   - Packets whose bytes are shared with a shallow clone (ShallowClone /
 //     read-only Duplicator branches) are never recycled with their buffer:
-//     Put drops the aliased buffer and the pool reallocates on next Get.
+//     Put drops the aliased buffer and parks the bare header in the arena's
+//     header pool, which only ShallowClone draws from — a pooled header
+//     never carries a buffer in and is never handed one by GetPacket.
+//   - Packet.Unshare ends the sharing once every shallow clone is released
+//     (the parallel stage's merge does this), so the original's buffer
+//     recycles like any other.
 //   - SetPoolPoison(true) (tests) overwrites released buffers with
 //     PoisonByte, converting any use-after-release into a loud payload
 //     mismatch.
@@ -53,6 +58,10 @@ func SetPoolPoison(on bool) { poisonPut.Store(on) }
 type Arena struct {
 	packets sync.Pool
 	batches sync.Pool
+	// headers holds buffer-less Packet structs: released shallow clones and
+	// packets released while still shared. Kept apart from packets so that
+	// GetPacket always finds a recycled buffer.
+	headers sync.Pool
 	// outstanding counts packets drawn from this arena and not yet
 	// released back — the pool-audit ledger. Clones and builder packets
 	// are not counted (only Arena.GetPacket increments), so a drained
@@ -65,6 +74,7 @@ func NewArena() *Arena {
 	a := &Arena{}
 	a.packets.New = func() any { return &Packet{L3Offset: -1, L4Offset: -1, arena: a} }
 	a.batches.New = func() any { return &Batch{arena: a} }
+	a.headers.New = func() any { return new(Packet) }
 	return a
 }
 
@@ -132,19 +142,22 @@ func PutPacket(p *Packet) {
 			p.arena.outstanding.Add(-1)
 		}
 	}
-	if p.shared {
-		// A shallow clone aliases these bytes; recycling them would hand
-		// live data to an unrelated GetPacket.
-		p.Data = nil
-	} else if poisonPut.Load() {
-		for i := range p.Data {
-			p.Data[i] = PoisonByte
-		}
-	}
 	a := p.arena
 	if a == nil {
 		a = defaultArena
 		p.arena = a
+	}
+	if p.shared {
+		// A shallow clone aliases these bytes (or this is the clone);
+		// recycling them would hand live data to an unrelated GetPacket.
+		p.Data = nil
+		a.headers.Put(p)
+		return
+	}
+	if poisonPut.Load() {
+		for i := range p.Data {
+			p.Data[i] = PoisonByte
+		}
 	}
 	a.packets.Put(p)
 }
@@ -162,7 +175,7 @@ func PutBatch(b *Batch) {
 		b.Packets[i] = nil // drop refs so pooled headers don't pin packets
 	}
 	b.Packets = b.Packets[:0]
-	b.ID, b.Branch = 0, 0
+	b.ID, b.Branch, b.Origin = 0, 0, nil
 	b.pooled = true
 	a := b.arena
 	if a == nil {

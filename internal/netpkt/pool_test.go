@@ -191,3 +191,45 @@ func buildUDP(t *testing.T, src, dst uint32, sport, dport uint16) []byte {
 	})
 	return p.Data
 }
+
+// TestShallowClonePooledHeaders: a released shallow clone is a buffer-less
+// header and must never come back from GetPacket (which would then allocate
+// a buffer per packet); once every clone is released Unshare makes the
+// original's buffer recyclable again.
+func TestShallowClonePooledHeaders(t *testing.T) {
+	a := NewArena()
+	p := a.GetPacket(64)
+	q := p.ShallowClone()
+	if &q.Data[0] != &p.Data[0] || q.arena != a {
+		t.Fatal("shallow clone must alias the bytes and belong to the original's arena")
+	}
+	if n := a.Outstanding(); n != 1 {
+		t.Fatalf("outstanding = %d with one buffer drawn: headers are not buffers", n)
+	}
+	PutPacket(q)
+	var drawn []*Packet
+	for i := 0; i < 8; i++ {
+		r := a.GetPacket(64)
+		if r == q {
+			t.Fatal("GetPacket handed out a released shallow-clone header")
+		}
+		drawn = append(drawn, r)
+	}
+	for _, r := range drawn {
+		PutPacket(r)
+	}
+
+	alias := p.ShallowClone()
+	PutPacket(alias)
+	if alias.Data != nil {
+		t.Fatal("a shallow clone was released with the original's buffer attached")
+	}
+	p.Unshare()
+	PutPacket(p)
+	if p.Data == nil {
+		t.Fatal("un-shared original was released without its buffer")
+	}
+	if n := a.Outstanding(); n != 0 {
+		t.Fatalf("outstanding = %d after releasing everything", n)
+	}
+}

@@ -51,7 +51,7 @@ func (e *IPFragmenter) Signature() string { return fmt.Sprintf("IPFragmenter/%d"
 // Process implements element.Element: oversized packets are replaced by
 // their fragments (the output batch may be longer than the input).
 func (e *IPFragmenter) Process(b *netpkt.Batch) []*netpkt.Batch {
-	out := &netpkt.Batch{ID: b.ID, Branch: b.Branch}
+	out := b.Derive(nil)
 	for _, p := range b.Packets {
 		if p.Dropped || p.L3Proto != netpkt.ProtoIPv4 || p.L3Offset < 0 {
 			out.Packets = append(out.Packets, p)
@@ -177,7 +177,7 @@ func (e *IPDefragmenter) Signature() string { return "IPDefragmenter" }
 // fragments are absorbed until their datagram completes, which then emits
 // the reassembled packet.
 func (e *IPDefragmenter) Process(b *netpkt.Batch) []*netpkt.Batch {
-	out := &netpkt.Batch{ID: b.ID, Branch: b.Branch}
+	out := b.Derive(nil)
 	for _, p := range b.Packets {
 		if p.Dropped || p.L3Proto != netpkt.ProtoIPv4 || p.L3Offset < 0 {
 			out.Packets = append(out.Packets, p)

@@ -74,7 +74,7 @@ func (e *TCPReassembly) Signature() string { return "TCPReassembly" }
 // in-order packets plus any buffered packets their arrival released, in
 // stream order.
 func (e *TCPReassembly) Process(b *netpkt.Batch) []*netpkt.Batch {
-	out := &netpkt.Batch{ID: b.ID}
+	out := b.Derive(nil)
 	for _, p := range b.Packets {
 		if p.Dropped {
 			out.Packets = append(out.Packets, p)
