@@ -78,7 +78,7 @@ func (r *Report) CPUTimings() map[string]float64 {
 // ApplyCPUTimings overwrites d's CPU cost for every kind this report
 // measured, leaving GPU-side entries (unobservable from a live CPU run)
 // untouched. Endpoint kinds are dropped here, per the convention documented
-// on CPUTimings: FromDevice/ToDevice are pipeline I/O boundary markers the
+// on CPUTimings: FromDevice/ToDevice are pipeline I/O boundary elements the
 // Dictionary does not profile. Returns the number of dictionary entries
 // updated.
 func (r *Report) ApplyCPUTimings(d *profile.Dictionary) int {

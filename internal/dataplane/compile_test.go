@@ -13,9 +13,12 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 )
@@ -40,8 +43,8 @@ func runCompiledPair(t *testing.T, build func(int64) *element.Graph, seed int64,
 	return compiled, interpreted, p
 }
 
-// TestCompiledVsInterpretedMultiset: with observability off (the Direct
-// path), random graphs must emit exactly the interpreted pipeline's
+// TestCompiledVsInterpretedMultiset: with observability off (no step
+// hook), random graphs must emit exactly the interpreted pipeline's
 // multiset of per-packet outcomes. Compiled batches must actually have
 // executed across the trial set, or the test is vacuous.
 func TestCompiledVsInterpretedMultiset(t *testing.T) {
@@ -77,7 +80,7 @@ func TestCompiledVsInterpretedMultiset(t *testing.T) {
 }
 
 // TestCompiledVsInterpretedExactOrder: under PreserveOrder with metrics on
-// (the Traced path), compilation must be invisible — same batch order,
+// (the head booking its members), compilation must be invisible — same batch order,
 // same packets, same bytes.
 func TestCompiledVsInterpretedExactOrder(t *testing.T) {
 	builders := map[string]func(int64) *element.Graph{
@@ -162,22 +165,164 @@ func TestCompiledPerFlowOrderSharded(t *testing.T) {
 	}
 }
 
+// dieEvery consumes every mod-th batch whole (one output port, nil batch):
+// the chain dies at this element for those batches.
+type dieEvery struct {
+	name string
+	mod  uint64
+}
+
+func (e *dieEvery) Name() string           { return e.name }
+func (e *dieEvery) Traits() element.Traits { return element.Traits{Kind: "DieEvery", CanDrop: true} }
+func (e *dieEvery) NumOutputs() int        { return 1 }
+func (e *dieEvery) Signature() string      { return "DieEvery" }
+func (e *dieEvery) Process(b *netpkt.Batch) []*netpkt.Batch {
+	if b.ID%e.mod == 0 {
+		return []*netpkt.Batch{nil}
+	}
+	return []*netpkt.Batch{b}
+}
+
+// bookedChain is src -> chk -> mid -> ttl -> cnt -> dst: one compiled
+// segment all-CPU, one fused segment with the interior on the GPU.
+func bookedChain(mid element.Element) func(int64) *element.Graph {
+	return func(int64) *element.Graph {
+		g := element.NewGraph()
+		prev := g.Add(element.NewFromDevice("src"))
+		for _, el := range []element.Element{
+			element.NewCheckIPHeader("chk"), mid, element.NewDecTTL("ttl"),
+			element.NewCounter("cnt"), element.NewToDevice("dst"),
+		} {
+			id := g.Add(el)
+			g.MustConnect(prev, 0, id)
+			prev = id
+		}
+		return g
+	}
+}
+
+// booked renders everything a Report and a trace say about who processed
+// what, in a form two runs of the same traffic must agree on whichever
+// goroutine did the booking: per-element batch/packet/drop counters, the
+// sampled-timing counts, per-edge packets, boundary totals, and the sorted
+// (element, batch, live-in) enter events.
+func booked(r *Report, ring *RingTrace) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "in=%d/%d out=%d/%d drop=%d\n",
+		r.InBatches, r.InPackets, r.OutBatches, r.OutPackets, r.DropPackets)
+	for _, e := range r.Elements {
+		fmt.Fprintf(&sb, "%s batches=%d in=%d out=%d drops=%d timed=%d/%d\n",
+			e.Name, e.Batches, e.PktsIn, e.PktsOut, e.Drops, e.Proc.Count, e.ProcPkts)
+	}
+	for _, ed := range r.Edges {
+		fmt.Fprintf(&sb, "edge %d[%d]->%d %d\n", ed.From, ed.Port, ed.To, ed.Packets)
+	}
+	var enters []string
+	for _, ev := range ring.Events() {
+		if ev.Kind == TraceEnter {
+			enters = append(enters, fmt.Sprintf("enter %d/%d live=%d", ev.Node, ev.Batch, ev.Packets))
+		}
+	}
+	sort.Strings(enters)
+	return sb.String() + strings.Join(enters, "\n")
+}
+
+// TestBookedReportEquality is the booking rule's gate: a segment's executor
+// books on behalf of members that never see the batch, and the Report and
+// the trace must come out exactly as if every member had booked for itself
+// — compiled against DisableCompile, fused against DisableFusion — including
+// a dropper mid-segment and a chain that dies at its second member (nothing
+// booked or traced for the members behind it). TimingSample 4 must time the
+// same batches on every member.
+func TestBookedReportEquality(t *testing.T) {
+	type row struct {
+		build  func(int64) *element.Graph
+		seeds  int64
+		sample int
+		// gpu compares fusion (against DisableFusion) instead of compilation,
+		// under assign, or under randAssignment when assign is nil.
+		gpu    bool
+		assign hetsim.Assignment
+	}
+	interior := hetsim.Assignment{1: {Mode: hetsim.ModeGPU}, 2: {Mode: hetsim.ModeGPU},
+		3: {Mode: hetsim.ModeGPU}, 4: {Mode: hetsim.ModeGPU}}
+	dropper := bookedChain(&contentDrop{name: "drop", mod: 3})
+	dies := bookedChain(&dieEvery{name: "die", mod: 3})
+	rows := map[string]row{
+		"linear":         {build: buildLinearRand, seeds: 4, sample: 1},
+		"linear/sample4": {build: buildLinearRand, seeds: 4, sample: 4},
+		"diamond":        {build: buildDiamondRand, seeds: 4, sample: 1},
+		"fanout":         {build: buildFanoutRand, seeds: 4, sample: 1},
+		"dropper":        {build: dropper, seeds: 1, sample: 1},
+		"dies":           {build: dies, seeds: 1, sample: 1},
+		"gpu/linear":     {build: buildLinearRand, seeds: 4, sample: 1, gpu: true},
+		"gpu/diamond":    {build: buildDiamondRand, seeds: 4, sample: 1, gpu: true},
+		"gpu/fanout":     {build: buildFanoutRand, seeds: 4, sample: 1, gpu: true},
+		"gpu/dropper":    {build: dropper, seeds: 1, sample: 1, gpu: true, assign: interior},
+		"gpu/dies":       {build: dies, seeds: 1, sample: 1, gpu: true, assign: interior},
+	}
+	var segmentBatches uint64
+	for name, r := range rows {
+		for trial := int64(0); trial < r.seeds; trial++ {
+			seed := 100*trial + 57
+			t.Run(fmt.Sprintf("%s/%d", name, trial), func(t *testing.T) {
+				run := func(reference bool) (string, OffloadSnapshot) {
+					ring := NewRingTrace(1 << 14)
+					cfg := Config{QueueDepth: 2, Metrics: true, Trace: ring, TimingSample: r.sample}
+					if r.gpu {
+						cfg.Assignment = r.assign
+						if cfg.Assignment == nil {
+							cfg.Assignment = randAssignment(r.build(seed), seed)
+						}
+						cfg.Offload = &OffloadConfig{MaxOutstanding: 4, DisableFusion: reference}
+					} else {
+						cfg.DisableCompile = reference
+					}
+					_, p, err := RunBatches(context.Background(), r.build(seed), cfg, diffTraffic(seed, 24, 16))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep := p.Snapshot()
+					return booked(rep, ring), rep.Offload
+				}
+				got, o := run(false)
+				want, _ := run(true)
+				if got != want {
+					t.Fatalf("booking differs from the per-member reference\n--- segment executor:\n%s\n--- reference:\n%s", got, want)
+				}
+				if r.gpu {
+					segmentBatches += o.FusedSegments
+				} else {
+					segmentBatches += o.CompiledBatches
+				}
+			})
+		}
+	}
+	if segmentBatches == 0 {
+		t.Fatal("no segment executed across any row")
+	}
+}
+
 // TestCompiledHotPathAllocs extends the 0-alloc guard to the compiled
-// stage-loop: the Direct path must stay allocation-free in steady state,
-// and it must actually be the path taken (CompiledBatches advancing, hops
-// elided). The interpreted arm pins the same bound with compilation off,
-// so a regression in either path is attributed correctly.
+// stage-loop, with observability off and with everything nfcompass ships on
+// (Metrics + Flight): it must stay allocation-free in steady state, and it
+// must actually be the path taken — every compiled batch elides every
+// interior hop (members − 1), watched or not. The interpreted arm pins the
+// same bound with compilation off, so a regression in either path is
+// attributed correctly.
 func TestCompiledHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
-	for _, disable := range []bool{false, true} {
-		name := "compiled"
-		if disable {
-			name = "interpreted"
-		}
+	arms := map[string]Config{
+		"compiled":         {QueueDepth: 4},
+		"compiled+metrics": {QueueDepth: 4, Metrics: true, Flight: flight.New(flight.Config{})},
+		"interpreted":      {QueueDepth: 4, DisableCompile: true},
+	}
+	for name, cfg := range arms {
 		t.Run(name, func(t *testing.T) {
-			p, err := New(hotChainGraph(), Config{QueueDepth: 4, DisableCompile: disable})
+			g := hotChainGraph()
+			p, err := New(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +343,7 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := p.snapshotOffload()
-			if disable {
+			if cfg.DisableCompile {
 				if o.CompiledBatches != 0 {
 					t.Fatalf("DisableCompile ran %d compiled batches", o.CompiledBatches)
 				}
@@ -206,8 +351,10 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 				if o.CompiledBatches == 0 {
 					t.Fatal("compiled stage-loop never executed on the hot chain")
 				}
-				if o.CompiledHopsSaved == 0 {
-					t.Fatal("compiled stage-loop saved no hops")
+				// The segment is every element but the sink.
+				if want := o.CompiledBatches * uint64(g.Len()-2); o.CompiledHopsSaved != want {
+					t.Fatalf("CompiledHopsSaved = %d over %d batches, want %d",
+						o.CompiledHopsSaved, o.CompiledBatches, want)
 				}
 			}
 			if allocs > 0 {
@@ -224,102 +371,28 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 // and never lets one element run under two placements — or two segment
 // identities — within one epoch.
 func TestHotSwapMidCompiledSegmentZeroLoss(t *testing.T) {
-	const batches, perBatch = 90, 16
-	ring := NewRingTrace(batches * 16)
-	g := hotSwapChain()
-	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
-		Offload: &OffloadConfig{MaxOutstanding: 4, AggregateLimit: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start(context.Background())
-
-	var outs []*netpkt.Batch
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for b := range p.Out() {
-			outs = append(outs, b)
-		}
-	}()
-
 	// Cycle between the compiled all-CPU placement, a placement that breaks
 	// the compiled segment in the middle (member 2 on the GPU), and a split
 	// member — forming and re-forming the stage-loop while work is in
 	// flight.
 	swaps := []hetsim.Assignment{
 		{2: {Mode: hetsim.ModeGPU}},
-		nil, // all-CPU: the interior compiles into one stage-loop
+		nil, // all-CPU: the whole chain compiles into one stage-loop
 		{1: {Mode: hetsim.ModeSplit, GPUFraction: 0.5}, 3: {Mode: hetsim.ModeGPU}},
 		nil,
 	}
-	for i, b := range seqTraffic(7, batches, perBatch) {
-		if i > 0 && i%10 == 0 {
-			if err := p.Apply(swaps[(i/10-1)%len(swaps)]); err != nil {
-				t.Fatal(err)
+	for _, qd := range []int{1, 2} {
+		t.Run(fmt.Sprintf("qd=%d", qd), func(t *testing.T) {
+			g, probe := hotSwapProbeChain()
+			p := auditHotSwap(t, g, qd,
+				OffloadConfig{Devices: 2, MaxOutstanding: 4, AggregateLimit: 3}, swaps, 90, 10)
+			if bad := probe.bad.Load(); bad != nil {
+				t.Fatal(*bad)
 			}
-		}
-		p.In() <- b
-	}
-	p.CloseInput()
-	<-collected
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := p.Stats.OutPackets.Load(); got != batches*perBatch {
-		t.Fatalf("out packets = %d, want %d (packets lost across mid-segment swap)",
-			got, batches*perBatch)
-	}
-	if p.Stats.DropPackets.Load() != 0 {
-		t.Fatalf("drops = %d across mid-segment swap", p.Stats.DropPackets.Load())
-	}
-	for i, b := range outs {
-		if b.ID != uint64(i) {
-			t.Fatalf("batch %d surfaced at position %d", b.ID, i)
-		}
-	}
-	if o := p.snapshotOffload(); o.CompiledBatches == 0 {
-		t.Fatal("no compiled stage-loop executed: swap schedule never reached the compiled placement")
-	}
-
-	// Trace audit: every (element, batch) entered once; within one epoch an
-	// element keeps one placement and one segment identity.
-	type visit struct {
-		node  element.NodeID
-		batch uint64
-	}
-	type nodeEpoch struct {
-		node  element.NodeID
-		epoch uint64
-	}
-	type placeSeg struct {
-		place string
-		seg   int
-	}
-	entered := make(map[visit]bool)
-	perEpoch := make(map[nodeEpoch]placeSeg)
-	for _, ev := range ring.Events() {
-		if ev.Kind != TraceEnter || ev.Node < 0 {
-			continue
-		}
-		v := visit{node: ev.Node, batch: ev.Batch}
-		if entered[v] {
-			t.Fatalf("element %d entered batch %d twice", ev.Node, ev.Batch)
-		}
-		entered[v] = true
-		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		ps := placeSeg{place: ev.Placement, seg: ev.Segment}
-		if prev, ok := perEpoch[ne]; ok && prev != ps {
-			t.Fatalf("element %d changed placement/segment within epoch %d: %+v then %+v",
-				ev.Node, ev.Epoch, prev, ps)
-		}
-		perEpoch[ne] = ps
-	}
-	if len(entered) != batches*g.Len() {
-		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
+			if p.snapshotOffload().CompiledBatches == 0 {
+				t.Fatal("no compiled stage-loop executed: swap schedule never reached the compiled placement")
+			}
+		})
 	}
 }
 
@@ -348,17 +421,24 @@ func (e *badFanout) Process(b *netpkt.Batch) []*netpkt.Batch {
 	return []*netpkt.Batch{b}
 }
 
-// TestCompiledDrainAudit: a member erroring mid-stage-loop must surface
-// the contract violation as a pipeline error — not a deadlock — and the
-// stage-loop must release its working set back to the arena exactly once.
-// Pool poisoning turns a double release into a panic and runs under -race
-// in CI, so surviving the run is the exactly-once assertion.
+// TestCompiledDrainAudit: a member erroring mid-segment — a compiled
+// stage-loop with observability off and on, or a fused device segment —
+// must surface the contract violation as a pipeline error, not a deadlock,
+// and the segment must release its working set back to the arena exactly
+// once. Pool poisoning turns a double release into a panic and runs under
+// -race in CI, so surviving the run is the exactly-once assertion.
 func TestCompiledDrainAudit(t *testing.T) {
 	netpkt.SetPoolPoison(true)
 	defer netpkt.SetPoolPoison(false)
-	for _, metrics := range []bool{false, true} { // Direct and Traced abort paths
+	arms := map[string]Config{
+		"metrics=false": {QueueDepth: 2},
+		"metrics=true":  {QueueDepth: 2, Metrics: true},
+		"gpu": {QueueDepth: 2, Metrics: true, Assignment: hetsim.Assignment{
+			1: {Mode: hetsim.ModeGPU}, 2: {Mode: hetsim.ModeGPU}, 3: {Mode: hetsim.ModeGPU}}},
+	}
+	for arm, cfg := range arms {
 		for _, empty := range []bool{false, true} {
-			t.Run(fmt.Sprintf("metrics=%v/empty=%v", metrics, empty), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/empty=%v", arm, empty), func(t *testing.T) {
 				g := element.NewGraph()
 				src := g.Add(element.NewFromDevice("src"))
 				chk := g.Add(element.NewCheckIPHeader("chk"))
@@ -376,13 +456,12 @@ func TestCompiledDrainAudit(t *testing.T) {
 					in[i] = tmpl.ClonePooled()
 					in[i].ID = uint64(i)
 				}
-				outs, p, err := RunBatches(context.Background(), g,
-					Config{QueueDepth: 2, Metrics: metrics}, in)
+				outs, p, err := RunBatches(context.Background(), g, cfg, in)
 				if err == nil {
 					t.Fatal("contract violation did not surface as a pipeline error")
 				}
-				if p.snapshotOffload().CompiledBatches == 0 {
-					t.Fatal("violation did not occur inside a compiled stage-loop")
+				if o := p.snapshotOffload(); o.CompiledBatches+o.FusedSegments == 0 {
+					t.Fatal("violation did not occur inside a segment")
 				}
 				// Batches that completed before the violation are still owned
 				// by the collector; returning them must not double-release.
@@ -402,6 +481,7 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	f.Add(int64(7), uint8(0), uint8(12), uint8(8), uint8(0))
 	f.Add(int64(113), uint8(1), uint8(24), uint8(16), uint8(1))
 	f.Add(int64(2026), uint8(2), uint8(6), uint8(4), uint8(2))
+	f.Add(int64(57), uint8(2), uint8(20), uint8(12), uint8(0x81)) // fan-out with metrics on
 	f.Fuzz(func(t *testing.T, seed int64, shape, nb, per, qd uint8) {
 		builders := []func(int64) *element.Graph{
 			buildLinearRand, buildDiamondRand, buildFanoutRand,
@@ -410,22 +490,29 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		build := builders[shape]
 		n := 1 + int(nb%24)
 		pb := 1 + int(per%16)
-		cfg := Config{QueueDepth: 1 + int(qd%3)}
+		cfg := Config{QueueDepth: 1 + int((qd&0x7f)%3)}
 		exact := shape != 2 // fanout has multiple sinks: multiset only
-		if exact {
-			cfg.PreserveOrder, cfg.Metrics = true, true
-		}
-		run := func(disable bool) []*netpkt.Batch {
+		cfg.PreserveOrder = exact
+		cfg.Metrics = exact || qd&0x80 != 0
+		run := func(disable bool) ([]*netpkt.Batch, string) {
 			c := cfg
 			c.DisableCompile = disable
-			outs, _, err := RunBatches(context.Background(), build(seed), c,
+			ring := NewRingTrace(1 << 14)
+			if c.Metrics {
+				c.Trace = ring
+			}
+			outs, p, err := RunBatches(context.Background(), build(seed), c,
 				diffTraffic(seed, n, pb))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return outs
+			return outs, booked(p.Snapshot(), ring)
 		}
-		cout, iout := run(false), run(true)
+		cout, cbooked := run(false)
+		iout, ibooked := run(true)
+		if cbooked != ibooked {
+			t.Fatalf("booking differs under compilation\n--- compiled:\n%s\n--- interpreted:\n%s", cbooked, ibooked)
+		}
 		want, got := multiset(iout), multiset(cout)
 		if len(want) != len(got) {
 			t.Fatalf("distinct outcomes differ: interpreted=%d compiled=%d", len(want), len(got))

@@ -103,15 +103,14 @@ type Pipeline struct {
 	// new one. pool owns the emulated devices.
 	placements atomic.Pointer[placementTable]
 	pool       *devicePool
-	// markers recycles compiled stage-loop pass-through markers (*workItem)
-	// so the observability path of a compiled segment allocates nothing per
-	// batch in steady state.
-	markers sync.Pool
 
 	// metrics is the per-element registry (nil when Config.Metrics is
-	// off); edgeCtr maps each graph edge to its traffic counter.
+	// off); edgeCtr maps each graph edge to its traffic counter and edgeOut
+	// lists the same counters per node, aligned with Graph.Successors
+	// (node → port → target), so the send loops index instead of hashing.
 	metrics []nodeMetrics
 	edgeCtr map[element.EdgeKey]*stats.Counter
+	edgeOut [][][]*stats.Counter
 	// lat records per-batch inject→release latency (nil when Config.Metrics
 	// is off).
 	lat *e2eTracker
@@ -146,14 +145,12 @@ type Pipeline struct {
 // stageMsg carries a batch between stages. live is the batch's live packet
 // count as counted by the sender, so each hop counts a batch once instead
 // of every stage re-scanning it (meaningful only when metrics are on).
-// fused, when non-nil, marks the message as a fused-segment pass-through:
-// the batch already executed device-side as part of the marker's segment,
-// and the receiving member only books its recorded share (scheduler.go's
-// passThrough) instead of executing again.
+// fence, when non-nil, makes the message an epoch fence (compile.go)
+// instead: it carries no batch.
 type stageMsg struct {
 	b     *netpkt.Batch
 	live  int
-	fused *workItem
+	fence *fence
 }
 
 // New validates the graph and constructs a stopped pipeline.
@@ -190,14 +187,22 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 		}
 		p.lat = newE2ETracker()
 		p.edgeCtr = make(map[element.EdgeKey]*stats.Counter)
-		for _, e := range g.Edges() {
-			k := element.EdgeKey{From: e.From, Port: e.Port, To: e.To}
-			if p.edgeCtr[k] == nil {
-				p.edgeCtr[k] = new(stats.Counter)
+		p.edgeOut = make([][][]*stats.Counter, n)
+		for i := range p.edgeOut {
+			id := element.NodeID(i)
+			succ := g.Successors(id)
+			p.edgeOut[i] = make([][]*stats.Counter, len(succ))
+			for port, targets := range succ {
+				for _, to := range targets {
+					k := element.EdgeKey{From: id, Port: port, To: to}
+					if p.edgeCtr[k] == nil {
+						p.edgeCtr[k] = new(stats.Counter)
+					}
+					p.edgeOut[i][port] = append(p.edgeOut[i][port], p.edgeCtr[k])
+				}
 			}
 		}
 	}
-	p.markers.New = func() any { return new(workItem) }
 	p.pool = newDevicePool(p, cfg.Offload)
 	p.placements.Store(p.resolvePlacements(cfg.Assignment, 0))
 	if cfg.Flight != nil {
@@ -255,20 +260,25 @@ func (p *Pipeline) traceEnter(node element.NodeID, b *netpkt.Batch, pl nodePlace
 	})
 }
 
-// traceFused is the enter event of a fused segment member: the batch
-// already executed device-side, so the event records the epoch, placement,
-// and segment the *submission* ran under (from the marker) and the
-// member's own recorded live-in count — keeping the one-placement-per-epoch
-// audit exact even when a swap lands while the marker is in flight.
-func (p *Pipeline) traceFused(node element.NodeID, b *netpkt.Batch, it *workItem, liveIn int) {
+// traceMember is the enter or exit event of a segment member, emitted by
+// whoever executed the segment (scheduler.go's book). The enter event
+// records the epoch, placement and segment the batch *executed* under (the
+// plan's) and the member's own live-in count — keeping the
+// one-placement-per-epoch audit exact even when a swap lands while the
+// submission is in flight.
+func (p *Pipeline) traceMember(kind TraceKind, plan *segmentPlan, node element.NodeID, batch uint64, live int) {
 	if p.cfg.Trace == nil {
 		return
 	}
-	p.cfg.Trace.Emit(TraceEvent{
-		Kind: TraceEnter, Node: node, Batch: b.ID, Packets: liveIn,
+	ev := TraceEvent{
+		Kind: kind, Node: node, Batch: batch, Packets: live,
 		NanosSinceStart: p.clock().Nanoseconds(),
-		Epoch:           it.epoch, Placement: it.place, Segment: it.segID,
-	})
+		Segment:         -1,
+	}
+	if kind == TraceEnter {
+		ev.Epoch, ev.Placement, ev.Segment = plan.epoch, plan.place, plan.seg
+	}
+	p.cfg.Trace.Emit(ev)
 }
 
 // Start launches one goroutine per element plus the sink collector. The
@@ -306,16 +316,7 @@ func (p *Pipeline) Start(ctx context.Context) {
 		var m *nodeMetrics
 		var edgeCtr [][]*stats.Counter
 		if p.metrics != nil {
-			m = &p.metrics[i]
-			// Per-port edge counters aligned with succ, so the send loop
-			// indexes instead of hashing.
-			edgeCtr = make([][]*stats.Counter, len(succ))
-			for port, targets := range succ {
-				edgeCtr[port] = make([]*stats.Counter, len(targets))
-				for t, to := range targets {
-					edgeCtr[port][t] = p.edgeCtr[element.EdgeKey{From: id, Port: port, To: to}]
-				}
-			}
+			m, edgeCtr = &p.metrics[i], p.edgeOut[i]
 		}
 
 		// Metrics are accounted inline rather than through

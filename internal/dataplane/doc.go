@@ -41,14 +41,18 @@
 // Unless Config.DisableCompile is set, maximal sole-path runs of
 // same-placement CPU elements execute as one compiled stage-loop
 // (compile.go): the run's head receives a batch, chains every member's
-// Process call inline, and sends once to the tail's successor — the CPU
+// Process call inline, and sends once to the tail's successors — the CPU
 // dual of the GPU segment fusion in offload.go, removing the per-element
-// goroutine+channel hop. With metrics or tracing on, a pooled
-// pass-through marker walks the member goroutines so per-element
-// accounting and epoch semantics stay byte-identical to interpreted
-// execution. FuzzCompiledVsInterpreted and the TestCompiled* differential
-// suite gate the equivalence; TestCompiledHotPathAllocs keeps the direct
-// path at 0 allocs/op. See DESIGN.md §12.
+// goroutine+channel hop. Whoever runs a segment books it: with metrics or
+// tracing on, the head's goroutine records every executed member's
+// counters, timing, flight span and trace events, so per-element
+// accounting matches interpreted execution without the members seeing the
+// batch. Members keep their goroutines for placement-swap stragglers and
+// to answer the epoch fence that orders a new segment behind them.
+// FuzzCompiledVsInterpreted and the TestCompiled* differential suite gate
+// the equivalence, TestBookedReportEquality the accounting;
+// TestCompiledHotPathAllocs keeps the loop at 0 allocs/op with
+// observability off and on. See DESIGN.md §12.
 //
 // # Observability
 //

@@ -215,106 +215,43 @@ func TestFusionDifferentialExactOrder(t *testing.T) {
 	}
 }
 
-// TestHotSwapMidSegmentZeroLoss: hot-swapping between fused, split, and
-// CPU placements with fused submissions in flight loses zero packets,
-// preserves batch order, and never lets one element run a batch under two
-// placements — or two segment identities — within one epoch.
+// TestHotSwapMidSegmentZeroLoss: hot-swapping between fused, split,
+// unfused-GPU and CPU placements with submissions in flight loses zero
+// packets, preserves batch order — at the sink and at every element — and
+// never lets one element run a batch under two placements, or two segment
+// identities, within one epoch. Fused segments forward their output
+// straight from the head, so the epoch fence (compile.go) is all that keeps
+// them behind stragglers: the into-fused rows swap with the probe's queue
+// full, and the one where the member in front of it is on the CPU
+// beforehand has that member submit its stragglers singly under the new
+// epoch, still in flight when the fence reaches it.
 func TestHotSwapMidSegmentZeroLoss(t *testing.T) {
-	const batches, perBatch = 90, 16
-	ring := NewRingTrace(batches * 16)
-	g := hotSwapChain()
-	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
-		Offload: &OffloadConfig{MaxOutstanding: 4, AggregateLimit: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
+	unfusedGPU := hetsim.Assignment{1: {Mode: hetsim.ModeGPU}, 3: {Mode: hetsim.ModeGPU}}
+	splitMiddle := hetsim.Assignment{
+		1: {Mode: hetsim.ModeGPU}, 2: {Mode: hetsim.ModeSplit, GPUFraction: 0.5}, 3: {Mode: hetsim.ModeGPU},
 	}
-	p.Start(context.Background())
-
-	var outs []*netpkt.Batch
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for b := range p.Out() {
-			outs = append(outs, b)
-		}
-	}()
-
-	// Cycle placements that form, break, and re-form the fused segment
-	// while its markers are mid-flight: full fusion, a split in the middle
-	// (segment broken into singletons), CPU-only, full fusion again.
-	swaps := []hetsim.Assignment{
-		allGPUInterior(),
-		{1: {Mode: hetsim.ModeGPU}, 2: {Mode: hetsim.ModeSplit, GPUFraction: 0.5}, 3: {Mode: hetsim.ModeGPU}},
-		nil,
+	rows := map[string][]hetsim.Assignment{
+		// Form, break (segment split into singletons), dissolve, re-form.
+		"cycle":            {allGPUInterior(), splitMiddle, nil},
+		"unfused-to-fused": {unfusedGPU, allGPUInterior()},
+		"split-to-fused":   {splitMiddle, allGPUInterior()},
 	}
-	for i, b := range seqTraffic(7, batches, perBatch) {
-		if i > 0 && i%10 == 0 {
-			if err := p.Apply(swaps[(i/10-1)%len(swaps)]); err != nil {
-				t.Fatal(err)
+	for name, swaps := range rows {
+		for _, agg := range []int{1, 3} {
+			for _, qd := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/agg=%d/qd=%d", name, agg, qd), func(t *testing.T) {
+					g, probe := hotSwapProbeChain()
+					p := auditHotSwap(t, g, qd,
+						OffloadConfig{Devices: 2, MaxOutstanding: 4, AggregateLimit: agg}, swaps, 90, 10)
+					if bad := probe.bad.Load(); bad != nil {
+						t.Fatal(*bad)
+					}
+					if p.snapshotOffload().FusedSegments == 0 {
+						t.Fatal("no fused segments executed: swap schedule never reached the fused placement")
+					}
+				})
 			}
 		}
-		p.In() <- b
-	}
-	p.CloseInput()
-	<-collected
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := p.Stats.OutPackets.Load(); got != batches*perBatch {
-		t.Fatalf("out packets = %d, want %d (packets lost across mid-segment swap)",
-			got, batches*perBatch)
-	}
-	if p.Stats.DropPackets.Load() != 0 {
-		t.Fatalf("drops = %d across mid-segment swap", p.Stats.DropPackets.Load())
-	}
-	for i, b := range outs {
-		if b.ID != uint64(i) {
-			t.Fatalf("batch %d surfaced at position %d", b.ID, i)
-		}
-	}
-	o := p.snapshotOffload()
-	if o.FusedSegments == 0 {
-		t.Fatal("no fused segments executed: swap schedule never reached the fused placement")
-	}
-
-	// Trace audit: every (element, batch) entered once; within one epoch an
-	// element keeps one placement and one segment identity.
-	type visit struct {
-		node  element.NodeID
-		batch uint64
-	}
-	type nodeEpoch struct {
-		node  element.NodeID
-		epoch uint64
-	}
-	type placeSeg struct {
-		place string
-		seg   int
-	}
-	entered := make(map[visit]bool)
-	perEpoch := make(map[nodeEpoch]placeSeg)
-	for _, ev := range ring.Events() {
-		if ev.Kind != TraceEnter || ev.Node < 0 {
-			continue
-		}
-		v := visit{node: ev.Node, batch: ev.Batch}
-		if entered[v] {
-			t.Fatalf("element %d entered batch %d twice", ev.Node, ev.Batch)
-		}
-		entered[v] = true
-		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		ps := placeSeg{place: ev.Placement, seg: ev.Segment}
-		if prev, ok := perEpoch[ne]; ok && prev != ps {
-			t.Fatalf("element %d changed placement/segment within epoch %d: %+v then %+v",
-				ev.Node, ev.Epoch, prev, ps)
-		}
-		perEpoch[ne] = ps
-	}
-	if len(entered) != batches*g.Len() {
-		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 	"nfcompass/internal/stats"
 )
 
-// nodeMetrics is the per-element metric registry slot. Each element runs on
-// exactly one goroutine, so every field is single-writer; atomics make them
-// safe for concurrent Snapshot readers. Counters are cache-line padded so
+// nodeMetrics is the per-element metric registry slot. Every field is an
+// atomic: the writer is whichever goroutine executed the element — its own,
+// or the head of the segment it is a member of (scheduler.go's book) — and
+// Snapshot reads concurrently. Counters are cache-line padded so
 // neighbouring elements' hot counters do not false-share.
 type nodeMetrics struct {
 	batches stats.Counter

@@ -79,9 +79,8 @@ type OffloadStats struct {
 	OverlapNs      atomic.Uint64
 	// CompiledBatches counts batches executed through a compiled CPU
 	// stage-loop (see compile.go); CompiledHopsSaved counts the
-	// goroutine+channel handoffs the direct fast path elided (interior
-	// hops actually executed, zero when observability keeps the
-	// pass-through markers flowing).
+	// goroutine+channel handoffs it elided (interior hops actually
+	// executed), with observability on or off.
 	CompiledBatches   atomic.Uint64
 	CompiledHopsSaved atomic.Uint64
 	// Swaps counts Apply calls that published a new placement epoch.
@@ -115,8 +114,8 @@ type OffloadSnapshot struct {
 }
 
 // segStat is one chain member's share of a fused segment execution,
-// recorded by the device worker and consumed by the member's goroutine when
-// the pass-through marker reaches it.
+// recorded by the device worker and booked by the head's goroutine when the
+// submission completes (deliverFused).
 type segStat struct {
 	procNs  int64
 	liveIn  int
@@ -125,50 +124,33 @@ type segStat struct {
 
 // workItem is one batch submitted to a device. The submitting node
 // goroutine owns it before submit and after it reappears on the lane's
-// completion channel; the device worker owns it in between. For fused
-// segments the item then rides downstream as a pass-through marker
-// (stageMsg.fused) so every chain member can account its share.
+// completion channel; the device worker owns it in between.
 type workItem struct {
 	lane *offloadLane
 	seq  uint64
 	el   element.Element
 	kind string
 	b    *netpkt.Batch
+	// id is b.ID at submission: an element may recycle the header it was
+	// handed (core.XORMerge does) before the head books the completed item.
+	id   uint64
 	live int
 	mode hetsim.Mode
 	frac float64
-	// Fused-segment submission context (plan nil for single-element
-	// items): the chain to execute, the epoch/placement/segment it was
-	// submitted under (members trace against these, not the live table —
-	// the work already happened under them).
-	plan  *segmentPlan
-	epoch uint64
-	place string
-	segID int
+	// plan is the fused chain to execute (nil for single-element items).
+	// It is the plan of the epoch the item was submitted under, so the work
+	// is booked against that epoch even when a swap lands mid-flight.
+	plan *segmentPlan
 	// Results, filled by the worker before completion.
 	outs   []*netpkt.Batch
 	err    error
 	procNs int64
 	// Fused results: per-member accounting, how many members executed
-	// before the chain died (== len(plan.els) when it didn't), the final
-	// output batch (nil when it died), and the pass-through cursor.
+	// before the chain died (== len(plan.els) when it didn't), and the final
+	// output batch (nil when it died).
 	stats    []segStat
 	executed int
 	final    *netpkt.Batch
-	fidx     int
-	// sampled reports whether per-member procNs was measured for this item.
-	// Device submissions are always timed (the worker's wall clock doubles
-	// as the cost-model input); compiled CPU stage-loops time 1 in
-	// Config.TimingSample batches, like the plain inline path. Members
-	// must not book unsampled (zero) durations into their histograms.
-	sampled bool
-	// compiled marks a CPU stage-loop marker drawn from Pipeline.markers;
-	// the last member to touch it recycles it there.
-	compiled bool
-	// fence, when non-nil, marks an epoch-transition fence walking a
-	// compiled segment (see compile.go): no batch, no stats — the tail
-	// closes the channel to acknowledge the chain has drained.
-	fence chan struct{}
 }
 
 // device is one emulated GPU: a FIFO submission queue drained by a single
@@ -474,8 +456,8 @@ func (dp *devicePool) executeGroup(d *device, group []*workItem) {
 // H2D charges the segment-entry bytes and its D2H the segment-exit bytes,
 // and the interior hops cost nothing on the bus — the saving TransfersSaved
 // records. Per-member wall time and live counts land in it.stats for the
-// pass-through marker to deliver downstream. Returns the chained kernel ns
-// (the caller owns the launch and transfer terms).
+// head's goroutine to book. Returns the chained kernel ns (the caller owns
+// the launch and transfer terms).
 func (dp *devicePool) executeFused(d *device, st *OffloadStats, it *workItem, h2dBytes, d2hBytes *int) float64 {
 	cm := dp.cm
 	plan := it.plan

@@ -19,9 +19,9 @@ type nodePlacement struct {
 	// queue on one device and stay in submission order. GPU elements of one
 	// fused segment share the segment's device.
 	dev int
-	// seg is the node's device-resident segment index into
-	// placementTable.segs (-1 for CPU and split placements); head marks the
-	// segment's entry element — the node that submits the fused item.
+	// seg is the node's segment index into placementTable.segs (-1 for
+	// splits and for CPU nodes outside any compiled stage-loop); head marks
+	// the segment's entry element — the node that executes or submits it.
 	seg  int
 	head bool
 }
@@ -38,11 +38,13 @@ func (pl nodePlacement) String() string {
 	}
 }
 
-// segmentPlan is one epoch's fused segment: the chain of elements a head
-// executes as a single unit — a device-resident submission for GPU
-// segments, a compiled stage-loop for CPU segments (cpu true). Immutable
-// once the table is published; the device worker and pass-through runners
-// read it concurrently.
+// segmentPlan is one epoch's multi-element execution unit: the chain of
+// elements a head executes as one — a device-resident submission for GPU
+// segments, a compiled stage-loop (compile.go) for CPU segments. Whoever
+// executes the chain books every member's share and forwards the result
+// (scheduler.go's book and forwardTail). Immutable once the table is
+// published; the head's goroutine and the device worker read it
+// concurrently.
 type segmentPlan struct {
 	nodes []element.NodeID
 	els   []element.Element
@@ -52,16 +54,18 @@ type segmentPlan struct {
 	// the element kind so they aggregate with same-kind splits, exactly as
 	// unfused submissions did.
 	sig string
-	dev int
-	// cpu marks a compiled CPU stage-loop segment (see compile.go): the
-	// head runs every member's Process inline on its own goroutine instead
-	// of submitting to a device.
-	cpu bool
-	// tailSucc is the tail element's successor lists (port → targets),
-	// resolved at table-build time so the head can forward the stage-loop's
-	// output directly — the "one send" of the compiled fast path — without
-	// touching the tail's runner state.
-	tailSucc [][]element.NodeID
+	// epoch, seg and place are what members' trace enter events are stamped
+	// with: the epoch the plan belongs to, its index in that epoch's table,
+	// and the placement every member shares. A batch is booked against the
+	// plan it executed under, not the table current at booking time.
+	epoch uint64
+	seg   int
+	place string
+	// tailSucc is the tail element's port-0 successors, resolved at
+	// table-build time so the executor can forward the segment's output
+	// directly — the segment's one send — without touching the tail's
+	// runner state.
+	tailSucc []element.NodeID
 }
 
 // placementTable is one immutable epoch of per-node placements. The running
@@ -135,23 +139,8 @@ func (p *Pipeline) resolvePlacements(a hetsim.Assignment, epoch uint64) *placeme
 		}
 		segs = singles
 	}
-	t.segs = make([]segmentPlan, len(segs))
 	for si, s := range segs {
-		plan := segmentPlan{dev: si % devs}
-		for pos, id := range s.Nodes {
-			el := p.g.Node(id)
-			plan.nodes = append(plan.nodes, id)
-			plan.els = append(plan.els, el)
-			plan.kinds = append(plan.kinds, el.Traits().Kind)
-			t.nodes[id].dev = plan.dev
-			t.nodes[id].seg = si
-			t.nodes[id].head = pos == 0
-		}
-		plan.sig = plan.kinds[0]
-		if len(plan.kinds) > 1 {
-			plan.sig = strings.Join(plan.kinds, "+")
-		}
-		t.segs[si] = plan
+		p.addSegment(t, s.Nodes, si%devs)
 	}
 
 	// CPU stage-loop compilation: the host-side dual of device-segment
@@ -166,25 +155,46 @@ func (p *Pipeline) resolvePlacements(a hetsim.Assignment, epoch uint64) *placeme
 			return t.nodes[id].mode == hetsim.ModeCPU
 		}
 		for _, s := range hetsim.DeviceSegments(p.g, onCPU) {
-			if len(s.Nodes) < 2 {
-				continue
+			if len(s.Nodes) > 1 {
+				p.addSegment(t, s.Nodes, -1)
 			}
-			si := len(t.segs)
-			plan := segmentPlan{cpu: true, dev: -1}
-			for pos, id := range s.Nodes {
-				el := p.g.Node(id)
-				plan.nodes = append(plan.nodes, id)
-				plan.els = append(plan.els, el)
-				plan.kinds = append(plan.kinds, el.Traits().Kind)
-				t.nodes[id].seg = si
-				t.nodes[id].head = pos == 0
-			}
-			plan.sig = strings.Join(plan.kinds, "+")
-			plan.tailSucc = p.g.Successors(plan.nodes[len(plan.nodes)-1])
-			t.segs = append(t.segs, plan)
 		}
 	}
 	return t
+}
+
+// addSegment appends the plan for one segment to t and points its nodes at
+// it. dev is the device the segment is pinned to, -1 for a compiled CPU
+// stage-loop.
+func (p *Pipeline) addSegment(t *placementTable, nodes []element.NodeID, dev int) {
+	plan := segmentPlan{nodes: nodes, epoch: t.epoch, seg: len(t.segs)}
+	for pos, id := range nodes {
+		el := p.g.Node(id)
+		plan.els = append(plan.els, el)
+		plan.kinds = append(plan.kinds, el.Traits().Kind)
+		if dev >= 0 {
+			t.nodes[id].dev = dev
+		}
+		t.nodes[id].seg = plan.seg
+		t.nodes[id].head = pos == 0
+	}
+	plan.sig = strings.Join(plan.kinds, "+")
+	plan.place = t.nodes[nodes[0]].String()
+	if len(nodes) > 1 {
+		// Every member of a chain has exactly one output port.
+		plan.tailSucc = p.g.Successors(nodes[len(nodes)-1])[0]
+	}
+	t.segs = append(t.segs, plan)
+}
+
+// headed returns the multi-element segment id heads under this table — the
+// chain id executes as one unit — or nil when id runs alone.
+func (t *placementTable) headed(id element.NodeID) *segmentPlan {
+	pl := t.nodes[id]
+	if !pl.head || pl.seg < 0 || len(t.segs[pl.seg].nodes) < 2 {
+		return nil
+	}
+	return &t.segs[pl.seg]
 }
 
 // Apply atomically swaps the pipeline's placement to a new epoch. Safe to

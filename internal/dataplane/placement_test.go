@@ -15,7 +15,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
@@ -226,16 +228,67 @@ func hotSwapAssignments() []hetsim.Assignment {
 	}
 }
 
-// TestHotSwapZeroLoss: applying new assignments mid-traffic loses zero
-// packets, keeps batch order, and — audited through the trace layer —
-// never executes an element under two placements within one batch epoch.
-func TestHotSwapZeroLoss(t *testing.T) {
-	const batches, perBatch = 80, 16
+// orderProbe is a one-output element standing in for a stateful NF: it
+// records being entered concurrently or out of batch order — what would
+// silently corrupt real NF state. The sleep keeps it the chain's bottleneck,
+// so every swap lands with stragglers queued in front of it.
+type orderProbe struct {
+	busy atomic.Bool
+	next atomic.Uint64
+	bad  atomic.Pointer[string]
+}
+
+func (e *orderProbe) Name() string           { return "probe" }
+func (e *orderProbe) Traits() element.Traits { return element.Traits{Kind: "OrderProbe"} }
+func (e *orderProbe) NumOutputs() int        { return 1 }
+func (e *orderProbe) Signature() string      { return "OrderProbe" }
+func (e *orderProbe) Process(b *netpkt.Batch) []*netpkt.Batch {
+	if !e.busy.CompareAndSwap(false, true) {
+		msg := fmt.Sprintf("probe entered concurrently at batch %d", b.ID)
+		e.bad.CompareAndSwap(nil, &msg)
+	}
+	if want := e.next.Swap(b.ID + 1); b.ID != want {
+		msg := fmt.Sprintf("probe saw batch %d, expected %d", b.ID, want)
+		e.bad.CompareAndSwap(nil, &msg)
+	}
+	time.Sleep(100 * time.Microsecond)
+	e.busy.Store(false)
+	return []*netpkt.Batch{b}
+}
+
+// hotSwapProbeChain is hotSwapChain with the last interior element replaced
+// by an orderProbe.
+func hotSwapProbeChain() (*element.Graph, *orderProbe) {
+	probe := &orderProbe{}
+	g := element.NewGraph()
+	src := g.Add(element.NewFromDevice("src"))
+	chk := g.Add(element.NewCheckIPHeader("chk"))
+	ttl := g.Add(element.NewDecTTL("ttl"))
+	prb := g.Add(probe)
+	dst := g.Add(element.NewToDevice("dst"))
+	g.MustConnect(src, 0, chk)
+	g.MustConnect(chk, 0, ttl)
+	g.MustConnect(ttl, 0, prb)
+	g.MustConnect(prb, 0, dst)
+	return g, probe
+}
+
+// auditHotSwap is the one hot-swap harness: it pushes batches of 16 packets
+// through g under PreserveOrder + Metrics + a ring trace, applying the next
+// assignment of swaps (cyclically) every `every` batches, and asserts zero
+// loss, batches surfacing in injection order, and — from the trace — that
+// every (element, batch) entered exactly once, that every element saw the
+// batches in ascending order, and that within one epoch an element kept one
+// placement and one segment identity. It returns the drained pipeline for
+// the caller's own counters.
+func auditHotSwap(t *testing.T, g *element.Graph, queueDepth int, oc OffloadConfig,
+	swaps []hetsim.Assignment, batches, every int) *Pipeline {
+	t.Helper()
+	const perBatch = 16
 	ring := NewRingTrace(batches * 16)
-	g := hotSwapChain()
 	p, err := New(g, Config{
-		QueueDepth: 2, PreserveOrder: true, Metrics: true, Trace: ring,
-		Offload: &OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
+		QueueDepth: queueDepth, PreserveOrder: true, Metrics: true, Trace: ring,
+		Offload: &oc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,12 +303,9 @@ func TestHotSwapZeroLoss(t *testing.T) {
 			outs = append(outs, b)
 		}
 	}()
-
-	swaps := hotSwapAssignments()
-	in := seqTraffic(7, batches, perBatch)
-	for i, b := range in {
-		if i > 0 && i%20 == 0 {
-			if err := p.Apply(swaps[(i/20-1)%len(swaps)]); err != nil {
+	for i, b := range seqTraffic(7, batches, perBatch) {
+		if i > 0 && i%every == 0 {
+			if err := p.Apply(swaps[(i/every-1)%len(swaps)]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -267,8 +317,7 @@ func TestHotSwapZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Zero loss, order preserved.
-	if got := p.Stats.OutPackets.Load(); got != batches*perBatch {
+	if got := p.Stats.OutPackets.Load(); got != uint64(batches*perBatch) {
 		t.Fatalf("out packets = %d, want %d (packets lost across hot-swap)", got, batches*perBatch)
 	}
 	if p.Stats.DropPackets.Load() != 0 {
@@ -282,15 +331,7 @@ func TestHotSwapZeroLoss(t *testing.T) {
 			t.Fatalf("batch %d surfaced at position %d", b.ID, i)
 		}
 	}
-	if got := p.Offload.Swaps.Load(); got != 3 {
-		t.Fatalf("Swaps = %d, want 3", got)
-	}
-	if got := p.snapshotOffload().Epoch; got != 3 {
-		t.Fatalf("final epoch = %d, want 3", got)
-	}
 
-	// Trace audit: each (element, batch) entered exactly once, and within
-	// one epoch an element always ran under one placement.
 	type visit struct {
 		node  element.NodeID
 		batch uint64
@@ -299,27 +340,52 @@ func TestHotSwapZeroLoss(t *testing.T) {
 		node  element.NodeID
 		epoch uint64
 	}
-	entered := make(map[visit]string)
-	perEpoch := make(map[nodeEpoch]string)
+	type placeSeg struct {
+		place string
+		seg   int
+	}
+	entered := make(map[visit]bool)
+	nextBatch := make(map[element.NodeID]uint64)
+	perEpoch := make(map[nodeEpoch]placeSeg)
 	for _, ev := range ring.Events() {
 		if ev.Kind != TraceEnter || ev.Node < 0 {
 			continue
 		}
 		v := visit{node: ev.Node, batch: ev.Batch}
-		if prev, ok := entered[v]; ok {
-			t.Fatalf("element %d entered batch %d twice (placements %q, %q)",
-				ev.Node, ev.Batch, prev, ev.Placement)
+		if entered[v] {
+			t.Fatalf("element %d entered batch %d twice", ev.Node, ev.Batch)
 		}
-		entered[v] = ev.Placement
+		entered[v] = true
+		if ev.Batch != nextBatch[ev.Node] {
+			t.Fatalf("element %d entered batch %d, expected %d (order violated)",
+				ev.Node, ev.Batch, nextBatch[ev.Node])
+		}
+		nextBatch[ev.Node] = ev.Batch + 1
 		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		if prev, ok := perEpoch[ne]; ok && prev != ev.Placement {
-			t.Fatalf("element %d ran under two placements (%q, %q) within epoch %d",
-				ev.Node, prev, ev.Placement, ev.Epoch)
+		ps := placeSeg{place: ev.Placement, seg: ev.Segment}
+		if prev, ok := perEpoch[ne]; ok && prev != ps {
+			t.Fatalf("element %d changed placement/segment within epoch %d: %+v then %+v",
+				ev.Node, ev.Epoch, prev, ps)
 		}
-		perEpoch[ne] = ev.Placement
+		perEpoch[ne] = ps
 	}
 	if len(entered) != batches*g.Len() {
 		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
+	}
+	return p
+}
+
+// TestHotSwapZeroLoss: applying new assignments mid-traffic loses zero
+// packets, keeps batch order, and — audited through the trace layer —
+// never executes an element under two placements within one batch epoch.
+func TestHotSwapZeroLoss(t *testing.T) {
+	p := auditHotSwap(t, hotSwapChain(), 2, OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
+		hotSwapAssignments(), 80, 20)
+	if got := p.Offload.Swaps.Load(); got != 3 {
+		t.Fatalf("Swaps = %d, want 3", got)
+	}
+	if got := p.snapshotOffload().Epoch; got != 3 {
+		t.Fatalf("final epoch = %d, want 3", got)
 	}
 }
 

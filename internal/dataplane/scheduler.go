@@ -51,9 +51,6 @@ type nodeRunner struct {
 	epoch       uint64
 	lane        *offloadLane
 	outstanding int
-	// tailOuts is the reusable single-output slice a fused segment's tail
-	// hands to forward when it strips the pass-through marker.
-	tailOuts [1]*netpkt.Batch
 }
 
 // run is the element goroutine's main loop. With nothing in flight it is
@@ -92,58 +89,55 @@ func (nr *nodeRunner) run(ctx context.Context) {
 	}
 }
 
-// handle routes one batch according to the current placement table. Fused
-// pass-through markers — records of work a segment head already executed
-// device-side — take the accounting-only path; everything else executes
-// under the current placement.
+// handle routes one message according to the current placement table: a
+// fence is passed on (compile.go), a batch executes under the current
+// placement — alone, or as the whole segment this node heads.
 func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 	tbl := nr.p.placements.Load()
 	if tbl.epoch != nr.epoch {
 		// Epoch boundary: drain the old placement's in-flight work before
-		// executing anything under the new one. Markers cross this barrier
-		// too, so a member's own stale offloads forward first and arrival
-		// order is preserved. A head entering a compiled CPU placement
-		// additionally fences its chain (compile.go) before inlining any
-		// member execution.
+		// executing anything under the new one, so this node's own stale
+		// offloads forward first and arrival order is preserved. A head
+		// entering a multi-element segment additionally fences its chain
+		// (compile.go) before executing any member itself.
 		if !nr.flushLane(ctx) {
 			return false
 		}
 		nr.epoch = tbl.epoch
-		if !nr.fenceCompiled(ctx, tbl) {
+		if !nr.fenceSegment(ctx, tbl) {
 			return false
 		}
 	}
-	if msg.fused != nil {
-		if msg.fused.fence != nil {
-			return nr.passFence(ctx, msg.fused)
-		}
-		return nr.passThrough(ctx, msg.fused)
+	if msg.fence != nil {
+		return nr.passFence(ctx, msg.fence)
 	}
 	pl := tbl.nodes[nr.id]
+	// Non-head members keep the single-element paths below for
+	// epoch-transition stragglers.
+	plan := tbl.headed(nr.id)
 	nr.p.traceEnter(nr.id, msg.b, pl, tbl.epoch)
-	if pl.mode != hetsim.ModeCPU {
-		return nr.offload(ctx, msg, pl, tbl)
+	if nr.m != nil {
+		nr.m.batches.Inc()
+		nr.m.pktsIn.Add(uint64(msg.live))
 	}
-	if pl.head && pl.seg >= 0 && tbl.segs[pl.seg].cpu {
-		// This node heads a compiled CPU stage-loop: execute the whole
-		// segment inline (compile.go). Non-head members keep the plain
-		// path below for epoch-transition stragglers.
-		return nr.runCompiled(ctx, msg, pl, tbl)
+	if pl.mode != hetsim.ModeCPU {
+		return nr.offload(ctx, msg, pl, plan)
+	}
+	timed := false
+	if nr.m != nil {
+		timed = nr.tick == 0
+		if nr.tick++; nr.tick == nr.sampleN {
+			nr.tick = 0
+		}
+	}
+	if plan != nil {
+		return nr.runCompiled(ctx, msg, plan, timed)
 	}
 
 	// Inline host-CPU path (the original dataplane fast path).
 	var t0 time.Time
-	timed := false
-	if nr.m != nil {
-		nr.m.batches.Inc()
-		nr.m.pktsIn.Add(uint64(msg.live))
-		if nr.tick == 0 {
-			timed = true
-			t0 = time.Now()
-		}
-		if nr.tick++; nr.tick == nr.sampleN {
-			nr.tick = 0
-		}
+	if timed {
+		t0 = time.Now()
 	}
 	outs := nr.host.Process(nr.el, msg.b)
 	if timed {
@@ -162,9 +156,9 @@ func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 
 // offload submits one batch to the element's lane, first making room in
 // the outstanding window by delivering completed work. A segment head
-// submits its whole fused chain as one item; interior members receiving an
-// unfused batch (epoch-transition stragglers) submit themselves singly.
-func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacement, tbl *placementTable) bool {
+// submits its whole fused chain (plan) as one item; interior members
+// receiving a batch (epoch-transition stragglers) submit themselves singly.
+func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacement, plan *segmentPlan) bool {
 	if nr.lane == nil {
 		nr.lane = nr.p.pool.newLane(nr.id, pl.dev)
 	}
@@ -179,29 +173,20 @@ func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacemen
 			return false
 		}
 	}
-	if nr.m != nil {
-		nr.m.batches.Inc()
-		nr.m.pktsIn.Add(uint64(msg.live))
-	}
 	it := &workItem{
 		lane: nr.lane, el: nr.el, kind: nr.kind,
-		b: msg.b, live: msg.live, mode: pl.mode, frac: pl.frac,
-		epoch: tbl.epoch, segID: pl.seg,
-		// Device submissions are always wall-clock timed by the worker.
-		sampled: true,
+		b: msg.b, id: msg.b.ID, live: msg.live, mode: pl.mode, frac: pl.frac, plan: plan,
 	}
-	if pl.mode == hetsim.ModeGPU && pl.head {
-		if plan := &tbl.segs[pl.seg]; len(plan.nodes) > 1 {
-			it.plan = plan
-			it.kind = plan.sig
-			it.place = pl.String()
-		}
+	if plan != nil {
+		it.kind = plan.sig
 	}
 	nr.outstanding++
 	return nr.lane.submit(ctx, it)
 }
 
 // deliver forwards one completed offload downstream, in lane release order.
+// Device submissions are always wall-clock timed by the worker, so every
+// one books its processing time.
 func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 	if it.err != nil {
 		nr.p.fail(it.err)
@@ -217,114 +202,95 @@ func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 	if nr.fl != nil {
 		end := nr.fl.Now()
 		nr.fl.AddBusy(it.procNs)
-		nr.fl.Span(it.b.ID, it.live, end-it.procNs, end)
+		nr.fl.Span(it.id, it.live, end-it.procNs, end)
 	}
-	nr.p.trace(TraceExit, nr.id, it.b)
+	if nr.p.cfg.Trace != nil {
+		// Not it.b.Live(): the element may have recycled the batch it was
+		// handed, and the device worker is already running the next one.
+		live := 0
+		for _, ob := range it.outs {
+			if ob != nil {
+				live += ob.Live()
+			}
+		}
+		nr.p.traceMember(TraceExit, nil, nr.id, it.id, live)
+	}
 	return nr.forward(ctx, it.b, it.live, it.outs)
 }
 
-// deliverFused accounts the segment head's share of a completed fused
-// submission and launches the pass-through marker down the chain: each
-// member's goroutine still sees the batch once, in order, and books its own
-// metrics/trace from the per-member stats the device worker recorded — but
-// no member re-executes anything.
+// deliverFused books a completed fused submission — every executed member's
+// share, from the per-member stats the device worker recorded — and
+// forwards the chain's output to the tail's successors. No member goroutine
+// sees the batch.
 func (nr *nodeRunner) deliverFused(ctx context.Context, it *workItem) bool {
-	ms := it.stats[0]
-	if nr.m != nil {
-		nr.m.proc.Add(float64(ms.procNs))
-		nr.m.procPkts.Add(uint64(ms.liveIn))
-		nr.m.pktsOut.Add(uint64(ms.liveOut))
-		if ms.liveOut < ms.liveIn {
-			nr.m.drops.Add(uint64(ms.liveIn - ms.liveOut))
+	for i, ms := range it.stats[:it.executed] {
+		nr.p.book(it.plan, i, it.id, ms.liveIn, ms.liveOut, ms.procNs, true)
+	}
+	return nr.p.forwardTail(ctx, it.plan, it.final, it.stats[it.executed-1].liveOut)
+}
+
+// book records member i's share of one batch a segment executor ran through
+// plan: what the member's own goroutine would have booked had it executed
+// the element itself. The head's entry (batch and packet-in counters, trace
+// enter) is booked before execution by handle, so only members behind it
+// book theirs here. Called from the head's goroutine: nodeMetrics
+// fields are atomics, flight lanes and trace sinks take concurrent writers.
+// procNs is meaningful only when timed.
+func (p *Pipeline) book(plan *segmentPlan, i int, batch uint64, liveIn, liveOut int, procNs int64, timed bool) {
+	id := plan.nodes[i]
+	if i > 0 {
+		p.traceMember(TraceEnter, plan, id, batch, liveIn)
+	}
+	if p.metrics != nil {
+		m := &p.metrics[id]
+		if i > 0 {
+			m.batches.Inc()
+			m.pktsIn.Add(uint64(liveIn))
+		}
+		if timed {
+			m.proc.Add(float64(procNs))
+			m.procPkts.Add(uint64(liveIn))
+		}
+		m.pktsOut.Add(uint64(liveOut))
+		if liveOut < liveIn {
+			m.drops.Add(uint64(liveIn - liveOut))
+		}
+		// One port per member; only the tail may fan it out.
+		for _, c := range p.edgeOut[id][0] {
+			c.Add(uint64(liveOut))
 		}
 	}
-	if nr.fl != nil {
-		end := nr.fl.Now()
-		nr.fl.AddBusy(ms.procNs)
-		nr.fl.Span(it.b.ID, ms.liveIn, end-ms.procNs, end)
+	if timed && p.flElems != nil {
+		fl := p.flElems[id]
+		end := fl.Now()
+		fl.AddBusy(procNs)
+		fl.Span(batch, liveIn, end-procNs, end)
 	}
-	nr.p.trace(TraceExit, nr.id, it.b)
-	if it.executed <= 1 {
-		// The head emitted nothing: the chain died here, exactly where the
-		// unfused pipeline would have stopped forwarding.
+	p.traceMember(TraceExit, plan, id, batch, liveOut)
+}
+
+// forwardTail is a segment's one send: the chain's final batch goes
+// straight to the tail's successors, with any send-wait booked where the
+// tail's own goroutine would have booked it. final is nil when the chain
+// died, exactly where the unfused pipeline would have stopped forwarding.
+func (p *Pipeline) forwardTail(ctx context.Context, plan *segmentPlan, final *netpkt.Batch, live int) bool {
+	if final == nil {
 		return true
 	}
-	it.fidx = 1
-	if nr.m != nil {
-		nr.edgeCtr[0][0].Add(uint64(ms.liveOut))
+	var m *nodeMetrics
+	if p.metrics != nil {
+		m = &p.metrics[plan.nodes[len(plan.nodes)-1]]
 	}
-	vb := it.final
-	if vb == nil {
-		vb = it.b
+	for _, to := range plan.tailSucc {
+		if !p.sendStage(ctx, m, p.inbox[to], stageMsg{b: final, live: live}) {
+			return false
+		}
 	}
-	next := it.plan.nodes[1]
-	return nr.p.sendStage(ctx, nr.m, nr.p.inbox[next], stageMsg{b: vb, live: ms.liveOut, fused: it})
+	return true
 }
 
-// passThrough is a chain member's side of a fused segment: the work already
-// executed elsewhere — device-side for GPU segments, on the head's
-// goroutine for compiled CPU stage-loops — so the member only books its
-// recorded share (metrics, trace, edge counters) and forwards the marker —
-// or, at the last executed member, strips it and forwards the final batch
-// normally (recycling compiled markers back to the pipeline's pool).
-func (nr *nodeRunner) passThrough(ctx context.Context, it *workItem) bool {
-	i := it.fidx
-	if it.plan == nil || i < 1 || i >= len(it.plan.nodes) || it.plan.nodes[i] != nr.id {
-		nr.p.fail(fmt.Errorf("dataplane: fused segment marker misrouted at %s", nr.el.Name()))
-		return false
-	}
-	ms := it.stats[i]
-	vb := it.final
-	if vb == nil {
-		vb = it.b
-	}
-	nr.p.traceFused(nr.id, vb, it, ms.liveIn)
-	last := i == it.executed-1
-	if nr.m != nil {
-		nr.m.batches.Inc()
-		nr.m.pktsIn.Add(uint64(ms.liveIn))
-		if it.sampled {
-			nr.m.proc.Add(float64(ms.procNs))
-			nr.m.procPkts.Add(uint64(ms.liveIn))
-			if nr.fl != nil {
-				end := nr.fl.Now()
-				nr.fl.AddBusy(ms.procNs)
-				nr.fl.Span(vb.ID, ms.liveIn, end-ms.procNs, end)
-			}
-		}
-		if !last {
-			// The tail's output accounting happens in forward below.
-			nr.m.pktsOut.Add(uint64(ms.liveOut))
-			if ms.liveOut < ms.liveIn {
-				nr.m.drops.Add(uint64(ms.liveIn - ms.liveOut))
-			}
-		}
-	}
-	nr.p.trace(TraceExit, nr.id, vb)
-	if last {
-		// ms is a value copy, so the marker can be recycled before the
-		// tail's forward (which may block) touches nothing of it.
-		final := it.final
-		if it.compiled {
-			nr.p.recycleMarker(it)
-		}
-		if final == nil {
-			// The chain died at this member; nothing flows downstream.
-			return true
-		}
-		nr.tailOuts[0] = final
-		return nr.forward(ctx, final, ms.liveIn, nr.tailOuts[:])
-	}
-	it.fidx = i + 1
-	if nr.m != nil {
-		nr.edgeCtr[0][0].Add(uint64(ms.liveOut))
-	}
-	next := it.plan.nodes[i+1]
-	return nr.p.sendStage(ctx, nr.m, nr.p.inbox[next], stageMsg{b: vb, live: ms.liveOut, fused: it})
-}
-
-// flushLane drains every in-flight offload — the epoch-swap barrier and
-// the end-of-input drain.
+// flushLane drains every in-flight offload — the epoch-swap barrier, a
+// member's answer to a fence, and the end-of-input drain.
 func (nr *nodeRunner) flushLane(ctx context.Context) bool {
 	for nr.outstanding > 0 {
 		select {

@@ -16,11 +16,12 @@ import (
 
 // This file implements the sharded execution layer: N replicas of one
 // element graph running as independent pipelines, fed by a flow-affinity
-// dispatcher and drained through a merger that can restore global batch
-// order. It is the "consolidated instances in parallel" scaling step of
-// CoCo/NF-parallelism follow-up work layered on top of the paper's
-// per-chain pipeline: one Pipeline scales with the number of *stages*, a
-// ShardedPipeline additionally scales with the number of *cores*.
+// dispatcher and drained through per-shard accounting forwarders — or,
+// when global batch order must be restored, a merger. It is the
+// "consolidated instances in parallel" scaling step of CoCo/NF-parallelism
+// follow-up work layered on top of the paper's per-chain pipeline: one
+// Pipeline scales with the number of *stages*, a ShardedPipeline
+// additionally scales with the number of *cores*.
 //
 // Flow affinity: every packet is dispatched by Packet.FlowKey, so all
 // packets of a flow traverse the same replica. Stateful NFs (NAT mappings,
@@ -42,17 +43,15 @@ type ShardedConfig struct {
 	// sink, one output batch per input batch, consecutive ascending batch
 	// IDs.
 	Ordered bool
-	// ShardOut enables per-shard output: completed batches leave through
-	// OutShard(q) — one channel per replica, each fed by its own
-	// accounting forwarder — instead of the global fan-in behind Out().
-	// This is the egress half of the parallel ingress plane: N drain
+	// ShardOut enables per-shard output: each replica's accounting
+	// forwarder feeds its own OutShard(q) channel instead of the shared
+	// Out(). This is the egress half of the parallel ingress plane: N drain
 	// goroutines consume N shards with no merge point, so output
 	// throughput scales with the shard count instead of serializing on
 	// one channel. Boundary accounting (Stats.Out*, the e2e latency
-	// probe) is identical to the merged path — the counters are atomics,
-	// updated from each forwarder. Incompatible with Ordered (ordered
-	// release is definitionally a global merge); Out() must not be
-	// consumed in this mode.
+	// probe) is the same code either way. Incompatible with Ordered
+	// (ordered release is definitionally a global merge); Out() must not
+	// be consumed in this mode.
 	ShardOut bool
 	// ShardBy overrides the dispatcher's flow→shard mapping (default
 	// FlowKey() % shards). An emulated multi-queue NIC passes its RSS
@@ -209,7 +208,7 @@ func sameShape(a, b *element.Graph) error {
 	return nil
 }
 
-// Start launches every shard plus the dispatcher and merger goroutines.
+// Start launches every shard plus the dispatcher and the egress goroutines.
 func (sp *ShardedPipeline) Start(ctx context.Context) {
 	ctx, sp.cancel = context.WithCancel(ctx)
 	for _, s := range sp.shards {
@@ -228,32 +227,30 @@ func (sp *ShardedPipeline) Start(ctx context.Context) {
 
 	go sp.dispatch(ctx)
 
-	if sp.cfg.ShardOut {
-		// Per-shard output mode: no fan-in, no merger. Each shard gets its
-		// own accounting forwarder feeding OutShard(q); the boundary
-		// counters and the latency probe are atomics, so the observation is
-		// identical to the merged path, just without the serialization.
+	if !sp.cfg.Ordered {
+		// Unordered egress is one accounting forwarder per shard and nothing
+		// behind it: into the shard's own OutShard(q) under ShardOut, else
+		// straight into Out(). The boundary counters and the latency probe
+		// are atomics, so N forwarders observe exactly what one merger would,
+		// without the serialization or the extra hop.
 		var fwdWG sync.WaitGroup
 		for i, s := range sp.shards {
+			dst := sp.out
+			if sp.cfg.ShardOut {
+				dst = sp.outs[i]
+			}
 			fwdWG.Add(1)
-			go func(q int, p *Pipeline) {
+			go func(p *Pipeline, dst chan *netpkt.Batch) {
 				defer fwdWG.Done()
-				defer close(sp.outs[q])
+				if dst != sp.out {
+					defer close(dst)
+				}
 				for b := range p.Out() {
-					sp.Stats.OutBatches.Add(1)
-					live := uint64(b.Live())
-					sp.Stats.OutPackets.Add(live)
-					sp.Stats.DropPackets.Add(uint64(b.Len()) - live)
-					if sp.lat != nil {
-						sp.lat.observe(b.ID, time.Since(sp.start).Nanoseconds())
-					}
-					select {
-					case sp.outs[q] <- b:
-					case <-ctx.Done():
+					if !sp.release(ctx, dst, b) {
 						return
 					}
 				}
-			}(i, s)
+			}(s, dst)
 		}
 		go func() {
 			fwdWG.Wait()
@@ -263,7 +260,8 @@ func (sp *ShardedPipeline) Start(ctx context.Context) {
 		return
 	}
 
-	// Fan the shard outputs into one channel for the merger.
+	// Ordered release is a global merge: fan the shard outputs into one
+	// channel for the merger.
 	merged := make(chan *netpkt.Batch, cap(sp.out))
 	var fanWG sync.WaitGroup
 	for _, s := range sp.shards {
@@ -285,6 +283,25 @@ func (sp *ShardedPipeline) Start(ctx context.Context) {
 	}()
 
 	go sp.merge(ctx, merged)
+}
+
+// release books one batch leaving the sharded boundary (Stats.Out*, the
+// dispatch→release latency probe) and hands it to dst. Returns false when
+// the context was cancelled first.
+func (sp *ShardedPipeline) release(ctx context.Context, dst chan<- *netpkt.Batch, b *netpkt.Batch) bool {
+	sp.Stats.OutBatches.Add(1)
+	live := uint64(b.Live())
+	sp.Stats.OutPackets.Add(live)
+	sp.Stats.DropPackets.Add(uint64(b.Len()) - live)
+	if sp.lat != nil {
+		sp.lat.observe(b.ID, time.Since(sp.start).Nanoseconds())
+	}
+	select {
+	case dst <- b:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // dispatch partitions each injected batch across shards by flow affinity.
@@ -456,39 +473,14 @@ func (sp *ShardedPipeline) InjectShard(ctx context.Context, shard int, b *netpkt
 	return sp.sendShard(ctx, shard, b)
 }
 
-// merge drains the fan-in of shard outputs. In unordered mode it is a pass
-// through (like a multi-sink single pipeline, callers see sub-batches as
-// they complete). In Ordered mode it regroups sub-batches per injected
-// batch ID, merges them back into the original packet order, and releases
-// whole batches in injection order through a CompletionQueue — the same
-// machinery the single pipeline's PreserveOrder sink uses.
+// merge drains the fan-in of shard outputs for Ordered mode: it regroups
+// sub-batches per injected batch ID, merges them back into the original
+// packet order, and releases whole batches in injection order through a
+// CompletionQueue — the same machinery the single pipeline's PreserveOrder
+// sink uses.
 func (sp *ShardedPipeline) merge(ctx context.Context, merged <-chan *netpkt.Batch) {
 	defer close(sp.done)
 	defer close(sp.out)
-	emit := func(b *netpkt.Batch) bool {
-		sp.Stats.OutBatches.Add(1)
-		live := uint64(b.Live())
-		sp.Stats.OutPackets.Add(live)
-		sp.Stats.DropPackets.Add(uint64(b.Len()) - live)
-		if sp.lat != nil {
-			sp.lat.observe(b.ID, time.Since(sp.start).Nanoseconds())
-		}
-		select {
-		case sp.out <- b:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	if !sp.cfg.Ordered {
-		for b := range merged {
-			if !emit(b) {
-				return
-			}
-		}
-		return
-	}
-
 	var cq *netpkt.CompletionQueue
 	buf := make(map[uint64][]*netpkt.Batch)
 	for b := range merged {
@@ -522,7 +514,7 @@ func (sp *ShardedPipeline) merge(ctx context.Context, merged <-chan *netpkt.Batc
 			if ready == nil {
 				break
 			}
-			if !emit(ready) {
+			if !sp.release(ctx, sp.out, ready) {
 				return
 			}
 		}
@@ -544,7 +536,7 @@ func (sp *ShardedPipeline) merge(ctx context.Context, merged <-chan *netpkt.Batc
 		if len(parts) > 1 {
 			whole = netpkt.Merge(minID, parts)
 		}
-		if !emit(whole) {
+		if !sp.release(ctx, sp.out, whole) {
 			return
 		}
 	}

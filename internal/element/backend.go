@@ -76,22 +76,20 @@ type SegmentProcessor interface {
 // no packet slots — the same condition under which an engine would not
 // forward it); executed is the number of elements that ran and final is the
 // last output, nil when the chain died. Every element in els must declare
-// exactly one output; a runtime contract violation aborts with an error.
+// exactly one output; a runtime contract violation aborts with an error
+// after returning the segment's working set to the arena (the caller handed
+// the batch over exclusively, so nobody else can).
 func (hb *HostBackend) ProcessSegment(els []Element, b *netpkt.Batch, step func(i int, out *netpkt.Batch)) (executed int, final *netpkt.Batch, err error) {
 	cur := b
 	for i, el := range els {
 		outs := hb.Process(el, cur)
 		executed = i + 1
-		var out *netpkt.Batch
-		if len(outs) == 1 {
-			out = outs[0]
-		} else {
-			if step != nil {
-				step(i, nil)
-			}
-			return executed, nil, fmt.Errorf("element: fused segment member %s emitted %d outputs, declared %d",
+		if len(outs) != 1 {
+			releaseAborted(cur, outs)
+			return executed, nil, fmt.Errorf("element: segment member %s emitted %d outputs, declared %d",
 				el.Name(), len(outs), el.NumOutputs())
 		}
+		out := outs[0]
 		if step != nil {
 			step(i, out)
 		}
@@ -101,4 +99,38 @@ func (hb *HostBackend) ProcessSegment(els []Element, b *netpkt.Batch, step func(
 		cur = out
 	}
 	return executed, cur, nil
+}
+
+// releaseAborted drains a segment's working set after a member returned the
+// wrong number of outputs. Exactly-once rule: if the element still returned
+// the input batch, release that alone; otherwise release each distinct
+// returned batch (the element consumed the input, so its packets live in
+// the outputs, and a blind extra release of the input would double-release
+// them).
+func releaseAborted(cur *netpkt.Batch, outs []*netpkt.Batch) {
+	for _, ob := range outs {
+		if ob == cur {
+			outs = nil
+			break
+		}
+	}
+	if len(outs) == 0 {
+		cur.Release()
+		return
+	}
+	for i, ob := range outs {
+		if ob == nil {
+			continue
+		}
+		dup := false
+		for _, prev := range outs[:i] {
+			if prev == ob {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			ob.Release()
+		}
+	}
 }

@@ -253,11 +253,11 @@ func (r *Recorder) Samples() []StageSample {
 	return out
 }
 
-// LaneRecorder is one worker's private recording surface for one stage:
-// a span ring guarded by a lane-local mutex (uncontended in steady state —
-// exactly one goroutine records per lane; the lock only ever contends with
-// a snapshot) plus cumulative busy/stall/batch meters written with single
-// atomic adds. The struct is padded so the meters of adjacent lanes never
+// LaneRecorder is the recording surface of one (stage, lane): a span ring
+// guarded by a lane-local mutex (uncontended in steady state — one
+// goroutine at a time records per lane, a dataplane element's own or its
+// segment head's; the lock only ever contends with a snapshot) plus
+// cumulative busy/stall/batch meters written with single atomic adds. The struct is padded so the meters of adjacent lanes never
 // share a cache line.
 type LaneRecorder struct {
 	rec   *Recorder
