@@ -194,8 +194,8 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 	fmt.Printf("\ningress replay: %d packets (%d batches, %.1f MB) in %v = %.0f pps (%d readers, %d queue workers)\n",
 		st.Packets, st.Batches, float64(st.Bytes)/1e6, st.Duration.Round(time.Millisecond), st.PPS,
 		st.Readers, st.Workers)
-	fmt.Printf("  flows: %d distinct, %d peak concurrent, %d expired (60s TTL)\n",
-		st.Flows, st.PeakFlows, st.ExpiredFlows)
+	fmt.Printf("  flows: %d distinct, %d peak concurrent, %d expired (60s TTL), %d evicted at the bound\n",
+		st.Flows, st.PeakFlows, st.ExpiredFlows, st.EvictedFlows)
 	fmt.Printf("  output: %d forwarded, %d dropped, p99 e2e %v\n",
 		st.OutPackets, st.Drops, st.E2ELabel())
 	fmt.Printf("\ndataplane snapshot:\n%s", sp.Snapshot())

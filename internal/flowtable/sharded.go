@@ -1,6 +1,10 @@
 package flowtable
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Sharded is a concurrent flow-keyed store striped across many bounded LRU
 // Tables, each behind its own mutex. Keys are spread across stripes by a
@@ -13,17 +17,32 @@ import "sync"
 // touches at most a couple of stale tail entries of its own stripe, so
 // there is never a stop-the-world sweep no matter how many flows die at
 // once.
+//
+// What a caller asks once per batch costs no lock: Len reads a census the
+// stripes keep as they change, and ExpireTail passes over every stripe
+// whose oldest entry is known not to be due yet.
 type Sharded[V any] struct {
 	stripes []shardedStripe[V]
 	mask    uint64
+	// census is the resident count over all stripes, adjusted under the
+	// stripe lock by whichever operation changed it.
+	census atomic.Int64
+	// now is the TTL clock (nil without one); each operation reads it once.
+	now func() int64
 }
 
+// shardedStripe is two cache lines (TestStripeSize), so neighbouring locks
+// do not false-share under per-shard update traffic.
 type shardedStripe[V any] struct {
 	mu sync.Mutex
-	t  *Table[V]
-	// pad spaces the stripes a cache line apart so neighbouring locks do
-	// not false-share under per-shard update traffic.
-	_ [40]byte
+	// due is a clock value up to which the stripe is known to hold nothing
+	// stale: its LRU tail's stamp plus the TTL as last published, MaxInt64
+	// while it is empty or has no TTL. It may lag behind the truth — a
+	// touched tail moves the real figure later — but never runs ahead of
+	// it, so the expiry sweep skips on it without taking the lock, and
+	// republishes it whenever it does look.
+	due atomic.Int64
+	t   Table[V]
 }
 
 // NewSharded builds a sharded table bounded to capacity entries in total,
@@ -45,69 +64,93 @@ func NewSharded[V any](stripes, capacity int) *Sharded[V] {
 	}
 	s := &Sharded[V]{stripes: make([]shardedStripe[V], n), mask: uint64(n - 1)}
 	for i := range s.stripes {
-		s.stripes[i].t = New[V](per)
+		s.stripes[i].t = *New[V](per)
+		s.stripes[i].due.Store(math.MaxInt64)
 	}
 	return s
 }
 
 // SetTTL enables lazy expiry on every stripe (see Table.SetTTL). now must
 // be safe for concurrent use (e.g. an atomic counter or a monotonic clock
-// read).
+// read). It is configuration: call it before the table is shared.
 func (s *Sharded[V]) SetTTL(ttl int64, now func() int64) {
+	s.now = nil
+	if ttl > 0 {
+		s.now = now
+	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		st.t.SetTTL(ttl, now)
+		st.publishDue()
 		st.mu.Unlock()
 	}
 }
 
-// mixKey is the splitmix64 finalizer — near-sequential flow keys must land
-// on distinct stripes.
-func mixKey(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// publishDue sets due from the stripe's LRU tail. Called with mu held.
+func (st *shardedStripe[V]) publishDue() {
+	due := int64(math.MaxInt64)
+	if tail := st.t.slots[0].prev; tail != 0 && st.t.ttl > 0 {
+		due = st.t.slots[tail].stamp + st.t.ttl
+	}
+	st.due.Store(due)
 }
 
-func (s *Sharded[V]) stripe(key uint64) *shardedStripe[V] {
-	return &s.stripes[mixKey(key)&s.mask]
+// lock takes the stripe key belongs to and reads the TTL clock under it,
+// so stamps within a stripe never run backwards.
+func (s *Sharded[V]) lock(key uint64) (st *shardedStripe[V], now int64) {
+	st = &s.stripes[mixKey(key)&s.mask]
+	st.mu.Lock()
+	if s.now != nil {
+		now = s.now()
+	}
+	return st, now
+}
+
+// unlock publishes what the operation did to a stripe that held before
+// entries when it began — the census delta, and a due time if it was empty
+// and no longer is (the one way due can move earlier) — and releases it.
+func (s *Sharded[V]) unlock(st *shardedStripe[V], before int) {
+	if d := st.t.live - before; d != 0 {
+		s.census.Add(int64(d))
+		if before == 0 {
+			st.publishDue()
+		}
+	}
+	st.mu.Unlock()
 }
 
 // Get returns the value for key, marking it most recently used in its
 // stripe.
 func (s *Sharded[V]) Get(key uint64) (V, bool) {
-	st := s.stripe(key)
-	st.mu.Lock()
-	v, ok := st.t.Get(key)
-	st.mu.Unlock()
+	st, now := s.lock(key)
+	before := st.t.live
+	v, ok := st.t.get(key, now)
+	s.unlock(st, before)
 	return v, ok
 }
 
 // Put inserts or replaces the value for key.
 func (s *Sharded[V]) Put(key uint64, value V) {
-	st := s.stripe(key)
-	st.mu.Lock()
-	st.t.Put(key, value)
-	st.mu.Unlock()
+	st, now := s.lock(key)
+	before := st.t.live
+	st.t.put(key, value, now)
+	s.unlock(st, before)
 }
 
 // GetOrCreate returns the existing value or installs the one produced by
 // mk (called with the stripe lock held), reporting whether it was created.
 func (s *Sharded[V]) GetOrCreate(key uint64, mk func() V) (V, bool) {
-	st := s.stripe(key)
-	st.mu.Lock()
-	v, created := st.t.GetOrCreate(key, mk)
-	st.mu.Unlock()
+	st, now := s.lock(key)
+	before := st.t.live
+	v, created := st.t.getOrCreate(key, mk, now)
+	s.unlock(st, before)
 	return v, created
 }
 
 // Touch is Put for presence-only values: it refreshes key's recency (and
 // TTL stamp), inserting it if absent, and reports whether the flow is new.
-// This is the connection-tracker fast path — one lock, one map operation.
+// This is the connection-tracker fast path — one lock, one index probe.
 func (s *Sharded[V]) Touch(key uint64, mk func() V) bool {
 	_, created := s.GetOrCreate(key, mk)
 	return created
@@ -115,25 +158,16 @@ func (s *Sharded[V]) Touch(key uint64, mk func() V) bool {
 
 // Delete removes key if present.
 func (s *Sharded[V]) Delete(key uint64) {
-	st := s.stripe(key)
-	st.mu.Lock()
+	st, _ := s.lock(key)
+	before := st.t.live
 	st.t.Delete(key)
-	st.mu.Unlock()
+	s.unlock(st, before)
 }
 
-// Len sums the resident entries across stripes. With a TTL set this may
-// include stale entries not yet reclaimed; pair with ExpireTail for a
-// tighter figure.
-func (s *Sharded[V]) Len() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		n += st.t.Len()
-		st.mu.Unlock()
-	}
-	return n
-}
+// Len returns the resident entries across stripes, from the census: no
+// lock, O(1). With a TTL set this may include stale entries not yet
+// reclaimed; pair with ExpireTail for a tighter figure.
+func (s *Sharded[V]) Len() int { return int(s.census.Load()) }
 
 // Capacity returns the total bound across stripes.
 func (s *Sharded[V]) Capacity() int {
@@ -173,17 +207,10 @@ func (s *Sharded[V]) Expired() uint64 {
 
 // ExpireTail reclaims up to max stale entries from every stripe's LRU tail
 // (so up to max*Stripes() total), returning how many were removed. Cheap
-// enough to call on a timer: stripes with nothing stale cost one lock and
-// one tail check each.
+// enough to call per batch: a stripe with nothing due costs one atomic
+// load and no lock.
 func (s *Sharded[V]) ExpireTail(max int) int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		n += st.t.ExpireTail(max)
-		st.mu.Unlock()
-	}
-	return n
+	return s.ExpireTailRange(0, len(s.stripes), max)
 }
 
 // ExpireTailRange is ExpireTail restricted to stripes [lo, hi): worker w of
@@ -192,18 +219,27 @@ func (s *Sharded[V]) ExpireTail(max int) int {
 // same stripe's lock for expiry work. Bounds are clamped to the stripe
 // count; an empty range reclaims nothing.
 func (s *Sharded[V]) ExpireTailRange(lo, hi, max int) int {
+	if s.now == nil {
+		return 0
+	}
 	if lo < 0 {
 		lo = 0
 	}
 	if hi > len(s.stripes) {
 		hi = len(s.stripes)
 	}
+	now := s.now()
 	n := 0
 	for i := lo; i < hi; i++ {
 		st := &s.stripes[i]
+		if now <= st.due.Load() {
+			continue
+		}
 		st.mu.Lock()
-		n += st.t.ExpireTail(max)
-		st.mu.Unlock()
+		before := st.t.live
+		n += st.t.expireTail(max, now)
+		st.publishDue()
+		s.unlock(st, before)
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -193,5 +194,237 @@ func TestShardedConcurrentTouch(t *testing.T) {
 	}
 	if n := news.Load(); n != 1000 {
 		t.Fatalf("new-flow count = %d, want 1000", n)
+	}
+}
+
+// TestShardedExpireVsTouch races the lock-free expiry skip against the
+// conntrack fast path: sweepers read only each stripe's published due time
+// while touchers insert, refresh and age flows underneath them. Afterwards
+// the census, the stripes and the counters must agree exactly.
+func TestShardedExpireVsTouch(t *testing.T) {
+	const ttl = 50
+	var clk manualClock
+	s := NewSharded[struct{}](8, 1<<12)
+	s.SetTTL(ttl, clk.now)
+	mk := func() struct{} { return struct{}{} }
+
+	var news, swept atomic.Int64
+	var touchers, sweepers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		sweepers.Add(1)
+		go func(w int) {
+			defer sweepers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					swept.Add(int64(s.ExpireTailRange(w*4, w*4+4, 8)))
+					s.Len()
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < 3; w++ {
+		touchers.Add(1)
+		go func(w int) {
+			defer touchers.Done()
+			for i := 0; i < 20000; i++ {
+				// First half: transients among shared flows all three keep
+				// warm. Second half: hits only, so no insert's expiry budget
+				// runs and what went stale is the sweepers' to reclaim.
+				key := uint64(i % 64)
+				if i < 10000 && i%3 != 0 {
+					key = uint64(w+1)<<32 | uint64(i)
+				}
+				if s.Touch(key, mk) {
+					news.Add(1)
+				}
+				if i%16 == 0 {
+					clk.advance(1)
+				}
+			}
+		}(w)
+	}
+	touchers.Wait()
+	close(stop)
+	sweepers.Wait()
+
+	resident := 0
+	s.Range(func(uint64, struct{}) bool { resident++; return true })
+	if got := s.Len(); got != resident {
+		t.Fatalf("census %d, stripes hold %d", got, resident)
+	}
+	if gone := s.Expired() + s.Evictions(); uint64(news.Load()) != uint64(resident)+gone {
+		t.Fatalf("ledger: %d created != %d resident + %d expired/evicted", news.Load(), resident, gone)
+	}
+	if uint64(swept.Load()) > s.Expired() {
+		t.Fatalf("sweepers reclaimed %d of %d expiries", swept.Load(), s.Expired())
+	}
+	// Everything left goes stale; the sweep must find all of it even though
+	// most stripes were last published with a live tail.
+	clk.advance(ttl + 1)
+	for s.ExpireTail(64) > 0 {
+	}
+	if got := s.Len(); got != 0 {
+		t.Fatalf("%d entries survived a full sweep past the TTL", got)
+	}
+}
+
+// TestShardedSkipRule pins the published due time: it may lag the truth
+// (a refreshed tail is found live and republished) but an emptied stripe
+// that fills again must become due again — the one case where the due time
+// moves earlier.
+func TestShardedSkipRule(t *testing.T) {
+	const ttl = 10
+	var clk manualClock
+	s := NewSharded[int](1, 16)
+	if n := s.ExpireTail(4); n != 0 {
+		t.Fatalf("ExpireTail without a TTL removed %d", n)
+	}
+	s.SetTTL(ttl, clk.now)
+	st := &s.stripes[0]
+
+	s.Put(1, 1)
+	s.Put(2, 2)
+	if due := st.due.Load(); due != ttl {
+		t.Fatalf("due = %d after first insert at clock 0, want %d", due, ttl)
+	}
+	clk.advance(8)
+	s.Get(1) // key 1 refreshed; key 2 is the tail, still stamped 0
+	clk.advance(3)
+	if n := s.ExpireTail(4); n != 1 {
+		t.Fatalf("ExpireTail removed %d at clock 11, want key 2 only", n)
+	}
+	if due := st.due.Load(); due != 8+ttl {
+		t.Fatalf("due = %d after the sweep, want the new tail's %d", due, 8+ttl)
+	}
+	clk.advance(8) // 19: past due, key 1 goes
+	if n := s.ExpireTail(4); n != 1 || s.Len() != 0 {
+		t.Fatalf("ExpireTail removed %d, Len %d; want the stripe empty", n, s.Len())
+	}
+	s.Put(3, 3) // refills the emptied stripe at clock 19
+	clk.advance(ttl + 1)
+	if n := s.ExpireTail(4); n != 1 {
+		t.Fatalf("refilled stripe was skipped: removed %d", n)
+	}
+}
+
+// TestStripeSize keeps the stripes on cache-line boundaries of their own.
+func TestStripeSize(t *testing.T) {
+	if sz := reflect.TypeOf((*shardedStripe[struct{}])(nil)).Elem().Size(); sz%64 != 0 {
+		t.Fatalf("shardedStripe is %d bytes, not a multiple of a 64-byte line", sz)
+	}
+}
+
+// TestFlowtableAllocs guards the representation's promise: once the arrays
+// have grown to the population, nothing on the flow path allocates.
+func TestFlowtableAllocs(t *testing.T) {
+	mk := func() struct{} { return struct{}{} }
+	var clock int64
+	conntrack := func(capacity int, ttl int64) *Sharded[struct{}] {
+		s := NewSharded[struct{}](64, capacity)
+		s.SetTTL(ttl, func() int64 { return clock })
+		return s
+	}
+	next := uint64(1 << 32)
+
+	hit := conntrack(1<<21, 60e9)
+	for k := uint64(0); k < 4096; k++ {
+		hit.Touch(k, mk)
+	}
+	evict := conntrack(1<<12, 60e9) // at its bound: every insert evicts
+	expire := conntrack(1<<21, 1000)
+	for k := uint64(0); k < 1<<13; k++ {
+		evict.Touch(k, mk)
+		expire.Touch(k, mk)
+	}
+	nat := New[uint16](45000)
+	fill := func() {
+		for k := uint64(0); k < 45000; k++ {
+			nat.Put(k, uint16(k))
+		}
+	}
+	fill()
+
+	for _, row := range []struct {
+		name string
+		op   func()
+	}{
+		{"touch hit", func() {
+			for k := uint64(0); k < 4096; k++ {
+				hit.Touch(k, mk)
+			}
+		}},
+		{"insert at the bound (evict + insert)", func() {
+			for i := 0; i < 1024; i++ {
+				next++
+				evict.Touch(next, mk)
+			}
+		}},
+		{"insert at the plateau (expire + insert)", func() {
+			for i := 0; i < 1024; i++ {
+				next++
+				clock += 8
+				expire.Touch(next, mk)
+			}
+			expire.ExpireTail(16)
+		}},
+		{"Reset + refill", func() { nat.Reset(); fill() }},
+	} {
+		if a := testing.AllocsPerRun(5, row.op); a != 0 {
+			t.Errorf("%s: %.1f allocs per run, want 0", row.name, a)
+		}
+	}
+	if evict.Evictions() == 0 || expire.Expired() == 0 {
+		t.Fatalf("rows did not exercise their path: evictions=%d expired=%d", evict.Evictions(), expire.Expired())
+	}
+}
+
+// TestShardedFootprint: an idle conntrack table costs what its flows cost,
+// not what its bound would (the pump's default bound is 2^21 flows).
+func TestShardedFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewSharded[struct{}](64, 1<<21)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewSharded(64, 2^21) allocated %d bytes, want < 1 MB", got)
+	}
+	runtime.KeepAlive(s)
+}
+
+var scrubSink byte
+
+// BenchmarkTouchColdTable is the conntrack hit as the live pump pays it:
+// 4096 resident flows under the pump's default 2^21 bound, with the cache
+// scrubbed between passes the way a batch of packet buffers scrubs it. A
+// loop over a cache-resident table (the benchmark's flowtable.touch_hit_ns)
+// cannot see what the representation costs in cold lines; this can.
+func BenchmarkTouchColdTable(b *testing.B) {
+	const flows = 4096
+	var clock int64
+	s := NewSharded[struct{}](64, 1<<21)
+	s.SetTTL(60e9, func() int64 { return clock })
+	mk := func() struct{} { return struct{}{} }
+	keys := make([]uint64, flows)
+	for i := range keys {
+		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+		s.Touch(keys[i], mk)
+	}
+	scrub := make([]byte, 8<<20)
+	b.ResetTimer()
+	for done := 0; done < b.N; done += flows {
+		b.StopTimer()
+		for i := 0; i < len(scrub); i += 64 {
+			scrub[i]++
+		}
+		scrubSink += scrub[len(scrub)-64]
+		b.StartTimer()
+		for _, k := range keys[:min(flows, b.N-done)] {
+			clock += 1000
+			s.Touch(k, mk)
+		}
 	}
 }

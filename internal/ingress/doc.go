@@ -61,5 +61,6 @@
 // timestamps and reclaims a bounded number of stale entries, so the soak
 // experiment can hold >1M concurrent flows without stop-the-world sweeps.
 // PumpStats reports distinct and peak-concurrent flow counts alongside
-// throughput.
+// throughput, and what became of every tracked flow: still live at exit,
+// expired, or evicted at the bound.
 package ingress

@@ -363,6 +363,78 @@ func TestPumpConntrackExpiry(t *testing.T) {
 	}
 }
 
+// TestPumpFlowLedger: every conntrack insertion the pump counts is, at exit,
+// still tracked, expired, or evicted — whichever path reclaimed it. The
+// trace is two bursts of more flows than the table holds, further apart
+// than the TTL: the first burst overflows the bound (evictions), its
+// survivors are stale when the second arrives (expiries, most of them
+// inside Touch rather than in the per-batch sweep), and the second burst
+// refills the single stripe, so the live count at exit is the capacity.
+func TestPumpFlowLedger(t *testing.T) {
+	const capacity = 128
+	var pkts []*netpkt.Packet
+	for burst, seed := range []int64{37, 41} {
+		gen := traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(96), Flows: 300, Seed: seed})
+		for i := 0; i < 600; i++ {
+			p := gen.NextPacket()
+			p.Arrival = int64(burst)*10*int64(time.Second) + int64(i)*1000
+			pkts = append(pkts, p)
+		}
+	}
+	var buf bytes.Buffer
+	if err := traffic.WritePcap(&buf, pkts); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name              string
+		shards, rxWorkers int
+	}{
+		{"classic", 1, 0},
+		{"parallel", 2, 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			nic := NewNIC(row.shards)
+			sp, err := dataplane.NewSharded(chainBuild, dataplane.ShardedConfig{
+				Shards: row.shards, ShardOut: row.rxWorkers > 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := memSource(t, buf.Bytes(), PcapConfig{Arena: nic.Arena(0)})
+			defer src.Close()
+			st, err := Pump(context.Background(), src, sp, nil, PumpConfig{
+				BatchSize:    32,
+				NIC:          nic,
+				RXWorkers:    row.rxWorkers,
+				FlowTTL:      int64(time.Second),
+				FlowCapacity: capacity,
+				FlowStripes:  1,
+				ExpiryBudget: 4,
+				// Short rings keep the parallel pump's reader — which
+				// advances the replay clock — from crossing the idle gap
+				// before the workers have tracked the first burst.
+				RingSize: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Workers != row.rxWorkers {
+				t.Fatalf("ran %d queue workers, want %d", st.Workers, row.rxWorkers)
+			}
+			if st.ExpiredFlows == 0 || st.EvictedFlows == 0 {
+				t.Fatalf("trace did not exercise both reclaim paths: %s", st)
+			}
+			if st.PeakFlows != capacity {
+				t.Fatalf("PeakFlows = %d, want the bound %d", st.PeakFlows, capacity)
+			}
+			if live := uint64(capacity); st.Flows != live+st.ExpiredFlows+st.EvictedFlows {
+				t.Fatalf("flow ledger: %d inserted != %d live + %d expired + %d evicted",
+					st.Flows, live, st.ExpiredFlows, st.EvictedFlows)
+			}
+		})
+	}
+}
+
 // TestUDPEndToEnd drives the pipeline from a real socket: an emitter
 // writes frames to the UDP source while the pump replays them through the
 // chain, NIC demux and all.

@@ -42,7 +42,6 @@ type rxCounters struct {
 	bytes    atomic.Uint64
 	batches  atomic.Uint64
 	flows    atomic.Uint64
-	expired  atomic.Uint64
 	released atomic.Uint64 // popped+counted packets the worker released (inject refused)
 	peak     atomic.Int64
 	_        [64]byte
@@ -421,7 +420,6 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 			var cur *netpkt.Batch
 			var batchStart int64 // recorder ns when cur was opened
 			var flAcc int64      // inject+conntrack ns inside the current sweep
-			flushes := 0
 			flush := func() bool {
 				if cur == nil || len(cur.Packets) == 0 {
 					return true
@@ -453,10 +451,9 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 					flAcc += injEnd - injStart
 				}
 				ws.batches.Add(1)
-				flushes++
 				if cfg.FlowTTL > 0 {
 					ct0 := cl.Now()
-					ws.expired.Add(uint64(ft.ExpireTailRange(expLo, expHi, cfg.ExpiryBudget)))
+					ft.ExpireTailRange(expLo, expHi, cfg.ExpiryBudget)
 					if cl != nil {
 						ct1 := cl.Now()
 						cl.AddBusy(ct1 - ct0)
@@ -464,12 +461,8 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 						flAcc += ct1 - ct0
 					}
 				}
-				// Sampling the global flow census locks every stripe, so
-				// only worker 0 does it, and only every few batches.
-				if q == 0 && flushes%16 == 1 {
-					if n := int64(ft.Len()); n > ws.peak.Load() {
-						ws.peak.Store(n)
-					}
+				if n := int64(ft.Len()); n > ws.peak.Load() {
+					ws.peak.Store(n)
 				}
 				return true
 			}
@@ -564,16 +557,12 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 		st.Bytes += w.bytes.Load()
 		st.Batches += w.batches.Load()
 		st.Flows += w.flows.Load()
-		st.ExpiredFlows += w.expired.Load()
 		released += w.released.Load()
 		if p := int(w.peak.Load()); p > st.PeakFlows {
 			st.PeakFlows = p
 		}
 	}
-	// The end-of-run census is a floor on the true peak.
-	if n := ft.Len(); n > st.PeakFlows {
-		st.PeakFlows = n
-	}
+	st.ExpiredFlows, st.EvictedFlows = ft.Expired(), ft.Evictions()
 	st.OutPackets, st.Drops = out, drops
 	st.Duration = time.Since(start)
 	if s := st.Duration.Seconds(); s > 0 {

@@ -68,9 +68,12 @@ type PumpStats struct {
 	Bytes   uint64 // wire bytes injected
 	Batches uint64 // batches injected (sub-batches in NIC mode)
 
+	// The flow ledger balances at exit: Flows == flows still tracked +
+	// ExpiredFlows + EvictedFlows.
 	Flows        uint64 // distinct flows seen (conntrack insertions)
 	PeakFlows    int    // max concurrent tracked flows
-	ExpiredFlows uint64 // conntrack entries reclaimed by TTL
+	ExpiredFlows uint64 // conntrack entries reclaimed by TTL (by the per-batch sweep or inside a touch)
+	EvictedFlows uint64 // live conntrack entries evicted at the FlowCapacity bound
 
 	OutPackets uint64 // live packets the pipeline emitted
 	Drops      uint64 // packets dropped inside the pipeline
@@ -102,8 +105,8 @@ func (st *PumpStats) E2ELabel() string {
 
 // String summarizes the run on one line.
 func (st *PumpStats) String() string {
-	return fmt.Sprintf("pump: %d pkts %d batches %.0f pps %d flows out=%d drops=%d p99=%s (%d readers, %d workers)",
-		st.Packets, st.Batches, st.PPS, st.Flows, st.OutPackets, st.Drops,
+	return fmt.Sprintf("pump: %d pkts %d batches %.0f pps %d flows (%d expired, %d evicted) out=%d drops=%d p99=%s (%d readers, %d workers)",
+		st.Packets, st.Batches, st.PPS, st.Flows, st.ExpiredFlows, st.EvictedFlows, st.OutPackets, st.Drops,
 		st.E2ELabel(), st.Readers, st.Workers)
 }
 
@@ -294,7 +297,7 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 		pkts = pkts[:0]
 		if cfg.FlowTTL > 0 {
 			ct0 := ctLane.Now()
-			st.ExpiredFlows += uint64(ft.ExpireTail(cfg.ExpiryBudget))
+			ft.ExpireTail(cfg.ExpiryBudget)
 			if ctLane != nil {
 				ct1 := ctLane.Now()
 				ctLane.AddBusy(ct1 - ct0)
@@ -361,6 +364,7 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 		runErr = sinkErr
 	}
 
+	st.ExpiredFlows, st.EvictedFlows = ft.Expired(), ft.Evictions()
 	st.Duration = time.Since(start)
 	if s := st.Duration.Seconds(); s > 0 {
 		st.PPS = float64(st.Packets) / s

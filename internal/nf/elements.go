@@ -354,19 +354,47 @@ type NATRewrite struct {
 	// flows bounds the port-mapping state: under flow churn the oldest
 	// mappings are evicted (their ports may be reused), as a real NAT's
 	// mapping timeout would do.
-	flows     *flowtable.Table[uint16]
+	flows *flowtable.Table[uint16]
+	// portInUse has one bit per port, set while a mapping holds it and
+	// cleared by the table's OnEvict. The allocator walks the range in
+	// order and wraps; without the bits a flow kept hot through a full turn
+	// would share its translated 5-tuple with the newcomer.
+	portInUse [(1 << 16) / 64]uint64
 	Rewritten uint64
 }
 
 // natFlowCapacity bounds NAT port mappings (one public address exposes at
-// most ~45k dynamic ports).
-const natFlowCapacity = 45000
+// most ~45k dynamic ports). It stays below the natFirstPort..65535 range,
+// so the allocator always finds a free port.
+const (
+	natFlowCapacity = 45000
+	natFirstPort    = 20000
+)
 
 // NewNATRewrite builds the NAT element with the given public address.
 func NewNATRewrite(name string, public netpkt.IPv4Addr) *NATRewrite {
-	return &NATRewrite{
-		name: name, public: public, nextPort: 20000,
+	e := &NATRewrite{
+		name: name, public: public, nextPort: natFirstPort,
 		flows: flowtable.New[uint16](natFlowCapacity),
+	}
+	e.flows.OnEvict = func(_ uint64, port uint16) {
+		e.portInUse[port>>6] &^= 1 << (port & 63)
+	}
+	return e
+}
+
+// allocPort hands out the next port no live mapping holds.
+func (e *NATRewrite) allocPort() uint16 {
+	for {
+		port := e.nextPort
+		e.nextPort++
+		if e.nextPort == 0 {
+			e.nextPort = natFirstPort
+		}
+		if w, bit := &e.portInUse[port>>6], uint64(1)<<(port&63); *w&bit == 0 {
+			*w |= bit
+			return port
+		}
 	}
 }
 
@@ -412,11 +440,7 @@ func (e *NATRewrite) Process(b *netpkt.Batch) []*netpkt.Batch {
 			}
 			port, ok := e.flows.Get(p.FlowID)
 			if !ok {
-				port = e.nextPort
-				e.nextPort++
-				if e.nextPort == 0 {
-					e.nextPort = 20000
-				}
+				port = e.allocPort()
 				e.flows.Put(p.FlowID, port)
 			}
 			oldPort := binary.BigEndian.Uint16(l4[0:2])
@@ -445,7 +469,8 @@ func (e *NATRewrite) Process(b *netpkt.Batch) []*netpkt.Batch {
 func (e *NATRewrite) Reset() {
 	e.Rewritten = 0
 	e.flows.Reset()
-	e.nextPort = 20000
+	clear(e.portInUse[:])
+	e.nextPort = natFirstPort
 }
 
 // FlowsTracked reports live NAT mappings; FlowEvictions reports mappings

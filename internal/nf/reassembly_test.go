@@ -253,6 +253,38 @@ func TestNATFlowEviction(t *testing.T) {
 	}
 }
 
+// TestNATHotFlowKeepsItsPort: the allocator walks its 45 536-port range in
+// order and wraps, so a flow that stays mapped through a full turn (it is
+// refreshed, never evicted) must have its port skipped — a NAT never maps
+// two live flows to one public 5-tuple.
+func TestNATHotFlowKeepsItsPort(t *testing.T) {
+	nat := NewNATRewrite("nat", 0x01010101)
+	send := func(flow uint64) uint16 {
+		p := netpkt.BuildUDPv4(netpkt.UDPPacketSpec{
+			SrcIP: 1, DstIP: 2, SrcPort: 9, DstPort: 80, FlowID: flow})
+		nat.Process(netpkt.NewBatch(flow, []*netpkt.Packet{p}))
+		l4 := p.L4()
+		return uint16(l4[0])<<8 | uint16(l4[1])
+	}
+	const hot = uint64(1) << 40
+	hotPort := send(hot)
+	for flow := uint64(0); flow < 47000; flow++ {
+		if got := send(flow); got == hotPort {
+			t.Fatalf("flow %d was given port %d, which the hot flow still holds", flow, got)
+		}
+		if flow%64 == 0 {
+			if got := send(hot); got != hotPort {
+				t.Fatalf("hot flow remapped %d -> %d after %d flows", hotPort, got, flow)
+			}
+		}
+	}
+	// Reset forgets the mappings and the ports they held.
+	nat.Reset()
+	if got := send(7); got != hotPort {
+		t.Fatalf("first port after Reset = %d, want %d", got, hotPort)
+	}
+}
+
 // Evicting a reassembly flow releases its held-byte budget.
 func TestReassemblyEvictionReleasesHeldBytes(t *testing.T) {
 	e := NewTCPReassembly("asm")
