@@ -48,9 +48,6 @@ func BenchmarkPipelineMetricsOverhead(b *testing.B) {
 	base := genBatches(64, 64, 21)
 	b.Run("metrics=off", func(b *testing.B) { benchRun(b, g, base, Config{}) })
 	b.Run("metrics=on", func(b *testing.B) { benchRun(b, g, base, Config{Metrics: true}) })
-	b.Run("metrics=sampled8", func(b *testing.B) {
-		benchRun(b, g, base, Config{Metrics: true, TimingSample: 8})
-	})
 	b.Run("metrics+trace", func(b *testing.B) {
 		benchRun(b, g, base, Config{Metrics: true, Trace: NewRingTrace(1 << 16)})
 	})
@@ -71,9 +68,6 @@ func BenchmarkPipelineMetricsOverheadNF(b *testing.B) {
 	base := gen.Batches(16, 64)
 	b.Run("metrics=off", func(b *testing.B) { benchRun(b, g, base, Config{}) })
 	b.Run("metrics=on", func(b *testing.B) { benchRun(b, g, base, Config{Metrics: true}) })
-	b.Run("metrics=sampled8", func(b *testing.B) {
-		benchRun(b, g, base, Config{Metrics: true, TimingSample: 8})
-	})
 }
 
 // BenchmarkHistogramAdd isolates the per-observation cost of the

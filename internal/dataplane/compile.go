@@ -13,9 +13,10 @@ package dataplane
 // whatever is not device-resident and lies on a sole path collapses.
 //
 // One rule covers observability: whoever runs a segment books it. The head
-// records every executed member's counters, sampled timing, flight span and
-// trace events (scheduler.go's book) and forwards the tail's output straight
-// to the tail's successors; member goroutines never see the batch. They
+// records every executed member's counters, its processing time and flight
+// span if the batch is observed (Pipeline.observes), and its trace events
+// (scheduler.go's book) and forwards the tail's output straight to the
+// tail's successors; member goroutines never see the batch. They
 // keep running for two reasons only: a batch already past the head when a
 // placement swap lands (a straggler) still executes on its member's own
 // goroutine, and the fence below needs somebody to answer it. Zero
@@ -37,7 +38,6 @@ package dataplane
 
 import (
 	"context"
-	"time"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/netpkt"
@@ -45,8 +45,9 @@ import (
 
 // runCompiled executes one batch through the compiled CPU stage-loop this
 // node heads. Called from handle with the head's entry (trace enter, batch
-// and packet-in counters, the TimingSample draw) already booked, exactly
-// like the plain inline path; timed is that draw.
+// and packet-in counters) already booked, exactly like the plain inline
+// path; timed is whether the batch is observed — one clock read before the
+// first member and one after each, every member's end the next one's start.
 func (nr *nodeRunner) runCompiled(ctx context.Context, msg stageMsg, plan *segmentPlan, timed bool) bool {
 	p := nr.p
 	live := msg.live
@@ -58,23 +59,21 @@ func (nr *nodeRunner) runCompiled(ctx context.Context, msg stageMsg, plan *segme
 			live = msg.b.Live()
 		}
 		id := msg.b.ID
-		var last time.Time
+		var last int64
 		if timed {
-			last = time.Now()
+			last = p.now()
 		}
 		step = func(i int, out *netpkt.Batch) {
-			var procNs int64
+			now := last
 			if timed {
-				now := time.Now()
-				procNs = now.Sub(last).Nanoseconds()
-				last = now
+				now = p.now()
 			}
 			liveOut := 0
 			if out != nil {
 				liveOut = out.Live()
 			}
-			p.book(plan, i, id, live, liveOut, procNs, timed)
-			live = liveOut
+			p.book(plan, i, id, live, liveOut, last, now, timed)
+			live, last = liveOut, now
 		}
 	}
 	executed, final, err := nr.host.ProcessSegment(plan.els, msg.b, step)
@@ -112,7 +111,7 @@ func (nr *nodeRunner) fenceSegment(ctx context.Context, tbl *placementTable) boo
 		return true
 	}
 	f := &fence{tail: plan.nodes[len(plan.nodes)-1], ack: make(chan struct{})}
-	if !nr.p.sendStage(ctx, nil, nr.p.inbox[plan.nodes[1]], stageMsg{fence: f}) {
+	if !sendTimed(ctx, nil, nr.p.inbox[plan.nodes[1]], stageMsg{fence: f}, 0) {
 		return false
 	}
 	select {
@@ -137,5 +136,5 @@ func (nr *nodeRunner) passFence(ctx context.Context, f *fence) bool {
 		return true
 	}
 	// A non-tail member has exactly one successor: the next member.
-	return nr.p.sendStage(ctx, nil, nr.p.inbox[nr.succ[0][0]], stageMsg{fence: f})
+	return sendTimed(ctx, nil, nr.p.inbox[nr.succ[0][0]], stageMsg{fence: f}, 0)
 }

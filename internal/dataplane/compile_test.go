@@ -232,13 +232,16 @@ func booked(r *Report, ring *RingTrace) string {
 // the trace must come out exactly as if every member had booked for itself
 // — compiled against DisableCompile, fused against DisableFusion — including
 // a dropper mid-segment and a chain that dies at its second member (nothing
-// booked or traced for the members behind it). TimingSample 4 must time the
-// same batches on every member.
+// booked or traced for the members behind it). The observation rule is a
+// function of the batch ID, so every execution times the same batches on
+// every member, whatever heads the segment; the sample4 rows run each shape
+// long enough for the rule to draw four of them.
 func TestBookedReportEquality(t *testing.T) {
 	type row struct {
-		build  func(int64) *element.Graph
-		seeds  int64
-		sample int
+		build func(int64) *element.Graph
+		seeds int64
+		// batches is the run's length (0 = 24, two observed IDs).
+		batches int
 		// gpu compares fusion (against DisableFusion) instead of compilation,
 		// under assign, or under randAssignment when assign is nil.
 		gpu    bool
@@ -248,27 +251,36 @@ func TestBookedReportEquality(t *testing.T) {
 		3: {Mode: hetsim.ModeGPU}, 4: {Mode: hetsim.ModeGPU}}
 	dropper := bookedChain(&contentDrop{name: "drop", mod: 3})
 	dies := bookedChain(&dieEvery{name: "die", mod: 3})
+	const sample4 = 48 // IDs 0..47: the rule observes 0, 13, 34 and 47
 	rows := map[string]row{
-		"linear":         {build: buildLinearRand, seeds: 4, sample: 1},
-		"linear/sample4": {build: buildLinearRand, seeds: 4, sample: 4},
-		"diamond":        {build: buildDiamondRand, seeds: 4, sample: 1},
-		"fanout":         {build: buildFanoutRand, seeds: 4, sample: 1},
-		"dropper":        {build: dropper, seeds: 1, sample: 1},
-		"dies":           {build: dies, seeds: 1, sample: 1},
-		"gpu/linear":     {build: buildLinearRand, seeds: 4, sample: 1, gpu: true},
-		"gpu/diamond":    {build: buildDiamondRand, seeds: 4, sample: 1, gpu: true},
-		"gpu/fanout":     {build: buildFanoutRand, seeds: 4, sample: 1, gpu: true},
-		"gpu/dropper":    {build: dropper, seeds: 1, sample: 1, gpu: true, assign: interior},
-		"gpu/dies":       {build: dies, seeds: 1, sample: 1, gpu: true, assign: interior},
+		"linear":              {build: buildLinearRand, seeds: 4},
+		"linear/sample4":      {build: buildLinearRand, seeds: 4, batches: sample4},
+		"diamond":             {build: buildDiamondRand, seeds: 4},
+		"diamond/sample4":     {build: buildDiamondRand, seeds: 2, batches: sample4},
+		"fanout":              {build: buildFanoutRand, seeds: 4},
+		"fanout/sample4":      {build: buildFanoutRand, seeds: 2, batches: sample4},
+		"dropper":             {build: dropper, seeds: 1},
+		"dies":                {build: dies, seeds: 1},
+		"gpu/linear":          {build: buildLinearRand, seeds: 4, gpu: true},
+		"gpu/linear/sample4":  {build: buildLinearRand, seeds: 2, batches: sample4, gpu: true},
+		"gpu/diamond":         {build: buildDiamondRand, seeds: 4, gpu: true},
+		"gpu/diamond/sample4": {build: buildDiamondRand, seeds: 2, batches: sample4, gpu: true},
+		"gpu/fanout":          {build: buildFanoutRand, seeds: 4, gpu: true},
+		"gpu/dropper":         {build: dropper, seeds: 1, gpu: true, assign: interior},
+		"gpu/dies":            {build: dies, seeds: 1, gpu: true, assign: interior},
 	}
 	var segmentBatches uint64
 	for name, r := range rows {
 		for trial := int64(0); trial < r.seeds; trial++ {
 			seed := 100*trial + 57
 			t.Run(fmt.Sprintf("%s/%d", name, trial), func(t *testing.T) {
+				batches := r.batches
+				if batches == 0 {
+					batches = 24
+				}
 				run := func(reference bool) (string, OffloadSnapshot) {
 					ring := NewRingTrace(1 << 14)
-					cfg := Config{QueueDepth: 2, Metrics: true, Trace: ring, TimingSample: r.sample}
+					cfg := Config{QueueDepth: 2, Metrics: true, Trace: ring}
 					if r.gpu {
 						cfg.Assignment = r.assign
 						if cfg.Assignment == nil {
@@ -278,11 +290,19 @@ func TestBookedReportEquality(t *testing.T) {
 					} else {
 						cfg.DisableCompile = reference
 					}
-					_, p, err := RunBatches(context.Background(), r.build(seed), cfg, diffTraffic(seed, 24, 16))
+					in := diffTraffic(seed, batches, 16)
+					observed := uint64(observedIDs(in))
+					_, p, err := RunBatches(context.Background(), r.build(seed), cfg, in)
 					if err != nil {
 						t.Fatal(err)
 					}
 					rep := p.Snapshot()
+					// The source sees every batch once: it is timed on exactly
+					// the observed IDs, and equality below carries that to
+					// whoever booked the rest.
+					if src := rep.Elements[0]; src.Batches != uint64(batches) || src.Proc.Count != observed || observed == 0 {
+						t.Fatalf("source: %d batches, %d timed; want %d and the %d observed IDs", src.Batches, src.Proc.Count, batches, observed)
+					}
 					return booked(rep, ring), rep.Offload
 				}
 				got, o := run(false)

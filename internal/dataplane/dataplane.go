@@ -26,20 +26,17 @@ type Config struct {
 	PreserveOrder bool
 	// Metrics enables the per-element observability layer: packet/drop
 	// counters, processing-time histograms, send-wait accounting, and
-	// per-edge traffic counts, all readable live through Snapshot. Off by
-	// default; the overhead when on is a few timestamps per batch per
-	// element (see BenchmarkPipelineMetricsOverhead).
+	// per-edge traffic counts, all readable live through Snapshot. Counters
+	// and the inject→release latency histogram are exact; processing time
+	// and send-wait are clocked on the batches flight.Observed selects and
+	// read as estimates. Off by default; the overhead when on is the
+	// counters plus two timestamps per batch at the boundary (see
+	// BenchmarkPipelineMetricsOverhead).
 	Metrics bool
 	// Trace, when non-nil, receives batch lifecycle events (inject,
 	// per-element enter/exit, sink release). The per-event cost when nil
 	// is a single pointer check.
 	Trace TraceSink
-	// TimingSample records the processing-time histogram for 1 in N
-	// Process calls per element (default 1 = every call). Packet, drop,
-	// and edge counters stay exact regardless; only the wall-clock
-	// histogram is sampled. Raise it to shrink the two-timestamps-per-call
-	// cost on graphs of very cheap elements.
-	TimingSample int
 	// Assignment places elements on compute backends at construction (nil
 	// = every element on the host CPU). ModeGPU/ModeSplit elements execute
 	// through the emulated GPU device backend — asynchronous per-device
@@ -63,9 +60,10 @@ type Config struct {
 	Tenants map[element.NodeID]string
 	// Flight, when non-nil, threads the pipeline flight recorder through
 	// the dataplane: the collector records ordered-release spans, every
-	// element lane records per-batch processing spans and busy ns (at the
-	// Metrics TimingSample rate), and the shard inbox registers a depth
-	// probe. The per-batch cost when nil is a pointer check per site.
+	// element lane records processing spans and busy ns (with Metrics on,
+	// for the same observed batches the processing-time histogram times),
+	// and the shard inbox registers a depth probe. Every lane counts every
+	// batch. The per-batch cost when nil is a pointer check per site.
 	Flight *flight.Recorder
 	// PinOSThread wires each element goroutine (and so each compiled
 	// stage-loop) to a dedicated OS thread via runtime.LockOSThread — the
@@ -112,17 +110,16 @@ type Pipeline struct {
 	edgeCtr map[element.EdgeKey]*stats.Counter
 	edgeOut [][][]*stats.Counter
 	// lat records per-batch inject→release latency (nil when Config.Metrics
-	// is off).
+	// is off, and on the shards of a ShardedPipeline, which keeps the one
+	// tracker at its own boundary).
 	lat *e2eTracker
-	// flight wiring (all nil when Config.Flight is nil/disabled):
-	// flRelease is the collector's release-stage lane, flElems holds one
-	// lane per element ("nf:<name>", lane = shard index), flightLane is
-	// this pipeline's lane index (0 standalone, shard index when built by
-	// NewSharded).
-	flight     *flight.Recorder
-	flightLane int
-	flRelease  *flight.LaneRecorder
-	flElems    []*flight.LaneRecorder
+	// flight wiring (all nil when Config.Flight is nil): flRelease is the
+	// collector's release-stage lane, flElems holds one lane per element
+	// ("nf:<name>"); their lane index is 0 standalone, the shard index when
+	// built by NewSharded.
+	flight    *flight.Recorder
+	flRelease *flight.LaneRecorder
+	flElems   []*flight.LaneRecorder
 	// inbox holds each element's input channel; Snapshot samples queue
 	// depths from it.
 	inbox []chan stageMsg
@@ -155,6 +152,23 @@ type stageMsg struct {
 
 // New validates the graph and constructs a stopped pipeline.
 func New(g *element.Graph, cfg Config) (*Pipeline, error) {
+	p, err := newPipeline(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Metrics {
+		p.lat = newE2ETracker()
+	}
+	if cfg.Flight != nil {
+		p.initFlight(cfg.Flight, 0)
+	}
+	return p, nil
+}
+
+// newPipeline builds a pipeline without what belongs to the outermost
+// boundary: the e2e latency tracker and the flight lanes, which New adds
+// and NewSharded keeps (tracker) or assigns per shard index (lanes) itself.
+func newPipeline(g *element.Graph, cfg Config) (*Pipeline, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,9 +177,6 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
-	}
-	if cfg.TimingSample <= 0 {
-		cfg.TimingSample = 1
 	}
 	n := g.Len()
 	p := &Pipeline{
@@ -185,7 +196,6 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 		for i := range p.metrics {
 			p.metrics[i].proc = stats.NewConcurrentHistogram(stats.DefaultLatencyBoundsNs())
 		}
-		p.lat = newE2ETracker()
 		p.edgeCtr = make(map[element.EdgeKey]*stats.Counter)
 		p.edgeOut = make([][][]*stats.Counter, n)
 		for i := range p.edgeOut {
@@ -205,20 +215,14 @@ func New(g *element.Graph, cfg Config) (*Pipeline, error) {
 	}
 	p.pool = newDevicePool(p, cfg.Offload)
 	p.placements.Store(p.resolvePlacements(cfg.Assignment, 0))
-	if cfg.Flight != nil {
-		p.initFlight(cfg.Flight, 0)
-	}
 	return p, nil
 }
 
 // initFlight attaches the flight recorder at the given lane index: one
 // span lane per element, a release lane for the collector, and an inbox
-// depth probe. NewSharded calls it per shard (lane = shard index) after
-// stripping Flight from the inner configs, so lanes are never registered
-// twice.
+// depth probe. NewSharded calls it per shard (lane = shard index).
 func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
 	p.flight = rec
-	p.flightLane = lane
 	p.flRelease = rec.Lane(flight.StageRelease, lane)
 	p.flElems = make([]*flight.LaneRecorder, p.g.Len())
 	for i := range p.flElems {
@@ -232,6 +236,24 @@ func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
 // clock returns monotonic time since the pipeline's trace origin (see the
 // start field: construction time, or the sharded pipeline's origin).
 func (p *Pipeline) clock() time.Duration { return time.Since(p.start) }
+
+// observes is the observation rule as the element paths ask it: whether
+// batch id's processing is clocked — on every node, by whichever goroutine
+// or device worker executes it. Never without Metrics: the processing time
+// has nowhere else to go.
+func (p *Pipeline) observes(id uint64) bool {
+	return p.metrics != nil && flight.Observed(id)
+}
+
+// now is the one clock read of an observed batch's timing sites: on the
+// flight recorder's origin when one is attached, so a processing interval
+// is its span without a second read, else on the pipeline's.
+func (p *Pipeline) now() int64 {
+	if p.flight != nil {
+		return p.flight.Now()
+	}
+	return p.clock().Nanoseconds()
+}
 
 // trace emits an event if a sink is configured; the nil check is the whole
 // disabled-path cost.
@@ -330,10 +352,7 @@ func (p *Pipeline) Start(ctx context.Context) {
 			p: p, id: id, el: el, kind: el.Traits().Kind,
 			isSink: isSink, inbox: inbox[i], sinkOut: sinkOut, succ: succ,
 			host: element.NewHostBackend(),
-			m:    m, edgeCtr: edgeCtr, sampleN: p.cfg.TimingSample,
-		}
-		if p.flElems != nil {
-			nr.fl = p.flElems[i]
+			m:    m, edgeCtr: edgeCtr,
 		}
 		wg.Add(1)
 		go func(nr *nodeRunner, succ [][]element.NodeID, isSink bool) {
@@ -384,10 +403,10 @@ func (p *Pipeline) Start(ctx context.Context) {
 			}
 		}()
 		for b := range p.in {
-			live := b.Live()
+			live, bytes := b.LiveBytes()
 			p.Stats.InBatches.Add(1)
 			p.Stats.InPackets.Add(uint64(live))
-			p.Stats.InBytes.Add(uint64(b.Bytes()))
+			p.Stats.InBytes.Add(uint64(bytes))
 			if p.lat != nil {
 				p.lat.record(b.ID, p.clock().Nanoseconds())
 			}
@@ -418,7 +437,7 @@ func (p *Pipeline) Start(ctx context.Context) {
 			if p.lat != nil {
 				p.lat.observe(b.ID, p.clock().Nanoseconds())
 			}
-			if p.flRelease != nil {
+			if p.flRelease.Observe(b.ID) {
 				now := p.flRelease.Now()
 				p.flRelease.Span(b.ID, int(live), now, now)
 			}
@@ -456,56 +475,28 @@ func (p *Pipeline) Start(ctx context.Context) {
 	}()
 }
 
-// send pushes a sink's batch to the collector, accounting send-wait time
-// when metrics are on. Returns false when the context was cancelled. The
-// non-blocking first attempt keeps the uncontended path free of clock
-// reads: send-wait only pays for timestamps when it actually waits.
-func (p *Pipeline) send(ctx context.Context, m *nodeMetrics,
-	sinkOut chan<- *netpkt.Batch, b *netpkt.Batch) bool {
+// sendTimed pushes v — batch id to the next element or the collector, or a
+// fence (m nil) — into ch, accounting send-wait time when metrics are on.
+// Returns false when the context was cancelled. The non-blocking first
+// attempt keeps the uncontended path free of clock reads, and a send that
+// does wait is clocked for observed batches only — the same batches whose
+// processing time it is set against.
+func sendTimed[T any](ctx context.Context, m *nodeMetrics, ch chan<- T, v T, id uint64) bool {
 	select {
-	case sinkOut <- b:
+	case ch <- v:
 		return true
 	default:
 	}
-	if m == nil {
-		select {
-		case sinkOut <- b:
-			return true
-		case <-ctx.Done():
-			return false
+	timed := m != nil && flight.Observed(id)
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	select {
+	case ch <- v:
+		if timed {
+			m.sendWaitNs.Add(uint64(time.Since(t0).Nanoseconds()))
 		}
-	}
-	t0 := time.Now()
-	select {
-	case sinkOut <- b:
-		m.sendWaitNs.Add(uint64(time.Since(t0).Nanoseconds()))
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// sendStage is send for element-to-element hops, with the same
-// fast-path-first send-wait accounting.
-func (p *Pipeline) sendStage(ctx context.Context, m *nodeMetrics,
-	ch chan<- stageMsg, msg stageMsg) bool {
-	select {
-	case ch <- msg:
-		return true
-	default:
-	}
-	if m == nil {
-		select {
-		case ch <- msg:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	t0 := time.Now()
-	select {
-	case ch <- msg:
-		m.sendWaitNs.Add(uint64(time.Since(t0).Nanoseconds()))
 		return true
 	case <-ctx.Done():
 		return false

@@ -45,10 +45,11 @@
 // dual of the GPU segment fusion in offload.go, removing the per-element
 // goroutine+channel hop. Whoever runs a segment books it: with metrics or
 // tracing on, the head's goroutine records every executed member's
-// counters, timing, flight span and trace events, so per-element
-// accounting matches interpreted execution without the members seeing the
-// batch. Members keep their goroutines for placement-swap stragglers and
-// to answer the epoch fence that orders a new segment behind them.
+// counters, trace events and — for an observed batch — timing and flight
+// span, so per-element accounting matches interpreted execution without
+// the members seeing the batch. Members keep their goroutines for
+// placement-swap stragglers and to answer the epoch fence that orders a
+// new segment behind them.
 // FuzzCompiledVsInterpreted and the TestCompiled* differential suite gate
 // the equivalence, TestBookedReportEquality the accounting;
 // TestCompiledHotPathAllocs keeps the loop at 0 allocs/op with
@@ -60,8 +61,14 @@
 // (packets, drops, processing-time histogram, queue depth, send-wait) and
 // per-edge traffic counters, snapshotted live via Pipeline.Snapshot; the
 // bridge in this package converts a snapshot into the allocator's profile
-// inputs. ShardedPipeline.Snapshot aggregates per-replica reports into the
-// same Report shape (AggregateReports), so the allocator bridge works
-// identically for sharded deployments. Config.Trace additionally emits
-// per-batch lifecycle events.
+// inputs. One observation rule (flight.Observed, one batch ID in 16)
+// decides what reads a clock: counters are exact on every batch; processing
+// time, send-wait, flight spans and busy time come from the observed
+// batches — the same ones in compiled, interpreted and fused execution —
+// and read as estimates. The inject→release latency histogram stays exact
+// (rollout guards read short windows of it) and is kept once, at the
+// outermost boundary. ShardedPipeline.Snapshot aggregates per-replica
+// reports into the same Report shape (AggregateReports), so the allocator
+// bridge works identically for sharded deployments. Config.Trace
+// additionally emits per-batch lifecycle events.
 package dataplane

@@ -6,16 +6,30 @@ import (
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/flight"
+	"nfcompass/internal/netpkt"
 )
 
+// observedIDs counts the batches the observation rule selects.
+func observedIDs(in []*netpkt.Batch) int {
+	n := 0
+	for _, b := range in {
+		if flight.Observed(b.ID) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPipelineFlightSpans: a metrics-on pipeline with a recorder attached
-// records one release span per output batch and element spans at the
-// timing-sample cadence, and exposes its inbox through a shard queue probe.
+// records one release span and one span per element for every observed
+// batch, and exposes its inbox through a shard queue probe.
 func TestPipelineFlightSpans(t *testing.T) {
 	rec := flight.New(flight.Config{})
 	g := testChainGraph()
+	in := genBatches(30, 32, 5)
+	observed := observedIDs(in)
 	outs, _, err := RunBatches(context.Background(), g,
-		Config{Metrics: true, PreserveOrder: true, Flight: rec}, genBatches(30, 32, 5))
+		Config{Metrics: true, PreserveOrder: true, Flight: rec}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +48,11 @@ func TestPipelineFlightSpans(t *testing.T) {
 			elems++
 		}
 	}
-	if release != 30 {
-		t.Errorf("release spans = %d, want one per output batch (30); stages %v", release, stages)
+	if release != observed || observed == 0 {
+		t.Errorf("release spans = %d, want one per observed batch (%d); stages %v", release, observed, stages)
 	}
-	if elems == 0 {
-		t.Error("no element spans recorded")
+	if elems != observed*g.Len() {
+		t.Errorf("element spans = %d, want one per element per observed batch (%d)", elems, observed*g.Len())
 	}
 
 	var sawShardProbe bool
@@ -62,10 +76,12 @@ func TestShardedFlightSpans(t *testing.T) {
 	rec := flight.New(flight.Config{})
 	build := func(int) (*element.Graph, error) { return testChainGraph(), nil }
 	const shards = 3
+	in := genBatches(200, 32, 7)
+	observed := observedIDs(in)
 	outs, _, err := RunBatchesSharded(context.Background(), build, ShardedConfig{
 		Shards: shards,
 		Config: Config{Metrics: true, Flight: rec},
-	}, genBatches(40, 32, 7))
+	}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +100,8 @@ func TestShardedFlightSpans(t *testing.T) {
 		}
 		lanes[s.Stage][s.Lane] = true
 	}
-	if dispatch != 40 {
-		t.Errorf("dispatch spans = %d, want one per injected batch (40)", dispatch)
+	if dispatch != observed {
+		t.Errorf("dispatch spans = %d, want one per observed batch (%d)", dispatch, observed)
 	}
 	if got := len(lanes[flight.StageRelease]); got != shards {
 		t.Errorf("release spans on %d lanes, want one per shard (%d)", got, shards)

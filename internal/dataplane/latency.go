@@ -15,10 +15,12 @@ import (
 // stamps are overwritten and those batches simply go unsampled — the
 // histogram is a sample of completed batches, never a blocking ledger.
 //
-// Both Pipeline (inject→sink release) and ShardedPipeline (dispatch→ordered
-// merge, which additionally covers dispatcher and merger queueing) own one
-// tracker; the sharded boundary measurement supersedes the per-shard ones in
-// ShardedPipeline.Snapshot exactly like the boundary packet totals do.
+// The tracker is exact — every batch, outside the observation rule that
+// thins every other clock read — because it is the SLO surface: the canary
+// guard and the adaptor read windows of it a few batches long. It is kept
+// once, at the outermost boundary: a standalone Pipeline owns one
+// (inject→sink release); a ShardedPipeline owns one (dispatch→ordered merge,
+// dispatcher and merger queueing included) and its shards own none.
 
 // latSlots is the in-flight window of the stamp ring (power of two).
 const latSlots = 1024

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/stats"
 )
 
@@ -23,9 +24,9 @@ type nodeMetrics struct {
 	// sendWaitNs accumulates time spent blocked in downstream channel
 	// sends — the back-pressure signal that locates the bottleneck stage.
 	sendWaitNs stats.Counter
-	// proc is the per-batch Process wall-time distribution; procPkts
-	// counts the live input packets of the timed batches (equal to pktsIn
-	// at Config.TimingSample 1), the denominator for ns/pkt.
+	// proc is the Process wall-time distribution of the observed batches
+	// (flight.Observed); procPkts counts their live input packets, the
+	// denominator for ns/pkt.
 	proc     *stats.ConcurrentHistogram
 	procPkts stats.Counter
 }
@@ -38,16 +39,17 @@ type ElementStats struct {
 	// Batches is the number of Process calls; PktsIn/PktsOut are live
 	// packets entering/leaving; Drops is max(0, in-out) per call summed.
 	Batches, PktsIn, PktsOut, Drops uint64
-	// SendWaitNs is cumulative time spent blocked on a full downstream
-	// queue (uncontended sends cost nothing here); growth under load
-	// means back-pressure from the next stage.
+	// SendWaitNs is the time the observed batches spent blocked on a full
+	// downstream queue (uncontended sends cost nothing here) — a sample of
+	// the same batches as Proc, so its ratio to Proc.Sum is the share of all
+	// batches; growth under load means back-pressure from the next stage.
 	SendWaitNs uint64
 	// QueueLen is the element's inbox depth at snapshot time, QueueCap its
 	// capacity.
 	QueueLen, QueueCap int
-	// Proc is the per-batch processing-time distribution in nanoseconds;
-	// ProcPkts is the live input packet count of the timed batches (all
-	// batches unless Config.TimingSample > 1).
+	// Proc is the per-batch processing-time distribution in nanoseconds
+	// over the observed batches (one ID in flight.Period()); ProcPkts is
+	// their live input packet count.
 	Proc     stats.HistSnapshot
 	ProcPkts uint64
 	// Placement is the element's resolved placement at snapshot time
@@ -288,13 +290,14 @@ func AggregateReports(reps []*Report) *Report {
 // String renders the report as a fixed-width per-element table.
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "pipeline: in=%d/%d out=%d/%d drop=%d (batches/pkts) elapsed=%.1fms\n",
+	fmt.Fprintf(&sb, "pipeline: in=%d/%d out=%d/%d drop=%d (batches/pkts) elapsed=%.1fms",
 		r.InBatches, r.InPackets, r.OutBatches, r.OutPackets, r.DropPackets,
 		float64(r.ElapsedNs)/1e6)
 	if !r.MetricsEnabled {
-		sb.WriteString("(per-element metrics disabled; set Config.Metrics)\n")
+		sb.WriteString("\n(per-element metrics disabled; set Config.Metrics)\n")
 		return sb.String()
 	}
+	fmt.Fprintf(&sb, "; counts and e2e exact, ns and wait timed on 1 batch in %d\n", flight.Period())
 	if r.E2E.Count > 0 {
 		fmt.Fprintf(&sb, "e2e latency: n=%d p50=%.1fus p95=%.1fus p99=%.1fus p999=%.1fus max=%.1fus\n",
 			r.E2E.Count, r.E2E.Percentile(50)/1e3, r.E2E.Percentile(95)/1e3,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/profile"
 )
@@ -45,10 +46,12 @@ func linearGraph(mid ...element.Element) *element.Graph {
 // The acceptance-criteria test: Snapshot must report exact per-element
 // packet counts and plausible latency percentiles for known traffic.
 func TestSnapshotKnownTraffic(t *testing.T) {
-	const batches, perBatch = 10, 16
+	const batches, perBatch = 40, 16
 	g := linearGraph(element.NewCheckIPHeader("chk"), element.NewDecTTL("ttl"))
+	in := genBatches(batches, perBatch, 7)
+	observed := uint64(observedIDs(in))
 	_, p, err := RunBatches(context.Background(), g,
-		Config{Metrics: true, PreserveOrder: true}, genBatches(batches, perBatch, 7))
+		Config{Metrics: true, PreserveOrder: true}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +75,8 @@ func TestSnapshotKnownTraffic(t *testing.T) {
 		if e.Drops != 0 {
 			t.Errorf("%s: drops = %d", e.Name, e.Drops)
 		}
-		if e.Proc.Count != batches {
-			t.Errorf("%s: histogram count = %d", e.Name, e.Proc.Count)
+		if e.Proc.Count != observed || observed < 2 {
+			t.Errorf("%s: histogram count = %d, want the %d observed batches", e.Name, e.Proc.Count, observed)
 		}
 		p50, p99 := e.Proc.Percentile(50), e.Proc.Percentile(99)
 		if p50 <= 0 || p99 < p50 || e.Proc.Max < p99 {
@@ -123,13 +126,17 @@ func TestSnapshotLatencyPercentiles(t *testing.T) {
 	}
 }
 
-// With TimingSample N, counters stay exact but only every Nth batch is
-// timed (starting with the first).
-func TestSnapshotTimingSample(t *testing.T) {
-	const batches, perBatch, sample = 12, 8, 4
+// Counters stay exact on every batch; processing time is clocked on the
+// batches the observation rule selects, the same ones on every element.
+func TestSnapshotObservedTiming(t *testing.T) {
+	const batches, perBatch = 64, 8
+	in := genBatches(batches, perBatch, 15)
+	observed := uint64(observedIDs(in))
+	if observed == 0 || observed > batches/8 {
+		t.Fatalf("rule observes %d of %d batch IDs, want about 1 in %d", observed, batches, flight.Period())
+	}
 	g := linearGraph(element.NewDecTTL("ttl"))
-	_, p, err := RunBatches(context.Background(), g,
-		Config{Metrics: true, TimingSample: sample}, genBatches(batches, perBatch, 15))
+	_, p, err := RunBatches(context.Background(), g, Config{Metrics: true}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +144,11 @@ func TestSnapshotTimingSample(t *testing.T) {
 		if e.PktsIn != batches*perBatch || e.Batches != batches {
 			t.Errorf("%s: counters must stay exact: pkts=%d batches=%d", e.Name, e.PktsIn, e.Batches)
 		}
-		if e.Proc.Count != batches/sample {
-			t.Errorf("%s: timed batches = %d, want %d", e.Name, e.Proc.Count, batches/sample)
+		if e.Proc.Count != observed {
+			t.Errorf("%s: timed batches = %d, want %d", e.Name, e.Proc.Count, observed)
 		}
-		if e.ProcPkts != batches/sample*perBatch {
-			t.Errorf("%s: timed pkts = %d, want %d", e.Name, e.ProcPkts, batches/sample*perBatch)
+		if e.ProcPkts != observed*perBatch {
+			t.Errorf("%s: timed pkts = %d, want %d", e.Name, e.ProcPkts, observed*perBatch)
 		}
 		if e.NsPerPkt() <= 0 {
 			t.Errorf("%s: ns/pkt = %g", e.Name, e.NsPerPkt())
@@ -259,7 +266,7 @@ func TestWritePrometheus(t *testing.T) {
 		"nfcompass_dataplane_in_packets_total 32",
 		"nfcompass_dataplane_out_packets_total 32",
 		`nfcompass_dataplane_element_packets_total{dir="in",element="ttl",kind="DecTTL"} 32`,
-		`nfcompass_dataplane_element_process_ns_count{element="ttl",kind="DecTTL"} 4`,
+		`nfcompass_dataplane_element_process_ns_count{element="ttl",kind="DecTTL"} 1`, // ID 0 of 0..3 is observed
 		`le="+Inf"`,
 		"# TYPE nfcompass_dataplane_element_process_ns histogram",
 		"nfcompass_dataplane_edge_packets_total",

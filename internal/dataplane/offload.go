@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
@@ -117,9 +116,9 @@ type OffloadSnapshot struct {
 // recorded by the device worker and booked by the head's goroutine when the
 // submission completes (deliverFused).
 type segStat struct {
-	procNs  int64
-	liveIn  int
-	liveOut int
+	startNs, endNs int64 // Pipeline.now around the member, observed batches only
+	liveIn         int
+	liveOut        int
 }
 
 // workItem is one batch submitted to a device. The submitting node
@@ -141,10 +140,11 @@ type workItem struct {
 	// It is the plan of the epoch the item was submitted under, so the work
 	// is booked against that epoch even when a swap lands mid-flight.
 	plan *segmentPlan
-	// Results, filled by the worker before completion.
-	outs   []*netpkt.Batch
-	err    error
-	procNs int64
+	// Results, filled by the worker before completion. startNs/endNs are
+	// Pipeline.now around the element, read for observed batches only.
+	outs           []*netpkt.Batch
+	err            error
+	startNs, endNs int64
 	// Fused results: per-member accounting, how many members executed
 	// before the chain died (== len(plan.els) when it didn't), and the final
 	// output batch (nil when it died).
@@ -391,9 +391,14 @@ func (dp *devicePool) executeGroup(d *device, group []*workItem) {
 		}
 		n := it.b.Live()
 		bytes := it.b.Bytes()
-		t0 := time.Now()
+		timed := dp.p.observes(it.id)
+		if timed {
+			it.startNs = dp.p.now()
+		}
 		outs := d.host.Process(it.el, it.b)
-		it.procNs = time.Since(t0).Nanoseconds()
+		if timed {
+			it.endNs = dp.p.now()
+		}
 		if it.el.NumOutputs() > 0 && len(outs) != it.el.NumOutputs() {
 			it.err = fmt.Errorf("dataplane: %s emitted %d outputs, declared %d",
 				it.el.Name(), len(outs), it.el.NumOutputs())
@@ -455,9 +460,9 @@ func (dp *devicePool) executeGroup(d *device, group []*workItem) {
 // submission: the member kernels chain on the batch in place, the group's
 // H2D charges the segment-entry bytes and its D2H the segment-exit bytes,
 // and the interior hops cost nothing on the bus — the saving TransfersSaved
-// records. Per-member wall time and live counts land in it.stats for the
-// head's goroutine to book. Returns the chained kernel ns (the caller owns
-// the launch and transfer terms).
+// records. Per-member live counts and, for an observed batch, wall time
+// land in it.stats for the head's goroutine to book. Returns the chained
+// kernel ns (the caller owns the launch and transfer terms).
 func (dp *devicePool) executeFused(d *device, st *OffloadStats, it *workItem, h2dBytes, d2hBytes *int) float64 {
 	cm := dp.cm
 	plan := it.plan
@@ -466,12 +471,17 @@ func (dp *devicePool) executeFused(d *device, st *OffloadStats, it *workItem, h2
 	curN, curBytes := it.b.Live(), it.b.Bytes()
 	*h2dBytes += curBytes
 	st.H2DTransfers.Add(1)
-	last := time.Now()
+	timed := dp.p.observes(it.id)
+	var last int64
+	if timed {
+		last = dp.p.now()
+	}
 	executed, final, err := d.host.ProcessSegment(plan.els, it.b, func(i int, out *netpkt.Batch) {
-		now := time.Now()
 		ms := &it.stats[i]
-		ms.procNs = now.Sub(last).Nanoseconds()
-		last = now
+		if timed {
+			ms.startNs, ms.endNs = last, dp.p.now()
+			last = ms.endNs
+		}
 		ms.liveIn = curN
 		kern += cm.KernelNs(plan.kinds[i], curN, curBytes, 0)
 		if out != nil {

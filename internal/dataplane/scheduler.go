@@ -3,10 +3,8 @@ package dataplane
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"nfcompass/internal/element"
-	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/stats"
@@ -38,12 +36,6 @@ type nodeRunner struct {
 
 	m       *nodeMetrics
 	edgeCtr [][]*stats.Counter
-	sampleN int
-	tick    int
-	// fl is this element's flight lane ("nf:<name>", lane = shard index).
-	// Spans and busy ns record on the same TimingSample cadence as the
-	// proc histogram, so flight attribution costs no extra clock reads.
-	fl *flight.LaneRecorder
 
 	// epoch is the placement epoch of the last handled batch; lane is the
 	// offload lane, created on first offload; outstanding counts in-flight
@@ -116,39 +108,27 @@ func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 	// epoch-transition stragglers.
 	plan := tbl.headed(nr.id)
 	nr.p.traceEnter(nr.id, msg.b, pl, tbl.epoch)
+	// The ID is read before the element runs: it may recycle the header.
+	id := msg.b.ID
 	if nr.m != nil {
-		nr.m.batches.Inc()
-		nr.m.pktsIn.Add(uint64(msg.live))
+		nr.p.bookArrival(nr.id, id, msg.live)
 	}
 	if pl.mode != hetsim.ModeCPU {
 		return nr.offload(ctx, msg, pl, plan)
 	}
-	timed := false
-	if nr.m != nil {
-		timed = nr.tick == 0
-		if nr.tick++; nr.tick == nr.sampleN {
-			nr.tick = 0
-		}
-	}
+	timed := nr.p.observes(id)
 	if plan != nil {
 		return nr.runCompiled(ctx, msg, plan, timed)
 	}
 
 	// Inline host-CPU path (the original dataplane fast path).
-	var t0 time.Time
+	var t0 int64
 	if timed {
-		t0 = time.Now()
+		t0 = nr.p.now()
 	}
 	outs := nr.host.Process(nr.el, msg.b)
 	if timed {
-		d := time.Since(t0).Nanoseconds()
-		nr.m.proc.Add(float64(d))
-		nr.m.procPkts.Add(uint64(msg.live))
-		if nr.fl != nil {
-			end := nr.fl.Now()
-			nr.fl.AddBusy(d)
-			nr.fl.Span(msg.b.ID, msg.live, end-d, end)
-		}
+		nr.p.bookTime(nr.id, id, msg.live, t0, nr.p.now())
 	}
 	nr.p.trace(TraceExit, nr.id, msg.b)
 	return nr.forward(ctx, msg.b, msg.live, outs)
@@ -184,9 +164,8 @@ func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacemen
 	return nr.lane.submit(ctx, it)
 }
 
-// deliver forwards one completed offload downstream, in lane release order.
-// Device submissions are always wall-clock timed by the worker, so every
-// one books its processing time.
+// deliver forwards one completed offload downstream, in lane release order,
+// booking the interval the device worker clocked if the batch is observed.
 func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 	if it.err != nil {
 		nr.p.fail(it.err)
@@ -195,14 +174,8 @@ func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 	if it.plan != nil {
 		return nr.deliverFused(ctx, it)
 	}
-	if nr.m != nil {
-		nr.m.proc.Add(float64(it.procNs))
-		nr.m.procPkts.Add(uint64(it.live))
-	}
-	if nr.fl != nil {
-		end := nr.fl.Now()
-		nr.fl.AddBusy(it.procNs)
-		nr.fl.Span(it.id, it.live, end-it.procNs, end)
+	if nr.p.observes(it.id) {
+		nr.p.bookTime(nr.id, it.id, it.live, it.startNs, it.endNs)
 	}
 	if nr.p.cfg.Trace != nil {
 		// Not it.b.Live(): the element may have recycled the batch it was
@@ -223,10 +196,36 @@ func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 // forwards the chain's output to the tail's successors. No member goroutine
 // sees the batch.
 func (nr *nodeRunner) deliverFused(ctx context.Context, it *workItem) bool {
+	timed := nr.p.observes(it.id)
 	for i, ms := range it.stats[:it.executed] {
-		nr.p.book(it.plan, i, it.id, ms.liveIn, ms.liveOut, ms.procNs, true)
+		nr.p.book(it.plan, i, it.id, ms.liveIn, ms.liveOut, ms.startNs, ms.endNs, timed)
 	}
 	return nr.p.forwardTail(ctx, it.plan, it.final, it.stats[it.executed-1].liveOut)
+}
+
+// bookArrival books a batch reaching node id: the exact counters, paid on
+// every batch (Metrics on).
+func (p *Pipeline) bookArrival(id element.NodeID, batch uint64, live int) {
+	m := &p.metrics[id]
+	m.batches.Inc()
+	m.pktsIn.Add(uint64(live))
+	if p.flElems != nil {
+		p.flElems[id].Observe(batch)
+	}
+}
+
+// bookTime books the interval node id spent processing an observed batch:
+// the processing-time histogram with its packet denominator, and the same
+// interval as the flight lane's busy time and span.
+func (p *Pipeline) bookTime(id element.NodeID, batch uint64, live int, startNs, endNs int64) {
+	m := &p.metrics[id]
+	m.proc.Add(float64(endNs - startNs))
+	m.procPkts.Add(uint64(live))
+	if p.flElems != nil {
+		fl := p.flElems[id]
+		fl.AddBusy(endNs - startNs)
+		fl.Span(batch, live, startNs, endNs)
+	}
 }
 
 // book records member i's share of one batch a segment executor ran through
@@ -235,22 +234,20 @@ func (nr *nodeRunner) deliverFused(ctx context.Context, it *workItem) bool {
 // enter) is booked before execution by handle, so only members behind it
 // book theirs here. Called from the head's goroutine: nodeMetrics
 // fields are atomics, flight lanes and trace sinks take concurrent writers.
-// procNs is meaningful only when timed.
-func (p *Pipeline) book(plan *segmentPlan, i int, batch uint64, liveIn, liveOut int, procNs int64, timed bool) {
+// startNs/endNs are meaningful only when timed.
+func (p *Pipeline) book(plan *segmentPlan, i int, batch uint64, liveIn, liveOut int, startNs, endNs int64, timed bool) {
 	id := plan.nodes[i]
 	if i > 0 {
 		p.traceMember(TraceEnter, plan, id, batch, liveIn)
 	}
 	if p.metrics != nil {
-		m := &p.metrics[id]
 		if i > 0 {
-			m.batches.Inc()
-			m.pktsIn.Add(uint64(liveIn))
+			p.bookArrival(id, batch, liveIn)
 		}
 		if timed {
-			m.proc.Add(float64(procNs))
-			m.procPkts.Add(uint64(liveIn))
+			p.bookTime(id, batch, liveIn, startNs, endNs)
 		}
+		m := &p.metrics[id]
 		m.pktsOut.Add(uint64(liveOut))
 		if liveOut < liveIn {
 			m.drops.Add(uint64(liveIn - liveOut))
@@ -259,12 +256,6 @@ func (p *Pipeline) book(plan *segmentPlan, i int, batch uint64, liveIn, liveOut 
 		for _, c := range p.edgeOut[id][0] {
 			c.Add(uint64(liveOut))
 		}
-	}
-	if timed && p.flElems != nil {
-		fl := p.flElems[id]
-		end := fl.Now()
-		fl.AddBusy(procNs)
-		fl.Span(batch, liveIn, end-procNs, end)
 	}
 	p.traceMember(TraceExit, plan, id, batch, liveOut)
 }
@@ -282,7 +273,7 @@ func (p *Pipeline) forwardTail(ctx context.Context, plan *segmentPlan, final *ne
 		m = &p.metrics[plan.nodes[len(plan.nodes)-1]]
 	}
 	for _, to := range plan.tailSucc {
-		if !p.sendStage(ctx, m, p.inbox[to], stageMsg{b: final, live: live}) {
+		if !sendTimed(ctx, m, p.inbox[to], stageMsg{b: final, live: live}, final.ID) {
 			return false
 		}
 	}
@@ -319,7 +310,7 @@ func (nr *nodeRunner) forward(ctx context.Context, b *netpkt.Batch, liveIn int, 
 				nr.m.drops.Add(uint64(liveIn - live))
 			}
 		}
-		return p.send(ctx, nr.m, nr.sinkOut, b)
+		return sendTimed(ctx, nr.m, nr.sinkOut, b, b.ID)
 	}
 	if len(outs) != nr.el.NumOutputs() {
 		p.fail(fmt.Errorf("dataplane: %s emitted %d outputs, declared %d",
@@ -341,7 +332,7 @@ func (nr *nodeRunner) forward(ctx context.Context, b *netpkt.Batch, liveIn int, 
 			if nr.m != nil {
 				nr.edgeCtr[port][t].Add(uint64(live))
 			}
-			if !p.sendStage(ctx, nr.m, p.inbox[to], stageMsg{b: ob, live: live}) {
+			if !sendTimed(ctx, nr.m, p.inbox[to], stageMsg{b: ob, live: live}, ob.ID) {
 				return false
 			}
 		}

@@ -94,8 +94,8 @@ type ShardedPipeline struct {
 	Stats Stats
 
 	// lat records dispatch→release latency at the sharded boundary (nil
-	// when Config.Metrics is off); it covers dispatcher and merger queueing
-	// the per-shard trackers cannot see.
+	// when Config.Metrics is off), dispatcher and merger queueing included.
+	// It is the deployment's only tracker: the shards carry none.
 	lat *e2eTracker
 
 	in     chan *netpkt.Batch
@@ -137,8 +137,8 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 		cfg:    cfg,
 		shards: make([]*Pipeline, cfg.Shards),
 		start:  time.Now(),
-		in:     make(chan *netpkt.Batch, maxInt(cfg.QueueDepth, 16)),
-		out:    make(chan *netpkt.Batch, maxInt(cfg.QueueDepth, 16)),
+		in:     make(chan *netpkt.Batch, max(cfg.QueueDepth, 16)),
+		out:    make(chan *netpkt.Batch, max(cfg.QueueDepth, 16)),
 		done:   make(chan struct{}),
 		parts:  make(map[uint64]int),
 	}
@@ -148,15 +148,12 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 	if cfg.ShardOut {
 		sp.outs = make([]chan *netpkt.Batch, cfg.Shards)
 		for i := range sp.outs {
-			sp.outs[i] = make(chan *netpkt.Batch, maxInt(cfg.QueueDepth, 16))
+			sp.outs[i] = make(chan *netpkt.Batch, max(cfg.QueueDepth, 16))
 		}
 	}
-	// The sharded pipeline owns flight wiring: shards get their lanes at
-	// their own shard index (initFlight below), so strip the recorder from
-	// the per-shard config or New would register every shard at lane 0.
+	// The sharded pipeline owns the boundary: shards get their flight lanes
+	// at their own shard index and no latency tracker of their own.
 	rec := cfg.Flight
-	inner := cfg.Config
-	inner.Flight = nil
 	var ref *element.Graph
 	for i := range sp.shards {
 		g, err := build(i)
@@ -168,7 +165,7 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 		} else if err := sameShape(ref, g); err != nil {
 			return nil, fmt.Errorf("dataplane: shard %d graph differs from shard 0: %w", i, err)
 		}
-		p, err := New(g, inner)
+		p, err := newPipeline(g, cfg.Config)
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: shard %d: %w", i, err)
 		}
@@ -316,17 +313,28 @@ func (sp *ShardedPipeline) dispatch(ctx context.Context) {
 			s.CloseInput()
 		}
 	}()
-	// byShard is reused across batches; only the per-sub-batch packet
-	// slices are allocated when a batch actually splits.
+	// byShard and parts are reused across batches; only the per-sub-batch
+	// packet slices are allocated when a batch actually splits.
+	type part struct {
+		shard int
+		b     *netpkt.Batch
+	}
 	byShard := make([][]*netpkt.Packet, n)
+	parts := make([]part, 0, n)
+	fl := sp.flDispatch
 	for b := range sp.in {
-		// Flight bookkeeping must read the batch before any shard send:
-		// after sendShard the receiving replica owns it.
-		dStart := sp.flDispatch.Now()
-		id, live := b.ID, b.Live()
+		// Bookkeeping must read the batch before any shard send: after
+		// sendShard the receiving replica owns it.
+		id := b.ID
+		obs := fl.Observe(id)
+		var dStart, sendStart int64
+		if obs {
+			dStart = fl.Now()
+		}
+		live, bytes := b.LiveBytes()
 		sp.Stats.InBatches.Add(1)
 		sp.Stats.InPackets.Add(uint64(live))
-		sp.Stats.InBytes.Add(uint64(b.Bytes()))
+		sp.Stats.InBytes.Add(uint64(bytes))
 		if sp.lat != nil {
 			sp.lat.record(b.ID, time.Since(sp.start).Nanoseconds())
 		}
@@ -337,76 +345,49 @@ func (sp *ShardedPipeline) dispatch(ctx context.Context) {
 		}
 		sp.mu.Unlock()
 
-		if n == 1 {
-			sp.register(b.ID, 1)
-			sendStart := sp.flDispatch.Now()
-			if !sp.sendShard(ctx, 0, b) {
-				return
+		// One shard needs no affinity scan; neither does an empty batch,
+		// which rides to shard 0 so Ordered IDs stay dense.
+		first, mixed := 0, false
+		if n > 1 && len(b.Packets) > 0 {
+			for i := range byShard {
+				byShard[i] = byShard[i][:0]
 			}
-			sp.dispatchSpan(id, live, dStart, sendStart)
-			continue
-		}
-		for i := range byShard {
-			byShard[i] = byShard[i][:0]
-		}
-		first, mixed := -1, false
-		for _, p := range b.Packets {
-			s := sp.shardOf(p, n)
-			if first == -1 {
-				first = s
-			} else if s != first {
-				mixed = true
+			first = sp.shardOf(b.Packets[0], n)
+			for _, p := range b.Packets {
+				s := sp.shardOf(p, n)
+				mixed = mixed || s != first
+				byShard[s] = append(byShard[s], p)
 			}
-			byShard[s] = append(byShard[s], p)
 		}
+		parts = parts[:0]
 		if !mixed {
-			// Zero or one distinct shard: forward the original batch
-			// (empty batches ride to shard 0 so Ordered IDs stay dense).
-			if first == -1 {
-				first = 0
-			}
-			sp.register(b.ID, 1)
-			sendStart := sp.flDispatch.Now()
-			if !sp.sendShard(ctx, first, b) {
-				return
-			}
-			sp.dispatchSpan(id, live, dStart, sendStart)
-			continue
-		}
-		nparts := 0
-		for _, pkts := range byShard {
-			if len(pkts) > 0 {
-				nparts++
+			parts = append(parts, part{first, b})
+		} else {
+			for s, pkts := range byShard {
+				if len(pkts) > 0 {
+					parts = append(parts, part{s, b.Derive(append(make([]*netpkt.Packet, 0, len(pkts)), pkts...))})
+				}
 			}
 		}
-		sp.register(b.ID, nparts)
-		sendStart := sp.flDispatch.Now()
-		for s, pkts := range byShard {
-			if len(pkts) == 0 {
-				continue
-			}
-			sub := b.Derive(append(make([]*netpkt.Packet, 0, len(pkts)), pkts...))
-			if !sp.sendShard(ctx, s, sub) {
+		sp.register(id, len(parts))
+		if obs {
+			sendStart = fl.Now()
+		}
+		for _, pt := range parts {
+			if !sp.sendShard(ctx, pt.shard, pt.b) {
 				return
 			}
 		}
-		sp.dispatchSpan(id, live, dStart, sendStart)
+		if obs {
+			// Split work (affinity scan + sub-batch copies) counts as busy,
+			// blocked shard-inbox sends as stall — a dispatcher waiting on a
+			// slow replica is backpressured, not the bottleneck.
+			end := fl.Now()
+			fl.AddBusy(sendStart - dStart)
+			fl.AddStall(end - sendStart)
+			fl.Span(id, live, dStart, end)
+		}
 	}
-}
-
-// dispatchSpan books one funnel-dispatched batch with the flight recorder:
-// split work (affinity scan + sub-batch copies) counts as busy, blocked
-// shard-inbox sends as stall — a dispatcher waiting on a slow replica is
-// backpressured, not the bottleneck.
-func (sp *ShardedPipeline) dispatchSpan(id uint64, live int, start, sendStart int64) {
-	fl := sp.flDispatch
-	if fl == nil {
-		return
-	}
-	end := fl.Now()
-	fl.AddBusy(sendStart - start)
-	fl.AddStall(end - sendStart)
-	fl.Span(id, live, start, end)
 }
 
 // register records the expected sub-batch count for an in-flight batch ID
@@ -464,9 +445,10 @@ func (sp *ShardedPipeline) InjectShard(ctx context.Context, shard int, b *netpkt
 	if sp.cfg.Ordered {
 		panic("dataplane: InjectShard is incompatible with ShardedConfig.Ordered")
 	}
+	live, bytes := b.LiveBytes()
 	sp.Stats.InBatches.Add(1)
-	sp.Stats.InPackets.Add(uint64(b.Live()))
-	sp.Stats.InBytes.Add(uint64(b.Bytes()))
+	sp.Stats.InPackets.Add(uint64(live))
+	sp.Stats.InBytes.Add(uint64(bytes))
 	if sp.lat != nil {
 		sp.lat.record(b.ID, time.Since(sp.start).Nanoseconds())
 	}
@@ -654,12 +636,10 @@ func (sp *ShardedPipeline) Snapshot() *Report {
 	agg.DropPackets = sp.Stats.DropPackets.Load()
 	agg.InBytes = sp.Stats.InBytes.Load()
 	agg.ElapsedNs = time.Since(sp.start).Nanoseconds()
-	if sp.lat != nil {
-		// The boundary measurement (dispatch→ordered release) supersedes the
-		// merged per-shard histograms: it is the latency an external consumer
-		// of Out() actually observes, dispatcher and merger queueing included.
-		agg.E2E = sp.lat.snapshot()
-	}
+	// The boundary measurement (dispatch→ordered release) is the latency an
+	// external consumer of Out() actually observes, dispatcher and merger
+	// queueing included; the shard reports carry none to merge.
+	agg.E2E = sp.lat.snapshot()
 	return agg
 }
 
@@ -698,11 +678,4 @@ func RunBatchesSharded(ctx context.Context, build func(shard int) (*element.Grap
 		return outs, sp, err
 	}
 	return outs, sp, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -16,6 +16,12 @@
 //   - A loss ledger: every drop/abort path increments a {stage, reason}
 //     counter so total drops always reconcile with the arena audit.
 //
+// Spans and meters follow one observation rule (Observed): every stage
+// counts every batch, and reads the clock and writes a span for one batch
+// ID in Period() only — so an observed batch has a span on every stage it
+// crossed, source to sink, an unobserved one has none, and the Sampler
+// scales a lane's busy and stall time by its counted/observed batch ratio.
+//
 // Every method on Recorder, LaneRecorder, and Ledger is safe on a nil
 // receiver and does nothing, so instrumented hot paths call
 // unconditionally and an absent recorder (Config.Flight == nil) costs one
@@ -23,9 +29,12 @@
 package flight
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
+
+	"nfcompass/internal/stats"
 )
 
 // Stage names used by the built-in instrumentation. Lanes are keyed by
@@ -43,6 +52,25 @@ const (
 	StageDrain     = "drain"     // egress drain / sink consume
 	StagePipeline  = "pipeline"  // whole-pipeline accounting (ledger only)
 )
+
+// observePeriod is the observation rule's period: one batch ID in this many
+// is observed.
+const observePeriod = 16
+
+// Period returns the observation rule's period, for views that name it.
+func Period() int { return observePeriod }
+
+// Observed is the observation rule: whether the stages batch id crosses read
+// the clock and record spans for it. Every timing site of the ingress plane
+// and the dataplane asks it, with or without a recorder, so all of them time
+// the same batches. It observes the lowest 1/period of the ID's Fibonacci
+// hash, not of the ID: IDs reach a lane in strides — NIC steering deals
+// consecutive IDs round-robin over queues, RX workers draw from one shared
+// counter — and a modulus would observe one lane's every batch and another's
+// none. ID 0 is observed, so the shortest run has a sample.
+func Observed(id uint64) bool {
+	return id*0x9E3779B97F4A7C15 <= math.MaxUint64/observePeriod
+}
 
 // Span is one batch's transit through one stage on one lane. Timestamps
 // are nanoseconds since the recorder's origin (Recorder.Now's zero).
@@ -187,14 +215,17 @@ func (r *Recorder) Spans() []Span {
 
 // StageSample is one (stage, lane) row of a recorder snapshot: the
 // cumulative busy/stall meters plus, when a depth probe is registered for
-// the same key, the queue's instantaneous occupancy.
+// the same key, the queue's instantaneous occupancy. Batches counts every
+// batch; Observed the ones recorded as spans, whose time and packets the
+// other three meters hold.
 type StageSample struct {
-	Stage   string `json:"stage"`
-	Lane    int    `json:"lane"`
-	BusyNs  int64  `json:"busy_ns"`
-	StallNs int64  `json:"stall_ns"`
-	Batches uint64 `json:"batches"`
-	Packets uint64 `json:"packets"`
+	Stage    string `json:"stage"`
+	Lane     int    `json:"lane"`
+	BusyNs   int64  `json:"busy_ns"`
+	StallNs  int64  `json:"stall_ns"`
+	Batches  uint64 `json:"batches"`
+	Observed uint64 `json:"observed"`
+	Packets  uint64 `json:"packets"`
 
 	HasQueue bool `json:"has_queue,omitempty"`
 	QueueLen int  `json:"queue_len,omitempty"`
@@ -217,12 +248,13 @@ func (r *Recorder) Samples() []StageSample {
 	for _, l := range lanes {
 		k := laneKey{l.stage, l.lane}
 		s := &StageSample{
-			Stage:   l.stage,
-			Lane:    l.lane,
-			BusyNs:  l.busy.Load(),
-			StallNs: l.stall.Load(),
-			Batches: l.batches.Load(),
-			Packets: l.packets.Load(),
+			Stage:    l.stage,
+			Lane:     l.lane,
+			BusyNs:   int64(l.busy.Load()),
+			StallNs:  int64(l.stall.Load()),
+			Batches:  l.batches.Load(),
+			Observed: l.observed.Load(),
+			Packets:  l.packets.Load(),
 		}
 		byKey[k] = s
 		order = append(order, k)
@@ -257,17 +289,16 @@ func (r *Recorder) Samples() []StageSample {
 // guarded by a lane-local mutex (uncontended in steady state — one
 // goroutine at a time records per lane, a dataplane element's own or its
 // segment head's; the lock only ever contends with a snapshot) plus
-// cumulative busy/stall/batch meters written with single atomic adds. The struct is padded so the meters of adjacent lanes never
-// share a cache line.
+// cumulative busy/stall/batch meters written with single atomic adds, each
+// (stats.Counter) on a cache line of its own, so adjacent lanes' meters
+// never share one.
 type LaneRecorder struct {
 	rec   *Recorder
 	stage string
 	lane  int
 
-	busy    padInt64
-	stall   padInt64
-	batches padUint64
-	packets padUint64
+	busy, stall                stats.Counter // ns
+	batches, observed, packets stats.Counter
 
 	mu    sync.Mutex
 	buf   []Span
@@ -283,14 +314,25 @@ func (l *LaneRecorder) Now() int64 {
 	return l.rec.Now()
 }
 
-// Span records one batch's transit. startNs/endNs are Recorder.Now
-// timestamps. Allocation-free: the span overwrites the oldest slot in the
-// lane's fixed ring.
+// Observe counts one batch on the lane — every batch, one atomic add — and
+// reports whether the caller should clock it and record it (AddBusy,
+// AddStall, Span). False on a nil lane.
+func (l *LaneRecorder) Observe(batch uint64) bool {
+	if l == nil {
+		return false
+	}
+	l.batches.Add(1)
+	return Observed(batch)
+}
+
+// Span records one observed batch's transit. startNs/endNs are
+// Recorder.Now timestamps. Allocation-free: the span overwrites the oldest
+// slot in the lane's fixed ring.
 func (l *LaneRecorder) Span(batch uint64, packets int, startNs, endNs int64) {
 	if l == nil {
 		return
 	}
-	l.batches.Add(1)
+	l.observed.Add(1)
 	l.packets.Add(uint64(packets))
 	l.mu.Lock()
 	l.buf[l.next] = Span{
@@ -309,14 +351,14 @@ func (l *LaneRecorder) Span(batch uint64, packets int, startNs, endNs int64) {
 	l.mu.Unlock()
 }
 
-// AddBusy accrues ns of productive work on this lane. Busy time drives
-// the sampler's utilization estimate; backpressure waits belong in
+// AddBusy accrues ns of productive work on an observed batch. Busy time
+// drives the sampler's utilization estimate; backpressure waits belong in
 // AddStall, not here, or the blocked stage masquerades as the bottleneck.
 func (l *LaneRecorder) AddBusy(ns int64) {
 	if l == nil || ns <= 0 {
 		return
 	}
-	l.busy.Add(ns)
+	l.busy.Add(uint64(ns))
 }
 
 // AddStall accrues ns spent blocked on a downstream stage (ring full,
@@ -325,7 +367,7 @@ func (l *LaneRecorder) AddStall(ns int64) {
 	if l == nil || ns <= 0 {
 		return
 	}
-	l.stall.Add(ns)
+	l.stall.Add(uint64(ns))
 }
 
 // appendSpans copies the lane's surviving spans (oldest first) onto dst.

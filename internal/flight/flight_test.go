@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -43,8 +44,43 @@ func TestLaneRingKeepsTail(t *testing.T) {
 	if spans[0].Batch != 6 || spans[3].Batch != 9 {
 		t.Fatalf("ring did not keep the newest tail: %+v", spans)
 	}
-	if got := l.batches.Load(); got != 10 {
-		t.Fatalf("batch meter = %d, want 10 (meters count all, ring keeps tail)", got)
+	if got := l.packets.Load(); got != 10 {
+		t.Fatalf("packet meter = %d, want 10 (meters count all, ring keeps tail)", got)
+	}
+}
+
+// TestObserveCountsEveryBatch: Observe counts every batch, selects one ID
+// in Period() whatever stride the IDs reach the lane in (NIC steering and
+// the RX workers' shared counter both deal IDs out in strides), and agrees
+// with the package-level rule a recorder-less plane asks.
+func TestObserveCountsEveryBatch(t *testing.T) {
+	if !Observed(0) {
+		t.Fatal("ID 0 is not observed: a one-batch run would have no sample")
+	}
+	r := New(Config{})
+	const n = 1 << 14
+	for _, stride := range []uint64{1, 2, 3, 4, 8, 16} {
+		for off := uint64(0); off < stride; off++ {
+			l := r.Lane(StageRX, int(stride*100+off))
+			var seen, hit uint64
+			for id := off; id < n; id += stride {
+				seen++
+				if got := l.Observe(id); got != Observed(id) {
+					t.Fatalf("Observe(%d) = %v, Observed = %v", id, got, !got)
+				} else if got {
+					hit++
+					l.Span(id, 1, 0, 0)
+				}
+			}
+			if l.batches.Load() != seen || l.observed.Load() != hit {
+				t.Fatalf("stride %d+%d: meters %d/%d, want %d/%d", stride, off,
+					l.batches.Load(), l.observed.Load(), seen, hit)
+			}
+			// Within 10 % of 1/Period on every residue class of every stride.
+			if want := float64(seen) / float64(Period()); math.Abs(float64(hit)-want) > 0.1*want {
+				t.Errorf("stride %d+%d: observed %d of %d, want %.0f ± 10 %%", stride, off, hit, seen, want)
+			}
+		}
 	}
 }
 
@@ -95,6 +131,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			l := r.Lane(StageRX, w)
 			for i := 0; i < 1000; i++ {
+				l.Observe(uint64(i))
 				t0 := l.Now()
 				l.AddBusy(10)
 				l.Span(uint64(i), 4, t0, l.Now())
@@ -244,10 +281,12 @@ func TestRecorderAllocs(t *testing.T) {
 	c := r.Ledger().Counter(StageInject, ReasonInjectRefused)
 	var batch uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		t0 := l.Now()
-		l.AddBusy(50)
-		l.AddStall(5)
-		l.Span(batch, 64, t0, l.Now())
+		if l.Observe(batch) {
+			t0 := l.Now()
+			l.AddBusy(50)
+			l.AddStall(5)
+			l.Span(batch, 64, t0, l.Now())
+		}
 		c.Inc()
 		batch++
 	})

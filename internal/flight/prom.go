@@ -33,26 +33,26 @@ func (r *Recorder) WritePrometheus(w io.Writer) {
 	}
 
 	if metered > 0 {
-		stats.PromHeader(w, "nfcompass_flight_spans_total", "counter",
-			"Batch lifecycle spans recorded per stage lane.")
-		eachMetered(rows, func(s *StageSample, l stats.Labels) {
-			stats.PromCounter(w, "nfcompass_flight_spans_total", l, s.Batches)
-		})
-		stats.PromHeader(w, "nfcompass_flight_stage_packets_total", "counter",
-			"Packets carried by recorded spans per stage lane.")
-		eachMetered(rows, func(s *StageSample, l stats.Labels) {
-			stats.PromCounter(w, "nfcompass_flight_stage_packets_total", l, s.Packets)
-		})
-		stats.PromHeader(w, "nfcompass_flight_stage_busy_ns_total", "counter",
-			"Cumulative productive nanoseconds per stage lane.")
-		eachMetered(rows, func(s *StageSample, l stats.Labels) {
-			stats.PromCounter(w, "nfcompass_flight_stage_busy_ns_total", l, uint64(s.BusyNs))
-		})
-		stats.PromHeader(w, "nfcompass_flight_stage_stall_ns_total", "counter",
-			"Cumulative nanoseconds blocked on a downstream stage per stage lane.")
-		eachMetered(rows, func(s *StageSample, l stats.Labels) {
-			stats.PromCounter(w, "nfcompass_flight_stage_stall_ns_total", l, uint64(s.StallNs))
-		})
+		for _, f := range []struct {
+			name, help string
+			val        func(*StageSample) uint64
+		}{
+			{"nfcompass_flight_spans_total", "Batches counted per stage lane (every batch, exact).",
+				func(s *StageSample) uint64 { return s.Batches }},
+			{"nfcompass_flight_observed_batches_total", "Batches timed and recorded as spans per stage lane: the sample behind the busy, stall and utilization series.",
+				func(s *StageSample) uint64 { return s.Observed }},
+			{"nfcompass_flight_stage_packets_total", "Packets carried by recorded spans per stage lane.",
+				func(s *StageSample) uint64 { return s.Packets }},
+			{"nfcompass_flight_stage_busy_ns_total", "Productive nanoseconds of the observed batches per stage lane.",
+				func(s *StageSample) uint64 { return uint64(s.BusyNs) }},
+			{"nfcompass_flight_stage_stall_ns_total", "Nanoseconds the observed batches spent blocked on a downstream stage per stage lane.",
+				func(s *StageSample) uint64 { return uint64(s.StallNs) }},
+		} {
+			stats.PromHeader(w, f.name, "counter", f.help)
+			eachMetered(rows, func(s *StageSample, l stats.Labels) {
+				stats.PromCounter(w, f.name, l, f.val(s))
+			})
+		}
 	}
 	if queued > 0 {
 		stats.PromHeader(w, "nfcompass_flight_queue_depth", "gauge",

@@ -18,16 +18,25 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // every character the exposition format requires escaping.
 func goldenRecorder() *Recorder {
 	r := New(Config{SpansPerLane: 8})
+	// Three batches cross every lane; the rule observes ID 0 of them, so
+	// the exact and the observed series differ.
 	read := r.Lane(StageRead, 0)
-	read.Span(1, 64, 1000, 2000)
-	read.AddBusy(900)
-	read.AddStall(100)
 	rx := r.Lane(StageRX, 1)
-	rx.Span(1, 64, 2000, 2500)
-	rx.AddBusy(450)
 	el := r.Lane(`nf:back\slash`, 0)
-	el.Span(1, 64, 2500, 2600)
-	el.AddBusy(100)
+	for id := uint64(0); id < 3; id++ {
+		rx.Observe(id)
+		el.Observe(id)
+		if !read.Observe(id) {
+			continue
+		}
+		read.Span(id, 64, 1000, 2000)
+		read.AddBusy(900)
+		read.AddStall(100)
+		rx.Span(id, 64, 2000, 2500)
+		rx.AddBusy(450)
+		el.Span(id, 64, 2500, 2600)
+		el.AddBusy(100)
+	}
 	r.Lane("nf:quo\"ted", 0).AddBusy(50)
 	r.AddQueue(StageRing, 0, func() (int, int) { return 5, 64 })
 	r.AddQueue(StageShard, 1, func() (int, int) { return 2, 16 })
@@ -116,6 +125,7 @@ func TestFlightPrometheusHeaders(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"nfcompass_flight_spans_total",
+		"nfcompass_flight_observed_batches_total",
 		"nfcompass_flight_stage_packets_total",
 		"nfcompass_flight_stage_busy_ns_total",
 		"nfcompass_flight_stage_stall_ns_total",

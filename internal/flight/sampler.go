@@ -22,7 +22,9 @@ const depthWindow = 32
 //
 //   - utilization: Δbusy / (Δwall), the busy fraction of the tick — the
 //     utilization-law input;
-//   - stall fraction: Δstall / Δwall, time blocked on downstream;
+//   - stall fraction: Δstall / Δwall, time blocked on downstream — both
+//     scaled by the lane's counted/observed batch ratio, because the meters
+//     hold the time of observed batches only (see Observed);
 //   - queue occupancy: instantaneous depth, fill-ratio histogram, and a
 //     trailing-window growth rate (a persistently growing queue marks its
 //     consumer as the limiting stage even before utilization saturates).
@@ -183,8 +185,15 @@ func (s *Sampler) Sample() {
 		if wall <= 0 {
 			continue
 		}
-		util := float64(row.BusyNs-ls.lastBusy) / float64(wall)
-		stall := float64(row.StallNs-ls.lastStall) / float64(wall)
+		// The meters hold observed batches' time; the lane's own ratio of
+		// counted to observed batches (≈ Period, exactly what its IDs drew)
+		// makes them an estimate over every batch.
+		scale := 1.0
+		if row.Observed > 0 && row.Batches > row.Observed {
+			scale = float64(row.Batches) / float64(row.Observed)
+		}
+		util := scale * float64(row.BusyNs-ls.lastBusy) / float64(wall)
+		stall := scale * float64(row.StallNs-ls.lastStall) / float64(wall)
 		if util < 0 {
 			util = 0
 		}

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -62,6 +63,47 @@ func TestSamplerUtilizationAndReport(t *testing.T) {
 	}
 	if rep.String() == "" || rep.Ticks != 3 {
 		t.Fatalf("report render/ticks wrong: ticks=%d", rep.Ticks)
+	}
+}
+
+// TestSamplerScalesBusy: a lane that works half the wall clock but, by the
+// observation rule, times one batch in Period() still reads 0.5 utilization
+// — the sampler scales the observed time by the lane's counted/observed
+// batch ratio. The recorder's clock is moved by hand, so the result does not
+// depend on how this machine schedules the test.
+func TestSamplerScalesBusy(t *testing.T) {
+	r := New(Config{})
+	l := r.Lane(StageRX, 0)
+	s := NewSampler(r, time.Hour) // manual ticks only
+	advance := func(d time.Duration) { r.origin = r.origin.Add(-d) }
+	const batches, work, idle = 1024, 100 * time.Microsecond, 100 * time.Microsecond
+	for id := uint64(0); id < batches; id++ {
+		var t0 int64
+		obs := l.Observe(id)
+		if obs {
+			t0 = l.Now()
+		}
+		advance(work)
+		if obs {
+			t1 := l.Now()
+			l.AddBusy(t1 - t0)
+			l.Span(id, 64, t0, t1)
+		}
+		advance(idle)
+		if id%256 == 255 {
+			s.Sample()
+		}
+	}
+	row := r.Samples()[0]
+	if row.Batches != batches || row.Observed == 0 || row.Observed > batches/8 {
+		t.Fatalf("lane counted %d batches, observed %d; want %d and about 1 in %d", row.Batches, row.Observed, batches, Period())
+	}
+	if raw := float64(row.BusyNs) / float64(r.Now()); raw > 0.1 {
+		t.Fatalf("unscaled busy share %.3f: the lane timed more than the observed batches", raw)
+	}
+	rep := s.Report()
+	if rep.Limiting != StageRX || math.Abs(rep.LimitingUtil-0.5) > 0.1 {
+		t.Fatalf("utilization %.3f of %q, want 0.5 ± 0.1\n%s", rep.LimitingUtil, rep.Limiting, rep)
 	}
 }
 

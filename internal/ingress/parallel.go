@@ -68,8 +68,8 @@ func ParallelDrain(sp *dataplane.ShardedPipeline, sink Sink) func() (outPackets,
 }
 
 // parallelDrain is ParallelDrain plus flight instrumentation: each shard's
-// drain goroutine owns one drain-stage lane (span + busy meter per sink
-// call) and sink errors are booked in the loss ledger.
+// drain goroutine owns one drain-stage lane (drainTo) and sink errors are
+// booked in the loss ledger.
 func parallelDrain(sp *dataplane.ShardedPipeline, sink Sink, rec *flight.Recorder) func() (outPackets, drops uint64, err error) {
 	shards := sp.NumShards()
 	ctrs := make([]drainCounters, shards)
@@ -88,18 +88,11 @@ func parallelDrain(sp *dataplane.ShardedPipeline, sink Sink, rec *flight.Recorde
 			dl := rec.Lane(flight.StageDrain, q)
 			for b := range sp.OutShard(q) {
 				live := uint64(b.Live())
-				id := b.ID
 				c.out.Add(live)
 				c.drops.Add(uint64(b.Len()) - live)
-				t0 := dl.Now()
-				if err := consume(b); err != nil {
+				if err := drainTo(dl, b, live, consume); err != nil {
 					errOnce.Do(func() { sinkErr = err })
 					ledger.Add(flight.StageDrain, flight.ReasonSinkError, live)
-				}
-				if dl != nil {
-					t1 := dl.Now()
-					dl.AddBusy(t1 - t0)
-					dl.Span(id, int(live), t0, t1)
 				}
 			}
 		}(q)
@@ -130,9 +123,10 @@ func sinkConsumer(sink Sink) func(*netpkt.Batch) error {
 	}
 }
 
-// mergedDrain consumes the pipeline's single merged output — the egress
-// shape for pipelines built without ShardOut, so parallel ingress does not
-// depend on per-shard egress.
+// mergedDrain consumes the pipeline's single merged output on one goroutine:
+// the classic pump's egress, and the parallel pump's for pipelines built
+// without ShardOut, so parallel ingress does not depend on per-shard egress.
+// Counts are taken before the sink consumes (it may release the batch).
 func mergedDrain(sp *dataplane.ShardedPipeline, sink Sink, rec *flight.Recorder) func() (uint64, uint64, error) {
 	done := make(chan struct{})
 	var out, drops uint64
@@ -141,22 +135,16 @@ func mergedDrain(sp *dataplane.ShardedPipeline, sink Sink, rec *flight.Recorder)
 	go func() {
 		defer close(done)
 		dl := rec.Lane(flight.StageDrain, 0)
+		consume := sink.Consume
 		for b := range sp.Out() {
 			live := uint64(b.Live())
-			id := b.ID
 			out += live
 			drops += uint64(b.Len()) - live
-			t0 := dl.Now()
-			if err := sink.Consume(b); err != nil {
+			if err := drainTo(dl, b, live, consume); err != nil {
 				if sinkErr == nil {
 					sinkErr = err
 				}
 				ledger.Add(flight.StageDrain, flight.ReasonSinkError, live)
-			}
-			if dl != nil {
-				t1 := dl.Now()
-				dl.AddBusy(t1 - t0)
-				dl.Span(id, int(live), t0, t1)
 			}
 		}
 	}()
@@ -329,11 +317,17 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 			}
 			myRings := rings[r]
 			rl := rec.Lane(flight.StageRead, r)
+			// A reader's batches never reach a shard as such, so its lane
+			// numbers them itself and applies the rule to that number.
 			var seq uint64
 			buf := make([]*netpkt.Packet, 0, cfg.BatchSize)
 			var qs []int
 			for {
-				loopStart := rl.Now()
+				obs := rl.Observe(seq)
+				var loopStart, readEnd int64
+				if obs {
+					loopStart = rl.Now()
+				}
 				buf = buf[:0]
 				var rdErr error
 				for len(buf) < cfg.BatchSize {
@@ -360,10 +354,10 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 					break
 				}
 				qs = cfg.NIC.QueueBatch(buf, qs[:0])
-				readEnd := rl.Now()
-				if rl != nil {
+				if obs {
 					// Busy covers read + RSS classify; the ring-push loop
 					// below is backpressure and accrues as stall.
+					readEnd = rl.Now()
 					rl.AddBusy(readEnd - loopStart)
 				}
 				aborted := false
@@ -376,12 +370,12 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 						break
 					}
 				}
-				if rl != nil {
+				if obs {
 					pushEnd := rl.Now()
 					rl.AddStall(pushEnd - readEnd)
 					rl.Span(seq, len(buf), loopStart, pushEnd)
-					seq++
 				}
+				seq++
 				if aborted {
 					break
 				}
@@ -417,20 +411,24 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 			// the lazy TTL sweep parallelizes without double-visiting.
 			expLo := q * cfg.FlowStripes / queues
 			expHi := (q + 1) * cfg.FlowStripes / queues
+			// cur takes its ID when its first packet is popped, so the rule
+			// is known for the whole of its life: obs is whether cur is
+			// observed, batchStart when it was opened if so.
 			var cur *netpkt.Batch
-			var batchStart int64 // recorder ns when cur was opened
-			var flAcc int64      // inject+conntrack ns inside the current sweep
+			var obs bool
+			var batchStart int64
 			flush := func() bool {
-				if cur == nil || len(cur.Packets) == 0 {
+				if cur == nil {
 					return true
 				}
-				n := len(cur.Packets)
-				cur.ID = nextID.Add(1) - 1
-				id := cur.ID
-				injStart := il.Now()
-				if wl != nil {
-					// The rx span covers building this batch: first pop to
-					// handoff.
+				n, id := len(cur.Packets), cur.ID
+				var injStart int64
+				if obs {
+					// The rx span covers building this batch, first pop to
+					// handoff, and that is the worker's busy time: pops,
+					// conntrack touches and the appends.
+					injStart = wl.Now()
+					wl.AddBusy(injStart - batchStart)
 					wl.Span(id, n, batchStart, injStart)
 				}
 				if !sp.InjectShard(ctx, q, cur) {
@@ -443,22 +441,22 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 					return false
 				}
 				cur = nil
-				if il != nil {
-					injEnd := il.Now()
+				il.Observe(id)
+				var injEnd int64
+				if obs {
 					// Shard-inbox wait is backpressure, not work.
+					injEnd = il.Now()
 					il.AddStall(injEnd - injStart)
 					il.Span(id, n, injStart, injEnd)
-					flAcc += injEnd - injStart
 				}
 				ws.batches.Add(1)
 				if cfg.FlowTTL > 0 {
-					ct0 := cl.Now()
+					cl.Observe(id)
 					ft.ExpireTailRange(expLo, expHi, cfg.ExpiryBudget)
-					if cl != nil {
+					if obs {
 						ct1 := cl.Now()
-						cl.AddBusy(ct1 - ct0)
-						cl.Span(id, 0, ct0, ct1)
-						flAcc += ct1 - ct0
+						cl.AddBusy(ct1 - injEnd)
+						cl.Span(id, 0, injEnd, ct1)
 					}
 				}
 				if n := int64(ft.Len()); n > ws.peak.Load() {
@@ -468,11 +466,6 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 			}
 			idle := 0
 			for {
-				var sweepStart int64
-				if wl != nil {
-					sweepStart = wl.Now()
-					flAcc = 0
-				}
 				got := 0
 				for r := range rings {
 					ring := rings[r][q]
@@ -489,7 +482,10 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 						ws.bytes.Add(uint64(len(p.Data)))
 						if cur == nil {
 							cur = arena.GetBatch(cfg.BatchSize)
-							batchStart = wl.Now()
+							cur.ID = nextID.Add(1) - 1
+							if obs = wl.Observe(cur.ID); obs {
+								batchStart = wl.Now()
+							}
 						}
 						cur.Packets = append(cur.Packets, p)
 						if len(cur.Packets) >= cfg.BatchSize {
@@ -502,13 +498,6 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 					}
 				}
 				if got > 0 {
-					if wl != nil {
-						// Worker busy is the sweep minus time attributed to
-						// the inject and conntrack stages.
-						if d := wl.Now() - sweepStart - flAcc; d > 0 {
-							wl.AddBusy(d)
-						}
-					}
 					idle = 0
 					continue
 				}
@@ -562,22 +551,7 @@ func pumpParallel(ctx context.Context, src Source, sp *dataplane.ShardedPipeline
 			st.PeakFlows = p
 		}
 	}
-	st.ExpiredFlows, st.EvictedFlows = ft.Expired(), ft.Evictions()
 	st.OutPackets, st.Drops = out, drops
-	st.Duration = time.Since(start)
-	if s := st.Duration.Seconds(); s > 0 {
-		st.PPS = float64(st.Packets) / s
-	}
-	if sp.MetricsEnabled() {
-		st.P99 = time.Duration(sp.E2E().Percentile(99))
-		st.E2EMeasured = true
-	}
-	// Worker-counted packets that neither left the pipeline nor were
-	// released by a worker abort were stranded inside it by cancellation.
-	// (Reader-released and ring-abandoned packets never reach the worker
-	// counters; their ledger rows attribute loss beyond st.Packets.)
-	if stranded := int64(st.Packets) - int64(out) - int64(drops) - int64(released); stranded > 0 {
-		ledger.Add(flight.StagePipeline, flight.ReasonCanceled, uint64(stranded))
-	}
+	st.finish(start, ft, sp, released, ledger)
 	return st, runErr
 }

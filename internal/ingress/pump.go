@@ -55,10 +55,11 @@ type PumpConfig struct {
 	RingSize int
 	// Flight, when non-nil, threads the pipeline flight recorder through
 	// the ingress plane: readers, RX workers, conntrack sweeps, shard
-	// injection, and drains record lifecycle spans and busy/stall meters,
-	// the SPSC rings register depth probes, and every drop/abort path
-	// books its packets in the loss ledger. Nil disables all of it at the
-	// cost of one nil check per site.
+	// injection, and drains count every batch and record lifecycle spans
+	// and busy/stall time for the observed ones (flight.Observed), the SPSC
+	// rings register depth probes, and every drop/abort path books its
+	// packets in the loss ledger. Nil disables all of it at the cost of one
+	// nil check per site.
 	Flight *flight.Recorder
 }
 
@@ -110,6 +111,48 @@ func (st *PumpStats) String() string {
 		st.E2ELabel(), st.Readers, st.Workers)
 }
 
+// finish fills in what both pumps derive once the pipeline has drained: the
+// flow ledger's exits, the rate, the boundary's p99 and the packets stranded
+// by cancellation. released counts packets that are in st.Packets but that
+// the pump released itself.
+func (st *PumpStats) finish(start time.Time, ft *flowtable.Sharded[struct{}],
+	sp *dataplane.ShardedPipeline, released uint64, ledger *flight.Ledger) {
+	st.ExpiredFlows, st.EvictedFlows = ft.Expired(), ft.Evictions()
+	st.Duration = time.Since(start)
+	if s := st.Duration.Seconds(); s > 0 {
+		st.PPS = float64(st.Packets) / s
+	}
+	if sp.MetricsEnabled() {
+		st.P99 = time.Duration(sp.E2E().Percentile(99))
+		st.E2EMeasured = true
+	}
+	// Anything counted in but neither emitted, dropped in the pipeline nor
+	// released by the pump was stranded inside it by cancellation — book it
+	// so the ledger reconciles exactly:
+	//   Packets == OutPackets + Drops + ledger.Total()  (sink errors aside,
+	//   which attribute packets already counted as emitted; on the parallel
+	//   plane, reader-released and ring-abandoned packets never reach
+	//   st.Packets and their ledger rows attribute loss beyond it).
+	if stranded := int64(st.Packets) - int64(st.OutPackets) - int64(st.Drops) - int64(released); stranded > 0 {
+		ledger.Add(flight.StagePipeline, flight.ReasonCanceled, uint64(stranded))
+	}
+}
+
+// drainTo hands one output batch to the sink on a drain lane: counted on
+// every batch, clocked and recorded as a span when it is observed. live is
+// the batch's live count, taken before the sink may release it.
+func drainTo(dl *flight.LaneRecorder, b *netpkt.Batch, live uint64, consume func(*netpkt.Batch) error) error {
+	if !dl.Observe(b.ID) {
+		return consume(b)
+	}
+	id, t0 := b.ID, dl.Now()
+	err := consume(b)
+	t1 := dl.Now()
+	dl.AddBusy(t1 - t0)
+	dl.Span(id, int(live), t0, t1)
+	return err
+}
+
 // Pump replays a source through a sharded pipeline until the source is
 // exhausted (io.EOF) or ctx is cancelled, then drains and returns the run's
 // statistics. Pump owns the pipeline lifecycle: sp must be built
@@ -158,40 +201,15 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 	sp.Start(ctx)
 
 	// Flight lanes (all nil-safe when cfg.Flight is nil): the single
-	// reader owns lane 0 of the read/inject/conntrack stages; the drain
-	// goroutine owns lane 0 of the drain stage.
+	// reader owns lane 0 of the read/inject/conntrack stages.
 	rec := cfg.Flight
 	readLane := rec.Lane(flight.StageRead, 0)
 	injLane := rec.Lane(flight.StageInject, 0)
 	ctLane := rec.Lane(flight.StageConntrack, 0)
-	drainLane := rec.Lane(flight.StageDrain, 0)
 	ledger := rec.Ledger()
 
-	// Drain concurrently with injection; counts are taken before the sink
-	// consumes (it may release the batch).
-	var sinkErr error
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for b := range sp.Out() {
-			live := uint64(b.Live())
-			id, total := b.ID, uint64(b.Len())
-			st.OutPackets += live
-			st.Drops += total - live
-			t0 := drainLane.Now()
-			if err := sink.Consume(b); err != nil {
-				if sinkErr == nil {
-					sinkErr = err
-				}
-				ledger.Add(flight.StageDrain, flight.ReasonSinkError, live)
-			}
-			if drainLane != nil {
-				t1 := drainLane.Now()
-				drainLane.AddBusy(t1 - t0)
-				drainLane.Span(id, int(live), t0, t1)
-			}
-		}
-	}()
+	// Drain concurrently with injection.
+	drain := mergedDrain(sp, sink, rec)
 
 	var (
 		pkts      = make([]*netpkt.Packet, 0, cfg.BatchSize)
@@ -199,40 +217,50 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 		nextID    uint64
 		runErr    error
 		released  uint64 // packets counted in st.Packets but released by the pump
-		readStart = readLane.Now()
+		readStart int64  // when reading batch nextID began, if it is observed
 	)
+	if flight.Observed(nextID) {
+		readStart = readLane.Now()
+	}
 	if cfg.NIC != nil {
 		byQueue = make([][]*netpkt.Packet, cfg.NIC.Queues())
 	}
 
+	// abort books packets a flush released instead of injecting.
+	abort := func(reason string, lost int) bool {
+		ledger.Add(flight.StageInject, reason, uint64(lost))
+		released += uint64(lost)
+		pkts = pkts[:0]
+		return false
+	}
 	flush := func() bool {
 		if len(pkts) == 0 {
 			return true
 		}
 		n := len(pkts)
-		flushStart := readLane.Now()
-		if readLane != nil {
+		// One flush is one batch to the read, inject and conntrack lanes,
+		// filed under the first ID it injects (its only one off NIC
+		// steering); an observed flush pays four clock reads, any other none.
+		id := nextID
+		obs := readLane.Observe(id)
+		var flushStart int64
+		if obs {
 			// The read span covers accumulating this batch from the
 			// source (including any source pacing) plus RSS classify.
+			flushStart = readLane.Now()
 			readLane.AddBusy(flushStart - readStart)
-			readLane.Span(nextID, n, readStart, flushStart)
+			readLane.Span(id, n, readStart, flushStart)
 		}
 		if ctx.Err() != nil {
 			// Don't race the send against a done context: with buffered
 			// shard queues the send can win even though every worker has
 			// already exited, stranding the batch in a pipeline that will
 			// never drain it. Packets not yet accepted are still ours.
-			for _, p := range pkts {
-				netpkt.PutPacket(p)
-			}
-			ledger.Add(flight.StageInject, flight.ReasonCtxCanceled, uint64(n))
-			released += uint64(n)
-			pkts = pkts[:0]
-			return false
+			releaseAll(pkts)
+			return abort(flight.ReasonCtxCanceled, n)
 		}
 		if cfg.NIC == nil {
-			b := netpkt.NewBatch(nextID, append(make([]*netpkt.Packet, 0, len(pkts)), pkts...))
-			id := nextID
+			b := netpkt.NewBatch(id, append(make([]*netpkt.Packet, 0, len(pkts)), pkts...))
 			nextID++
 			select {
 			case sp.In() <- b:
@@ -240,18 +268,9 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 				// The batch never entered the pipeline; it is still ours
 				// to release or the packets leak out of their arenas.
 				b.Release()
-				ledger.Add(flight.StageInject, flight.ReasonCtxCanceled, uint64(n))
-				released += uint64(n)
-				pkts = pkts[:0]
-				return false
+				return abort(flight.ReasonCtxCanceled, n)
 			}
 			st.Batches++
-			if injLane != nil {
-				injEnd := injLane.Now()
-				// Funnel wait is backpressure, not productive work.
-				injLane.AddStall(injEnd - flushStart)
-				injLane.Span(id, n, flushStart, injEnd)
-			}
 		} else {
 			for q := range byQueue {
 				byQueue[q] = byQueue[q][:0]
@@ -260,7 +279,6 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 				q := cfg.NIC.Queue(p)
 				byQueue[q] = append(byQueue[q], p)
 			}
-			firstID := nextID
 			for q, qp := range byQueue {
 				if len(qp) == 0 {
 					continue
@@ -273,41 +291,41 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 					// Injection refused (ctx cancelled): this sub-batch and
 					// every later queue's packets are still ours — release
 					// them so the arenas balance.
-					lost := uint64(len(sb.Packets))
+					lost := len(sb.Packets)
 					sb.Release()
 					for _, rest := range byQueue[q+1:] {
-						lost += uint64(len(rest))
-						for _, p := range rest {
-							netpkt.PutPacket(p)
-						}
+						lost += len(rest)
+						releaseAll(rest)
 					}
-					ledger.Add(flight.StageInject, flight.ReasonInjectRefused, lost)
-					released += lost
-					pkts = pkts[:0]
-					return false
+					return abort(flight.ReasonInjectRefused, lost)
 				}
 				st.Batches++
 			}
-			if injLane != nil {
-				injEnd := injLane.Now()
-				injLane.AddStall(injEnd - flushStart)
-				injLane.Span(firstID, n, flushStart, injEnd)
-			}
 		}
 		pkts = pkts[:0]
+		injLane.Observe(id)
+		var injEnd int64
+		if obs {
+			// Funnel or shard-inbox wait is backpressure, not productive work.
+			injEnd = injLane.Now()
+			injLane.AddStall(injEnd - flushStart)
+			injLane.Span(id, n, flushStart, injEnd)
+		}
 		if cfg.FlowTTL > 0 {
-			ct0 := ctLane.Now()
+			ctLane.Observe(id)
 			ft.ExpireTail(cfg.ExpiryBudget)
-			if ctLane != nil {
+			if obs {
 				ct1 := ctLane.Now()
-				ctLane.AddBusy(ct1 - ct0)
-				ctLane.Span(nextID, 0, ct0, ct1)
+				ctLane.AddBusy(ct1 - injEnd)
+				ctLane.Span(id, 0, injEnd, ct1)
 			}
 		}
 		if n := ft.Len(); n > st.PeakFlows {
 			st.PeakFlows = n
 		}
-		readStart = readLane.Now()
+		if flight.Observed(nextID) {
+			readStart = readLane.Now()
+		}
 		return true
 	}
 
@@ -349,14 +367,13 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 		// release them rather than stranding them outside their arenas.
 		ledger.Add(flight.StageRead, flight.ReasonSourceError, uint64(len(pkts)))
 		released += uint64(len(pkts))
-		for _, p := range pkts {
-			netpkt.PutPacket(p)
-		}
+		releaseAll(pkts)
 		pkts = pkts[:0]
 	}
 
 	sp.CloseInput()
-	<-drained
+	var sinkErr error
+	st.OutPackets, st.Drops, sinkErr = drain()
 	if err := sp.Wait(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -364,23 +381,7 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 		runErr = sinkErr
 	}
 
-	st.ExpiredFlows, st.EvictedFlows = ft.Expired(), ft.Evictions()
-	st.Duration = time.Since(start)
-	if s := st.Duration.Seconds(); s > 0 {
-		st.PPS = float64(st.Packets) / s
-	}
-	if sp.MetricsEnabled() {
-		st.P99 = time.Duration(sp.E2E().Percentile(99))
-		st.E2EMeasured = true
-	}
-	// Anything read and injected but neither emitted nor counted as an
-	// in-pipeline drop was stranded by cancellation inside the pipeline —
-	// book it so the ledger reconciles exactly:
-	//   Packets == OutPackets + Drops + ledger.Total()  (sink errors aside,
-	//   which attribute packets that were already counted as emitted).
-	if stranded := int64(st.Packets) - int64(st.OutPackets) - int64(st.Drops) - int64(released); stranded > 0 {
-		ledger.Add(flight.StagePipeline, flight.ReasonCanceled, uint64(stranded))
-	}
+	st.finish(start, ft, sp, released, ledger)
 	st.Readers = 1
 	return st, runErr
 }

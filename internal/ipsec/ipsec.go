@@ -115,6 +115,11 @@ func (sa *SA) Seal(dst, plaintext []byte) ([]byte, error) {
 	return dst[:len(dst)+n], nil
 }
 
+// SetSeq sets the outbound sequence counter to the last number sent: the
+// next Seal carries seq+1. It restores a saved SA, and lets a test reach
+// ErrSeqExhausted without 2³² seals.
+func (sa *SA) SetSeq(seq uint32) { sa.seq = seq }
+
 // sum returns the truncated HMAC of b in SA-owned scratch, valid until the
 // next call.
 func (sa *SA) sum(b []byte) []byte {

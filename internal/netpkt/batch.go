@@ -71,6 +71,18 @@ func (b *Batch) Bytes() int {
 	return n
 }
 
+// LiveBytes returns Live and Bytes from one pass over the batch, for the
+// input boundaries that book both on every batch.
+func (b *Batch) LiveBytes() (live, bytes int) {
+	for _, p := range b.Packets {
+		if !p.Dropped {
+			live++
+			bytes += len(p.Data)
+		}
+	}
+	return live, bytes
+}
+
 // SplitBy partitions the batch into sub-batches keyed by class(p), in
 // first-seen class order. Dropped packets are omitted. This models the
 // batch re-organization an element branch forces on the framework; the

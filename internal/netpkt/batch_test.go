@@ -71,6 +71,9 @@ func TestBatchCounters(t *testing.T) {
 	if b.Live() != 4 {
 		t.Errorf("Live after drop = %d", b.Live())
 	}
+	if live, bytes := b.LiveBytes(); live != b.Live() || bytes != b.Bytes() {
+		t.Errorf("LiveBytes = %d, %d; Live, Bytes = %d, %d", live, bytes, b.Live(), b.Bytes())
+	}
 }
 
 func TestBatchFilter(t *testing.T) {

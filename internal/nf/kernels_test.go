@@ -6,6 +6,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -276,5 +277,71 @@ func TestIPsecSealKeepsOptionHeaderValid(t *testing.T) {
 		if p.L4Proto != tc.proto || !netpkt.IPv4HeaderChecksumOK(p.L3()) {
 			t.Errorf("%s: delivered packet: proto %d, checksum ok = %v", tc.name, p.L4Proto, netpkt.IPv4HeaderChecksumOK(p.L3()))
 		}
+	}
+}
+
+// An SA whose sequence space runs out mid-batch costs exactly the packets it
+// can no longer number: each is dropped under the element's name and booked
+// once, the packets before it seal normally, and Reset re-arms the element's
+// counters — not the SA, which stays spent until it is replaced.
+func TestIPsecSealSequenceExhausted(t *testing.T) {
+	gw := NewIPsecGateway("ipsec", 0x99, []byte("0123456789abcdef"), []byte("auth"))
+	g, _, dst := BuildChain([]*NF{gw})
+	var e *IPsecSeal
+	for i := 0; i < g.Len(); i++ {
+		if s, ok := g.Node(element.NodeID(i)).(*IPsecSeal); ok {
+			e = s
+		}
+	}
+	x, err := element.NewExecutor(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	e.sa.SetSeq(math.MaxUint32 - (n - 1)) // room for all but the last packet
+	b := testBatch(n, 64)
+	plain := len(b.Packets[0].Data)
+	out, err := x.RunBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[dst][0].Live(); got != n-1 {
+		t.Fatalf("%d packets delivered, want %d", got, n-1)
+	}
+	for i, p := range b.Packets[:n-1] {
+		seq := binary.BigEndian.Uint32(p.Data[p.L4Offset+4:])
+		if p.Dropped || p.L4Proto != netpkt.IPProtoESP || seq != math.MaxUint32-uint32(n-2-i) {
+			t.Errorf("packet %d: dropped=%v proto=%d seq=%#x, want sealed with the SA's last numbers", i, p.Dropped, p.L4Proto, seq)
+		}
+	}
+	if last := b.Packets[n-1]; !last.Dropped || len(last.Data) != plain || last.L4Proto != netpkt.IPProtoUDP {
+		t.Errorf("packet past the sequence space: dropped=%v len=%d proto=%d, want dropped untouched",
+			last.Dropped, len(last.Data), last.L4Proto)
+	}
+	// The executor takes the reason off the packet as it books the drop.
+	if e.Sealed != n-1 || e.Errors != 1 || x.Stats.Drops[e.Name()] != 1 || len(x.Stats.Drops) != 1 {
+		t.Errorf("Sealed=%d Errors=%d executor drops=%v, want %d, 1 and one drop under %q",
+			e.Sealed, e.Errors, x.Stats.Drops, n-1, e.Name())
+	}
+
+	e.Reset()
+	if e.Sealed != 0 || e.Errors != 0 {
+		t.Fatalf("after Reset: Sealed=%d Errors=%d", e.Sealed, e.Errors)
+	}
+	b = testBatch(n, 64)
+	if _, err := x.RunBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if e.Sealed != 0 || e.Errors != n || x.Stats.Drops[e.Name()] != 1+n {
+		t.Errorf("spent SA after Reset: Sealed=%d Errors=%d executor drops=%v, want every packet refused and counted from zero",
+			e.Sealed, e.Errors, x.Stats.Drops)
+	}
+	e.sa.SetSeq(0) // a replacement SA
+	b = testBatch(n, 64)
+	if _, err := x.RunBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if p := b.Packets[0]; e.Sealed != n || p.Dropped || binary.BigEndian.Uint32(p.Data[p.L4Offset+4:]) != 1 {
+		t.Errorf("fresh SA: Sealed=%d first packet dropped=%v, want %d sealed from sequence number 1", e.Sealed, p.Dropped, n)
 	}
 }
