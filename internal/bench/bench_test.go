@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"flag"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -297,5 +300,49 @@ func TestScalingAdvantageWidens(t *testing.T) {
 	}
 	if last < 1.0 {
 		t.Errorf("NFCompass slower than baseline on the longest chain: %.2fx", last)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/model_outputs.golden from this run")
+
+// allocTime is the one wall-clock field inside a model-output table: algos
+// prints "<alloc ms>/<objective>/<Gbps>" per cell.
+var allocTime = regexp.MustCompile(`^\d+ms/`)
+
+// What ROADMAP.md calls model outputs — the paper tables that come out of
+// core.Deploy — are a pure function of (chain, sample, seed): a change that
+// removes, reorders or shares evaluation passes must reproduce them to the
+// last printed digit. `go test ./internal/bench -run TestModelOutputsGolden
+// -update` rewrites the file when a change moves them on purpose.
+func TestModelOutputsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four experiments at full scale")
+	}
+	var got strings.Builder
+	for _, id := range []string{"algos", "ablation", "fig14", "fig15"} {
+		tbl, err := Run(id, DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, row := range tbl.Rows {
+			for i, c := range row {
+				row[i] = allocTime.ReplaceAllString(c, "")
+			}
+		}
+		got.WriteString(tbl.Format())
+		got.WriteByte('\n')
+	}
+	const path = "testdata/model_outputs.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("model outputs moved (rerun with -update only if the change means to move them):\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }

@@ -120,6 +120,9 @@ func (sa *SA) Seal(dst, plaintext []byte) ([]byte, error) {
 // ErrSeqExhausted without 2³² seals.
 func (sa *SA) SetSeq(seq uint32) { sa.seq = seq }
 
+// Seq returns the last sequence number sent (what SetSeq restores).
+func (sa *SA) Seq() uint32 { return sa.seq }
+
 // sum returns the truncated HMAC of b in SA-owned scratch, valid until the
 // next call.
 func (sa *SA) sum(b []byte) []byte {

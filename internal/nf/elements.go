@@ -277,13 +277,14 @@ func (e *RegexMatch) Reset() { e.Matches = 0 }
 type IPsecSeal struct {
 	name   string
 	sa     *ipsec.SA
+	seq0   uint32 // the SA's sequence counter when the element was built
 	Sealed uint64
 	Errors uint64
 }
 
 // NewIPsecSeal builds the encryption element over a security association.
 func NewIPsecSeal(name string, sa *ipsec.SA) *IPsecSeal {
-	return &IPsecSeal{name: name, sa: sa}
+	return &IPsecSeal{name: name, sa: sa, seq0: sa.Seq()}
 }
 
 // Name implements element.Element.
@@ -341,8 +342,14 @@ func (e *IPsecSeal) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
 	return b
 }
 
-// Reset implements element.Resetter.
-func (e *IPsecSeal) Reset() { e.Sealed, e.Errors = 0, 0 }
+// Reset implements element.Resetter. The SA's sequence counter goes back to
+// where the element was built with it: sequence numbers are ciphertext, and
+// ciphertext is what a downstream scanner prices, so a run after Reset must
+// seal the bytes the first run sealed (evaluation passes are hermetic).
+func (e *IPsecSeal) Reset() {
+	e.Sealed, e.Errors = 0, 0
+	e.sa.SetSeq(e.seq0)
+}
 
 // NATRewrite performs source NAT: it rewrites the source address (and
 // port for TCP/UDP) to a public address, allocating per-flow port mappings

@@ -324,6 +324,18 @@ func TestIPsecSealSequenceExhausted(t *testing.T) {
 			e.Sealed, e.Errors, x.Stats.Drops, n-1, e.Name())
 	}
 
+	// A spent SA refuses everything until it is replaced ...
+	b = testBatch(n, 64)
+	if _, err := x.RunBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if e.Sealed != n-1 || e.Errors != 1+n || x.Stats.Drops[e.Name()] != 1+n {
+		t.Errorf("spent SA: Sealed=%d Errors=%d executor drops=%v, want every further packet refused",
+			e.Sealed, e.Errors, x.Stats.Drops)
+	}
+	// ... and Reset is that replacement: counters from zero, the sequence
+	// counter back where the element was built with it, so the next run
+	// seals the bytes a first run would have.
 	e.Reset()
 	if e.Sealed != 0 || e.Errors != 0 {
 		t.Fatalf("after Reset: Sealed=%d Errors=%d", e.Sealed, e.Errors)
@@ -332,16 +344,8 @@ func TestIPsecSealSequenceExhausted(t *testing.T) {
 	if _, err := x.RunBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if e.Sealed != 0 || e.Errors != n || x.Stats.Drops[e.Name()] != 1+n {
-		t.Errorf("spent SA after Reset: Sealed=%d Errors=%d executor drops=%v, want every packet refused and counted from zero",
-			e.Sealed, e.Errors, x.Stats.Drops)
-	}
-	e.sa.SetSeq(0) // a replacement SA
-	b = testBatch(n, 64)
-	if _, err := x.RunBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	if p := b.Packets[0]; e.Sealed != n || p.Dropped || binary.BigEndian.Uint32(p.Data[p.L4Offset+4:]) != 1 {
-		t.Errorf("fresh SA: Sealed=%d first packet dropped=%v, want %d sealed from sequence number 1", e.Sealed, p.Dropped, n)
+	if p := b.Packets[0]; e.Sealed != n || e.Errors != 0 || p.Dropped || binary.BigEndian.Uint32(p.Data[p.L4Offset+4:]) != 1 {
+		t.Errorf("after Reset: Sealed=%d Errors=%d first packet dropped=%v, want %d sealed from sequence number 1",
+			e.Sealed, e.Errors, p.Dropped, n)
 	}
 }
