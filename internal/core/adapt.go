@@ -125,8 +125,9 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	}
 	a.adaptBatch()
 
-	profSample := cloneBatches(sample)
-	selSample := cloneBatches(sample) // pristine copy for candidate validation
+	// capture consumes the sample; re-profiling reads this copy and
+	// candidate validation, the last pass, consumes it.
+	pristine := cloneBatches(sample)
 	sig, in, err := a.capture(sample)
 	if err != nil {
 		a.journal.Record(Decision{Reason: "error", Threshold: a.Threshold,
@@ -163,33 +164,22 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 
 	// Re-profile against the new traffic and re-allocate.
 	dict, err := profile.OfflineProfile(a.d.Platform, a.d.Costs, a.d.Graph,
-		profile.OfflineConfig{BatchSize: a.opt.BatchSize, Sample: profSample})
+		profile.OfflineConfig{BatchSize: a.opt.BatchSize, Sample: pristine})
 	if err != nil {
 		return fail(err)
 	}
-	assign, rep, err := Allocate(a.d.Graph, dict, in, a.d.Platform, a.d.Costs,
-		a.opt.BatchSize, a.opt.Delta, a.opt.Algorithm)
+	// Allocate and validate as Deploy does, on the observed traffic.
+	gbps, err := a.d.place(dict, in, pristine, a.opt)
 	if err != nil {
 		return fail(err)
 	}
-	// Same sample-driven validation Deploy runs: the partition model is
-	// linear (and, with the segment-fusion contiguity reward, biased
-	// toward keeping fusable runs whole), so evaluate the candidate set on
-	// the observed traffic and keep the winner rather than trusting the
-	// raw model output.
-	name, gbps, best, err := a.d.selectAssignment(selSample, assign)
-	if err != nil {
-		return fail(err)
-	}
-	rep.Selected = name
-	a.d.Assignment = best
-	a.d.Alloc = rep
+	rep := a.d.Alloc
 	a.Reallocations++
 	d := Decision{Accepted: true, Reason: "reallocated", Drift: drift,
-		Threshold: a.Threshold, Candidate: name,
+		Threshold: a.Threshold, Candidate: rep.Selected,
 		PredictedCostNs: rep.Cost, MeasuredGbps: gbps}
 	if a.rt != nil {
-		if err := a.rt.Apply(best); err != nil {
+		if err := a.rt.Apply(a.d.Assignment); err != nil {
 			d.Reason, d.Err = "apply failed", err.Error()
 			d.Epoch = a.rtEpoch()
 			a.journal.Record(d)

@@ -59,8 +59,8 @@ type Deployment struct {
 
 // Deploy runs the NFCompass pipeline on a sequential SFC: orchestrate
 // (parallelize), synthesize, build the deployment graph, profile it
-// offline and against the sample traffic, and allocate tasks. sample is
-// consumed by profiling; pass dedicated batches.
+// offline and against the sample traffic, and allocate tasks. sample is only
+// read: every pass that consumes traffic runs on a copy of its own.
 func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Options) (*Deployment, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("core: empty chain")
@@ -85,15 +85,11 @@ func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Optio
 		stages = Parallelize(chain)
 	}
 
-	// The gate below needs pristine sample traffic: deployPlan consumes
-	// (mutates) its sample, so take the clone before the first plan runs.
-	var gateSample []*netpkt.Batch
-	needGate := opt.Parallelize && len(stages) < len(sequential) && len(sample) > 0
-	if needGate {
-		gateSample = cloneBatches(sample)
-	}
-
-	d, err := deployPlan(stages, p, sample, opt, costs)
+	// One dictionary per Deploy: both plans below are built from the same
+	// NFs and measured on the same sample, so the second profiles only the
+	// element kinds the first did not have.
+	dict := profile.NewDictionary()
+	d, gbps, err := deployPlan(stages, p, sample, opt, costs, dict)
 	if err != nil {
 		return nil, err
 	}
@@ -103,30 +99,28 @@ func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Optio
 	// orchestrator found parallelism and sample traffic is available,
 	// compare against the sequential plan and accept the parallel one
 	// only if it costs at most 10% throughput (its payoff is latency).
-	if needGate {
-		seqD, err := deployPlan(sequential, p, cloneBatches(gateSample), opt, costs)
+	if opt.Parallelize && len(stages) < len(sequential) && len(sample) > 0 {
+		seqD, seqGbps, err := deployPlan(sequential, p, sample, opt, costs, dict)
 		if err != nil {
 			return nil, err
 		}
-		parG, err := d.Simulate(cloneBatches(gateSample), 0)
-		if err != nil {
-			return nil, err
+		if !opt.GTA {
+			// Nothing validated these plans on the sample: simulate each once.
+			if gbps, err = d.sampleGbps(sample); err != nil {
+				return nil, err
+			}
+			if seqGbps, err = seqD.sampleGbps(sample); err != nil {
+				return nil, err
+			}
 		}
-		seqG, err := seqD.Simulate(cloneBatches(gateSample), 0)
-		if err != nil {
-			return nil, err
-		}
-		d.Graph.Reset()
-		seqD.Graph.Reset()
-		if parG.Throughput.Gbps() < 0.9*seqG.Throughput.Gbps() {
+		if gbps < 0.9*seqGbps {
 			return seqD, nil
 		}
 	}
 	return d, nil
 }
 
-// cloneBatches deep-copies sample traffic so evaluation runs don't consume
-// the caller's batches.
+// cloneBatches deep-copies sample traffic for one pass that consumes it.
 func cloneBatches(in []*netpkt.Batch) []*netpkt.Batch {
 	out := make([]*netpkt.Batch, len(in))
 	for i, b := range in {
@@ -135,68 +129,74 @@ func cloneBatches(in []*netpkt.Batch) []*netpkt.Batch {
 	return out
 }
 
+// sampleGbps simulates the deployment on a copy of the sample and leaves
+// the graph reset.
+func (d *Deployment) sampleGbps(sample []*netpkt.Batch) (float64, error) {
+	res, err := d.Simulate(cloneBatches(sample), 0)
+	d.Graph.Reset()
+	if err != nil {
+		return 0, err
+	}
+	return res.Throughput.Gbps(), nil
+}
+
 // deployPlan builds one stage plan into a full deployment (graph, profile,
-// allocation).
-func deployPlan(stages []Stage, p hetsim.Platform,
-	sample []*netpkt.Batch, opt Options, costs map[string]hetsim.ElemCost) (*Deployment, error) {
+// allocation) and returns it with the throughput its assignment measured on
+// the sample (zero when GTA is off: nothing is validated). Profile entries
+// go into dict, and those it already holds are reused.
+func deployPlan(stages []Stage, p hetsim.Platform, sample []*netpkt.Batch, opt Options,
+	costs map[string]hetsim.ElemCost, dict *profile.Dictionary) (*Deployment, float64, error) {
 	d := &Deployment{Stages: stages, Platform: p, Costs: costs}
 	g, err := d.buildGraph(stages, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	d.Graph = g
 
 	if !opt.GTA {
 		d.Assignment = hetsim.Assignment{}
-		return d, nil
+		return d, 0, nil
 	}
 	if len(sample) == 0 {
-		return nil, fmt.Errorf("core: GTA requires sample traffic")
+		return nil, 0, fmt.Errorf("core: GTA requires sample traffic")
 	}
-	selSample := cloneBatches(sample) // pristine copy for candidate validation
 
-	// Profile against clones of the deployment's own sample traffic so
+	// Profile against the deployment's own sample traffic so
 	// content-dependent element costs (ACL probes, DFA walks) are the
-	// real ones; SampleIntensities then consumes the sample itself.
+	// real ones.
 	profCfg := profile.OfflineConfig{
 		PacketSizes: opt.ProfilePacketSizes,
 		BatchSize:   opt.BatchSize,
-		Sample:      cloneBatches(sample),
+		Sample:      sample,
 	}
-	dict, err := profile.OfflineProfile(p, costs, g, profCfg)
+	if err := dict.Profile(p, costs, g, profCfg); err != nil {
+		return nil, 0, fmt.Errorf("core: offline profiling: %w", err)
+	}
+	in, err := profile.SampleIntensities(g, cloneBatches(sample))
 	if err != nil {
-		return nil, fmt.Errorf("core: offline profiling: %w", err)
+		return nil, 0, fmt.Errorf("core: traffic sampling: %w", err)
 	}
-	in, err := profile.SampleIntensities(g, sample)
-	if err != nil {
-		return nil, fmt.Errorf("core: traffic sampling: %w", err)
-	}
-	assign, rep, err := Allocate(g, dict, in, p, costs, opt.BatchSize, opt.Delta, opt.Algorithm)
-	if err != nil {
-		return nil, fmt.Errorf("core: allocation: %w", err)
-	}
-	d.Assignment = assign
-	d.Alloc = rep
-
-	// Sample-driven validation: the partition model is linear and cannot
-	// see mode-split ping-pong (a chain of half-offloaded elements pays
-	// PCIe in both directions at every stage). Evaluate a small candidate
-	// set on the sample and keep the winner — the profiling-guided
-	// refinement the runtime's measurements make cheap.
-	if name, _, best, err := d.selectAssignment(selSample, assign); err == nil {
-		d.Assignment = best
-		d.Alloc.Selected = name
-	} else {
-		return nil, fmt.Errorf("core: assignment validation: %w", err)
-	}
-	return d, nil
+	gbps, err := d.place(dict, in, cloneBatches(sample), opt)
+	return d, gbps, err
 }
 
-// selectAssignment simulates candidate placements on the sample and
-// returns the best by throughput, along with its measured Gbps (the
-// decision journal's measured-cost column).
-func (d *Deployment) selectAssignment(sample []*netpkt.Batch,
-	model hetsim.Assignment) (string, float64, hetsim.Assignment, error) {
+// place allocates the graph's tasks and adopts the winner of the
+// sample-driven validation: the partition model is linear — it cannot see
+// mode-split ping-pong (a chain of half-offloaded elements pays PCIe in
+// both directions at every stage) and, with the segment-fusion contiguity
+// reward, leans toward keeping fusable runs whole — so a small candidate
+// set is evaluated on the sample rather than trusting the raw model
+// output. The sample, which place consumes, runs through the graph once:
+// what the elements compute does not depend on the placement, so every
+// candidate is priced from that one trace. place returns the winner's Gbps
+// (the gate's figure and the decision journal's measured-cost column); on
+// error the deployment keeps the placement it had.
+func (d *Deployment) place(dict *profile.Dictionary, in *profile.Intensities,
+	sample []*netpkt.Batch, opt Options) (float64, error) {
+	model, rep, err := Allocate(d.Graph, dict, in, d.Platform, d.Costs, opt.BatchSize, opt.Delta, opt.Algorithm)
+	if err != nil {
+		return 0, fmt.Errorf("core: allocation: %w", err)
+	}
 
 	// Rounded variant: snap every split element to its majority side.
 	rounded := make(hetsim.Assignment, len(model))
@@ -237,24 +237,32 @@ func (d *Deployment) selectAssignment(sample []*netpkt.Batch,
 		{"gpu-heavy", hetsim.GPUHeavy(d.Graph)},
 	}
 
-	bestName, bestGbps := "", -1.0
-	var best hetsim.Assignment
-	for _, c := range candidates {
-		d.Graph.Reset()
-		sim, err := hetsim.NewSimulator(d.Platform, d.Costs, d.Graph, c.a)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		res, err := sim.Run(cloneBatches(sample), 0)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		if g := res.Throughput.Gbps(); g > bestGbps {
-			bestName, bestGbps, best = c.name, g, c.a
-		}
+	// The functional pass; the assignment it runs under does not matter.
+	exec, err := hetsim.NewSimulator(d.Platform, d.Costs, d.Graph, nil)
+	if err != nil {
+		return 0, fmt.Errorf("core: assignment validation: %w", err)
 	}
 	d.Graph.Reset()
-	return bestName, bestGbps, best, nil
+	trace, err := exec.Execute(sample, 0)
+	d.Graph.Reset()
+	if err != nil {
+		return 0, fmt.Errorf("core: assignment validation: %w", err)
+	}
+
+	best, bestGbps := 0, -1.0
+	for i, c := range candidates {
+		sim, err := hetsim.NewSimulator(d.Platform, d.Costs, d.Graph, c.a)
+		if err != nil {
+			return 0, fmt.Errorf("core: assignment validation: %w", err)
+		}
+		// Strict >: the first of equal candidates stays.
+		if g := sim.Price(trace).Throughput.Gbps(); g > bestGbps {
+			best, bestGbps = i, g
+		}
+	}
+	rep.Selected = candidates[best].name
+	d.Assignment, d.Alloc = candidates[best].a, rep
+	return bestGbps, nil
 }
 
 // buildGraph assembles the deployment element graph from the stage plan:

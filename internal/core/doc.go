@@ -13,7 +13,9 @@
 //     (RAW/WAW/length conflicts) and the parallelization decision.
 //   - compass.go — the end-to-end Deploy entry point: orchestrate,
 //     synthesize, build the deployment graph (deriving per-branch writer
-//     flags from NF profiles), profile, and allocate.
+//     flags from NF profiles), profile, allocate, and validate: a plan
+//     executes the sample once (hetsim.Execute) and every candidate
+//     placement, and the parallelization gate, is priced from that trace.
 //   - merge.go — Duplicator/XORMerge, the runtime fan-out/fan-in pair of
 //     a parallelized stage. Branches that hazard analysis proves
 //     read-only receive shallow (shared-bytes) clones; only writer
@@ -23,9 +25,9 @@
 //   - expand.go — fine-grained element expansion for offload ratios.
 //   - allocator.go — the GTA graph-partition allocator.
 //   - adapt.go — the Adaptor re-allocation loop driven by observed
-//     traffic drift, plus the interference-aware AIMD batch-size
-//     controller fed by the attached runtime's live e2e latency
-//     histogram; every re-allocation and batch resize is journaled
-//     (journal.go).
+//     traffic drift (re-profile, then Deploy's allocate-and-validate),
+//     plus the interference-aware AIMD batch-size controller fed by the
+//     attached runtime's live e2e latency histogram; every re-allocation
+//     and batch resize is journaled (journal.go).
 //   - describe.go — human-readable deployment rendering.
 package core

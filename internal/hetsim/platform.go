@@ -8,6 +8,12 @@
 // aggregated offloading overheads vs chain length (Fig. 7), batch-size and
 // traffic-pattern sensitivity (Fig. 8a–d), and co-run interference
 // (Fig. 8e).
+//
+// A run has two halves (sim.go). Simulator.Execute runs the elements once
+// and records a Trace — per (node, batch) visit, what pricing reads;
+// Simulator.Price replays a trace under an Assignment without touching a
+// packet. Run is Price(Execute(…)); core.Deploy executes a plan once and
+// prices every candidate placement from that trace.
 package hetsim
 
 // Platform describes the simulated server.

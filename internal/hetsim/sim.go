@@ -2,6 +2,7 @@ package hetsim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"nfcompass/internal/element"
@@ -286,256 +287,298 @@ func (s *Simulator) contentionFor(kind string) float64 {
 // costmodel.go).
 func (s *Simulator) CostModel() *CostModel { return s.cm }
 
-// cpuServiceNs prices CPU processing of n packets / bytes with mem exact
-// table accesses for the given kind.
-func (s *Simulator) cpuServiceNs(kind string, n, bytes int, mem float64) float64 {
-	return s.cm.CPUServiceNs(kind, n, bytes, mem)
+// visit is what one (node, batch) step of the functional pass leaves for
+// pricing: who produced the batch, what went in, what the element's exact
+// probe counter moved by, and what came out.
+type visit struct {
+	node element.NodeID
+	// from is the visit whose output this batch is, -1 for an injected
+	// batch, which is ready at t0.
+	from    int
+	t0      float64
+	batchID uint64
+	// n and bytes are the live packets and bytes handed in; mem is the
+	// MemProber delta around Process.
+	n, bytes int
+	mem      float64
+	// outN and outBytes are the live packets and bytes a sink departs;
+	// nonEmpty counts the output ports of any other element that carried
+	// packets.
+	outN, outBytes int
+	nonEmpty       int
 }
 
-// gpuServiceNs prices one kernel invocation over n packets; see
-// CostModel.GPUServiceNs for the h2d/d2h charging convention.
-func (s *Simulator) gpuServiceNs(kind string, n, bytes int, mem float64) (service, h2d, d2h float64) {
-	return s.cm.GPUServiceNs(kind, n, bytes, mem)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// pendingBatch is a batch waiting at a node with its ready time and data
-// location (host memory or GPU device memory).
-type pendingBatch struct {
-	b     *netpkt.Batch
-	ready float64
-	onGPU bool
+// Trace is one functional pass of a sample through a graph, recorded so
+// that any number of placements can be priced from it. Nothing in it
+// depends on an Assignment: elements compute the same bytes on either
+// processor, so the placement only decides what each visit costs and where
+// its batch then resides. A Trace belongs to the graph that produced it.
+type Trace struct {
+	g *element.Graph
+	// visits are in execution order: stage-major, so one node's visits are
+	// contiguous and every producer precedes its consumers.
+	visits  []visit
+	arrival map[uint64]float64 // batch ID -> injection time
+	drops   map[string]uint64
 }
 
 // Run pushes the batches through the graph, injecting batch i at
 // i*interarrivalNs, and returns throughput/latency/overhead metrics.
 // interarrivalNs <= 0 injects back-to-back (saturation measurement).
 func (s *Simulator) Run(batches []*netpkt.Batch, interarrivalNs float64) (*Result, error) {
-	res := &Result{DroppedByElement: make(map[string]uint64)}
-	nCores := s.P.CPUCores
-	if s.CoRun.CPUCoreShare > 0 && s.CoRun.CPUCoreShare <= 1 {
-		nCores = int(math.Max(1, math.Floor(float64(nCores)*s.CoRun.CPUCoreShare)))
+	t, err := s.Execute(batches, interarrivalNs)
+	if err != nil {
+		return nil, err
 	}
-	cpuFree := make(pool, nCores)
-	gpuFree := make(pool, s.P.GPUs)
+	return s.Price(t), nil
+}
 
-	arrival := make(map[uint64]float64) // batch ID -> injection time
-	var firstArrival, lastDeparture float64
-	firstArrival = math.Inf(1)
-
-	sources := s.G.Sources()
-	sinks := map[element.NodeID]bool{}
-	for _, id := range s.G.Sinks() {
-		sinks[id] = true
-	}
+// Execute is Run's functional half: it runs every element on every batch
+// once, consuming the batches, and records what pricing reads. The trace
+// can be priced by any simulator over the same graph, whatever its
+// Assignment.
+func (s *Simulator) Execute(batches []*netpkt.Batch, interarrivalNs float64) (*Trace, error) {
+	t := &Trace{g: s.G, arrival: make(map[uint64]float64, len(batches)), drops: make(map[string]uint64)}
 
 	// Stage-major scheduling: inject every batch, then drain the graph one
 	// element at a time in topological order — the way a real pipeline's
 	// elements each consume a stream of batches. Same-stage tasks have
 	// similar ready times, so the server pools stay packed (batch-major
 	// ordering would leave unfillable gaps on the cores).
+	type pendingBatch struct {
+		b    *netpkt.Batch
+		from int
+		t0   float64
+	}
+	sources := s.G.Sources()
 	pending := make(map[element.NodeID][]pendingBatch, s.G.Len())
 	for bi, in := range batches {
 		t0 := float64(bi) * math.Max(0, interarrivalNs)
-		arrival[in.ID] = t0
-		if t0 < firstArrival {
-			firstArrival = t0
-		}
+		t.arrival[in.ID] = t0
 		for _, src := range sources {
-			pending[src] = append(pending[src], pendingBatch{b: in, ready: t0})
+			pending[src] = append(pending[src], pendingBatch{b: in, from: -1, t0: t0})
 		}
 	}
 
-	{
-		for _, id := range s.order {
-			entries := pending[id]
-			if len(entries) == 0 {
-				continue
+	for _, id := range s.order {
+		el := s.G.Node(id)
+		succ := s.G.Successors(id)
+		prober, probes := el.(MemProber)
+		for _, ent := range pending[id] {
+			v := visit{node: id, from: ent.from, t0: ent.t0, batchID: ent.b.ID}
+			v.n, v.bytes = ent.b.LiveBytes()
+
+			// Snapshot exact memory probes around the functional call.
+			var memBefore uint64
+			if probes {
+				memBefore = prober.MemAccesses()
 			}
-			el := s.G.Node(id)
-			kind := el.Traits().Kind
-			pl := s.Assign[id]
-			succ := s.G.Successors(id)
-
-			// Merge synchronization: all copies of one batch reach a
-			// Merger with that batch's max ready time.
-			if m, ok := el.(Merger); ok && m.ExpectedInputs() > 1 {
-				maxReady := make(map[uint64]float64, len(entries)/m.ExpectedInputs()+1)
-				for _, e := range entries {
-					if e.ready > maxReady[e.b.ID] {
-						maxReady[e.b.ID] = e.ready
-					}
-				}
-				for i := range entries {
-					entries[i].ready = maxReady[entries[i].b.ID]
-				}
+			outs := el.Process(ent.b)
+			if probes {
+				v.mem = float64(prober.MemAccesses() - memBefore)
 			}
+			countDrops(ent.b, t.drops)
 
-			for _, ent := range entries {
-				n := liveCount(ent.b)
-				bytes := liveBytes(ent.b)
-
-				// Snapshot exact memory probes around the functional call.
-				var memBefore uint64
-				prober, probes := el.(MemProber)
-				if probes {
-					memBefore = prober.MemAccesses()
-				}
-				outs := el.Process(ent.b)
-				var memDelta float64
-				if probes {
-					memDelta = float64(prober.MemAccesses() - memBefore)
-				}
-
-				done := ent.ready
-				outOnGPU := false
-				switch {
-				case n == 0:
-					// Nothing live: zero service.
-				case pl.Mode == ModeGPU:
-					var svc float64
-					if s.segInterior[id] {
-						// Interior of a fused segment: the kernel chains
-						// device-side behind the head's launch.
-						svc = s.cm.KernelNs(kind, n, bytes, memDelta)
-					} else {
-						svc, _, _ = s.gpuServiceNs(kind, n, bytes, memDelta)
-						res.KernelLaunches++
-					}
-					if !ent.onGPU {
-						svc += s.cm.H2DNs(bytes)
-						res.H2DBytes += uint64(bytes)
-					}
-					done = gpuFree.run(ent.ready, svc)
-					res.GPUBusyNs += svc
-					outOnGPU = true
-				case pl.Mode == ModeSplit:
-					nGPU := int(math.Round(pl.GPUFraction * float64(n)))
-					nCPU := n - nGPU
-					bGPU := int(pl.GPUFraction * float64(bytes))
-					bCPU := bytes - bGPU
-					memGPU := memDelta * pl.GPUFraction
-					memCPU := memDelta - memGPU
-
-					// CPU/GPU split bookkeeping (the offload thread's
-					// partitioning and completion-queue join) costs a
-					// fixed per-batch slice, decoupled from the
-					// element-branch re-organization of Fig. 5.
-					reorg := s.P.SplitPerBatchNs * 2
-					res.SplitEvents++
-
-					ready := ent.ready
-					if ent.onGPU {
-						// The split is host-coordinated: fetch the batch
-						// off the device first.
-						d2h := s.cm.D2HNs(bytes)
-						ready = gpuFree.run(ready, d2h)
-						res.GPUBusyNs += d2h
-						res.D2HBytes += uint64(bytes)
-					}
-					var cpuDone, gpuDone float64 = ready, ready
-					if nCPU > 0 {
-						svc := s.cpuServiceNs(kind, nCPU, bCPU, memCPU) + reorg
-						cpuDone = cpuFree.run(ready, svc)
-						res.CPUBusyNs += svc
-					}
-					if nGPU > 0 {
-						svc, h2d, d2h := s.gpuServiceNs(kind, nGPU, bGPU, memGPU)
-						svc += h2d + d2h // split halves rejoin in host memory
-						gpuDone = gpuFree.run(ready, svc)
-						res.GPUBusyNs += svc
-						res.KernelLaunches++
-						res.H2DBytes += uint64(bGPU)
-						res.D2HBytes += uint64(bGPU)
-					}
-					// Completion-queue join preserves order: release at
-					// the later of the two halves.
-					done = math.Max(cpuDone, gpuDone)
-				default:
-					ready := ent.ready
-					if ent.onGPU {
-						// Crossing back to the host: device-to-host copy.
-						d2h := s.cm.D2HNs(bytes)
-						ready = gpuFree.run(ready, d2h)
-						res.GPUBusyNs += d2h
-						res.D2HBytes += uint64(bytes)
-					}
-					svc := s.cpuServiceNs(kind, n, bytes, memDelta)
-					done = cpuFree.run(ready, svc)
-					res.CPUBusyNs += svc
-				}
-
-				if el.NumOutputs() == 0 {
-					// Sink: record departure (sinks are host endpoints; a
-					// device-resident batch was already fetched above
-					// because sinks are CPU-placed).
-					live := liveCount(ent.b)
-					res.Emitted += uint64(live)
-					if live > 0 {
-						res.Latency.Add(done - arrival[ent.b.ID])
-						res.Throughput.Packets += uint64(live)
-						res.Throughput.Bytes += uint64(liveBytes(ent.b))
-						if done > lastDeparture {
-							lastDeparture = done
-						}
-					}
-					countDrops(ent.b, res)
-					continue
-				}
+			if el.NumOutputs() == 0 {
+				v.outN, v.outBytes = ent.b.LiveBytes()
+			} else {
 				if len(outs) != el.NumOutputs() {
 					return nil, fmt.Errorf("hetsim: %s emitted %d outputs, declared %d",
 						el.Name(), len(outs), el.NumOutputs())
 				}
-
-				// Batch-split overhead: an element emitting multiple
-				// non-empty sub-batches pays re-organization time on CPU.
-				nonEmpty := 0
-				for _, ob := range outs {
-					if ob != nil && len(ob.Packets) > 0 {
-						nonEmpty++
-					}
-				}
-				if nonEmpty > 1 {
-					if outOnGPU {
-						// Branch re-organization is host-side work: the
-						// batch comes off the device and stays there.
-						d2h := s.cm.D2HNs(bytes)
-						done = gpuFree.run(done, d2h)
-						res.GPUBusyNs += d2h
-						res.D2HBytes += uint64(bytes)
-						outOnGPU = false
-					}
-					reorg := s.P.SplitPerBatchNs*float64(nonEmpty) +
-						s.P.SplitPerPacketNs*float64(n)
-					done = cpuFree.run(done, reorg)
-					res.CPUBusyNs += reorg
-					res.SplitEvents++
-				}
-
 				for port, ob := range outs {
 					if ob == nil || len(ob.Packets) == 0 {
 						continue
 					}
+					v.nonEmpty++
 					for _, to := range succ[port] {
-						pending[to] = append(pending[to],
-							pendingBatch{b: ob, ready: done, onGPU: outOnGPU})
+						pending[to] = append(pending[to], pendingBatch{b: ob, from: len(t.visits)})
 					}
 				}
-				countDrops(ent.b, res)
 			}
+			t.visits = append(t.visits, v)
 		}
 	}
+	return t, nil
+}
 
-	if lastDeparture > firstArrival {
-		res.Throughput.Nanos = int64(lastDeparture - firstArrival)
+// Price is Run's other half: it replays the trace under this simulator's
+// Assignment — server pools, merge synchronization, fused-segment
+// interiors, splits, transfers — without touching a packet.
+func (s *Simulator) Price(t *Trace) *Result {
+	if t.g != s.G {
+		panic("hetsim: Price of a trace recorded on another graph")
 	}
-	return res, nil
+	res := &Result{DroppedByElement: maps.Clone(t.drops)}
+	nCores := s.P.CPUCores
+	if s.CoRun.CPUCoreShare > 0 && s.CoRun.CPUCoreShare <= 1 {
+		nCores = int(math.Max(1, math.Floor(float64(nCores)*s.CoRun.CPUCoreShare)))
+	}
+	cpuFree := make(pool, nCores)
+	gpuFree := make(pool, s.P.GPUs)
+	var lastDeparture float64
+
+	// Per visit: when its batch is ready, when it is done, and whether the
+	// output is then in device memory — what its consumers start from.
+	readyAt := make([]float64, len(t.visits))
+	doneAt := make([]float64, len(t.visits))
+	leftOnGPU := make([]bool, len(t.visits))
+
+	for lo := 0; lo < len(t.visits); {
+		id := t.visits[lo].node
+		hi := lo
+		for ; hi < len(t.visits) && t.visits[hi].node == id; hi++ {
+			if v := &t.visits[hi]; v.from < 0 {
+				readyAt[hi] = v.t0
+			} else {
+				readyAt[hi] = doneAt[v.from]
+			}
+		}
+		el := s.G.Node(id)
+		kind := el.Traits().Kind
+		pl := s.Assign[id]
+
+		// Merge synchronization: all copies of one batch reach a
+		// Merger with that batch's max ready time.
+		if m, ok := el.(Merger); ok && m.ExpectedInputs() > 1 {
+			maxReady := make(map[uint64]float64, (hi-lo)/m.ExpectedInputs()+1)
+			for i := lo; i < hi; i++ {
+				if bid := t.visits[i].batchID; readyAt[i] > maxReady[bid] {
+					maxReady[bid] = readyAt[i]
+				}
+			}
+			for i := lo; i < hi; i++ {
+				readyAt[i] = maxReady[t.visits[i].batchID]
+			}
+		}
+
+		for i := lo; i < hi; i++ {
+			v := &t.visits[i]
+			n, bytes, memDelta := v.n, v.bytes, v.mem
+			inOnGPU := v.from >= 0 && leftOnGPU[v.from]
+
+			done := readyAt[i]
+			outOnGPU := false
+			switch {
+			case n == 0:
+				// Nothing live: zero service.
+			case pl.Mode == ModeGPU:
+				var svc float64
+				if s.segInterior[id] {
+					// Interior of a fused segment: the kernel chains
+					// device-side behind the head's launch.
+					svc = s.cm.KernelNs(kind, n, bytes, memDelta)
+				} else {
+					svc, _, _ = s.cm.GPUServiceNs(kind, n, bytes, memDelta)
+					res.KernelLaunches++
+				}
+				if !inOnGPU {
+					svc += s.cm.H2DNs(bytes)
+					res.H2DBytes += uint64(bytes)
+				}
+				done = gpuFree.run(readyAt[i], svc)
+				res.GPUBusyNs += svc
+				outOnGPU = true
+			case pl.Mode == ModeSplit:
+				nGPU := int(math.Round(pl.GPUFraction * float64(n)))
+				nCPU := n - nGPU
+				bGPU := int(pl.GPUFraction * float64(bytes))
+				bCPU := bytes - bGPU
+				memGPU := memDelta * pl.GPUFraction
+				memCPU := memDelta - memGPU
+
+				// CPU/GPU split bookkeeping (the offload thread's
+				// partitioning and completion-queue join) costs a
+				// fixed per-batch slice, decoupled from the
+				// element-branch re-organization of Fig. 5.
+				reorg := s.P.SplitPerBatchNs * 2
+				res.SplitEvents++
+
+				ready := readyAt[i]
+				if inOnGPU {
+					// The split is host-coordinated: fetch the batch
+					// off the device first.
+					d2h := s.cm.D2HNs(bytes)
+					ready = gpuFree.run(ready, d2h)
+					res.GPUBusyNs += d2h
+					res.D2HBytes += uint64(bytes)
+				}
+				var cpuDone, gpuDone float64 = ready, ready
+				if nCPU > 0 {
+					svc := s.cm.CPUServiceNs(kind, nCPU, bCPU, memCPU) + reorg
+					cpuDone = cpuFree.run(ready, svc)
+					res.CPUBusyNs += svc
+				}
+				if nGPU > 0 {
+					svc, h2d, d2h := s.cm.GPUServiceNs(kind, nGPU, bGPU, memGPU)
+					svc += h2d + d2h // split halves rejoin in host memory
+					gpuDone = gpuFree.run(ready, svc)
+					res.GPUBusyNs += svc
+					res.KernelLaunches++
+					res.H2DBytes += uint64(bGPU)
+					res.D2HBytes += uint64(bGPU)
+				}
+				// Completion-queue join preserves order: release at
+				// the later of the two halves.
+				done = math.Max(cpuDone, gpuDone)
+			default:
+				ready := readyAt[i]
+				if inOnGPU {
+					// Crossing back to the host: device-to-host copy.
+					d2h := s.cm.D2HNs(bytes)
+					ready = gpuFree.run(ready, d2h)
+					res.GPUBusyNs += d2h
+					res.D2HBytes += uint64(bytes)
+				}
+				svc := s.cm.CPUServiceNs(kind, n, bytes, memDelta)
+				done = cpuFree.run(ready, svc)
+				res.CPUBusyNs += svc
+			}
+
+			if el.NumOutputs() == 0 {
+				// Sink: record departure (sinks are host endpoints; a
+				// device-resident batch was already fetched above
+				// because sinks are CPU-placed).
+				res.Emitted += uint64(v.outN)
+				if v.outN > 0 {
+					res.Latency.Add(done - t.arrival[v.batchID])
+					res.Throughput.Packets += uint64(v.outN)
+					res.Throughput.Bytes += uint64(v.outBytes)
+					if done > lastDeparture {
+						lastDeparture = done
+					}
+				}
+				continue
+			}
+
+			// Batch-split overhead: an element emitting multiple
+			// non-empty sub-batches pays re-organization time on CPU.
+			if v.nonEmpty > 1 {
+				if outOnGPU {
+					// Branch re-organization is host-side work: the
+					// batch comes off the device and stays there.
+					d2h := s.cm.D2HNs(bytes)
+					done = gpuFree.run(done, d2h)
+					res.GPUBusyNs += d2h
+					res.D2HBytes += uint64(bytes)
+					outOnGPU = false
+				}
+				reorg := s.P.SplitPerBatchNs*float64(v.nonEmpty) +
+					s.P.SplitPerPacketNs*float64(n)
+				done = cpuFree.run(done, reorg)
+				res.CPUBusyNs += reorg
+				res.SplitEvents++
+			}
+			doneAt[i], leftOnGPU[i] = done, outOnGPU
+		}
+		lo = hi
+	}
+
+	// The first batch is injected at time zero.
+	if lastDeparture > 0 {
+		res.Throughput.Nanos = int64(lastDeparture)
+	}
+	return res
 }
 
 // server books non-overlapping busy intervals on one execution unit,
@@ -594,30 +637,10 @@ func (p pool) run(ready, duration float64) float64 {
 	return bestStart + duration
 }
 
-func liveCount(b *netpkt.Batch) int {
-	n := 0
-	for _, p := range b.Packets {
-		if !p.Dropped {
-			n++
-		}
-	}
-	return n
-}
-
-func liveBytes(b *netpkt.Batch) int {
-	n := 0
-	for _, p := range b.Packets {
-		if !p.Dropped {
-			n += len(p.Data)
-		}
-	}
-	return n
-}
-
-func countDrops(b *netpkt.Batch, res *Result) {
+func countDrops(b *netpkt.Batch, drops map[string]uint64) {
 	for _, p := range b.Packets {
 		if p.Dropped && p.DropReason != "" {
-			res.DroppedByElement[p.DropReason]++
+			drops[p.DropReason]++
 			p.DropReason = ""
 		}
 	}

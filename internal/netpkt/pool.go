@@ -123,6 +123,10 @@ func GetPacket(n int) *Packet { return defaultArena.GetPacket(n) }
 // Arena.GetBatch).
 func GetBatch(capacity int) *Batch { return defaultArena.GetBatch(capacity) }
 
+// Outstanding is the default arena's ledger (see Arena.Outstanding): what
+// code that clones batches built outside any arena must leave as it found.
+func Outstanding() int64 { return defaultArena.Outstanding() }
+
 // PutPacket returns a packet to the arena it was drawn from (packets that
 // never came from an arena — builders, Clone — join the default arena's
 // pool). The caller must not touch the packet afterwards. Double release

@@ -4,6 +4,11 @@
 // traffic sampler that extracts per-edge intensities and per-node
 // utilizations from execution statistics. The task allocator combines the
 // two into the node and edge weights of its partitioning graph.
+//
+// An offline entry costs one functional pass of its element over the
+// measurement traffic: both sides are priced from one hetsim.Trace, and a
+// Dictionary keeps an entry across graphs for as long as the element
+// measured has the same Signature (Dictionary.Profile).
 package profile
 
 import (
@@ -42,11 +47,15 @@ type key struct {
 type Dictionary struct {
 	entries map[key]Entry
 	sizes   []int
+	// measured is the Signature of the element Profile measured each kind
+	// on: an entry is a function of (element configuration, measurement
+	// traffic), so another graph's element with that signature has it.
+	measured map[string]string
 }
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{entries: make(map[key]Entry)}
+	return &Dictionary{entries: make(map[key]Entry), measured: make(map[string]string)}
 }
 
 // Put records an entry.
@@ -135,13 +144,35 @@ type OfflineConfig struct {
 	Sample []*netpkt.Batch
 }
 
-// cloneSample deep-copies the sample for one measurement pass.
-func (c *OfflineConfig) cloneSample() []*netpkt.Batch {
-	out := make([]*netpkt.Batch, len(c.Sample))
-	for i, b := range c.Sample {
-		out[i] = b.Clone()
+// workingCopy is the one copy of the sample that Dictionary.Profile's
+// per-kind passes consume in turn. It lives in an arena of its own, and the
+// arena's ledger is the ownership check (DESIGN.md §8): a pass that released
+// what it was handed (XORMerge prices a stray batch by releasing it) or drew
+// from the arena (a Duplicator's writer copies come from their original's)
+// moves Outstanding, and a copy that met the pool is never reused.
+type workingCopy struct {
+	arena   *netpkt.Arena
+	batches []*netpkt.Batch
+	out     int64 // the ledger when the copy was last handed out
+}
+
+// take returns the sample's content for one pass: restored into the last
+// pass's storage (bytes, not pointers — elements swap and replace buffers),
+// or copied afresh when that pass did not leave the copy whole.
+func (w *workingCopy) take(sample []*netpkt.Batch) []*netpkt.Batch {
+	if w.arena == nil || w.arena.Outstanding() != w.out {
+		w.arena = netpkt.NewArena()
+		w.batches = make([]*netpkt.Batch, len(sample))
+		for i, b := range sample {
+			w.batches[i] = w.arena.ClonePooled(b)
+		}
+	} else {
+		for i, b := range sample {
+			b.CloneInto(w.batches[i])
+		}
 	}
-	return out
+	w.out = w.arena.Outstanding()
+	return w.batches
 }
 
 // sampleMeanSize returns the mean packet size of the sample.
@@ -186,20 +217,21 @@ func buildFragment(el element.Element) *element.Graph {
 }
 
 // ProfileElement measures one element instance on the simulated platform
-// at one packet size, returning its dictionary entry. The element is
-// Reset (if possible) before each side's measurement.
+// at one packet size, returning its dictionary entry. The element runs the
+// measurement traffic once, from Reset; the CPU and the GPU side are both
+// priced from that trace (what an element computes does not depend on where
+// it is placed), and the element is Reset again afterwards. cfg.Sample,
+// when set, is that traffic and is consumed: Dictionary.Profile hands in a
+// copy per element.
 func ProfileElement(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	el element.Element, cfg OfflineConfig, pktSize int) (Entry, error) {
 	cfg.defaults()
-	gen := func() []*netpkt.Batch {
-		if len(cfg.Sample) > 0 {
-			return cfg.cloneSample()
-		}
-		g := traffic.NewGenerator(traffic.Config{
+	in := cfg.Sample
+	if len(in) == 0 {
+		in = traffic.NewGenerator(traffic.Config{
 			Size: traffic.Fixed(pktSize), Seed: cfg.Seed,
 			Payload: cfg.Payload, MatchTokens: cfg.MatchTokens,
-		})
-		return g.Batches(cfg.Batches, cfg.BatchSize)
+		}).Batches(cfg.Batches, cfg.BatchSize)
 	}
 	reset := func() {
 		if r, ok := el.(element.Resetter); ok {
@@ -210,40 +242,35 @@ func ProfileElement(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	var entry Entry
 	entry.TransferBytesPerPkt = float64(pktSize)
 
-	// CPU side.
 	reset()
 	g := buildFragment(el)
 	elNode := element.NodeID(1) // src=0, el=1, dst=2 by construction
-	sim, err := hetsim.NewSimulator(p, costs, g, nil)
+	cpu, err := hetsim.NewSimulator(p, costs, g, nil)
 	if err != nil {
 		return entry, err
 	}
-	cpuIn := gen()
 	total := 0.0
-	for _, b := range cpuIn {
+	for _, b := range in {
 		total += float64(b.Len())
 	}
-	res, err := sim.Run(cpuIn, 0)
+	trace, err := cpu.Execute(in, 0)
 	if err != nil {
 		return entry, err
 	}
-	// Subtract the src/dst endpoint costs measured separately below via
-	// the cost table directly (endpoints are pure CPU).
+
+	// CPU side. Subtract the src/dst endpoint costs measured separately
+	// below via the cost table directly (endpoints are pure CPU).
+	res := cpu.Price(trace)
 	endpoints := endpointNsPerPkt(p, costs)
 	entry.CPUNsPerPkt = res.CPUBusyNs/total - endpoints
 
 	// GPU side.
-	reset()
-	g2 := buildFragment(el)
-	a := hetsim.Assignment{elNode: hetsim.Placement{Mode: hetsim.ModeGPU}}
-	sim2, err := hetsim.NewSimulator(p, costs, g2, a)
+	gpu, err := hetsim.NewSimulator(p, costs, g,
+		hetsim.Assignment{elNode: hetsim.Placement{Mode: hetsim.ModeGPU}})
 	if err != nil {
 		return entry, err
 	}
-	res2, err := sim2.Run(gen(), 0)
-	if err != nil {
-		return entry, err
-	}
+	res2 := gpu.Price(trace)
 	if res2.KernelLaunches > 0 {
 		fixed := fixedKernelNs(p)
 		entry.GPUFixedNsPerBatch = fixed
@@ -291,6 +318,19 @@ func fixedKernelNs(p hetsim.Platform) float64 {
 // the real ones.
 func OfflineProfile(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	g *element.Graph, cfg OfflineConfig) (*Dictionary, error) {
+	d := NewDictionary()
+	return d, d.Profile(p, costs, g, cfg)
+}
+
+// Profile is OfflineProfile into a dictionary that may already hold
+// measurements: a kind whose entries were measured on an element with the
+// same Signature is not measured again. The caller passes the platform,
+// costs and cfg it passed for the measurements the dictionary holds — that
+// is what makes an entry for one graph (say, a parallelized plan) valid for
+// another built from the same NFs (the sequential plan Deploy's gate
+// compares it with).
+func (d *Dictionary) Profile(p hetsim.Platform, costs map[string]hetsim.ElemCost,
+	g *element.Graph, cfg OfflineConfig) error {
 	cfg.defaults()
 	sizes := cfg.PacketSizes
 	if len(cfg.Sample) > 0 {
@@ -298,8 +338,8 @@ func OfflineProfile(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 		// mean size; a size sweep would need synthetic content.
 		sizes = []int{cfg.sampleMeanSize()}
 	}
-	d := NewDictionary()
 	seen := map[string]bool{}
+	var work workingCopy
 	for i := 0; i < g.Len(); i++ {
 		el := g.Node(element.NodeID(i))
 		tr := el.Traits()
@@ -307,15 +347,21 @@ func OfflineProfile(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 			continue
 		}
 		seen[tr.Kind] = true
+		if sig, ok := d.measured[tr.Kind]; ok && sig == el.Signature() {
+			continue
+		}
 		for _, size := range sizes {
-			e, err := ProfileElement(p, costs, el, cfg, size)
+			one := cfg
+			one.Sample = work.take(cfg.Sample)
+			e, err := ProfileElement(p, costs, el, one, size)
 			if err != nil {
-				return nil, fmt.Errorf("profile: %s at %dB: %w", tr.Kind, size, err)
+				return fmt.Errorf("profile: %s at %dB: %w", tr.Kind, size, err)
 			}
 			d.Put(tr.Kind, size, e)
 		}
+		d.measured[tr.Kind] = el.Signature()
 	}
-	return d, nil
+	return nil
 }
 
 // Intensities are the runtime traffic statistics: the fraction of injected

@@ -1,10 +1,12 @@
 package profile
 
 import (
+	"math"
 	"testing"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
+	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
 	"nfcompass/internal/trie"
@@ -124,5 +126,91 @@ func TestSampleIntensitiesEmpty(t *testing.T) {
 	g := testChain()
 	if _, err := SampleIntensities(g, nil); err == nil {
 		t.Error("empty sample accepted")
+	}
+}
+
+// twoRunEntry is ProfileElement as it was before one trace priced both
+// sides: the element runs the traffic once under an all-CPU simulator and,
+// from Reset, again on a GPU placement.
+func twoRunEntry(t *testing.T, p hetsim.Platform, el element.Element, cfg OfflineConfig, size int) Entry {
+	t.Helper()
+	run := func(a hetsim.Assignment) (*hetsim.Result, float64) {
+		if r, ok := el.(element.Resetter); ok {
+			r.Reset()
+		}
+		sim, err := hetsim.NewSimulator(p, nil, buildFragment(el), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]*netpkt.Batch, len(cfg.Sample))
+		for i, b := range cfg.Sample {
+			in[i] = b.Clone()
+		}
+		if len(in) == 0 {
+			in = traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(size), Seed: cfg.Seed}).Batches(cfg.Batches, cfg.BatchSize)
+		}
+		total := 0.0
+		for _, b := range in {
+			total += float64(b.Len())
+		}
+		res, err := sim.Run(in, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, total
+	}
+	e := Entry{TransferBytesPerPkt: float64(size)}
+	cpu, total := run(nil)
+	e.CPUNsPerPkt = cpu.CPUBusyNs/total - endpointNsPerPkt(p, nil)
+	gpu, _ := run(hetsim.Assignment{1: {Mode: hetsim.ModeGPU}})
+	if gpu.KernelLaunches > 0 {
+		e.GPUFixedNsPerBatch = fixedKernelNs(p)
+		marginal := (gpu.GPUBusyNs - e.GPUFixedNsPerBatch*float64(gpu.KernelLaunches)) / total
+		marginal -= float64(size)/p.H2DBytesPerNs + float64(size)/p.D2HBytesPerNs
+		e.GPUNsPerPkt = math.Max(0, marginal)
+	}
+	return e
+}
+
+// One functional pass prices both sides of an entry, and a dictionary that
+// already measured a kind on an element of the same signature keeps that
+// entry: both give what two runs per element, from scratch, give.
+func TestProfileMatchesTwoRuns(t *testing.T) {
+	p := hetsim.DefaultPlatform()
+	sample := traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Seed: 9,
+		Payload: traffic.PayloadFullMatch, MatchTokens: []string{"attack", "evil"}}).Batches(6, 32)
+	for name, cfg := range map[string]OfflineConfig{
+		"sample":    {Sample: sample},
+		"synthetic": {PacketSizes: []int{64, 512}, Batches: 4, Seed: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			first, g := testChain(), testChain()
+			d, err := OfflineProfile(p, nil, first, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Everything in g has a twin of equal signature in first, so
+			// profiling g into d measures nothing again.
+			if err := d.Profile(p, nil, g, cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.defaults()
+			sizes := cfg.PacketSizes
+			if len(cfg.Sample) > 0 {
+				sizes = []int{cfg.sampleMeanSize()}
+			}
+			for i := 1; i < g.Len()-1; i++ {
+				el := g.Node(element.NodeID(i))
+				for _, size := range sizes {
+					got, err := d.Lookup(el.Traits().Kind, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := twoRunEntry(t, p, el, cfg, size); got != want {
+						t.Errorf("%s at %d B: %+v, two runs give %+v", el.Traits().Kind, size, got, want)
+					}
+				}
+			}
+		})
 	}
 }

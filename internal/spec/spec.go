@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"nfcompass/internal/acl"
 	"nfcompass/internal/netpkt"
@@ -164,12 +165,17 @@ func build(name, arg, label string, seed int64) (*nf.NF, error) {
 	}
 }
 
-func defaultV4Table() *trie.Dir24_8 {
+// defaultV4Table is the one routing table every spec-built IPv4 router
+// shares: a Dir24_8 is 64 MB whatever it holds and read-only once built
+// (Lookup and MemoryAccesses write nothing), so it is built once per
+// process — as NewFirewall's replicas share one tree. Not so the IPv6
+// table below: V6HashLPM.Lookup counts its probes in the table.
+var defaultV4Table = sync.OnceValue(func() *trie.Dir24_8 {
 	var tr trie.IPv4Trie
 	_ = tr.Insert(0, 0, 1)
 	_ = tr.Insert(0xc0a80000, 16, 2)
 	return trie.BuildDir24_8(&tr)
-}
+})
 
 func defaultV6Table() *trie.V6HashLPM {
 	var tr trie.IPv6Trie
