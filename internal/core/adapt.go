@@ -125,10 +125,10 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	}
 	a.adaptBatch()
 
-	// capture consumes the sample; re-profiling reads this copy and
-	// candidate validation, the last pass, consumes it.
+	// capture's functional pass consumes the sample, and candidate
+	// validation prices its trace; re-profiling reads this copy.
 	pristine := cloneBatches(sample)
-	sig, in, err := a.capture(sample)
+	sig, trace, in, err := a.capture(sample)
 	if err != nil {
 		a.journal.Record(Decision{Reason: "error", Threshold: a.Threshold,
 			Epoch: a.rtEpoch(), Err: err.Error()})
@@ -169,7 +169,7 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 		return fail(err)
 	}
 	// Allocate and validate as Deploy does, on the observed traffic.
-	gbps, err := a.d.place(dict, in, pristine, a.opt)
+	gbps, err := a.d.place(dict, in, trace, a.opt)
 	if err != nil {
 		return fail(err)
 	}
@@ -191,17 +191,18 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	return true, nil
 }
 
-// capture samples intensities and per-element memory-access rates. Probe
-// counters are snapshotted around the sampling run so content-dependent
-// cost shifts (e.g. no-match traffic turning into full-match) register
-// even when the flow distribution is unchanged.
-func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *profile.Intensities, error) {
+// capture executes the sample (the trace re-allocation prices, and its
+// intensities) and samples per-element memory-access rates. Probe counters
+// are snapshotted around a probe pass so content-dependent cost shifts (e.g.
+// no-match traffic turning into full-match) register even when the flow
+// distribution is unchanged.
+func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *hetsim.Trace, *profile.Intensities, error) {
 	g := a.d.Graph
 	probeBatch := sample[0].Clone()
 
-	in, err := profile.SampleIntensities(g, sample)
+	trace, in, err := execute(g, a.d.Platform, a.d.Costs, sample)
 	if err != nil {
-		return trafficSig{}, nil, err
+		return trafficSig{}, nil, nil, err
 	}
 	sig := trafficSig{
 		valid:     true,
@@ -210,12 +211,12 @@ func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *profile.Intensit
 		avgBytes:  in.AvgPktBytes,
 	}
 
-	// Probe pass: SampleIntensities reset every element (counters at
-	// zero), so pushing one retained batch through and reading the
+	// Probe pass: the functional pass left every element reset (counters
+	// at zero), so pushing one retained batch through and reading the
 	// counters yields the per-packet table-access rates.
 	x, err := element.NewExecutor(g)
 	if err != nil {
-		return trafficSig{}, nil, err
+		return trafficSig{}, nil, nil, err
 	}
 	before := make(map[element.NodeID]uint64)
 	for i := 0; i < g.Len(); i++ {
@@ -225,7 +226,7 @@ func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *profile.Intensit
 		}
 	}
 	if _, err := x.RunBatch(probeBatch); err != nil {
-		return trafficSig{}, nil, err
+		return trafficSig{}, nil, nil, err
 	}
 	n := float64(probeBatch.Len())
 	if n == 0 {
@@ -238,7 +239,7 @@ func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *profile.Intensit
 		}
 	}
 	x.Reset()
-	return sig, in, nil
+	return sig, trace, in, nil
 }
 
 // drift returns the largest relative change between the stored signature

@@ -172,12 +172,30 @@ func deployPlan(stages []Stage, p hetsim.Platform, sample []*netpkt.Batch, opt O
 	if err := dict.Profile(p, costs, g, profCfg); err != nil {
 		return nil, 0, fmt.Errorf("core: offline profiling: %w", err)
 	}
-	in, err := profile.SampleIntensities(g, cloneBatches(sample))
+	trace, in, err := execute(g, p, costs, cloneBatches(sample))
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: traffic sampling: %w", err)
 	}
-	gbps, err := d.place(dict, in, cloneBatches(sample), opt)
+	gbps, err := d.place(dict, in, trace, opt)
 	return d, gbps, err
+}
+
+// execute is a plan's one functional pass, from Reset and leaving the graph
+// reset: the trace every placement is priced from, and its intensities.
+func execute(g *element.Graph, p hetsim.Platform, costs map[string]hetsim.ElemCost,
+	batches []*netpkt.Batch) (*hetsim.Trace, *profile.Intensities, error) {
+	sim, err := hetsim.NewSimulator(p, costs, g, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	g.Reset()
+	trace, err := sim.Execute(batches, 0)
+	g.Reset()
+	if err != nil {
+		return nil, nil, err
+	}
+	in, err := profile.IntensitiesOf(trace)
+	return trace, in, err
 }
 
 // place allocates the graph's tasks and adopts the winner of the
@@ -186,13 +204,12 @@ func deployPlan(stages []Stage, p hetsim.Platform, sample []*netpkt.Batch, opt O
 // both directions at every stage) and, with the segment-fusion contiguity
 // reward, leans toward keeping fusable runs whole — so a small candidate
 // set is evaluated on the sample rather than trusting the raw model
-// output. The sample, which place consumes, runs through the graph once:
-// what the elements compute does not depend on the placement, so every
-// candidate is priced from that one trace. place returns the winner's Gbps
-// (the gate's figure and the decision journal's measured-cost column); on
-// error the deployment keeps the placement it had.
+// output. What the elements compute does not depend on the placement, so
+// every candidate is priced from the sample's one trace. place returns the
+// winner's Gbps (the gate's figure and the decision journal's measured-cost
+// column); on error the deployment keeps the placement it had.
 func (d *Deployment) place(dict *profile.Dictionary, in *profile.Intensities,
-	sample []*netpkt.Batch, opt Options) (float64, error) {
+	trace *hetsim.Trace, opt Options) (float64, error) {
 	model, rep, err := Allocate(d.Graph, dict, in, d.Platform, d.Costs, opt.BatchSize, opt.Delta, opt.Algorithm)
 	if err != nil {
 		return 0, fmt.Errorf("core: allocation: %w", err)
@@ -235,18 +252,6 @@ func (d *Deployment) place(dict *profile.Dictionary, in *profile.Intensities,
 		{"model-heavy-only", heavyOnly},
 		{"cpu-only", hetsim.Assignment{}},
 		{"gpu-heavy", hetsim.GPUHeavy(d.Graph)},
-	}
-
-	// The functional pass; the assignment it runs under does not matter.
-	exec, err := hetsim.NewSimulator(d.Platform, d.Costs, d.Graph, nil)
-	if err != nil {
-		return 0, fmt.Errorf("core: assignment validation: %w", err)
-	}
-	d.Graph.Reset()
-	trace, err := exec.Execute(sample, 0)
-	d.Graph.Reset()
-	if err != nil {
-		return 0, fmt.Errorf("core: assignment validation: %w", err)
 	}
 
 	best, bestGbps := 0, -1.0

@@ -90,13 +90,13 @@ func fuzzTraffic(seed int64) []*netpkt.Batch {
 }
 
 func FuzzSynthesizeVerdicts(f *testing.F) {
-	f.Add([]byte{1}, int64(1))                      // ipv4
-	f.Add([]byte{0, 1, 7}, int64(2))                // firewall,ipv4,nat
-	f.Add([]byte{4, 4}, int64(3))                   // ids,ids — redundant pair
-	f.Add([]byte{3, 3, 0}, int64(4))                // ipsec,ipsec,firewall
-	f.Add([]byte{9, 9, 9}, int64(5))                // probe x3
-	f.Add([]byte{0, 0, 1, 7, 4, 6}, int64(6))       // heavy mixed chain
-	f.Add([]byte{8, 2, 11, 10, 5}, int64(7))        // lb,ipv6,wanopt,proxy,streamids
+	f.Add([]byte{1}, int64(1))                // ipv4
+	f.Add([]byte{0, 1, 7}, int64(2))          // firewall,ipv4,nat
+	f.Add([]byte{4, 4}, int64(3))             // ids,ids — redundant pair
+	f.Add([]byte{3, 3, 0}, int64(4))          // ipsec,ipsec,firewall
+	f.Add([]byte{9, 9, 9}, int64(5))          // probe x3
+	f.Add([]byte{0, 0, 1, 7, 4, 6}, int64(6)) // heavy mixed chain
+	f.Add([]byte{8, 2, 11, 10, 5}, int64(7))  // lb,ipv6,wanopt,proxy,streamids
 	f.Fuzz(func(t *testing.T, sel []byte, seed int64) {
 		chain := chainFromBytes(sel)
 		if chain == "" {

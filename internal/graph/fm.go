@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // Modified Kernighan–Lin refinement (single-node moves in the
 // Fiduccia–Mattheyses style, which handles unequal per-side node weights).
 // Each pass tentatively moves every free node once, in best-gain-first
@@ -11,12 +13,26 @@ package graph
 
 // Refine improves p in place and returns the final cost. maxPasses bounds
 // the outer loop (8 is plenty; KL converges in a few passes).
+//
+// A trial flip of v is priced from the current loads and cut ± v's weights
+// and edges, O(deg v). That rounds unlike Cost, whose rounding alone breaks
+// the exact ties between an element's expanded instances, so trials within
+// rounding of the best are priced by Cost: the moves are a full search's.
 func Refine(g *WGraph, p Partition, maxPasses int) float64 {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
 	best := g.Cost(p)
 	n := g.Len()
+	// slack: twice how far two orders of summing g's weights can round apart.
+	slack, trial := 0.0, make([]float64, n)
+	for v, adj := range g.adj {
+		slack += math.Abs(g.wCPU[v]) + math.Abs(g.wGPU[v])
+		for _, e := range adj {
+			slack += math.Abs(e.W)
+		}
+	}
+	slack *= float64(n+2*g.NumEdges()+16) * 0x1p-49
 	for pass := 0; pass < maxPasses; pass++ {
 		locked := make([]bool, n)
 		type mv struct {
@@ -25,12 +41,31 @@ func Refine(g *WGraph, p Partition, maxPasses int) float64 {
 		}
 		seq := make([]mv, 0, n)
 		cur := append(Partition(nil), p...)
-		curCost := best
 
 		for moves := 0; moves < n; moves++ {
-			bestV, bestCost := -1, 0.0
+			cpu, gpu := g.Loads(cur)
+			cut, lo := g.CutWeight(cur), math.Inf(1)
 			for v := 0; v < n; v++ {
 				if locked[v] || g.fixed[v] != nil {
+					continue
+				}
+				c, gp, k := cpu+g.wCPU[v], gpu-g.wGPU[v], cut
+				if cur[v] == CPU {
+					c, gp = cpu-g.wCPU[v], gpu+g.wGPU[v]
+				}
+				for _, e := range g.adj[v] {
+					if cur[e.To] == cur[v] {
+						k += e.W
+					} else {
+						k -= e.W
+					}
+				}
+				trial[v] = max(c, gp+k)
+				lo = min(lo, trial[v])
+			}
+			bestV, bestCost := -1, 0.0
+			for v := 0; v < n; v++ {
+				if locked[v] || g.fixed[v] != nil || trial[v] > lo+slack {
 					continue
 				}
 				cur[v] = cur[v].Other()
@@ -46,8 +81,6 @@ func Refine(g *WGraph, p Partition, maxPasses int) float64 {
 			cur[bestV] = cur[bestV].Other()
 			locked[bestV] = true
 			seq = append(seq, mv{v: bestV, cost: bestCost})
-			curCost = bestCost
-			_ = curCost
 		}
 
 		// Keep the best prefix.

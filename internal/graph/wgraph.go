@@ -3,9 +3,9 @@
 // weights are per-processor execution times and whose edge weights are data
 // transfer times; Dinic max-flow / min-cut; the Stone-model optimal
 // two-processor assignment; a modified Kernighan–Lin (Fiduccia–Mattheyses
-// style) refinement with load balancing; a METIS-like multilevel
-// partitioner; and the paper's lightweight O(k log k) seed-based
-// agglomerative clustering.
+// style) refinement with load balancing and O(degree) trial moves; a
+// METIS-like multilevel partitioner; and the paper's lightweight O(k log k)
+// seed-based agglomerative clustering.
 package graph
 
 import "fmt"

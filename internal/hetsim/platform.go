@@ -10,10 +10,11 @@
 // (Fig. 8e).
 //
 // A run has two halves (sim.go). Simulator.Execute runs the elements once
-// and records a Trace — per (node, batch) visit, what pricing reads;
-// Simulator.Price replays a trace under an Assignment without touching a
-// packet. Run is Price(Execute(…)); core.Deploy executes a plan once and
-// prices every candidate placement from that trace.
+// and records a Trace — per (node, batch) visit, what pricing reads, plus
+// the executor's packet counts (Trace.Counts); Simulator.Price replays a
+// trace under an Assignment without touching a packet. Run is
+// Price(Execute(…)); core.Deploy executes a plan once and takes its traffic
+// intensities and every candidate placement's price from that trace.
 package hetsim
 
 // Platform describes the simulated server.

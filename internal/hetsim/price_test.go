@@ -15,7 +15,7 @@ import (
 
 // deployedGraph is the graph core.Deploy builds for the chain: synthesized,
 // with parallel stages formed into Duplicator/XORMerge diamonds or not.
-func deployedGraph(t *testing.T, text string, parallel bool) *element.Graph {
+func deployedGraph(t testing.TB, text string, parallel bool) *element.Graph {
 	t.Helper()
 	chain, err := spec.Parse(text, 1)
 	if err != nil {
@@ -156,5 +156,32 @@ func TestPriceMatchesRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPriceCandidates prices five placements of telco_churn's plan
+// from one trace of 120 × 64 IMIX packets, as Deploy prices its candidates.
+func BenchmarkPriceCandidates(b *testing.B) {
+	g := deployedGraph(b, "firewall:1000,ipv4,nat", false)
+	sample := traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Seed: 1, Flows: 4096}).Batches(120, 64)
+	p := hetsim.DefaultPlatform()
+	var sims []*hetsim.Simulator
+	for _, a := range []hetsim.Assignment{hetsim.AllCPU(g), hetsim.AllGPU(g), hetsim.GPUHeavy(g),
+		hetsim.UniformSplit(g, 0.3), fusedPair(g)} {
+		sim, err := hetsim.NewSimulator(p, nil, g, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sims = append(sims, sim)
+	}
+	trace, err := sims[0].Execute(sample, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sim := range sims {
+			sim.Price(trace)
+		}
 	}
 }

@@ -31,14 +31,128 @@ func TestServerBackfillsGaps(t *testing.T) {
 	}
 }
 
+// Bookings keep the timeline sorted and disjoint, touching ones coalesce
+// into one interval, and the busy time on it is what was booked.
 func TestServerBookKeepsSorted(t *testing.T) {
 	var s server
-	s.book(50, 10)
-	s.book(10, 10)
-	s.book(30, 10)
-	for i := 1; i < len(s.busy); i++ {
-		if s.busy[i][0] < s.busy[i-1][0] {
-			t.Fatalf("intervals unsorted: %v", s.busy)
+	for _, b := range [][2]float64{{50, 10}, {10, 10}, {30, 10}, {20, 10}, {70, 5}, {40, 10}} {
+		s.book(b[0], b[1])
+	}
+	busy := 0.0
+	for i, iv := range s.busy {
+		if i > 0 && iv[0] <= s.busy[i-1][1] {
+			t.Fatalf("intervals unsorted or touching: %v", s.busy)
+		}
+		busy += iv[1] - iv[0]
+	}
+	if busy != 55 || len(s.busy) != 2 {
+		t.Errorf("busy %v in %v, want 55 in [10,60] and [70,75]", busy, s.busy)
+	}
+}
+
+// refServer is server as it was before bookings coalesced: one interval per
+// booking, sorted by start, scanned from the front. It is kept, in this test
+// file only, as what TestServerMatchesReference holds server to.
+type refServer struct{ busy [][2]float64 }
+
+func (s *refServer) earliestStart(ready, duration float64) float64 {
+	start := ready
+	for _, iv := range s.busy {
+		if iv[1] <= start {
+			continue
+		}
+		if iv[0]-start >= duration {
+			return start
+		}
+		start = iv[1]
+	}
+	return start
+}
+
+func (s *refServer) book(start, duration float64) {
+	iv := [2]float64{start, start + duration}
+	i := len(s.busy)
+	for i > 0 && s.busy[i-1][0] > start {
+		i--
+	}
+	s.busy = append(s.busy, [2]float64{})
+	copy(s.busy[i+1:], s.busy[i:])
+	s.busy[i] = iv
+}
+
+// The coalesced timeline starts every task where the interval list did. Rows
+// for the trap first — a zero-duration task may start on a booking boundary
+// that coalescing merged away, and a zero-duration booking that touches
+// nothing is a point a longer task may not straddle — then seeded random
+// pool.run sequences on 1–8 servers: back-filling into gaps, bookings that
+// touch exactly, zero durations, ready times on past boundaries. Every
+// server answers every query with the list's start, bit for bit.
+func TestServerMatchesReference(t *testing.T) {
+	check := func(t *testing.T, s *server, ref *refServer, ready, d float64) {
+		t.Helper()
+		if got, want := s.earliestStart(ready, d), ref.earliestStart(ready, d); got != want {
+			t.Fatalf("earliestStart(%v, %v) = %v, interval list %v (coalesced %v, list %v)", ready, d, got, want, s.busy, ref.busy)
+		}
+	}
+	t.Run("trap", func(t *testing.T) {
+		var s server
+		var ref refServer
+		for _, b := range [][2]float64{{0, 10}, {10, 10}, {30, 0}, {50, 5}, {55, 0}, {60, 0}} {
+			s.book(b[0], b[1])
+			ref.book(b[0], b[1])
+		}
+		for _, q := range [][2]float64{
+			{5, 0}, {10, 0}, {15, 0}, {20, 0}, {52, 0}, {55, 0}, // on and inside merged boundaries
+			{0, 5}, {5, 5}, {20, 15}, {25, 4}, {25, 5}, {25, 6}, {31, 25}, {56, 4}, {56, 5}, // around the points
+		} {
+			check(t, &s, &ref, q[0], q[1])
+		}
+	})
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(8)
+		p, ref := make(pool, n), make([]refServer, n)
+		marks := []float64{0}
+		pick := func() float64 {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				return marks[rng.Intn(len(marks))]
+			case r < 7:
+				return float64(rng.Intn(1500))
+			default:
+				return rng.Float64() * 1500
+			}
+		}
+		dur := func() float64 {
+			switch r := rng.Intn(10); {
+			case r < 2:
+				return 0
+			case r < 6:
+				return float64(1 + rng.Intn(40))
+			default:
+				return rng.Float64() * 60
+			}
+		}
+		for op := 0; op < 300; op++ {
+			for probe := 0; probe < 3; probe++ {
+				ready, d := pick(), dur()
+				for i := range p {
+					check(t, &p[i], &ref[i], ready, d)
+				}
+			}
+			ready, d := pick(), dur()
+			want := 0
+			for i := range ref {
+				if ref[i].earliestStart(ready, d) < ref[want].earliestStart(ready, d) {
+					want = i
+				}
+			}
+			start := ref[want].earliestStart(ready, d)
+			ref[want].book(start, d)
+			if got := p.run(ready, d); got != start+d {
+				t.Fatalf("seed %d op %d: run(%v, %v) done at %v, interval list %v", seed, op, ready, d, got, start+d)
+			}
+			marks = append(marks, ready, start, start+d)
 		}
 	}
 }

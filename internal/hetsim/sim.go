@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
+	"sort"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/netpkt"
@@ -320,6 +322,18 @@ type Trace struct {
 	visits  []visit
 	arrival map[uint64]float64 // batch ID -> injection time
 	drops   map[string]uint64
+	// nodes and edges count the live packets into each node and over each
+	// edge (as the batch was emitted); pkts and bytes are what was injected.
+	nodes       map[element.NodeID]uint64
+	edges       map[element.EdgeKey]uint64
+	pkts, bytes int
+}
+
+// Counts returns what element.Executor's RunStats count — live packets into
+// each node and over each edge, packets and bytes injected. The maps are
+// the trace's; callers only read them.
+func (t *Trace) Counts() (nodes map[element.NodeID]uint64, edges map[element.EdgeKey]uint64, pkts, bytes int) {
+	return t.nodes, t.edges, t.pkts, t.bytes
 }
 
 // Run pushes the batches through the graph, injecting batch i at
@@ -338,7 +352,8 @@ func (s *Simulator) Run(batches []*netpkt.Batch, interarrivalNs float64) (*Resul
 // can be priced by any simulator over the same graph, whatever its
 // Assignment.
 func (s *Simulator) Execute(batches []*netpkt.Batch, interarrivalNs float64) (*Trace, error) {
-	t := &Trace{g: s.G, arrival: make(map[uint64]float64, len(batches)), drops: make(map[string]uint64)}
+	t := &Trace{g: s.G, arrival: make(map[uint64]float64, len(batches)), drops: make(map[string]uint64),
+		nodes: make(map[element.NodeID]uint64), edges: make(map[element.EdgeKey]uint64)}
 
 	// Stage-major scheduling: inject every batch, then drain the graph one
 	// element at a time in topological order — the way a real pipeline's
@@ -355,6 +370,8 @@ func (s *Simulator) Execute(batches []*netpkt.Batch, interarrivalNs float64) (*T
 	for bi, in := range batches {
 		t0 := float64(bi) * math.Max(0, interarrivalNs)
 		t.arrival[in.ID] = t0
+		t.pkts += in.Len()
+		t.bytes += in.Bytes()
 		for _, src := range sources {
 			pending[src] = append(pending[src], pendingBatch{b: in, from: -1, t0: t0})
 		}
@@ -367,6 +384,7 @@ func (s *Simulator) Execute(batches []*netpkt.Batch, interarrivalNs float64) (*T
 		for _, ent := range pending[id] {
 			v := visit{node: id, from: ent.from, t0: ent.t0, batchID: ent.b.ID}
 			v.n, v.bytes = ent.b.LiveBytes()
+			t.nodes[id] += uint64(v.n)
 
 			// Snapshot exact memory probes around the functional call.
 			var memBefore uint64
@@ -391,7 +409,9 @@ func (s *Simulator) Execute(batches []*netpkt.Batch, interarrivalNs float64) (*T
 						continue
 					}
 					v.nonEmpty++
+					live := uint64(ob.Live())
 					for _, to := range succ[port] {
+						t.edges[element.EdgeKey{From: id, Port: port, To: to}] += live
 						pending[to] = append(pending[to], pendingBatch{b: ob, from: len(t.visits)})
 					}
 				}
@@ -581,41 +601,57 @@ func (s *Simulator) Price(t *Trace) *Result {
 	return res
 }
 
-// server books non-overlapping busy intervals on one execution unit,
-// sorted by start time. Interval booking (rather than a single next-free
-// time) lets late-ready tasks backfill idle gaps — without it, a task
-// scheduled at a large ready time would poison the server for earlier
-// work that arrives later in the stage-major sweep.
+// server books non-overlapping busy intervals on one execution unit, sorted
+// by start and so by end. Interval booking (rather than a single next-free
+// time) lets late-ready tasks backfill idle gaps that a large ready time
+// would otherwise poison in the stage-major sweep. Touching bookings
+// coalesce; only a zero-duration task could tell (it may start on a booking
+// boundary), and ends keeps every boundary for it.
 type server struct {
 	busy [][2]float64
+	ends []float64
 }
 
 // earliestStart returns the first time >= ready at which a task of the
 // given duration fits.
 func (s *server) earliestStart(ready, duration float64) float64 {
-	start := ready
-	for _, iv := range s.busy {
-		if iv[1] <= start {
-			continue
+	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i][1] > ready })
+	if duration == 0 && i < len(s.busy) && s.busy[i][0] < ready {
+		start := s.busy[i][1]
+		for _, e := range s.ends {
+			if e >= ready && e < start {
+				start = e
+			}
 		}
-		if iv[0]-start >= duration {
+		return start
+	}
+	start := ready
+	for ; i < len(s.busy); i++ {
+		if s.busy[i][0]-start >= duration {
 			return start
 		}
-		start = iv[1]
+		start = s.busy[i][1]
 	}
 	return start
 }
 
-// book inserts the interval, keeping the list sorted.
+// book records the interval, coalescing it with the neighbours it touches. A
+// zero-duration booking that touches nothing stays a point a longer task may
+// not straddle.
 func (s *server) book(start, duration float64) {
-	iv := [2]float64{start, start + duration}
-	i := len(s.busy)
-	for i > 0 && s.busy[i-1][0] > start {
+	end := start + duration
+	s.ends = append(s.ends, end)
+	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i][0] > start })
+	if i > 0 && s.busy[i-1][1] >= start {
 		i--
+		s.busy[i][1] = max(s.busy[i][1], end)
+	} else {
+		s.busy = slices.Insert(s.busy, i, [2]float64{start, end})
 	}
-	s.busy = append(s.busy, [2]float64{})
-	copy(s.busy[i+1:], s.busy[i:])
-	s.busy[i] = iv
+	if i+1 < len(s.busy) && s.busy[i+1][0] <= s.busy[i][1] {
+		s.busy[i][1] = max(s.busy[i][1], s.busy[i+1][1])
+		s.busy = slices.Delete(s.busy, i+1, i+2)
+	}
 }
 
 // pool is a bank of identical servers.

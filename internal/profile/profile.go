@@ -1,9 +1,10 @@
 // Package profile implements NFCompass's two-source profiling (paper
 // §IV-C-2): an *offline* dictionary of per-element processing costs on CPU
 // and GPU measured across packet sizes and batch sizes, and a *runtime*
-// traffic sampler that extracts per-edge intensities and per-node
-// utilizations from execution statistics. The task allocator combines the
-// two into the node and edge weights of its partitioning graph.
+// traffic sampler that derives per-edge intensities and per-node
+// utilizations from the packet counts of one functional pass, a
+// hetsim.Trace (IntensitiesOf). The task allocator combines the two into
+// the node and edge weights of its partitioning graph.
 //
 // An offline entry costs one functional pass of its element over the
 // measurement traffic: both sides are priced from one hetsim.Trace, and a
@@ -376,39 +377,40 @@ type Intensities struct {
 	AvgPktBytes float64
 }
 
-// SampleIntensities runs sample batches through the graph functionally and
-// normalizes the observed per-node/per-edge packet counts by the injected
-// packet count.
+// SampleIntensities runs sample batches, which it consumes, through the
+// graph functionally (hetsim's Execute) and returns IntensitiesOf that pass.
 func SampleIntensities(g *element.Graph, batches []*netpkt.Batch) (*Intensities, error) {
-	x, err := element.NewExecutor(g)
+	sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, nil)
 	if err != nil {
 		return nil, err
 	}
-	injected := 0
-	bytes := 0
-	for _, b := range batches {
-		injected += b.Len()
-		bytes += b.Bytes()
-		if _, err := x.RunBatch(b); err != nil {
-			return nil, err
-		}
+	t, err := sim.Execute(batches, 0)
+	// Sampling consumed the sample batches; clear element state so the
+	// graph is pristine for the real run.
+	g.Reset()
+	if err != nil {
+		return nil, err
 	}
+	return IntensitiesOf(t)
+}
+
+// IntensitiesOf normalizes the per-node/per-edge packet counts of a
+// functional pass by the packets it injected.
+func IntensitiesOf(t *hetsim.Trace) (*Intensities, error) {
+	nodes, edges, injected, bytes := t.Counts()
 	if injected == 0 {
 		return nil, fmt.Errorf("profile: no sample packets")
 	}
 	out := &Intensities{
-		Node:        make(map[element.NodeID]float64, len(x.Stats.NodePackets)),
-		Edge:        make(map[element.EdgeKey]float64, len(x.Stats.EdgePackets)),
+		Node:        make(map[element.NodeID]float64, len(nodes)),
+		Edge:        make(map[element.EdgeKey]float64, len(edges)),
 		AvgPktBytes: float64(bytes) / float64(injected),
 	}
-	for id, n := range x.Stats.NodePackets {
+	for id, n := range nodes {
 		out.Node[id] = float64(n) / float64(injected)
 	}
-	for ek, n := range x.Stats.EdgePackets {
+	for ek, n := range edges {
 		out.Edge[ek] = float64(n) / float64(injected)
 	}
-	// Sampling consumed the sample batches; clear element state so the
-	// graph is pristine for the real run.
-	x.Reset()
 	return out, nil
 }
