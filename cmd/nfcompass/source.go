@@ -2,17 +2,20 @@ package main
 
 // The -source run mode: execute the deployed chain behind the ingress
 // plane instead of pre-batched in-memory traffic. The spec selects the
-// packet source and injection path:
+// packet source:
 //
-//	-source pcap:trace.pcap         replay a capture through the funnel
+//	-source pcap:trace.pcap         replay a capture
 //	-source udp::9000               receive frames on a UDP socket
-//	-source nic:queues=4            emulated RSS NIC, per-queue injection
+//	-source nic:queues=4            replay a synthetic trace, one reader per queue
 //	-source nic:queues=4,pcap=trace.pcap
 //
-// nic mode sets the shard count to the queue count and injects each
-// queue's packets directly into its pipeline shard (InjectShard); without
-// pcap= it replays a synthetic in-memory trace built from the traffic
-// flags. -pin locks every shard's element goroutines to OS threads.
+// Every source feeds an emulated RSS NIC with one queue per pipeline shard
+// (-shards, or queues= in nic mode), and each queue injects straight into
+// its own shard (InjectShard). nic mode also splits a looped replay into up
+// to one reader per queue; pcap: and udp: run one reader. Without pcap= it
+// replays a synthetic in-memory trace built from the traffic flags. -pin
+// locks every shard's element goroutines, and every reader and RX worker
+// goroutine, to OS threads.
 
 import (
 	"bytes"
@@ -44,7 +47,9 @@ type sourceOpts struct {
 	mkBatches func(off int64) []*netpkt.Batch
 }
 
-// parseSourceSpec resolves the -source flag into a Source and optional NIC.
+// parseSourceSpec resolves the -source flag into a Source, the NIC nic mode
+// builds (nil otherwise: Pump builds one per shard count) and the shard
+// count.
 func parseSourceSpec(o sourceOpts) (ingress.Source, *ingress.NIC, int, error) {
 	kind, rest, _ := strings.Cut(o.spec, ":")
 	switch kind {
@@ -132,12 +137,12 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 	if shards < 1 {
 		shards = 1
 	}
-	// The pump shape follows the source: a multi-queue NIC gets one reader
-	// and one RX worker per queue; without one there is nothing for
-	// per-queue workers to own, so the single-reader pump runs.
-	workers := 1
+	// The pump's shape follows the input: one reader in front of one queue
+	// injects inline; anything else runs one RX worker per queue behind SPSC
+	// rings, and the shards drain through per-shard channels.
+	readers := 1
 	if nic != nil {
-		workers = nic.Queues()
+		readers = nic.Queues()
 	}
 	// Flight recorder: span every stage boundary of the run and sample
 	// utilization so the replay summary can name the limiting stage.
@@ -150,19 +155,14 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 			PinOSThread: o.pin,
 			Flight:      rec,
 		},
-		ShardOut: workers > 1,
+		ShardOut: shards > 1,
 	})
 	if err != nil {
 		return err
 	}
-	mode := "funnel (flow-affinity dispatcher)"
-	if nic != nil {
-		mode = fmt.Sprintf("%v, direct per-queue injection", nic)
-		if workers > 1 {
-			mode += fmt.Sprintf(", parallel RX/TX (<=%[1]d readers, %[1]d queue workers, per-shard drains)", workers)
-		} else {
-			mode += ", single-reader pump"
-		}
+	mode := "one reader injecting inline"
+	if shards > 1 {
+		mode = fmt.Sprintf("<=%d readers, %d RX queue workers behind SPSC rings, per-shard drains", readers, shards)
 	}
 	fmt.Printf("ingress: source=%s shards=%d pin=%v mode=%s\n", o.spec, shards, o.pin, mode)
 
@@ -183,8 +183,8 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 		BatchSize:  o.batchSize,
 		NIC:        nic,
 		FlowTTL:    int64(60 * time.Second),
-		RXWorkers:  workers,
-		PinWorkers: o.pin && workers > 1,
+		RXWorkers:  readers,
+		PinWorkers: o.pin,
 		Flight:     rec,
 	})
 	smp.Stop()

@@ -558,6 +558,10 @@ func (sp *ShardedPipeline) MetricsEnabled() bool { return sp.cfg.Metrics }
 // whether OutShard is usable.
 func (sp *ShardedPipeline) PerShardOut() bool { return sp.outs != nil }
 
+// Ordered reports whether the pipeline was built with Ordered, i.e. whether
+// InjectShard is ruled out.
+func (sp *ShardedPipeline) Ordered() bool { return sp.cfg.Ordered }
+
 // CloseInput signals that no more batches will be injected.
 func (sp *ShardedPipeline) CloseInput() { close(sp.in) }
 

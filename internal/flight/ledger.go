@@ -13,9 +13,8 @@ import (
 // form — new paths pick their own — but shared constants keep the ledger
 // reconcilable across subsystems.
 const (
-	ReasonCtxCanceled   = "ctx-canceled"   // flush/read aborted by context
+	ReasonCtxCanceled   = "ctx-canceled"   // read batch aborted by context
 	ReasonInjectRefused = "inject-refused" // InjectShard declined the batch
-	ReasonSourceError   = "source-error"   // packets pending when Next failed
 	ReasonAbandoned     = "abandoned"      // swept from closed SPSC rings
 	ReasonSinkError     = "sink-error"     // sink.Consume returned an error
 	ReasonCanceled      = "canceled"       // stranded inside the pipeline

@@ -35,13 +35,15 @@
 // NIC models the receive side of a multi-queue NIC: a Toeplitz RSS hash
 // (rss.go, Microsoft key and known-answer-vector exact) over the flow
 // tuple selects a 128-entry indirection slot, which names the receive
-// queue. Pump in NIC mode demultiplexes each read batch per queue and
-// injects sub-batches directly into the owning pipeline shard
-// (ShardedPipeline.InjectShard), bypassing the single-funnel dispatcher —
-// the software analogue of queues raising interrupts on their own cores.
-// Queue count must equal the shard count; the same mapping is exported as
-// a ShardedConfig.ShardBy (NIC.ShardBy) so a funnel-fed pipeline spreads
-// flows identically, which is what makes the two paths differentially
+// queue. Queue count equals the shard count, and Pump injects every queue's
+// batches straight into its own shard (ShardedPipeline.InjectShard) — the
+// software analogue of queues raising interrupts on their own cores. A
+// caller that passes no NIC gets one per shard count. The pump has one shape
+// per input: one reader in front of a one-queue NIC works the queue inline,
+// on its own goroutine, with no hash; otherwise readers deal packets by RSS
+// queue into SPSC rings and one RX worker goroutine per queue serves them.
+// The same mapping is exported as a ShardedConfig.ShardBy (NIC.ShardBy), so
+// a funnel-fed pipeline spreads flows identically, which makes the two
 // comparable even for order-sensitive NFs like NAT.
 //
 // # Memory and threads

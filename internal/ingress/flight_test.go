@@ -9,22 +9,7 @@ import (
 	"nfcompass/internal/netpkt"
 )
 
-// ledgerStages sums a ledger's booked packets for the given stages.
-func ledgerStages(lg *flight.Ledger, stages ...string) uint64 {
-	want := make(map[string]bool, len(stages))
-	for _, s := range stages {
-		want[s] = true
-	}
-	var n uint64
-	for _, e := range lg.Entries() {
-		if want[e.Stage] {
-			n += e.Packets
-		}
-	}
-	return n
-}
-
-// TestPumpFlightCleanRun: a healthy parallel run records spans on every
+// TestPumpFlightCleanRun: a healthy ring-shape run records spans on every
 // ingress stage, accumulates busy time, and books nothing in the loss
 // ledger — zero drops must mean a zero ledger, or loss attribution would
 // cry wolf.
@@ -82,11 +67,13 @@ func TestPumpFlightCleanRun(t *testing.T) {
 	}
 }
 
-// TestPumpSingleFlightLedgerReconciles: on the single-reader pump, every
-// packet the source handed out is either forwarded, dropped by the chain,
-// or attributed to a {stage, reason} in the loss ledger — exactly, with
-// pool poisoning armed and a zero arena ledger on top.
-func TestPumpSingleFlightLedgerReconciles(t *testing.T) {
+// TestPumpFlightLedgerReconciles: in both pump shapes, every packet a reader
+// took from the source is forwarded, dropped by the chain, or attributed to
+// a {stage, reason} in the loss ledger — exactly, with pool poisoning armed
+// and a zero arena ledger on top. The context is cancelled before the run,
+// so the abort paths do the releasing: the inline queue's refused flush, and
+// the ring readers' unsent read batches.
+func TestPumpFlightLedgerReconciles(t *testing.T) {
 	netpkt.SetPoolPoison(true)
 	defer netpkt.SetPoolPoison(false)
 
@@ -94,88 +81,50 @@ func TestPumpSingleFlightLedgerReconciles(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	const shards = 4
-	nic := NewNIC(shards)
-	rec := flight.New(flight.Config{})
-	sp, err := dataplane.NewSharded(statelessChainBuild, dataplane.ShardedConfig{
-		Shards: shards,
-		Config: dataplane.Config{QueueDepth: 2, Flight: rec},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0)})
-	defer src.Close()
-	st, err := Pump(ctx, src, sp, nil, PumpConfig{BatchSize: 32, NIC: nic, Flight: rec})
-	if err == nil {
-		t.Fatal("pump on a cancelled context returned nil error")
-	}
-	if st == nil {
-		t.Fatal("no stats returned alongside the abort error")
-	}
-	lg := rec.Ledger()
-	if lg.Total() == 0 {
-		t.Fatal("aborted run booked nothing in the loss ledger")
-	}
-	if got, want := lg.Total(), st.Packets-st.OutPackets-uint64(st.Drops); got != want {
-		t.Fatalf("ledger total %d != packets-in minus packets-out %d (%d - %d - %d): %s",
-			got, want, st.Packets, st.OutPackets, st.Drops, lg)
-	}
-	for q := 0; q < shards; q++ {
-		if n := nic.Arena(q).Outstanding(); n != 0 {
-			t.Fatalf("arena %d: %d packets outstanding after aborted run", q, n)
-		}
-	}
-}
-
-// TestPumpParallelFlightLedgerReconciles: same identity on the parallel
-// plane. PumpStats.Packets is worker-counted, while packets a reader
-// released on abort (read/ctx-canceled) or that died in a ring drain
-// (ring/abandoned) never reach a worker — so the worker-side identity is
-// ledger minus those two stages.
-func TestPumpParallelFlightLedgerReconciles(t *testing.T) {
-	netpkt.SetPoolPoison(true)
-	defer netpkt.SetPoolPoison(false)
-
-	capt := capture(t, 400, 64, 61)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	const shards = 4
-	nic := NewNIC(shards)
-	rec := flight.New(flight.Config{})
-	sp, err := dataplane.NewSharded(statelessChainBuild, dataplane.ShardedConfig{
-		Shards:   shards,
-		Config:   dataplane.Config{QueueDepth: 4, Flight: rec},
-		ShardOut: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: 4, RekeyPerPass: true})
-	defer src.Close()
-	st, err := Pump(ctx, src, sp, nil, PumpConfig{
-		BatchSize: 32,
-		NIC:       nic,
-		RXWorkers: shards,
-		Flight:    rec,
-	})
-	if err == nil {
-		t.Fatal("pump on a cancelled context returned nil error")
-	}
-	if st == nil {
-		t.Fatal("no stats returned alongside the abort error")
-	}
-	lg := rec.Ledger()
-	preWorker := ledgerStages(lg, flight.StageRead, flight.StageRing)
-	workerBooked := lg.Total() - preWorker
-	if got, want := workerBooked, st.Packets-st.OutPackets-uint64(st.Drops); got != want {
-		t.Fatalf("worker-side ledger %d != packets-in minus packets-out %d (%d - %d - %d; pre-worker %d): %s",
-			got, want, st.Packets, st.OutPackets, st.Drops, preWorker, lg)
-	}
-	for q := 0; q < shards; q++ {
-		if n := nic.Arena(q).Outstanding(); n != 0 {
-			t.Fatalf("arena %d: %d packets outstanding after aborted run", q, n)
-		}
+	for _, row := range []struct {
+		name                     string
+		shards, readers, workers int
+	}{
+		{"inline", 1, 1, 0},
+		{"rings", 4, 1, 4},
+		{"split-rings", 4, 4, 4},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			nic := NewNIC(row.shards)
+			rec := flight.New(flight.Config{})
+			sp, err := dataplane.NewSharded(statelessChainBuild, dataplane.ShardedConfig{
+				Shards:   row.shards,
+				Config:   dataplane.Config{QueueDepth: 2, Flight: rec},
+				ShardOut: row.readers > 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: 4, RekeyPerPass: true})
+			defer src.Close()
+			st, err := Pump(ctx, src, sp, nil, PumpConfig{BatchSize: 32, NIC: nic, RXWorkers: row.readers, Flight: rec})
+			if err == nil {
+				t.Fatal("pump on a cancelled context returned nil error")
+			}
+			if st == nil {
+				t.Fatal("no stats returned alongside the abort error")
+			}
+			if st.Readers != row.readers || st.Workers != row.workers {
+				t.Fatalf("ran %d readers and %d queue workers, want %d and %d", st.Readers, st.Workers, row.readers, row.workers)
+			}
+			lg := rec.Ledger()
+			if lg.Total() == 0 {
+				t.Fatal("aborted run booked nothing in the loss ledger")
+			}
+			if got, want := lg.Total(), st.Packets-st.OutPackets-st.Drops; got != want {
+				t.Fatalf("ledger total %d != packets read minus packets out %d (%d - %d - %d): %s",
+					got, want, st.Packets, st.OutPackets, st.Drops, lg)
+			}
+			for q := 0; q < row.shards; q++ {
+				if n := nic.Arena(q).Outstanding(); n != 0 {
+					t.Fatalf("arena %d: %d packets outstanding after aborted run", q, n)
+				}
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@ type SplittableSource interface {
 // the caller never touches it again. Sinks are single-consumer by default:
 // one goroutine calls Consume. A sink that additionally implements
 // ConcurrentSink opts into being called from many drain goroutines at once
-// (see ParallelDrain).
+// (Pump drains a ShardOut pipeline with one goroutine per shard).
 type Sink interface {
 	Consume(b *netpkt.Batch) error
 	Close() error

@@ -3,8 +3,8 @@ package ingress
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync/atomic"
+	"runtime"
+	"sync"
 	"time"
 
 	"nfcompass/internal/dataplane"
@@ -15,14 +15,13 @@ import (
 
 // PumpConfig tunes a replay run.
 type PumpConfig struct {
-	// BatchSize is how many packets are read from the source per injected
-	// batch (default 64).
+	// BatchSize is how many packets a queue gathers per injected batch
+	// (default 64).
 	BatchSize int
-	// NIC switches to direct per-queue injection: each read batch is
-	// demultiplexed by RSS queue and the per-queue sub-batches go straight
-	// to the owning shard (ShardedPipeline.InjectShard), bypassing the
-	// funnel dispatcher. NIC.Queues() must equal the pipeline's shard
-	// count. Nil feeds everything through sp.In().
+	// NIC is the emulated RSS NIC in front of the pipeline: queue q injects
+	// its batches straight into shard q (ShardedPipeline.InjectShard), so
+	// NIC.Queues() must equal the shard count. Nil uses
+	// NewNIC(sp.NumShards()).
 	NIC *NIC
 	// FlowTTL expires conntrack entries idle longer than this many
 	// replay-clock nanoseconds (capture timestamps when the source has
@@ -36,18 +35,13 @@ type PumpConfig struct {
 	// reclaimed per injected batch (default 64) — the incremental sweep
 	// that replaces stop-the-world expiry.
 	ExpiryBudget int
-	// RXWorkers is the ingress-parallelism knob; callers pass the NIC's
-	// queue count. <= 1 keeps the classic single-goroutine pump, the only
-	// shape for a source without a NIC. Any larger value selects the
-	// parallel plane: up to RXWorkers source readers (sources that cannot
-	// split run fewer) feed per-queue SPSC rings, and one RX worker per
-	// NIC queue builds arena batches, touches conntrack, and injects into
-	// its own shard independently. Requires NIC (per-queue injection is
-	// what the workers parallelize over).
+	// RXWorkers caps the source readers: a SplittableSource is split into
+	// up to this many (<= 1 reads the source as it is). Callers pass the
+	// NIC's queue count.
 	RXWorkers int
-	// PinWorkers locks every reader and RX worker goroutine to its own OS
-	// thread (runtime.LockOSThread) — the RX-core discipline, pairing
-	// with dataplane.Config.PinOSThread on the shard side.
+	// PinWorkers locks every reader and RX worker goroutine the pump starts
+	// to its own OS thread (runtime.LockOSThread) — the RX-core discipline,
+	// pairing with dataplane.Config.PinOSThread on the shard side.
 	PinWorkers bool
 	// RingSize is the capacity of each reader→worker SPSC ring (default
 	// 512). One ring exists per (reader, queue) pair so every ring keeps
@@ -65,9 +59,9 @@ type PumpConfig struct {
 
 // PumpStats reports what a replay run did.
 type PumpStats struct {
-	Packets uint64 // packets read from the source and injected
-	Bytes   uint64 // wire bytes injected
-	Batches uint64 // batches injected (sub-batches in NIC mode)
+	Packets uint64 // packets the readers took from the source
+	Bytes   uint64 // wire bytes of those packets
+	Batches uint64 // batches injected, over all queues
 
 	// The flow ledger balances at exit: Flows == flows still tracked +
 	// ExpiredFlows + EvictedFlows.
@@ -91,8 +85,8 @@ type PumpStats struct {
 	// meaningless and renders as "n/a".
 	E2EMeasured bool
 
-	Readers int // source readers that ran (1 = single-reader pump)
-	Workers int // per-queue RX workers (0 = single-reader pump)
+	Readers int // source readers that ran
+	Workers int // per-queue RX worker goroutines (0: the one reader fed the one queue inline)
 }
 
 // E2ELabel renders the p99 end-to-end latency for humans: "n/a" when the
@@ -111,58 +105,32 @@ func (st *PumpStats) String() string {
 		st.E2ELabel(), st.Readers, st.Workers)
 }
 
-// finish fills in what both pumps derive once the pipeline has drained: the
-// flow ledger's exits, the rate, the boundary's p99 and the packets stranded
-// by cancellation. released counts packets that are in st.Packets but that
-// the pump released itself.
-func (st *PumpStats) finish(start time.Time, ft *flowtable.Sharded[struct{}],
-	sp *dataplane.ShardedPipeline, released uint64, ledger *flight.Ledger) {
-	st.ExpiredFlows, st.EvictedFlows = ft.Expired(), ft.Evictions()
-	st.Duration = time.Since(start)
-	if s := st.Duration.Seconds(); s > 0 {
-		st.PPS = float64(st.Packets) / s
-	}
-	if sp.MetricsEnabled() {
-		st.P99 = time.Duration(sp.E2E().Percentile(99))
-		st.E2EMeasured = true
-	}
-	// Anything counted in but neither emitted, dropped in the pipeline nor
-	// released by the pump was stranded inside it by cancellation — book it
-	// so the ledger reconciles exactly:
-	//   Packets == OutPackets + Drops + ledger.Total()  (sink errors aside,
-	//   which attribute packets already counted as emitted; on the parallel
-	//   plane, reader-released and ring-abandoned packets never reach
-	//   st.Packets and their ledger rows attribute loss beyond it).
-	if stranded := int64(st.Packets) - int64(st.OutPackets) - int64(st.Drops) - int64(released); stranded > 0 {
-		ledger.Add(flight.StagePipeline, flight.ReasonCanceled, uint64(stranded))
-	}
-}
-
-// drainTo hands one output batch to the sink on a drain lane: counted on
-// every batch, clocked and recorded as a span when it is observed. live is
-// the batch's live count, taken before the sink may release it.
-func drainTo(dl *flight.LaneRecorder, b *netpkt.Batch, live uint64, consume func(*netpkt.Batch) error) error {
-	if !dl.Observe(b.ID) {
-		return consume(b)
-	}
-	id, t0 := b.ID, dl.Now()
-	err := consume(b)
-	t1 := dl.Now()
-	dl.AddBusy(t1 - t0)
-	dl.Span(id, int(live), t0, t1)
-	return err
-}
-
 // Pump replays a source through a sharded pipeline until the source is
 // exhausted (io.EOF) or ctx is cancelled, then drains and returns the run's
 // statistics. Pump owns the pipeline lifecycle: sp must be built
-// (dataplane.NewSharded) but not started. The sink receives every output
-// batch and owns releasing it; nil uses a DiscardSink.
+// (dataplane.NewSharded), not Ordered, and not started. The sink receives
+// every output batch and owns releasing it; nil uses a DiscardSink.
 //
-// Flow accounting runs inline: every packet touches a sharded conntrack
-// table keyed by FlowID, stale entries are reclaimed incrementally
-// (ExpiryBudget per batch), and the peak concurrent count is sampled at
-// every batch boundary.
+// The source is split into up to RXWorkers readers. Each reader stamps the
+// replay clock and counts every packet it reads, then hands it to the NIC
+// queue that owns it (rxQueue): that queue touches the packet's flow in a
+// sharded conntrack table, gathers its arena batch, injects it into its
+// shard and sweeps a bounded number of stale flows. The shape follows the
+// input. One reader in front of a one-queue NIC calls the queue inline, on
+// the calling goroutine, with no RSS hash. Any other shape classifies each
+// read with RSS and deals it into per-(reader, queue) SPSC rings, and one
+// worker goroutine per queue serves them. Per-flow order holds end to end:
+// the split puts each flow on one reader, RSS puts it on one queue, and a
+// ring is FIFO.
+//
+// Every packet counted in Packets is emitted, dropped by the chain, or
+// booked in the Flight recorder's loss ledger, so
+//
+//	Packets == OutPackets + Drops + ledger.Total()
+//
+// holds at exit, sink errors aside (their ledger rows book packets already
+// counted as emitted). Cancellation takes effect at the next injection or
+// ring handoff; a source blocked in Next must be closed to unblock it.
 func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink Sink, cfg PumpConfig) (*PumpStats, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
@@ -176,212 +144,235 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 	if cfg.ExpiryBudget <= 0 {
 		cfg.ExpiryBudget = 64
 	}
-	if cfg.NIC != nil && cfg.NIC.Queues() != sp.NumShards() {
+	if cfg.RingSize <= 0 {
+		cfg.RingSize = 512
+	}
+	if sp.Ordered() {
+		return nil, fmt.Errorf("ingress: Pump injects per queue, which an Ordered pipeline cannot take")
+	}
+	nic := cfg.NIC
+	if nic == nil {
+		nic = NewNIC(sp.NumShards())
+	}
+	if nic.Queues() != sp.NumShards() {
 		return nil, fmt.Errorf("ingress: NIC has %d queues but pipeline has %d shards",
-			cfg.NIC.Queues(), sp.NumShards())
+			nic.Queues(), sp.NumShards())
 	}
 	if sink == nil {
 		sink = &DiscardSink{}
 	}
-	if cfg.RXWorkers > 1 {
-		if cfg.NIC == nil {
-			return nil, fmt.Errorf("ingress: RXWorkers=%d requires a NIC (the parallel plane runs one worker per RSS queue)", cfg.RXWorkers)
+	subs := []Source{src}
+	if ss, ok := src.(SplittableSource); ok {
+		var err error
+		if subs, err = ss.Split(max(cfg.RXWorkers, 1)); err != nil {
+			return nil, err
 		}
-		return pumpParallel(ctx, src, sp, sink, cfg)
 	}
+	defer func() {
+		// Sub-sources created by the split are ours; the caller's original
+		// source is not.
+		for _, sub := range subs {
+			if sub != src {
+				sub.Close()
+			}
+		}
+	}()
 
-	ft := flowtable.NewSharded[struct{}](cfg.FlowStripes, cfg.FlowCapacity)
-	var clock atomic.Int64
-	if cfg.FlowTTL > 0 {
-		ft.SetTTL(cfg.FlowTTL, clock.Load)
-	}
-
-	st := &PumpStats{}
-	start := time.Now()
-	sp.Start(ctx)
-
-	// Flight lanes (all nil-safe when cfg.Flight is nil): the single
-	// reader owns lane 0 of the read/inject/conntrack stages.
 	rec := cfg.Flight
-	readLane := rec.Lane(flight.StageRead, 0)
-	injLane := rec.Lane(flight.StageInject, 0)
-	ctLane := rec.Lane(flight.StageConntrack, 0)
-	ledger := rec.Ledger()
+	p := &pump{ctx: ctx, sp: sp, cfg: cfg, start: time.Now(), ledger: rec.Ledger(),
+		ft: flowtable.NewSharded[struct{}](cfg.FlowStripes, cfg.FlowCapacity)}
+	if cfg.FlowTTL > 0 {
+		p.ft.SetTTL(cfg.FlowTTL, p.clock.Now)
+	}
+	queues := make([]*rxQueue, nic.Queues())
+	for q := range queues {
+		queues[q] = p.newQueue(q, len(queues), nic.Arena(q))
+	}
+	readers := make([]*reader, len(subs))
+	for r, sub := range subs {
+		readers[r] = &reader{pump: p, src: sub, nic: nic}
+	}
+	st := &PumpStats{Readers: len(readers)}
+	sp.Start(ctx)
+	wait := drain(sp, sink, rec)
 
-	// Drain concurrently with injection.
-	drain := mergedDrain(sp, sink, rec)
-
-	var (
-		pkts      = make([]*netpkt.Packet, 0, cfg.BatchSize)
-		byQueue   [][]*netpkt.Packet
-		nextID    uint64
-		runErr    error
-		released  uint64 // packets counted in st.Packets but released by the pump
-		readStart int64  // when reading batch nextID began, if it is observed
-	)
-	if flight.Observed(nextID) {
-		readStart = readLane.Now()
-	}
-	if cfg.NIC != nil {
-		byQueue = make([][]*netpkt.Packet, cfg.NIC.Queues())
-	}
-
-	// abort books packets a flush released instead of injecting.
-	abort := func(reason string, lost int) bool {
-		ledger.Add(flight.StageInject, reason, uint64(lost))
-		released += uint64(lost)
-		pkts = pkts[:0]
-		return false
-	}
-	flush := func() bool {
-		if len(pkts) == 0 {
-			return true
-		}
-		n := len(pkts)
-		// One flush is one batch to the read, inject and conntrack lanes,
-		// filed under the first ID it injects (its only one off NIC
-		// steering); an observed flush pays four clock reads, any other none.
-		id := nextID
-		obs := readLane.Observe(id)
-		var flushStart int64
-		if obs {
-			// The read span covers accumulating this batch from the
-			// source (including any source pacing) plus RSS classify.
-			flushStart = readLane.Now()
-			readLane.AddBusy(flushStart - readStart)
-			readLane.Span(id, n, readStart, flushStart)
-		}
-		if ctx.Err() != nil {
-			// Don't race the send against a done context: with buffered
-			// shard queues the send can win even though every worker has
-			// already exited, stranding the batch in a pipeline that will
-			// never drain it. Packets not yet accepted are still ours.
-			releaseAll(pkts)
-			return abort(flight.ReasonCtxCanceled, n)
-		}
-		if cfg.NIC == nil {
-			b := netpkt.NewBatch(id, append(make([]*netpkt.Packet, 0, len(pkts)), pkts...))
-			nextID++
-			select {
-			case sp.In() <- b:
-			case <-ctx.Done():
-				// The batch never entered the pipeline; it is still ours
-				// to release or the packets leak out of their arenas.
-				b.Release()
-				return abort(flight.ReasonCtxCanceled, n)
-			}
-			st.Batches++
-		} else {
-			for q := range byQueue {
-				byQueue[q] = byQueue[q][:0]
-			}
-			for _, p := range pkts {
-				q := cfg.NIC.Queue(p)
-				byQueue[q] = append(byQueue[q], p)
-			}
-			for q, qp := range byQueue {
-				if len(qp) == 0 {
-					continue
-				}
-				sb := cfg.NIC.Arena(q).GetBatch(len(qp))
-				sb.Packets = append(sb.Packets, qp...)
-				sb.ID = nextID
-				nextID++
-				if !sp.InjectShard(ctx, q, sb) {
-					// Injection refused (ctx cancelled): this sub-batch and
-					// every later queue's packets are still ours — release
-					// them so the arenas balance.
-					lost := len(sb.Packets)
-					sb.Release()
-					for _, rest := range byQueue[q+1:] {
-						lost += len(rest)
-						releaseAll(rest)
-					}
-					return abort(flight.ReasonInjectRefused, lost)
-				}
-				st.Batches++
-			}
-		}
-		pkts = pkts[:0]
-		injLane.Observe(id)
-		var injEnd int64
-		if obs {
-			// Funnel or shard-inbox wait is backpressure, not productive work.
-			injEnd = injLane.Now()
-			injLane.AddStall(injEnd - flushStart)
-			injLane.Span(id, n, flushStart, injEnd)
-		}
-		if cfg.FlowTTL > 0 {
-			ctLane.Observe(id)
-			ft.ExpireTail(cfg.ExpiryBudget)
-			if obs {
-				ct1 := ctLane.Now()
-				ctLane.AddBusy(ct1 - injEnd)
-				ctLane.Span(id, 0, injEnd, ct1)
-			}
-		}
-		if n := ft.Len(); n > st.PeakFlows {
-			st.PeakFlows = n
-		}
-		if flight.Observed(nextID) {
-			readStart = readLane.Now()
-		}
-		return true
-	}
-
-	for {
-		p, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			runErr = err
-			break
-		}
-		now := p.Arrival
-		if now <= 0 {
-			now = time.Since(start).Nanoseconds()
-		}
-		if now > clock.Load() {
-			clock.Store(now)
-		}
-		if ft.Touch(p.FlowID, func() struct{} { return struct{}{} }) {
-			st.Flows++
-		}
-		st.Packets++
-		st.Bytes += uint64(len(p.Data))
-		pkts = append(pkts, p)
-		if len(pkts) >= cfg.BatchSize {
-			if !flush() {
-				runErr = ctx.Err()
-				break
-			}
-		}
-	}
-	if runErr == nil {
-		if !flush() {
-			runErr = ctx.Err()
-		}
+	if len(readers) == 1 && len(queues) == 1 {
+		// The reader is the queue's worker: its read lane is the one that
+		// spans building each batch.
+		queues[0].build = rec.Lane(flight.StageRead, 0)
+		readers[0].inline = queues[0]
+		readers[0].run()
 	} else {
-		// A source error leaves read-but-uninjected packets pending;
-		// release them rather than stranding them outside their arenas.
-		ledger.Add(flight.StageRead, flight.ReasonSourceError, uint64(len(pkts)))
-		released += uint64(len(pkts))
-		releaseAll(pkts)
-		pkts = pkts[:0]
+		st.Workers = len(queues)
+		p.runRings(readers, queues)
 	}
 
 	sp.CloseInput()
-	var sinkErr error
-	st.OutPackets, st.Drops, sinkErr = drain()
-	if err := sp.Wait(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if sinkErr != nil && runErr == nil {
-		runErr = sinkErr
-	}
+	out, drops, sinkErr := wait()
+	pipeErr := sp.Wait()
 
-	st.finish(start, ft, sp, released, ledger)
-	st.Readers = 1
-	return st, runErr
+	var released uint64
+	var errs []error
+	for _, r := range readers {
+		st.Packets += r.packets
+		st.Bytes += r.bytes
+		released += r.released
+		errs = append(errs, r.err)
+	}
+	for _, x := range queues {
+		st.Batches += x.batches
+		st.Flows += x.flows
+		st.PeakFlows = max(st.PeakFlows, x.peak)
+		released += x.released
+		errs = append(errs, x.err)
+	}
+	st.OutPackets, st.Drops = out, drops
+	st.ExpiredFlows, st.EvictedFlows = p.ft.Expired(), p.ft.Evictions()
+	st.Duration = time.Since(p.start)
+	if s := st.Duration.Seconds(); s > 0 {
+		st.PPS = float64(st.Packets) / s
+	}
+	if sp.MetricsEnabled() {
+		st.P99 = time.Duration(sp.E2E().Percentile(99))
+		st.E2EMeasured = true
+	}
+	// Anything counted in but neither emitted, dropped in the pipeline nor
+	// released by the pump was stranded inside the pipeline by cancellation.
+	if stranded := int64(st.Packets) - int64(out) - int64(drops) - int64(released); stranded > 0 {
+		p.ledger.Add(flight.StagePipeline, flight.ReasonCanceled, uint64(stranded))
+	}
+	for _, err := range append(errs, pipeErr, sinkErr) {
+		if err != nil {
+			return st, err
+		}
+	}
+	return st, nil
+}
+
+// runRings runs the ring shape: one goroutine per reader and one worker
+// goroutine per queue, joined before it returns.
+func (p *pump) runRings(readers []*reader, queues []*rxQueue) {
+	rec := p.cfg.Flight
+	// rings[q][r] carries reader r's packets for queue q.
+	rings := make([][]*spscRing, len(queues))
+	for q := range rings {
+		rings[q] = make([]*spscRing, len(readers))
+		for r := range rings[q] {
+			rings[q][r] = newSPSCRing(p.cfg.RingSize)
+		}
+		// One occupancy probe per queue: the sum over the rings feeding it
+		// (atomic cursor reads, safe from the sampler goroutine).
+		col := rings[q]
+		rec.AddQueue(flight.StageRing, q, func() (n, capacity int) {
+			for _, ring := range col {
+				n += ring.Len()
+			}
+			return n, col[0].Cap() * len(col)
+		})
+	}
+	var wg sync.WaitGroup
+	spawn := func(run func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p.cfg.PinWorkers {
+				runtime.LockOSThread()
+				defer runtime.UnlockOSThread()
+			}
+			run()
+		}()
+	}
+	for q, x := range queues {
+		x.build = rec.Lane(flight.StageRX, q)
+		spawn(func() { x.serve(rings[q]) })
+	}
+	for r, rd := range readers {
+		rd.lane = rec.Lane(flight.StageRead, r)
+		rd.rings = make([]*spscRing, len(queues))
+		for q := range queues {
+			rd.rings[q] = rings[q][r]
+		}
+		spawn(rd.run)
+	}
+	wg.Wait()
+}
+
+// drain consumes the pipeline's output until it closes — the N OutShard
+// channels when sp was built with ShardOut, else the one merged Out() — with
+// one goroutine and one drain lane per channel. Each batch is counted before
+// the sink, which may release it, consumes it. The returned function joins
+// the goroutines and reports emitted packets, drops and the first sink error.
+func drain(sp *dataplane.ShardedPipeline, sink Sink, rec *flight.Recorder) func() (out, drops uint64, err error) {
+	chans := []<-chan *netpkt.Batch{sp.Out()}
+	consume := sink.Consume
+	if sp.PerShardOut() {
+		chans = make([]<-chan *netpkt.Batch, sp.NumShards())
+		for q := range chans {
+			chans[q] = sp.OutShard(q)
+		}
+		consume = sinkConsumer(sink)
+	}
+	ledger := rec.Ledger()
+	type tally struct {
+		out, drops uint64
+		err        error
+	}
+	tallies := make([]tally, len(chans))
+	var wg sync.WaitGroup
+	for q, ch := range chans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dl := rec.Lane(flight.StageDrain, q)
+			var t tally
+			for b := range ch {
+				live := uint64(b.Live())
+				t.out += live
+				t.drops += uint64(b.Len()) - live
+				id, obs := b.ID, dl.Observe(b.ID)
+				var t0 int64
+				if obs {
+					t0 = dl.Now()
+				}
+				if err := consume(b); err != nil {
+					if t.err == nil {
+						t.err = err
+					}
+					ledger.Add(flight.StageDrain, flight.ReasonSinkError, live)
+				}
+				if obs {
+					t1 := dl.Now()
+					dl.AddBusy(t1 - t0)
+					dl.Span(id, int(live), t0, t1)
+				}
+			}
+			tallies[q] = t
+		}()
+	}
+	return func() (out, drops uint64, err error) {
+		wg.Wait()
+		for _, t := range tallies {
+			out += t.out
+			drops += t.drops
+			if err == nil {
+				err = t.err
+			}
+		}
+		return out, drops, err
+	}
+}
+
+// sinkConsumer returns a consume function safe to call from many drain
+// goroutines: sinks that declare themselves concurrent are called directly,
+// everything else is wrapped in a mutex.
+func sinkConsumer(sink Sink) func(*netpkt.Batch) error {
+	if cs, ok := sink.(ConcurrentSink); ok && cs.ConcurrentSafe() {
+		return cs.Consume
+	}
+	var mu sync.Mutex
+	return func(b *netpkt.Batch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return sink.Consume(b)
+	}
 }

@@ -115,27 +115,33 @@ func (r *RSS) Hash4(src, dst uint32, srcPort, dstPort uint16) uint32 {
 	return r.Hash(in[:])
 }
 
-// HashPacket hashes a parsed packet the way a NIC classifies it: the
-// TCP/UDP 4-tuple when ports are present, the address 2-tuple for other IP
-// traffic, and a FlowKey-derived fallback for non-IP frames (real NICs
-// send those to queue 0; hashing the synthetic flow key keeps the
-// emulation's flow-affinity contract intact for generator traffic too).
+// HashPacket hashes a parsed packet the way a NIC classifies it (see
+// flowTuple for the input).
 func (r *RSS) HashPacket(p *netpkt.Packet) uint32 {
 	var in [36]byte
+	return r.Hash(in[:flowTuple(p, &in)])
+}
+
+// flowTuple writes p's hash input into in and returns its length: the
+// TCP/UDP 4-tuple when ports are present, the address 2-tuple for other IP
+// traffic, and a FlowKey-derived fallback for non-IP frames (real NICs send
+// those to queue 0; hashing the synthetic flow key keeps the emulation's
+// flow-affinity contract intact for generator traffic too).
+func flowTuple(p *netpkt.Packet, in *[36]byte) int {
 	n := 0
 	switch {
 	case p.L3Offset >= 0 && p.L3Proto == netpkt.ProtoIPv4 && len(p.L3()) >= 20:
-		n += copy(in[n:], p.L3()[12:20]) // src, dst
+		n = copy(in[:], p.L3()[12:20]) // src, dst
 	case p.L3Offset >= 0 && p.L3Proto == netpkt.ProtoIPv6 && len(p.L3()) >= 40:
-		n += copy(in[n:], p.L3()[8:40]) // src, dst
+		n = copy(in[:], p.L3()[8:40]) // src, dst
 	default:
 		binary.BigEndian.PutUint64(in[:8], p.FlowKey())
-		return r.Hash(in[:8])
+		return 8
 	}
 	if l4 := p.L4(); (p.L4Proto == netpkt.IPProtoTCP || p.L4Proto == netpkt.IPProtoUDP) && len(l4) >= 4 {
 		n += copy(in[n:], l4[0:4]) // src port, dst port
 	}
-	return r.Hash(in[:n])
+	return n
 }
 
 // Queue maps a packet to its receive queue through the indirection table.
@@ -143,37 +149,13 @@ func (r *RSS) Queue(p *netpkt.Packet) int {
 	return r.indirection[r.HashPacket(p)&(rssIndirection-1)]
 }
 
-// QueueBatch classifies a whole read batch in one call, appending each
-// packet's queue to dst (reused across calls: pass dst[:0]) and returning
-// it. Batching amortizes the per-packet call overhead and keeps the
-// contribution table hot in cache across the run of packets — the hash
-// itself is the same Toeplitz walk Queue does, so the mapping is
-// bit-identical to per-packet classification (test-pinned).
+// QueueBatch classifies a whole read batch, appending each packet's queue to
+// dst (reused across calls: pass dst[:0]) and returning it — the mapping
+// Queue makes, packet for packet.
 func (r *RSS) QueueBatch(pkts []*netpkt.Packet, dst []int) []int {
-	tbl := r.tbl
-	ind := &r.indirection
+	var in [36]byte
 	for _, p := range pkts {
-		var in [36]byte
-		n := 0
-		switch {
-		case p.L3Offset >= 0 && p.L3Proto == netpkt.ProtoIPv4 && len(p.L3()) >= 20:
-			n += copy(in[n:], p.L3()[12:20])
-		case p.L3Offset >= 0 && p.L3Proto == netpkt.ProtoIPv6 && len(p.L3()) >= 40:
-			n += copy(in[n:], p.L3()[8:40])
-		default:
-			binary.BigEndian.PutUint64(in[:8], p.FlowKey())
-			n = 8
-			goto hash
-		}
-		if l4 := p.L4(); (p.L4Proto == netpkt.IPProtoTCP || p.L4Proto == netpkt.IPProtoUDP) && len(l4) >= 4 {
-			n += copy(in[n:], l4[0:4])
-		}
-	hash:
-		var h uint32
-		for i := 0; i < n; i++ {
-			h ^= tbl[i][in[i]]
-		}
-		dst = append(dst, ind[h&(rssIndirection-1)])
+		dst = append(dst, r.indirection[r.Hash(in[:flowTuple(p, &in)])&(rssIndirection-1)])
 	}
 	return dst
 }
