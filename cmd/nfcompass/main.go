@@ -28,6 +28,7 @@ import (
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/spec"
 	"nfcompass/internal/traffic"
@@ -47,7 +48,7 @@ func main() {
 	metrics := flag.Bool("metrics", false,
 		"run the deployed graph on the live dataplane with per-element metrics and print the snapshot plus a Prometheus-text dump")
 	shards := flag.Int("shards", 1,
-		"dataplane replicas for the -metrics run: packets are dispatched by flow affinity and the snapshot aggregates across shards (0 = one per CPU)")
+		"dataplane replicas for the -metrics run: packets are steered by flow affinity and the snapshot aggregates across shards (0 = one per CPU)")
 	assign := flag.Bool("assign", false,
 		"print the task allocator's report (algorithm, objective, cut/load split, per-element offload ratios) and execute the chain on the live dataplane under that assignment: ModeGPU/ModeSplit elements run through the emulated GPU device backend")
 	source := flag.String("source", "",
@@ -282,13 +283,30 @@ func main() {
 			}
 			rep = pl.Snapshot()
 		} else {
-			_, sp, err := dataplane.RunBatchesSharded(context.Background(),
-				replicas(d, deploy), dataplane.ShardedConfig{
-					Config:  dataplane.Config{Metrics: true},
-					Shards:  *shards,
-					Ordered: true,
-				}, mkBatches(3000))
+			sp, err := dataplane.NewSharded(replicas(d, deploy), dataplane.ShardedConfig{
+				Config: dataplane.Config{Metrics: true},
+				Shards: *shards,
+			})
 			if err != nil {
+				fatal(err)
+			}
+			ctx := context.Background()
+			sp.Start(ctx)
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				for range sp.Out() {
+				}
+			}()
+			nic := ingress.NewNIC(sp.NumShards())
+			for _, b := range mkBatches(3000) {
+				if !nic.Steer(ctx, sp, b) {
+					break // the pipeline stopped; Wait reports why
+				}
+			}
+			sp.CloseInput()
+			<-drained
+			if err := sp.Wait(); err != nil {
 				fatal(err)
 			}
 			rep = sp.Snapshot()

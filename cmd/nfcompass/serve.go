@@ -12,15 +12,15 @@ import (
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/flight"
 	"nfcompass/internal/hetsim"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/telemetry"
 	"nfcompass/internal/traffic"
 )
 
 // engine is the common surface of the plain and sharded pipelines the
-// continuous run drives.
+// continuous run drives; batches enter through the run's send function.
 type engine interface {
-	In() chan<- *netpkt.Batch
 	Out() <-chan *netpkt.Batch
 	CloseInput()
 	Wait() error
@@ -76,30 +76,43 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 	// /metrics.
 	rec := flight.New(flight.Config{})
 	smp := flight.NewSampler(rec, flight.DefaultSampleInterval)
-	cfg := dataplane.Config{PreserveOrder: true, Metrics: true, Trace: ring,
-		Flight: rec}
+	cfg := dataplane.Config{Metrics: true, Trace: ring, Flight: rec}
 	if d.Alloc != nil {
 		cfg.Assignment = d.Assignment
 		cfg.Offload = &dataplane.OffloadConfig{Platform: &o.platform}
 	}
 
 	var eng engine
+	var send func(*netpkt.Batch) bool
 	if o.shards <= 1 {
+		cfg.PreserveOrder = true
 		pl, err := dataplane.New(d.Graph, cfg)
 		if err != nil {
 			return err
 		}
 		pl.Start(ctx)
 		eng = pl
+		send = func(b *netpkt.Batch) bool {
+			select {
+			case pl.In() <- b:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		}
 	} else {
+		// Replicas keep per-flow order, which the NIC's flow steering gives
+		// them; nothing re-sequences across shards.
 		sp, err := dataplane.NewSharded(replicas(d, deploy), dataplane.ShardedConfig{
-			Config: cfg, Shards: o.shards, Ordered: true,
+			Config: cfg, Shards: o.shards,
 		})
 		if err != nil {
 			return err
 		}
 		sp.Start(ctx)
 		eng = sp
+		nic := ingress.NewNIC(o.shards)
+		send = func(b *netpkt.Batch) bool { return nic.Steer(ctx, sp, b) }
 	}
 
 	// The adaptor gets its own deployment: Observe runs the graph
@@ -142,16 +155,15 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		}
 	}()
 
-	// The ordered release path sorts by injection ID, and each traffic
-	// generator restarts its IDs at zero, so renumber across generators.
+	// The single pipeline's ordered release sorts by injection ID and the
+	// latency probe is keyed by it, while each traffic generator restarts
+	// its IDs at zero, so renumber across generators.
 	var nextID uint64
 	inject := func(bs []*netpkt.Batch) bool {
 		for _, b := range bs {
 			b.ID = nextID
 			nextID++
-			select {
-			case eng.In() <- b:
-			case <-ctx.Done():
+			if !send(b) {
 				return false
 			}
 		}

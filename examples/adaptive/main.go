@@ -22,6 +22,7 @@ import (
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
@@ -109,13 +110,13 @@ func main() {
 			Metrics: true,
 			Offload: &dataplane.OffloadConfig{Platform: &platform},
 		},
-		Shards:  2,
-		Ordered: true,
+		Shards: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp.Start(context.Background())
+	ctx := context.Background()
+	sp.Start(ctx)
 	var souts []*netpkt.Batch
 	collected := make(chan struct{})
 	go func() {
@@ -125,15 +126,16 @@ func main() {
 		}
 	}()
 
-	// The ordered merger releases by injection order of batch IDs, so
-	// renumber across the two traffic bursts (each generator restarts its
-	// IDs at zero).
+	// The NIC steers each flow to one replica. Batch IDs key the latency
+	// probe, so renumber across the two traffic bursts (each generator
+	// restarts its IDs at zero).
+	nic := ingress.NewNIC(sp.NumShards())
 	var nextID uint64
 	inject := func(bs []*netpkt.Batch) {
 		for _, b := range bs {
 			b.ID = nextID
 			nextID++
-			sp.In() <- b
+			nic.Steer(ctx, sp, b)
 		}
 	}
 	inject(mk(traffic.PayloadFullMatch, 5, 10)) // first half: CPU-only epoch

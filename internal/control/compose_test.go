@@ -8,6 +8,7 @@ import (
 
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/spec"
 	"nfcompass/internal/traffic"
@@ -150,24 +151,40 @@ func runComposition(t *testing.T, specs []spec.ChainSpec, feeds map[uint16][]*ne
 	for i, b := range all {
 		b.ID = uint64(i + 1)
 	}
-	outs, _, err := dataplane.RunBatchesSharded(context.Background(), c.Build,
-		dataplane.ShardedConfig{
-			Config: dataplane.Config{Metrics: true, QueueDepth: 64, Tenants: c.Tenants},
-			Shards: 2,
-		}, all)
+	sp, err := dataplane.NewSharded(c.Build, dataplane.ShardedConfig{
+		Config: dataplane.Config{Metrics: true, QueueDepth: 64, Tenants: c.Tenants},
+		Shards: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	sp.Start(ctx)
 	got := map[uint16]map[uint64]int{}
-	for _, b := range outs {
-		for _, p := range b.Packets {
-			m := got[p.Tenant]
-			if m == nil {
-				m = map[uint64]int{}
-				got[p.Tenant] = m
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for b := range sp.Out() {
+			for _, p := range b.Packets {
+				m := got[p.Tenant]
+				if m == nil {
+					m = map[uint64]int{}
+					got[p.Tenant] = m
+				}
+				m[digest(p)]++
 			}
-			m[digest(p)]++
 		}
+	}()
+	nic := ingress.NewNIC(sp.NumShards())
+	for _, b := range all {
+		if !nic.Steer(ctx, sp, b) {
+			t.Fatal("Steer refused a batch on a live pipeline")
+		}
+	}
+	sp.CloseInput()
+	<-drained
+	if err := sp.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	return got
 }

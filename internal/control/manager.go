@@ -12,6 +12,7 @@ import (
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/spec"
 	"nfcompass/internal/traffic"
 )
@@ -152,8 +153,11 @@ type chainState struct {
 // structurally identical, so in-place graph surgery is not an option) and
 // drain the old one after the swap.
 type generation struct {
-	comp    *Composition
-	sp      *dataplane.ShardedPipeline
+	comp *Composition
+	sp   *dataplane.ShardedPipeline
+	// nic steers the manager's synthetic bursts onto the shards by flow, as
+	// the RSS queues in front of a replayed source would.
+	nic     *ingress.NIC
 	cancel  context.CancelFunc
 	drained chan struct{}
 	// counts is the per-tenant boundary accounting, indexed by demux tag:
@@ -623,7 +627,7 @@ func (m *Manager) newGeneration(comp *Composition, shards int, assign hetsim.Ass
 	ctx, cancel := context.WithCancel(context.Background())
 	sp.Start(ctx)
 	gen := &generation{
-		comp: comp, sp: sp, cancel: cancel,
+		comp: comp, sp: sp, nic: ingress.NewNIC(sp.NumShards()), cancel: cancel,
 		drained: make(chan struct{}),
 		counts:  make(map[uint16]*tenantCounter, len(comp.Specs)),
 	}
@@ -649,8 +653,8 @@ func (m *Manager) newGeneration(comp *Composition, shards int, assign hetsim.Ass
 	return gen, nil
 }
 
-// stop drains and tears down a generation: close the funnel, let every
-// shard and the merger finish, then release the context.
+// stop drains and tears down a generation: close the shard inputs, let
+// every shard and its forwarder finish, then release the context.
 func (g *generation) stop() {
 	g.sp.CloseInput()
 	<-g.drained
@@ -678,9 +682,7 @@ func (m *Manager) pumpInto(gen *generation, batches int) error {
 				c.in.Add(uint64(len(b.Packets)))
 			}
 			b.ID = m.batchID.Add(1)
-			select {
-			case gen.sp.In() <- b:
-			case <-gen.drained:
+			if !gen.nic.Steer(context.Background(), gen.sp, b) {
 				return fmt.Errorf("control: dataplane stopped mid-pump")
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
@@ -37,25 +38,31 @@ func TestAdaptorDrivesShardedPipeline(t *testing.T) {
 		return di.Graph, nil
 	}
 	sp, err := dataplane.NewSharded(buildShard, dataplane.ShardedConfig{
-		Shards: 2, Ordered: true,
+		Shards: 2,
 		Config: dataplane.Config{QueueDepth: 4, Metrics: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Start(context.Background())
+	ctx := context.Background()
+	sp.Start(ctx)
 	collected := make(chan struct{})
 	go func() {
 		defer close(collected)
 		for range sp.Out() {
 		}
 	}()
+	// The NIC steers each flow to one replica; IDs stay unique across the
+	// bursts for the latency probe.
+	nic := ingress.NewNIC(sp.NumShards())
 	var nextID uint64
 	inject := func(bs []*netpkt.Batch) {
 		for _, b := range bs {
 			b.ID = nextID
 			nextID++
-			sp.In() <- b
+			if !nic.Steer(ctx, sp, b) {
+				t.Fatal("Steer refused a batch on a live pipeline")
+			}
 		}
 	}
 

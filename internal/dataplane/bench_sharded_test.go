@@ -4,7 +4,7 @@ package dataplane
 // hot path. Numbers from this file are recorded in EXPERIMENTS.md; note
 // that sharded speedup is only observable on a multi-core machine
 // (runtime.NumCPU() > 1) — on a single hardware thread the shards
-// time-slice one core and the benchmark measures dispatch overhead.
+// time-slice one core and the benchmark measures injection overhead.
 
 import (
 	"context"
@@ -148,7 +148,7 @@ func BenchmarkCloneVsPooled(b *testing.B) {
 }
 
 // BenchmarkShardedPipeline streams a paper-style NF chain (firewall,
-// router, NAT, IDS) through 1/2/4/8 replicas with flow-affinity dispatch.
+// router, NAT, IDS) through 1/2/4/8 replicas, each batch steered by flow.
 // On an M-core machine throughput scales up to min(shards, M); shard
 // counts past NumCPU only measure scheduler time-slicing.
 func BenchmarkShardedPipeline(b *testing.B) {
@@ -174,7 +174,8 @@ func BenchmarkShardedPipeline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sp.Start(context.Background())
+			ctx := context.Background()
+			sp.Start(ctx)
 			done := make(chan int64)
 			go func() {
 				var pkts int64
@@ -186,7 +187,7 @@ func BenchmarkShardedPipeline(b *testing.B) {
 			}()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sp.In() <- base[i%len(base)].ClonePooled()
+				injectByFlow(ctx, sp, base[i%len(base)].ClonePooled())
 			}
 			sp.CloseInput()
 			pkts := <-done

@@ -11,7 +11,6 @@ package dataplane
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -126,35 +125,13 @@ func TestCompiledPerFlowOrderSharded(t *testing.T) {
 	build := func(int) (*element.Graph, error) { return hotChainGraph(), nil }
 	const flows = 13
 	run := func(disable bool) []*netpkt.Batch {
-		outs, _, err := RunBatchesSharded(context.Background(), build,
-			ShardedConfig{Shards: 4, Ordered: false,
-				Config: Config{QueueDepth: 2, DisableCompile: disable}},
+		outs, _ := runSharded(t, build,
+			ShardedConfig{Shards: 4, Config: Config{QueueDepth: 2, DisableCompile: disable}},
 			seqTraffic(flows, 40, 16))
-		if err != nil {
-			t.Fatal(err)
-		}
 		return outs
 	}
 	cout, iout := run(false), run(true)
-
-	lastSeq := make(map[uint32]int64)
-	seen := 0
-	for _, b := range cout {
-		for _, p := range b.Packets {
-			if p.Dropped {
-				t.Fatalf("unexpected drop: %v", p)
-			}
-			payload := p.Payload()
-			f := binary.BigEndian.Uint32(payload[0:4])
-			seq := int64(binary.BigEndian.Uint32(payload[4:8]))
-			if prev, ok := lastSeq[f]; ok && seq <= prev {
-				t.Fatalf("flow %d: seq %d after %d (per-flow order violated)", f, seq, prev)
-			}
-			lastSeq[f] = seq
-			seen++
-		}
-	}
-	if seen != 40*16 {
+	if seen := checkFlowOrder(t, cout); seen != 40*16 {
 		t.Fatalf("saw %d packets, want %d", seen, 40*16)
 	}
 	want, got := multiset(iout), multiset(cout)

@@ -20,12 +20,12 @@
 //   - Pipeline: one goroutine per element, scaling with the number of
 //     *stages*. Config.PreserveOrder re-sequences output batches in
 //     injection order.
-//   - ShardedPipeline (sharded.go): N replicas of the graph behind a
-//     flow-affinity dispatcher, additionally scaling with the number of
-//     *cores*. Packets are routed by netpkt.Packet.FlowKey, so every flow
-//     sees exactly one replica and stateful NFs keep their per-flow
-//     semantics; ShardedConfig.Ordered restores global batch order at the
-//     merged output. See DESIGN.md §8.
+//   - ShardedPipeline (sharded.go): N replicas of the graph, one per
+//     receive queue, additionally scaling with the number of *cores*.
+//     Batches enter only through InjectShard, steered by flow (the
+//     ingress NIC's RSS queues), so every flow sees exactly one replica,
+//     in order, and stateful NFs keep their per-flow semantics; order
+//     across flows is not kept. See DESIGN.md §8.
 //
 // # Hot path and memory pooling
 //

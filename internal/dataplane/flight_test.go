@@ -70,38 +70,25 @@ func TestPipelineFlightSpans(t *testing.T) {
 }
 
 // TestShardedFlightSpans: the sharded pipeline assigns each replica its
-// shard index as the flight lane, records dispatch spans on the funnel, and
-// probes both the dispatch queue and every shard inbox.
+// shard index as the flight lane and probes every shard inbox.
 func TestShardedFlightSpans(t *testing.T) {
 	rec := flight.New(flight.Config{})
 	build := func(int) (*element.Graph, error) { return testChainGraph(), nil }
 	const shards = 3
-	in := genBatches(200, 32, 7)
-	observed := observedIDs(in)
-	outs, _, err := RunBatchesSharded(context.Background(), build, ShardedConfig{
+	outs, _ := runSharded(t, build, ShardedConfig{
 		Shards: shards,
 		Config: Config{Metrics: true, Flight: rec},
-	}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, genBatches(200, 32, 7))
 	if len(outs) == 0 {
 		t.Fatal("no output batches")
 	}
 
-	var dispatch int
 	lanes := map[string]map[int]bool{}
 	for _, s := range rec.Spans() {
-		if s.Stage == flight.StageDispatch {
-			dispatch++
-		}
 		if lanes[s.Stage] == nil {
 			lanes[s.Stage] = map[int]bool{}
 		}
 		lanes[s.Stage][s.Lane] = true
-	}
-	if dispatch != observed {
-		t.Errorf("dispatch spans = %d, want one per observed batch (%d)", dispatch, observed)
 	}
 	if got := len(lanes[flight.StageRelease]); got != shards {
 		t.Errorf("release spans on %d lanes, want one per shard (%d)", got, shards)
@@ -112,9 +99,6 @@ func TestShardedFlightSpans(t *testing.T) {
 		if s.HasQueue {
 			probes[s.Stage]++
 		}
-	}
-	if probes[flight.StageDispatch] != 1 {
-		t.Errorf("dispatch queue probes = %d, want 1", probes[flight.StageDispatch])
 	}
 	if probes[flight.StageShard] != shards {
 		t.Errorf("shard inbox probes = %d, want %d", probes[flight.StageShard], shards)

@@ -1,9 +1,7 @@
 package dataplane
 
-// Tests for the ingress-plane hooks: ShardedConfig.ShardBy (pluggable
-// flow→shard mapping, so an emulated RSS NIC and the funnel dispatcher can
-// agree on flow placement), ShardedPipeline.InjectShard (the direct
-// per-queue path), and Config.PinOSThread (OS-thread pinning of element
+// Tests for the ingress-plane hooks: ShardedPipeline.InjectShard (the
+// per-queue entry) and Config.PinOSThread (OS-thread pinning of element
 // goroutines).
 
 import (
@@ -26,87 +24,8 @@ func linearBuild(int) (*element.Graph, error) {
 	return g, nil
 }
 
-// TestShardByOverridesDispatch: a custom mapping must decide placement —
-// sending everything to one chosen replica leaves the others idle, which
-// the default FlowKey()%N mapping would never do for multi-flow traffic.
-func TestShardByOverridesDispatch(t *testing.T) {
-	const target = 2
-	_, sp, err := RunBatchesSharded(context.Background(), linearBuild,
-		ShardedConfig{
-			Shards:  4,
-			Config:  Config{Metrics: true},
-			ShardBy: func(*netpkt.Packet, int) int { return target },
-		}, seqTraffic(9, 20, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sp.NumShards(); i++ {
-		got := sp.ShardSnapshot(i).Elements[1].PktsIn
-		want := uint64(0)
-		if i == target {
-			want = 20 * 8
-		}
-		if got != want {
-			t.Fatalf("shard %d saw %d packets, want %d", i, got, want)
-		}
-	}
-}
-
-// TestShardByPreservesPerFlowOrder: any pure packet-determined mapping must
-// keep the flow-affinity guarantee intact.
-func TestShardByPreservesPerFlowOrder(t *testing.T) {
-	byPayloadFlow := func(p *netpkt.Packet, shards int) int {
-		f := binary.BigEndian.Uint32(p.Payload()[0:4])
-		return int(f) % shards
-	}
-	outs, _, err := RunBatchesSharded(context.Background(), linearBuild,
-		ShardedConfig{Shards: 3, Config: Config{QueueDepth: 2}, ShardBy: byPayloadFlow},
-		seqTraffic(11, 30, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastSeq := make(map[uint32]int64)
-	seen := 0
-	for _, b := range outs {
-		for _, p := range b.Packets {
-			payload := p.Payload()
-			f := binary.BigEndian.Uint32(payload[0:4])
-			seq := int64(binary.BigEndian.Uint32(payload[4:8]))
-			if prev, ok := lastSeq[f]; ok && seq <= prev {
-				t.Fatalf("flow %d: seq %d after %d", f, seq, prev)
-			}
-			lastSeq[f] = seq
-			seen++
-		}
-	}
-	if seen != 30*16 {
-		t.Fatalf("saw %d packets, want %d", seen, 30*16)
-	}
-}
-
-// TestShardByOutOfRangePanics: a mapping that escapes [0, shards) is a
-// broken affinity contract and must fail loudly, not corrupt dispatch.
-func TestShardByOutOfRangePanics(t *testing.T) {
-	sp, err := NewSharded(linearBuild, ShardedConfig{
-		Shards:  2,
-		ShardBy: func(*netpkt.Packet, int) int { return 7 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range ShardBy did not panic")
-		}
-	}()
-	if got := sp.shardOf(seqTraffic(2, 1, 2)[0].Packets[0], 2); got >= 0 {
-		t.Fatalf("shardOf returned %d", got)
-	}
-}
-
 // TestInjectShardDirect: the per-queue path must deliver everything with
-// per-flow order intact and account at the sharded boundary exactly like
-// funnel injection.
+// per-flow order intact and account every packet at the sharded boundary.
 func TestInjectShardDirect(t *testing.T) {
 	const shards, flows, batches, perBatch = 4, 12, 40, 8
 	sp, err := NewSharded(linearBuild, ShardedConfig{
@@ -158,21 +77,7 @@ func TestInjectShardDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lastSeq := make(map[uint32]int64)
-	seen := 0
-	for _, b := range outs {
-		for _, p := range b.Packets {
-			payload := p.Payload()
-			f := binary.BigEndian.Uint32(payload[0:4])
-			seq := int64(binary.BigEndian.Uint32(payload[4:8]))
-			if prev, ok := lastSeq[f]; ok && seq <= prev {
-				t.Fatalf("flow %d: seq %d after %d", f, seq, prev)
-			}
-			lastSeq[f] = seq
-			seen++
-		}
-	}
-	if seen != batches*perBatch {
+	if seen := checkFlowOrder(t, outs); seen != batches*perBatch {
 		t.Fatalf("saw %d packets, want %d", seen, batches*perBatch)
 	}
 	if got := sp.Stats.InPackets.Load(); got != batches*perBatch {
@@ -183,32 +88,14 @@ func TestInjectShardDirect(t *testing.T) {
 	}
 }
 
-// TestInjectShardOrderedPanics: direct injection with Ordered would stall
-// the completion queue forever; the combination must be rejected.
-func TestInjectShardOrderedPanics(t *testing.T) {
-	sp, err := NewSharded(linearBuild, ShardedConfig{Shards: 2, Ordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InjectShard with Ordered did not panic")
-		}
-	}()
-	sp.InjectShard(context.Background(), 0, seqTraffic(2, 1, 2)[0])
-}
-
 // TestPinOSThreadSmoke: pinning element goroutines to OS threads must not
 // change results — same outputs, pipelines drain cleanly.
 func TestPinOSThreadSmoke(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			outs, _, err := RunBatchesSharded(context.Background(), linearBuild,
+			outs, _ := runSharded(t, linearBuild,
 				ShardedConfig{Shards: shards, Config: Config{PinOSThread: true, QueueDepth: 2}},
 				seqTraffic(5, 16, 8))
-			if err != nil {
-				t.Fatal(err)
-			}
 			seen := 0
 			for _, b := range outs {
 				seen += b.Len()

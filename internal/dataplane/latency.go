@@ -19,8 +19,8 @@ import (
 // thins every other clock read — because it is the SLO surface: the canary
 // guard and the adaptor read windows of it a few batches long. It is kept
 // once, at the outermost boundary: a standalone Pipeline owns one
-// (inject→sink release); a ShardedPipeline owns one (dispatch→ordered merge,
-// dispatcher and merger queueing included) and its shards own none.
+// (inject→sink release); a ShardedPipeline owns one (InjectShard→forwarder
+// release, shard queueing included) and its shards own none.
 
 // latSlots is the in-flight window of the stamp ring (power of two).
 const latSlots = 1024
@@ -57,9 +57,9 @@ func (t *e2eTracker) record(id uint64, nowNs int64) {
 }
 
 // observe records the inject→release latency of batch id, if its stamp is
-// still resident. Batches split across shards release once per sub-batch;
-// each release records against the shared inject stamp, weighting the
-// distribution by completion events.
+// still resident. A batch steered across shards is injected and released
+// once per part under its one ID; each release records against the latest
+// stamp, weighting the distribution by completion events.
 func (t *e2eTracker) observe(id uint64, nowNs int64) {
 	s := &t.slots[id&(latSlots-1)]
 	if s.id.Load() != id+1 {

@@ -49,23 +49,25 @@ func TestE2ELatencyDisabled(t *testing.T) {
 	}
 }
 
-// The sharded aggregate must expose the boundary dispatch→release latency:
-// one sample per injected batch regardless of how many shards it split into.
+// The sharded aggregate must expose the boundary inject→release latency:
+// one sample per released batch, every injected part released and every
+// packet conserved, however each batch split across shards.
 func TestE2ELatencySharded(t *testing.T) {
-	const batches = 40
-	_, sp, err := RunBatchesSharded(context.Background(),
+	const batches, perBatch = 40, 16
+	_, sp := runSharded(t,
 		func(int) (*element.Graph, error) { return testChainGraph(), nil },
-		ShardedConfig{
-			Shards:  3,
-			Ordered: true,
-			Config:  Config{Metrics: true},
-		}, seqTraffic(12, batches, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+		ShardedConfig{Shards: 3, Config: Config{Metrics: true}},
+		seqTraffic(12, batches, perBatch))
 	rep := sp.Snapshot()
-	if rep.E2E.Count != batches {
-		t.Fatalf("boundary e2e samples = %d, want %d", rep.E2E.Count, batches)
+	if rep.InBatches < batches || rep.OutBatches != rep.InBatches {
+		t.Fatalf("boundary batches in=%d out=%d, want >= %d and equal", rep.InBatches, rep.OutBatches, batches)
+	}
+	if rep.InPackets != batches*perBatch || rep.OutPackets+rep.DropPackets != rep.InPackets {
+		t.Fatalf("boundary packets in=%d out=%d drop=%d, want %d conserved",
+			rep.InPackets, rep.OutPackets, rep.DropPackets, batches*perBatch)
+	}
+	if rep.E2E.Count != rep.OutBatches {
+		t.Fatalf("boundary e2e samples = %d, want one per released batch (%d)", rep.E2E.Count, rep.OutBatches)
 	}
 	if rep.E2E.Min <= 0 {
 		t.Errorf("min latency = %v", rep.E2E.Min)

@@ -104,8 +104,8 @@ type Report struct {
 	MetricsEnabled bool
 	// E2E is the per-batch inject→release latency distribution in
 	// nanoseconds (empty when metrics are off). For sharded pipelines the
-	// aggregate report carries the boundary measurement — dispatch to
-	// ordered release — not the sum of per-shard sub-batch latencies.
+	// aggregate report carries the boundary measurement — InjectShard to
+	// forwarder release — and the shard reports carry none.
 	E2E stats.HistSnapshot
 	// Offload is the emulated GPU device backend's activity (all zeros for
 	// a CPU-only assignment).

@@ -12,7 +12,6 @@ package dataplane
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -159,36 +158,16 @@ func TestPlacementShardedPerFlowOrder(t *testing.T) {
 			}
 			ref, _ := build(0)
 			const flows = 13
-			outs, _, err := RunBatchesSharded(context.Background(), build,
+			outs, _ := runSharded(t, build,
 				ShardedConfig{
-					Shards: 3, Ordered: trial%2 == 0,
+					Shards: 3,
 					Config: Config{
 						QueueDepth: 2,
 						Assignment: randAssignment(ref, 1000+trial),
 						Offload:    &OffloadConfig{MaxOutstanding: 1 + int(trial%4)},
 					},
 				}, seqTraffic(flows, 40, 16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lastSeq := make(map[uint32]int64)
-			seen := 0
-			for _, b := range outs {
-				for _, p := range b.Packets {
-					if p.Dropped {
-						t.Fatalf("unexpected drop: %v", p)
-					}
-					payload := p.Payload()
-					f := binary.BigEndian.Uint32(payload[0:4])
-					seq := int64(binary.BigEndian.Uint32(payload[4:8]))
-					if prev, ok := lastSeq[f]; ok && seq <= prev {
-						t.Fatalf("flow %d: seq %d after %d (per-flow order violated)", f, seq, prev)
-					}
-					lastSeq[f] = seq
-					seen++
-				}
-			}
-			if seen != 40*16 {
+			if seen := checkFlowOrder(t, outs); seen != 40*16 {
 				t.Fatalf("saw %d packets, want %d", seen, 40*16)
 			}
 		})
@@ -395,7 +374,7 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 	const flows, batches, perBatch = 11, 60, 16
 	build := func(int) (*element.Graph, error) { return hotSwapChain(), nil }
 	sp, err := NewSharded(build, ShardedConfig{
-		Shards: 3, Ordered: true,
+		Shards: 3,
 		Config: Config{
 			QueueDepth: 2, Metrics: true,
 			Offload: &OffloadConfig{MaxOutstanding: 2},
@@ -404,7 +383,8 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Start(context.Background())
+	ctx := context.Background()
+	sp.Start(ctx)
 
 	var outs []*netpkt.Batch
 	collected := make(chan struct{})
@@ -422,7 +402,7 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sp.In() <- b
+		injectByFlow(ctx, sp, b)
 	}
 	sp.CloseInput()
 	<-collected
@@ -434,21 +414,7 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 		t.Fatalf("out packets = %d, want %d (packets lost across sharded hot-swap)",
 			got, batches*perBatch)
 	}
-	lastSeq := make(map[uint32]int64)
-	for _, b := range outs {
-		for _, p := range b.Packets {
-			if p.Dropped {
-				t.Fatalf("unexpected drop: %v", p)
-			}
-			payload := p.Payload()
-			f := binary.BigEndian.Uint32(payload[0:4])
-			seq := int64(binary.BigEndian.Uint32(payload[4:8]))
-			if prev, ok := lastSeq[f]; ok && seq <= prev {
-				t.Fatalf("flow %d: seq %d after %d across hot-swap", f, seq, prev)
-			}
-			lastSeq[f] = seq
-		}
-	}
+	checkFlowOrder(t, outs)
 	// Every replica swapped three times; the aggregated report sums them
 	// and takes the max epoch.
 	rep := sp.Snapshot()

@@ -50,10 +50,8 @@ func TestShardedShardOutAccounting(t *testing.T) {
 	batches := seqTraffic(32, 40, 16)
 	const injected = 40 * 16
 	for _, b := range batches {
-		select {
-		case sp.In() <- b:
-		case <-ctx.Done():
-			t.Fatal("context done during injection")
+		if !injectByFlow(ctx, sp, b) {
+			t.Fatal("injection refused")
 		}
 	}
 	sp.CloseInput()
@@ -72,7 +70,7 @@ func TestShardedShardOutAccounting(t *testing.T) {
 		}
 	}
 	if spread < 2 {
-		t.Fatalf("only %d of %d shards emitted output — dispatch did not spread", spread, shards)
+		t.Fatalf("only %d of %d shards emitted output — injection did not spread", spread, shards)
 	}
 	if out, drops := sp.Stats.OutPackets.Load(), sp.Stats.DropPackets.Load(); out != injected || drops != 0 {
 		t.Fatalf("stats: out=%d drops=%d, want %d/0", out, drops, injected)
@@ -80,19 +78,6 @@ func TestShardedShardOutAccounting(t *testing.T) {
 	// The merged channel exists for API compatibility but carries nothing.
 	if b, ok := <-sp.Out(); ok {
 		t.Fatalf("merged Out() delivered a batch (%d packets) in ShardOut mode", b.Len())
-	}
-}
-
-// TestShardedShardOutOrderedRejected: ordered release is a global merge, so
-// the combination must be refused at construction.
-func TestShardedShardOutOrderedRejected(t *testing.T) {
-	build := func(int) (*element.Graph, error) { return hotChainGraph(), nil }
-	if _, err := NewSharded(build, ShardedConfig{
-		Shards:   2,
-		Ordered:  true,
-		ShardOut: true,
-	}); err == nil {
-		t.Fatal("NewSharded accepted ShardOut together with Ordered")
 	}
 }
 
@@ -154,7 +139,7 @@ func TestShardedShardOutDropAccounting(t *testing.T) {
 				ttlZero++
 			}
 		}
-		sp.In() <- b
+		injectByFlow(ctx, sp, b)
 	}
 	sp.CloseInput()
 	wg.Wait()

@@ -45,8 +45,7 @@ const (
 	StageRing      = "ring"      // reader→worker SPSC rings (queue probes)
 	StageRX        = "rx"        // per-queue RX workers: pop, touch, batch build
 	StageConntrack = "conntrack" // incremental conntrack expiry sweeps
-	StageInject    = "inject"    // InjectShard / funnel handoff
-	StageDispatch  = "dispatch"  // sharded funnel dispatcher
+	StageInject    = "inject"    // InjectShard handoff
 	StageShard     = "shard"     // shard inbox backlog (queue probes)
 	StageRelease   = "release"   // collector emit / ordered release
 	StageDrain     = "drain"     // egress drain / sink consume
@@ -362,7 +361,7 @@ func (l *LaneRecorder) AddBusy(ns int64) {
 }
 
 // AddStall accrues ns spent blocked on a downstream stage (ring full,
-// shard inbox full, funnel send wait).
+// shard inbox full).
 func (l *LaneRecorder) AddStall(ns int64) {
 	if l == nil || ns <= 0 {
 		return

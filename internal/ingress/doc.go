@@ -25,7 +25,8 @@
 //     one Ethernet frame — the counterpart of trafficgen's -udp emitter,
 //     and a way to drive the dataplane from another process or machine.
 //   - Generator traffic needs no Source: it is already in memory, and
-//     RunBatches injects it directly.
+//     NIC.Steer splits each batch by RSS queue and injects the parts where
+//     the pump would have put the same packets.
 //
 // Every source stamps FlowID with traffic.FlowHash so stateful elements
 // see per-flow state exactly as generated traffic does.
@@ -42,9 +43,9 @@
 // per input: one reader in front of a one-queue NIC works the queue inline,
 // on its own goroutine, with no hash; otherwise readers deal packets by RSS
 // queue into SPSC rings and one RX worker goroutine per queue serves them.
-// The same mapping is exported as a ShardedConfig.ShardBy (NIC.ShardBy), so
-// a funnel-fed pipeline spreads flows identically, which makes the two
-// comparable even for order-sensitive NFs like NAT.
+// The same mapping steers in-memory batches (NIC.Steer), so they spread
+// over the shards exactly as a replay of the same packets would — per-queue
+// arrival order included, which order-sensitive NFs like NAT depend on.
 //
 // # Memory and threads
 //

@@ -214,54 +214,18 @@ func chainBuild(shard int) (*element.Graph, error) {
 	return g, nil
 }
 
-// funnelOutputs is the reference side of the NIC-vs-funnel differentials:
-// capt injected through the funnel (RunBatchesSharded over BatchesFromPcap,
-// flows placed by NIC.ShardBy) into the chainBuild pipeline, as a sorted
-// multiset in CollectSink's form.
-func funnelOutputs(t *testing.T, capt []byte, shards int) []string {
-	t.Helper()
-	batches, err := traffic.BatchesFromPcap(bytes.NewReader(capt), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, _, err := dataplane.RunBatchesSharded(context.Background(), chainBuild,
-		dataplane.ShardedConfig{
-			Shards:  shards,
-			Config:  dataplane.Config{QueueDepth: 4},
-			ShardBy: NewNIC(shards).ShardBy,
-		}, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var funnel []string
-	for _, b := range outs {
-		for _, p := range b.Packets {
-			if p == nil {
-				continue
-			}
-			if p.Dropped {
-				funnel = append(funnel, "drop:"+p.DropReason)
-			} else {
-				funnel = append(funnel, string(p.Data))
-			}
-		}
-	}
-	sort.Strings(funnel)
-	return funnel
-}
-
 // TestPumpDifferentialNICvsFunnel: replaying a capture through the pump must
-// produce the exact multiset of outputs that funnel injection
-// (RunBatchesSharded over BatchesFromPcap, flows placed by NIC.ShardBy)
-// produces, at every shard count, whichever channels the outputs drain
-// through and whether the caller passes the NIC or the pump builds it —
-// including the order-sensitive NAT, because a single-pass replay has one
-// reader and so gives both paths the same per-shard arrival order.
+// produce the exact multiset of outputs that one sequential executor per NIC
+// queue produces, each fed its queue's packets in arrival order, at every
+// shard count, whichever channels the outputs drain through and whether the
+// caller passes the NIC or the pump builds it — including the
+// order-sensitive NAT, because a single-pass replay has one reader and so
+// gives every shard its queue's arrival order.
 func TestPumpDifferentialNICvsFunnel(t *testing.T) {
 	capt := capture(t, 3000, 400, 17)
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			funnel := funnelOutputs(t, capt, shards)
+			want := oracle(t, capt, 1, shards, chainBuild)
 			for _, row := range []struct {
 				name          string
 				nic, shardOut bool
@@ -313,11 +277,11 @@ func TestPumpDifferentialNICvsFunnel(t *testing.T) {
 					}
 					ing := append([]string(nil), collect.Outputs...)
 					sort.Strings(ing)
-					if len(ing) != len(funnel) {
-						t.Fatalf("output counts differ: ingress=%d funnel=%d", len(ing), len(funnel))
+					if len(ing) != len(want) {
+						t.Fatalf("output counts differ: ingress=%d executors=%d", len(ing), len(want))
 					}
 					for i := range ing {
-						if ing[i] != funnel[i] {
+						if ing[i] != want[i] {
 							t.Fatalf("output multiset diverges at %d of %d", i, len(ing))
 						}
 					}

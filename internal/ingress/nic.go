@@ -1,8 +1,10 @@
 package ingress
 
 import (
+	"context"
 	"fmt"
 
+	"nfcompass/internal/dataplane"
 	"nfcompass/internal/netpkt"
 )
 
@@ -45,15 +47,41 @@ func (n *NIC) QueueBatch(pkts []*netpkt.Packet, dst []int) []int {
 // Arena returns queue q's buffer pool.
 func (n *NIC) Arena(q int) *netpkt.Arena { return n.arenas[q] }
 
-// ShardBy adapts the NIC's classification to dataplane.ShardedConfig.ShardBy,
-// so a funnel-fed sharded pipeline places flows exactly where the NIC's
-// queues would. With shards == Queues the mapping is the RSS mapping
-// verbatim — the configuration that makes the funnel path and the
-// InjectShard path produce identical per-shard packet streams (and so
-// byte-identical stateful NF behaviour). Other shard counts fold queues
-// onto shards round-robin, preserving flow affinity but not queue identity.
-func (n *NIC) ShardBy(p *netpkt.Packet, shards int) int {
-	return n.Queue(p) % shards
+// Steer injects an in-memory batch into sp where the NIC's queues would have
+// put the same packets: b is split by RSS queue (QueueBatch), each part keeps
+// b's ID and its packets' order (Batch.Derive), and each goes to the shard of
+// its queue through InjectShard. A batch whose packets all map to one queue
+// goes through under its own header. sp has one shard per queue. Steer owns
+// b: when ctx has ended, or an injection is refused, it releases every packet
+// it did not inject and returns false.
+func (n *NIC) Steer(ctx context.Context, sp *dataplane.ShardedPipeline, b *netpkt.Batch) bool {
+	if ctx.Err() != nil {
+		b.Release()
+		return false
+	}
+	qs := n.QueueBatch(b.Packets, nil)
+	parts := make([][]*netpkt.Packet, n.queues)
+	for i, p := range b.Packets {
+		parts[qs[i]] = append(parts[qs[i]], p)
+	}
+	for q, pkts := range parts {
+		if len(pkts) == 0 {
+			continue
+		}
+		part := b
+		if len(pkts) < len(b.Packets) {
+			part = b.Derive(pkts)
+		}
+		if !sp.InjectShard(ctx, q, part) {
+			for _, rest := range parts[q:] {
+				for _, p := range rest {
+					netpkt.PutPacket(p)
+				}
+			}
+			return false
+		}
+	}
+	return true
 }
 
 // String describes the NIC for logs.

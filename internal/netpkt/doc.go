@@ -12,8 +12,9 @@
 // L3/L4 offsets.
 //
 // A Batch is the processing granularity: elements consume and emit whole
-// batches, and SplitBy/Merge model the batch re-organization costs the
-// paper characterizes (Fig. 5).
+// batches, and SplitBy models the batch re-organization costs the paper
+// characterizes (Fig. 5); its parts keep SeqInBatch, so a consumer can put
+// a split batch back in order.
 //
 // Three clone flavours cover the duplication needs of SFC parallelization:
 // Clone (private heap copy), ClonePooled/CloneInto (private copy from the
@@ -23,7 +24,8 @@
 // rules — one Put per Get, double release panics, shared buffers are never
 // recycled until Unshare — are spelled out in pool.go and DESIGN.md §8.
 //
-// Packet.FlowKey is the flow-affinity dispatch key the sharded dataplane
-// (internal/dataplane.ShardedPipeline) hashes to keep each flow's packets
-// on one shard, preserving stateful-NF per-flow locality.
+// Packet.FlowKey is a packet's flow-affinity key: the emulated RSS NIC
+// (internal/ingress) hashes it for frames without an IP flow tuple, so each
+// flow's packets stay on one shard, preserving stateful-NF per-flow
+// locality.
 package netpkt

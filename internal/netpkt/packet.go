@@ -193,8 +193,8 @@ func (p *Packet) EnsureOwned() {
 	p.shared = false
 }
 
-// FlowKey returns the packet's flow-affinity dispatch key, used by the
-// sharded dataplane to keep every packet of a flow on the same shard. The
+// FlowKey returns the packet's flow-affinity key, which keeps every packet
+// of a flow on the same shard where no IP flow tuple is available. The
 // FlowID annotation wins when set (generators and stateful NFs key on it);
 // otherwise the key is a hash of the 5-tuple read directly from the wire
 // bytes, and as a last resort a hash of the frame prefix. The key is

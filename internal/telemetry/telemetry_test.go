@@ -14,6 +14,7 @@ import (
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
+	"nfcompass/internal/ingress"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/stats"
 	"nfcompass/internal/traffic"
@@ -330,14 +331,29 @@ func TestNewRequiresSource(t *testing.T) {
 // /metrics, and Done() drives /healthz.
 func TestShardedSource(t *testing.T) {
 	gen := traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(128), Seed: 3})
-	batches := gen.Batches(40, 32)
-	_, sp, err := dataplane.RunBatchesSharded(context.Background(),
+	sp, err := dataplane.NewSharded(
 		func(int) (*element.Graph, error) { return chainGraph(t), nil },
-		dataplane.ShardedConfig{
-			Shards: 3,
-			Config: dataplane.Config{Metrics: true, PreserveOrder: true},
-		}, batches)
+		dataplane.ShardedConfig{Shards: 3, Config: dataplane.Config{Metrics: true}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sp.Start(ctx)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range sp.Out() {
+		}
+	}()
+	nic := ingress.NewNIC(sp.NumShards())
+	for _, b := range gen.Batches(40, 32) {
+		if !nic.Steer(ctx, sp, b) {
+			t.Fatal("Steer refused a batch on a live pipeline")
+		}
+	}
+	sp.CloseInput()
+	<-drained
+	if err := sp.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
