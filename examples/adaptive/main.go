@@ -159,7 +159,7 @@ func main() {
 	}
 	rep := sp.Snapshot()
 	fmt.Printf("sharded dataplane (%d replicas): %d batches in, %d out, %d packets, epoch=%d swaps=%d\n",
-		sp.NumShards(), sp.Stats.InBatches.Load(), len(souts),
-		sp.Stats.OutPackets.Load(), rep.Offload.Epoch, rep.Offload.Swaps)
+		sp.NumShards(), rep.InBatches, len(souts),
+		rep.OutPackets, rep.Offload.Epoch, rep.Offload.Swaps)
 	fmt.Print(rep)
 }

@@ -654,7 +654,7 @@ func (m *Manager) newGeneration(comp *Composition, shards int, assign hetsim.Ass
 }
 
 // stop drains and tears down a generation: close the shard inputs, let
-// every shard and its forwarder finish, then release the context.
+// every shard drain, then release the context.
 func (g *generation) stop() {
 	g.sp.CloseInput()
 	<-g.drained

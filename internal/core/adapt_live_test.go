@@ -99,8 +99,8 @@ func TestAdaptorDrivesShardedPipeline(t *testing.T) {
 	}
 
 	// Zero loss across the swap.
-	if in, out := sp.Stats.InPackets.Load(), sp.Stats.OutPackets.Load(); in != out || in == 0 {
-		t.Fatalf("packets in=%d out=%d across live adaptation", in, out)
+	if rep := sp.Snapshot(); rep.InPackets != rep.OutPackets || rep.InPackets == 0 {
+		t.Fatalf("packets in=%d out=%d across live adaptation", rep.InPackets, rep.OutPackets)
 	}
 
 	// The new assignment is visible in the next Snapshot: every replica

@@ -51,33 +51,61 @@ func hotTemplate(n int) *netpkt.Batch {
 // TestPooledHotPathAllocs is the regression guard for the pooled hot path:
 // in steady state (arena warm), pushing a pooled batch clone through a
 // linear chain of SingleOut elements and releasing it at the sink must not
-// allocate. CI runs this as the benchmark smoke job.
+// allocate — standalone, and through a one-replica sharded plane with
+// Metrics on (InjectShard → Out() → Release, the path the repo benchmark's
+// workloads measure). CI runs this as the benchmark smoke job.
 func TestPooledHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
-	p, err := New(hotChainGraph(), Config{QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	rows := []struct {
+		name  string
+		start func(t *testing.T) (in func(*netpkt.Batch), out <-chan *netpkt.Batch, stop func() error)
+	}{
+		{"standalone", func(t *testing.T) (func(*netpkt.Batch), <-chan *netpkt.Batch, func() error) {
+			p, err := New(hotChainGraph(), Config{QueueDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Start(ctx)
+			return func(b *netpkt.Batch) { p.In() <- b }, p.Out(),
+				func() error { p.CloseInput(); return p.Wait() }
+		}},
+		{"sharded", func(t *testing.T) (func(*netpkt.Batch), <-chan *netpkt.Batch, func() error) {
+			sp, err := NewSharded(func(int) (*element.Graph, error) { return hotChainGraph(), nil },
+				ShardedConfig{Shards: 1, Config: Config{QueueDepth: 4, Metrics: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Start(ctx)
+			return func(b *netpkt.Batch) { sp.InjectShard(ctx, 0, b) }, sp.Out(),
+				func() error { sp.CloseInput(); return sp.Wait() }
+		}},
 	}
-	p.Start(context.Background())
-	tmpl := hotTemplate(32)
-	iter := func() {
-		b := tmpl.ClonePooled()
-		p.In() <- b
-		out := <-p.Out()
-		out.Release()
-	}
-	for i := 0; i < 64; i++ {
-		iter() // warm the arena and the pipeline
-	}
-	allocs := testing.AllocsPerRun(200, iter)
-	p.CloseInput()
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs > 0 {
-		t.Fatalf("pooled hot path: %.2f allocs/op, want 0", allocs)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			in, out, stop := row.start(t)
+			tmpl := hotTemplate(32)
+			var id uint64
+			iter := func() {
+				b := tmpl.ClonePooled()
+				b.ID = id
+				id++
+				in(b)
+				(<-out).Release()
+			}
+			for i := 0; i < 64; i++ {
+				iter() // warm the arena and the pipeline
+			}
+			allocs := testing.AllocsPerRun(200, iter)
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs > 0 {
+				t.Fatalf("pooled hot path: %.2f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 

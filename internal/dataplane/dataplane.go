@@ -110,9 +110,12 @@ type Pipeline struct {
 	edgeCtr map[element.EdgeKey]*stats.Counter
 	edgeOut [][][]*stats.Counter
 	// lat records per-batch inject→release latency (nil when Config.Metrics
-	// is off, and on the shards of a ShardedPipeline, which keeps the one
-	// tracker at its own boundary).
+	// is off).
 	lat *e2eTracker
+	// replica marks a shard of a ShardedPipeline: InjectShard stamps lat
+	// before the batch reaches the injector, so the injector does not, and
+	// the sharded pipeline closes out once every replica has drained.
+	replica bool
 	// flight wiring (all nil when Config.Flight is nil): flRelease is the
 	// collector's release-stage lane, flElems holds one lane per element
 	// ("nf:<name>"); their lane index is 0 standalone, the shard index when
@@ -126,9 +129,8 @@ type Pipeline struct {
 	// start is the monotonic origin of every TraceEvent.NanosSinceStart and
 	// of ElapsedNs. It is fixed at construction and never reset — not by
 	// Apply hot-swaps, not by snapshots — so trace timelines from different
-	// placement epochs share one base and stay comparable. NewSharded
-	// overwrites it with the sharded pipeline's own origin so all replicas
-	// of one deployment trace against a single clock.
+	// placement epochs share one base and stay comparable. NewSharded gives
+	// all replicas of one deployment the same origin.
 	start time.Time
 
 	in      chan *netpkt.Batch
@@ -152,23 +154,14 @@ type stageMsg struct {
 
 // New validates the graph and constructs a stopped pipeline.
 func New(g *element.Graph, cfg Config) (*Pipeline, error) {
-	p, err := newPipeline(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Metrics {
-		p.lat = newE2ETracker()
-	}
-	if cfg.Flight != nil {
-		p.initFlight(cfg.Flight, 0)
-	}
-	return p, nil
+	return newPipeline(g, cfg, 0, time.Now(), nil)
 }
 
-// newPipeline builds a pipeline without what belongs to the outermost
-// boundary: the e2e latency tracker and the flight lanes, which New adds
-// and NewSharded keeps (tracker) or assigns per shard index (lanes) itself.
-func newPipeline(g *element.Graph, cfg Config) (*Pipeline, error) {
+// newPipeline builds a stopped pipeline whose flight lanes sit at index lane
+// and whose clock starts at origin. out nil gives it its own output channel,
+// closed when it drains; a non-nil out makes it a replica (see the replica
+// field) releasing into out.
+func newPipeline(g *element.Graph, cfg Config, lane int, origin time.Time, out chan *netpkt.Batch) (*Pipeline, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -180,18 +173,23 @@ func newPipeline(g *element.Graph, cfg Config) (*Pipeline, error) {
 	}
 	n := g.Len()
 	p := &Pipeline{
-		g:     g,
-		cfg:   cfg,
-		inbox: make([]chan stageMsg, n),
-		start: time.Now(),
-		in:    make(chan *netpkt.Batch, cfg.QueueDepth),
-		out:   make(chan *netpkt.Batch, cfg.QueueDepth),
-		done:  make(chan struct{}),
+		g:       g,
+		cfg:     cfg,
+		inbox:   make([]chan stageMsg, n),
+		start:   origin,
+		in:      make(chan *netpkt.Batch, cfg.QueueDepth),
+		out:     out,
+		replica: out != nil,
+		done:    make(chan struct{}),
+	}
+	if out == nil {
+		p.out = make(chan *netpkt.Batch, cfg.QueueDepth)
 	}
 	for i := range p.inbox {
 		p.inbox[i] = make(chan stageMsg, cfg.QueueDepth)
 	}
 	if cfg.Metrics {
+		p.lat = newE2ETracker()
 		p.metrics = make([]nodeMetrics, n)
 		for i := range p.metrics {
 			p.metrics[i].proc = stats.NewConcurrentHistogram(stats.DefaultLatencyBoundsNs())
@@ -213,6 +211,9 @@ func newPipeline(g *element.Graph, cfg Config) (*Pipeline, error) {
 			}
 		}
 	}
+	if cfg.Flight != nil {
+		p.initFlight(cfg.Flight, lane)
+	}
 	p.pool = newDevicePool(p, cfg.Offload)
 	p.placements.Store(p.resolvePlacements(cfg.Assignment, 0))
 	return p, nil
@@ -220,7 +221,7 @@ func newPipeline(g *element.Graph, cfg Config) (*Pipeline, error) {
 
 // initFlight attaches the flight recorder at the given lane index: one
 // span lane per element, a release lane for the collector, and an inbox
-// depth probe. NewSharded calls it per shard (lane = shard index).
+// depth probe.
 func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
 	p.flight = rec
 	p.flRelease = rec.Lane(flight.StageRelease, lane)
@@ -234,7 +235,7 @@ func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
 }
 
 // clock returns monotonic time since the pipeline's trace origin (see the
-// start field: construction time, or the sharded pipeline's origin).
+// start field).
 func (p *Pipeline) clock() time.Duration { return time.Since(p.start) }
 
 // observes is the observation rule as the element paths ask it: whether
@@ -391,7 +392,9 @@ func (p *Pipeline) Start(ctx context.Context) {
 		p.pool.stop()
 	}()
 
-	// Injector: p.in -> all source inboxes.
+	// Injector: p.in -> all source inboxes. It books In and, unless
+	// InjectShard already did, stamps the e2e inject time.
+	stamp := p.lat != nil && !p.replica
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -407,7 +410,7 @@ func (p *Pipeline) Start(ctx context.Context) {
 			p.Stats.InBatches.Add(1)
 			p.Stats.InPackets.Add(uint64(live))
 			p.Stats.InBytes.Add(uint64(bytes))
-			if p.lat != nil {
+			if stamp {
 				p.lat.record(b.ID, p.clock().Nanoseconds())
 			}
 			p.trace(TraceInject, -1, b)
@@ -421,10 +424,13 @@ func (p *Pipeline) Start(ctx context.Context) {
 		}
 	}()
 
-	// Collector: sinkOut -> p.out, optionally re-ordered.
+	// Collector: sinkOut -> p.out, optionally re-ordered. It books Out and
+	// records the e2e sample.
 	go func() {
 		defer close(p.done)
-		defer close(p.out)
+		if !p.replica {
+			defer close(p.out)
+		}
 		var cq *netpkt.CompletionQueue
 		if p.cfg.PreserveOrder {
 			cq = netpkt.NewCompletionQueue(0)

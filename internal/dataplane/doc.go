@@ -66,9 +66,10 @@
 // time, send-wait, flight spans and busy time come from the observed
 // batches — the same ones in compiled, interpreted and fused execution —
 // and read as estimates. The inject→release latency histogram stays exact
-// (rollout guards read short windows of it) and is kept once, at the
-// outermost boundary. ShardedPipeline.Snapshot aggregates per-replica
-// reports into the same Report shape (AggregateReports), so the allocator
-// bridge works identically for sharded deployments. Config.Trace
+// (rollout guards read short windows of it) and is kept once per batch, by
+// the pipeline it runs in. A sharded replica is booked at its own boundary
+// only, and ShardedPipeline.Snapshot aggregates the replicas' reports into
+// the same Report shape (AggregateReports), so the allocator bridge works
+// identically for sharded deployments. Config.Trace
 // additionally emits per-batch lifecycle events.
 package dataplane

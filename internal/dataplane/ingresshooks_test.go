@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/netpkt"
@@ -25,7 +26,7 @@ func linearBuild(int) (*element.Graph, error) {
 }
 
 // TestInjectShardDirect: the per-queue path must deliver everything with
-// per-flow order intact and account every packet at the sharded boundary.
+// per-flow order intact and account every packet at the replicas' boundaries.
 func TestInjectShardDirect(t *testing.T) {
 	const shards, flows, batches, perBatch = 4, 12, 40, 8
 	sp, err := NewSharded(linearBuild, ShardedConfig{
@@ -80,11 +81,50 @@ func TestInjectShardDirect(t *testing.T) {
 	if seen := checkFlowOrder(t, outs); seen != batches*perBatch {
 		t.Fatalf("saw %d packets, want %d", seen, batches*perBatch)
 	}
-	if got := sp.Stats.InPackets.Load(); got != batches*perBatch {
+	rep := sp.Snapshot()
+	if got := rep.InPackets; got != batches*perBatch {
 		t.Fatalf("boundary InPackets = %d, want %d", got, batches*perBatch)
 	}
-	if got := sp.Stats.OutPackets.Load(); got != batches*perBatch {
+	if got := rep.OutPackets; got != batches*perBatch {
 		t.Fatalf("boundary OutPackets = %d, want %d", got, batches*perBatch)
+	}
+}
+
+// TestInjectShardRefusedBooksNothing: an injection the shard refuses must
+// leave no trace in the boundary totals, so the snapshot still conserves
+// packets (in == out + drop) after a refusal.
+func TestInjectShardRefusedBooksNothing(t *testing.T) {
+	sp, err := NewSharded(linearBuild, ShardedConfig{Shards: 1, Config: Config{QueueDepth: 1, Metrics: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := genBatches(2, 16, 9)
+	// Unstarted, the shard's one-slot input takes the first batch and
+	// nothing reads it, so the second waits out its deadline.
+	if !sp.InjectShard(context.Background(), 0, bs[0]) {
+		t.Fatal("first batch refused by an empty input")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if sp.InjectShard(ctx, 0, bs[1]) {
+		t.Fatal("second batch taken by a full input")
+	}
+	sp.Start(context.Background())
+	go func() {
+		for range sp.Out() {
+		}
+	}()
+	sp.CloseInput()
+	if err := sp.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	rep := sp.Snapshot()
+	if rep.InBatches != 1 || rep.InPackets != 16 {
+		t.Fatalf("in=%d/%d out=%d/%d, want in=1/16: the refused batch was booked",
+			rep.InBatches, rep.InPackets, rep.OutBatches, rep.OutPackets)
+	}
+	if rep.InPackets != rep.OutPackets+rep.DropPackets {
+		t.Fatalf("in=%d out=%d drop=%d: packets not conserved", rep.InPackets, rep.OutPackets, rep.DropPackets)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 //
 // The tracker is exact — every batch, outside the observation rule that
 // thins every other clock read — because it is the SLO surface: the canary
-// guard and the adaptor read windows of it a few batches long. It is kept
-// once, at the outermost boundary: a standalone Pipeline owns one
-// (inject→sink release); a ShardedPipeline owns one (InjectShard→forwarder
-// release, shard queueing included) and its shards own none.
+// guard and the adaptor read windows of it a few batches long. Every
+// Pipeline owns one and measures each batch once: from its injector (for a
+// sharded replica, from InjectShard, so time queued in the shard's input
+// counts) to its collector's release.
 
 // latSlots is the in-flight window of the stamp ring (power of two).
 const latSlots = 1024
@@ -58,8 +58,8 @@ func (t *e2eTracker) record(id uint64, nowNs int64) {
 
 // observe records the inject→release latency of batch id, if its stamp is
 // still resident. A batch steered across shards is injected and released
-// once per part under its one ID; each release records against the latest
-// stamp, weighting the distribution by completion events.
+// once per part under its one ID, each part on its own replica's tracker,
+// weighting the distribution by completion events.
 func (t *e2eTracker) observe(id uint64, nowNs int64) {
 	s := &t.slots[id&(latSlots-1)]
 	if s.id.Load() != id+1 {

@@ -49,7 +49,7 @@ func TestE2ELatencyDisabled(t *testing.T) {
 	}
 }
 
-// The sharded aggregate must expose the boundary inject→release latency:
+// The sharded aggregate must expose the replicas' inject→release latency:
 // one sample per released batch, every injected part released and every
 // packet conserved, however each batch split across shards.
 func TestE2ELatencySharded(t *testing.T) {
@@ -137,7 +137,7 @@ func TestTraceOriginSurvivesApply(t *testing.T) {
 	}
 }
 
-// All shards of a sharded pipeline must share the sharded origin, so
+// All shards of a sharded pipeline must share one clock origin, so
 // cross-shard trace events interleave on one consistent clock (no per-shard
 // construction skew).
 func TestTraceOriginSharedAcrossShards(t *testing.T) {
@@ -147,10 +147,10 @@ func TestTraceOriginSharedAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range sp.shards {
-		if !sh.start.Equal(sp.start) {
-			t.Fatalf("shard origin %v differs from sharded origin %v",
-				sh.start, sp.start)
+	for i, sh := range sp.shards {
+		if !sh.start.Equal(sp.shards[0].start) {
+			t.Fatalf("shard %d origin %v differs from shard 0 origin %v",
+				i, sh.start, sp.shards[0].start)
 		}
 	}
 }

@@ -103,9 +103,8 @@ type Report struct {
 	// when false only boundary totals and queue depths are meaningful.
 	MetricsEnabled bool
 	// E2E is the per-batch inject→release latency distribution in
-	// nanoseconds (empty when metrics are off). For sharded pipelines the
-	// aggregate report carries the boundary measurement — InjectShard to
-	// forwarder release — and the shard reports carry none.
+	// nanoseconds (empty when metrics are off). For sharded pipelines it is
+	// the merge of the replicas' InjectShard→release measurements.
 	E2E stats.HistSnapshot
 	// Offload is the emulated GPU device backend's activity (all zeros for
 	// a CPU-only assignment).

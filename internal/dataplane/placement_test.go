@@ -410,7 +410,7 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := sp.Stats.OutPackets.Load(); got != batches*perBatch {
+	if got := sp.Snapshot().OutPackets; got != batches*perBatch {
 		t.Fatalf("out packets = %d, want %d (packets lost across sharded hot-swap)",
 			got, batches*perBatch)
 	}

@@ -14,12 +14,18 @@ import (
 )
 
 // This file implements the sharded execution layer: N replicas of one
-// element graph running as independent pipelines, each fed directly by its
-// own receive queue (InjectShard) and drained through its own accounting
-// forwarder. It is the "consolidated instances in parallel" scaling step of
-// CoCo/NF-parallelism follow-up work layered on top of the paper's
-// per-chain pipeline: one Pipeline scales with the number of *stages*, a
-// ShardedPipeline additionally scales with the number of *cores*.
+// element graph, each a whole Pipeline with its own boundary, fed directly
+// by its own receive queue (InjectShard). It is the "consolidated instances
+// in parallel" scaling step of CoCo/NF-parallelism follow-up work layered on
+// top of the paper's per-chain pipeline: one Pipeline scales with the number
+// of *stages*, a ShardedPipeline additionally scales with the number of
+// *cores*.
+//
+// The plane books nothing itself. A batch is booked once, by its replica:
+// InjectShard stamps the replica's e2e tracker, the replica's injector books
+// In, and the replica's collector books Out, records the e2e sample and
+// releases the batch into Out() (or the replica's OutShard(q)). Snapshot and
+// E2E aggregate the replicas.
 //
 // Flow affinity: the injector (the emulated NIC's RSS steering in
 // internal/ingress) puts every packet of a flow on the same replica.
@@ -36,14 +42,13 @@ type ShardedConfig struct {
 	Config
 	// Shards is the replica count; <= 0 selects DefaultShards().
 	Shards int
-	// ShardOut enables per-shard output: each replica's accounting
-	// forwarder feeds its own OutShard(q) channel instead of the shared
-	// Out(). This is the egress half of the parallel ingress plane: N drain
-	// goroutines consume N shards with no merge point, so output
-	// throughput scales with the shard count instead of serializing on
-	// one channel. Boundary accounting (Stats.Out*, the e2e latency
-	// probe) is the same code either way. Out() must not be consumed in
-	// this mode.
+	// ShardOut enables per-shard output: each replica's collector releases
+	// into its own OutShard(q) channel instead of the shared Out(). This is
+	// the egress half of the parallel ingress plane: N drain goroutines
+	// consume N shards with no merge point, so output throughput scales
+	// with the shard count instead of serializing on one channel.
+	// Accounting is the same either way. Out() must not be consumed in this
+	// mode.
 	ShardOut bool
 }
 
@@ -63,27 +68,12 @@ func DefaultShards() int {
 
 // ShardedPipeline runs N replicas of one element graph, one per receive
 // queue. Batches enter through InjectShard; the rest of the surface mirrors
-// Pipeline: Out channel, CloseInput, Wait, Stats, Snapshot.
+// Pipeline: Out channel, CloseInput, Wait, Snapshot.
 type ShardedPipeline struct {
 	cfg    ShardedConfig
 	shards []*Pipeline
-	// start is the shared monotonic origin: every shard's trace clock is
-	// re-based onto it at construction, so TraceEvent.NanosSinceStart values
-	// from different replicas (and across Apply epochs) are comparable on
-	// one timeline.
-	start time.Time
-
-	// Stats counts batches/packets at the sharded boundary: In* at
-	// InjectShard, Out* at each shard's forwarder.
-	Stats Stats
-
-	// lat records inject→release latency at the sharded boundary (nil when
-	// Config.Metrics is off). It is the deployment's only tracker: the
-	// shards carry none.
-	lat *e2eTracker
 
 	out  chan *netpkt.Batch
-	outs []chan *netpkt.Batch // per-shard outputs (ShardOut mode)
 	done chan struct{}
 	// stopped is the run context's Done channel, set by Start: once a shard
 	// fails (or Start's context ends) the shards stop reading their inputs,
@@ -113,21 +103,12 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 	sp := &ShardedPipeline{
 		cfg:    cfg,
 		shards: make([]*Pipeline, cfg.Shards),
-		start:  time.Now(),
 		out:    make(chan *netpkt.Batch, max(cfg.QueueDepth, 16)),
 		done:   make(chan struct{}),
 	}
-	if cfg.Metrics {
-		sp.lat = newE2ETracker()
-	}
-	if cfg.ShardOut {
-		sp.outs = make([]chan *netpkt.Batch, cfg.Shards)
-		for i := range sp.outs {
-			sp.outs[i] = make(chan *netpkt.Batch, max(cfg.QueueDepth, 16))
-		}
-	}
-	// The sharded pipeline owns the boundary: shards get their flight lanes
-	// at their own shard index and no latency tracker of their own.
+	// One clock origin for every replica, so trace timelines and ElapsedNs
+	// from different replicas are comparable without construction skew.
+	origin := time.Now()
 	var ref *element.Graph
 	for i := range sp.shards {
 		g, err := build(i)
@@ -139,17 +120,13 @@ func NewSharded(build func(shard int) (*element.Graph, error), cfg ShardedConfig
 		} else if err := sameShape(ref, g); err != nil {
 			return nil, fmt.Errorf("dataplane: shard %d graph differs from shard 0: %w", i, err)
 		}
-		p, err := newPipeline(g, cfg.Config)
+		out := sp.out
+		if cfg.ShardOut {
+			out = make(chan *netpkt.Batch, cap(sp.out))
+		}
+		p, err := newPipeline(g, cfg.Config, i, origin, out)
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: shard %d: %w", i, err)
-		}
-		// Re-base the shard's trace clock onto the sharded origin: replicas
-		// are constructed one after another, and without a shared base their
-		// NanosSinceStart timelines would drift apart by the construction
-		// skew.
-		p.start = sp.start
-		if cfg.Flight != nil {
-			p.initFlight(cfg.Flight, i)
 		}
 		sp.shards[i] = p
 	}
@@ -173,91 +150,55 @@ func sameShape(a, b *element.Graph) error {
 	return nil
 }
 
-// Start launches every shard and one accounting forwarder per shard: into
-// the shard's own OutShard(q) under ShardOut, else straight into Out(). The
-// boundary counters and the latency probe are atomics, so N forwarders
-// share them without a merge point.
+// Start launches every shard. Once all of them have drained it closes
+// the output channels — Out(), and every OutShard(q) under ShardOut.
 func (sp *ShardedPipeline) Start(ctx context.Context) {
 	ctx, sp.cancel = context.WithCancel(ctx)
 	sp.stopped = ctx.Done()
+	var wg sync.WaitGroup
 	for _, s := range sp.shards {
 		s.Start(ctx)
-	}
-	// Propagate the first shard failure: cancel the shared context so the
-	// injectors and the other shards unwind instead of deadlocking on a
-	// dead replica's full input queue.
-	for _, s := range sp.shards {
+		// Propagate the first shard failure: cancel the shared context so
+		// the callers and the other shards unwind instead of deadlocking on
+		// a dead replica's full input queue.
+		wg.Add(1)
 		go func(p *Pipeline) {
+			defer wg.Done()
 			if err := p.Wait(); err != nil {
 				sp.fail(err)
 			}
 		}(s)
 	}
-
-	var fwdWG sync.WaitGroup
-	for i, s := range sp.shards {
-		dst := sp.out
-		if sp.cfg.ShardOut {
-			dst = sp.outs[i]
-		}
-		fwdWG.Add(1)
-		go func(p *Pipeline, dst chan *netpkt.Batch) {
-			defer fwdWG.Done()
-			if dst != sp.out {
-				defer close(dst)
-			}
-			for b := range p.Out() {
-				if !sp.release(ctx, dst, b) {
-					return
-				}
-			}
-		}(s, dst)
-	}
 	go func() {
-		fwdWG.Wait()
+		wg.Wait()
+		if sp.cfg.ShardOut {
+			for _, s := range sp.shards {
+				close(s.out)
+			}
+		}
 		close(sp.out)
 		close(sp.done)
 	}()
 }
 
-// release books one batch leaving the sharded boundary (Stats.Out*, the
-// inject→release latency probe) and hands it to dst. Returns false when
-// the context was cancelled first.
-func (sp *ShardedPipeline) release(ctx context.Context, dst chan<- *netpkt.Batch, b *netpkt.Batch) bool {
-	sp.Stats.OutBatches.Add(1)
-	live := uint64(b.Live())
-	sp.Stats.OutPackets.Add(live)
-	sp.Stats.DropPackets.Add(uint64(b.Len()) - live)
-	if sp.lat != nil {
-		sp.lat.observe(b.ID, time.Since(sp.start).Nanoseconds())
-	}
-	select {
-	case dst <- b:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // InjectShard hands a batch to one replica — the emulated multi-queue NIC's
 // per-queue path, where RSS already decided flow placement the way real
-// hardware steers flows to queues. It is the pipeline's only entry. The
-// caller owns the affinity contract: every packet of a flow must always
-// land on the same shard, and batch IDs must be unique across all queues
-// while in flight (the latency probe is keyed by ID). It returns false,
+// hardware steers flows to queues. It is the pipeline's only entry. It
+// stamps the batch's e2e inject time on the replica's tracker, so the time
+// it waits in the shard's input counts; the replica's injector books it.
+// The caller owns the affinity contract: every packet of a flow must always
+// land on the same shard, and batch IDs must be unique within a replica
+// while in flight (its latency probe is keyed by ID). It returns false,
 // without taking the batch, when ctx ends or the pipeline has stopped (a
 // shard failed, or Start's context ended) before the shard took it. Stop
 // every caller before CloseInput.
 func (sp *ShardedPipeline) InjectShard(ctx context.Context, shard int, b *netpkt.Batch) bool {
-	live, bytes := b.LiveBytes()
-	sp.Stats.InBatches.Add(1)
-	sp.Stats.InPackets.Add(uint64(live))
-	sp.Stats.InBytes.Add(uint64(bytes))
-	if sp.lat != nil {
-		sp.lat.record(b.ID, time.Since(sp.start).Nanoseconds())
+	p := sp.shards[shard]
+	if p.lat != nil {
+		p.lat.record(b.ID, p.clock().Nanoseconds())
 	}
 	select {
-	case sp.shards[shard].In() <- b:
+	case p.in <- b:
 		return true
 	case <-ctx.Done():
 		return false
@@ -280,13 +221,13 @@ func (sp *ShardedPipeline) Out() <-chan *netpkt.Batch { return sp.out }
 
 // OutShard returns shard q's completed-batch channel — the per-queue TX
 // ring of the parallel egress path. Only available in ShardOut mode; it
-// panics otherwise, because without the per-shard forwarders the channel
-// would never carry anything and a consumer would hang silently.
+// panics otherwise, because the replicas then release into Out() and a
+// consumer of this channel would hang silently.
 func (sp *ShardedPipeline) OutShard(q int) <-chan *netpkt.Batch {
-	if sp.outs == nil {
+	if !sp.cfg.ShardOut {
 		panic("dataplane: OutShard requires ShardedConfig.ShardOut")
 	}
-	return sp.outs[q]
+	return sp.shards[q].out
 }
 
 // MetricsEnabled reports whether the pipeline records metrics (Config.Metrics)
@@ -295,7 +236,7 @@ func (sp *ShardedPipeline) MetricsEnabled() bool { return sp.cfg.Metrics }
 
 // PerShardOut reports whether the pipeline was built with ShardOut, i.e.
 // whether OutShard is usable.
-func (sp *ShardedPipeline) PerShardOut() bool { return sp.outs != nil }
+func (sp *ShardedPipeline) PerShardOut() bool { return sp.cfg.ShardOut }
 
 // CloseInput signals that no more batches will be injected: it closes every
 // shard's input, and the shards drain and close their outputs.
@@ -305,8 +246,8 @@ func (sp *ShardedPipeline) CloseInput() {
 	}
 }
 
-// Wait blocks until every shard has drained and its forwarder has released
-// everything, returning the first shard error, if any.
+// Wait blocks until every shard has drained and released everything,
+// returning the first shard error, if any.
 func (sp *ShardedPipeline) Wait() error {
 	<-sp.done
 	for _, s := range sp.shards {
@@ -320,9 +261,8 @@ func (sp *ShardedPipeline) Wait() error {
 // NumShards returns the replica count.
 func (sp *ShardedPipeline) NumShards() int { return len(sp.shards) }
 
-// Done returns a channel closed when every shard has drained and its
-// forwarder has released everything — the telemetry server's liveness
-// signal.
+// Done returns a channel closed when every shard has drained and released
+// everything — the telemetry server's liveness signal.
 func (sp *ShardedPipeline) Done() <-chan struct{} { return sp.done }
 
 // Epoch returns the highest placement epoch across replicas (replicas swap
@@ -338,11 +278,17 @@ func (sp *ShardedPipeline) Epoch() uint64 {
 	return e
 }
 
-// E2E returns the live inject→release latency distribution recorded at the
-// sharded boundary, the same distribution Snapshot reports — the cheap
-// accessor the core adaptor probes for interference-aware batch sizing.
-// Zero-valued when metrics are off.
-func (sp *ShardedPipeline) E2E() stats.HistSnapshot { return sp.lat.snapshot() }
+// E2E returns the live inject→release latency distribution, merged over
+// the replicas' trackers — the same distribution Snapshot reports, and the
+// cheap accessor the core adaptor probes for interference-aware batch
+// sizing. Zero-valued when metrics are off.
+func (sp *ShardedPipeline) E2E() stats.HistSnapshot {
+	var h stats.HistSnapshot
+	for _, s := range sp.shards {
+		h = h.Merge(s.E2E())
+	}
+	return h
+}
 
 // Apply atomically swaps the placement on every replica (see
 // Pipeline.Apply). Replicas swap independently at their own next batch
@@ -358,13 +304,10 @@ func (sp *ShardedPipeline) Apply(a hetsim.Assignment) error {
 	return nil
 }
 
-// ShardSnapshot returns shard i's own report (see Pipeline.Snapshot).
-func (sp *ShardedPipeline) ShardSnapshot(i int) *Report { return sp.shards[i].Snapshot() }
-
 // Snapshot aggregates every shard's report into one Report with the same
-// shape a single pipeline would produce: per-element counters and
-// histograms summed across replicas by node ID, per-edge traffic summed,
-// boundary totals taken at injection and release. The result feeds
+// shape a single pipeline would produce (AggregateReports): per-element
+// counters and histograms summed across replicas by node ID, per-edge
+// traffic, boundary totals and e2e latency merged. The result feeds
 // Intensities/ApplyCPUTimings unchanged, so the allocator's live-profile
 // bridge works identically for sharded deployments.
 func (sp *ShardedPipeline) Snapshot() *Report {
@@ -372,17 +315,5 @@ func (sp *ShardedPipeline) Snapshot() *Report {
 	for i, s := range sp.shards {
 		reps[i] = s.Snapshot()
 	}
-	agg := AggregateReports(reps)
-	agg.InBatches = sp.Stats.InBatches.Load()
-	agg.OutBatches = sp.Stats.OutBatches.Load()
-	agg.InPackets = sp.Stats.InPackets.Load()
-	agg.OutPackets = sp.Stats.OutPackets.Load()
-	agg.DropPackets = sp.Stats.DropPackets.Load()
-	agg.InBytes = sp.Stats.InBytes.Load()
-	agg.ElapsedNs = time.Since(sp.start).Nanoseconds()
-	// The boundary measurement (InjectShard → forwarder release) is the
-	// latency an external consumer of the outputs observes, shard queueing
-	// included; the shard reports carry none to merge.
-	agg.E2E = sp.lat.snapshot()
-	return agg
+	return AggregateReports(reps)
 }

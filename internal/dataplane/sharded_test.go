@@ -329,7 +329,7 @@ func TestShardedSnapshotAggregation(t *testing.T) {
 	// Per-shard reports must sum to the aggregate.
 	var sum uint64
 	for i := 0; i < sp.NumShards(); i++ {
-		sum += sp.ShardSnapshot(i).Elements[1].PktsIn
+		sum += sp.shards[i].Snapshot().Elements[1].PktsIn
 	}
 	if sum != want {
 		t.Fatalf("per-shard pkts-in sum %d, want %d", sum, want)

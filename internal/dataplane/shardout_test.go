@@ -72,8 +72,8 @@ func TestShardedShardOutAccounting(t *testing.T) {
 	if spread < 2 {
 		t.Fatalf("only %d of %d shards emitted output — injection did not spread", spread, shards)
 	}
-	if out, drops := sp.Stats.OutPackets.Load(), sp.Stats.DropPackets.Load(); out != injected || drops != 0 {
-		t.Fatalf("stats: out=%d drops=%d, want %d/0", out, drops, injected)
+	if rep := sp.Snapshot(); rep.OutPackets != injected || rep.DropPackets != 0 {
+		t.Fatalf("stats: out=%d drops=%d, want %d/0", rep.OutPackets, rep.DropPackets, injected)
 	}
 	// The merged channel exists for API compatibility but carries nothing.
 	if b, ok := <-sp.Out(); ok {
@@ -99,7 +99,7 @@ func TestShardedOutShardRequiresMode(t *testing.T) {
 }
 
 // TestShardedShardOutDropAccounting routes some packets into drops (TTL
-// exhausted at DecTTL) and checks the per-shard forwarders count them.
+// exhausted at DecTTL) and checks the replicas book them.
 func TestShardedShardOutDropAccounting(t *testing.T) {
 	build := func(int) (*element.Graph, error) { return hotChainGraph(), nil }
 	sp, err := NewSharded(build, ShardedConfig{
@@ -147,13 +147,13 @@ func TestShardedShardOutDropAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if seen.Load() != injected {
-		t.Fatalf("forwarders saw %d packets, injected %d", seen.Load(), injected)
+		t.Fatalf("shard outputs carried %d packets, injected %d", seen.Load(), injected)
 	}
 	wantLive := uint64(injected - ttlZero)
 	if live.Load() != wantLive {
 		t.Fatalf("live=%d, want %d (%d TTL-zeroed)", live.Load(), wantLive, ttlZero)
 	}
-	if out, drops := sp.Stats.OutPackets.Load(), sp.Stats.DropPackets.Load(); out != wantLive || drops != uint64(ttlZero) {
-		t.Fatalf("stats: out=%d drops=%d, want %d/%d", out, drops, wantLive, ttlZero)
+	if rep := sp.Snapshot(); rep.OutPackets != wantLive || rep.DropPackets != uint64(ttlZero) {
+		t.Fatalf("stats: out=%d drops=%d, want %d/%d", rep.OutPackets, rep.DropPackets, wantLive, ttlZero)
 	}
 }

@@ -64,7 +64,7 @@ func cadenceCapture(t *testing.T, n int) (capt []byte, badSum, ttl1 uint64) {
 // flight.Observed selects — the same ones whether the chain runs compiled,
 // interpreted or fused on the device — an observed batch has its whole span
 // chain source to sink and an unobserved one no span at all, and the e2e
-// histogram stays exact, kept once at the sharded boundary.
+// histogram stays exact, kept once by the replica.
 func TestObservationCadence(t *testing.T) {
 	const batches, perBatch = 1024, 8
 	const n = batches * perBatch
@@ -149,12 +149,13 @@ func TestObservationCadence(t *testing.T) {
 				}
 			}
 
-			// e2e: exact, and kept once — at the sharded boundary.
+			// e2e: exact, and kept once — by the one replica, whose report
+			// is the snapshot's.
 			if got := sp.E2E().Count; got != batches {
-				t.Errorf("boundary e2e histogram holds %d batches, want every one (%d)", got, batches)
+				t.Errorf("e2e histogram holds %d batches, want every one (%d)", got, batches)
 			}
-			if got := sp.ShardSnapshot(0).E2E.Count; got != 0 {
-				t.Errorf("shard 0 keeps an e2e tracker of its own (%d samples)", got)
+			if got := rep.E2E.Count; got != sp.E2E().Count {
+				t.Errorf("replica's e2e count %d differs from the sharded E2E count %d", got, sp.E2E().Count)
 			}
 
 			// Spans: a complete chain per observed ID, nothing else.

@@ -213,7 +213,7 @@ func TestShardedRejectsPreserveOrder(t *testing.T) {
 	if err := sp.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if in, out := sp.Stats.InPackets.Load(), sp.Stats.OutPackets.Load(); in != batches*perBatch || out != in {
-		t.Fatalf("InPackets=%d OutPackets=%d, want %d both", in, out, batches*perBatch)
+	if rep := sp.Snapshot(); rep.InPackets != batches*perBatch || rep.OutPackets != rep.InPackets {
+		t.Fatalf("InPackets=%d OutPackets=%d, want %d both", rep.InPackets, rep.OutPackets, batches*perBatch)
 	}
 }
