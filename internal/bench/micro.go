@@ -59,6 +59,6 @@ func Micro(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.0f", small.GPUFixedNsPerBatch))
 	}
 	t.Notes = append(t.Notes,
-		"content-sensitive kinds (AhoCorasick, ACL) are measured here on random no-match traffic; deployments re-profile on their own sample")
+		"content-sensitive kinds (AhoCorasick, ACL) are measured here on random no-match traffic; deployments weigh them from the trace of their own sample")
 	return t, nil
 }

@@ -8,7 +8,6 @@ import (
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
-	"nfcompass/internal/profile"
 	"nfcompass/internal/stats"
 )
 
@@ -125,10 +124,9 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	}
 	a.adaptBatch()
 
-	// capture's functional pass consumes the sample, and candidate
-	// validation prices its trace; re-profiling reads this copy.
-	pristine := cloneBatches(sample)
-	sig, trace, in, err := a.capture(sample)
+	// capture's functional pass consumes the sample; its trace is what
+	// re-allocation weighs and prices.
+	sig, ps, err := a.capture(sample)
 	if err != nil {
 		a.journal.Record(Decision{Reason: "error", Threshold: a.Threshold,
 			Epoch: a.rtEpoch(), Err: err.Error()})
@@ -162,14 +160,8 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 		return false, err
 	}
 
-	// Re-profile against the new traffic and re-allocate.
-	dict, err := profile.OfflineProfile(a.d.Platform, a.d.Costs, a.d.Graph,
-		profile.OfflineConfig{BatchSize: a.opt.BatchSize, Sample: pristine})
-	if err != nil {
-		return fail(err)
-	}
 	// Allocate and validate as Deploy does, on the observed traffic.
-	gbps, err := a.d.place(dict, in, trace, a.opt)
+	gbps, err := a.d.place(ps, a.opt)
 	if err != nil {
 		return fail(err)
 	}
@@ -191,55 +183,28 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	return true, nil
 }
 
-// capture executes the sample (the trace re-allocation prices, and its
-// intensities) and samples per-element memory-access rates. Probe counters
-// are snapshotted around a probe pass so content-dependent cost shifts (e.g.
-// no-match traffic turning into full-match) register even when the flow
-// distribution is unchanged.
-func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *hetsim.Trace, *profile.Intensities, error) {
-	g := a.d.Graph
-	probeBatch := sample[0].Clone()
-
-	trace, in, err := execute(g, a.d.Platform, a.d.Costs, sample)
+// capture executes the sample — the pass re-allocation weighs and prices —
+// and fingerprints it: per-node intensities, the mean packet size, and each
+// node's exact table accesses per live packet, so content-dependent cost
+// shifts (e.g. no-match traffic turning into full-match) register even when
+// the flow distribution is unchanged.
+func (a *Adaptor) capture(sample []*netpkt.Batch) (trafficSig, *pass, error) {
+	ps, err := execute(a.d.Graph, a.d.Platform, a.d.Costs, sample)
 	if err != nil {
-		return trafficSig{}, nil, nil, err
+		return trafficSig{}, nil, err
 	}
 	sig := trafficSig{
 		valid:     true,
-		intensity: in.Node,
+		intensity: ps.in.Node,
 		memPerPkt: make(map[element.NodeID]float64),
-		avgBytes:  in.AvgPktBytes,
+		avgBytes:  ps.in.AvgPktBytes,
 	}
-
-	// Probe pass: the functional pass left every element reset (counters
-	// at zero), so pushing one retained batch through and reading the
-	// counters yields the per-packet table-access rates.
-	x, err := element.NewExecutor(g)
-	if err != nil {
-		return trafficSig{}, nil, nil, err
-	}
-	before := make(map[element.NodeID]uint64)
-	for i := 0; i < g.Len(); i++ {
-		id := element.NodeID(i)
-		if p, ok := g.Node(id).(hetsim.MemProber); ok {
-			before[id] = p.MemAccesses()
+	for id, ns := range ps.sim.ServiceByNode(ps.trace) {
+		if ns.N > 0 {
+			sig.memPerPkt[element.NodeID(id)] = ns.Mem / float64(ns.N)
 		}
 	}
-	if _, err := x.RunBatch(probeBatch); err != nil {
-		return trafficSig{}, nil, nil, err
-	}
-	n := float64(probeBatch.Len())
-	if n == 0 {
-		n = 1
-	}
-	for i := 0; i < g.Len(); i++ {
-		id := element.NodeID(i)
-		if p, ok := g.Node(id).(hetsim.MemProber); ok {
-			sig.memPerPkt[id] = float64(p.MemAccesses()-before[id]) / n
-		}
-	}
-	x.Reset()
-	return sig, trace, in, nil
+	return sig, ps, nil
 }
 
 // drift returns the largest relative change between the stored signature

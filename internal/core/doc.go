@@ -14,8 +14,9 @@
 //   - compass.go — the end-to-end Deploy entry point: orchestrate,
 //     synthesize, build the deployment graph (deriving per-branch writer
 //     flags from NF profiles), profile, allocate, and validate: a plan
-//     executes the sample once (hetsim.Execute); its traffic intensities
-//     and every candidate placement's price come from that trace.
+//     executes the sample once (hetsim.Execute); its traffic intensities,
+//     the allocator's weights and every candidate placement's price come
+//     from that trace.
 //   - merge.go — Duplicator/XORMerge, the runtime fan-out/fan-in pair of
 //     a parallelized stage. Branches that hazard analysis proves
 //     read-only receive shallow (shared-bytes) clones; only writer
@@ -25,8 +26,8 @@
 //   - expand.go — fine-grained element expansion for offload ratios.
 //   - allocator.go — the GTA graph-partition allocator.
 //   - adapt.go — the Adaptor re-allocation loop driven by observed
-//     traffic drift (re-profile, then Deploy's allocate-and-validate on
-//     the observed sample's one trace),
+//     traffic drift (Deploy's weigh-allocate-and-validate on the
+//     observed sample's one trace),
 //     plus the interference-aware AIMD batch-size controller fed by the
 //     attached runtime's live e2e latency histogram; every re-allocation
 //     and batch resize is journaled (journal.go).

@@ -113,9 +113,30 @@ func referenceSelect(t *testing.T, d *Deployment, sample []*netpkt.Batch, model 
 	return bestName, bestGbps, best
 }
 
-// referenceDeploy is Deploy's slow path: every plan profiled from scratch,
-// five full runs per plan to pick the assignment, and the gate simulating
-// both winners again.
+// traceDictionary is the dictionary of a fresh functional pass of its own
+// over a copy of the sample, leaving g reset.
+func traceDictionary(t *testing.T, g *element.Graph, p hetsim.Platform, costs map[string]hetsim.ElemCost,
+	sample []*netpkt.Batch) *profile.Dictionary {
+	t.Helper()
+	sim, err := hetsim.NewSimulator(p, costs, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := sim.Execute(cloneBatches(sample), 0)
+	g.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, err := profile.DictionaryOf(sim, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dict
+}
+
+// referenceDeploy is Deploy's slow path: every plan weighed from a pass of
+// its own, sampled by another, five full runs per plan to pick the
+// assignment, and the gate simulating both winners again.
 func referenceDeploy(t *testing.T, chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Options) *Deployment {
 	t.Helper()
 	costs := hetsim.DefaultCosts()
@@ -126,11 +147,7 @@ func referenceDeploy(t *testing.T, chain []*nf.NF, p hetsim.Platform, sample []*
 			t.Fatal(err)
 		}
 		d.Graph = g
-		dict, err := profile.OfflineProfile(p, costs, g,
-			profile.OfflineConfig{BatchSize: opt.BatchSize, Sample: cloneBatches(sample)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dict := traceDictionary(t, g, p, costs, sample)
 		in, err := profile.SampleIntensities(g, cloneBatches(sample))
 		if err != nil {
 			t.Fatal(err)
@@ -227,11 +244,7 @@ func TestAdaptorObserveMatchesReference(t *testing.T) {
 
 	// What Observe is about to compute, by the slow path, on a twin.
 	twin := adaptDeployment(t)
-	dict, err := profile.OfflineProfile(twin.Platform, twin.Costs, twin.Graph,
-		profile.OfflineConfig{BatchSize: 64, Sample: cloneBatches(shifted)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dict := traceDictionary(t, twin.Graph, twin.Platform, twin.Costs, shifted)
 	in, err := profile.SampleIntensities(twin.Graph, cloneBatches(shifted))
 	if err != nil {
 		t.Fatal(err)
@@ -253,16 +266,16 @@ func TestAdaptorObserveMatchesReference(t *testing.T) {
 	}
 }
 
-// tap counts the batches it is handed. Its kind is one an earlier element of
-// the chain already has, so offline profiling never runs it alone and every
-// call is one batch of an end-to-end pass over its plan's graph.
+// tap counts the batches it is handed. Its kind is its own, so a pass that
+// profiled each kind alone would run it too: every call must be one batch of
+// an end-to-end pass over its plan's graph.
 type tap struct{ calls int }
 
 func (e *tap) Name() string      { return "tap" }
 func (e *tap) NumOutputs() int   { return 1 }
 func (e *tap) Signature() string { return "tap" }
 func (e *tap) Traits() element.Traits {
-	return element.Traits{Kind: "CheckIPHeader", Class: element.ClassShaper}
+	return element.Traits{Kind: "tap", Class: element.ClassShaper}
 }
 func (e *tap) Process(b *netpkt.Batch) []*netpkt.Batch {
 	e.calls++
@@ -276,10 +289,10 @@ func TestDeployAllocBudget(t *testing.T) {
 }
 
 // Each plan's graph sees the sample end to end once — the one trace its
-// intensities, allocation and every candidate price come from — every other
-// pass is one element kind alone, and each pass owns one copy of the sample:
-// 42 passes, 221 MB and 826 k objects before placements were priced from a
-// trace, 47.1 MB and 181 k while intensities took a pass of their own.
+// weights, intensities, allocation and every candidate price come from — and
+// no other pass runs: 42 passes, 221 MB and 826 k objects before placements
+// were priced from a trace, 47.1 MB and 181 k while intensities took a pass
+// of their own, 36.1 MB and 138 k while each element kind was profiled alone.
 func deployBudget(t *testing.T) {
 	const batches = 120
 	chain, err := spec.Parse("firewall:1000,ipv4,nat", 1)
@@ -309,8 +322,8 @@ func deployBudget(t *testing.T) {
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 	objects := after.Mallocs - before.Mallocs
 	t.Logf("Deploy allocated %.1f MB in %d objects, %d plans", mb, objects, len(taps))
-	if mb > 40 || objects > 160_000 {
-		t.Errorf("Deploy allocated %.1f MB in %d objects, budget 40 MB / 160000", mb, objects)
+	if mb > 20 || objects > 75_000 {
+		t.Errorf("Deploy allocated %.1f MB in %d objects, budget 20 MB / 75000", mb, objects)
 	}
 	if len(taps) != 2 || len(d.Stages) != len(chain) {
 		t.Fatalf("%d plans built, %d stages deployed: want the gate to build both and keep the sequential one", len(taps), len(d.Stages))
