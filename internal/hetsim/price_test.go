@@ -1,6 +1,7 @@
 package hetsim_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -183,5 +184,37 @@ func BenchmarkPriceCandidates(b *testing.B) {
 		for _, sim := range sims {
 			sim.Price(trace)
 		}
+	}
+}
+
+// A trace's per-node CPU service is what Price books on the CPU: under an
+// all-CPU placement the nodes add up to CPUBusyNs, re-organization of
+// multi-port batches (a Duplicator's copies, a classifier's split) included.
+func TestServiceByNodeAddsUpToPrice(t *testing.T) {
+	imix := traffic.Config{Size: traffic.IMIX{}, Seed: 3, Flows: 48,
+		Payload: traffic.PayloadFullMatch, MatchTokens: spec.DefaultPatterns}
+	graphs := map[string]*element.Graph{"classifier": classifierGraph()}
+	for _, text := range []string{"ipv4", "firewall:1000,ipv4,nat", "ipsec,ipv4,ids", "ids,probe,firewall:200"} {
+		graphs[text+"/sequential"] = deployedGraph(t, text, false)
+		graphs[text+"/parallelized"] = deployedGraph(t, text, true)
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace, err := sim.Execute(traffic.NewGenerator(imix).Batches(12, 32), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			for _, ns := range sim.ServiceByNode(trace) {
+				sum += ns.CPUNs
+			}
+			if want := sim.Price(trace).CPUBusyNs; math.Abs(sum-want) > 1e-9*want {
+				t.Errorf("nodes add up to %v ns, Price books %v", sum, want)
+			}
+		})
 	}
 }
