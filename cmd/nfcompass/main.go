@@ -26,7 +26,6 @@ import (
 
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
-	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
@@ -48,7 +47,7 @@ func main() {
 	metrics := flag.Bool("metrics", false,
 		"run the deployed graph on the live dataplane with per-element metrics and print the snapshot plus a Prometheus-text dump")
 	shards := flag.Int("shards", 1,
-		"dataplane replicas for the -metrics run: packets are steered by flow affinity and the snapshot aggregates across shards (0 = one per CPU)")
+		"dataplane replicas of the -metrics, -source and -serve runs: packets are steered by flow affinity and the snapshot aggregates across shards (0 = one per CPU)")
 	assign := flag.Bool("assign", false,
 		"print the task allocator's report (algorithm, objective, cut/load split, per-element offload ratios) and execute the chain on the live dataplane under that assignment: ModeGPU/ModeSplit elements run through the emulated GPU device backend")
 	source := flag.String("source", "",
@@ -60,7 +59,7 @@ func main() {
 	pps := flag.Float64("pps", 0,
 		"pace the -source capture replay at this packet rate (0 = as fast as the pipeline pulls)")
 	serve := flag.String("serve", "",
-		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /trace /decisions /debug/pprof) on this address, e.g. :9090")
+		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /trace /trace.chrome /spans /bottleneck /decisions /debug/pprof) on this address, e.g. :9090")
 	fleet := flag.Bool("fleet", false,
 		"with -serve: run the multi-tenant control plane instead of a fixed deployment — the chain argument becomes tenant \"default\" revision 1, and the admin server additionally mounts the /chains endpoints for nfctl (submit, status, rollout watch, rollback)")
 	duration := flag.Duration("duration", 30*time.Second,
@@ -88,6 +87,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nfcompass:", err)
 		os.Exit(2)
 	}
+	*shards = liveShards(*shards)
 
 	chain, err := spec.Parse(flag.Arg(0), *seed)
 	if err != nil {
@@ -158,16 +158,14 @@ func main() {
 		return gen.Batches(*batches, *batchSize)
 	}
 
-	// deploy runs the (deterministic) pipeline; every call returns fresh,
-	// structurally identical element instances.
-	deploy := func() (*core.Deployment, error) {
-		var sample []*netpkt.Batch
-		if opt.GTA {
-			sample = mkBatches(1000)
-		}
-		return core.Deploy(chain, p, sample, opt)
+	// The one deployment of the run. Every live plane runs replicas from
+	// d.Build; d.Graph stays the control path's (the simulator's and the
+	// adaptor's).
+	var sample []*netpkt.Batch
+	if opt.GTA {
+		sample = mkBatches(1000)
 	}
-	d, err := deploy()
+	d, err := core.Deploy(chain, p, sample, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -179,7 +177,7 @@ func main() {
 	// Ingress mode: replay a packet source through the deployed chain and
 	// report the run (see source.go).
 	if *source != "" {
-		if err := runSource(replicas(d, deploy), sourceOpts{
+		if err := runSource(d.Build, sourceOpts{
 			spec: *source, shards: *shards, pin: *pin,
 			loops: *loops, pps: *pps,
 			batchSize: *batchSize, mkBatches: mkBatches,
@@ -192,7 +190,7 @@ func main() {
 	// Continuous telemetry mode: skip the batch comparisons and keep the
 	// deployment running on the live dataplane behind the admin server.
 	if *serve != "" {
-		if err := runServe(d, deploy, opt, serveOpts{
+		if err := runServe(d, serveOpts{
 			addr: *serve, duration: *duration, shards: *shards,
 			pkt: *pkt, batchSize: *batchSize, seed: *seed,
 			platform: p,
@@ -229,9 +227,9 @@ func main() {
 	}
 
 	// Placement-aware run: print what the allocator decided, then execute
-	// the graph on the live dataplane under that assignment — offloaded
-	// elements go through the emulated GPU device backend (submission
-	// queues, launch aggregation, modeled PCIe/launch latency).
+	// one replica of the graph on the live dataplane under that assignment —
+	// offloaded elements go through the emulated GPU device backend
+	// (submission queues, launch aggregation, modeled PCIe/launch latency).
 	if *assign {
 		if d.Alloc == nil {
 			fatal(fmt.Errorf("-assign requires task allocation (drop -no-gta)"))
@@ -254,70 +252,60 @@ func main() {
 				fmt.Printf("    %-24s %.2f\n", name, rep.OffloadByElement[name])
 			}
 		}
-		d.Graph.Reset()
-		_, pl, err := dataplane.RunBatches(context.Background(), d.Graph,
-			dataplane.Config{
-				PreserveOrder: true, Metrics: true,
-				Assignment: d.Assignment,
-				Offload:    &dataplane.OffloadConfig{Platform: &p},
-			}, mkBatches(4000))
+		sp, err := runLive(d, dataplane.Config{
+			Metrics:    true,
+			Assignment: d.Assignment,
+			Offload:    &dataplane.OffloadConfig{Platform: &p},
+		}, 1, mkBatches(4000))
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nplacement-aware dataplane run:\n%s", pl.Snapshot())
-		d.Graph.Reset()
+		fmt.Printf("\nplacement-aware dataplane run:\n%s", sp.Snapshot())
 	}
 
-	// Live observability run: execute the deployment graph for real on the
-	// concurrent dataplane with the per-element metrics layer on, then dump
-	// the typed snapshot and its Prometheus-text form.
+	// Live observability run: execute -shards replicas of the deployment
+	// graph for real on the concurrent dataplane with the per-element
+	// metrics layer on, then dump the aggregated snapshot and its
+	// Prometheus-text form.
 	if *metrics {
-		d.Graph.Reset()
-		var rep *dataplane.Report
-		if *shards == 1 {
-			_, pl, err := dataplane.RunBatches(context.Background(), d.Graph,
-				dataplane.Config{PreserveOrder: true, Metrics: true},
-				mkBatches(3000))
-			if err != nil {
-				fatal(err)
-			}
-			rep = pl.Snapshot()
-		} else {
-			sp, err := dataplane.NewSharded(replicas(d, deploy), dataplane.ShardedConfig{
-				Config: dataplane.Config{Metrics: true},
-				Shards: *shards,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			ctx := context.Background()
-			sp.Start(ctx)
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				for range sp.Out() {
-				}
-			}()
-			nic := ingress.NewNIC(sp.NumShards())
-			for _, b := range mkBatches(3000) {
-				if !nic.Steer(ctx, sp, b) {
-					break // the pipeline stopped; Wait reports why
-				}
-			}
-			sp.CloseInput()
-			<-drained
-			if err := sp.Wait(); err != nil {
-				fatal(err)
-			}
-			rep = sp.Snapshot()
-			fmt.Printf("\nsharded dataplane: %d flow-affinity replicas, aggregated snapshot\n",
-				sp.NumShards())
+		sp, err := runLive(d, dataplane.Config{Metrics: true}, *shards, mkBatches(3000))
+		if err != nil {
+			fatal(err)
 		}
+		rep := sp.Snapshot()
+		fmt.Printf("\nsharded dataplane: %d flow-affinity replicas, aggregated snapshot\n",
+			sp.NumShards())
 		fmt.Printf("\nlive dataplane metrics:\n%s", rep)
 		fmt.Printf("\n# Prometheus text exposition\n")
 		rep.WritePrometheus(os.Stdout)
-		d.Graph.Reset()
 	}
+}
+
+// runLive runs batches through replicas of the deployment on the sharded
+// dataplane, the NIC steering each flow to one replica, and returns the
+// drained plane for its snapshot.
+func runLive(d *core.Deployment, cfg dataplane.Config, shards int, batches []*netpkt.Batch) (*dataplane.ShardedPipeline, error) {
+	sp, err := dataplane.NewSharded(d.Build, dataplane.ShardedConfig{Config: cfg, Shards: shards})
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	sp.Start(ctx)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range sp.Out() {
+		}
+	}()
+	nic := ingress.NewNIC(sp.NumShards())
+	for _, b := range batches {
+		if !nic.Steer(ctx, sp, b) {
+			break // the pipeline stopped; Wait reports why
+		}
+	}
+	sp.CloseInput()
+	<-drained
+	return sp, sp.Wait()
 }
 
 // modeFlags are the parsed flag values that select, or only work in, one
@@ -357,20 +345,13 @@ func checkModes(f modeFlags) error {
 	return nil
 }
 
-// replicas is the per-shard graph builder of a sharded run. Elements are
-// stateful, so every shard needs its own instances: shard 0 runs d's graph
-// and each further shard a fresh deployment.
-func replicas(d *core.Deployment, deploy func() (*core.Deployment, error)) func(shard int) (*element.Graph, error) {
-	return func(shard int) (*element.Graph, error) {
-		if shard == 0 {
-			return d.Graph, nil
-		}
-		di, err := deploy()
-		if err != nil {
-			return nil, err
-		}
-		return di.Graph, nil
+// liveShards is the replica count of every live run for a -shards value:
+// 0 (or less) means one per CPU, as dataplane.DefaultShards counts them.
+func liveShards(n int) int {
+	if n <= 0 {
+		return dataplane.DefaultShards()
 	}
+	return n
 }
 
 func fatal(err error) {

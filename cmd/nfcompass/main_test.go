@@ -1,6 +1,18 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"nfcompass/internal/core"
+	"nfcompass/internal/dataplane"
+	"nfcompass/internal/hetsim"
+	"nfcompass/internal/netpkt"
+	"nfcompass/internal/spec"
+	"nfcompass/internal/traffic"
+)
 
 // TestCheckModes pins the run-mode table: every combination in which a flag
 // would be ignored is refused with its reason, and every combination some
@@ -50,6 +62,69 @@ func TestCheckModes(t *testing.T) {
 			t.Errorf("%s: accepted, want refusal %q", tc.name, tc.want)
 		case tc.want != "" && err.Error() != tc.want:
 			t.Errorf("%s: refused with %q, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestShardsZeroIsOnePerCPU: -shards 0 means one replica per CPU in every
+// live mode — main resolves the flag once with liveShards, and the
+// in-memory run of -metrics and the -source pcap:, udp: and nic: sources
+// take that count as it is.
+func TestShardsZeroIsOnePerCPU(t *testing.T) {
+	want := dataplane.DefaultShards()
+	if got := liveShards(0); got != want {
+		t.Fatalf("liveShards(0) = %d, want DefaultShards() = %d", got, want)
+	}
+	if got := liveShards(3); got != 3 {
+		t.Fatalf("liveShards(3) = %d", got)
+	}
+
+	chain, err := spec.Parse("firewall:200,ipv4,nat", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func() []*netpkt.Batch {
+		return traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(256), Seed: 1, Flows: 256}).Batches(16, 32)
+	}
+	d, err := core.Deploy(chain, hetsim.DefaultPlatform(), gen(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := runLive(d, dataplane.Config{Metrics: true}, liveShards(0), gen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.NumShards() != want {
+		t.Errorf("runLive: %d replicas, want %d", sp.NumShards(), want)
+	}
+	if rep := sp.Snapshot(); rep.InPackets != 16*32 || rep.InPackets != rep.OutPackets+rep.DropPackets {
+		t.Errorf("runLive: in=%d out=%d drops=%d", rep.InPackets, rep.OutPackets, rep.DropPackets)
+	}
+
+	var capt bytes.Buffer
+	pw, err := traffic.NewPcapWriter(&capt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range gen() {
+		for _, p := range b.Packets {
+			if err := pw.WritePacket(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	file := filepath.Join(t.TempDir(), "t.pcap")
+	if err := os.WriteFile(file, capt.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"pcap:" + file, "udp:127.0.0.1:0", "nic:pcap=" + file} {
+		s, _, shards, err := parseSourceSpec(sourceOpts{spec: src, shards: liveShards(0), loops: 1, mkBatches: func(int64) []*netpkt.Batch { return gen() }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if shards != want {
+			t.Errorf("-source %s: %d shards, want %d", src, shards, want)
 		}
 	}
 }

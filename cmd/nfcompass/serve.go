@@ -18,17 +18,6 @@ import (
 	"nfcompass/internal/traffic"
 )
 
-// engine is the common surface of the plain and sharded pipelines the
-// continuous run drives; batches enter through the run's send function.
-type engine interface {
-	Out() <-chan *netpkt.Batch
-	CloseInput()
-	Wait() error
-	Done() <-chan struct{}
-	Snapshot() *dataplane.Report
-	Apply(hetsim.Assignment) error
-}
-
 type serveOpts struct {
 	addr      string
 	duration  time.Duration
@@ -39,19 +28,17 @@ type serveOpts struct {
 	platform  hetsim.Platform
 }
 
-// runServe is the `-serve` continuous mode: deploy the chain onto the live
-// dataplane, keep traffic flowing for the configured duration while the
-// telemetry server exposes /metrics, /snapshot, /healthz, /trace,
-// /decisions, and /debug/pprof, shift the traffic profile halfway through so
-// the attached Adaptor has a drift to react to, then drain and print the
-// final snapshot plus the decision journal.
+// runServe is the `-serve` continuous mode: run replicas of the deployment
+// on the sharded live dataplane, keep traffic flowing for the configured
+// duration while the telemetry server exposes /metrics, /snapshot,
+// /healthz, /trace, /trace.chrome, /spans, /bottleneck, /decisions and
+// /debug/pprof, shift the traffic profile halfway through so the attached
+// Adaptor has a drift to react to, then drain and print the final snapshot
+// plus the decision journal.
 //
-// d is the deployment the pipeline runs; deploy builds structurally
-// identical replicas (extra shards, and a separate instance for the Adaptor
-// — Observe executes its deployment's graph functionally, so it must never
-// share element instances with the running pipeline).
-func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
-	opt core.Options, o serveOpts) error {
+// The replicas come from d.Build, so none of them shares an element
+// instance with d.Graph, which the Adaptor's Observe executes functionally.
+func runServe(d *core.Deployment, o serveOpts) error {
 	// bl is the packets-per-batch: the injector passes the adaptor's live
 	// interference-aware batch size; Observe samples keep the configured
 	// size so the traffic profile stays comparable across observations.
@@ -82,51 +69,23 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		cfg.Offload = &dataplane.OffloadConfig{Platform: &o.platform}
 	}
 
-	var eng engine
-	var send func(*netpkt.Batch) bool
-	if o.shards <= 1 {
-		cfg.PreserveOrder = true
-		pl, err := dataplane.New(d.Graph, cfg)
-		if err != nil {
-			return err
-		}
-		pl.Start(ctx)
-		eng = pl
-		send = func(b *netpkt.Batch) bool {
-			select {
-			case pl.In() <- b:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-	} else {
-		// Replicas keep per-flow order, which the NIC's flow steering gives
-		// them; nothing re-sequences across shards.
-		sp, err := dataplane.NewSharded(replicas(d, deploy), dataplane.ShardedConfig{
-			Config: cfg, Shards: o.shards,
-		})
-		if err != nil {
-			return err
-		}
-		sp.Start(ctx)
-		eng = sp
-		nic := ingress.NewNIC(o.shards)
-		send = func(b *netpkt.Batch) bool { return nic.Steer(ctx, sp, b) }
-	}
-
-	// The adaptor gets its own deployment: Observe runs the graph
-	// functionally, which must not race the pipeline's element instances.
-	ad, err := deploy()
+	// Replicas keep per-flow order, which the NIC's flow steering gives
+	// them; nothing re-sequences across shards.
+	sp, err := dataplane.NewSharded(d.Build, dataplane.ShardedConfig{
+		Config: cfg, Shards: o.shards,
+	})
 	if err != nil {
 		return err
 	}
-	adaptor := core.NewAdaptor(ad, opt)
-	adaptor.Attach(eng)
+	sp.Start(ctx)
+	nic := ingress.NewNIC(sp.NumShards())
+
+	adaptor := core.NewAdaptor(d)
+	adaptor.Attach(sp)
 
 	srv, err := telemetry.New(telemetry.Config{
-		Source:   eng,
-		Done:     eng.Done(),
+		Source:   sp,
+		Done:     sp.Done(),
 		Trace:    ring,
 		Journal:  adaptor.Journal(),
 		Interval: time.Second,
@@ -151,19 +110,19 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		for range eng.Out() {
+		for range sp.Out() {
 		}
 	}()
 
-	// The single pipeline's ordered release sorts by injection ID and the
-	// latency probe is keyed by it, while each traffic generator restarts
-	// its IDs at zero, so renumber across generators.
+	// Each replica's e2e latency probe is keyed by batch ID, and the flight
+	// recorder observes by it, while each traffic generator restarts its IDs
+	// at zero, so renumber across generators.
 	var nextID uint64
 	inject := func(bs []*netpkt.Batch) bool {
 		for _, b := range bs {
 			b.ID = nextID
 			nextID++
-			if !send(b) {
+			if !nic.Steer(ctx, sp, b) {
 				return false
 			}
 		}
@@ -230,14 +189,14 @@ func runServe(d *core.Deployment, deploy func() (*core.Deployment, error),
 		time.Sleep(time.Millisecond)
 	}
 
-	eng.CloseInput()
+	sp.CloseInput()
 	<-drained
-	if err := eng.Wait(); err != nil {
+	if err := sp.Wait(); err != nil {
 		return err
 	}
 	smp.Stop()
 
-	fmt.Printf("\nfinal snapshot:\n%s", eng.Snapshot())
+	fmt.Printf("\nfinal snapshot:\n%s", sp.Snapshot())
 	// The drain verdict joins the decision journal so a post-mortem
 	// /decisions read (or the printout below) carries the limiting
 	// stage next to the placement decisions that produced it.

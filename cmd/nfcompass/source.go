@@ -39,7 +39,7 @@ import (
 
 type sourceOpts struct {
 	spec      string
-	shards    int
+	shards    int // >= 1: liveShards resolved the flag
 	pin       bool
 	loops     int
 	pps       float64
@@ -90,9 +90,6 @@ func parseSourceSpec(o sourceOpts) (ingress.Source, *ingress.NIC, int, error) {
 		if queues == 0 {
 			queues = o.shards
 		}
-		if queues < 1 {
-			queues = 1
-		}
 		nic := ingress.NewNIC(queues)
 		cfg := ingress.PcapConfig{
 			Loops: o.loops, PacePPS: o.pps, RekeyPerPass: o.loops > 1,
@@ -134,9 +131,6 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 		return err
 	}
 	defer src.Close()
-	if shards < 1 {
-		shards = 1
-	}
 	// The pump's shape follows the input: one reader in front of one queue
 	// injects inline; anything else runs one RX worker per queue behind SPSC
 	// rings, and the shards drain through per-shard channels.

@@ -20,7 +20,6 @@ import (
 
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
-	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
@@ -56,7 +55,7 @@ func main() {
 	show("tuned for benign traffic:")
 
 	// The traffic shifts; the adaptor observes and re-allocates.
-	a := core.NewAdaptor(d, core.DefaultOptions())
+	a := core.NewAdaptor(d)
 	if _, err := a.Observe(mk(traffic.PayloadRandom, 3, 4)); err != nil {
 		log.Fatal(err) // primes the signature with the old profile
 	}
@@ -72,8 +71,13 @@ func main() {
 	// assignment: ModeGPU/ModeSplit elements execute through the emulated
 	// GPU device backend (asynchronous submission queues, kernel-launch
 	// aggregation, modeled PCIe/launch latency from the allocator's own
-	// cost table).
-	outs, pl, err := dataplane.RunBatches(context.Background(), d.Graph,
+	// cost table). The pipeline runs a replica from d.Build; d.Graph is the
+	// adaptor's.
+	g, err := d.Build(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	outs, pl, err := dataplane.RunBatches(context.Background(), g,
 		dataplane.Config{
 			PreserveOrder: true, Metrics: true,
 			Assignment: d.Assignment,
@@ -88,24 +92,11 @@ func main() {
 	fmt.Print(pl.Snapshot())
 
 	// Live assignment hot-swap on the sharded dataplane. The sharded
-	// pipeline starts with every element on the CPU; mid-traffic the
+	// pipeline starts with every element on the CPU; mid-traffic a fresh
 	// adaptor observes the content shift, re-allocates, and — because it is
 	// Attached to the running pipeline — atomically swaps the new placement
 	// onto every replica without dropping a packet or reordering a flow.
-	d2, err := core.Deploy(chain, platform, mk(traffic.PayloadRandom, 1, 8),
-		core.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	build := func(int) (*element.Graph, error) {
-		di, err := core.Deploy(chain, platform, mk(traffic.PayloadRandom, 1, 8),
-			core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		return di.Graph, nil
-	}
-	sp, err := dataplane.NewSharded(build, dataplane.ShardedConfig{
+	sp, err := dataplane.NewSharded(d.Build, dataplane.ShardedConfig{
 		Config: dataplane.Config{
 			Metrics: true,
 			Offload: &dataplane.OffloadConfig{Platform: &platform},
@@ -140,7 +131,7 @@ func main() {
 	}
 	inject(mk(traffic.PayloadFullMatch, 5, 10)) // first half: CPU-only epoch
 
-	a2 := core.NewAdaptor(d2, core.DefaultOptions())
+	a2 := core.NewAdaptor(d)
 	a2.Attach(sp) // re-allocations now hot-swap the running pipeline
 	if _, err := a2.Observe(mk(traffic.PayloadRandom, 6, 4)); err != nil {
 		log.Fatal(err) // primes the signature with the benign profile

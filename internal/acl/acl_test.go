@@ -135,7 +135,7 @@ func TestTreeMatchesLinear(t *testing.T) {
 				}
 			}
 			la, li := l.MatchLinear(k)
-			ta, ti := tree.Match(k)
+			ta, ti, _ := tree.Match(k)
 			if la != ta || li != ti {
 				t.Fatalf("n=%d key=%+v: tree=(%v,%d) linear=(%v,%d)", n, k, ta, ti, la, li)
 			}
@@ -159,9 +159,8 @@ func TestTreeLastCost(t *testing.T) {
 	tree := BuildTree(l, 8)
 	rng := rand.New(rand.NewSource(11))
 	k := RandomMatchingKey(rng, &l.Rules[0])
-	tree.Match(k)
-	if tree.LastCost() <= 0 {
-		t.Error("LastCost not recorded")
+	if _, _, cost := tree.Match(k); cost <= 0 {
+		t.Error("lookup cost not reported")
 	}
 }
 

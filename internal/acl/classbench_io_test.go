@@ -96,7 +96,7 @@ func TestParsedListBuildsTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := BuildTree(l, 8)
-	a, idx := tree.Match(Key{Src: 0x0a010203, Dst: 0xac100105,
+	a, idx, _ := tree.Match(Key{Src: 0x0a010203, Dst: 0xac100105,
 		SrcPort: 2000, DstPort: 53, Proto: netpkt.IPProtoUDP})
 	if a != Permit || idx != 1 {
 		t.Errorf("Match = %v,%d, want permit,1", a, idx)

@@ -14,8 +14,8 @@ func TestDebugTreeStats(t *testing.T) {
 		probes := 5000
 		for i := 0; i < probes; i++ {
 			k := RandomMatchingKey(rng, &l.Rules[rng.Intn(len(l.Rules))])
-			tree.Match(k)
-			total += tree.LastCost()
+			_, _, cost := tree.Match(k)
+			total += cost
 		}
 		t.Logf("rules=%d nodes=%d leaves=%d depth=%d meanCost=%.1f",
 			n, tree.Nodes(), tree.Leaves(), tree.MaxDepth(), float64(total)/float64(probes))

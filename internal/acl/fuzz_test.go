@@ -28,7 +28,7 @@ func FuzzParseClassBench(f *testing.F) {
 		}
 		tree := BuildTree(l, 4)
 		k := Key{Src: 0x01020304, Dst: 0x05060708, SrcPort: 1, DstPort: 2}
-		ta, ti := tree.Match(k)
+		ta, ti, _ := tree.Match(k)
 		la, li := l.MatchLinear(k)
 		if ta != la || ti != li {
 			t.Fatalf("tree (%v,%d) != linear (%v,%d)", ta, ti, la, li)

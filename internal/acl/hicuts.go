@@ -45,10 +45,6 @@ type Tree struct {
 	nodes    int
 	leaves   int
 	maxDepth int
-	// lastCost records the traversal steps + leaf rules scanned by the
-	// most recent Match (single-threaded use; the simulator drives one
-	// classifier per core).
-	lastCost int
 }
 
 // BuildTree constructs the decision tree. binth is the leaf bucket size
@@ -207,9 +203,11 @@ func keyDim(k Key, d Dimension) uint64 {
 	}
 }
 
-// Match classifies k, returning the action and matching rule index (-1 for
-// default). It also records the traversal cost retrievable via LastCost.
-func (t *Tree) Match(k Key) (Action, int) {
+// Match classifies k, returning the action, the matching rule index (-1 for
+// default) and the lookup's cost: the traversal steps plus leaf rules
+// examined, which the platform cost model charges as memory accesses. It
+// writes nothing, so replicas may share one tree.
+func (t *Tree) Match(k Key) (Action, int, int) {
 	cost := 0
 	n := t.root
 	for n.children != nil {
@@ -237,16 +235,11 @@ func (t *Tree) Match(k Key) (Action, int) {
 			break
 		}
 	}
-	t.lastCost = cost
 	if best < 0 {
-		return t.list.DefaultAction, -1
+		return t.list.DefaultAction, -1, cost
 	}
-	return t.list.Rules[best].Action, best
+	return t.list.Rules[best].Action, best, cost
 }
-
-// LastCost reports the tree steps plus leaf rules examined by the most
-// recent Match; the platform cost model charges memory accesses for it.
-func (t *Tree) LastCost() int { return t.lastCost }
 
 // Nodes returns the total node count (tree memory footprint).
 func (t *Tree) Nodes() int { return t.nodes }

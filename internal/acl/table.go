@@ -29,13 +29,11 @@ import (
 // Classifier is the packet-classification engine interface. Both the
 // HiCuts tree and the compiled decision table implement it, so the
 // firewall elements can swap engines without changing semantics: Match
-// returns the action and the matching rule index (-1 for the default),
-// first match wins, and LastCost reports the most recent lookup's memory
-// touches for the platform cost model (single-threaded use, like the
-// simulator's one classifier per core).
+// returns the action, the matching rule index (-1 for the default), first
+// match wins, and the lookup's memory touches for the platform cost model.
+// Match writes nothing, so replicas may share one classifier.
 type Classifier interface {
-	Match(k Key) (Action, int)
-	LastCost() int
+	Match(k Key) (Action, int, int)
 }
 
 var (
@@ -44,9 +42,8 @@ var (
 )
 
 // Table is a compiled flat decision table over a rule list. Build it with
-// CompileTable; the zero value is not usable. Lookups mutate only
-// lastCost, so a Table is read-only shareable once built except for that
-// field (same contract as Tree).
+// CompileTable; the zero value is not usable. Lookups mutate nothing, so a
+// Table is shareable once built (same contract as Tree).
 type Table struct {
 	list  *List
 	words int
@@ -64,8 +61,6 @@ type Table struct {
 	srcCls  []uint32
 	dstBase []uint32
 	dstCls  []uint32
-
-	lastCost int
 }
 
 // dimMax is the inclusive upper bound of each dimension's value space.
@@ -214,12 +209,14 @@ func intervalIndex(bases []uint32, v uint32) int {
 // Match classifies k: five per-dimension class lookups, then an AND-scan
 // over the class bit-vectors that stops at the first surviving rule bit —
 // which is the highest-priority match by construction. Equivalent to
-// MatchLinear (and therefore to Tree.Match) on every key.
-func (t *Table) Match(k Key) (Action, int) {
+// MatchLinear (and therefore to Tree.Match) on every key. The cost it
+// returns is the decision-table words scanned plus the five dimension
+// lookups — the memory-access count the platform cost model charges,
+// comparable with Tree.Match's.
+func (t *Table) Match(k Key) (Action, int, int) {
 	cost := int(numDims)
 	if t.words == 0 {
-		t.lastCost = cost
-		return t.list.DefaultAction, -1
+		return t.list.DefaultAction, -1, cost
 	}
 	w := t.words
 	sa := t.bits[DimSrcAddr][int(t.srcCls[intervalIndex(t.srcBase, uint32(k.Src))])*w:]
@@ -231,18 +228,11 @@ func (t *Table) Match(k Key) (Action, int) {
 		cost++
 		if m := sa[i] & da[i] & sp[i] & dp[i] & pr[i]; m != 0 {
 			ri := i*64 + bits.TrailingZeros64(m)
-			t.lastCost = cost
-			return t.list.Rules[ri].Action, ri
+			return t.list.Rules[ri].Action, ri, cost
 		}
 	}
-	t.lastCost = cost
-	return t.list.DefaultAction, -1
+	return t.list.DefaultAction, -1, cost
 }
-
-// LastCost reports the decision-table words scanned plus the five
-// dimension lookups of the most recent Match — the memory-access count
-// the platform cost model charges, comparable with Tree.LastCost.
-func (t *Table) LastCost() int { return t.lastCost }
 
 // Words returns the bit-vector width in 64-bit words (⌈rules/64⌉).
 func (t *Table) Words() int { return t.words }

@@ -1,7 +1,9 @@
 package acl
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"nfcompass/internal/netpkt"
@@ -13,14 +15,15 @@ import (
 func compareEngines(t *testing.T, l *List, tab *Table, tree *Tree, k Key) {
 	t.Helper()
 	la, li := l.MatchLinear(k)
-	if ta, ti := tab.Match(k); ta != la || ti != li {
+	ta, ti, cost := tab.Match(k)
+	if ta != la || ti != li {
 		t.Fatalf("key %+v: table (%v,%d) != linear (%v,%d)", k, ta, ti, la, li)
 	}
-	if tab.LastCost() < int(numDims) {
-		t.Fatalf("table LastCost %d below the %d dimension lookups", tab.LastCost(), numDims)
+	if cost < int(numDims) {
+		t.Fatalf("table cost %d below the %d dimension lookups", cost, numDims)
 	}
 	if tree != nil {
-		if ra, ri := tree.Match(k); ra != la || ri != li {
+		if ra, ri, _ := tree.Match(k); ra != la || ri != li {
 			t.Fatalf("key %+v: tree (%v,%d) != linear (%v,%d)", k, ra, ri, la, li)
 		}
 	}
@@ -99,12 +102,12 @@ func TestTableVsTreeClassBench(t *testing.T) {
 func TestTableEmptyList(t *testing.T) {
 	l := &List{DefaultAction: Deny}
 	tab := CompileTable(l)
-	a, i := tab.Match(Key{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4})
+	a, i, cost := tab.Match(Key{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4})
 	if a != Deny || i != -1 {
 		t.Fatalf("empty table matched (%v,%d); want (Deny,-1)", a, i)
 	}
-	if got := tab.LastCost(); got != int(numDims) {
-		t.Fatalf("empty table LastCost %d; want %d", got, numDims)
+	if cost != int(numDims) {
+		t.Fatalf("empty table cost %d; want %d", cost, numDims)
 	}
 	if tab.Words() != 0 || tab.MemBytes() == 0 {
 		t.Fatalf("empty table Words=%d MemBytes=%d", tab.Words(), tab.MemBytes())
@@ -122,10 +125,10 @@ func TestTableFirstMatchWins(t *testing.T) {
 		},
 	}
 	tab := CompileTable(l)
-	if a, i := tab.Match(Key{Src: 0x0a010203, DstPort: 80}); a != Deny || i != 0 {
+	if a, i, _ := tab.Match(Key{Src: 0x0a010203, DstPort: 80}); a != Deny || i != 0 {
 		t.Fatalf("shadowed rule: got (%v,%d); want (Deny,0)", a, i)
 	}
-	if a, i := tab.Match(Key{Src: 0x0a010203, DstPort: 81}); a != Permit || i != 1 {
+	if a, i, _ := tab.Match(Key{Src: 0x0a010203, DstPort: 81}); a != Permit || i != 1 {
 		t.Fatalf("fallthrough rule: got (%v,%d); want (Permit,1)", a, i)
 	}
 	if tab.Classes(DimDstPort) < 2 {
@@ -176,4 +179,37 @@ func FuzzTableVsTree(f *testing.F) {
 			compareEngines(t, l, tab, tree, k)
 		}
 	})
+}
+
+// TestTableAndTreeSharedAcrossGoroutines: firewall replicas share one
+// classifier (nf.NewFirewall builds the tree once per NF), so Match must
+// write nothing — concurrent lookups agree with the linear reference, and
+// under -race any write to the shared classifier is reported.
+func TestTableAndTreeSharedAcrossGoroutines(t *testing.T) {
+	l := Generate(DefaultGenConfig(300, 5))
+	tab, tree := CompileTable(l), BuildTree(l, 8)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				k := RandomMatchingKey(rng, &l.Rules[rng.Intn(len(l.Rules))])
+				la, li := l.MatchLinear(k)
+				ta, ti, _ := tab.Match(k)
+				ra, ri, _ := tree.Match(k)
+				if ta != la || ti != li || ra != la || ri != li {
+					errs <- fmt.Sprintf("key %+v: table (%v,%d) tree (%v,%d) linear (%v,%d)", k, ta, ti, ra, ri, la, li)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

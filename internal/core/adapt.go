@@ -20,8 +20,7 @@ import (
 // mappings can deviate significantly" — and the "dynamic task adaption"
 // step the light-weight partitioner relies on.
 type Adaptor struct {
-	d   *Deployment
-	opt Options
+	d *Deployment
 	// Threshold is the relative drift that triggers re-allocation
 	// (default 0.25 = 25%).
 	Threshold float64
@@ -90,20 +89,15 @@ type trafficSig struct {
 	avgBytes  float64
 }
 
-// NewAdaptor wraps a deployment for runtime adaptation. opt should be the
-// Options the deployment was built with.
-func NewAdaptor(d *Deployment, opt Options) *Adaptor {
-	if opt.BatchSize == 0 {
-		opt.BatchSize = 64
-	}
-	if opt.Delta == 0 {
-		opt.Delta = DefaultDelta
-	}
-	a := &Adaptor{d: d, opt: opt, Threshold: 0.25,
+// NewAdaptor wraps a deployment for runtime adaptation; re-allocation uses
+// the Options d was deployed with. Observe executes d.Graph, so a live
+// dataplane the adaptor is attached to runs replicas from d.Build.
+func NewAdaptor(d *Deployment) *Adaptor {
+	a := &Adaptor{d: d, Threshold: 0.25,
 		MinBatch: 16, MaxBatch: 1024,
 		ShrinkFactor: 1.5, GrowFactor: 1.1,
 		journal: NewDecisionJournal(256)}
-	a.batch.Store(int64(clampInt(opt.BatchSize, a.MinBatch, a.MaxBatch)))
+	a.batch.Store(int64(clampInt(d.opt.BatchSize, a.MinBatch, a.MaxBatch)))
 	return a
 }
 
@@ -161,7 +155,7 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	}
 
 	// Allocate and validate as Deploy does, on the observed traffic.
-	gbps, err := a.d.place(ps, a.opt)
+	gbps, err := a.d.place(ps)
 	if err != nil {
 		return fail(err)
 	}

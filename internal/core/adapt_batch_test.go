@@ -37,7 +37,7 @@ func cumulative(counts [4]uint64, sum float64) stats.HistSnapshot {
 // interference (clamped at MinBatch), checking every resize is journaled.
 func TestAdaptBatchAIMD(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	rt := &fakeBatchRuntime{}
 	a.Attach(rt)
 	start := a.BatchSize()
@@ -93,7 +93,7 @@ func TestAdaptBatchAIMD(t *testing.T) {
 // move the batch size, and a runtime without an E2E probe is a no-op.
 func TestAdaptBatchNeedsWindow(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	rt := &fakeBatchRuntime{snap: cumulative([4]uint64{0, 0, 0, 4}, 600_000)}
 	a.Attach(rt)
 	a.adaptBatch()
@@ -112,7 +112,7 @@ func TestAdaptBatchNeedsWindow(t *testing.T) {
 // batch decision without any placement drift.
 func TestAdaptBatchThroughObserve(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	rt := &fakeBatchRuntime{snap: cumulative([4]uint64{200, 0, 0, 0}, 100_000)}
 	a.Attach(rt)
 	if _, err := a.Observe(idsSample(traffic.PayloadRandom, 77, 4)); err != nil {

@@ -10,11 +10,9 @@ import (
 	"testing"
 
 	"nfcompass/internal/dataplane"
-	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
-	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
 )
 
@@ -25,19 +23,9 @@ import (
 func TestAdaptorDrivesShardedPipeline(t *testing.T) {
 	d := adaptDeployment(t)
 
-	// Each replica needs its own stateful element instances, so every
-	// shard deploys its own copy of the chain.
-	buildShard := func(int) (*element.Graph, error) {
-		di, err := Deploy(
-			[]*nf.NF{nf.NewIDS("ids", []string{"attack", "malware", "exploit"}, false)},
-			hetsim.DefaultPlatform(),
-			idsSample(traffic.PayloadRandom, 1, 6), DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		return di.Graph, nil
-	}
-	sp, err := dataplane.NewSharded(buildShard, dataplane.ShardedConfig{
+	// Each replica gets its own stateful element instances from the
+	// deployment's plan; the adaptor executes d.Graph, which no replica runs.
+	sp, err := dataplane.NewSharded(d.Build, dataplane.ShardedConfig{
 		Shards: 2,
 		Config: dataplane.Config{QueueDepth: 4, Metrics: true},
 	})
@@ -66,7 +54,7 @@ func TestAdaptorDrivesShardedPipeline(t *testing.T) {
 		}
 	}
 
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	a.Attach(sp)
 
 	// First traffic burst under the initial (benign-tuned) placement.

@@ -34,7 +34,7 @@ func adaptDeployment(t *testing.T) *Deployment {
 
 func TestAdaptorStableTrafficNoReallocation(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	// Prime, then observe the same traffic profile repeatedly.
 	for i := 0; i < 3; i++ {
 		changed, err := a.Observe(idsSample(traffic.PayloadRandom, int64(10+i), 4))
@@ -52,7 +52,7 @@ func TestAdaptorStableTrafficNoReallocation(t *testing.T) {
 
 func TestAdaptorContentShiftTriggersReallocation(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	if _, err := a.Observe(idsSample(traffic.PayloadRandom, 20, 4)); err != nil {
 		t.Fatal(err) // primes the signature
 	}
@@ -88,7 +88,7 @@ func TestAdaptorReallocationImprovesShiftedTraffic(t *testing.T) {
 	}
 	d.Graph.Reset()
 
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	if _, err := a.Observe(idsSample(traffic.PayloadRandom, 31, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAdaptorReallocationImprovesShiftedTraffic(t *testing.T) {
 
 func TestAdaptorEmptySampleRejected(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	if _, err := a.Observe(nil); err == nil {
 		t.Error("empty sample accepted")
 	}

@@ -44,7 +44,10 @@ func DefaultOptions() Options {
 }
 
 // Deployment is a fully prepared SFC: the re-organized element graph, its
-// CPU/GPU assignment, and the reports of each pipeline phase.
+// CPU/GPU assignment, and the reports of each pipeline phase. Graph is the
+// control path's copy: Deploy and Adaptor.Observe execute it functionally.
+// A live dataplane runs replicas from Build instead, so the two never share
+// an element instance.
 type Deployment struct {
 	Graph      *element.Graph
 	Assignment hetsim.Assignment
@@ -53,6 +56,18 @@ type Deployment struct {
 	Alloc      *AllocReport
 	Platform   hetsim.Platform
 	Costs      map[string]hetsim.ElemCost
+
+	opt Options // as Deploy resolved them; Build, place and NewAdaptor read them
+}
+
+// Build constructs one replica of the deployment's graph — the callback
+// shape dataplane.NewSharded wants. It rebuilds the stage plan with fresh
+// element instances and executes nothing; d, its Synthesis reports
+// included, is left as it was. The shard index is unused: replicas are
+// identical, node IDs included, so d.Assignment places every one of them.
+func (d *Deployment) Build(shard int) (*element.Graph, error) {
+	g, _, err := buildGraph(d.Stages, d.opt)
+	return g, err
 }
 
 // Deploy runs the NFCompass pipeline on a sequential SFC: orchestrate
@@ -139,12 +154,11 @@ func (d *Deployment) sampleGbps(sample []*netpkt.Batch) (float64, error) {
 // the sample (zero when GTA is off: nothing is validated).
 func deployPlan(stages []Stage, p hetsim.Platform, sample []*netpkt.Batch, opt Options,
 	costs map[string]hetsim.ElemCost) (*Deployment, float64, error) {
-	d := &Deployment{Stages: stages, Platform: p, Costs: costs}
-	g, err := d.buildGraph(stages, opt)
+	g, syn, err := buildGraph(stages, opt)
 	if err != nil {
 		return nil, 0, err
 	}
-	d.Graph = g
+	d := &Deployment{Graph: g, Stages: stages, Synthesis: syn, Platform: p, Costs: costs, opt: opt}
 
 	if !opt.GTA {
 		d.Assignment = hetsim.Assignment{}
@@ -161,7 +175,7 @@ func deployPlan(stages []Stage, p hetsim.Platform, sample []*netpkt.Batch, opt O
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: traffic sampling: %w", err)
 	}
-	gbps, err := d.place(ps, opt)
+	gbps, err := d.place(ps)
 	return d, gbps, err
 }
 
@@ -209,8 +223,8 @@ func execute(g *element.Graph, p hetsim.Platform, costs map[string]hetsim.ElemCo
 // weights come from that trace too. place returns the winner's Gbps (the
 // gate's figure and the decision journal's measured-cost column); on error
 // the deployment keeps the placement it had.
-func (d *Deployment) place(ps *pass, opt Options) (float64, error) {
-	model, rep, err := Allocate(d.Graph, ps.dict, ps.in, d.Platform, d.Costs, opt.BatchSize, opt.Delta, opt.Algorithm)
+func (d *Deployment) place(ps *pass) (float64, error) {
+	model, rep, err := Allocate(d.Graph, ps.dict, ps.in, d.Platform, d.Costs, d.opt.BatchSize, d.opt.Delta, d.opt.Algorithm)
 	if err != nil {
 		return 0, fmt.Errorf("core: allocation: %w", err)
 	}
@@ -272,9 +286,11 @@ func (d *Deployment) place(ps *pass, opt Options) (float64, error) {
 
 // buildGraph assembles the deployment element graph from the stage plan:
 // consecutive single-NF stages become one synthesized linear segment;
-// multi-NF stages become Duplicator → branches → XORMerge diamonds.
-func (d *Deployment) buildGraph(stages []Stage, opt Options) (*element.Graph, error) {
+// multi-NF stages become Duplicator → branches → XORMerge diamonds. It
+// returns the graph with one synthesis report per synthesized segment.
+func buildGraph(stages []Stage, opt Options) (*element.Graph, []*SynthesisReport, error) {
 	g := element.NewGraph()
+	var syn []*SynthesisReport
 	src := g.Add(element.NewFromDevice("src"))
 	prev := src
 
@@ -289,9 +305,12 @@ func (d *Deployment) buildGraph(stages []Stage, opt Options) (*element.Graph, er
 				run = append(run, stages[j].NFs[0])
 				j++
 			}
-			entry, exit, err := d.importSegment(g, run, fmt.Sprintf("seg%d", segIdx), opt)
+			entry, exit, rep, err := importSegment(g, run, fmt.Sprintf("seg%d", segIdx), opt)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
+			}
+			if rep != nil {
+				syn = append(syn, rep)
 			}
 			g.MustConnect(prev, 0, entry)
 			prev = exit
@@ -314,10 +333,13 @@ func (d *Deployment) buildGraph(stages []Stage, opt Options) (*element.Graph, er
 		mergeID := g.Add(merge)
 		g.MustConnect(prev, 0, dupID)
 		for b, f := range branches {
-			entry, exit, err := d.importSegment(g, []*nf.NF{f},
+			entry, exit, rep, err := importSegment(g, []*nf.NF{f},
 				fmt.Sprintf("seg%d.b%d", segIdx, b), opt)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
+			}
+			if rep != nil {
+				syn = append(syn, rep)
 			}
 			g.MustConnect(dupID, b, entry)
 			g.MustConnect(exit, 0, mergeID)
@@ -330,16 +352,17 @@ func (d *Deployment) buildGraph(stages []Stage, opt Options) (*element.Graph, er
 	dst := g.Add(element.NewToDevice("dst"))
 	g.MustConnect(prev, 0, dst)
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: deployment graph invalid: %w", err)
+		return nil, nil, fmt.Errorf("core: deployment graph invalid: %w", err)
 	}
-	return g, nil
+	return g, syn, nil
 }
 
 // importSegment builds the linear element chain of a run of NFs in a
 // scratch graph, optionally synthesizes it, and imports it into g,
-// returning the (post-import) entry and exit nodes.
-func (d *Deployment) importSegment(g *element.Graph, run []*nf.NF, prefix string,
-	opt Options) (entry, exit element.NodeID, err error) {
+// returning the (post-import) entry and exit nodes and the synthesis report
+// (nil when synthesis is off).
+func importSegment(g *element.Graph, run []*nf.NF, prefix string,
+	opt Options) (entry, exit element.NodeID, rep *SynthesisReport, err error) {
 	seg := element.NewGraph()
 	var segPrev element.NodeID = -1
 	for k, f := range run {
@@ -350,18 +373,16 @@ func (d *Deployment) importSegment(g *element.Graph, run []*nf.NF, prefix string
 		segPrev = x
 	}
 	if opt.Synthesize {
-		rep, err := Synthesize(seg)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: synthesize %s: %w", prefix, err)
+		if rep, err = Synthesize(seg); err != nil {
+			return 0, 0, nil, fmt.Errorf("core: synthesize %s: %w", prefix, err)
 		}
-		d.Synthesis = append(d.Synthesis, rep)
 	}
 	seq, err := linearSequence(seg)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	off := g.Import(seg)
-	return seq[0] + off, seq[len(seq)-1] + off, nil
+	return seq[0] + off, seq[len(seq)-1] + off, rep, nil
 }
 
 // Simulate runs the deployment on the simulated platform.

@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/profile"
+	"nfcompass/internal/spec"
 	"nfcompass/internal/traffic"
 )
 
@@ -291,5 +293,117 @@ func TestDescribeMentionsDecisions(t *testing.T) {
 	}
 	if d.Alloc.Selected == "" {
 		t.Error("no selected candidate recorded")
+	}
+}
+
+// Build is a replica of the deployment's graph: the shape NewSharded checks
+// against d.Graph and against a second Deploy's graph, no element instance
+// in common with d.Graph or with another Build, d left as it was, and the
+// same bytes and verdicts as d.Graph on the same traffic.
+func TestBuildIsAReplica(t *testing.T) {
+	p := hetsim.DefaultPlatform()
+	noSyn, noGTA := DefaultOptions(), DefaultOptions()
+	noSyn.Synthesize = false
+	noGTA.GTA = false
+	for _, c := range []struct {
+		name, chain string
+		opt         Options
+	}{
+		{"ipv4", "ipv4", DefaultOptions()},
+		{"telco", "firewall:1000,ipv4,nat", DefaultOptions()},
+		{"hetero", "ipsec,ipv4,ids", DefaultOptions()},
+		{"branch", "ids,probe,firewall:200", DefaultOptions()},
+		{"usage", "firewall:1000,ipv4,nat,ids", DefaultOptions()},
+		{"no-synthesize", "firewall:1000,ipv4,nat,ids", noSyn},
+		{"no-gta", "firewall:1000,ipv4,nat,ids", noGTA},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gen := func(seed int64) []*netpkt.Batch {
+				return traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Seed: seed, Flows: 128,
+					Payload: traffic.PayloadFullMatch, MatchTokens: spec.DefaultPatterns}).Batches(8, 32)
+			}
+			deploy := func() *Deployment {
+				chain, err := spec.Parse(c.chain, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := Deploy(chain, p, gen(1), c.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			d := deploy()
+			desc, syn := d.Describe(), len(d.Synthesis)
+			r0, err := d.Build(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r1, err := d.Build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Describe() != desc || len(d.Synthesis) != syn {
+				t.Errorf("Build changed the deployment:\n%s\nwas:\n%s", d.Describe(), desc)
+			}
+
+			for _, ref := range []*element.Graph{d.Graph, deploy().Graph} {
+				pair := []*element.Graph{ref, r0}
+				if _, err := dataplane.NewSharded(func(i int) (*element.Graph, error) { return pair[i], nil },
+					dataplane.ShardedConfig{Shards: 2}); err != nil {
+					t.Fatalf("not a replica: %v", err)
+				}
+			}
+
+			seen := map[element.Element]string{}
+			for name, g := range map[string]*element.Graph{"d.Graph": d.Graph, "Build(0)": r0, "Build(1)": r1} {
+				for i := 0; i < g.Len(); i++ {
+					el := g.Node(element.NodeID(i))
+					if other, ok := seen[el]; ok {
+						t.Fatalf("%s node %d (%s) is also in %s", name, i, el.Name(), other)
+					}
+					seen[el] = name
+				}
+			}
+
+			d.Graph.Reset()
+			defer d.Graph.Reset()
+			want, err := element.NewExecutor(d.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := element.NewExecutor(r0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIn, gotIn := gen(2), gen(2)
+			dw, dg := d.Graph.Sinks()[0], r0.Sinks()[0]
+			for bi := range wantIn {
+				ow, err := want.RunBatch(wantIn[bi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				og, err := got.RunBatch(gotIn[bi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ow[dw]) != len(og[dg]) {
+					t.Fatalf("batch %d: %d output batches, d.Graph %d", bi, len(og[dg]), len(ow[dw]))
+				}
+				for k, bw := range ow[dw] {
+					bg := og[dg][k]
+					if len(bw.Packets) != len(bg.Packets) {
+						t.Fatalf("batch %d.%d: %d packets, d.Graph %d", bi, k, len(bg.Packets), len(bw.Packets))
+					}
+					for j, pw := range bw.Packets {
+						pg := bg.Packets[j]
+						if pw.Dropped != pg.Dropped || !bytes.Equal(pw.Data, pg.Data) {
+							t.Fatalf("batch %d.%d packet %d: dropped=%v vs d.Graph %v, or bytes differ",
+								bi, k, j, pg.Dropped, pw.Dropped)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -141,12 +141,11 @@ func referenceDeploy(t *testing.T, chain []*nf.NF, p hetsim.Platform, sample []*
 	t.Helper()
 	costs := hetsim.DefaultCosts()
 	plan := func(stages []Stage) *Deployment {
-		d := &Deployment{Stages: stages, Platform: p, Costs: costs}
-		g, err := d.buildGraph(stages, opt)
+		g, _, err := buildGraph(stages, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Graph = g
+		d := &Deployment{Graph: g, Stages: stages, Platform: p, Costs: costs}
 		dict := traceDictionary(t, g, p, costs, sample)
 		in, err := profile.SampleIntensities(g, cloneBatches(sample))
 		if err != nil {
@@ -236,7 +235,7 @@ func TestDeployMatchesReference(t *testing.T) {
 // validation gives, on the content shift examples/adaptive stages.
 func TestAdaptorObserveMatchesReference(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	if _, err := a.Observe(idsSample(traffic.PayloadRandom, 3, 4)); err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestJournalStampsSeqAndWall(t *testing.T) {
 // candidate name and predicted vs. measured cost filled in.
 func TestObserveRecordsDecisions(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 
 	if _, err := a.Observe(idsSample(traffic.PayloadRandom, 30, 4)); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestObserveRecordsDecisions(t *testing.T) {
 // An empty-sample error must land in the journal too.
 func TestObserveRecordsErrors(t *testing.T) {
 	d := adaptDeployment(t)
-	a := NewAdaptor(d, DefaultOptions())
+	a := NewAdaptor(d)
 	if _, err := a.Observe(nil); err == nil {
 		t.Fatal("empty sample accepted")
 	}

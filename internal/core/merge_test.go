@@ -32,7 +32,7 @@ func buildParallelDiamond(branches ...*nf.NF) (*element.Graph, element.NodeID) {
 }
 
 // stageWriters derives the per-branch writer flags the way
-// Deployment.buildGraph does; unprofiled stages treat every branch as one.
+// buildGraph does; unprofiled stages treat every branch as one.
 func stageWriters(nfs []*nf.NF, profiled bool) []bool {
 	writers := make([]bool, len(nfs))
 	for i, f := range nfs {

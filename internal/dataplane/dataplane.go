@@ -342,10 +342,9 @@ func (p *Pipeline) Start(ctx context.Context) {
 			m, edgeCtr = &p.metrics[i], p.edgeOut[i]
 		}
 
-		// Metrics are accounted inline rather than through
-		// element.Instrument: the sender's live count rides in on the
-		// stageMsg and each output batch is scanned exactly once, so a
-		// batch costs one scan per hop instead of three. The scheduling
+		// Metrics are accounted inline: the sender's live count rides in
+		// on the stageMsg and each output batch is scanned exactly once, so
+		// a batch costs one scan per hop. The scheduling
 		// loop itself lives in nodeRunner (scheduler.go), which routes
 		// each batch to the host backend or the element's offload lane
 		// according to the current placement epoch.

@@ -88,8 +88,7 @@ type EdgeStats struct {
 }
 
 // Report is a typed point-in-time snapshot of a running (or drained)
-// pipeline: the live counterpart of the offline profiler's output, and the
-// input the Intensities/ApplyCPUTimings bridge converts for the allocator.
+// pipeline: the live counterpart of the offline profiler's output.
 type Report struct {
 	Elements []ElementStats
 	Edges    []EdgeStats

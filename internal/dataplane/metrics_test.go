@@ -9,7 +9,6 @@ import (
 	"nfcompass/internal/element"
 	"nfcompass/internal/flight"
 	"nfcompass/internal/netpkt"
-	"nfcompass/internal/profile"
 )
 
 // delay sleeps a fixed duration per batch, giving the processing-time
@@ -192,9 +191,6 @@ func TestSnapshotMetricsOff(t *testing.T) {
 	if rep.InPackets != 12 {
 		t.Fatalf("boundary totals must still work: in=%d", rep.InPackets)
 	}
-	if _, err := rep.Intensities(); err == nil {
-		t.Fatal("Intensities must fail without metrics")
-	}
 	if !strings.Contains(rep.String(), "disabled") {
 		t.Fatal("String must flag disabled metrics")
 	}
@@ -274,62 +270,6 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus dump missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// The bridge must turn a live run into allocator-ready profile inputs.
-func TestBridgeToProfile(t *testing.T) {
-	const batches, perBatch = 10, 16
-	g := linearGraph(element.NewCheckIPHeader("chk"), element.NewDecTTL("ttl"))
-	_, p, err := RunBatches(context.Background(), g,
-		Config{Metrics: true}, genBatches(batches, perBatch, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := p.Snapshot()
-
-	in, err := rep.Intensities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.AvgPktBytes != 128 { // genBatches uses Fixed(128)
-		t.Fatalf("avg pkt bytes = %g", in.AvgPktBytes)
-	}
-	for id, frac := range in.Node {
-		if frac != 1.0 {
-			t.Errorf("node %d intensity = %g, want 1 on a linear chain", id, frac)
-		}
-	}
-	if len(in.Edge) != 3 {
-		t.Fatalf("edge intensities = %d", len(in.Edge))
-	}
-	for ek, frac := range in.Edge {
-		if frac != 1.0 {
-			t.Errorf("edge %v intensity = %g", ek, frac)
-		}
-	}
-
-	timings := rep.CPUTimings()
-	if timings["DecTTL"] <= 0 || timings["CheckIPHeader"] <= 0 {
-		t.Fatalf("live CPU timings missing: %v", timings)
-	}
-
-	dict := profile.NewDictionary()
-	dict.Put("DecTTL", 64, profile.Entry{CPUNsPerPkt: 1, GPUNsPerPkt: 42})
-	dict.Put("DecTTL", 256, profile.Entry{CPUNsPerPkt: 1, GPUNsPerPkt: 42})
-	dict.Put("CheckIPHeader", 64, profile.Entry{CPUNsPerPkt: 1})
-	if n := rep.ApplyCPUTimings(dict); n != 3 {
-		t.Fatalf("entries updated = %d, want 3", n)
-	}
-	e, err := dict.Lookup("DecTTL", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.CPUNsPerPkt != timings["DecTTL"] {
-		t.Fatalf("live override not applied: %g != %g", e.CPUNsPerPkt, timings["DecTTL"])
-	}
-	if e.GPUNsPerPkt != 42 {
-		t.Fatalf("GPU profile clobbered: %g", e.GPUNsPerPkt)
 	}
 }
 

@@ -307,9 +307,7 @@ func (sp *ShardedPipeline) Apply(a hetsim.Assignment) error {
 // Snapshot aggregates every shard's report into one Report with the same
 // shape a single pipeline would produce (AggregateReports): per-element
 // counters and histograms summed across replicas by node ID, per-edge
-// traffic, boundary totals and e2e latency merged. The result feeds
-// Intensities/ApplyCPUTimings unchanged, so the allocator's live-profile
-// bridge works identically for sharded deployments.
+// traffic, boundary totals and e2e latency merged.
 func (sp *ShardedPipeline) Snapshot() *Report {
 	reps := make([]*Report, len(sp.shards))
 	for i, s := range sp.shards {

@@ -34,14 +34,8 @@ type ACLFilter struct {
 	canDrop   bool
 }
 
-// NewACLFilter builds the firewall classification element over the default
-// engine (HiCuts tree). sig must fingerprint the rule set.
-func NewACLFilter(name, sig string, list *acl.List, neverDrop bool) *ACLFilter {
-	return NewACLFilterTree(name, sig, acl.BuildTree(list, 8), neverDrop)
-}
-
 // NewACLFilterTree builds the element over an already-built classification
-// tree, letting replicated firewall instances share one (read-mostly)
+// tree, letting replicated firewall instances share one (read-only)
 // tree instead of rebuilding it per instance.
 func NewACLFilterTree(name, sig string, tree *acl.Tree, neverDrop bool) *ACLFilter {
 	return newACLFilter(name, sig, tree, neverDrop)
@@ -91,8 +85,8 @@ func (e *ACLFilter) Process(b *netpkt.Batch) []*netpkt.Batch {
 			p.Drop(e.name)
 			continue
 		}
-		action, _ := e.cls.Match(k)
-		e.CostAccum += uint64(e.cls.LastCost())
+		action, _, cost := e.cls.Match(k)
+		e.CostAccum += uint64(cost)
 		if action == acl.Deny {
 			e.Denied++
 			if !e.NeverDrop {

@@ -58,8 +58,8 @@ func NewFirewall(name string, list *acl.List, neverDrop bool) *NF {
 	}
 	sig := fmt.Sprintf("%x/%d", list.Fingerprint(), list.Len())
 	// One classification tree shared by every instance this NF builds:
-	// the tree is read-mostly (per-lookup scratch only) and rebuilding it
-	// per replica would dominate deployment time for large ACLs.
+	// lookups write nothing, and rebuilding the tree per replica would
+	// dominate deployment time for large ACLs.
 	tree := acl.BuildTree(list, 8)
 	return &NF{
 		Name: name, Kind: KindFirewall, Profile: profile,

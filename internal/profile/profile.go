@@ -87,25 +87,6 @@ func (d *Dictionary) Lookup(kind string, pktSize int) (Entry, error) {
 	return e, nil
 }
 
-// OverrideCPU replaces the CPU cost of kind at every profiled packet size,
-// returning the number of entries updated. Live measurements (the
-// dataplane's per-element timings) use it to refresh offline CPU numbers
-// while keeping the GPU-side profile, which a CPU-host run cannot observe.
-func (d *Dictionary) OverrideCPU(kind string, nsPerPkt float64) int {
-	updated := 0
-	seen := map[int]bool{}
-	for _, s := range d.sizes {
-		k := key{kind, s}
-		if e, ok := d.entries[k]; ok && !seen[s] {
-			seen[s] = true
-			e.CPUNsPerPkt = nsPerPkt
-			d.entries[k] = e
-			updated++
-		}
-	}
-	return updated
-}
-
 // Kinds returns the distinct kinds profiled.
 func (d *Dictionary) Kinds() []string {
 	seen := map[string]bool{}
