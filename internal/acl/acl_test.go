@@ -154,16 +154,6 @@ func TestTreeGrowsWithRules(t *testing.T) {
 	}
 }
 
-func TestTreeLastCost(t *testing.T) {
-	l := Generate(DefaultGenConfig(500, 2))
-	tree := BuildTree(l, 8)
-	rng := rand.New(rand.NewSource(11))
-	k := RandomMatchingKey(rng, &l.Rules[0])
-	if _, _, cost := tree.Match(k); cost <= 0 {
-		t.Error("lookup cost not reported")
-	}
-}
-
 func TestActionString(t *testing.T) {
 	if Permit.String() != "permit" || Deny.String() != "deny" {
 		t.Error("Action.String broken")

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzParseClassBench hardens the filter-set reader: arbitrary text must
-// either fail cleanly or produce rules that the matcher and tree builder
-// can consume without panicking.
+// either fail cleanly or produce rules the tree builder consumes without
+// panicking, into a tree node-for-node identical to the reference
+// builder's that classifies like the linear matcher.
 func FuzzParseClassBench(f *testing.F) {
 	f.Add("@192.168.0.0/16\t10.0.0.0/8\t0 : 65535\t80 : 80\t0x06/0xFF")
 	f.Add("# comment\n@0.0.0.0/0 0.0.0.0/0 0 : 0 0 : 0 0x00/0x00")
@@ -27,6 +28,9 @@ func FuzzParseClassBench(f *testing.F) {
 			l.Rules = l.Rules[:64] // bound tree build work
 		}
 		tree := BuildTree(l, 4)
+		if err := sameTree(tree, buildRefTree(l, 4)); err != nil {
+			t.Fatal(err)
+		}
 		k := Key{Src: 0x01020304, Dst: 0x05060708, SrcPort: 1, DstPort: 2}
 		ta, ti, _ := tree.Match(k)
 		la, li := l.MatchLinear(k)

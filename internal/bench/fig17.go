@@ -38,9 +38,12 @@ func Fig17(cfg Config) (*Table, error) {
 
 	for ai, rules := range aclSizes {
 		list := acl.Generate(acl.DefaultGenConfig(rules, 7))
+		// One firewall NF per ACL: every Build gives its graph fresh
+		// elements over the NF's one write-free tree.
+		fw := nf.NewFirewall("fw", list, true)
 		mkChain := func() []*nf.NF {
 			return []*nf.NF{
-				nf.NewFirewall("fw", list, true),
+				fw,
 				mkIPv4("router", cfg.Seed),
 				mkNAT("nat"),
 			}
