@@ -5,17 +5,16 @@ import (
 	"sort"
 
 	"nfcompass/internal/core"
-	"nfcompass/internal/element"
+	"nfcompass/internal/hetsim"
+	"nfcompass/internal/netpkt"
 	"nfcompass/internal/spec"
+	"nfcompass/internal/traffic"
 )
 
-// Composition is the deployable shape of a set of tenant chain specs: the
-// layout of the shared multi-tenant graph plus the metadata the manager and
-// the metrics layer need to attribute work to tenants. Build it once with
-// Compose, then hand Composition.Build to dataplane.NewSharded — every call
-// reconstructs fresh element instances in the identical shape (specs carry
-// deterministic seeds), which is exactly the replica contract sharding
-// requires.
+// Composition is a set of tenant chain specs deployed as one core
+// deployment: one graph, one placement. Its Build (the deployment's) is the
+// per-shard replica factory dataplane.NewSharded wants, and its Tenants
+// label the per-tenant nodes for dataplane.Config.Tenants.
 type Composition struct {
 	// Specs are the composed chains, sorted by name. The sort makes tag
 	// assignment and graph layout independent of submission order.
@@ -23,210 +22,71 @@ type Composition struct {
 	// Tags maps each tenant name to the Packet.Tenant tag its traffic must
 	// carry (1-based; 0 stays "untagged").
 	Tags map[string]uint16
-	// Shared lists the signatures of the de-duplicated prefix elements that
-	// run once for all tenants, in order. Empty with fewer than two
-	// tenants (sharing a single tenant's chain with itself is meaningless
-	// and would only strip its metric labels).
-	Shared []string
-	// Tenants labels per-tenant graph nodes for dataplane.Config.Tenants;
-	// shared nodes (source, prefix, demux) are absent. Node IDs are valid
-	// for every graph Build returns — replicas are structurally identical.
-	Tenants map[element.NodeID]string
-	// order is each tenant's full node sequence (shared prefix + remainder,
-	// excluding source/demux/sink) — the position map offload assignments
-	// are translated through.
-	order map[string][]element.NodeID
-	// nodes is the composed graph's node count (for status reporting).
-	nodes int
+	*core.Deployment
 }
 
-// Compose validates the specs and computes the shared-graph layout. Chain
-// names must be unique; at least one spec is required.
-func Compose(specs []spec.ChainSpec) (*Composition, error) {
+// sampleBatches is how many batches of each tenant's traffic the
+// composition's deployment samples.
+const sampleBatches = 8
+
+// Compose builds each spec once and deploys the set as one composition on
+// platform p (core.DeployTenants), sampling every tenant's own traffic.
+// The per-spec knobs are settled for the whole composition: GTA runs when
+// any spec sets Offload, synthesis is off when any spec opts out, and
+// parallelization stays off. Chain names must be unique; at least one spec
+// is required.
+func Compose(specs []spec.ChainSpec, p hetsim.Platform) (*Composition, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("control: no chains to compose")
 	}
 	sorted := append([]spec.ChainSpec(nil), specs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	seen := map[string]bool{}
-	for i := range sorted {
-		if err := sorted[i].Validate(); err != nil {
+	c := &Composition{Specs: sorted, Tags: make(map[string]uint16, len(sorted))}
+	opt := core.Options{Synthesize: true, Algorithm: core.AlgoMultilevel}
+	tenants := make([]core.Tenant, len(sorted))
+	var sample []*netpkt.Batch
+	for i, s := range sorted {
+		if i > 0 && s.Name == sorted[i-1].Name {
+			return nil, fmt.Errorf("control: duplicate chain %q", s.Name)
+		}
+		chain, err := s.Build()
+		if err != nil {
 			return nil, err
 		}
-		if seen[sorted[i].Name] {
-			return nil, fmt.Errorf("control: duplicate chain %q", sorted[i].Name)
-		}
-		seen[sorted[i].Name] = true
+		tag := uint16(i + 1)
+		c.Tags[s.Name] = tag
+		tenants[i] = core.Tenant{Name: s.Name, Tag: tag, Chain: chain}
+		opt.GTA = opt.GTA || s.Offload
+		opt.Synthesize = opt.Synthesize && s.WantSynthesize()
+		opt.BatchSize = max(opt.BatchSize, s.EffectiveBatchSize())
+		sample = append(sample, tenantTraffic(s, tag, sampleBatches)...)
 	}
-	c := &Composition{Specs: sorted, Tags: make(map[string]uint16, len(sorted))}
-	for i, s := range sorted {
-		c.Tags[s.Name] = uint16(i + 1)
-	}
-	// Trial build: surfaces per-spec build errors now and records the
-	// layout every later Build reproduces.
-	g, info, err := c.build()
+	d, err := core.DeployTenants(tenants, p, sample, opt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("control: deploy: %w", err)
 	}
-	c.Shared = info.sharedSigs
-	c.Tenants = info.tenants
-	c.order = info.order
-	c.nodes = g.Len()
+	c.Deployment = d
 	return c, nil
 }
 
-// Build constructs one replica of the composed graph — the callback shape
-// dataplane.NewSharded wants. The shard index is unused: determinism comes
-// from the specs' seeds, and replicas must be identical anyway.
-func (c *Composition) Build(shard int) (*element.Graph, error) {
-	g, _, err := c.build()
-	return g, err
-}
-
-// Nodes returns the composed graph's node count.
-func (c *Composition) Nodes() int { return c.nodes }
-
-type buildInfo struct {
-	sharedSigs []string
-	tenants    map[element.NodeID]string
-	order      map[string][]element.NodeID
-}
-
-// build assembles the shared graph:
-//
-//	src → [shared read-only prefix] → TenantDemux ─┬→ tenant A remainder → dst/A
-//	                                               └→ tenant B remainder → dst/B
-//
-// The shared prefix is the maximal common prefix of the tenants' synthesized
-// element sequences in which every position is (a) signature-identical
-// across all tenants and (b) read-only and stateless — such an element
-// computes the same annotations and verdicts for every packet regardless of
-// which tenant owns it, so running one instance on the mixed pre-demux
-// stream is indistinguishable from running per-tenant copies. CanDrop
-// classifiers qualify (equal signatures mean equal drop decisions); anything
-// that writes packets or keeps per-flow state does not and ends the prefix.
-func (c *Composition) build() (*element.Graph, buildInfo, error) {
-	frags := make([][]element.Element, len(c.Specs))
-	for i, s := range c.Specs {
-		elems, err := fragment(s)
-		if err != nil {
-			return nil, buildInfo{}, err
-		}
-		frags[i] = elems
+// tenantTraffic is n batches of the spec-shaped synthetic traffic of the
+// tenant tagged tag: what the pump injects each tick and what Compose
+// samples.
+func tenantTraffic(s spec.ChainSpec, tag uint16, n int) []*netpkt.Batch {
+	size := traffic.SizeDist(traffic.IMIX{})
+	if s.PktSize > 0 {
+		size = traffic.Fixed(s.PktSize)
 	}
-	shared := 0
-	if len(frags) > 1 {
-		shared = commonMergeablePrefix(frags)
-	}
-
-	info := buildInfo{
-		tenants: map[element.NodeID]string{},
-		order:   map[string][]element.NodeID{},
-	}
-	g := element.NewGraph()
-	src := g.Add(element.NewFromDevice("src"))
-	prev := src
-	sharedIDs := make([]element.NodeID, 0, shared)
-	for k := 0; k < shared; k++ {
-		// The canonical instance comes from the first tenant's fragment; it
-		// keeps that tenant's instance name but carries no tenant label —
-		// it is shared infrastructure.
-		id := g.Add(frags[0][k])
-		info.sharedSigs = append(info.sharedSigs, frags[0][k].Signature())
-		sharedIDs = append(sharedIDs, id)
-		g.MustConnect(prev, 0, id)
-		prev = id
-	}
-	tags := make([]uint16, len(c.Specs))
-	for i, s := range c.Specs {
-		tags[i] = c.Tags[s.Name]
-	}
-	demux := g.Add(element.NewTenantDemux("demux", tags))
-	g.MustConnect(prev, 0, demux)
-	for i, s := range c.Specs {
-		info.order[s.Name] = append(info.order[s.Name], sharedIDs...)
-		prev, port := demux, i
-		for _, e := range frags[i][shared:] {
-			id := g.Add(e)
-			info.tenants[id] = s.Name
-			info.order[s.Name] = append(info.order[s.Name], id)
-			g.MustConnect(prev, port, id)
-			prev, port = id, 0
-		}
-		dst := g.Add(element.NewToDevice("dst/" + s.Name))
-		info.tenants[dst] = s.Name
-		g.MustConnect(prev, port, dst)
-	}
-	return g, info, nil
-}
-
-// fragment builds one tenant's chain into a scratch graph, applies the
-// NF-level synthesizer (unless the spec opts out), and returns the linear
-// element sequence. Element names are prefixed with the tenant name so the
-// composed graph's instance names stay unique.
-func fragment(s spec.ChainSpec) ([]element.Element, error) {
-	nfs, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	scratch := element.NewGraph()
-	prev := element.NodeID(-1)
-	for i, f := range nfs {
-		entry, exit := f.Build(scratch, fmt.Sprintf("%s/%s#%d", s.Name, f.Name, i))
-		if prev >= 0 {
-			scratch.MustConnect(prev, 0, entry)
-		}
-		prev = exit
-	}
-	if s.WantSynthesize() {
-		if _, err := core.Synthesize(scratch); err != nil {
-			return nil, fmt.Errorf("control: chain %q: synthesize: %w", s.Name, err)
+	bs := traffic.NewGenerator(traffic.Config{
+		Size: size,
+		// Distinct per-tenant seeds keep the tenants' flow populations
+		// from being byte-identical clones of each other.
+		Seed: s.Seed + int64(tag)<<8 + 1,
+	}).Batches(n, s.EffectiveBatchSize())
+	for _, b := range bs {
+		for _, p := range b.Packets {
+			p.Tenant = tag
 		}
 	}
-	seq, err := core.LinearSequence(scratch)
-	if err != nil {
-		return nil, fmt.Errorf("control: chain %q: %w", s.Name, err)
-	}
-	elems := make([]element.Element, len(seq))
-	for i, id := range seq {
-		elems[i] = scratch.Node(id)
-	}
-	return elems, nil
-}
-
-// commonMergeablePrefix returns the length of the longest prefix every
-// fragment shares under the merge-soundness rule (see build).
-func commonMergeablePrefix(frags [][]element.Element) int {
-	limit := len(frags[0])
-	for _, f := range frags[1:] {
-		if len(f) < limit {
-			limit = len(f)
-		}
-	}
-	shared := 0
-	for k := 0; k < limit; k++ {
-		e0 := frags[0][k]
-		if !mergeable(e0.Traits()) {
-			break
-		}
-		same := true
-		for _, f := range frags[1:] {
-			if f[k].Signature() != e0.Signature() {
-				same = false
-				break
-			}
-		}
-		if !same {
-			break
-		}
-		shared++
-	}
-	return shared
-}
-
-// mergeable reports whether an element may run once for all tenants:
-// read-only (no header/payload writes, no length changes) and stateless
-// (no per-flow state that would otherwise mix tenants' flows).
-func mergeable(t element.Traits) bool {
-	return !t.Stateful && !t.WritesHeader && !t.WritesPayload && !t.AddsRemovesBytes
+	return bs
 }

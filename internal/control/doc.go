@@ -4,12 +4,14 @@
 //
 // Two pieces:
 //
-//   - The composer (Compose) merges the tenants' chains into a single
-//     element graph: a de-duplicated read-only prefix shared by every
-//     tenant (the CoCo-style cross-chain consolidation), a TenantDemux
-//     fan-out keyed on Packet.Tenant, and per-tenant chain remainders
-//     ending in per-tenant sinks. The composition is deterministic, so it
-//     doubles as the per-shard build callback of dataplane.NewSharded.
+//   - The composer (Compose) builds every tenant's spec once and deploys
+//     the set as one core deployment (core.DeployTenants): one graph — a
+//     prefix shared by every tenant (the CoCo-style cross-chain
+//     consolidation, chosen by core's one share-safety predicate), a
+//     TenantDemux fan-out keyed on Packet.Tenant, and each tenant's plan
+//     ending in its own sink — and one placement over all of it. Its
+//     Build is the deployment's, the per-shard build callback of
+//     dataplane.NewSharded.
 //
 //   - The coordinator (Manager) owns the chain lifecycle: each revision
 //     moves Validating → Profiling → Allocating → Canary → Live, with a

@@ -10,26 +10,25 @@ import (
 
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
-	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/spec"
-	"nfcompass/internal/traffic"
 )
 
 // State is a chain's position in the rollout state machine.
 type State string
 
 const (
-	// StateValidating checks the spec and composes the candidate tenant
-	// set (catching build and composition errors before anything runs).
+	// StateValidating builds each candidate spec once and deploys the
+	// candidate tenant set as one composition, placement included; a
+	// failed build or deploy fails the rollout before anything runs.
 	StateValidating State = "Validating"
 	// StateProfiling runs a calibration burst through the canary replica
 	// to establish the revision's latency baseline.
 	StateProfiling State = "Profiling"
-	// StateAllocating computes the revision's compute placement (GTA when
-	// the spec asks for offload, CPU-only otherwise) and applies it to the
-	// canary.
+	// StateAllocating journals the composition's placement (GTA's
+	// selected candidate when any live spec asks for offload, CPU-only
+	// otherwise) and applies it to the canary.
 	StateAllocating State = "Allocating"
 	// StateCanary is the guard window: the candidate composition runs on a
 	// single replica — the new placement on one shard — while the e2e p99
@@ -88,8 +87,9 @@ type Config struct {
 	JournalCap int
 	// QueueDepth is the dataplane queue depth (default 64).
 	QueueDepth int
-	// Platform is the heterogeneous platform model used when a spec asks
-	// for offload (zero value = hetsim.DefaultPlatform()).
+	// Platform is the heterogeneous platform model compositions are
+	// placed on when a spec asks for offload (zero value =
+	// hetsim.DefaultPlatform()).
 	Platform hetsim.Platform
 }
 
@@ -355,11 +355,11 @@ func (m *Manager) Rollback(name string) (ChainStatus, error) {
 	target := *cs.prev
 	m.mu.Unlock()
 
-	comp, err := Compose(m.candidateSpecs(target))
+	comp, err := Compose(m.candidateSpecs(target), m.cfg.Platform)
 	if err != nil {
 		return ChainStatus{}, err
 	}
-	gen, err := m.newGeneration(comp, m.effectiveShards(comp), nil)
+	gen, err := m.newGeneration(comp, m.effectiveShards(comp), comp.Assignment)
 	if err != nil {
 		return ChainStatus{}, err
 	}
@@ -409,9 +409,9 @@ func (m *Manager) rollout(s spec.ChainSpec) {
 	defer m.rollMu.Unlock()
 
 	// Validating: compose the candidate tenant set — the live specs with s
-	// replacing (or adding) its chain.
+	// replacing (or adding) its chain — into one placed deployment.
 	m.note(s, StateValidating, "composing candidate tenant set", core.Decision{})
-	comp, err := Compose(m.candidateSpecs(s))
+	comp, err := Compose(m.candidateSpecs(s), m.cfg.Platform)
 	if err != nil {
 		m.fail(s, err)
 		return
@@ -437,12 +437,24 @@ func (m *Manager) rollout(s spec.ChainSpec) {
 		P99Ns: base.Percentile(99),
 	})
 
-	// Allocating: compute the revision's placement and apply it to the
-	// canary so the guard window judges what will actually be promoted.
-	assign, how := m.allocate(comp, s)
-	m.note(s, StateAllocating, how, core.Decision{Candidate: how})
-	if assign != nil {
-		if err := canary.sp.Apply(assign); err != nil {
+	// Allocating: apply the composition's placement to the canary so the
+	// guard window judges what will actually be promoted.
+	how, selected := "cpu-only (no live spec sets offload)", ""
+	if comp.Alloc != nil {
+		var off []string
+		for id, pl := range comp.Assignment {
+			if pl.Mode != hetsim.ModeCPU {
+				off = append(off, comp.Graph.Node(id).Name())
+			}
+		}
+		sort.Strings(off)
+		selected = comp.Alloc.Selected
+		how = fmt.Sprintf("gta selected %q: %d of %d elements off-CPU %v",
+			selected, len(off), comp.Graph.Len(), off)
+	}
+	m.note(s, StateAllocating, how, core.Decision{Candidate: selected})
+	if len(comp.Assignment) > 0 {
+		if err := canary.sp.Apply(comp.Assignment); err != nil {
 			m.fail(s, err)
 			return
 		}
@@ -495,7 +507,7 @@ func (m *Manager) rollout(s spec.ChainSpec) {
 
 	// Promote: fresh N-shard generation of the candidate composition,
 	// swapped in whole; the old generation drains after the swap.
-	gen, err := m.newGeneration(comp, m.effectiveShards(comp), assign)
+	gen, err := m.newGeneration(comp, m.effectiveShards(comp), comp.Assignment)
 	if err != nil {
 		m.fail(s, err)
 		return
@@ -668,16 +680,7 @@ func (g *generation) stop() {
 func (m *Manager) pumpInto(gen *generation, batches int) error {
 	for _, s := range gen.comp.Specs {
 		tag := gen.comp.Tags[s.Name]
-		g := traffic.NewGenerator(traffic.Config{
-			Size: sizeFor(s),
-			// Distinct per-tenant seeds keep the tenants' flow populations
-			// from being byte-identical clones of each other.
-			Seed: s.Seed + int64(tag)<<8 + 1,
-		})
-		for _, b := range g.Batches(batches, s.EffectiveBatchSize()) {
-			for _, p := range b.Packets {
-				p.Tenant = tag
-			}
+		for _, b := range tenantTraffic(s, tag, batches) {
 			if c := gen.counts[tag]; c != nil {
 				c.in.Add(uint64(len(b.Packets)))
 			}
@@ -688,72 +691,6 @@ func (m *Manager) pumpInto(gen *generation, batches int) error {
 		}
 	}
 	return nil
-}
-
-// sizeFor maps the spec's PktSize knob to a traffic size distribution.
-func sizeFor(s spec.ChainSpec) traffic.SizeDist {
-	if s.PktSize > 0 {
-		return traffic.Fixed(s.PktSize)
-	}
-	return traffic.IMIX{}
-}
-
-// allocate computes the revision's placement. Without the offload knob the
-// chain stays CPU-only (nil assignment). With it, the chain is profiled and
-// partitioned in isolation by the core deployment pipeline and the
-// resulting per-position placements are translated onto the tenant's nodes
-// in the composed graph; the shared prefix always stays on the CPU (its
-// placement is not one tenant's to set). Any shape disagreement degrades to
-// CPU-only rather than failing the rollout.
-func (m *Manager) allocate(comp *Composition, s spec.ChainSpec) (hetsim.Assignment, string) {
-	if !s.Offload {
-		return nil, "cpu-only (offload not requested)"
-	}
-	nfs, err := s.Build()
-	if err != nil {
-		return nil, fmt.Sprintf("cpu-only (build: %v)", err)
-	}
-	sample := traffic.NewGenerator(traffic.Config{
-		Size: sizeFor(s), Seed: s.Seed + 1,
-	}).Batches(8, s.EffectiveBatchSize())
-	dep, err := core.Deploy(nfs, m.cfg.Platform, sample, core.Options{
-		Synthesize: s.WantSynthesize(),
-		GTA:        true,
-		Algorithm:  core.AlgoMultilevel,
-		BatchSize:  s.EffectiveBatchSize(),
-	})
-	if err != nil {
-		return nil, fmt.Sprintf("cpu-only (allocation: %v)", err)
-	}
-	seq, err := core.LinearSequence(dep.Graph)
-	if err != nil {
-		return nil, "cpu-only (non-linear deployment graph)"
-	}
-	var inner []element.NodeID
-	for _, id := range seq {
-		if k := dep.Graph.Node(id).Traits().Kind; k == "FromDevice" || k == "ToDevice" {
-			continue
-		}
-		inner = append(inner, id)
-	}
-	order := comp.order[s.Name]
-	if len(inner) != len(order) {
-		return nil, fmt.Sprintf("cpu-only (deployment has %d elements, composition %d)",
-			len(inner), len(order))
-	}
-	a := hetsim.Assignment{}
-	for i, id := range inner {
-		if i < len(comp.Shared) {
-			continue
-		}
-		if pl, ok := dep.Assignment[id]; ok {
-			a[order[i]] = pl
-		}
-	}
-	if len(a) == 0 {
-		return nil, "cpu-only (model kept every element on CPU)"
-	}
-	return a, fmt.Sprintf("gta placed %d of %d elements off-CPU", len(a), len(inner))
 }
 
 // revOf returns a spec's revision, tolerating nil.

@@ -197,27 +197,65 @@ func TestOffloadRolloutAppliesAssignment(t *testing.T) {
 	m := testManager()
 	defer m.Close()
 
-	// A DPI-heavy chain with the offload knob: the allocator should place
-	// at least part of it off-CPU, and the rollout must still promote.
-	st := mustLive(t, m, spec.ChainSpec{
-		Name: "heavy", Revision: 1, Chain: "ipv4,dpi",
-		Offload: true, PktSize: 512,
-	})
+	// A DPI-heavy chain with the offload knob: GTA places part of it
+	// off-CPU, and the rollout must still promote.
+	st := mustLive(t, m, heavySpec())
 	if st.LiveRevision != 1 {
 		t.Fatalf("live revision = %d", st.LiveRevision)
 	}
-	// The Allocating decision records what the allocator chose; with GTA
-	// enabled it is either a placement or an explicit cpu-only fallback.
-	var alloc string
+	// The Allocating decision names GTA's selected candidate and the
+	// elements it placed off-CPU.
+	var alloc *core.Decision
 	for _, d := range m.Journal().Entries() {
 		if d.Chain == "heavy" && d.State == string(StateAllocating) {
-			alloc = d.Reason
+			alloc = &d
 		}
 	}
-	if alloc == "" {
+	if alloc == nil {
 		t.Fatal("no Allocating decision journaled")
 	}
-	if !strings.Contains(alloc, "gta placed") && !strings.Contains(alloc, "cpu-only") {
-		t.Errorf("allocating reason = %q", alloc)
+	if alloc.Candidate == "" || alloc.Candidate == "cpu-only" {
+		t.Errorf("allocating candidate = %q, want a placement", alloc.Candidate)
 	}
+	if !strings.Contains(alloc.Reason, "heavy/") || strings.Contains(alloc.Reason, " 0 of ") {
+		t.Errorf("allocating reason = %q, want heavy's off-CPU elements named", alloc.Reason)
+	}
+	assertOffloaded(t, m, "heavy")
+}
+
+func heavySpec() spec.ChainSpec {
+	return spec.ChainSpec{Name: "heavy", Revision: 1, Chain: "ipv4,dpi", Offload: true, PktSize: 512}
+}
+
+// assertOffloaded requires the live generation to run one of the tenant's
+// elements off the CPU.
+func assertOffloaded(t *testing.T, m *Manager, tenant string) {
+	t.Helper()
+	var seen []string
+	for _, e := range m.Snapshot().Elements {
+		if e.Tenant == tenant && e.Placement != "cpu" {
+			return
+		}
+		seen = append(seen, e.Name+"="+e.Placement)
+	}
+	t.Errorf("no %s element placed off-CPU on the live generation: %v", tenant, seen)
+}
+
+// TestOffloadSurvivesOtherTenantsRollout pins that a promotion or a
+// rollback of one tenant keeps every other tenant's placement: the live
+// generation runs the whole composition's.
+func TestOffloadSurvivesOtherTenantsRollout(t *testing.T) {
+	m := testManager()
+	defer m.Close()
+
+	mustLive(t, m, heavySpec())
+	assertOffloaded(t, m, "heavy")
+	mustLive(t, m, spec.ChainSpec{Name: "light", Revision: 1, Chain: "ipv4"})
+	assertOffloaded(t, m, "heavy")
+
+	mustLive(t, m, spec.ChainSpec{Name: "light", Revision: 2, Chain: "ipv4"})
+	if _, err := m.Rollback("light"); err != nil {
+		t.Fatal(err)
+	}
+	assertOffloaded(t, m, "heavy")
 }

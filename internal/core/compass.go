@@ -51,22 +51,44 @@ func DefaultOptions() Options {
 type Deployment struct {
 	Graph      *element.Graph
 	Assignment hetsim.Assignment
-	Stages     []Stage
-	Synthesis  []*SynthesisReport
-	Alloc      *AllocReport
-	Platform   hetsim.Platform
-	Costs      map[string]hetsim.ElemCost
+	// Stages is the stage plan of a one-tenant deployment; a composition
+	// of two or more tenants leaves it nil (each tenant has its own plan).
+	Stages []Stage
+	// Tenants labels each tenant's own nodes with its name, the shape
+	// dataplane.Config.Tenants takes. Shared nodes (source, cross-tenant
+	// prefix, demux) are absent, and so is every node of Deploy's
+	// untagged chain.
+	Tenants   map[element.NodeID]string
+	Synthesis []*SynthesisReport
+	Alloc     *AllocReport
+	Platform  hetsim.Platform
+	Costs     map[string]hetsim.ElemCost
 
-	opt Options // as Deploy resolved them; Build, place and NewAdaptor read them
+	opt   Options // as Deploy resolved them; Build, place and NewAdaptor read them
+	plans []plan  // one per tenant; Build rebuilds the graph from them
+}
+
+// Tenant is one chain of a composed deployment: its packets carry Tag in
+// netpkt.Packet.Tenant, and its nodes are named and labeled Name.
+type Tenant struct {
+	Name  string
+	Tag   uint16
+	Chain []*nf.NF
+}
+
+// plan is one tenant's stage plan.
+type plan struct {
+	Tenant
+	stages []Stage
 }
 
 // Build constructs one replica of the deployment's graph — the callback
-// shape dataplane.NewSharded wants. It rebuilds the stage plan with fresh
+// shape dataplane.NewSharded wants. It rebuilds the stage plans with fresh
 // element instances and executes nothing; d, its Synthesis reports
 // included, is left as it was. The shard index is unused: replicas are
 // identical, node IDs included, so d.Assignment places every one of them.
 func (d *Deployment) Build(shard int) (*element.Graph, error) {
-	g, _, err := buildGraph(d.Stages, d.opt)
+	g, _, _, err := buildGraph(d.plans, d.opt)
 	return g, err
 }
 
@@ -74,8 +96,24 @@ func (d *Deployment) Build(shard int) (*element.Graph, error) {
 // (parallelize), synthesize, build the deployment graph, profile it with
 // one functional pass over the sample traffic, and allocate tasks. sample is
 // only read: every pass that consumes traffic runs on a copy of its own.
+// It is DeployTenants with one untagged tenant.
 func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Options) (*Deployment, error) {
-	if len(chain) == 0 {
+	return DeployTenants([]Tenant{{Chain: chain}}, p, sample, opt)
+}
+
+// DeployTenants runs the pipeline once over one graph that composes the
+// tenants' chains:
+//
+//	src → shared prefix → TenantDemux ─┬→ tenant A's plan → dst/A
+//	                                   └→ tenant B's plan → dst/B
+//
+// The shared prefix (see shareable) runs once, on the mixed stream. sample
+// is the tenants' tagged traffic: the one functional pass, the weights and
+// GTA run over the whole composed graph, shared prefix included. Tagged
+// tenants need distinct names and distinct non-zero tags; one untagged
+// tenant (Deploy) builds src → its plan → dst, with no demux.
+func DeployTenants(tenants []Tenant, p hetsim.Platform, sample []*netpkt.Batch, opt Options) (*Deployment, error) {
+	if len(tenants) == 0 {
 		return nil, fmt.Errorf("core: empty chain")
 	}
 	if opt.BatchSize == 0 {
@@ -89,16 +127,31 @@ func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Optio
 		costs = hetsim.DefaultCosts()
 	}
 
-	sequential := make([]Stage, 0, len(chain))
-	for _, f := range chain {
-		sequential = append(sequential, Stage{NFs: []*nf.NF{f}})
-	}
-	stages := sequential
-	if opt.Parallelize {
-		stages = Parallelize(chain)
+	sequential := make([]plan, len(tenants))
+	plans := make([]plan, len(tenants))
+	reorganized := false
+	names, tags := map[string]bool{}, map[uint16]bool{}
+	for i, t := range tenants {
+		if len(t.Chain) == 0 {
+			return nil, fmt.Errorf("core: empty chain")
+		}
+		if len(tenants) > 1 && (t.Tag == 0 || tags[t.Tag] || names[t.Name]) {
+			return nil, fmt.Errorf("core: tenant %q tag %d: composed tenants need distinct names and non-zero tags",
+				t.Name, t.Tag)
+		}
+		names[t.Name], tags[t.Tag] = true, true
+		sequential[i] = plan{Tenant: t, stages: make([]Stage, 0, len(t.Chain))}
+		for _, f := range t.Chain {
+			sequential[i].stages = append(sequential[i].stages, Stage{NFs: []*nf.NF{f}})
+		}
+		plans[i] = sequential[i]
+		if opt.Parallelize {
+			plans[i].stages = Parallelize(t.Chain)
+			reorganized = reorganized || len(plans[i].stages) < len(t.Chain)
+		}
 	}
 
-	d, gbps, err := deployPlan(stages, p, sample, opt, costs)
+	d, gbps, err := deployPlan(plans, p, sample, opt, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +161,7 @@ func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Optio
 	// orchestrator found parallelism and sample traffic is available,
 	// compare against the sequential plan and accept the parallel one
 	// only if it costs at most 10% throughput (its payoff is latency).
-	if opt.Parallelize && len(stages) < len(sequential) && len(sample) > 0 {
+	if reorganized && len(sample) > 0 {
 		seqD, seqGbps, err := deployPlan(sequential, p, sample, opt, costs)
 		if err != nil {
 			return nil, err
@@ -149,16 +202,21 @@ func (d *Deployment) sampleGbps(sample []*netpkt.Batch) (float64, error) {
 	return res.Throughput.Gbps(), nil
 }
 
-// deployPlan builds one stage plan into a full deployment (graph, profile,
-// allocation) and returns it with the throughput its assignment measured on
-// the sample (zero when GTA is off: nothing is validated).
-func deployPlan(stages []Stage, p hetsim.Platform, sample []*netpkt.Batch, opt Options,
+// deployPlan builds the tenants' stage plans into a full deployment
+// (graph, profile, allocation) and returns it with the throughput its
+// assignment measured on the sample (zero when GTA is off: nothing is
+// validated).
+func deployPlan(plans []plan, p hetsim.Platform, sample []*netpkt.Batch, opt Options,
 	costs map[string]hetsim.ElemCost) (*Deployment, float64, error) {
-	g, syn, err := buildGraph(stages, opt)
+	g, syn, tenants, err := buildGraph(plans, opt)
 	if err != nil {
 		return nil, 0, err
 	}
-	d := &Deployment{Graph: g, Stages: stages, Synthesis: syn, Platform: p, Costs: costs, opt: opt}
+	d := &Deployment{Graph: g, Tenants: tenants, Synthesis: syn, Platform: p, Costs: costs,
+		opt: opt, plans: plans}
+	if len(plans) == 1 {
+		d.Stages = plans[0].stages
+	}
 
 	if !opt.GTA {
 		d.Assignment = hetsim.Assignment{}
@@ -284,38 +342,133 @@ func (d *Deployment) place(ps *pass) (float64, error) {
 	return bestGbps, nil
 }
 
-// buildGraph assembles the deployment element graph from the stage plan:
-// consecutive single-NF stages become one synthesized linear segment;
-// multi-NF stages become Duplicator → branches → XORMerge diamonds. It
-// returns the graph with one synthesis report per synthesized segment.
-func buildGraph(stages []Stage, opt Options) (*element.Graph, []*SynthesisReport, error) {
+// buildGraph assembles the deployment element graph from the tenants'
+// stage plans (see DeployTenants for the composed shape) and returns it with
+// one synthesis report per synthesized segment and the tenants' node labels.
+func buildGraph(plans []plan, opt Options) (*element.Graph, []*SynthesisReport, map[element.NodeID]string, error) {
 	g := element.NewGraph()
+	prev := g.Add(element.NewFromDevice("src"))
+	// With two or more tenants every first segment is built up front: the
+	// shared prefix is read off their synthesized heads, and the first
+	// tenant's instances of it become the shared ones.
+	leads := make([]*segment, len(plans))
+	for i, p := range plans {
+		if run := leadRun(p.stages); len(plans) > 1 && len(run) > 0 {
+			var err error
+			if leads[i], err = newSegment(run, p.Name+"/seg0", opt); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
+	shared := 0
+	for ; shareable(leads, shared); shared++ {
+		id := g.Add(leads[0].g.Node(leads[0].seq[shared]))
+		g.MustConnect(prev, 0, id)
+		prev = id
+	}
+	tagged := len(plans) > 1 || plans[0].Tag != 0
+	var tenants map[element.NodeID]string
+	if tagged {
+		tags := make([]uint16, len(plans))
+		for i, p := range plans {
+			tags[i] = p.Tag
+		}
+		demux := g.Add(element.NewTenantDemux("demux", tags))
+		g.MustConnect(prev, 0, demux)
+		prev, tenants = demux, map[element.NodeID]string{}
+	}
 	var syn []*SynthesisReport
-	src := g.Add(element.NewFromDevice("src"))
-	prev := src
+	for i, p := range plans {
+		name, dst := "", "dst"
+		if tagged {
+			name, dst = p.Name+"/", "dst/"+p.Name
+		}
+		if err := leads[i].trim(shared); err != nil {
+			return nil, nil, nil, err
+		}
+		first := g.Len()
+		exit, port, rep, err := appendPlan(g, prev, i, p.stages, name, leads[i], opt)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		syn = append(syn, rep...)
+		g.MustConnect(exit, port, g.Add(element.NewToDevice(dst)))
+		for id := first; tagged && id < g.Len(); id++ {
+			tenants[element.NodeID(id)] = p.Name
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: deployment graph invalid: %w", err)
+	}
+	return g, syn, tenants, nil
+}
 
+// shareable is the cross-tenant de-duplication predicate: position k of
+// the tenants' first segments may run once for all of them when every
+// tenant holds an element there, all with one signature, and that element
+// is a read-only classifier (the synthesizer's de-duplication test) that
+// keeps no per-flow state. Such an element computes the same annotations
+// and verdict for a packet whichever tenant owns it.
+func shareable(leads []*segment, k int) bool {
+	if len(leads) < 2 {
+		return false
+	}
+	for _, s := range leads {
+		if s == nil || k >= len(s.seq) {
+			return false
+		}
+	}
+	e := leads[0].g.Node(leads[0].seq[k])
+	if t := e.Traits(); !isReadOnlyClassifier(t) || t.Stateful {
+		return false
+	}
+	for _, s := range leads[1:] {
+		if s.g.Node(s.seq[k]).Signature() != e.Signature() {
+			return false
+		}
+	}
+	return true
+}
+
+// leadRun is the plan's leading run of single-NF stages: the NFs of its
+// first linear segment.
+func leadRun(stages []Stage) []*nf.NF {
+	var run []*nf.NF
+	for _, st := range stages {
+		if len(st.NFs) != 1 {
+			break
+		}
+		run = append(run, st.NFs[0])
+	}
+	return run
+}
+
+// appendPlan imports one stage plan into g behind output port of prev and
+// returns the plan's exit and its synthesis reports: consecutive single-NF
+// stages become one synthesized linear segment; multi-NF stages become
+// Duplicator → branches → XORMerge diamonds. Segments are named
+// name+"seg<i>". lead, when set, is the plan's first segment, already built.
+func appendPlan(g *element.Graph, prev element.NodeID, port int, stages []Stage, name string,
+	lead *segment, opt Options) (element.NodeID, int, []*SynthesisReport, error) {
+	var syn []*SynthesisReport
 	i := 0
 	segIdx := 0
 	for i < len(stages) {
 		if len(stages[i].NFs) == 1 {
-			// Collect the maximal run of sequential stages.
-			j := i
-			var run []*nf.NF
-			for j < len(stages) && len(stages[j].NFs) == 1 {
-				run = append(run, stages[j].NFs[0])
-				j++
+			run := leadRun(stages[i:])
+			s := lead
+			if i > 0 || s == nil {
+				var err error
+				if s, err = newSegment(run, fmt.Sprintf("%sseg%d", name, segIdx), opt); err != nil {
+					return 0, 0, nil, err
+				}
 			}
-			entry, exit, rep, err := importSegment(g, run, fmt.Sprintf("seg%d", segIdx), opt)
-			if err != nil {
-				return nil, nil, err
+			if s.rep != nil {
+				syn = append(syn, s.rep)
 			}
-			if rep != nil {
-				syn = append(syn, rep)
-			}
-			g.MustConnect(prev, 0, entry)
-			prev = exit
+			prev, port = s.join(g, prev, port)
 			segIdx++
-			i = j
+			i += len(run)
 			continue
 		}
 
@@ -327,62 +480,87 @@ func buildGraph(stages []Stage, opt Options) (*element.Graph, []*SynthesisReport
 			writers[b] = f.Profile.WritesHeader || f.Profile.WritesPayload ||
 				f.Profile.AddRmBits
 		}
-		dup := NewDuplicatorProfiled(fmt.Sprintf("dup%d", segIdx), writers)
+		dup := NewDuplicatorProfiled(fmt.Sprintf("%sdup%d", name, segIdx), writers)
 		dupID := g.Add(dup)
-		merge := NewXORMerge(fmt.Sprintf("merge%d", segIdx), dup)
+		merge := NewXORMerge(fmt.Sprintf("%smerge%d", name, segIdx), dup)
 		mergeID := g.Add(merge)
-		g.MustConnect(prev, 0, dupID)
+		g.MustConnect(prev, port, dupID)
 		for b, f := range branches {
-			entry, exit, rep, err := importSegment(g, []*nf.NF{f},
-				fmt.Sprintf("seg%d.b%d", segIdx, b), opt)
+			s, err := newSegment([]*nf.NF{f}, fmt.Sprintf("%sseg%d.b%d", name, segIdx, b), opt)
 			if err != nil {
-				return nil, nil, err
+				return 0, 0, nil, err
 			}
-			if rep != nil {
-				syn = append(syn, rep)
+			if s.rep != nil {
+				syn = append(syn, s.rep)
 			}
-			g.MustConnect(dupID, b, entry)
+			exit, _ := s.join(g, dupID, b)
 			g.MustConnect(exit, 0, mergeID)
 		}
-		prev = mergeID
+		prev, port = mergeID, 0
 		segIdx++
 		i++
 	}
-
-	dst := g.Add(element.NewToDevice("dst"))
-	g.MustConnect(prev, 0, dst)
-	if err := g.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: deployment graph invalid: %w", err)
-	}
-	return g, syn, nil
+	return prev, port, syn, nil
 }
 
-// importSegment builds the linear element chain of a run of NFs in a
-// scratch graph, optionally synthesizes it, and imports it into g,
-// returning the (post-import) entry and exit nodes and the synthesis report
-// (nil when synthesis is off).
-func importSegment(g *element.Graph, run []*nf.NF, prefix string,
-	opt Options) (entry, exit element.NodeID, rep *SynthesisReport, err error) {
-	seg := element.NewGraph()
+// segment is one linear run of NFs built into a scratch graph and, when the
+// options say so, synthesized; seq is its nodes in chain order.
+type segment struct {
+	g   *element.Graph
+	seq []element.NodeID
+	rep *SynthesisReport // nil when synthesis is off
+}
+
+// newSegment builds run's linear element chain, names its instances
+// prefix+"/<nf>#<k>", and synthesizes it when opt.Synthesize is set.
+func newSegment(run []*nf.NF, prefix string, opt Options) (*segment, error) {
+	s := &segment{g: element.NewGraph()}
 	var segPrev element.NodeID = -1
 	for k, f := range run {
-		e, x := f.Build(seg, fmt.Sprintf("%s/%s#%d", prefix, f.Name, k))
+		e, x := f.Build(s.g, fmt.Sprintf("%s/%s#%d", prefix, f.Name, k))
 		if segPrev >= 0 {
-			seg.MustConnect(segPrev, 0, e)
+			s.g.MustConnect(segPrev, 0, e)
 		}
 		segPrev = x
 	}
+	var err error
 	if opt.Synthesize {
-		if rep, err = Synthesize(seg); err != nil {
-			return 0, 0, nil, fmt.Errorf("core: synthesize %s: %w", prefix, err)
+		if s.rep, err = Synthesize(s.g); err != nil {
+			return nil, fmt.Errorf("core: synthesize %s: %w", prefix, err)
 		}
 	}
-	seq, err := linearSequence(seg)
-	if err != nil {
-		return 0, 0, nil, err
+	if s.seq, err = linearSequence(s.g); err != nil {
+		return nil, err
 	}
-	off := g.Import(seg)
-	return seq[0] + off, seq[len(seq)-1] + off, rep, nil
+	return s, nil
+}
+
+// trim removes the segment's first k nodes: their work is shared.
+func (s *segment) trim(k int) error {
+	for ; s != nil && k > 0; k-- {
+		head := s.seq[0]
+		if err := s.g.RemoveNode(head); err != nil {
+			return err
+		}
+		s.seq = s.seq[1:]
+		for i, id := range s.seq {
+			if id > head {
+				s.seq[i]-- // RemoveNode compacts the ids above head
+			}
+		}
+	}
+	return nil
+}
+
+// join imports the segment into g behind output port of prev and returns
+// its exit; an empty segment leaves (prev, port) as they were.
+func (s *segment) join(g *element.Graph, prev element.NodeID, port int) (element.NodeID, int) {
+	if len(s.seq) == 0 {
+		return prev, port
+	}
+	off := g.Import(s.g)
+	g.MustConnect(prev, port, s.seq[0]+off)
+	return s.seq[len(s.seq)-1] + off, 0
 }
 
 // Simulate runs the deployment on the simulated platform.

@@ -302,9 +302,10 @@ func TestDescribeMentionsDecisions(t *testing.T) {
 // same bytes and verdicts as d.Graph on the same traffic.
 func TestBuildIsAReplica(t *testing.T) {
 	p := hetsim.DefaultPlatform()
-	noSyn, noGTA := DefaultOptions(), DefaultOptions()
+	noSyn, noGTA, noPar := DefaultOptions(), DefaultOptions(), DefaultOptions()
 	noSyn.Synthesize = false
 	noGTA.GTA = false
+	noPar.Parallelize = false
 	for _, c := range []struct {
 		name, chain string
 		opt         Options
@@ -316,24 +317,53 @@ func TestBuildIsAReplica(t *testing.T) {
 		{"usage", "firewall:1000,ipv4,nat,ids", DefaultOptions()},
 		{"no-synthesize", "firewall:1000,ipv4,nat,ids", noSyn},
 		{"no-gta", "firewall:1000,ipv4,nat,ids", noGTA},
+		// Two tenants ("|" separates their chains): the first one's whole
+		// chain is the shared prefix, so its demux port feeds its sink.
+		{"two-tenants", "firewall:200|firewall:200,nat,ids", noPar},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			chains := strings.Split(c.chain, "|")
 			gen := func(seed int64) []*netpkt.Batch {
-				return traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Seed: seed, Flows: 128,
+				bs := traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Seed: seed, Flows: 128,
 					Payload: traffic.PayloadFullMatch, MatchTokens: spec.DefaultPatterns}).Batches(8, 32)
+				for _, b := range bs {
+					for k, pk := range b.Packets {
+						if len(chains) > 1 {
+							pk.Tenant = uint16(1 + k%len(chains))
+						}
+					}
+				}
+				return bs
 			}
 			deploy := func() *Deployment {
-				chain, err := spec.Parse(c.chain, 1)
-				if err != nil {
-					t.Fatal(err)
+				var tenants []Tenant
+				for i, chain := range chains {
+					nfs, err := spec.Parse(chain, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tenants = append(tenants, Tenant{Name: chain, Tag: uint16(i + 1), Chain: nfs})
 				}
-				d, err := Deploy(chain, p, gen(1), c.opt)
+				var d *Deployment
+				var err error
+				if len(tenants) == 1 {
+					d, err = Deploy(tenants[0].Chain, p, gen(1), c.opt)
+				} else {
+					d, err = DeployTenants(tenants, p, gen(1), c.opt)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				return d
 			}
 			d := deploy()
+			own := map[string]int{}
+			for _, name := range d.Tenants {
+				own[name]++
+			}
+			if len(chains) > 1 && own[chains[0]] != 1 {
+				t.Fatalf("tenant labels %v: want %q's whole chain shared, its sink its own", own, chains[0])
+			}
 			desc, syn := d.Describe(), len(d.Synthesis)
 			r0, err := d.Build(0)
 			if err != nil {
@@ -377,7 +407,9 @@ func TestBuildIsAReplica(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantIn, gotIn := gen(2), gen(2)
-			dw, dg := d.Graph.Sinks()[0], r0.Sinks()[0]
+			if sinks := d.Graph.Sinks(); len(sinks) != len(chains) {
+				t.Fatalf("%d sinks for %d tenants", len(sinks), len(chains))
+			}
 			for bi := range wantIn {
 				ow, err := want.RunBatch(wantIn[bi])
 				if err != nil {
@@ -387,19 +419,22 @@ func TestBuildIsAReplica(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(ow[dw]) != len(og[dg]) {
-					t.Fatalf("batch %d: %d output batches, d.Graph %d", bi, len(og[dg]), len(ow[dw]))
-				}
-				for k, bw := range ow[dw] {
-					bg := og[dg][k]
-					if len(bw.Packets) != len(bg.Packets) {
-						t.Fatalf("batch %d.%d: %d packets, d.Graph %d", bi, k, len(bg.Packets), len(bw.Packets))
+				for si, dw := range d.Graph.Sinks() {
+					dg := r0.Sinks()[si]
+					if len(ow[dw]) != len(og[dg]) {
+						t.Fatalf("batch %d: %d output batches, d.Graph %d", bi, len(og[dg]), len(ow[dw]))
 					}
-					for j, pw := range bw.Packets {
-						pg := bg.Packets[j]
-						if pw.Dropped != pg.Dropped || !bytes.Equal(pw.Data, pg.Data) {
-							t.Fatalf("batch %d.%d packet %d: dropped=%v vs d.Graph %v, or bytes differ",
-								bi, k, j, pg.Dropped, pw.Dropped)
+					for k, bw := range ow[dw] {
+						bg := og[dg][k]
+						if len(bw.Packets) != len(bg.Packets) {
+							t.Fatalf("batch %d.%d: %d packets, d.Graph %d", bi, k, len(bg.Packets), len(bw.Packets))
+						}
+						for j, pw := range bw.Packets {
+							pg := bg.Packets[j]
+							if pw.Dropped != pg.Dropped || !bytes.Equal(pw.Data, pg.Data) {
+								t.Fatalf("batch %d.%d packet %d: dropped=%v vs d.Graph %v, or bytes differ",
+									bi, k, j, pg.Dropped, pw.Dropped)
+							}
 						}
 					}
 				}

@@ -15,13 +15,18 @@ import (
 func (d *Deployment) Describe() string {
 	var sb strings.Builder
 
-	fmt.Fprintf(&sb, "stages (effective length %d):\n", EffectiveLength(d.Stages))
-	for i, st := range d.Stages {
-		names := make([]string, len(st.NFs))
-		for j, f := range st.NFs {
-			names[j] = f.Name
+	for _, pl := range d.plans {
+		if pl.Tag != 0 {
+			fmt.Fprintf(&sb, "tenant %s (tag %d) ", pl.Name, pl.Tag)
 		}
-		fmt.Fprintf(&sb, "  %d: %s\n", i, strings.Join(names, " || "))
+		fmt.Fprintf(&sb, "stages (effective length %d):\n", EffectiveLength(pl.stages))
+		for i, st := range pl.stages {
+			names := make([]string, len(st.NFs))
+			for j, f := range st.NFs {
+				names[j] = f.Name
+			}
+			fmt.Fprintf(&sb, "  %d: %s\n", i, strings.Join(names, " || "))
+		}
 	}
 
 	for _, rep := range d.Synthesis {

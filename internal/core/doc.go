@@ -11,7 +11,9 @@
 //
 //   - orchestrator.go — hazard classification between consecutive NFs
 //     (RAW/WAW/length conflicts) and the parallelization decision.
-//   - compass.go — the end-to-end Deploy entry point: orchestrate,
+//   - compass.go — the end-to-end Deploy entry point and its composed
+//     form, DeployTenants (tenants' chains behind a TenantDemux, a shared
+//     prefix chosen by one predicate, one placement): orchestrate,
 //     synthesize, build the deployment graph (deriving per-branch writer
 //     flags from NF profiles), profile, allocate, and validate: a plan
 //     executes the sample once (hetsim.Execute); its traffic intensities,

@@ -141,7 +141,7 @@ func referenceDeploy(t *testing.T, chain []*nf.NF, p hetsim.Platform, sample []*
 	t.Helper()
 	costs := hetsim.DefaultCosts()
 	plan := func(stages []Stage) *Deployment {
-		g, _, err := buildGraph(stages, opt)
+		g, _, _, err := buildGraph([]plan{{stages: stages}}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,6 +182,9 @@ func DefaultCosts() map[string]ElemCost {
 		"Duplicator": {CPUCyclesPerPkt: 60, MemIntensity: 0.15},
 		"XORMerge":   {CPUCyclesPerPkt: 60, MemIntensity: 0.2},
 		"Counter":    {CPUCyclesPerPkt: 30, GPUCyclesPerPkt: 15, Divergence: 1},
+
+		// Multi-tenant fan-out: reads the tag annotation, splits the batch.
+		"TenantDemux": {CPUCyclesPerPkt: 25, Divergence: 1},
 		"TCPReassembly": {
 			// Per-flow state lookups plus buffering bookkeeping; CPU-only
 			// (order restoration is the host-side completion-queue work).

@@ -39,12 +39,15 @@ type ChainSpec struct {
 	// PktSize shapes the tenant's synthetic traffic in self-driving
 	// deployments (0 = IMIX).
 	PktSize int `json:"pkt_size,omitempty"`
-	// Offload enables graph-partition task allocation for this chain: the
-	// coordinator profiles the chain and maps the resulting CPU/GPU
-	// placement onto the shared dataplane.
+	// Offload asks for graph-partition task allocation. The knob is
+	// settled per composition: GTA places the whole composed graph — every
+	// tenant's chain and the shared prefix — when any live spec sets it,
+	// and leaves it CPU-only when none does.
 	Offload bool `json:"offload,omitempty"`
-	// Synthesize enables NF-level element merging within the chain
-	// (default true; only an explicit false disables it).
+	// Synthesize enables NF-level element merging (default true; only an
+	// explicit false disables it). The knob is settled per composition:
+	// synthesis runs over every tenant's chain unless some live spec opts
+	// out, and then over none.
 	Synthesize *bool `json:"synthesize,omitempty"`
 	// SLO is the rollout guard: a canary revision whose observed e2e tail
 	// latency breaches it is rolled back automatically.
@@ -62,28 +65,37 @@ type SLO struct {
 	GuardTicks int `json:"guard_ticks,omitempty"`
 }
 
-// Validate checks the spec without building anything: name, revision, and
-// chain syntax (including that every NF name is known).
+// Validate checks the spec by building it and discarding the NFs: name,
+// revision and knobs, then the chain, which Parse constructs NF by NF (ACL
+// trees and pattern automata included). It costs what Build costs.
 func (s *ChainSpec) Validate() error {
+	_, err := s.Build()
+	return err
+}
+
+// Build checks the spec's fields, then parses the chain and constructs its
+// NFs with the spec's seed.
+func (s *ChainSpec) Build() ([]*nf.NF, error) {
 	if s.Name == "" {
-		return fmt.Errorf("spec: chain name required")
+		return nil, fmt.Errorf("spec: chain name required")
 	}
 	if s.Revision <= 0 {
-		return fmt.Errorf("spec: chain %q: revision must be >= 1 (got %d)", s.Name, s.Revision)
-	}
-	if _, err := Parse(s.Chain, s.seed()); err != nil {
-		return fmt.Errorf("spec: chain %q: %w", s.Name, err)
+		return nil, fmt.Errorf("spec: chain %q: revision must be >= 1 (got %d)", s.Name, s.Revision)
 	}
 	if s.Shards < 0 {
-		return fmt.Errorf("spec: chain %q: negative shards", s.Name)
+		return nil, fmt.Errorf("spec: chain %q: negative shards", s.Name)
 	}
 	if s.BatchSize < 0 {
-		return fmt.Errorf("spec: chain %q: negative batch size", s.Name)
+		return nil, fmt.Errorf("spec: chain %q: negative batch size", s.Name)
 	}
 	if s.SLO.P99Us < 0 {
-		return fmt.Errorf("spec: chain %q: negative SLO", s.Name)
+		return nil, fmt.Errorf("spec: chain %q: negative SLO", s.Name)
 	}
-	return nil
+	nfs, err := Parse(s.Chain, s.seed())
+	if err != nil {
+		return nil, fmt.Errorf("spec: chain %q: %w", s.Name, err)
+	}
+	return nfs, nil
 }
 
 // seed returns the effective table seed (default 1).
@@ -106,11 +118,6 @@ func (s *ChainSpec) EffectiveBatchSize() int {
 // true).
 func (s *ChainSpec) WantSynthesize() bool {
 	return s.Synthesize == nil || *s.Synthesize
-}
-
-// Build parses the chain and constructs its NFs with the spec's seed.
-func (s *ChainSpec) Build() ([]*nf.NF, error) {
-	return Parse(s.Chain, s.seed())
 }
 
 // Canonical returns the chain string re-emitted from its parsed tokens —
