@@ -46,7 +46,6 @@ type Matcher struct {
 	// outs[outStart[i]:outStart[i+1]].
 	outStart []int32
 	outs     []int32
-	patterns [][]byte
 }
 
 // Match is one pattern occurrence.
@@ -61,7 +60,7 @@ func NewMatcher(patterns [][]byte) (*Matcher, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("ac: empty pattern set")
 	}
-	m := &Matcher{patterns: patterns}
+	m := &Matcher{}
 
 	// Byte classes: 0 for every byte no pattern uses (when there is one),
 	// then one class per used byte.
@@ -192,12 +191,6 @@ func NewMatcherStrings(patterns []string) (*Matcher, error) {
 // memory footprint drives the simulator's DPI cache model).
 func (m *Matcher) NumStates() int { return len(m.tab) >> m.shift }
 
-// NumPatterns returns the size of the pattern set.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
-
-// Pattern returns pattern i.
-func (m *Matcher) Pattern(i int) []byte { return m.patterns[i] }
-
 // outputs returns the patterns ending at s, which must be >= firstMatch.
 func (m *Matcher) outputs(s uint32) []int32 {
 	i := (s - m.firstMatch) >> m.shift
@@ -218,19 +211,6 @@ func (m *Matcher) Scan(data []byte) []Match {
 		}
 	}
 	return matches
-}
-
-// Contains reports whether any pattern occurs in data, stopping at the
-// first hit.
-func (m *Matcher) Contains(data []byte) bool {
-	s := uint32(0)
-	for _, c := range data {
-		s = m.tab[s+uint32(m.class[c])]
-		if s >= m.firstMatch {
-			return true
-		}
-	}
-	return false
 }
 
 // State is a resumable automaton position for stream scanning. Its value

@@ -7,6 +7,7 @@ import (
 	"nfcompass/internal/core"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
+	"nfcompass/internal/nf"
 	"nfcompass/internal/spec"
 	"nfcompass/internal/traffic"
 )
@@ -29,13 +30,15 @@ type Composition struct {
 // composition's deployment samples.
 const sampleBatches = 8
 
-// Compose builds each spec once and deploys the set as one composition on
-// platform p (core.DeployTenants), sampling every tenant's own traffic.
+// Compose deploys the specs as one composition on platform p
+// (core.DeployTenants), sampling every tenant's own traffic. A spec whose
+// chain is in built (by name) deploys that chain; every other spec is built
+// here, once.
 // The per-spec knobs are settled for the whole composition: GTA runs when
 // any spec sets Offload, synthesis is off when any spec opts out, and
 // parallelization stays off. Chain names must be unique; at least one spec
 // is required.
-func Compose(specs []spec.ChainSpec, p hetsim.Platform) (*Composition, error) {
+func Compose(specs []spec.ChainSpec, built map[string][]*nf.NF, p hetsim.Platform) (*Composition, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("control: no chains to compose")
 	}
@@ -49,9 +52,12 @@ func Compose(specs []spec.ChainSpec, p hetsim.Platform) (*Composition, error) {
 		if i > 0 && s.Name == sorted[i-1].Name {
 			return nil, fmt.Errorf("control: duplicate chain %q", s.Name)
 		}
-		chain, err := s.Build()
-		if err != nil {
-			return nil, err
+		chain, ok := built[s.Name]
+		if !ok {
+			var err error
+			if chain, err = s.Build(); err != nil {
+				return nil, err
+			}
 		}
 		tag := uint16(i + 1)
 		c.Tags[s.Name] = tag

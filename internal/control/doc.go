@@ -4,7 +4,8 @@
 //
 // Two pieces:
 //
-//   - The composer (Compose) builds every tenant's spec once and deploys
+//   - The composer (Compose) builds every tenant's spec once (the
+//     submitted one arrives built by Manager.Submit) and deploys
 //     the set as one core deployment (core.DeployTenants): one graph — a
 //     prefix shared by every tenant (the CoCo-style cross-chain
 //     consolidation, chosen by core's one share-safety predicate), a

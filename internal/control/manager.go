@@ -2,6 +2,7 @@ package control
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/hetsim"
 	"nfcompass/internal/ingress"
+	"nfcompass/internal/nf"
 	"nfcompass/internal/spec"
 )
 
@@ -203,13 +205,19 @@ func NewManager(cfg Config) *Manager {
 // adaptor's /decisions endpoint).
 func (m *Manager) Journal() *core.DecisionJournal { return m.journal }
 
+// ErrInvalidSpec marks a Submit error caused by the spec itself (bad
+// field, unknown NF) rather than by the chain's rollout state.
+var ErrInvalidSpec = errors.New("control: invalid chain spec")
+
 // Submit starts an asynchronous rollout of s. It returns immediately after
-// admission checks; poll Status / Await for the outcome. A revision must be
+// admission checks; poll Status / Await for the outcome. Admission builds
+// the spec's chain, and the rollout deploys that build. A revision must be
 // greater than the chain's live revision, and only one rollout per chain
 // may be in flight.
 func (m *Manager) Submit(s spec.ChainSpec) error {
-	if err := s.Validate(); err != nil {
-		return err
+	chain, err := s.Build()
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -243,7 +251,7 @@ func (m *Manager) Submit(s spec.ChainSpec) error {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.rollout(s)
+		m.rollout(s, chain)
 	}()
 	return nil
 }
@@ -355,7 +363,7 @@ func (m *Manager) Rollback(name string) (ChainStatus, error) {
 	target := *cs.prev
 	m.mu.Unlock()
 
-	comp, err := Compose(m.candidateSpecs(target), m.cfg.Platform)
+	comp, err := Compose(m.candidateSpecs(target), nil, m.cfg.Platform)
 	if err != nil {
 		return ChainStatus{}, err
 	}
@@ -403,15 +411,16 @@ func (m *Manager) Close() {
 	}
 }
 
-// rollout runs the full state machine for one submitted revision.
-func (m *Manager) rollout(s spec.ChainSpec) {
+// rollout runs the full state machine for one submitted revision, whose
+// chain admission built.
+func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 	m.rollMu.Lock()
 	defer m.rollMu.Unlock()
 
 	// Validating: compose the candidate tenant set — the live specs with s
 	// replacing (or adding) its chain — into one placed deployment.
 	m.note(s, StateValidating, "composing candidate tenant set", core.Decision{})
-	comp, err := Compose(m.candidateSpecs(s), m.cfg.Platform)
+	comp, err := Compose(m.candidateSpecs(s), map[string][]*nf.NF{s.Name: chain}, m.cfg.Platform)
 	if err != nil {
 		m.fail(s, err)
 		return
@@ -439,7 +448,7 @@ func (m *Manager) rollout(s spec.ChainSpec) {
 
 	// Allocating: apply the composition's placement to the canary so the
 	// guard window judges what will actually be promoted.
-	how, selected := "cpu-only (no live spec sets offload)", ""
+	how, alloc := "cpu-only (no live spec sets offload)", core.Decision{}
 	if comp.Alloc != nil {
 		var off []string
 		for id, pl := range comp.Assignment {
@@ -448,11 +457,12 @@ func (m *Manager) rollout(s spec.ChainSpec) {
 			}
 		}
 		sort.Strings(off)
-		selected = comp.Alloc.Selected
+		alloc = core.Decision{Candidate: comp.Alloc.Selected,
+			PredictedCostNs: comp.Alloc.Cost, MeasuredGbps: comp.Alloc.Gbps}
 		how = fmt.Sprintf("gta selected %q: %d of %d elements off-CPU %v",
-			selected, len(off), comp.Graph.Len(), off)
+			alloc.Candidate, len(off), comp.Graph.Len(), off)
 	}
-	m.note(s, StateAllocating, how, core.Decision{Candidate: selected})
+	m.note(s, StateAllocating, how, alloc)
 	if len(comp.Assignment) > 0 {
 		if err := canary.sp.Apply(comp.Assignment); err != nil {
 			m.fail(s, err)

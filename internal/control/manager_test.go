@@ -1,6 +1,7 @@
 package control
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -181,8 +182,21 @@ func TestSubmitAdmissionChecks(t *testing.T) {
 	m := testManager()
 	defer m.Close()
 
-	if err := m.Submit(spec.ChainSpec{Name: "x", Revision: 1, Chain: "bogus"}); err == nil {
-		t.Error("unknown NF admitted")
+	// A spec that does not build is refused before any rollout starts.
+	for _, bad := range []spec.ChainSpec{
+		{Name: "x", Revision: 1, Chain: "bogus"},
+		{Name: "", Revision: 1, Chain: "ipv4"},
+		{Name: "a", Revision: 0, Chain: "ipv4"},
+		{Name: "a", Revision: 1, Chain: "ipv4", Shards: -1},
+		{Name: "a", Revision: 1, Chain: "ipv4", BatchSize: -1},
+		{Name: "a", Revision: 1, Chain: "ipv4", SLO: spec.SLO{P99Us: -5}},
+	} {
+		if err := m.Submit(bad); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("Submit(%+v) = %v, want ErrInvalidSpec", bad, err)
+		}
+	}
+	if len(m.Chains()) != 0 {
+		t.Errorf("refused specs left chains %v", m.Chains())
 	}
 	mustLive(t, m, spec.ChainSpec{Name: "x", Revision: 2, Chain: "ipv4"})
 	if err := m.Submit(spec.ChainSpec{Name: "x", Revision: 2, Chain: "ipv4"}); err == nil {
@@ -216,6 +230,10 @@ func TestOffloadRolloutAppliesAssignment(t *testing.T) {
 	}
 	if alloc.Candidate == "" || alloc.Candidate == "cpu-only" {
 		t.Errorf("allocating candidate = %q, want a placement", alloc.Candidate)
+	}
+	if alloc.PredictedCostNs <= 0 || alloc.MeasuredGbps <= 0 {
+		t.Errorf("allocating predicted=%vns measured=%vGbps, want both > 0",
+			alloc.PredictedCostNs, alloc.MeasuredGbps)
 	}
 	if !strings.Contains(alloc.Reason, "heavy/") || strings.Contains(alloc.Reason, " 0 of ") {
 		t.Errorf("allocating reason = %q, want heavy's off-CPU elements named", alloc.Reason)

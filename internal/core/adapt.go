@@ -155,15 +155,14 @@ func (a *Adaptor) Observe(sample []*netpkt.Batch) (bool, error) {
 	}
 
 	// Allocate and validate as Deploy does, on the observed traffic.
-	gbps, err := a.d.place(ps)
-	if err != nil {
+	if err := a.d.place(ps); err != nil {
 		return fail(err)
 	}
 	rep := a.d.Alloc
 	a.Reallocations++
 	d := Decision{Accepted: true, Reason: "reallocated", Drift: drift,
 		Threshold: a.Threshold, Candidate: rep.Selected,
-		PredictedCostNs: rep.Cost, MeasuredGbps: gbps}
+		PredictedCostNs: rep.Cost, MeasuredGbps: rep.Gbps}
 	if a.rt != nil {
 		if err := a.rt.Apply(a.d.Assignment); err != nil {
 			d.Reason, d.Err = "apply failed", err.Error()

@@ -56,8 +56,10 @@ type AllocReport struct {
 	// OffloadByElement maps element names to their chosen GPU ratio.
 	OffloadByElement map[string]float64
 	// Selected names the candidate that won the sample-driven validation
-	// (empty when validation did not run).
+	// (empty when validation did not run), and Gbps is its throughput
+	// priced on the sample's trace.
 	Selected string
+	Gbps     float64
 }
 
 // Allocate runs graph-partition-based task allocation (GTA) on a deployed

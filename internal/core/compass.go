@@ -23,12 +23,8 @@ type Options struct {
 	GTA bool
 	// Algorithm selects the partitioner.
 	Algorithm Algorithm
-	// Delta is the offload-ratio granularity (default 0.1).
-	Delta float64
 	// BatchSize is the I/O batch size (default 64).
 	BatchSize int
-	// Costs overrides the platform cost table.
-	Costs map[string]hetsim.ElemCost
 }
 
 // DefaultOptions enables every NFCompass technique.
@@ -38,7 +34,6 @@ func DefaultOptions() Options {
 		Synthesize:  true,
 		GTA:         true,
 		Algorithm:   AlgoMultilevel,
-		Delta:       DefaultDelta,
 		BatchSize:   64,
 	}
 }
@@ -119,13 +114,7 @@ func DeployTenants(tenants []Tenant, p hetsim.Platform, sample []*netpkt.Batch, 
 	if opt.BatchSize == 0 {
 		opt.BatchSize = 64
 	}
-	if opt.Delta == 0 {
-		opt.Delta = DefaultDelta
-	}
-	costs := opt.Costs
-	if costs == nil {
-		costs = hetsim.DefaultCosts()
-	}
+	costs := hetsim.DefaultCosts()
 
 	sequential := make([]plan, len(tenants))
 	plans := make([]plan, len(tenants))
@@ -151,7 +140,7 @@ func DeployTenants(tenants []Tenant, p hetsim.Platform, sample []*netpkt.Batch, 
 		}
 	}
 
-	d, gbps, err := deployPlan(plans, p, sample, opt, costs)
+	d, err := deployPlan(plans, p, sample, opt, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +151,14 @@ func DeployTenants(tenants []Tenant, p hetsim.Platform, sample []*netpkt.Batch, 
 	// compare against the sequential plan and accept the parallel one
 	// only if it costs at most 10% throughput (its payoff is latency).
 	if reorganized && len(sample) > 0 {
-		seqD, seqGbps, err := deployPlan(sequential, p, sample, opt, costs)
+		seqD, err := deployPlan(sequential, p, sample, opt, costs)
 		if err != nil {
 			return nil, err
 		}
-		if !opt.GTA {
+		var gbps, seqGbps float64
+		if opt.GTA {
+			gbps, seqGbps = d.Alloc.Gbps, seqD.Alloc.Gbps
+		} else {
 			// Nothing validated these plans on the sample: simulate each once.
 			if gbps, err = d.sampleGbps(sample); err != nil {
 				return nil, err
@@ -203,14 +195,13 @@ func (d *Deployment) sampleGbps(sample []*netpkt.Batch) (float64, error) {
 }
 
 // deployPlan builds the tenants' stage plans into a full deployment
-// (graph, profile, allocation) and returns it with the throughput its
-// assignment measured on the sample (zero when GTA is off: nothing is
-// validated).
+// (graph, profile, allocation); with GTA on, d.Alloc.Gbps is the throughput
+// its assignment measured on the sample.
 func deployPlan(plans []plan, p hetsim.Platform, sample []*netpkt.Batch, opt Options,
-	costs map[string]hetsim.ElemCost) (*Deployment, float64, error) {
+	costs map[string]hetsim.ElemCost) (*Deployment, error) {
 	g, syn, tenants, err := buildGraph(plans, opt)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	d := &Deployment{Graph: g, Tenants: tenants, Synthesis: syn, Platform: p, Costs: costs,
 		opt: opt, plans: plans}
@@ -220,10 +211,10 @@ func deployPlan(plans []plan, p hetsim.Platform, sample []*netpkt.Batch, opt Opt
 
 	if !opt.GTA {
 		d.Assignment = hetsim.Assignment{}
-		return d, 0, nil
+		return d, nil
 	}
 	if len(sample) == 0 {
-		return nil, 0, fmt.Errorf("core: GTA requires sample traffic")
+		return nil, fmt.Errorf("core: GTA requires sample traffic")
 	}
 
 	// The plan's one pass over its own sample traffic is the profile:
@@ -231,10 +222,12 @@ func deployPlan(plans []plan, p hetsim.Platform, sample []*netpkt.Batch, opt Opt
 	// ones, on the traffic each element sees in the chain.
 	ps, err := execute(g, p, costs, cloneBatches(sample))
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: traffic sampling: %w", err)
+		return nil, fmt.Errorf("core: traffic sampling: %w", err)
 	}
-	gbps, err := d.place(ps)
-	return d, gbps, err
+	if err := d.place(ps); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // pass is a plan's one functional pass over a sample, the all-CPU simulator
@@ -278,13 +271,13 @@ func execute(g *element.Graph, p hetsim.Platform, costs map[string]hetsim.ElemCo
 // set is evaluated on the sample rather than trusting the raw model
 // output. What the elements compute does not depend on the placement, so
 // every candidate is priced from the sample's one trace, and the model's
-// weights come from that trace too. place returns the winner's Gbps (the
-// gate's figure and the decision journal's measured-cost column); on error
-// the deployment keeps the placement it had.
-func (d *Deployment) place(ps *pass) (float64, error) {
-	model, rep, err := Allocate(d.Graph, ps.dict, ps.in, d.Platform, d.Costs, d.opt.BatchSize, d.opt.Delta, d.opt.Algorithm)
+// weights come from that trace too. The winner's Gbps goes on d.Alloc (the
+// gate's figure and the decision journal's measured column); on error the
+// deployment keeps the placement it had.
+func (d *Deployment) place(ps *pass) error {
+	model, rep, err := Allocate(d.Graph, ps.dict, ps.in, d.Platform, d.Costs, d.opt.BatchSize, DefaultDelta, d.opt.Algorithm)
 	if err != nil {
-		return 0, fmt.Errorf("core: allocation: %w", err)
+		return fmt.Errorf("core: allocation: %w", err)
 	}
 
 	// Rounded variant: snap every split element to its majority side.
@@ -330,16 +323,16 @@ func (d *Deployment) place(ps *pass) (float64, error) {
 	for i, c := range candidates {
 		sim, err := hetsim.NewSimulator(d.Platform, d.Costs, d.Graph, c.a)
 		if err != nil {
-			return 0, fmt.Errorf("core: assignment validation: %w", err)
+			return fmt.Errorf("core: assignment validation: %w", err)
 		}
 		// Strict >: the first of equal candidates stays.
 		if g := sim.Price(ps.trace).Throughput.Gbps(); g > bestGbps {
 			best, bestGbps = i, g
 		}
 	}
-	rep.Selected = candidates[best].name
+	rep.Selected, rep.Gbps = candidates[best].name, bestGbps
 	d.Assignment, d.Alloc = candidates[best].a, rep
-	return bestGbps, nil
+	return nil
 }
 
 // buildGraph assembles the deployment element graph from the tenants'

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -440,5 +441,77 @@ func TestBuildIsAReplica(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// An IDS scan keeps no per-flow state, so tenants whose chains open with
+// the same scan share it, header check included. An alert-only and a
+// drop-on-match scan of one pattern set are different elements: no
+// composition shares them and no synthesis merges them.
+func TestStatelessScanShared(t *testing.T) {
+	p := hetsim.DefaultPlatform()
+	opt := DefaultOptions()
+	opt.Parallelize = false
+	ids := func(drop bool) *nf.NF { return nf.NewIDS("ids", spec.DefaultPatterns, drop) }
+	sample := func(tenants int) []*netpkt.Batch {
+		bs := traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(256), Seed: 1, Flows: 64,
+			Payload: traffic.PayloadFullMatch, MatchTokens: spec.DefaultPatterns}).Batches(4, 32)
+		for _, b := range bs {
+			for k, pk := range b.Packets {
+				if tenants > 1 {
+					pk.Tenant = uint16(1 + k%tenants)
+				}
+			}
+		}
+		return bs
+	}
+	deploy := func(chains ...[]*nf.NF) *Deployment {
+		t.Helper()
+		var tenants []Tenant
+		for i, c := range chains {
+			tenants = append(tenants, Tenant{Name: fmt.Sprint("t", i), Tag: uint16(i + 1), Chain: c})
+		}
+		d, err := DeployTenants(tenants, p, sample(len(chains)), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// count returns how many kind nodes the tenants share and how many
+	// belong to one tenant.
+	count := func(d *Deployment, kind string) (shared, own int) {
+		for i := 0; i < d.Graph.Len(); i++ {
+			if d.Graph.Node(element.NodeID(i)).Traits().Kind != kind {
+				continue
+			}
+			if _, ok := d.Tenants[element.NodeID(i)]; ok {
+				own++
+			} else {
+				shared++
+			}
+		}
+		return shared, own
+	}
+
+	d := deploy([]*nf.NF{ids(false)}, []*nf.NF{ids(false), nf.NewNAT("nat", 0x01020304)})
+	for _, kind := range []string{"CheckIPHeader", "AhoCorasick"} {
+		if shared, _ := count(d, kind); shared != 1 {
+			t.Errorf("ids + ids,nat: %d shared %s nodes, want 1", shared, kind)
+		}
+	}
+	if shared, own := count(d, "AhoCorasick"); shared+own != 1 {
+		t.Errorf("ids + ids,nat: %d AhoCorasick nodes, want the one shared scan", shared+own)
+	}
+
+	d = deploy([]*nf.NF{ids(false)}, []*nf.NF{ids(true)})
+	if shared, own := count(d, "AhoCorasick"); shared != 0 || own != 2 {
+		t.Errorf("alert-only + drop-on-match: %d shared, %d own scans; want 0 and 2", shared, own)
+	}
+	d, err := Deploy([]*nf.NF{ids(false), ids(true)}, p, sample(1), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared, own := count(d, "AhoCorasick"); shared+own != 2 {
+		t.Errorf("ids(alert),ids(drop) in one chain: %d scans after synthesis, want 2", shared+own)
 	}
 }

@@ -151,7 +151,7 @@ func referenceDeploy(t *testing.T, chain []*nf.NF, p hetsim.Platform, sample []*
 		if err != nil {
 			t.Fatal(err)
 		}
-		assign, rep, err := Allocate(g, dict, in, p, costs, opt.BatchSize, opt.Delta, opt.Algorithm)
+		assign, rep, err := Allocate(g, dict, in, p, costs, opt.BatchSize, DefaultDelta, opt.Algorithm)
 		if err != nil {
 			t.Fatal(err)
 		}

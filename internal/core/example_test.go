@@ -27,11 +27,13 @@ func ExampleParallelize() {
 }
 
 func ExampleAnalyze() {
-	nat := nf.TableII[nf.KindNAT]       // writes the header
-	ids := nf.TableII[nf.KindIDS]       // reads header and payload
-	fmt.Println(core.Analyze(nat, ids)) // NAT first: IDS would read stale data
-	fmt.Println(core.Analyze(ids, nat)) // IDS first: write-after-read is safe
+	nat := nf.TableII[nf.KindNAT] // writes the header
+	ids := nf.TableII[nf.KindIDS] // reads header and payload
+	// NAT first: IDS would read stale data.
+	fmt.Println(core.Analyze(nat, ids) == core.HazardRAW)
+	// IDS first: write-after-read is safe.
+	fmt.Println(core.Analyze(ids, nat) == core.HazardNone)
 	// Output:
-	// RAW
-	// none
+	// true
+	// true
 }

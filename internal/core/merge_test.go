@@ -250,17 +250,35 @@ var stageMixes = []struct {
 	{"stream-reader", func() []*nf.NF {
 		return []*nf.NF{nf.NewStreamIDS("sids", []string{"attack"}, true), nf.NewProbe("probe"), mixFirewall()}
 	}},
-	{"reheadering-writer", func() []*nf.NF { return []*nf.NF{nf.NewProbe("probe"), mixFragmenter(), mixFirewall()} }},
+	{"reheadering-writer", func() []*nf.NF { return []*nf.NF{nf.NewProbe("probe"), mixReheader(), mixFirewall()} }},
 }
 
-// mixFragmenter is a writer branch that rebuilds the batch header and, at an
-// MTU no test packet exceeds, leaves every packet whole.
-func mixFragmenter() *nf.NF {
-	return &nf.NF{Name: "frag", Kind: nf.KindIPsec, Profile: nf.TableII[nf.KindIPsec],
+// mixReheader is a writer branch whose element emits every packet under a
+// batch header of its own, as an element that may lengthen the batch does.
+func mixReheader() *nf.NF {
+	return &nf.NF{Name: "rehdr", Kind: nf.KindIPsec, Profile: nf.TableII[nf.KindIPsec],
 		Build: func(g *element.Graph, prefix string) (element.NodeID, element.NodeID) {
-			id := g.Add(nf.NewIPFragmenter(prefix+"/frag", 1500))
+			id := g.Add(&reheader{name: prefix + "/rehdr"})
 			return id, id
 		}}
+}
+
+// reheader declares a header and payload writer that may change packet
+// lengths; it forwards every packet whole under a fresh Batch.Derive header.
+type reheader struct{ name string }
+
+func (e *reheader) Name() string      { return e.name }
+func (e *reheader) NumOutputs() int   { return 1 }
+func (e *reheader) Signature() string { return "Reheader" }
+func (e *reheader) Traits() element.Traits {
+	return element.Traits{
+		Kind: "Reheader", Class: element.ClassModifier,
+		ReadsHeader: true, WritesHeader: true, WritesPayload: true,
+		AddsRemovesBytes: true, PreservesHeaderValidity: true,
+	}
+}
+func (e *reheader) Process(b *netpkt.Batch) []*netpkt.Batch {
+	return []*netpkt.Batch{b.Derive(append([]*netpkt.Packet(nil), b.Packets...))}
 }
 
 func mixIDS(name string) *nf.NF { return nf.NewIDS(name, []string{"attack"}, true) }

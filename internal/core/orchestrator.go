@@ -19,22 +19,6 @@ const (
 	HazardLength
 )
 
-// String implements fmt.Stringer.
-func (h Hazard) String() string {
-	switch h {
-	case HazardNone:
-		return "none"
-	case HazardRAW:
-		return "RAW"
-	case HazardWAW:
-		return "WAW"
-	case HazardLength:
-		return "length"
-	default:
-		return "unknown"
-	}
-}
-
 // Analyze returns the hazard between a former NF and a later NF in a
 // chain, per Table III: RAR and WAR are safe; RAW and WAW are not —
 // except that WAW (and region-crossed cases) are safe when the two NFs
@@ -71,16 +55,6 @@ func Analyze(former, later nf.ActionProfile) Hazard {
 	return HazardNone
 }
 
-// Parallelizable reports whether a later NF may run in parallel with a
-// former NF of the chain on duplicated packets. The check is directional,
-// as in Table III: WAR (former reads, later writes) is safe because the
-// former's copy still sees the pre-write packet, exactly as it would have
-// sequentially; RAW is not, because the later NF would lose the former's
-// writes.
-func Parallelizable(former, later nf.ActionProfile) bool {
-	return Analyze(former, later) == HazardNone
-}
-
 // Stage is one step of the re-organized SFC: NFs within a stage run in
 // parallel on duplicated traffic; stages run in sequence.
 type Stage struct {
@@ -93,8 +67,8 @@ type Stage struct {
 // (Analyze != none); each NF's stage is one past its deepest dependency.
 // Two NFs land in the same stage only if no dependency path separates
 // them, so every stage is hazard-free, and an NF unconstrained by its
-// immediate predecessor can still hoist past it — which the simpler greedy
-// grouping (kept as ParallelizeGreedy) cannot do.
+// immediate predecessor can still hoist past it — which a greedy
+// left-to-right grouping cannot do.
 func Parallelize(chain []*nf.NF) []Stage {
 	if len(chain) == 0 {
 		return nil
@@ -116,35 +90,6 @@ func Parallelize(chain []*nf.NF) []Stage {
 	stages := make([]Stage, maxLevel+1)
 	for i, f := range chain {
 		stages[level[i]].NFs = append(stages[level[i]].NFs, f)
-	}
-	return stages
-}
-
-// ParallelizeGreedy is the simpler left-to-right grouping: an NF joins the
-// current stage if it is pairwise-parallelizable with every NF already in
-// it, else it opens a new stage. Parallelize never produces more stages
-// than this (see TestParallelizeDominatesGreedy).
-func ParallelizeGreedy(chain []*nf.NF) []Stage {
-	var stages []Stage
-	for _, f := range chain {
-		placed := false
-		if n := len(stages); n > 0 {
-			cur := &stages[n-1]
-			ok := true
-			for _, g := range cur.NFs {
-				if !Parallelizable(g.Profile, f.Profile) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				cur.NFs = append(cur.NFs, f)
-				placed = true
-			}
-		}
-		if !placed {
-			stages = append(stages, Stage{NFs: []*nf.NF{f}})
-		}
 	}
 	return stages
 }

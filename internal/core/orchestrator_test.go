@@ -36,8 +36,8 @@ func TestTableIIIParallelizable(t *testing.T) {
 		{"length change blocks reversed", read, addrm, false},
 	}
 	for _, c := range cases {
-		if got := Parallelizable(c.former, c.later); got != c.want {
-			t.Errorf("%s: Parallelizable = %v, want %v (hazard %v)",
+		if got := parallelizable(c.former, c.later); got != c.want {
+			t.Errorf("%s: parallelizable = %v, want %v (hazard %v)",
 				c.name, got, c.want, Analyze(c.former, c.later))
 		}
 	}
@@ -60,11 +60,6 @@ func TestAnalyzeHazardKinds(t *testing.T) {
 	if h := Analyze(read, read); h != HazardNone {
 		t.Errorf("none: %v", h)
 	}
-	for _, h := range []Hazard{HazardNone, HazardRAW, HazardWAW, HazardLength, Hazard(9)} {
-		if h.String() == "" {
-			t.Error("empty hazard string")
-		}
-	}
 }
 
 func TestPaperExampleIDSWanProxyParallel(t *testing.T) {
@@ -74,11 +69,11 @@ func TestPaperExampleIDSWanProxyParallel(t *testing.T) {
 	// IDS only reads — WAR, safe in chain order IDS -> proxy.)
 	ids := nf.TableII[nf.KindIDS]
 	proxy := nf.TableII[nf.KindProxy]
-	if !Parallelizable(ids, proxy) {
+	if !parallelizable(ids, proxy) {
 		t.Error("IDS then Proxy should be parallelizable (WAR)")
 	}
 	// The reverse order is a RAW on the payload: not parallelizable.
-	if Parallelizable(proxy, ids) {
+	if parallelizable(proxy, ids) {
 		t.Error("Proxy then IDS is RAW on payload; must not parallelize")
 	}
 }
@@ -168,7 +163,7 @@ func TestParallelizeDominatesGreedy(t *testing.T) {
 						{Name: "d", Profile: profiles[d]},
 					}
 					dag := EffectiveLength(Parallelize(chain))
-					greedy := EffectiveLength(ParallelizeGreedy(chain))
+					greedy := EffectiveLength(parallelizeGreedy(chain))
 					if dag > greedy {
 						t.Fatalf("chain %d%d%d%d: DAG %d stages > greedy %d",
 							a, b, c, d, dag, greedy)
@@ -210,7 +205,7 @@ func TestParallelizeHoistsIndependentNF(t *testing.T) {
 		{Name: "r-pl", Profile: rp},  // dep on w-pl -> level 1
 	}
 	dag := Parallelize(chain2)
-	greedy := ParallelizeGreedy(chain2)
+	greedy := parallelizeGreedy(chain2)
 	if EffectiveLength(dag) != 2 {
 		t.Errorf("DAG levels = %d, want 2", EffectiveLength(dag))
 	}
@@ -218,4 +213,43 @@ func TestParallelizeHoistsIndependentNF(t *testing.T) {
 		t.Errorf("expected greedy (%d) worse than DAG (%d) here",
 			EffectiveLength(greedy), EffectiveLength(dag))
 	}
+}
+
+// parallelizable reports whether a later NF may run in parallel with a
+// former NF of the chain on duplicated packets. The check is directional,
+// as in Table III: WAR (former reads, later writes) is safe because the
+// former's copy still sees the pre-write packet, exactly as it would have
+// sequentially; RAW is not, because the later NF would lose the former's
+// writes.
+func parallelizable(former, later nf.ActionProfile) bool {
+	return Analyze(former, later) == HazardNone
+}
+
+// parallelizeGreedy is the simpler left-to-right grouping: an NF joins the
+// current stage if it is pairwise-parallelizable with every NF already in
+// it, else it opens a new stage. Parallelize never produces more stages
+// than this (see TestParallelizeDominatesGreedy).
+func parallelizeGreedy(chain []*nf.NF) []Stage {
+	var stages []Stage
+	for _, f := range chain {
+		placed := false
+		if n := len(stages); n > 0 {
+			cur := &stages[n-1]
+			ok := true
+			for _, g := range cur.NFs {
+				if !parallelizable(g.Profile, f.Profile) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				cur.NFs = append(cur.NFs, f)
+				placed = true
+			}
+		}
+		if !placed {
+			stages = append(stages, Stage{NFs: []*nf.NF{f}})
+		}
+	}
+	return stages
 }

@@ -32,7 +32,7 @@
 // With metrics off, the per-batch steady state allocates nothing: batches
 // travel between stages as by-value stageMsgs, one-output elements
 // implementing element.SingleOut bypass the output-slice allocation, and
-// arena-backed batches (netpkt.GetBatch/ClonePooled) are recycled with an
+// arena-backed batches (Arena.GetBatch, Batch.ClonePooled) are recycled with an
 // explicit Release at the sink. TestPooledHotPathAllocs guards the
 // 0 allocs/op property in CI; BenchmarkPipelineHotPath measures it.
 //

@@ -86,10 +86,9 @@ type TraceSink interface {
 // events. It trades a mutex per event for zero allocation steady-state; use
 // it for debugging runs, not saturation benchmarks.
 type RingTrace struct {
-	mu    sync.Mutex
-	buf   []TraceEvent
-	next  int
-	total uint64
+	mu   sync.Mutex
+	buf  []TraceEvent
+	next int
 }
 
 // NewRingTrace returns a ring buffer holding the last n events (minimum 1).
@@ -109,16 +108,7 @@ func (r *RingTrace) Emit(e TraceEvent) {
 		r.buf[r.next] = e
 		r.next = (r.next + 1) % cap(r.buf)
 	}
-	r.total++
 	r.mu.Unlock()
-}
-
-// Total returns the number of events ever emitted (including overwritten
-// ones).
-func (r *RingTrace) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Events returns the retained events in emission order.

@@ -58,18 +58,10 @@ func (hb *HostBackend) Process(el Element, b *netpkt.Batch) []*netpkt.Batch {
 	return el.Process(b)
 }
 
-// SegmentProcessor is the optional Backend capability behind device-resident
-// segment fusion: executing a chain of one-output elements as a single
-// submission, each element consuming the previous one's sole output without
-// the batch ever leaving the backend. Engines probe for it to collapse a
-// fused segment's interior hand-offs.
-type SegmentProcessor interface {
-	Backend
-	ProcessSegment(els []Element, b *netpkt.Batch, step func(i int, out *netpkt.Batch)) (executed int, final *netpkt.Batch, err error)
-}
-
-// ProcessSegment implements SegmentProcessor: it runs els[0] → els[1] → …
-// on b, feeding each element's single output to the next. step, when
+// ProcessSegment is the host side of device-resident segment fusion: it
+// executes a chain of one-output elements as a single submission, running
+// els[0] → els[1] → … on b and feeding each element's single output to the
+// next without the batch leaving the backend. step, when
 // non-nil, is called after each element with its index and output batch —
 // the hook engines use for per-element timing and live-count accounting.
 // The chain stops early when an element emits no batch (nil, or one with

@@ -283,9 +283,6 @@ func TestGraphStringAndAccessors(t *testing.T) {
 	if len(g.Sources()) != 1 || len(g.Sinks()) != 1 {
 		t.Error("Sources/Sinks wrong")
 	}
-	if len(g.Predecessors(b)) != 1 {
-		t.Error("Predecessors wrong")
-	}
 }
 
 func TestExecutorResetClearsState(t *testing.T) {

@@ -85,17 +85,6 @@ func (g *Graph) Successors(id NodeID) [][]NodeID {
 	return out
 }
 
-// Predecessors returns the nodes with an edge into id.
-func (g *Graph) Predecessors(id NodeID) []NodeID {
-	var out []NodeID
-	for _, e := range g.edges {
-		if e.To == id {
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
 // Sources returns nodes with no incoming edges.
 func (g *Graph) Sources() []NodeID {
 	indeg := make([]int, len(g.nodes))
@@ -176,15 +165,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a copy of the graph topology referencing the same element
-// instances. Synthesizer passes clone before rewriting.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		nodes: append([]Element(nil), g.nodes...),
-		edges: append([]Edge(nil), g.edges...),
-	}
 }
 
 // RemoveNode deletes a node, splicing each incoming edge to the sole

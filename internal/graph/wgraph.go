@@ -99,9 +99,6 @@ func (g *WGraph) AddEdge(u, v int, w float64) error {
 	return nil
 }
 
-// Neighbors returns the adjacency list of v (shared slice; do not mutate).
-func (g *WGraph) Neighbors(v int) []WEdge { return g.adj[v] }
-
 // NumEdges returns the number of undirected edges.
 func (g *WGraph) NumEdges() int {
 	n := 0

@@ -54,9 +54,8 @@ func TestCostModelAggregationSavesLatency(t *testing.T) {
 	}
 }
 
-// TestSimulatorSharesCostModel: the simulator must expose the cost model it
-// prices with, carrying its contention and co-run context — the dataplane's
-// device backend consumes this to stay consistent with the allocator.
+// TestSimulatorSharesCostModel: the cost model the simulator prices with
+// must carry its contention and co-run context.
 func TestSimulatorSharesCostModel(t *testing.T) {
 	g := chainGraph(idsNF("ids"))
 	as := Assignment{2: {Mode: ModeGPU}}
@@ -64,9 +63,9 @@ func TestSimulatorSharesCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := sim.CostModel()
+	cm := sim.cm
 	if cm == nil {
-		t.Fatal("Simulator.CostModel() = nil")
+		t.Fatal("Simulator.cm = nil")
 	}
 	if cm.Contention == nil {
 		t.Error("shared cost model lost the simulator's contention context")

@@ -191,18 +191,6 @@ func DefaultCosts() map[string]ElemCost {
 			CPUCyclesPerPkt: 160, MemAccessPerPkt: 3,
 			MemIntensity: 0.5, FootprintBytes: 4 << 20,
 		},
-		"Queue":       {CPUCyclesPerPkt: 45, MemIntensity: 0.1, FootprintBytes: 512 << 10},
-		"CheckPaint":  {CPUCyclesPerPkt: 25, GPUCyclesPerPkt: 12, Divergence: 1.3},
-		"SetDSCP":     {CPUCyclesPerPkt: 55, GPUCyclesPerPkt: 25, Divergence: 1},
-		"RateLimiter": {CPUCyclesPerPkt: 70, MemIntensity: 0.05, FootprintBytes: 4 << 10},
-		"IPFragmenter": {
-			CPUCyclesPerPkt: 120, CPUCyclesPerByte: 0.5, // header builds + copies
-			MemIntensity: 0.3, FootprintBytes: 256 << 10,
-		},
-		"IPDefragmenter": {
-			CPUCyclesPerPkt: 180, CPUCyclesPerByte: 0.6, MemAccessPerPkt: 3,
-			MemIntensity: 0.5, FootprintBytes: 6 << 20,
-		},
 		"Discard": {CPUCyclesPerPkt: 20},
 		"ACL": {
 			// Per-packet cost dominated by exact classification-tree

@@ -116,7 +116,7 @@ func TestPriceMatchesRun(t *testing.T) {
 				name string
 				a    hetsim.Assignment
 			}{
-				{"all-cpu", hetsim.AllCPU(g)},
+				{"all-cpu", hetsim.Assignment{}},
 				{"all-gpu", hetsim.AllGPU(g)},
 				{"gpu-heavy", hetsim.GPUHeavy(g)},
 				{"split-0.3", hetsim.UniformSplit(g, 0.3)},
@@ -167,7 +167,7 @@ func BenchmarkPriceCandidates(b *testing.B) {
 	sample := traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Seed: 1, Flows: 4096}).Batches(120, 64)
 	p := hetsim.DefaultPlatform()
 	var sims []*hetsim.Simulator
-	for _, a := range []hetsim.Assignment{hetsim.AllCPU(g), hetsim.AllGPU(g), hetsim.GPUHeavy(g),
+	for _, a := range []hetsim.Assignment{hetsim.Assignment{}, hetsim.AllGPU(g), hetsim.GPUHeavy(g),
 		hetsim.UniformSplit(g, 0.3), fusedPair(g)} {
 		sim, err := hetsim.NewSimulator(p, nil, g, a)
 		if err != nil {

@@ -61,9 +61,6 @@ type Placement struct {
 // Assignment maps graph nodes to placements; missing nodes default to CPU.
 type Assignment map[element.NodeID]Placement
 
-// AllCPU returns the assignment placing everything on the CPU.
-func AllCPU(g *element.Graph) Assignment { return Assignment{} }
-
 // AllGPU places every offloadable element on the GPU.
 func AllGPU(g *element.Graph) Assignment {
 	a := make(Assignment)
@@ -282,12 +279,6 @@ func (s *Simulator) contentionFor(kind string) float64 {
 	}
 	return 1
 }
-
-// CostModel exposes the simulator's pricing arithmetic with its current
-// contention and resident-kernel context installed — the table the live
-// dataplane's device backend shares (one source of truth; see
-// costmodel.go).
-func (s *Simulator) CostModel() *CostModel { return s.cm }
 
 // visit is what one (node, batch) step of the functional pass leaves for
 // pricing: who produced the batch, what went in, what the element's exact

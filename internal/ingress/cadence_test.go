@@ -117,7 +117,7 @@ func TestObservationCadence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if st.Batches != batches || st.Packets != n || st.Drops != badSum+ttl1 || rec.Ledger().Total() != 0 {
-				t.Fatalf("pump: %s; ledger %s", st, rec.Ledger())
+				t.Fatalf("pump: %+v; ledger %s", *st, rec.Ledger())
 			}
 
 			// Counts: exact on every batch, every element, every edge.

@@ -73,8 +73,8 @@ func TestPcapSourceLoopAndRekey(t *testing.T) {
 	if len(flowIDs) != 3 || len(pass) != 0 {
 		t.Fatalf("replayed %d full passes (+%d stragglers), want 3", len(flowIDs), len(pass))
 	}
-	if src.Passes() != 3 || src.Count() != 120 {
-		t.Fatalf("Passes=%d Count=%d", src.Passes(), src.Count())
+	if src.pass != 3 || src.count != 120 {
+		t.Fatalf("passes=%d count=%d", src.pass, src.count)
 	}
 	// Pass 0 keeps the plain flow hash (so it matches BatchesFromPcap);
 	// later passes are salted into fresh flow identities.
@@ -153,23 +153,21 @@ func TestUDPSourceSinkLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := NewUDPSink(src.LocalAddr().String())
+	conn, err := net.Dial("udp", src.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close()
+	defer conn.Close()
 
 	gen := traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(128), Flows: 8, Seed: 11})
 	const n = 24
 	want := make(map[string]int, n)
-	b := netpkt.NewBatch(0, nil)
 	for i := 0; i < n; i++ {
 		p := gen.NextPacket()
 		want[string(p.Data)]++
-		b.Packets = append(b.Packets, p)
-	}
-	if err := sink.Consume(b); err != nil {
-		t.Fatal(err)
+		if _, err := conn.Write(p.Data); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	got := make(map[string]int, n)
@@ -445,7 +443,7 @@ func TestPumpFlowLedger(t *testing.T) {
 				t.Fatalf("ran %d queue workers, want %d", st.Workers, row.rxWorkers)
 			}
 			if st.ExpiredFlows == 0 || st.EvictedFlows == 0 {
-				t.Fatalf("trace did not exercise both reclaim paths: %s", st)
+				t.Fatalf("trace did not exercise both reclaim paths: %+v", *st)
 			}
 			if st.PeakFlows != capacity {
 				t.Fatalf("PeakFlows = %d, want the bound %d", st.PeakFlows, capacity)

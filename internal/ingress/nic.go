@@ -35,11 +35,8 @@ func NewNIC(queues int) *NIC {
 // Queues reports the queue count.
 func (n *NIC) Queues() int { return n.queues }
 
-// Queue classifies a packet to its receive queue (RSS hash + indirection).
-func (n *NIC) Queue(p *netpkt.Packet) int { return n.rss.Queue(p) }
-
 // QueueBatch classifies a read batch in one call (see RSS.QueueBatch):
-// identical mapping to per-packet Queue, amortized table walk.
+// identical mapping to per-packet RSS.Queue, amortized table walk.
 func (n *NIC) QueueBatch(pkts []*netpkt.Packet, dst []int) []int {
 	return n.rss.QueueBatch(pkts, dst)
 }

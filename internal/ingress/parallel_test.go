@@ -118,7 +118,7 @@ func oracle(t *testing.T, capt []byte, loops, queues int, build func(int) (*elem
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := nic.Queue(p)
+		q := nic.rss.Queue(p)
 		if pending[q] = append(pending[q], p); len(pending[q]) == 32 {
 			run(q)
 		}
@@ -463,7 +463,7 @@ func TestRSSQueueBatchMatchesQueue(t *testing.T) {
 		t.Fatalf("QueueBatch returned %d queues for %d packets", len(got), len(pkts))
 	}
 	for i, p := range pkts {
-		if want := nic.Queue(p); got[i] != want {
+		if want := nic.rss.Queue(p); got[i] != want {
 			t.Fatalf("packet %d: QueueBatch=%d Queue=%d", i, got[i], want)
 		}
 	}

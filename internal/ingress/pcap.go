@@ -199,12 +199,6 @@ func (s *PcapSource) Split(n int) ([]Source, error) {
 	return subs, nil
 }
 
-// Passes reports how many full passes have completed.
-func (s *PcapSource) Passes() int { return s.pass }
-
-// Count reports how many packets have been released.
-func (s *PcapSource) Count() uint64 { return s.count }
-
 // Close implements Source.
 func (s *PcapSource) Close() error {
 	if s.closed {

@@ -98,13 +98,6 @@ func (st *PumpStats) E2ELabel() string {
 	return st.P99.Round(time.Microsecond).String()
 }
 
-// String summarizes the run on one line.
-func (st *PumpStats) String() string {
-	return fmt.Sprintf("pump: %d pkts %d batches %.0f pps %d flows (%d expired, %d evicted) out=%d drops=%d p99=%s (%d readers, %d workers)",
-		st.Packets, st.Batches, st.PPS, st.Flows, st.ExpiredFlows, st.EvictedFlows, st.OutPackets, st.Drops,
-		st.E2ELabel(), st.Readers, st.Workers)
-}
-
 // Pump replays a source through a sharded pipeline until the source is
 // exhausted (io.EOF) or ctx is cancelled, then drains and returns the run's
 // statistics. Pump owns the pipeline lifecycle: sp must be built

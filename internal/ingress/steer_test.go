@@ -76,7 +76,7 @@ func TestNICSteer(t *testing.T) {
 		want := make([][]*netpkt.Packet, shards)
 		for _, b := range batches {
 			for _, p := range b.Packets {
-				q := nic.Queue(p)
+				q := nic.rss.Queue(p)
 				want[q] = append(want[q], p)
 			}
 		}
@@ -103,9 +103,9 @@ func TestNICSteer(t *testing.T) {
 		q := -1
 		for _, p := range traffic.NewGenerator(traffic.Config{Size: traffic.IMIX{}, Flows: 64, Seed: 103}).NextBatch(64).Packets {
 			if q < 0 {
-				q = nic.Queue(p)
+				q = nic.rss.Queue(p)
 			}
-			if nic.Queue(p) == q {
+			if nic.rss.Queue(p) == q {
 				pkts = append(pkts, p)
 			}
 		}

@@ -88,38 +88,3 @@ func (s *UDPSource) Next() (*netpkt.Packet, error) {
 
 // Close implements Source.
 func (s *UDPSource) Close() error { return s.conn.Close() }
-
-// UDPSink emits each live output packet as one UDP datagram to a fixed
-// destination — the transmit half of socket I/O, closing the loop for
-// chained processes (one nfcompass's sink feeding another's source).
-type UDPSink struct {
-	conn net.Conn
-}
-
-// NewUDPSink dials the destination address.
-func NewUDPSink(addr string) (*UDPSink, error) {
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &UDPSink{conn: conn}, nil
-}
-
-// Consume implements Sink: live packets go on the wire, everything is
-// released.
-func (k *UDPSink) Consume(b *netpkt.Batch) error {
-	var firstErr error
-	for _, p := range b.Packets {
-		if p == nil || p.Dropped {
-			continue
-		}
-		if _, err := k.conn.Write(p.Data); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	b.Release()
-	return firstErr
-}
-
-// Close implements Sink.
-func (k *UDPSink) Close() error { return k.conn.Close() }

@@ -202,39 +202,3 @@ func (sa *SA) acceptReplay(seq uint32) {
 
 // Overhead returns the byte overhead Seal adds to a plaintext.
 func Overhead() int { return espHeaderLen + ivLen + icvLen }
-
-// DB is a security-association database indexed by SPI.
-type DB struct {
-	sas map[uint32]*SA
-}
-
-// NewDB returns an empty SA database.
-func NewDB() *DB { return &DB{sas: make(map[uint32]*SA)} }
-
-// Add registers an SA, replacing any existing SA with the same SPI.
-func (db *DB) Add(sa *SA) { db.sas[sa.SPI] = sa }
-
-// Lookup returns the SA for spi.
-func (db *DB) Lookup(spi uint32) (*SA, error) {
-	sa, ok := db.sas[spi]
-	if !ok {
-		return nil, fmt.Errorf("%w %#x", ErrUnknownSPI, spi)
-	}
-	return sa, nil
-}
-
-// Len returns the number of SAs.
-func (db *DB) Len() int { return len(db.sas) }
-
-// OpenPacket finds the SA by the SPI in the ESP header and opens the
-// payload with it.
-func (db *DB) OpenPacket(esp []byte) ([]byte, error) {
-	if len(esp) < 4 {
-		return nil, ErrTruncated
-	}
-	sa, err := db.Lookup(binary.BigEndian.Uint32(esp[0:4]))
-	if err != nil {
-		return nil, err
-	}
-	return sa.Open(esp)
-}

@@ -160,33 +160,6 @@ func TestWrongSPI(t *testing.T) {
 	}
 }
 
-func TestDB(t *testing.T) {
-	db := NewDB()
-	enc := []byte("0123456789abcdef")
-	sa1, _ := NewSA(1, enc, []byte("a"))
-	sa2, _ := NewSA(2, enc, []byte("b"))
-	db.Add(sa1)
-	db.Add(sa2)
-	if db.Len() != 2 {
-		t.Errorf("Len = %d", db.Len())
-	}
-	tx, _ := NewSA(2, enc, []byte("b"))
-	esp, _ := tx.Seal(nil, []byte("via db"))
-	pt, err := db.OpenPacket(esp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pt) != "via db" {
-		t.Errorf("pt = %q", pt)
-	}
-	if _, err := db.Lookup(99); err == nil {
-		t.Error("Lookup(99) succeeded")
-	}
-	if _, err := db.OpenPacket([]byte{1, 2}); !errors.Is(err, ErrTruncated) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	enc := []byte("fedcba9876543210")
 	auth := []byte("hmac-key")

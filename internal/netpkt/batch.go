@@ -83,40 +83,6 @@ func (b *Batch) LiveBytes() (live, bytes int) {
 	return live, bytes
 }
 
-// SplitBy partitions the batch into sub-batches keyed by class(p), in
-// first-seen class order. Dropped packets are omitted. This models the
-// batch re-organization an element branch forces on the framework; the
-// number of resulting sub-batches drives the split cost model.
-func (b *Batch) SplitBy(class func(*Packet) int) []*Batch {
-	order := make([]int, 0, 4)
-	groups := make(map[int][]*Packet, 4)
-	for _, p := range b.Packets {
-		if p.Dropped {
-			continue
-		}
-		c := class(p)
-		if _, ok := groups[c]; !ok {
-			order = append(order, c)
-		}
-		groups[c] = append(groups[c], p)
-	}
-	out := make([]*Batch, 0, len(order))
-	for _, c := range order {
-		out = append(out, b.Derive(groups[c]))
-	}
-	return out
-}
-
-// Filter returns a new batch containing the live packets for which keep
-// returns true; the rest are marked dropped with reason.
-func (b *Batch) Filter(reason string, keep func(*Packet) bool) {
-	for _, p := range b.Packets {
-		if !p.Dropped && !keep(p) {
-			p.Drop(reason)
-		}
-	}
-}
-
 // Clone deep-copies the batch. Parallelized SFC branches each process a
 // clone of the input traffic (paper §IV-B-1: "It just creates the copy of
 // network packets and distributes them").

@@ -1,10 +1,6 @@
 package netpkt
 
-import (
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func makeBatch(t *testing.T, n int) *Batch {
 	t.Helper()
@@ -18,54 +14,6 @@ func makeBatch(t *testing.T, n int) *Batch {
 		})
 	}
 	return NewBatch(42, pkts)
-}
-
-// mergeBySeq concatenates sub-batches and restores their packets' original
-// order from SeqInBatch — what SplitBy's parts must carry for a consumer to
-// put a split batch back together.
-func mergeBySeq(parts []*Batch) []*Packet {
-	var merged []*Packet
-	for _, part := range parts {
-		merged = append(merged, part.Packets...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].SeqInBatch < merged[j].SeqInBatch })
-	return merged
-}
-
-func TestSplitByAndMergeRestoresOrder(t *testing.T) {
-	b := makeBatch(t, 16)
-	parts := b.SplitBy(func(p *Packet) int { return int(p.FlowID) })
-	if len(parts) != 4 {
-		t.Fatalf("SplitBy produced %d parts, want 4", len(parts))
-	}
-	total := 0
-	for _, part := range parts {
-		total += part.Len()
-		if part.ID != 42 {
-			t.Errorf("sub-batch lost origin ID: %d", part.ID)
-		}
-	}
-	if total != 16 {
-		t.Fatalf("split lost packets: %d", total)
-	}
-	merged := mergeBySeq(parts)
-	if len(merged) != 16 {
-		t.Fatalf("merged len = %d", len(merged))
-	}
-	for i, p := range merged {
-		if p.SeqInBatch != i {
-			t.Fatalf("packet %d out of order (seq %d)", i, p.SeqInBatch)
-		}
-	}
-}
-
-func TestSplitBySkipsDropped(t *testing.T) {
-	b := makeBatch(t, 8)
-	b.Packets[3].Drop("test")
-	parts := b.SplitBy(func(p *Packet) int { return 0 })
-	if len(parts) != 1 || parts[0].Len() != 7 {
-		t.Fatalf("parts = %d, len = %d", len(parts), parts[0].Len())
-	}
 }
 
 func TestBatchCounters(t *testing.T) {
@@ -89,19 +37,6 @@ func TestBatchCounters(t *testing.T) {
 	}
 }
 
-func TestBatchFilter(t *testing.T) {
-	b := makeBatch(t, 10)
-	b.Filter("odd", func(p *Packet) bool { return p.SeqInBatch%2 == 0 })
-	if b.Live() != 5 {
-		t.Errorf("Live = %d, want 5", b.Live())
-	}
-	for _, p := range b.Packets {
-		if p.Dropped && p.DropReason != "odd" {
-			t.Errorf("wrong drop reason %q", p.DropReason)
-		}
-	}
-}
-
 func TestBatchCloneIndependent(t *testing.T) {
 	b := makeBatch(t, 3)
 	c := b.Clone()
@@ -112,34 +47,6 @@ func TestBatchCloneIndependent(t *testing.T) {
 	}
 	if b.Packets[1].Dropped {
 		t.Error("clone shares packet metadata")
-	}
-}
-
-func TestSplitMergeProperty(t *testing.T) {
-	f := func(classes []uint8) bool {
-		if len(classes) == 0 {
-			return true
-		}
-		pkts := make([]*Packet, len(classes))
-		for i, c := range classes {
-			pkts[i] = NewPacket(make([]byte, 64))
-			pkts[i].Paint = c % 5
-		}
-		b := NewBatch(1, pkts)
-		parts := b.SplitBy(func(p *Packet) int { return int(p.Paint) })
-		merged := mergeBySeq(parts)
-		if len(merged) != len(classes) {
-			return false
-		}
-		for i, p := range merged {
-			if p.Paint != classes[i]%5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -174,8 +81,8 @@ func TestCompletionQueueOrderedRelease(t *testing.T) {
 	if got := q.Pop(); got == nil || got.ID != 2 {
 		t.Fatalf("Pop = %v, want batch 2", got)
 	}
-	if q.PendingLen() != 0 {
-		t.Errorf("PendingLen = %d", q.PendingLen())
+	if len(q.pending) != 0 {
+		t.Errorf("pending = %d", len(q.pending))
 	}
 }
 

@@ -65,8 +65,3 @@ func (q *CompletionQueue) Pop() *Batch {
 	q.ready = q.ready[1:]
 	return b
 }
-
-// PendingLen returns the number of batches still held back (buffering cost
-// of order preservation — the stateful re-organization overhead of
-// §III-B-1-b).
-func (q *CompletionQueue) PendingLen() int { return len(q.pending) }

@@ -7,18 +7,18 @@
 //
 // A Packet is a mutable byte buffer plus the metadata annotations that Click
 // style elements attach to packets as they traverse an element graph: the
-// paint annotation used by Paint/CheckPaint elements, a flow identifier, the
-// arrival and departure timestamps (in simulated nanoseconds), and the parsed
-// L3/L4 offsets.
+// paint annotation written by the Paint and load-balancer elements, a flow
+// identifier, the arrival and departure timestamps (in simulated
+// nanoseconds), and the parsed L3/L4 offsets.
 //
 // A Batch is the processing granularity: elements consume and emit whole
-// batches, and SplitBy models the batch re-organization costs the paper
-// characterizes (Fig. 5); its parts keep SeqInBatch, so a consumer can put
-// a split batch back in order.
+// batches. An element with several outputs splits a batch into per-port
+// parts with Derive; the packets keep SeqInBatch, so a consumer can put a
+// split batch back in order.
 //
 // Three clone flavours cover the duplication needs of SFC parallelization:
-// Clone (private heap copy), ClonePooled/CloneInto (private copy from the
-// sync.Pool arena, returned with Release/PutPacket), and ShallowClone
+// Clone (private heap copy), Batch.ClonePooled/CloneInto (private copy from
+// the sync.Pool arena, returned with Release/PutPacket), and ShallowClone
 // (a pooled header with private annotations and shared wire bytes — for
 // branches that hazard analysis proves read-only). The arena's ownership
 // rules — one Put per Get, double release panics, shared buffers are never

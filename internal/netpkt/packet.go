@@ -56,7 +56,7 @@ type Packet struct {
 	// clones inherit it like every other annotation.
 	Tenant uint16
 
-	// Paint is the Click paint annotation (Paint / CheckPaint elements).
+	// Paint is the Click paint annotation (Paint and load-balancer elements).
 	Paint byte
 
 	// SeqInBatch is the packet's position in its original input batch. The
@@ -140,15 +140,6 @@ func (p *Packet) CloneInto(q *Packet) {
 	q.shared, q.pooled = false, false
 }
 
-// ClonePooled is Clone backed by the arena: the copy's storage comes from
-// GetPacket and must eventually go back via PutPacket (or the owning
-// batch's Release).
-func (p *Packet) ClonePooled() *Packet {
-	q := GetPacket(len(p.Data))
-	p.CloneInto(q)
-	return q
-}
-
 // ShallowClone copies the packet struct — annotations, offsets, drop state
 // — but shares the wire bytes with the original. It is the copy the
 // optimized duplication scheme hands to branches whose hazard analysis
@@ -179,19 +170,6 @@ func (p *Packet) ShallowClone() *Packet {
 // duplicator made) and for p not being a shallow clone itself, whose bytes
 // would belong to someone else.
 func (p *Packet) Unshare() { p.shared = false }
-
-// EnsureOwned gives the packet private wire bytes if they are currently
-// shared with a shallow clone — the copy-on-write escape hatch for a caller
-// about to modify Data without a hazard-analysis guarantee.
-func (p *Packet) EnsureOwned() {
-	if !p.shared {
-		return
-	}
-	data := make([]byte, len(p.Data))
-	copy(data, p.Data)
-	p.Data = data
-	p.shared = false
-}
 
 // FlowKey returns the packet's flow-affinity key, which keeps every packet
 // of a flow on the same shard where no IP flow tuple is available. The

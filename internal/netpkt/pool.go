@@ -119,10 +119,6 @@ func (a *Arena) GetBatch(capacity int) *Batch {
 // Arena.GetPacket).
 func GetPacket(n int) *Packet { return defaultArena.GetPacket(n) }
 
-// GetBatch returns an empty batch from the default arena (see
-// Arena.GetBatch).
-func GetBatch(capacity int) *Batch { return defaultArena.GetBatch(capacity) }
-
 // Outstanding is the default arena's ledger (see Arena.Outstanding): what
 // code that clones batches built outside any arena must leave as it found.
 func Outstanding() int64 { return defaultArena.Outstanding() }

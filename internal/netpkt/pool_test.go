@@ -15,7 +15,7 @@ func poolPacket(t *testing.T, n int, fill byte) *Packet {
 	return p
 }
 
-// TestPooledCloneEquivalence: ClonePooled/CloneInto must reproduce exactly
+// TestPooledCloneEquivalence: CloneInto and Batch.ClonePooled must reproduce exactly
 // what Clone produces — bytes, annotations, offsets, drop state.
 func TestPooledCloneEquivalence(t *testing.T) {
 	src := NewPacket([]byte{1, 2, 3, 4, 5})
@@ -26,7 +26,8 @@ func TestPooledCloneEquivalence(t *testing.T) {
 	src.UserAnno[0] = 0xAA
 
 	ref := src.Clone()
-	got := src.ClonePooled()
+	got := GetPacket(len(src.Data))
+	src.CloneInto(got)
 	defer PutPacket(got)
 	if !bytes.Equal(ref.Data, got.Data) || got.FlowID != ref.FlowID ||
 		got.Paint != ref.Paint || got.SeqInBatch != ref.SeqInBatch ||
@@ -64,7 +65,7 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 		PutPacket(p)
 	}()
 
-	b := GetBatch(4)
+	b := defaultArena.GetBatch(4)
 	PutBatch(b)
 	func() {
 		defer func() {
@@ -118,17 +119,6 @@ func TestPoolSharedBuffersNotRecycled(t *testing.T) {
 	}
 }
 
-// TestEnsureOwned: copy-on-write must detach the clone from the original.
-func TestEnsureOwned(t *testing.T) {
-	p := NewPacket([]byte{1, 2, 3})
-	q := p.ShallowClone()
-	q.EnsureOwned()
-	q.Data[0] = 9
-	if p.Data[0] != 1 {
-		t.Fatal("EnsureOwned did not detach the buffer")
-	}
-}
-
 // TestPoolConcurrentArena: hammer the arena from many goroutines; run under
 // -race in CI to prove Get/Put/poison have no data races.
 func TestPoolConcurrentArena(t *testing.T) {
@@ -142,7 +132,7 @@ func TestPoolConcurrentArena(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				p := GetPacket(64 + i%64)
 				p.Data[0] = byte(g)
-				b := GetBatch(4)
+				b := defaultArena.GetBatch(4)
 				b.Packets = append(b.Packets, p)
 				b.ID = uint64(i)
 				if got := b.Packets[0].Data[0]; got != byte(g) {

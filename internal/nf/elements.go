@@ -166,20 +166,29 @@ func NewAhoCorasickMatch(name, sig string, m *ac.Matcher, dropOnMatch bool) *Aho
 // Name implements element.Element.
 func (e *AhoCorasickMatch) Name() string { return e.name }
 
-// Traits implements element.Element.
+// Traits implements element.Element. The matcher keeps statistics
+// counters and no per-flow state: each packet's verdict depends on its own
+// payload alone.
 func (e *AhoCorasickMatch) Traits() element.Traits {
 	return element.Traits{
 		Kind: "AhoCorasick", Class: element.ClassClassifier,
 		ReadsHeader: true, ReadsPayload: true, CanDrop: e.DropOnMatch,
-		Offloadable: true, Stateful: true,
+		Offloadable: true,
 	}
 }
 
 // NumOutputs implements element.Element.
 func (e *AhoCorasickMatch) NumOutputs() int { return 1 }
 
-// Signature implements element.Element.
-func (e *AhoCorasickMatch) Signature() string { return "AhoCorasick/" + e.sig }
+// Signature implements element.Element: the pattern set and the drop mode,
+// so an alert-only and a drop-on-match matcher never stand in for each
+// other.
+func (e *AhoCorasickMatch) Signature() string {
+	if e.DropOnMatch {
+		return "AhoCorasick/" + e.sig + "/drop"
+	}
+	return "AhoCorasick/" + e.sig
+}
 
 // Process implements element.Element.
 func (e *AhoCorasickMatch) Process(b *netpkt.Batch) []*netpkt.Batch {
@@ -473,11 +482,6 @@ func (e *NATRewrite) Reset() {
 	clear(e.portInUse[:])
 	e.nextPort = natFirstPort
 }
-
-// FlowsTracked reports live NAT mappings; FlowEvictions reports mappings
-// dropped to the state bound.
-func (e *NATRewrite) FlowsTracked() int     { return e.flows.Len() }
-func (e *NATRewrite) FlowEvictions() uint64 { return e.flows.Evictions }
 
 // LoadBalance assigns each flow to one of n backends by consistent flow
 // hashing, recording the choice in the paint annotation.

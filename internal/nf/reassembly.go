@@ -148,12 +148,6 @@ func (e *TCPReassembly) Reset() {
 	e.Buffered, e.Released, e.Overflows, e.HeldBytes = 0, 0, 0, 0
 }
 
-// FlowsTracked reports the live flow-state count (the memory budget).
-func (e *TCPReassembly) FlowsTracked() int { return e.flows.Len() }
-
-// FlowEvictions reports flow contexts dropped to the state bound.
-func (e *TCPReassembly) FlowEvictions() uint64 { return e.flows.Evictions }
-
 // StreamAhoCorasick scans reassembled flows with per-flow resumable
 // automaton state, catching patterns that span segment boundaries — the
 // capability stateless per-packet scanning (AhoCorasickMatch) lacks, and

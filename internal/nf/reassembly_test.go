@@ -111,8 +111,8 @@ func TestReassemblyFlowsIndependent(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("got %v", got)
 	}
-	if e.FlowsTracked() != 2 {
-		t.Errorf("FlowsTracked = %d", e.FlowsTracked())
+	if e.flows.Len() != 2 {
+		t.Errorf("FlowsTracked = %d", e.flows.Len())
 	}
 }
 
@@ -230,10 +230,10 @@ func TestReassemblyFlowEviction(t *testing.T) {
 	for flow := uint64(0); flow < 10000; flow++ {
 		e.Process(netpkt.NewBatch(flow, []*netpkt.Packet{tcpSeg(flow, 100, "x")}))
 	}
-	if e.FlowsTracked() > 8192 {
-		t.Errorf("FlowsTracked = %d, bound is 8192", e.FlowsTracked())
+	if e.flows.Len() > 8192 {
+		t.Errorf("FlowsTracked = %d, bound is 8192", e.flows.Len())
 	}
-	if e.FlowEvictions() == 0 {
+	if e.flows.Evictions == 0 {
 		t.Error("no evictions under churn")
 	}
 }
@@ -245,10 +245,10 @@ func TestNATFlowEviction(t *testing.T) {
 			SrcIP: 1, DstIP: 2, SrcPort: 9, DstPort: 80, FlowID: flow})
 		nat.Process(netpkt.NewBatch(flow, []*netpkt.Packet{p}))
 	}
-	if nat.FlowsTracked() > 45000 {
-		t.Errorf("FlowsTracked = %d, bound is 45000", nat.FlowsTracked())
+	if nat.flows.Len() > 45000 {
+		t.Errorf("FlowsTracked = %d, bound is 45000", nat.flows.Len())
 	}
-	if nat.FlowEvictions() == 0 {
+	if nat.flows.Evictions == 0 {
 		t.Error("no evictions under churn")
 	}
 }

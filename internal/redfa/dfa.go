@@ -96,8 +96,7 @@ type DFA struct {
 	// trans[s*256+c] is the next state; dead states loop to themselves.
 	trans []int32
 	// accept[s] reports whether s is accepting.
-	accept  []bool
-	pattern string
+	accept []bool
 	// anchoredEnd requires the match to end exactly at the input's end
 	// ('$'); without it the scan returns on the first accepting state.
 	anchoredEnd bool
@@ -140,7 +139,6 @@ func Compile(pattern string) (*DFA, error) {
 
 	dfa := subsetConstruct(&n)
 	dfa = minimize(dfa)
-	dfa.pattern = pattern
 	dfa.anchoredEnd = anchoredEnd
 	return dfa, nil
 }
@@ -327,9 +325,6 @@ func minimize(d *DFA) *DFA {
 // platform cost model).
 func (d *DFA) NumStates() int { return len(d.accept) }
 
-// Pattern returns the source pattern text.
-func (d *DFA) Pattern() string { return d.pattern }
-
 // MatchBytes reports whether the pattern occurs in data (anywhere by
 // default; at the input's end when the pattern carries a '$' anchor).
 func (d *DFA) MatchBytes(data []byte) bool {
@@ -351,9 +346,6 @@ func (d *DFA) MatchBytes(data []byte) bool {
 	}
 	return false
 }
-
-// MatchString reports whether the pattern occurs anywhere in s.
-func (d *DFA) MatchString(s string) bool { return d.MatchBytes([]byte(s)) }
 
 // Set is a bank of DFAs scanned together, as a DPI rule set would be.
 type Set struct {

@@ -30,7 +30,7 @@ func TestLiteralMatch(t *testing.T) {
 		{"aabc", true},
 	}
 	for _, c := range cases {
-		if got := d.MatchString(c.in); got != c.want {
+		if got := d.MatchBytes([]byte(c.in)); got != c.want {
 			t.Errorf("MatchString(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
@@ -54,7 +54,7 @@ func TestQuantifiers(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := mustCompile(t, c.pat)
-		if got := d.MatchString(c.in); got != c.want {
+		if got := d.MatchBytes([]byte(c.in)); got != c.want {
 			t.Errorf("%q.Match(%q) = %v, want %v", c.pat, c.in, got, c.want)
 		}
 	}
@@ -86,7 +86,7 @@ func TestAlternationAndClasses(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := mustCompile(t, c.pat)
-		if got := d.MatchString(c.in); got != c.want {
+		if got := d.MatchBytes([]byte(c.in)); got != c.want {
 			t.Errorf("%q.Match(%q) = %v, want %v", c.pat, c.in, got, c.want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestEmptyPatternMatchesEverything(t *testing.T) {
 	d := mustCompile(t, "")
-	if !d.MatchString("") || !d.MatchString("anything") {
+	if !d.MatchBytes([]byte("")) || !d.MatchBytes([]byte("anything")) {
 		t.Error("empty pattern should match any input")
 	}
 }
@@ -127,7 +127,7 @@ func TestAgainstStdlibRegexp(t *testing.T) {
 				sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
 			}
 			in := sb.String()
-			if got, want := d.MatchString(in), std.MatchString(in); got != want {
+			if got, want := d.MatchBytes([]byte(in)), std.MatchString(in); got != want {
 				t.Fatalf("%q.Match(%q) = %v, stdlib says %v", pat, in, got, want)
 			}
 		}
@@ -167,13 +167,6 @@ func TestSet(t *testing.T) {
 	}
 }
 
-func TestPatternAccessor(t *testing.T) {
-	d := mustCompile(t, "xy")
-	if d.Pattern() != "xy" {
-		t.Errorf("Pattern = %q", d.Pattern())
-	}
-}
-
 func BenchmarkDFAMatch(b *testing.B) {
 	d, err := Compile(`(select|union|insert)[^;]*;`)
 	if err != nil {
@@ -206,7 +199,7 @@ func TestBoundedRepetition(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := mustCompile(t, c.pat)
-		if got := d.MatchString(c.in); got != c.want {
+		if got := d.MatchBytes([]byte(c.in)); got != c.want {
 			t.Errorf("%q.Match(%q) = %v, want %v", c.pat, c.in, got, c.want)
 		}
 	}
@@ -236,7 +229,7 @@ func TestAnchors(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := mustCompile(t, c.pat)
-		if got := d.MatchString(c.in); got != c.want {
+		if got := d.MatchBytes([]byte(c.in)); got != c.want {
 			t.Errorf("%q.Match(%q) = %v, want %v", c.pat, c.in, got, c.want)
 		}
 	}
@@ -256,7 +249,7 @@ func TestAnchorsAgainstStdlib(t *testing.T) {
 				sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
 			}
 			in := sb.String()
-			if got, want := d.MatchString(in), std.MatchString(in); got != want {
+			if got, want := d.MatchBytes([]byte(in)), std.MatchString(in); got != want {
 				t.Fatalf("%q.Match(%q) = %v, stdlib says %v", pat, in, got, want)
 			}
 		}

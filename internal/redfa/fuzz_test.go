@@ -20,7 +20,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = d.MatchString(input)
+		_ = d.MatchBytes([]byte(input))
 		if d.NumStates() <= 0 {
 			t.Fatal("compiled DFA has no states")
 		}

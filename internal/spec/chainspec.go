@@ -65,14 +65,6 @@ type SLO struct {
 	GuardTicks int `json:"guard_ticks,omitempty"`
 }
 
-// Validate checks the spec by building it and discarding the NFs: name,
-// revision and knobs, then the chain, which Parse constructs NF by NF (ACL
-// trees and pattern automata included). It costs what Build costs.
-func (s *ChainSpec) Validate() error {
-	_, err := s.Build()
-	return err
-}
-
 // Build checks the spec's fields, then parses the chain and constructs its
 // NFs with the spec's seed.
 func (s *ChainSpec) Build() ([]*nf.NF, error) {
@@ -120,39 +112,16 @@ func (s *ChainSpec) WantSynthesize() bool {
 	return s.Synthesize == nil || *s.Synthesize
 }
 
-// Canonical returns the chain string re-emitted from its parsed tokens —
-// whitespace normalized, arguments preserved. Specs that canonicalize
-// identically build identical chains.
-func (s *ChainSpec) Canonical() (string, error) {
-	toks, err := Tokens(s.Chain)
-	if err != nil {
-		return "", err
-	}
-	return Format(toks), nil
-}
-
-// JSON renders the spec as indented JSON — the wire form ParseChainSpec
-// accepts back, so Spec → JSON → ParseChainSpec is a lossless round trip.
-func (s ChainSpec) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		// Plain struct of scalars: cannot fail.
-		panic(err)
-	}
-	return b
-}
-
-// ParseChainSpec decodes and validates a JSON spec — the admin server's
-// POST /chains body and nfctl's -f payload.
+// ParseChainSpec decodes a JSON spec — the admin server's POST /chains
+// body and nfctl's -f payload. Unknown fields are rejected; the fields'
+// values are checked by Build, which the control plane runs once at
+// admission.
 func ParseChainSpec(data []byte) (ChainSpec, error) {
 	var s ChainSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return ChainSpec{}, fmt.Errorf("spec: bad chain spec JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return ChainSpec{}, err
 	}
 	return s, nil
 }

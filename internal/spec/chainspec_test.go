@@ -1,14 +1,15 @@
 package spec
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestTokensRoundTrip pins the Spec → String → Parse round trip: tokens
-// re-emitted by Format parse back to the same tokens, and the rebuilt chain
-// has the same NF sequence.
+// re-emitted by Token.String parse back to the same tokens, and the rebuilt
+// chain has the same NF sequence.
 func TestTokensRoundTrip(t *testing.T) {
 	for _, s := range []string{
 		"firewall:1000,ipv4,nat,ids",
@@ -20,10 +21,14 @@ func TestTokensRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Tokens(%q): %v", s, err)
 		}
-		canon := Format(toks)
+		parts := make([]string, len(toks))
+		for i, tok := range toks {
+			parts[i] = tok.String()
+		}
+		canon := strings.Join(parts, ",")
 		toks2, err := Tokens(canon)
 		if err != nil {
-			t.Fatalf("Tokens(Format(%q)) = Tokens(%q): %v", s, canon, err)
+			t.Fatalf("Tokens(%q) re-emitted as %q: %v", s, canon, err)
 		}
 		if !reflect.DeepEqual(toks, toks2) {
 			t.Fatalf("round trip of %q changed tokens: %v vs %v", s, toks, toks2)
@@ -76,7 +81,11 @@ func TestChainSpecJSONRoundTrip(t *testing.T) {
 		Synthesize: &syn,
 		SLO:        SLO{P99Us: 1500, GuardTicks: 5},
 	}
-	out, err := ParseChainSpec(in.JSON())
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ParseChainSpec(data)
 	if err != nil {
 		t.Fatalf("ParseChainSpec(JSON): %v", err)
 	}
@@ -94,20 +103,13 @@ func TestChainSpecValidate(t *testing.T) {
 		{Name: "a", Revision: 1, Chain: "ipv4", SLO: SLO{P99Us: -5}},
 	}
 	for _, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("Validate(%+v) unexpectedly passed", s)
+		if _, err := s.Build(); err == nil {
+			t.Errorf("Build(%+v) unexpectedly passed", s)
 		}
 	}
 	good := ChainSpec{Name: "a", Revision: 1, Chain: "firewall:100,ipv4"}
-	if err := good.Validate(); err != nil {
-		t.Errorf("Validate(%+v): %v", good, err)
-	}
 	if _, err := good.Build(); err != nil {
-		t.Errorf("Build: %v", err)
-	}
-	canon, err := good.Canonical()
-	if err != nil || canon != "firewall:100,ipv4" {
-		t.Errorf("Canonical = %q, %v", canon, err)
+		t.Errorf("Build(%+v): %v", good, err)
 	}
 	// Unknown fields are rejected: a typoed knob must not silently no-op.
 	if _, err := ParseChainSpec([]byte(`{"name":"a","revision":1,"chain":"ipv4","sloo":{}}`)); err == nil {

@@ -80,16 +80,6 @@ func Tokens(s string) ([]Token, error) {
 	return toks, nil
 }
 
-// Format joins tokens back into the canonical chain string — the inverse of
-// Tokens.
-func Format(toks []Token) string {
-	parts := make([]string, len(toks))
-	for i, t := range toks {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // Parse builds the NF chain for a spec string. seed makes generated
 // tables (ACLs) deterministic.
 func Parse(s string, seed int64) ([]*nf.NF, error) {

@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds the concurrency-safe metric primitives the live dataplane
-// records into while packets are in flight. Unlike LatencySample and
-// Histogram above — which are single-goroutine benchmark tools — every type
+// records into while packets are in flight. Unlike LatencySample — a
+// single-goroutine benchmark tool — every type
 // here is safe for concurrent writers and for readers that snapshot while
 // writes continue. All hot-path operations are lock-free (atomic adds and
 // CAS loops); there are no mutexes on the packet path.
@@ -29,54 +29,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous signed value (queue depth, in-flight batches).
-type Gauge struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// ShardedCounter stripes a logical counter across per-writer shards so many
-// goroutines can increment without contending on one cache line. Each
-// writer claims a shard index once and adds through it; Load sums shards.
-type ShardedCounter struct {
-	shards []Counter
-}
-
-// NewShardedCounter allocates a counter striped across writers shards
-// (minimum 1).
-func NewShardedCounter(writers int) *ShardedCounter {
-	if writers < 1 {
-		writers = 1
-	}
-	return &ShardedCounter{shards: make([]Counter, writers)}
-}
-
-// Shard returns writer i's private shard (i taken modulo the shard count),
-// to be cached by the writing goroutine.
-func (s *ShardedCounter) Shard(i int) *Counter {
-	return &s.shards[i%len(s.shards)]
-}
-
-// Load returns the sum across shards. Concurrent adds may or may not be
-// included; the value is always a valid point between the call's start and
-// end.
-func (s *ShardedCounter) Load() uint64 {
-	var t uint64
-	for i := range s.shards {
-		t += s.shards[i].Load()
-	}
-	return t
-}
 
 // ConcurrentHistogram is a fixed-bucket streaming histogram safe for
 // concurrent Add. Bucket bounds are immutable after construction, so Add is

@@ -7,38 +7,12 @@ import (
 	"testing"
 )
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	c.Add(3)
 	c.Inc()
 	if c.Load() != 4 {
 		t.Fatalf("counter = %d", c.Load())
-	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %d", g.Load())
-	}
-}
-
-func TestShardedCounterConcurrent(t *testing.T) {
-	const writers, perWriter = 8, 10000
-	s := NewShardedCounter(writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh := s.Shard(w)
-			for i := 0; i < perWriter; i++ {
-				sh.Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := s.Load(); got != writers*perWriter {
-		t.Fatalf("sharded counter = %d, want %d", got, writers*perWriter)
 	}
 }
 

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -20,19 +19,6 @@ func (t Throughput) Gbps() float64 {
 		return 0
 	}
 	return float64(t.Bytes) * 8 / float64(t.Nanos)
-}
-
-// Mpps returns throughput in millions of packets per second.
-func (t Throughput) Mpps() float64 {
-	if t.Nanos <= 0 {
-		return 0
-	}
-	return float64(t.Packets) * 1e3 / float64(t.Nanos)
-}
-
-// String implements fmt.Stringer.
-func (t Throughput) String() string {
-	return fmt.Sprintf("%.2f Gbps (%.2f Mpps)", t.Gbps(), t.Mpps())
 }
 
 // LatencySample collects latency observations (nanoseconds) and answers
@@ -103,71 +89,4 @@ func (l *LatencySample) Percentile(p float64) float64 {
 		rank = len(l.xs)
 	}
 	return l.xs[rank-1]
-}
-
-// Min returns the smallest sample, or 0 with none.
-func (l *LatencySample) Min() float64 { return l.Percentile(0) }
-
-// Max returns the largest sample, or 0 with none.
-func (l *LatencySample) Max() float64 { return l.Percentile(100) }
-
-// Reset discards all samples.
-func (l *LatencySample) Reset() { l.xs, l.sorted = l.xs[:0], false }
-
-// Summary is a rendered latency report.
-type Summary struct {
-	N             int
-	MeanUs, P50Us float64
-	P99Us, MaxUs  float64
-	StdDevUs      float64
-}
-
-// Summarize converts the sample (ns) into microsecond summary form.
-func (l *LatencySample) Summarize() Summary {
-	return Summary{
-		N:        l.N(),
-		MeanUs:   l.Mean() / 1e3,
-		P50Us:    l.Percentile(50) / 1e3,
-		P99Us:    l.Percentile(99) / 1e3,
-		MaxUs:    l.Max() / 1e3,
-		StdDevUs: l.StdDev() / 1e3,
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus sd=%.1fus",
-		s.N, s.MeanUs, s.P50Us, s.P99Us, s.MaxUs, s.StdDevUs)
-}
-
-// Histogram is a fixed-bucket counter for coarse distribution displays.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; final bucket is +inf
-	counts []uint64
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	i := sort.SearchFloat64s(h.bounds, x)
-	h.counts[i]++
-}
-
-// Counts returns the per-bucket counts (last bucket is overflow).
-func (h *Histogram) Counts() []uint64 { return append([]uint64(nil), h.counts...) }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
 }

@@ -11,14 +11,8 @@ func TestThroughput(t *testing.T) {
 	if g := tp.Gbps(); math.Abs(g-0.512) > 1e-9 {
 		t.Errorf("Gbps = %v", g)
 	}
-	if m := tp.Mpps(); math.Abs(m-1.0) > 1e-9 {
-		t.Errorf("Mpps = %v", m)
-	}
-	if (Throughput{}).Gbps() != 0 || (Throughput{}).Mpps() != 0 {
+	if (Throughput{}).Gbps() != 0 {
 		t.Error("zero duration should yield zero rates")
-	}
-	if s := tp.String(); s == "" {
-		t.Error("empty String")
 	}
 }
 
@@ -30,9 +24,6 @@ func TestLatencySampleBasics(t *testing.T) {
 	for _, v := range []float64{100, 200, 300, 400, 500} {
 		l.Add(v)
 	}
-	if l.N() != 5 {
-		t.Errorf("N = %d", l.N())
-	}
 	if m := l.Mean(); m != 300 {
 		t.Errorf("Mean = %v", m)
 	}
@@ -42,18 +33,14 @@ func TestLatencySampleBasics(t *testing.T) {
 	if p := l.Percentile(100); p != 500 {
 		t.Errorf("P100 = %v", p)
 	}
-	if mn := l.Min(); mn != 100 {
-		t.Errorf("Min = %v", mn)
+	if mn := l.Percentile(0); mn != 100 {
+		t.Errorf("P0 = %v", mn)
 	}
 	if v := l.Variance(); v != 20000 {
 		t.Errorf("Variance = %v", v)
 	}
 	if sd := l.StdDev(); math.Abs(sd-math.Sqrt(20000)) > 1e-9 {
 		t.Errorf("StdDev = %v", sd)
-	}
-	l.Reset()
-	if l.N() != 0 {
-		t.Error("Reset failed")
 	}
 }
 
@@ -65,7 +52,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 				l.Add(v)
 			}
 		}
-		if l.N() == 0 {
+		if len(l.xs) == 0 {
 			return true
 		}
 		pa := float64(a % 101)
@@ -85,45 +72,7 @@ func TestAddAfterPercentileKeepsCorrectness(t *testing.T) {
 	l.Add(10)
 	_ = l.Percentile(50) // triggers sort
 	l.Add(5)
-	if got := l.Min(); got != 5 {
-		t.Errorf("Min = %v after post-sort Add", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	var l LatencySample
-	for i := 1; i <= 100; i++ {
-		l.Add(float64(i) * 1000) // 1..100 us
-	}
-	s := l.Summarize()
-	if s.N != 100 {
-		t.Errorf("N = %d", s.N)
-	}
-	if math.Abs(s.P50Us-50) > 1 {
-		t.Errorf("P50 = %v", s.P50Us)
-	}
-	if math.Abs(s.P99Us-99) > 1 {
-		t.Errorf("P99 = %v", s.P99Us)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{10, 100, 1000})
-	for _, v := range []float64{5, 50, 500, 5000, 10} {
-		h.Add(v)
-	}
-	c := h.Counts()
-	// 5,10 -> bucket0 (<=10); 50 -> bucket1; 500 -> bucket2; 5000 -> overflow.
-	want := []uint64{2, 1, 1, 1}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d (all=%v)", i, c[i], want[i], c)
-		}
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d", h.Total())
+	if got := l.Percentile(0); got != 5 {
+		t.Errorf("P0 = %v after post-sort Add", got)
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"io"
 	"net/http"
 
@@ -44,9 +45,14 @@ func (s *Server) handleChainsSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cfg.Control.Submit(cs); err != nil {
-		// Admission failures (stale revision, rollout in flight) are
-		// conflicts with current state, not malformed requests.
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		// A spec that does not build is a malformed request; the other
+		// admission failures (stale revision, rollout in flight) are
+		// conflicts with current state.
+		code := http.StatusConflict
+		if errors.Is(err, control.ErrInvalidSpec) {
+			code = http.StatusBadRequest
+		}
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	st, _ := s.cfg.Control.Status(cs.Name)

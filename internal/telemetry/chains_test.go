@@ -31,7 +31,11 @@ func chainsServer(t *testing.T) (*httptest.Server, *control.Manager) {
 
 func postSpec(t *testing.T, ts *httptest.Server, cs spec.ChainSpec) *http.Response {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/chains", "application/json", bytes.NewReader(cs.JSON()))
+	body, err := json.Marshal(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/chains", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,10 +154,6 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 	return pr, nil
 }
 
-// Nano reports whether the capture records nanosecond-resolution
-// timestamps.
-func (pr *PcapReader) Nano() bool { return pr.nano }
-
 // Next returns the next packet, or io.EOF cleanly at end of stream. The
 // packet's Arrival is the record timestamp in nanoseconds; it is Parsed so
 // offsets are set (best effort — non-IP payloads keep offsets unset). A

@@ -59,8 +59,8 @@ func TestPcapNanosecondMagics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pr.Nano() {
-				t.Error("Nano() = false for nanosecond capture")
+			if !pr.nano {
+				t.Error("nano = false for nanosecond capture")
 			}
 		})
 	}

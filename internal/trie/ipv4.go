@@ -71,9 +71,6 @@ func (t *IPv4Trie) Lookup(addr netpkt.IPv4Addr) NextHop {
 	return best
 }
 
-// Len returns the number of distinct prefixes in the trie.
-func (t *IPv4Trie) Len() int { return t.n }
-
 // Walk visits every prefix in the trie in lexicographic order.
 func (t *IPv4Trie) Walk(visit func(addr netpkt.IPv4Addr, plen int, hop NextHop)) {
 	var rec func(n *v4node, addr uint32, depth int)

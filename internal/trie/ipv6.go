@@ -60,9 +60,6 @@ func (t *IPv6Trie) Lookup(addr netpkt.IPv6Addr) NextHop {
 	return best
 }
 
-// Len returns the number of distinct prefixes.
-func (t *IPv6Trie) Len() int { return t.n }
-
 // LookupCapped returns the next hop of the longest matching prefix with
 // length at most maxLen, or 0. The hash LPM builder uses it to compute
 // marker best-matching-prefix values.

@@ -37,8 +37,8 @@ func TestIPv4TrieBasic(t *testing.T) {
 			t.Errorf("Lookup(%v) = %d, want %d", c.addr, got, c.want)
 		}
 	}
-	if tr.Len() != 5 {
-		t.Errorf("Len = %d, want 5", tr.Len())
+	if tr.n != 5 {
+		t.Errorf("Len = %d, want 5", tr.n)
 	}
 }
 
@@ -59,8 +59,8 @@ func TestIPv4TrieReplace(t *testing.T) {
 	var tr IPv4Trie
 	_ = tr.Insert(0x0a000000, 8, 1)
 	_ = tr.Insert(0x0a000000, 8, 7)
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d after replace", tr.Len())
+	if tr.n != 1 {
+		t.Errorf("Len = %d after replace", tr.n)
 	}
 	if got := tr.Lookup(0x0a000001); got != 7 {
 		t.Errorf("Lookup = %d, want 7", got)
