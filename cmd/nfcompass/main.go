@@ -59,7 +59,7 @@ func main() {
 	pps := flag.Float64("pps", 0,
 		"pace the -source capture replay at this packet rate (0 = as fast as the pipeline pulls)")
 	serve := flag.String("serve", "",
-		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /trace /trace.chrome /spans /bottleneck /decisions /debug/pprof) on this address, e.g. :9090")
+		"run the chain continuously on the live dataplane and serve the telemetry plane (/metrics /snapshot /healthz /trace.chrome /spans /bottleneck /decisions /debug/pprof) on this address, e.g. :9090")
 	fleet := flag.Bool("fleet", false,
 		"with -serve: run the multi-tenant control plane instead of a fixed deployment — the chain argument becomes tenant \"default\" revision 1, and the admin server additionally mounts the /chains endpoints for nfctl (submit, status, rollout watch, rollback)")
 	duration := flag.Duration("duration", 30*time.Second,

@@ -31,7 +31,7 @@ type serveOpts struct {
 // runServe is the `-serve` continuous mode: run replicas of the deployment
 // on the sharded live dataplane, keep traffic flowing for the configured
 // duration while the telemetry server exposes /metrics, /snapshot,
-// /healthz, /trace, /trace.chrome, /spans, /bottleneck, /decisions and
+// /healthz, /trace.chrome, /spans, /bottleneck, /decisions and
 // /debug/pprof, shift the traffic profile halfway through so the attached
 // Adaptor has a drift to react to, then drain and print the final snapshot
 // plus the decision journal.
@@ -57,13 +57,12 @@ func runServe(d *core.Deployment, o serveOpts) error {
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	ring := dataplane.NewRingTrace(1 << 14)
 	// Flight recorder: stage spans + utilization sampling for the whole
 	// run, served at /trace.chrome, /spans, /bottleneck and folded into
 	// /metrics.
 	rec := flight.New(flight.Config{})
 	smp := flight.NewSampler(rec, flight.DefaultSampleInterval)
-	cfg := dataplane.Config{Metrics: true, Trace: ring, Flight: rec}
+	cfg := dataplane.Config{Metrics: true, Flight: rec}
 	if d.Alloc != nil {
 		cfg.Assignment = d.Assignment
 		cfg.Offload = &dataplane.OffloadConfig{Platform: &o.platform}
@@ -86,7 +85,6 @@ func runServe(d *core.Deployment, o serveOpts) error {
 	srv, err := telemetry.New(telemetry.Config{
 		Source:   sp,
 		Done:     sp.Done(),
-		Trace:    ring,
 		Journal:  adaptor.Journal(),
 		Interval: time.Second,
 		Flight:   rec,
@@ -105,7 +103,7 @@ func runServe(d *core.Deployment, o serveOpts) error {
 		srv.Shutdown(sctx)
 	}()
 	smp.Start()
-	fmt.Printf("\ntelemetry plane on http://%s  (/metrics /snapshot /healthz /trace /trace.chrome /spans /bottleneck /decisions /debug/pprof)\n", addr)
+	fmt.Printf("\ntelemetry plane on http://%s  (/metrics /snapshot /healthz /trace.chrome /spans /bottleneck /decisions /debug/pprof)\n", addr)
 
 	drained := make(chan struct{})
 	go func() {

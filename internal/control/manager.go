@@ -82,18 +82,17 @@ type Config struct {
 	// GuardTicks is how many consecutive healthy ticks promote a canary
 	// when the spec does not say (default 3).
 	GuardTicks int
-	// CanaryBatches is the per-tenant traffic burst injected each canary
-	// tick (default 4 batches).
-	CanaryBatches int
-	// JournalCap bounds the decision journal (default 256).
-	JournalCap int
-	// QueueDepth is the dataplane queue depth (default 64).
-	QueueDepth int
-	// Platform is the heterogeneous platform model compositions are
-	// placed on when a spec asks for offload (zero value =
-	// hetsim.DefaultPlatform()).
-	Platform hetsim.Platform
 }
+
+const (
+	// canaryBatches is the per-tenant traffic burst injected each canary
+	// tick.
+	canaryBatches = 4
+	// journalCap bounds the decision journal.
+	journalCap = 256
+	// queueDepth is the shared dataplane's queue depth.
+	queueDepth = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -104,18 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GuardTicks <= 0 {
 		c.GuardTicks = 3
-	}
-	if c.CanaryBatches <= 0 {
-		c.CanaryBatches = 4
-	}
-	if c.JournalCap <= 0 {
-		c.JournalCap = 256
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.Platform.CPUCores == 0 {
-		c.Platform = hetsim.DefaultPlatform()
 	}
 	return c
 }
@@ -196,7 +183,7 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
 		cfg:     cfg,
-		journal: core.NewDecisionJournal(cfg.JournalCap),
+		journal: core.NewDecisionJournal(journalCap),
 		chains:  map[string]*chainState{},
 	}
 }
@@ -363,7 +350,7 @@ func (m *Manager) Rollback(name string) (ChainStatus, error) {
 	target := *cs.prev
 	m.mu.Unlock()
 
-	comp, err := Compose(m.candidateSpecs(target), nil, m.cfg.Platform)
+	comp, err := Compose(m.candidateSpecs(target), nil, hetsim.DefaultPlatform())
 	if err != nil {
 		return ChainStatus{}, err
 	}
@@ -420,7 +407,7 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 	// Validating: compose the candidate tenant set — the live specs with s
 	// replacing (or adding) its chain — into one placed deployment.
 	m.note(s, StateValidating, "composing candidate tenant set", core.Decision{})
-	comp, err := Compose(m.candidateSpecs(s), map[string][]*nf.NF{s.Name: chain}, m.cfg.Platform)
+	comp, err := Compose(m.candidateSpecs(s), map[string][]*nf.NF{s.Name: chain}, hetsim.DefaultPlatform())
 	if err != nil {
 		m.fail(s, err)
 		return
@@ -436,7 +423,7 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 		return
 	}
 	defer canary.stop() // promotion builds fresh replicas; the canary never survives
-	if err := m.pumpInto(canary, m.cfg.CanaryBatches); err != nil {
+	if err := m.pumpInto(canary, canaryBatches); err != nil {
 		m.fail(s, err)
 		return
 	}
@@ -494,7 +481,7 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 			}
 			break // observed and never breached: treat the stall as healthy
 		}
-		if err := m.pumpInto(canary, m.cfg.CanaryBatches); err != nil {
+		if err := m.pumpInto(canary, canaryBatches); err != nil {
 			m.fail(s, err)
 			return
 		}
@@ -637,7 +624,7 @@ func (m *Manager) newGeneration(comp *Composition, shards int, assign hetsim.Ass
 	sp, err := dataplane.NewSharded(comp.Build, dataplane.ShardedConfig{
 		Config: dataplane.Config{
 			Metrics:    true,
-			QueueDepth: m.cfg.QueueDepth,
+			QueueDepth: queueDepth,
 			Tenants:    comp.Tenants,
 			Assignment: assign,
 		},

@@ -112,7 +112,8 @@ type XORMerge struct {
 	pending map[*netpkt.Batch][]*netpkt.Batch
 	free    [][]*netpkt.Batch // emptied pending vectors, for reuse
 	// spent is the last consumed batch's header, pooled one consume late: the
-	// stage loop that handed it in may still read its ID for a trace event.
+	// engine that handed it in may still read it after the call
+	// (hetsim's Execute counts its drops).
 	spent *netpkt.Batch
 
 	// Merged counts batches merged; MergeErrors length conflicts (which the

@@ -48,9 +48,6 @@ func BenchmarkPipelineMetricsOverhead(b *testing.B) {
 	base := genBatches(64, 64, 21)
 	b.Run("metrics=off", func(b *testing.B) { benchRun(b, g, base, Config{}) })
 	b.Run("metrics=on", func(b *testing.B) { benchRun(b, g, base, Config{Metrics: true}) })
-	b.Run("metrics+trace", func(b *testing.B) {
-		benchRun(b, g, base, Config{Metrics: true, Trace: NewRingTrace(1 << 16)})
-	})
 }
 
 // The representative case: a paper-style NF chain (firewall, router, NAT,

@@ -13,15 +13,14 @@ package dataplane
 // whatever is not device-resident and lies on a sole path collapses.
 //
 // One rule covers observability: whoever runs a segment books it. The head
-// records every executed member's counters, its processing time and flight
-// span if the batch is observed (Pipeline.observes), and its trace events
-// (scheduler.go's book) and forwards the tail's output straight to the
-// tail's successors; member goroutines never see the batch. They
-// keep running for two reasons only: a batch already past the head when a
-// placement swap lands (a straggler) still executes on its member's own
-// goroutine, and the fence below needs somebody to answer it. Zero
-// allocations in steady state with metrics on or off (guarded by
-// TestCompiledHotPathAllocs).
+// records every executed member's counters and, if the batch is observed
+// (Pipeline.observes), its processing time and flight span (scheduler.go's
+// book), and forwards the tail's output straight to the tail's successors;
+// member goroutines never see the batch. They keep running for two reasons
+// only: a batch already past the head when a placement swap lands (a
+// straggler) still executes on its member's own goroutine, and the fence
+// below needs somebody to answer it. Zero allocations in steady state with
+// metrics on or off (guarded by TestCompiledHotPathAllocs).
 //
 // Hot-swap safety: elements are stateful and single-goroutine by contract,
 // and a segment moves member execution onto the head's goroutine (or its
@@ -44,20 +43,15 @@ import (
 )
 
 // runCompiled executes one batch through the compiled CPU stage-loop this
-// node heads. Called from handle with the head's entry (trace enter, batch
-// and packet-in counters) already booked, exactly like the plain inline
-// path; timed is whether the batch is observed — one clock read before the
-// first member and one after each, every member's end the next one's start.
+// node heads. Called from handle with the head's entry (batch and
+// packet-in counters) already booked, exactly like the plain inline path;
+// timed is whether the batch is observed — one clock read before the first
+// member and one after each, every member's end the next one's start.
 func (nr *nodeRunner) runCompiled(ctx context.Context, msg stageMsg, plan *segmentPlan, timed bool) bool {
 	p := nr.p
 	live := msg.live
 	var step func(int, *netpkt.Batch)
-	if nr.m != nil || p.cfg.Trace != nil {
-		if nr.m == nil {
-			// Trace-only runs carry no sender live counts; scan once so the
-			// members' enter events still record real packet counts.
-			live = msg.b.Live()
-		}
+	if nr.m != nil {
 		id := msg.b.ID
 		var last int64
 		if timed {

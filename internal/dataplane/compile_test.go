@@ -178,12 +178,15 @@ func bookedChain(mid element.Element) func(int64) *element.Graph {
 	}
 }
 
-// booked renders everything a Report and a trace say about who processed
-// what, in a form two runs of the same traffic must agree on whichever
-// goroutine did the booking: per-element batch/packet/drop counters, the
-// sampled-timing counts, per-edge packets, boundary totals, and the sorted
-// (element, batch, live-in) enter events.
-func booked(r *Report, ring *RingTrace) string {
+// booked renders everything a Report and the elements' visit log say about
+// who processed what, in a form two runs of the same traffic must agree on
+// whichever goroutine did the booking: per-element batch/packet/drop
+// counters, the sampled-timing counts, per-edge packets, boundary totals,
+// and every (element, batch, live-in) visit. At an element the pipeline
+// feeds in batch order (inOrder) the visits stay in call order and must
+// ascend; elsewhere branches interleave, so they are sorted.
+func booked(t *testing.T, r *Report, g *element.Graph, log *visitLog) string {
+	t.Helper()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "in=%d/%d out=%d/%d drop=%d\n",
 		r.InBatches, r.InPackets, r.OutBatches, r.OutPackets, r.DropPackets)
@@ -194,25 +197,57 @@ func booked(r *Report, ring *RingTrace) string {
 	for _, ed := range r.Edges {
 		fmt.Fprintf(&sb, "edge %d[%d]->%d %d\n", ed.From, ed.Port, ed.To, ed.Packets)
 	}
-	var enters []string
-	for _, ev := range ring.Events() {
-		if ev.Kind == TraceEnter {
-			enters = append(enters, fmt.Sprintf("enter %d/%d live=%d", ev.Node, ev.Batch, ev.Packets))
-		}
+	visits, bad := log.snapshot()
+	if bad != nil {
+		t.Fatal(*bad)
 	}
-	sort.Strings(enters)
-	return sb.String() + strings.Join(enters, "\n")
+	ordered := inOrder(g)
+	perNode := make([][]string, g.Len())
+	next := make([]uint64, g.Len())
+	for _, v := range visits {
+		if ordered[v.node] {
+			if v.batch < next[v.node] {
+				t.Fatalf("element %d ran batch %d after batch %d", v.node, v.batch, next[v.node]-1)
+			}
+			next[v.node] = v.batch + 1
+		}
+		perNode[v.node] = append(perNode[v.node], fmt.Sprintf("%d live=%d", v.batch, v.live))
+	}
+	for id, seq := range perNode {
+		if !ordered[id] {
+			sort.Strings(seq)
+		}
+		fmt.Fprintf(&sb, "visits %d: %s\n", id, strings.Join(seq, ", "))
+	}
+	return sb.String()
+}
+
+// inOrder reports, per node, whether the pipeline hands it batches in
+// injection order: a source does, and so does a node whose one input comes
+// from such a node. Where inputs join, they interleave as they arrive.
+func inOrder(g *element.Graph) []bool {
+	preds := make([][]element.NodeID, g.Len())
+	for _, e := range g.Edges() {
+		preds[e.To] = append(preds[e.To], e.From)
+	}
+	order, _ := g.TopoOrder()
+	ok := make([]bool, g.Len())
+	for _, id := range order {
+		ps := preds[id]
+		ok[id] = len(ps) == 0 || len(ps) == 1 && ok[ps[0]]
+	}
+	return ok
 }
 
 // TestBookedReportEquality is the booking rule's gate: a segment's executor
 // books on behalf of members that never see the batch, and the Report and
-// the trace must come out exactly as if every member had booked for itself
-// — compiled against DisableCompile, fused against DisableFusion — including
-// a dropper mid-segment and a chain that dies at its second member (nothing
-// booked or traced for the members behind it). The observation rule is a
-// function of the batch ID, so every execution times the same batches on
-// every member, whatever heads the segment; the sample4 rows run each shape
-// long enough for the rule to draw four of them.
+// the elements' visits must come out exactly as if every member had booked
+// for itself — compiled against DisableCompile, fused against DisableFusion
+// — including a dropper mid-segment and a chain that dies at its second
+// member (nothing booked or run for the members behind it). The
+// observation rule is a function of the batch ID, so every execution times
+// the same batches on every member, whatever heads the segment; the sample4
+// rows run each shape long enough for the rule to draw four of them.
 func TestBookedReportEquality(t *testing.T) {
 	type row struct {
 		build func(int64) *element.Graph
@@ -256,8 +291,8 @@ func TestBookedReportEquality(t *testing.T) {
 					batches = 24
 				}
 				run := func(reference bool) (string, OffloadSnapshot) {
-					ring := NewRingTrace(1 << 14)
-					cfg := Config{QueueDepth: 2, Metrics: true, Trace: ring}
+					g, log := recordVisits(r.build(seed))
+					cfg := Config{QueueDepth: 2, Metrics: true}
 					if r.gpu {
 						cfg.Assignment = r.assign
 						if cfg.Assignment == nil {
@@ -269,7 +304,7 @@ func TestBookedReportEquality(t *testing.T) {
 					}
 					in := diffTraffic(seed, batches, 16)
 					observed := uint64(observedIDs(in))
-					_, p, err := RunBatches(context.Background(), r.build(seed), cfg, in)
+					_, p, err := RunBatches(context.Background(), g, cfg, in)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -280,7 +315,7 @@ func TestBookedReportEquality(t *testing.T) {
 					if src := rep.Elements[0]; src.Batches != uint64(batches) || src.Proc.Count != observed || observed == 0 {
 						t.Fatalf("source: %d batches, %d timed; want %d and the %d observed IDs", src.Batches, src.Proc.Count, batches, observed)
 					}
-					return booked(rep, ring), rep.Offload
+					return booked(t, rep, g, log), rep.Offload
 				}
 				got, o := run(false)
 				want, _ := run(true)
@@ -494,16 +529,13 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		run := func(disable bool) ([]*netpkt.Batch, string) {
 			c := cfg
 			c.DisableCompile = disable
-			ring := NewRingTrace(1 << 14)
-			if c.Metrics {
-				c.Trace = ring
-			}
-			outs, p, err := RunBatches(context.Background(), build(seed), c,
+			g, log := recordVisits(build(seed))
+			outs, p, err := RunBatches(context.Background(), g, c,
 				diffTraffic(seed, n, pb))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return outs, booked(p.Snapshot(), ring)
+			return outs, booked(t, p.Snapshot(), g, log)
 		}
 		cout, cbooked := run(false)
 		iout, ibooked := run(true)

@@ -33,10 +33,6 @@ type Config struct {
 	// counters plus two timestamps per batch at the boundary (see
 	// BenchmarkPipelineMetricsOverhead).
 	Metrics bool
-	// Trace, when non-nil, receives batch lifecycle events (inject,
-	// per-element enter/exit, sink release). The per-event cost when nil
-	// is a single pointer check.
-	Trace TraceSink
 	// Assignment places elements on compute backends at construction (nil
 	// = every element on the host CPU). ModeGPU/ModeSplit elements execute
 	// through the emulated GPU device backend — asynchronous per-device
@@ -126,11 +122,11 @@ type Pipeline struct {
 	// inbox holds each element's input channel; Snapshot samples queue
 	// depths from it.
 	inbox []chan stageMsg
-	// start is the monotonic origin of every TraceEvent.NanosSinceStart and
-	// of ElapsedNs. It is fixed at construction and never reset — not by
-	// Apply hot-swaps, not by snapshots — so trace timelines from different
-	// placement epochs share one base and stay comparable. NewSharded gives
-	// all replicas of one deployment the same origin.
+	// start is the monotonic origin of ElapsedNs and the e2e stamps. It is
+	// fixed at construction and never reset — not by Apply hot-swaps, not
+	// by snapshots — so a batch injected under one placement epoch and
+	// released under the next is measured on one base. NewSharded gives all
+	// replicas of one deployment the same origin.
 	start time.Time
 
 	in      chan *netpkt.Batch
@@ -234,7 +230,7 @@ func (p *Pipeline) initFlight(rec *flight.Recorder, lane int) {
 	})
 }
 
-// clock returns monotonic time since the pipeline's trace origin (see the
+// clock returns monotonic time since the pipeline's clock origin (see the
 // start field).
 func (p *Pipeline) clock() time.Duration { return time.Since(p.start) }
 
@@ -254,54 +250,6 @@ func (p *Pipeline) now() int64 {
 		return p.flight.Now()
 	}
 	return p.clock().Nanoseconds()
-}
-
-// trace emits an event if a sink is configured; the nil check is the whole
-// disabled-path cost.
-func (p *Pipeline) trace(kind TraceKind, node element.NodeID, b *netpkt.Batch) {
-	if p.cfg.Trace == nil {
-		return
-	}
-	p.cfg.Trace.Emit(TraceEvent{
-		Kind: kind, Node: node, Batch: b.ID, Packets: b.Live(),
-		NanosSinceStart: p.clock().Nanoseconds(),
-		Segment:         -1,
-	})
-}
-
-// traceEnter is trace(TraceEnter, ...) stamped with the placement and
-// epoch the batch is about to execute under — the hot-swap audit trail: a
-// batch's enter event records exactly one placement per element visit.
-func (p *Pipeline) traceEnter(node element.NodeID, b *netpkt.Batch, pl nodePlacement, epoch uint64) {
-	if p.cfg.Trace == nil {
-		return
-	}
-	p.cfg.Trace.Emit(TraceEvent{
-		Kind: TraceEnter, Node: node, Batch: b.ID, Packets: b.Live(),
-		NanosSinceStart: p.clock().Nanoseconds(),
-		Epoch:           epoch, Placement: pl.String(), Segment: pl.seg,
-	})
-}
-
-// traceMember is the enter or exit event of a segment member, emitted by
-// whoever executed the segment (scheduler.go's book). The enter event
-// records the epoch, placement and segment the batch *executed* under (the
-// plan's) and the member's own live-in count — keeping the
-// one-placement-per-epoch audit exact even when a swap lands while the
-// submission is in flight.
-func (p *Pipeline) traceMember(kind TraceKind, plan *segmentPlan, node element.NodeID, batch uint64, live int) {
-	if p.cfg.Trace == nil {
-		return
-	}
-	ev := TraceEvent{
-		Kind: kind, Node: node, Batch: batch, Packets: live,
-		NanosSinceStart: p.clock().Nanoseconds(),
-		Segment:         -1,
-	}
-	if kind == TraceEnter {
-		ev.Epoch, ev.Placement, ev.Segment = plan.epoch, plan.place, plan.seg
-	}
-	p.cfg.Trace.Emit(ev)
 }
 
 // Start launches one goroutine per element plus the sink collector. The
@@ -412,7 +360,6 @@ func (p *Pipeline) Start(ctx context.Context) {
 			if stamp {
 				p.lat.record(b.ID, p.clock().Nanoseconds())
 			}
-			p.trace(TraceInject, -1, b)
 			for _, s := range sources {
 				select {
 				case inbox[s] <- stageMsg{b: b, live: live}:
@@ -446,7 +393,6 @@ func (p *Pipeline) Start(ctx context.Context) {
 				now := p.flRelease.Now()
 				p.flRelease.Span(b.ID, int(live), now, now)
 			}
-			p.trace(TraceRelease, -1, b)
 			select {
 			case p.out <- b:
 				return true

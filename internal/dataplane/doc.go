@@ -43,11 +43,10 @@
 // (compile.go): the run's head receives a batch, chains every member's
 // Process call inline, and sends once to the tail's successors — the CPU
 // dual of the GPU segment fusion in offload.go, removing the per-element
-// goroutine+channel hop. Whoever runs a segment books it: with metrics or
-// tracing on, the head's goroutine records every executed member's
-// counters, trace events and — for an observed batch — timing and flight
-// span, so per-element accounting matches interpreted execution without
-// the members seeing the batch. Members keep their goroutines for
+// goroutine+channel hop. Whoever runs a segment books it: with metrics on,
+// the head's goroutine records every executed member's counters and — for
+// an observed batch — timing and flight span, so per-element accounting
+// matches interpreted execution without the members seeing the batch. Members keep their goroutines for
 // placement-swap stragglers and to answer the epoch fence that orders a
 // new segment behind them.
 // FuzzCompiledVsInterpreted and the TestCompiled* differential suite gate
@@ -59,17 +58,17 @@
 //
 // With Config.Metrics on, the pipeline keeps a per-element registry
 // (packets, drops, processing-time histogram, queue depth, send-wait) and
-// per-edge traffic counters, snapshotted live via Pipeline.Snapshot; the
-// bridge in this package converts a snapshot into the allocator's profile
-// inputs. One observation rule (flight.Observed, one batch ID in 16)
-// decides what reads a clock: counters are exact on every batch; processing
+// per-edge traffic counters, snapshotted live via Pipeline.Snapshot. One
+// observation rule (flight.Observed, one batch ID in 16) decides what reads
+// a clock: counters are exact on every batch; processing
 // time, send-wait, flight spans and busy time come from the observed
 // batches — the same ones in compiled, interpreted and fused execution —
 // and read as estimates. The inject→release latency histogram stays exact
 // (rollout guards read short windows of it) and is kept once per batch, by
 // the pipeline it runs in. A sharded replica is booked at its own boundary
 // only, and ShardedPipeline.Snapshot aggregates the replicas' reports into
-// the same Report shape (AggregateReports), so the allocator bridge works
-// identically for sharded deployments. Config.Trace
-// additionally emits per-batch lifecycle events.
+// the same Report shape (AggregateReports). The one batch trace is the
+// flight recorder's (Config.Flight): a release span per observed batch and,
+// with Metrics on, a span per element it visits, served by the telemetry
+// plane's /spans and /trace.chrome.
 package dataplane

@@ -196,52 +196,6 @@ func TestSnapshotMetricsOff(t *testing.T) {
 	}
 }
 
-func TestTraceEvents(t *testing.T) {
-	const batches = 6
-	tr := NewRingTrace(4096)
-	g := linearGraph(element.NewDecTTL("ttl"))
-	_, _, err := RunBatches(context.Background(), g,
-		Config{Trace: tr, PreserveOrder: true}, genBatches(batches, 4, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := tr.Events()
-	counts := map[TraceKind]int{}
-	lastSeen := map[uint64]int64{}
-	for _, e := range events {
-		counts[e.Kind]++
-		if prev, ok := lastSeen[e.Batch]; ok && e.NanosSinceStart < prev {
-			// Events for one batch arrive from different goroutines but
-			// each stage happens-after the previous send, so per-batch
-			// times are monotone in emission order per goroutine chain;
-			// only check non-negative timestamps here.
-			_ = prev
-		}
-		lastSeen[e.Batch] = e.NanosSinceStart
-		if e.NanosSinceStart < 0 {
-			t.Fatalf("negative timestamp: %+v", e)
-		}
-	}
-	if counts[TraceInject] != batches || counts[TraceRelease] != batches {
-		t.Fatalf("inject/release = %d/%d, want %d", counts[TraceInject], counts[TraceRelease], batches)
-	}
-	// 3 elements (src, ttl, dst) each see every batch.
-	if counts[TraceEnter] != 3*batches || counts[TraceExit] != 3*batches {
-		t.Fatalf("enter/exit = %d/%d, want %d", counts[TraceEnter], counts[TraceExit], 3*batches)
-	}
-}
-
-func TestRingTraceWraps(t *testing.T) {
-	r := NewRingTrace(3)
-	for i := 0; i < 5; i++ {
-		r.Emit(TraceEvent{Batch: uint64(i)})
-	}
-	ev := r.Events()
-	if len(ev) != 3 || ev[0].Batch != 2 || ev[2].Batch != 4 {
-		t.Fatalf("ring contents wrong: %+v", ev)
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	g := linearGraph(element.NewDecTTL("ttl"))
 	_, p, err := RunBatches(context.Background(), g,

@@ -26,7 +26,7 @@ type nodePlacement struct {
 	head bool
 }
 
-// String renders the placement for reports and traces.
+// String renders the placement for reports.
 func (pl nodePlacement) String() string {
 	switch pl.mode {
 	case hetsim.ModeGPU:
@@ -54,13 +54,6 @@ type segmentPlan struct {
 	// the element kind so they aggregate with same-kind splits, exactly as
 	// unfused submissions did.
 	sig string
-	// epoch, seg and place are what members' trace enter events are stamped
-	// with: the epoch the plan belongs to, its index in that epoch's table,
-	// and the placement every member shares. A batch is booked against the
-	// plan it executed under, not the table current at booking time.
-	epoch uint64
-	seg   int
-	place string
 	// tailSucc is the tail element's port-0 successors, resolved at
 	// table-build time so the executor can forward the segment's output
 	// directly — the segment's one send — without touching the tail's
@@ -167,7 +160,7 @@ func (p *Pipeline) resolvePlacements(a hetsim.Assignment, epoch uint64) *placeme
 // it. dev is the device the segment is pinned to, -1 for a compiled CPU
 // stage-loop.
 func (p *Pipeline) addSegment(t *placementTable, nodes []element.NodeID, dev int) {
-	plan := segmentPlan{nodes: nodes, epoch: t.epoch, seg: len(t.segs)}
+	plan := segmentPlan{nodes: nodes}
 	for pos, id := range nodes {
 		el := p.g.Node(id)
 		plan.els = append(plan.els, el)
@@ -175,11 +168,10 @@ func (p *Pipeline) addSegment(t *placementTable, nodes []element.NodeID, dev int
 		if dev >= 0 {
 			t.nodes[id].dev = dev
 		}
-		t.nodes[id].seg = plan.seg
+		t.nodes[id].seg = len(t.segs)
 		t.nodes[id].head = pos == 0
 	}
 	plan.sig = strings.Join(plan.kinds, "+")
-	plan.place = t.nodes[nodes[0]].String()
 	if len(nodes) > 1 {
 		// Every member of a chain has exactly one output port.
 		plan.tailSucc = p.g.Successors(nodes[len(nodes)-1])[0]

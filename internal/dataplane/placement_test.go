@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,8 +176,8 @@ func TestPlacementShardedPerFlowOrder(t *testing.T) {
 }
 
 // hotSwapChain is the fixed linear graph the hot-swap audits run on: every
-// batch enters every element exactly once, so duplicate TraceEnter events
-// directly indicate double execution.
+// batch enters every element exactly once, so a repeated visit directly
+// indicates double execution.
 func hotSwapChain() *element.Graph {
 	g := element.NewGraph()
 	src := g.Add(element.NewFromDevice("src"))
@@ -235,6 +236,85 @@ func (e *orderProbe) Process(b *netpkt.Batch) []*netpkt.Batch {
 	return []*netpkt.Batch{b}
 }
 
+// visit is one Process call a visitLog saw: the element, the batch and the
+// live packets it was handed.
+type visit struct {
+	node  element.NodeID
+	batch uint64
+	live  int
+}
+
+// visitLog collects the visits of every element recordVisits wrapped, in
+// call order; bad keeps the first element it saw entered concurrently.
+type visitLog struct {
+	mu     sync.Mutex
+	visits []visit
+	bad    atomic.Pointer[string]
+}
+
+// visitRecorder wraps one graph element and logs each call before handing
+// the batch on (the element may recycle the header it is given). Like
+// orderProbe it reports being entered concurrently — one element running on
+// two goroutines at once, what executing under two placements would do.
+type visitRecorder struct {
+	element.Element
+	node element.NodeID
+	log  *visitLog
+	busy atomic.Bool
+}
+
+func (r *visitRecorder) enter(b *netpkt.Batch) {
+	if !r.busy.CompareAndSwap(false, true) {
+		msg := fmt.Sprintf("element %d entered concurrently at batch %d", r.node, b.ID)
+		r.log.bad.CompareAndSwap(nil, &msg)
+	}
+	r.log.mu.Lock()
+	r.log.visits = append(r.log.visits, visit{node: r.node, batch: b.ID, live: b.Live()})
+	r.log.mu.Unlock()
+}
+
+func (r *visitRecorder) Process(b *netpkt.Batch) []*netpkt.Batch {
+	r.enter(b)
+	defer r.busy.Store(false)
+	return r.Element.Process(b)
+}
+
+// singleVisitRecorder keeps a SingleOut element on the backends' fast path.
+type singleVisitRecorder struct{ *visitRecorder }
+
+func (r singleVisitRecorder) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
+	r.enter(b)
+	defer r.busy.Store(false)
+	return r.Element.(element.SingleOut).ProcessSingle(b)
+}
+
+// recordVisits returns g with every node wrapped in a visitRecorder — same
+// node IDs, edges, names, traits and signatures — and the log they share.
+func recordVisits(g *element.Graph) (*element.Graph, *visitLog) {
+	log := &visitLog{}
+	w := element.NewGraph()
+	for i := 0; i < g.Len(); i++ {
+		el := g.Node(element.NodeID(i))
+		r := &visitRecorder{Element: el, node: element.NodeID(i), log: log}
+		if _, ok := el.(element.SingleOut); ok {
+			w.Add(singleVisitRecorder{r})
+		} else {
+			w.Add(r)
+		}
+	}
+	for _, e := range g.Edges() {
+		w.MustConnect(e.From, e.Port, e.To)
+	}
+	return w, log
+}
+
+// snapshot returns the visits so far and the first concurrency violation.
+func (l *visitLog) snapshot() ([]visit, *string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]visit(nil), l.visits...), l.bad.Load()
+}
+
 // hotSwapProbeChain is hotSwapChain with the last interior element replaced
 // by an orderProbe.
 func hotSwapProbeChain() (*element.Graph, *orderProbe) {
@@ -253,25 +333,26 @@ func hotSwapProbeChain() (*element.Graph, *orderProbe) {
 }
 
 // auditHotSwap is the one hot-swap harness: it pushes batches of 16 packets
-// through g under PreserveOrder + Metrics + a ring trace, applying the next
-// assignment of swaps (cyclically) every `every` batches, and asserts zero
-// loss, batches surfacing in injection order, and — from the trace — that
-// every (element, batch) entered exactly once, that every element saw the
-// batches in ascending order, and that within one epoch an element kept one
-// placement and one segment identity. It returns the drained pipeline for
-// the caller's own counters.
+// through g (every element wrapped by recordVisits) under PreserveOrder +
+// Metrics, applying the next assignment of swaps (cyclically) every `every`
+// batches, and asserts zero loss, batches surfacing in injection order, and
+// — from the visit log — that every element ran every batch exactly once,
+// in ascending batch order, never on two goroutines at once. Every table
+// it publishes is checked to give each segment one placement. It returns
+// the drained pipeline for the caller's own counters.
 func auditHotSwap(t *testing.T, g *element.Graph, queueDepth int, oc OffloadConfig,
 	swaps []hetsim.Assignment, batches, every int) *Pipeline {
 	t.Helper()
 	const perBatch = 16
-	ring := NewRingTrace(batches * 16)
+	g, log := recordVisits(g)
 	p, err := New(g, Config{
-		QueueDepth: queueDepth, PreserveOrder: true, Metrics: true, Trace: ring,
+		QueueDepth: queueDepth, PreserveOrder: true, Metrics: true,
 		Offload: &oc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSegmentPlacements(t, p.placements.Load())
 	p.Start(context.Background())
 
 	var outs []*netpkt.Batch
@@ -287,6 +368,7 @@ func auditHotSwap(t *testing.T, g *element.Graph, queueDepth int, oc OffloadConf
 			if err := p.Apply(swaps[(i/every-1)%len(swaps)]); err != nil {
 				t.Fatal(err)
 			}
+			checkSegmentPlacements(t, p.placements.Load())
 		}
 		p.In() <- b
 	}
@@ -311,52 +393,45 @@ func auditHotSwap(t *testing.T, g *element.Graph, queueDepth int, oc OffloadConf
 		}
 	}
 
-	type visit struct {
-		node  element.NodeID
-		batch uint64
+	visits, bad := log.snapshot()
+	if bad != nil {
+		t.Fatal(*bad)
 	}
-	type nodeEpoch struct {
-		node  element.NodeID
-		epoch uint64
+	nextBatch := make([]uint64, g.Len())
+	for _, v := range visits {
+		if v.batch != nextBatch[v.node] {
+			t.Fatalf("element %d ran batch %d, expected %d (repeated or out of order)",
+				v.node, v.batch, nextBatch[v.node])
+		}
+		nextBatch[v.node] = v.batch + 1
 	}
-	type placeSeg struct {
-		place string
-		seg   int
-	}
-	entered := make(map[visit]bool)
-	nextBatch := make(map[element.NodeID]uint64)
-	perEpoch := make(map[nodeEpoch]placeSeg)
-	for _, ev := range ring.Events() {
-		if ev.Kind != TraceEnter || ev.Node < 0 {
-			continue
-		}
-		v := visit{node: ev.Node, batch: ev.Batch}
-		if entered[v] {
-			t.Fatalf("element %d entered batch %d twice", ev.Node, ev.Batch)
-		}
-		entered[v] = true
-		if ev.Batch != nextBatch[ev.Node] {
-			t.Fatalf("element %d entered batch %d, expected %d (order violated)",
-				ev.Node, ev.Batch, nextBatch[ev.Node])
-		}
-		nextBatch[ev.Node] = ev.Batch + 1
-		ne := nodeEpoch{node: ev.Node, epoch: ev.Epoch}
-		ps := placeSeg{place: ev.Placement, seg: ev.Segment}
-		if prev, ok := perEpoch[ne]; ok && prev != ps {
-			t.Fatalf("element %d changed placement/segment within epoch %d: %+v then %+v",
-				ev.Node, ev.Epoch, prev, ps)
-		}
-		perEpoch[ne] = ps
-	}
-	if len(entered) != batches*g.Len() {
-		t.Fatalf("trace recorded %d element visits, want %d", len(entered), batches*g.Len())
+	if len(visits) != batches*g.Len() {
+		t.Fatalf("elements ran %d batches in all, want %d", len(visits), batches*g.Len())
 	}
 	return p
 }
 
+// checkSegmentPlacements asserts that a placement table gives every member
+// of a segment the placement and segment identity of its head: a batch a
+// head executes or submits for its chain runs every member under one
+// placement.
+func checkSegmentPlacements(t *testing.T, tbl *placementTable) {
+	t.Helper()
+	for si, plan := range tbl.segs {
+		head := tbl.nodes[plan.nodes[0]]
+		for _, id := range plan.nodes {
+			pl := tbl.nodes[id]
+			if pl.seg != si || pl.String() != head.String() {
+				t.Fatalf("epoch %d: element %d is %s in segment %d, its head %s in segment %d",
+					tbl.epoch, id, pl, pl.seg, head, si)
+			}
+		}
+	}
+}
+
 // TestHotSwapZeroLoss: applying new assignments mid-traffic loses zero
-// packets, keeps batch order, and — audited through the trace layer —
-// never executes an element under two placements within one batch epoch.
+// packets, keeps batch order, and — audited through every element's visits
+// — never executes an element twice, out of order or on two goroutines.
 func TestHotSwapZeroLoss(t *testing.T) {
 	p := auditHotSwap(t, hotSwapChain(), 2, OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
 		hotSwapAssignments(), 80, 20)

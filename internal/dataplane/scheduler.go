@@ -107,7 +107,6 @@ func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 	// Non-head members keep the single-element paths below for
 	// epoch-transition stragglers.
 	plan := tbl.headed(nr.id)
-	nr.p.traceEnter(nr.id, msg.b, pl, tbl.epoch)
 	// The ID is read before the element runs: it may recycle the header.
 	id := msg.b.ID
 	if nr.m != nil {
@@ -130,7 +129,6 @@ func (nr *nodeRunner) handle(ctx context.Context, msg stageMsg) bool {
 	if timed {
 		nr.p.bookTime(nr.id, id, msg.live, t0, nr.p.now())
 	}
-	nr.p.trace(TraceExit, nr.id, msg.b)
 	return nr.forward(ctx, msg.b, msg.live, outs)
 }
 
@@ -177,17 +175,6 @@ func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 	if nr.p.observes(it.id) {
 		nr.p.bookTime(nr.id, it.id, it.live, it.startNs, it.endNs)
 	}
-	if nr.p.cfg.Trace != nil {
-		// Not it.b.Live(): the element may have recycled the batch it was
-		// handed, and the device worker is already running the next one.
-		live := 0
-		for _, ob := range it.outs {
-			if ob != nil {
-				live += ob.Live()
-			}
-		}
-		nr.p.traceMember(TraceExit, nil, nr.id, it.id, live)
-	}
 	return nr.forward(ctx, it.b, it.live, it.outs)
 }
 
@@ -196,9 +183,11 @@ func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
 // forwards the chain's output to the tail's successors. No member goroutine
 // sees the batch.
 func (nr *nodeRunner) deliverFused(ctx context.Context, it *workItem) bool {
-	timed := nr.p.observes(it.id)
-	for i, ms := range it.stats[:it.executed] {
-		nr.p.book(it.plan, i, it.id, ms.liveIn, ms.liveOut, ms.startNs, ms.endNs, timed)
+	if nr.m != nil {
+		timed := nr.p.observes(it.id)
+		for i, ms := range it.stats[:it.executed] {
+			nr.p.book(it.plan, i, it.id, ms.liveIn, ms.liveOut, ms.startNs, ms.endNs, timed)
+		}
 	}
 	return nr.p.forwardTail(ctx, it.plan, it.final, it.stats[it.executed-1].liveOut)
 }
@@ -230,34 +219,28 @@ func (p *Pipeline) bookTime(id element.NodeID, batch uint64, live int, startNs, 
 
 // book records member i's share of one batch a segment executor ran through
 // plan: what the member's own goroutine would have booked had it executed
-// the element itself. The head's entry (batch and packet-in counters, trace
-// enter) is booked before execution by handle, so only members behind it
-// book theirs here. Called from the head's goroutine: nodeMetrics
-// fields are atomics, flight lanes and trace sinks take concurrent writers.
-// startNs/endNs are meaningful only when timed.
+// the element itself. The head's entry (batch and packet-in counters) is
+// booked before execution by handle, so only members behind it book theirs
+// here. Called from the head's goroutine: nodeMetrics fields are atomics,
+// flight lanes take concurrent writers. startNs/endNs are meaningful only
+// when timed; p.metrics is non-nil (only a Metrics pipeline books).
 func (p *Pipeline) book(plan *segmentPlan, i int, batch uint64, liveIn, liveOut int, startNs, endNs int64, timed bool) {
 	id := plan.nodes[i]
 	if i > 0 {
-		p.traceMember(TraceEnter, plan, id, batch, liveIn)
+		p.bookArrival(id, batch, liveIn)
 	}
-	if p.metrics != nil {
-		if i > 0 {
-			p.bookArrival(id, batch, liveIn)
-		}
-		if timed {
-			p.bookTime(id, batch, liveIn, startNs, endNs)
-		}
-		m := &p.metrics[id]
-		m.pktsOut.Add(uint64(liveOut))
-		if liveOut < liveIn {
-			m.drops.Add(uint64(liveIn - liveOut))
-		}
-		// One port per member; only the tail may fan it out.
-		for _, c := range p.edgeOut[id][0] {
-			c.Add(uint64(liveOut))
-		}
+	if timed {
+		p.bookTime(id, batch, liveIn, startNs, endNs)
 	}
-	p.traceMember(TraceExit, plan, id, batch, liveOut)
+	m := &p.metrics[id]
+	m.pktsOut.Add(uint64(liveOut))
+	if liveOut < liveIn {
+		m.drops.Add(uint64(liveIn - liveOut))
+	}
+	// One port per member; only the tail may fan it out.
+	for _, c := range p.edgeOut[id][0] {
+		c.Add(uint64(liveOut))
+	}
 }
 
 // forwardTail is a segment's one send: the chain's final batch goes

@@ -22,7 +22,7 @@ type chromeEvent struct {
 }
 
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
@@ -56,15 +56,15 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 
 	tr := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(spans)+len(order)+1),
+		Events:          make([]chromeEvent, 0, len(spans)+len(order)+1),
 		DisplayTimeUnit: "ns",
 	}
-	tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+	tr.Events = append(tr.Events, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "nfcompass pipeline"},
 	})
 	for _, k := range order {
-		tr.TraceEvents = append(tr.TraceEvents,
+		tr.Events = append(tr.Events,
 			chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: 1, Tid: keys[k],
 				Args: map[string]any{"name": fmt.Sprintf("%s[%d]", k.stage, k.lane)},
@@ -81,7 +81,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		if dur <= 0 {
 			dur = 0.001 // zero-width spans still render as a sliver
 		}
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+		tr.Events = append(tr.Events, chromeEvent{
 			Name: sp.Stage,
 			Ph:   "X",
 			Ts:   float64(sp.StartNs) / 1e3,

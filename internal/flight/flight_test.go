@@ -224,13 +224,13 @@ func TestChromeTraceValidJSON(t *testing.T) {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var tr struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	var complete, meta int
-	for _, ev := range tr.TraceEvents {
+	for _, ev := range tr.Events {
 		switch ev["ph"] {
 		case "X":
 			complete++

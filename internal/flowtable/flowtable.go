@@ -25,9 +25,8 @@
 // capacity it was given. Nothing is allocated per insert, evict, expire or
 // Reset once the arrays have reached the population's size, and a table of
 // pointer-free values holds no pointer for the collector to follow.
-// Everything observable is exact: the LRU victim, the TTL rules, the
-// OnEvict sequence and the Range order are those of a linked list over a
-// map.
+// Everything observable is exact: the LRU victim, the TTL rules and the
+// OnEvict sequence are those of a linked list over a map.
 //
 // The index is addressed by the top bits of the mixed key and Sharded
 // picks the stripe by the bottom bits, so the keys that share a stripe
@@ -156,13 +155,10 @@ func (t *Table[V]) find(h, key uint64) uint32 {
 	}
 }
 
-// ExpireTail reclaims up to max stale entries from the LRU tail, returning
-// how many were removed. The tail holds the least recently touched entries,
-// so the scan stops at the first live one — each call is O(removed+1),
-// never a full-table sweep. Owners that want reclamation decoupled from
-// write traffic call this on their own cadence.
-func (t *Table[V]) ExpireTail(max int) int { return t.expireTail(max, t.clock()) }
-
+// expireTail reclaims up to max entries stale at now from the LRU tail,
+// returning how many were removed. The tail holds the least recently
+// touched entries, so the scan stops at the first live one — each call is
+// O(removed+1), never a full-table sweep.
 func (t *Table[V]) expireTail(max int, now int64) int {
 	n := 0
 	for ; n < max; n++ {
@@ -278,13 +274,6 @@ func (t *Table[V]) getOrCreate(key uint64, mk func() V, now int64) (V, bool) {
 	return v, true
 }
 
-// Delete removes key if present.
-func (t *Table[V]) Delete(key uint64) {
-	if i := t.find(mixKey(key), key); i != 0 {
-		t.remove(i)
-	}
-}
-
 // Reset drops every entry without invoking OnEvict. The arrays are kept,
 // so a table that is reset and refilled allocates nothing.
 func (t *Table[V]) Reset() {
@@ -294,16 +283,6 @@ func (t *Table[V]) Reset() {
 	t.free, t.live = 0, 0
 	t.Evictions = 0
 	t.Expired = 0
-}
-
-// Range visits every entry from most to least recently used; returning
-// false stops the walk.
-func (t *Table[V]) Range(visit func(key uint64, value V) bool) {
-	for i := t.slots[0].next; i != 0; i = t.slots[i].next {
-		if !visit(t.slots[i].key, t.slots[i].value) {
-			return
-		}
-	}
 }
 
 // drop removes slot i on the table's own initiative, books it under

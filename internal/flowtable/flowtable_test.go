@@ -57,18 +57,27 @@ func TestPeekDoesNotTouch(t *testing.T) {
 	}
 }
 
+// TestDeleteAndReset: an entry leaves the table on the table's own
+// initiative — here a stale lookup, through OnEvict — and Reset drops every
+// entry without telling OnEvict.
 func TestDeleteAndReset(t *testing.T) {
+	var clk manualClock
 	tb := New[int](4)
+	tb.SetTTL(10, clk.now)
+	var gone []uint64
+	tb.OnEvict = func(k uint64, _ int) { gone = append(gone, k) }
 	tb.Put(1, 10)
 	tb.Put(2, 20)
-	tb.Delete(1)
-	tb.Delete(99) // no-op
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d", tb.Len())
+	clk.advance(11)
+	if _, ok := tb.Get(1); ok {
+		t.Fatal("stale entry served")
+	}
+	if tb.Len() != 1 || len(gone) != 1 || gone[0] != 1 {
+		t.Errorf("Len = %d, evicted %v; want 1 and [1]", tb.Len(), gone)
 	}
 	tb.Reset()
-	if tb.Len() != 0 {
-		t.Errorf("Len after reset = %d", tb.Len())
+	if tb.Len() != 0 || len(gone) != 1 {
+		t.Errorf("Len after reset = %d, evicted %v", tb.Len(), gone)
 	}
 	// Table still usable after reset.
 	tb.Put(5, 50)
@@ -95,22 +104,16 @@ func TestRangeMRUOrder(t *testing.T) {
 	tb.Put(2, 2)
 	tb.Put(3, 3)
 	tb.Get(1)
-	var keys []uint64
-	tb.Range(func(k uint64, _ int) bool {
-		keys = append(keys, k)
-		return true
-	})
+	tb.Peek(2) // no refresh
+	keys := mru(tb)
 	want := []uint64{1, 3, 2}
+	if len(keys) != len(want) {
+		t.Fatalf("recency order = %v, want %v", keys, want)
+	}
 	for i := range want {
 		if keys[i] != want[i] {
-			t.Fatalf("Range order = %v, want %v", keys, want)
+			t.Fatalf("recency order = %v, want %v", keys, want)
 		}
-	}
-	// Early stop.
-	count := 0
-	tb.Range(func(uint64, int) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("Range did not stop: %d", count)
 	}
 }
 
@@ -144,16 +147,14 @@ func TestBoundedProperty(t *testing.T) {
 			case 1:
 				tb.Get(k)
 			default:
-				tb.Delete(k)
+				tb.Peek(k)
 			}
 			if tb.Len() > capacity {
 				return false
 			}
 		}
-		// Linked list and map must agree.
-		n := 0
-		tb.Range(func(uint64, int) bool { n++; return true })
-		return n == tb.Len()
+		// Linked list and index must agree.
+		return len(mru(tb)) == tb.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

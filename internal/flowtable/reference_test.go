@@ -9,7 +9,7 @@ import (
 
 // refTable is the model the slab table is held to: a map over a
 // container/list, operation for operation what Table documents — LRU
-// victim, lazy-TTL rules, OnEvict sequence, Range order.
+// victim, lazy-TTL rules, OnEvict sequence, recency order.
 type refTable struct {
 	capacity           int
 	m                  map[uint64]*list.Element
@@ -116,13 +116,6 @@ func (r *refTable) getOrCreate(key uint64, mk func() int) (int, bool) {
 	v := mk()
 	r.put(key, v)
 	return v, true
-}
-
-func (r *refTable) delete(key uint64) {
-	if e, ok := r.m[key]; ok {
-		r.l.Remove(e)
-		delete(r.m, key)
-	}
 }
 
 func (r *refTable) reset() {
@@ -269,20 +262,43 @@ func (p *pair) getOrCreate(k uint64, nv int) {
 	p.same(fmt.Sprintf("GetOrCreate(%#x)", k), v, created, rv, rcreated)
 }
 
-func (p *pair) delete(k uint64) {
-	p.t.Helper()
-	p.tb.Delete(k)
-	p.ref.delete(k)
-	p.settle(fmt.Sprintf("Delete(%#x)", k))
-}
-
+// expireTail is the sweep Sharded.ExpireTailRange runs on each stripe.
 func (p *pair) expireTail(max int) {
 	p.t.Helper()
-	n, rn := p.tb.ExpireTail(max), p.ref.expireTail(max)
+	n, rn := p.tb.expireTail(max, p.tb.clock()), p.ref.expireTail(max)
 	if n != rn {
-		p.failf("ExpireTail(%d) = %d, model %d", max, n, rn)
+		p.failf("expireTail(%d) = %d, model %d", max, n, rn)
 	}
-	p.settle("ExpireTail")
+	p.settle("expireTail")
+}
+
+// expire removes keys the way a flow leaves the table, by going stale: the
+// resident entries are refreshed, the clock moves half a TTL on, every
+// entry but keys is refreshed again, and once keys alone are past the TTL
+// a lookup of each reclaims it. The pair's TTL must be refTTL.
+func (p *pair) expire(keys ...uint64) {
+	p.t.Helper()
+	gone := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
+		gone[k] = true
+	}
+	var resident []uint64
+	for e := p.ref.l.Front(); e != nil; e = e.Next() {
+		resident = append(resident, e.Value.(*refEntry).key)
+	}
+	for _, k := range resident {
+		p.get(k)
+	}
+	p.clock += refTTL/2 + 1
+	for _, k := range resident {
+		if !gone[k] {
+			p.get(k)
+		}
+	}
+	p.clock += refTTL / 2
+	for _, k := range keys {
+		p.get(k)
+	}
 }
 
 func (p *pair) reset() {
@@ -292,31 +308,37 @@ func (p *pair) reset() {
 	p.settle("Reset")
 }
 
-// ranged compares the full MRU→LRU order, a stop after limit entries, and
-// the table's structure.
-func (p *pair) ranged(limit int) {
+// ranged compares the full MRU→LRU order, walked through the slab, and the
+// table's structure.
+func (p *pair) ranged() {
 	p.t.Helper()
 	e := p.ref.l.Front()
 	n := 0
-	p.tb.Range(func(k uint64, v int) bool {
+	for i := p.tb.slots[0].next; i != 0; i = p.tb.slots[i].next {
+		s := &p.tb.slots[i]
 		if e == nil {
-			p.failf("Range yields more than the model's %d entries", n)
+			p.failf("LRU list holds more than the model's %d entries", n)
 		}
-		if ent := e.Value.(*refEntry); ent.key != k || ent.value != v {
-			p.failf("Range #%d = %#x:%d, model %#x:%d", n, k, v, ent.key, ent.value)
+		if ent := e.Value.(*refEntry); ent.key != s.key || ent.value != s.value {
+			p.failf("LRU #%d = %#x:%d, model %#x:%d", n, s.key, s.value, ent.key, ent.value)
 		}
 		e = e.Next()
 		n++
-		return n != limit
-	})
-	if want := min(limit, p.ref.l.Len()); limit > 0 && n != want {
-		p.failf("Range visited %d, want %d", n, want)
 	}
-	if limit <= 0 && e != nil {
-		p.failf("Range stopped after %d of %d", n, p.ref.l.Len())
+	if e != nil {
+		p.failf("LRU list ends after %d of %d", n, p.ref.l.Len())
 	}
 	checkStructure(p.t, p.tb)
-	p.settle("Range")
+	p.settle("order")
+}
+
+// mru lists a table's keys from most to least recently used.
+func mru[V any](tb *Table[V]) []uint64 {
+	var keys []uint64
+	for i := tb.slots[0].next; i != 0; i = tb.slots[i].next {
+		keys = append(keys, tb.slots[i].key)
+	}
+	return keys
 }
 
 // refKey maps an operation's key byte onto a universe a little wider than
@@ -349,14 +371,12 @@ func runOps(t *testing.T, capacity int, ttl int64, data []byte) {
 			p.getOrCreate(k, arg)
 		case 10:
 			p.peek(k)
-		case 11:
-			p.delete(k)
-		case 12:
+		case 11, 12:
 			p.expireTail(arg % 8)
 		case 13:
 			p.clock += int64(arg % 24) // against a TTL of 16: some go stale, some do not
 		case 14:
-			p.ranged(arg % 4 * (arg % 7)) // 0 = the whole table
+			p.ranged()
 		case 15:
 			switch arg % 16 {
 			case 0:
@@ -368,7 +388,7 @@ func runOps(t *testing.T, capacity int, ttl int64, data []byte) {
 			}
 		}
 	}
-	p.ranged(0)
+	p.ranged()
 }
 
 const refTTL = 16
@@ -413,61 +433,78 @@ func keysHomedAt(home uint64, bits uint, n int) []uint64 {
 }
 
 // TestBackwardShiftAcrossWrap builds a probe cluster that runs off the end
-// of the 8-cell index into cell 0 and deletes each member in turn: the
-// shift has to carry the survivors back across the wrap-around, leave the
-// one that is already home alone, and keep every key reachable.
+// of the 8-cell index into cell 0 and takes each member out in turn, by
+// expiry and by eviction: the backward shift has to carry the survivors
+// back across the wrap-around, leave the one that is already home alone,
+// and keep every key reachable.
 func TestBackwardShiftAcrossWrap(t *testing.T) {
 	last := keysHomedAt(7, 3, 3) // land in cells 7, 0, 1
 	zero := keysHomedAt(0, 3, 1) // home 0, displaced to cell 2
 	keys := append(last, zero...)
-	for victim := range keys {
-		p := newPair(t, 4, 0)
-		for i, k := range keys {
-			p.put(k, i)
-		}
-		if len(p.tb.index) != 8 {
-			t.Fatalf("index grew to %d; the row needs the 8-cell index", len(p.tb.index))
-		}
-		for c, want := range []uint64{7: keys[0], 0: keys[1], 1: keys[2], 2: keys[3]} {
-			if i := p.tb.index[c]; (want == 0) != (i == 0) || (i != 0 && p.tb.slots[i].key != want) {
-				t.Fatalf("cell %d holds slot %d, want key %#x", c, i, want)
+	outsider := keysHomedAt(4, 3, 1)[0] // homed clear of the cluster
+	for _, evict := range []bool{false, true} {
+		for victim := range keys {
+			p := newPair(t, 4, refTTL)
+			for i, k := range keys {
+				p.put(k, i)
 			}
+			if len(p.tb.index) != 8 {
+				t.Fatalf("index grew to %d; the row needs the 8-cell index", len(p.tb.index))
+			}
+			for c, want := range []uint64{7: keys[0], 0: keys[1], 1: keys[2], 2: keys[3]} {
+				if i := p.tb.index[c]; (want == 0) != (i == 0) || (i != 0 && p.tb.slots[i].key != want) {
+					t.Fatalf("cell %d holds slot %d, want key %#x", c, i, want)
+				}
+			}
+			if evict {
+				// Every key but the victim touched, so the victim is the LRU
+				// victim of the next insert.
+				for i, k := range keys {
+					if i != victim {
+						p.get(k)
+					}
+				}
+				p.put(outsider, 42)
+				if p.tb.Evictions != 1 {
+					t.Fatalf("insert at the bound evicted %d entries", p.tb.Evictions)
+				}
+			} else {
+				p.expire(keys[victim])
+			}
+			p.ranged()
+			for _, k := range keys {
+				p.peek(k)
+			}
+			// The freed slot and cell are reused by the next insert.
+			p.put(keys[victim], 99)
+			p.ranged()
 		}
-		p.delete(keys[victim])
-		p.ranged(0)
-		for _, k := range keys {
-			p.peek(k)
-		}
-		// The freed slot and cell are reused by the next insert.
-		p.put(keys[victim], 99)
-		p.ranged(0)
 	}
 }
 
 // TestClusterSpansGrowth fills one cell's cluster, then inserts through an
 // index doubling: the cluster's members re-home under the new shift (they
-// split between two cells), and deletes on either side of the growth keep
+// split between two cells), and expiries on either side of the growth keep
 // both clusters intact.
 func TestClusterSpansGrowth(t *testing.T) {
 	cluster := keysHomedAt(5, 3, 4)
-	p := newPair(t, 64, 0)
+	p := newPair(t, 64, refTTL)
 	for i, k := range cluster {
 		p.put(k, i)
 	}
-	p.ranged(0)
-	p.delete(cluster[1]) // hole in the middle of the old cluster
+	p.ranged()
+	p.expire(cluster[1]) // hole in the middle of the old cluster
 	p.put(cluster[1], 7)
 	for k := uint64(1000); len(p.tb.index) < 32; k++ { // two doublings
 		p.put(k, int(k))
 	}
-	p.ranged(0)
+	p.ranged()
 	for _, k := range cluster {
 		p.peek(k)
 	}
-	p.delete(cluster[0])
-	p.delete(cluster[2])
-	p.ranged(0)
+	p.expire(cluster[0], cluster[2])
+	p.ranged()
 	p.get(cluster[1])
 	p.get(cluster[3])
-	p.get(cluster[0]) // deleted: a miss that must terminate
+	p.get(cluster[0]) // expired: a miss that must terminate
 }

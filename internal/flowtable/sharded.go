@@ -120,24 +120,6 @@ func (s *Sharded[V]) unlock(st *shardedStripe[V], before int) {
 	st.mu.Unlock()
 }
 
-// Get returns the value for key, marking it most recently used in its
-// stripe.
-func (s *Sharded[V]) Get(key uint64) (V, bool) {
-	st, now := s.lock(key)
-	before := st.t.live
-	v, ok := st.t.get(key, now)
-	s.unlock(st, before)
-	return v, ok
-}
-
-// Put inserts or replaces the value for key.
-func (s *Sharded[V]) Put(key uint64, value V) {
-	st, now := s.lock(key)
-	before := st.t.live
-	st.t.put(key, value, now)
-	s.unlock(st, before)
-}
-
 // GetOrCreate returns the existing value or installs the one produced by
 // mk (called with the stripe lock held), reporting whether it was created.
 func (s *Sharded[V]) GetOrCreate(key uint64, mk func() V) (V, bool) {
@@ -148,38 +130,19 @@ func (s *Sharded[V]) GetOrCreate(key uint64, mk func() V) (V, bool) {
 	return v, created
 }
 
-// Touch is Put for presence-only values: it refreshes key's recency (and
-// TTL stamp), inserting it if absent, and reports whether the flow is new.
+// Touch is GetOrCreate for presence-only values: it refreshes key's recency
+// (and TTL stamp), inserting it if absent, and reports whether the flow is
+// new.
 // This is the connection-tracker fast path — one lock, one index probe.
 func (s *Sharded[V]) Touch(key uint64, mk func() V) bool {
 	_, created := s.GetOrCreate(key, mk)
 	return created
 }
 
-// Delete removes key if present.
-func (s *Sharded[V]) Delete(key uint64) {
-	st, _ := s.lock(key)
-	before := st.t.live
-	st.t.Delete(key)
-	s.unlock(st, before)
-}
-
 // Len returns the resident entries across stripes, from the census: no
 // lock, O(1). With a TTL set this may include stale entries not yet
 // reclaimed; pair with ExpireTail for a tighter figure.
 func (s *Sharded[V]) Len() int { return int(s.census.Load()) }
-
-// Capacity returns the total bound across stripes.
-func (s *Sharded[V]) Capacity() int {
-	n := 0
-	for i := range s.stripes {
-		n += s.stripes[i].t.Capacity()
-	}
-	return n
-}
-
-// Stripes returns the stripe count.
-func (s *Sharded[V]) Stripes() int { return len(s.stripes) }
 
 // Evictions sums LRU evictions across stripes.
 func (s *Sharded[V]) Evictions() uint64 {
@@ -206,9 +169,9 @@ func (s *Sharded[V]) Expired() uint64 {
 }
 
 // ExpireTail reclaims up to max stale entries from every stripe's LRU tail
-// (so up to max*Stripes() total), returning how many were removed. Cheap
-// enough to call per batch: a stripe with nothing due costs one atomic
-// load and no lock.
+// (so up to max times the stripe count in total), returning how many were
+// removed. Cheap enough to call per batch: a stripe with nothing due costs
+// one atomic load and no lock.
 func (s *Sharded[V]) ExpireTail(max int) int {
 	return s.ExpireTailRange(0, len(s.stripes), max)
 }
@@ -242,26 +205,4 @@ func (s *Sharded[V]) ExpireTailRange(lo, hi, max int) int {
 		s.unlock(st, before)
 	}
 	return n
-}
-
-// Range visits entries stripe by stripe (most to least recently used
-// within each stripe) with that stripe's lock held; returning false stops
-// the walk. visit must not call back into the table.
-func (s *Sharded[V]) Range(visit func(key uint64, value V) bool) {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		stop := false
-		st.mu.Lock()
-		st.t.Range(func(k uint64, v V) bool {
-			if !visit(k, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		st.mu.Unlock()
-		if stop {
-			return
-		}
-	}
 }

@@ -66,8 +66,8 @@ func TestTTLExpireTailBudget(t *testing.T) {
 		tab.Put(k, 0)
 	}
 	clk.advance(100)
-	if n := tab.ExpireTail(7); n != 7 {
-		t.Fatalf("ExpireTail removed %d, want exactly the budget 7", n)
+	if n := tab.expireTail(7, clk.now()); n != 7 {
+		t.Fatalf("expireTail removed %d, want exactly the budget 7", n)
 	}
 	if tab.Len() != 43 {
 		t.Fatalf("Len = %d after budgeted expiry", tab.Len())
@@ -75,24 +75,35 @@ func TestTTLExpireTailBudget(t *testing.T) {
 }
 
 func TestShardedBasics(t *testing.T) {
+	var clk manualClock
 	s := NewSharded[int](8, 1024)
-	if s.Stripes() != 8 {
-		t.Fatalf("stripes = %d", s.Stripes())
+	s.SetTTL(10, clk.now)
+	if len(s.stripes) != 8 {
+		t.Fatalf("stripes = %d", len(s.stripes))
 	}
 	for k := uint64(0); k < 500; k++ {
-		s.Put(k, int(k)*2)
-	}
-	for k := uint64(0); k < 500; k++ {
-		if v, ok := s.Get(k); !ok || v != int(k)*2 {
-			t.Fatalf("key %d: %v %v", k, v, ok)
+		if v, created := s.GetOrCreate(k, func() int { return int(k) * 2 }); !created || v != int(k)*2 {
+			t.Fatalf("insert %d: %v %v", k, v, created)
 		}
 	}
-	s.Delete(7)
-	if _, ok := s.Get(7); ok {
-		t.Fatal("deleted key resurfaced")
+	clk.advance(5)
+	for k := uint64(0); k < 500; k++ {
+		if k == 7 {
+			continue
+		}
+		if v, created := s.GetOrCreate(k, func() int { return -1 }); created || v != int(k)*2 {
+			t.Fatalf("key %d: %v %v", k, v, created)
+		}
+	}
+	clk.advance(6) // key 7 alone is past the TTL
+	if n := s.ExpireTailRange(0, len(s.stripes), 8); n != 1 {
+		t.Fatalf("sweep reclaimed %d, want key 7 only", n)
 	}
 	if got := s.Len(); got != 499 {
 		t.Fatalf("Len = %d", got)
+	}
+	if _, created := s.GetOrCreate(7, func() int { return 0 }); !created {
+		t.Fatal("expired key resurfaced")
 	}
 }
 
@@ -128,12 +139,12 @@ func TestShardedMillionFlowChurn(t *testing.T) {
 			base := uint64(w) * uint64(per)
 			for i := 0; i < per; i++ {
 				key := 1 + base + uint64(i) // transient flow, inserted once
-				s.Put(key, key)
+				s.GetOrCreate(key, func() uint64 { return key })
 				// Refresh one established flow every few inserts so the
 				// whole established set stays live from every worker.
 				if i%4 == 0 {
 					ek := uint64(1<<40) + uint64((int(base)+i)%established)
-					s.Put(ek, ek)
+					s.GetOrCreate(ek, func() uint64 { return ek })
 				}
 			}
 		}(w)
@@ -144,25 +155,25 @@ func TestShardedMillionFlowChurn(t *testing.T) {
 	if peak < 1_000_000 {
 		t.Fatalf("concurrent flows = %d, want >= 1M", peak)
 	}
-	if peak > s.Capacity() {
-		t.Fatalf("table exceeded its bound: %d > %d", peak, s.Capacity())
+	if peak > capacity {
+		t.Fatalf("table exceeded its bound: %d > %d", peak, capacity)
 	}
 
 	// The churn flows age out; the established set is refreshed and must
 	// survive incremental reclamation sweeps.
 	clk.advance(ttl / 2)
 	for k := 0; k < established; k++ {
-		s.Put(uint64(1<<40)+uint64(k), 1)
+		s.GetOrCreate(uint64(1<<40)+uint64(k), func() uint64 { return 1 })
 	}
 	clk.advance(ttl/2 + 1) // transients now stale, established refreshed
 	for reclaimed := 1; reclaimed > 0; {
 		reclaimed = s.ExpireTail(256)
 	}
-	if got := s.Len(); got > established+s.Stripes() {
+	if got := s.Len(); got > established+len(s.stripes) {
 		t.Fatalf("lazy expiry left %d entries (want ~%d)", got, established)
 	}
 	for k := 0; k < established; k++ {
-		if _, ok := s.Get(uint64(1<<40) + uint64(k)); !ok {
+		if _, created := s.GetOrCreate(uint64(1<<40)+uint64(k), func() uint64 { return 0 }); created {
 			t.Fatalf("established flow %d lost during churn/expiry", k)
 		}
 	}
@@ -252,7 +263,10 @@ func TestShardedExpireVsTouch(t *testing.T) {
 	sweepers.Wait()
 
 	resident := 0
-	s.Range(func(uint64, struct{}) bool { resident++; return true })
+	for i := range s.stripes {
+		checkStructure(t, &s.stripes[i].t)
+		resident += len(mru(&s.stripes[i].t))
+	}
 	if got := s.Len(); got != resident {
 		t.Fatalf("census %d, stripes hold %d", got, resident)
 	}
@@ -286,13 +300,14 @@ func TestShardedSkipRule(t *testing.T) {
 	s.SetTTL(ttl, clk.now)
 	st := &s.stripes[0]
 
-	s.Put(1, 1)
-	s.Put(2, 2)
+	mk := func() int { return 0 }
+	s.GetOrCreate(1, mk)
+	s.GetOrCreate(2, mk)
 	if due := st.due.Load(); due != ttl {
 		t.Fatalf("due = %d after first insert at clock 0, want %d", due, ttl)
 	}
 	clk.advance(8)
-	s.Get(1) // key 1 refreshed; key 2 is the tail, still stamped 0
+	s.GetOrCreate(1, mk) // key 1 refreshed; key 2 is the tail, still stamped 0
 	clk.advance(3)
 	if n := s.ExpireTail(4); n != 1 {
 		t.Fatalf("ExpireTail removed %d at clock 11, want key 2 only", n)
@@ -304,7 +319,7 @@ func TestShardedSkipRule(t *testing.T) {
 	if n := s.ExpireTail(4); n != 1 || s.Len() != 0 {
 		t.Fatalf("ExpireTail removed %d, Len %d; want the stripe empty", n, s.Len())
 	}
-	s.Put(3, 3) // refills the emptied stripe at clock 19
+	s.GetOrCreate(3, mk) // refills the emptied stripe at clock 19
 	clk.advance(ttl + 1)
 	if n := s.ExpireTail(4); n != 1 {
 		t.Fatalf("refilled stripe was skipped: removed %d", n)

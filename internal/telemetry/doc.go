@@ -11,7 +11,10 @@
 //	/snapshot      the full dataplane.Report as JSON (fresh per request).
 //	/healthz       liveness + backpressure: 200 while the pipeline runs, 503
 //	               once it drains; body reports the fullest inbox fill ratio.
-//	/trace         retained dataplane TraceEvents as NDJSON (?n= tail limit).
+//	/spans         the flight recorder's batch spans as NDJSON (?n= tail
+//	               limit).
+//	/trace.chrome  the same spans as Chrome trace_event JSON (Perfetto).
+//	/bottleneck    the flight sampler's bottleneck report.
 //	/decisions     the adaptor's DecisionJournal — every Observe outcome with
 //	               predicted vs. measured cost and the resulting epoch.
 //	/debug/pprof/  the standard Go profiling endpoints.
@@ -23,7 +26,7 @@
 //	srv, _ := telemetry.New(telemetry.Config{
 //	        Source:  pipeline,
 //	        Done:    pipeline.Done(),
-//	        Trace:   ring,
+//	        Flight:  rec,
 //	        Journal: adaptor.Journal(),
 //	})
 //	addr, _ := srv.Start(":9090")

@@ -46,13 +46,13 @@ func TestChromeTraceEndpoint(t *testing.T) {
 		t.Fatalf("status = %d", code)
 	}
 	var trace struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(body, &trace); err != nil {
 		t.Fatalf("trace.chrome is not valid JSON: %v", err)
 	}
 	var complete, meta int
-	for _, ev := range trace.TraceEvents {
+	for _, ev := range trace.Events {
 		switch ev["ph"] {
 		case "X":
 			complete++
@@ -93,6 +93,52 @@ func TestSpansEndpoint(t *testing.T) {
 	_, body = get(t, ts.URL+"/spans?n=4")
 	if got := len(strings.Split(strings.TrimSpace(string(body)), "\n")); got != 4 {
 		t.Errorf("?n=4 returned %d spans", got)
+	}
+}
+
+// TestLiveSpansEndpoint serves the spans of a real pipeline: with Metrics on,
+// every element an observed batch visits records an nf:<element> span and
+// the collector a release span, and ?n= keeps only the tail of that stream.
+func TestLiveSpansEndpoint(t *testing.T) {
+	p, rec, finish := runPipeline(t)
+	finish()
+	_, ts := newTestServer(t, Config{Source: p, Flight: rec})
+
+	code, body := get(t, ts.URL+"/spans")
+	if code != 200 {
+		t.Fatalf("status = %d", code)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	stages := map[string]int{}
+	for i, line := range lines {
+		var sp flight.Span
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("span line %d invalid: %v", i, err)
+		}
+		if !flight.Observed(sp.Batch) {
+			t.Errorf("span of unobserved batch %d on %s", sp.Batch, sp.Stage)
+		}
+		stages[sp.Stage]++
+	}
+	observed := 0
+	for id := uint64(0); id < 50; id++ {
+		if flight.Observed(id) {
+			observed++
+		}
+	}
+	if stages[flight.StageRelease] != observed {
+		t.Errorf("release spans = %d, want one per observed batch (%d)", stages[flight.StageRelease], observed)
+	}
+	for _, e := range p.Snapshot().Elements {
+		if stages["nf:"+e.Name] != observed {
+			t.Errorf("nf:%s spans = %d, want %d (got stages %v)", e.Name, stages["nf:"+e.Name], observed, stages)
+		}
+	}
+
+	_, body = get(t, ts.URL+"/spans?n=3")
+	tail := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if want := lines[len(lines)-3:]; strings.Join(tail, "\n") != strings.Join(want, "\n") {
+		t.Errorf("?n=3 served\n%s\nwant the tail\n%s", strings.Join(tail, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -165,13 +211,13 @@ func TestFlightEndpointsWithoutRecorder(t *testing.T) {
 		t.Fatalf("trace.chrome status = %d", code)
 	}
 	var trace struct {
-		TraceEvents []any `json:"traceEvents"`
+		Events []any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(body, &trace); err != nil {
 		t.Fatalf("empty trace.chrome invalid: %v", err)
 	}
-	if len(trace.TraceEvents) != 0 {
-		t.Errorf("expected no events, got %d", len(trace.TraceEvents))
+	if len(trace.Events) != 0 {
+		t.Errorf("expected no events, got %d", len(trace.Events))
 	}
 
 	code, body = get(t, ts.URL+"/spans")

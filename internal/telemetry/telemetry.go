@@ -32,9 +32,6 @@ type Config struct {
 	// Done, when non-nil, signals pipeline termination: /healthz turns 503
 	// once it closes. Use Pipeline.Done() / ShardedPipeline.Done().
 	Done <-chan struct{}
-	// Trace, when non-nil, is the ring the pipeline emits TraceEvents into;
-	// /trace streams its retained events as NDJSON.
-	Trace *dataplane.RingTrace
 	// Journal, when non-nil, is the adaptor's decision journal served at
 	// /decisions.
 	Journal *core.DecisionJournal
@@ -61,7 +58,6 @@ type Config struct {
 //	/metrics       Prometheus text exposition (from periodic snapshots)
 //	/snapshot      full Report as JSON (fresh snapshot per request)
 //	/healthz       liveness + backpressure signal as JSON
-//	/trace         retained TraceEvents as NDJSON (?n= limits to the tail)
 //	/trace.chrome  flight spans as Chrome trace_event JSON (Perfetto)
 //	/spans         flight spans as NDJSON (?n= limits to the tail)
 //	/bottleneck    the sampler's bottleneck report (JSON; ?format=text)
@@ -99,7 +95,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/trace", s.handleTrace)
 	s.mux.HandleFunc("/trace.chrome", s.handleChromeTrace)
 	s.mux.HandleFunc("/spans", s.handleSpans)
 	s.mux.HandleFunc("/bottleneck", s.handleBottleneck)
@@ -231,44 +226,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	default:
 	}
 	writeJSON(w, code, h)
-}
-
-// traceJSON is the NDJSON shape of one TraceEvent (kind rendered as its
-// lifecycle name, timestamp shortened to "ns").
-type traceJSON struct {
-	Kind      string `json:"kind"`
-	Node      int    `json:"node"`
-	Batch     uint64 `json:"batch"`
-	Packets   int    `json:"packets"`
-	Ns        int64  `json:"ns"`
-	Epoch     uint64 `json:"epoch,omitempty"`
-	Placement string `json:"placement,omitempty"`
-	Segment   int    `json:"segment,omitempty"`
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.cfg.Trace == nil {
-		return
-	}
-	evs := s.cfg.Trace.Events()
-	if v := r.URL.Query().Get("n"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 && n < len(evs) {
-			evs = evs[len(evs)-n:]
-		}
-	}
-	enc := json.NewEncoder(w)
-	for _, e := range evs {
-		seg := 0
-		if e.Segment >= 0 {
-			seg = e.Segment + 1 // 1-based on the wire so omitempty drops "none"
-		}
-		enc.Encode(traceJSON{
-			Kind: e.Kind.String(), Node: int(e.Node), Batch: e.Batch,
-			Packets: e.Packets, Ns: e.NanosSinceStart,
-			Epoch: e.Epoch, Placement: e.Placement, Segment: seg,
-		})
-	}
 }
 
 // handleChromeTrace exports the flight recorder's span rings as Chrome

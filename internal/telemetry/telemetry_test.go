@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/element"
+	"nfcompass/internal/flight"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/stats"
@@ -32,12 +32,15 @@ func chainGraph(t *testing.T) *element.Graph {
 	return g
 }
 
-func runPipeline(t *testing.T) (*dataplane.Pipeline, *dataplane.RingTrace, func()) {
+// runPipeline starts the chain with Metrics and a flight recorder on, injects
+// 50 batches of 32 packets and returns the pipeline, its recorder and the
+// drain.
+func runPipeline(t *testing.T) (*dataplane.Pipeline, *flight.Recorder, func()) {
 	t.Helper()
 	g := chainGraph(t)
-	ring := dataplane.NewRingTrace(1 << 12)
+	rec := flight.New(flight.Config{})
 	p, err := dataplane.New(g, dataplane.Config{
-		Metrics: true, PreserveOrder: true, Trace: ring,
+		Metrics: true, PreserveOrder: true, Flight: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +63,7 @@ func runPipeline(t *testing.T) (*dataplane.Pipeline, *dataplane.RingTrace, func(
 			t.Fatal(err)
 		}
 	}
-	return p, ring, finish
+	return p, rec, finish
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -89,11 +92,11 @@ func get(t *testing.T, url string) (int, []byte) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	p, ring, finish := runPipeline(t)
+	p, _, finish := runPipeline(t)
 	finish()
 
 	journal := core.NewDecisionJournal(8)
-	_, ts := newTestServer(t, Config{Source: p, Trace: ring, Journal: journal})
+	_, ts := newTestServer(t, Config{Source: p, Journal: journal})
 
 	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -172,53 +175,6 @@ func TestHealthzLifecycle(t *testing.T) {
 	}
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	p, ring, finish := runPipeline(t)
-	finish()
-	_, ts := newTestServer(t, Config{Source: p, Trace: ring})
-
-	code, body := get(t, ts.URL+"/trace")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	sc := bufio.NewScanner(strings.NewReader(string(body)))
-	n, kinds := 0, map[string]bool{}
-	for sc.Scan() {
-		var ev struct {
-			Kind string `json:"kind"`
-			Ns   int64  `json:"ns"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d: %v", n, err)
-		}
-		if ev.Ns < 0 {
-			t.Errorf("negative timestamp %d", ev.Ns)
-		}
-		kinds[ev.Kind] = true
-		n++
-	}
-	if n == 0 {
-		t.Fatal("no trace events")
-	}
-	for _, k := range []string{"inject", "enter", "exit", "release"} {
-		if !kinds[k] {
-			t.Errorf("missing kind %q (got %v)", k, kinds)
-		}
-	}
-
-	_, body = get(t, ts.URL+"/trace?n=5")
-	if got := strings.Count(string(body), "\n"); got != 5 {
-		t.Errorf("?n=5 returned %d lines", got)
-	}
-
-	// No ring configured: empty stream, not an error.
-	_, ts2 := newTestServer(t, Config{Source: p})
-	code, body = get(t, ts2.URL+"/trace")
-	if code != http.StatusOK || len(body) != 0 {
-		t.Errorf("no-ring trace: code=%d len=%d", code, len(body))
-	}
-}
-
 func TestDecisionsEndpoint(t *testing.T) {
 	p, _, finish := runPipeline(t)
 	finish()
@@ -276,9 +232,9 @@ func TestPprofEndpoint(t *testing.T) {
 }
 
 func TestStartShutdownAndRefresh(t *testing.T) {
-	p, ring, finish := runPipeline(t)
+	p, _, finish := runPipeline(t)
 	journal := core.NewDecisionJournal(4)
-	s, err := New(Config{Source: p, Done: p.Done(), Trace: ring,
+	s, err := New(Config{Source: p, Done: p.Done(),
 		Journal: journal, Interval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -55,11 +55,6 @@ var keep = []struct {
 			"telemetry.(*Server).Handler",
 			"graph.(*WGraph).Feasible",
 			"element.(*Graph).Sinks",
-			// The flow-table tests drive and probe both tables against the
-			// map + list reference model through these.
-			"flowtable.(*Table).ExpireTail", "flowtable.(*Table).Delete", "flowtable.(*Table).Range",
-			"flowtable.(*Sharded).Get", "flowtable.(*Sharded).Put", "flowtable.(*Sharded).Delete",
-			"flowtable.(*Sharded).Capacity", "flowtable.(*Sharded).Stripes", "flowtable.(*Sharded).Range",
 		},
 	},
 	{
