@@ -173,16 +173,45 @@ func BenchmarkMatchLinear1000(b *testing.B) {
 	}
 }
 
-func BenchmarkMatchTree1000(b *testing.B) {
-	l := Generate(DefaultGenConfig(1000, 1))
-	tree := BuildTree(l, 8)
+// benchMatch times the classifier compile builds over 1000 rules with two
+// key sets: keys drawn to match a random rule of the generator's seed-1
+// list, and telco_churn-shaped UDP keys (10.x sources, 192.168.x
+// destinations, destination ports 80/443/53/8080) against that workload's
+// own `firewall:1000` list (spec.Parse seed 1 generates with seed 8).
+func benchMatch(b *testing.B, compile func(*List) func(Key) (Action, int, int)) {
 	rng := rand.New(rand.NewSource(2))
-	keys := make([]Key, 1024)
-	for i := range keys {
-		keys[i] = RandomMatchingKey(rng, &l.Rules[rng.Intn(len(l.Rules))])
+	rules, telco := Generate(DefaultGenConfig(1000, 1)), Generate(DefaultGenConfig(1000, 8))
+	ruleKeys, telcoKeys := make([]Key, 1024), make([]Key, 1024)
+	for i := range ruleKeys {
+		ruleKeys[i] = RandomMatchingKey(rng, &rules.Rules[rng.Intn(len(rules.Rules))])
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Match(keys[i%len(keys)])
+	for i := range telcoKeys {
+		telcoKeys[i] = Key{
+			Src:     netpkt.IPv4Addr(0x0a000000 | rng.Uint32()&0x00ffffff),
+			Dst:     netpkt.IPv4Addr(0xc0a80000 | rng.Uint32()&0xffff),
+			SrcPort: uint16(1024 + rng.Intn(60000)),
+			DstPort: []uint16{80, 443, 53, 8080}[rng.Intn(4)],
+			Proto:   netpkt.IPProtoUDP,
+		}
 	}
+	for _, c := range []struct {
+		name string
+		l    *List
+		keys []Key
+	}{{"rule-keys", rules, ruleKeys}, {"telco-keys", telco, telcoKeys}} {
+		match := compile(c.l)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				match(c.keys[i%len(c.keys)])
+			}
+		})
+	}
+}
+
+func BenchmarkMatchTree1000(b *testing.B) {
+	benchMatch(b, func(l *List) func(Key) (Action, int, int) { return BuildTree(l, 8).Match })
+}
+
+func BenchmarkMatchTable1000(b *testing.B) {
+	benchMatch(b, func(l *List) func(Key) (Action, int, int) { return CompileTable(l).Match })
 }

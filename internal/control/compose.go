@@ -30,7 +30,7 @@ type Composition struct {
 // composition's deployment samples.
 const sampleBatches = 8
 
-// Compose deploys the specs as one composition on platform p
+// Compose deploys the specs as one composition on the default platform
 // (core.DeployTenants), sampling every tenant's own traffic. A spec whose
 // chain is in built (by name) deploys that chain; every other spec is built
 // here, once.
@@ -38,7 +38,7 @@ const sampleBatches = 8
 // any spec sets Offload, synthesis is off when any spec opts out, and
 // parallelization stays off. Chain names must be unique; at least one spec
 // is required.
-func Compose(specs []spec.ChainSpec, built map[string][]*nf.NF, p hetsim.Platform) (*Composition, error) {
+func Compose(specs []spec.ChainSpec, built map[string][]*nf.NF) (*Composition, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("control: no chains to compose")
 	}
@@ -67,7 +67,7 @@ func Compose(specs []spec.ChainSpec, built map[string][]*nf.NF, p hetsim.Platfor
 		opt.BatchSize = max(opt.BatchSize, s.EffectiveBatchSize())
 		sample = append(sample, tenantTraffic(s, tag, sampleBatches)...)
 	}
-	d, err := core.DeployTenants(tenants, p, sample, opt)
+	d, err := core.DeployTenants(tenants, hetsim.DefaultPlatform(), sample, opt)
 	if err != nil {
 		return nil, fmt.Errorf("control: deploy: %w", err)
 	}

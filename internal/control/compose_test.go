@@ -32,7 +32,7 @@ func twoTenantSpecs() []spec.ChainSpec {
 
 func compose(t *testing.T, specs []spec.ChainSpec) *Composition {
 	t.Helper()
-	c, err := Compose(specs, nil, hetsim.DefaultPlatform())
+	c, err := Compose(specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +106,18 @@ func TestComposeSingleTenantKeepsChainPrivate(t *testing.T) {
 }
 
 func TestComposeRejectsBadSpecs(t *testing.T) {
-	p := hetsim.DefaultPlatform()
-	if _, err := Compose(nil, nil, p); err == nil {
+	if _, err := Compose(nil, nil); err == nil {
 		t.Error("empty spec set accepted")
 	}
 	dup := []spec.ChainSpec{
 		{Name: "a", Revision: 1, Chain: "ipv4"},
 		{Name: "a", Revision: 2, Chain: "nat"},
 	}
-	if _, err := Compose(dup, nil, p); err == nil {
+	if _, err := Compose(dup, nil); err == nil {
 		t.Error("duplicate chain names accepted")
 	}
 	bad := []spec.ChainSpec{{Name: "a", Revision: 1, Chain: "bogus"}}
-	if _, err := Compose(bad, nil, p); err == nil {
+	if _, err := Compose(bad, nil); err == nil {
 		t.Error("unknown NF accepted")
 	}
 }

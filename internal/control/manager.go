@@ -350,7 +350,7 @@ func (m *Manager) Rollback(name string) (ChainStatus, error) {
 	target := *cs.prev
 	m.mu.Unlock()
 
-	comp, err := Compose(m.candidateSpecs(target), nil, hetsim.DefaultPlatform())
+	comp, err := Compose(m.candidateSpecs(target), nil)
 	if err != nil {
 		return ChainStatus{}, err
 	}
@@ -407,7 +407,7 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 	// Validating: compose the candidate tenant set — the live specs with s
 	// replacing (or adding) its chain — into one placed deployment.
 	m.note(s, StateValidating, "composing candidate tenant set", core.Decision{})
-	comp, err := Compose(m.candidateSpecs(s), map[string][]*nf.NF{s.Name: chain}, hetsim.DefaultPlatform())
+	comp, err := Compose(m.candidateSpecs(s), map[string][]*nf.NF{s.Name: chain})
 	if err != nil {
 		m.fail(s, err)
 		return

@@ -495,9 +495,6 @@ func TestMergeDropBookedOnce(t *testing.T) {
 // recycle, leaving the duplicator's output vector (Process hands a fresh one
 // to its caller by contract).
 func TestParallelStageAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	a := netpkt.NewArena()
 	tmpl := stageTraffic(nil, 64)
 	dup := NewDuplicatorProfiled("dup", []bool{false, false, false})

@@ -55,9 +55,6 @@ func hotTemplate(n int) *netpkt.Batch {
 // Metrics on (InjectShard → Out() → Release, the path the repo benchmark's
 // workloads measure). CI runs this as the benchmark smoke job.
 func TestPooledHotPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is not meaningful under the race detector")
-	}
 	ctx := context.Background()
 	rows := []struct {
 		name  string

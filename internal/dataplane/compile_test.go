@@ -343,9 +343,6 @@ func TestBookedReportEquality(t *testing.T) {
 // same bound with compilation off, so a regression in either path is
 // attributed correctly.
 func TestCompiledHotPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is not meaningful under the race detector")
-	}
 	arms := map[string]Config{
 		"compiled":         {QueueDepth: 4},
 		"compiled+metrics": {QueueDepth: 4, Metrics: true, Flight: flight.New(flight.Config{})},

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -191,6 +192,9 @@ type offloadLane struct {
 	// dense, so the lane numbers its own submissions).
 	sentinels []netpkt.Batch
 	nextSeq   uint64
+	// free holds delivered items for the next submission. Only the
+	// submitting node goroutine touches it; MaxOutstanding bounds it.
+	free []*workItem
 }
 
 // submit registers the item under the next lane-local sequence number and
@@ -220,26 +224,21 @@ func (l *offloadLane) submit(ctx context.Context, it *workItem) bool {
 }
 
 // complete marks one part of a submission done and forwards every item the
-// completion queue releases. Called from the device worker; the forward to
-// comp never blocks because in-flight items per lane are bounded by
-// MaxOutstanding == cap(comp).
+// completion queue releases, in order: the lane's one device worker is its
+// only caller. The forward to comp never blocks because in-flight items per
+// lane are bounded by MaxOutstanding == cap(comp); it runs outside the lock
+// all the same.
 func (l *offloadLane) complete(seq uint64) {
 	l.mu.Lock()
 	l.cq.Complete(seq)
-	var ready []*workItem
-	for {
-		s := l.cq.Pop()
-		if s == nil {
-			break
-		}
+	for s := l.cq.Pop(); s != nil; s = l.cq.Pop() {
 		it := l.items[s.ID]
 		delete(l.items, s.ID)
-		ready = append(ready, it)
+		l.mu.Unlock()
+		l.comp <- it
+		l.mu.Lock()
 	}
 	l.mu.Unlock()
-	for _, it := range ready {
-		l.comp <- it
-	}
 }
 
 // devicePool owns the emulated devices and the shared cost model.
@@ -466,7 +465,8 @@ func (dp *devicePool) executeGroup(d *device, group []*workItem) {
 func (dp *devicePool) executeFused(d *device, st *OffloadStats, it *workItem, h2dBytes, d2hBytes *int) float64 {
 	cm := dp.cm
 	plan := it.plan
-	it.stats = make([]segStat, len(plan.els))
+	it.stats = slices.Grow(it.stats[:0], len(plan.els))[:len(plan.els)]
+	clear(it.stats)
 	kern := 0.0
 	curN, curBytes := it.b.Live(), it.b.Bytes()
 	*h2dBytes += curBytes

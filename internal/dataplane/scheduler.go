@@ -151,9 +151,16 @@ func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacemen
 			return false
 		}
 	}
-	it := &workItem{
+	var it *workItem
+	if n := len(nr.lane.free); n > 0 {
+		it, nr.lane.free = nr.lane.free[n-1], nr.lane.free[:n-1]
+	} else {
+		it = new(workItem)
+	}
+	*it = workItem{
 		lane: nr.lane, el: nr.el, kind: nr.kind,
 		b: msg.b, id: msg.b.ID, live: msg.live, mode: pl.mode, frac: pl.frac, plan: plan,
+		outs: it.outs[:0], stats: it.stats[:0],
 	}
 	if plan != nil {
 		it.kind = plan.sig
@@ -163,8 +170,16 @@ func (nr *nodeRunner) offload(ctx context.Context, msg stageMsg, pl nodePlacemen
 }
 
 // deliver forwards one completed offload downstream, in lane release order,
-// booking the interval the device worker clocked if the batch is observed.
+// and puts the item back on its lane for the next submission.
 func (nr *nodeRunner) deliver(ctx context.Context, it *workItem) bool {
+	ok := nr.forwardItem(ctx, it)
+	nr.lane.free = append(nr.lane.free, it)
+	return ok
+}
+
+// forwardItem books and forwards one completed offload, booking the
+// interval the device worker clocked if the batch is observed.
+func (nr *nodeRunner) forwardItem(ctx context.Context, it *workItem) bool {
 	if it.err != nil {
 		nr.p.fail(it.err)
 		return false

@@ -2,15 +2,14 @@ package netpkt
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
 // TestArenaRouting: packets and batches drawn from a private arena go back
 // to that arena on release, whichever code path releases them, and never
-// land in another arena. The assertions are the release's own bookkeeping
-// (the object's arena, both arenas' Outstanding ledgers) rather than the
-// identity of the next Get: sync.Pool may drop a Put — and under the race
-// detector does so on purpose.
+// land in another arena. The free stacks are LIFO, so the next Get hands
+// back the object just released.
 func TestArenaRouting(t *testing.T) {
 	a := NewArena()
 	def := defaultArena.Outstanding()
@@ -19,24 +18,111 @@ func TestArenaRouting(t *testing.T) {
 		t.Fatalf("Outstanding = %d after one GetPacket, want 1", got)
 	}
 	PutPacket(p) // package-level Put must route back to a
-	if p.arena != a || !p.pooled {
-		t.Fatalf("released packet: arena=%p pooled=%v, want arena %p", p.arena, p.pooled, a)
-	}
 	if a.Outstanding() != 0 || defaultArena.Outstanding() != def {
 		t.Fatalf("after release: arena outstanding %d (want 0), default arena %d (want %d)",
 			a.Outstanding(), defaultArena.Outstanding(), def)
 	}
+	if got := a.GetPacket(16); got != p || got.arena != a || got.pooled {
+		t.Fatalf("GetPacket after a release returned %p (arena %p, pooled %v), want %p from %p",
+			got, got.arena, got.pooled, p, a)
+	}
 
 	b := a.GetBatch(4)
-	q := a.GetPacket(8)
-	b.Packets = append(b.Packets, q)
+	b.Packets = append(b.Packets, p)
 	b.Release()
-	if b.arena != a || !b.pooled || q.arena != a || !q.pooled {
-		t.Fatalf("released batch or its packet left the arena")
-	}
 	if a.Outstanding() != 0 || defaultArena.Outstanding() != def {
 		t.Fatalf("after batch release: arena outstanding %d (want 0), default arena %d (want %d)",
 			a.Outstanding(), defaultArena.Outstanding(), def)
+	}
+	if got := a.GetBatch(1); got != b || got.arena != a || got.pooled || len(got.Packets) != 0 {
+		t.Fatalf("GetBatch after a release returned %p, want the released header %p, empty", got, b)
+	}
+	if got := a.GetPacket(8); got != p {
+		t.Fatalf("GetPacket after a batch release returned %p, want its packet %p", got, p)
+	}
+}
+
+// TestArenaHeapObjectsNotAdopted: a packet or batch header no arena handed
+// out is left to the garbage collector on release; no arena hands it out
+// afterwards, and the double-release check still holds for it.
+func TestArenaHeapObjectsNotAdopted(t *testing.T) {
+	a := NewArena()
+	p := NewPacket(make([]byte, 64))
+	PutPacket(p)
+	b := NewBatch(1, nil)
+	PutBatch(b)
+	for i := 0; i < 4; i++ {
+		q, r, c := GetPacket(64), a.GetPacket(64), a.GetBatch(1)
+		if q == p || r == p || c == b {
+			t.Fatal("an arena handed out an object built outside it")
+		}
+		defer PutPacket(q)
+		defer PutPacket(r)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second PutPacket of a heap-built packet did not panic")
+		}
+	}()
+	PutPacket(p)
+}
+
+// TestArenaConcurrentLedger: four goroutines draw batches of packets from
+// one arena and release them with Batch.Release; no packet is ever held by
+// two of them, and the ledger ends at zero.
+func TestArenaConcurrentLedger(t *testing.T) {
+	a := NewArena()
+	var mu sync.Mutex
+	held := map[*Packet]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				b := a.GetBatch(16)
+				for k := 0; k < 16; k++ {
+					b.Packets = append(b.Packets, a.GetPacket(64))
+				}
+				mu.Lock()
+				for _, p := range b.Packets {
+					if held[p] {
+						t.Errorf("packet %p handed out twice", p)
+					}
+					held[p] = true
+				}
+				for _, p := range b.Packets {
+					delete(held, p)
+				}
+				mu.Unlock()
+				b.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := a.Outstanding(); n != 0 {
+		t.Fatalf("Outstanding = %d after every batch was released", n)
+	}
+}
+
+// TestArenaCycleAllocs: a warm arena serves a batch's worth of GetPacket
+// and takes it back in one Release without allocating, race detector or
+// not.
+func TestArenaCycleAllocs(t *testing.T) {
+	a := NewArena()
+	cycle := func() {
+		b := a.GetBatch(64)
+		for k := 0; k < 64; k++ {
+			b.Packets = append(b.Packets, a.GetPacket(64))
+		}
+		b.Release()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("arena cycle: %.1f allocs/op, want 0", got)
+	}
+	if n := a.Outstanding(); n != 0 {
+		t.Fatalf("Outstanding = %d after the cycles", n)
 	}
 }
 

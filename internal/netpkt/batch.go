@@ -23,8 +23,8 @@ type Batch struct {
 	// Derive, which carries all three identity fields.
 	Origin *Batch
 
-	// pooled marks the batch header as resident in the arena (see pool.go);
-	// PutBatch uses it to panic on double release.
+	// pooled marks the batch header as released (see pool.go); PutBatch
+	// uses it to panic on double release.
 	pooled bool
 	// arena is the recycling domain this header was drawn from (nil for
 	// batches built outside any arena); PutBatch routes the release there.

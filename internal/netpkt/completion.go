@@ -6,9 +6,9 @@ package netpkt
 // batch have completed, and batches are released strictly in submission
 // order to preserve the packet stream order.
 type CompletionQueue struct {
-	next    uint64            // next batch ID to release
-	pending map[uint64]*entry // batches awaiting completion or order
-	ready   []*Batch          // released, awaiting Pop
+	next    uint64           // next batch ID to release
+	pending map[uint64]entry // batches awaiting completion or order
+	ready   []*Batch         // released, awaiting Pop
 }
 
 type entry struct {
@@ -18,7 +18,7 @@ type entry struct {
 
 // NewCompletionQueue returns a queue expecting batch IDs starting at first.
 func NewCompletionQueue(first uint64) *CompletionQueue {
-	return &CompletionQueue{next: first, pending: make(map[uint64]*entry)}
+	return &CompletionQueue{next: first, pending: make(map[uint64]entry)}
 }
 
 // Submit registers a batch whose packets will complete asynchronously in
@@ -28,7 +28,7 @@ func (q *CompletionQueue) Submit(b *Batch, parts int) {
 	if parts < 1 {
 		parts = 1
 	}
-	q.pending[b.ID] = &entry{batch: b, remaining: parts}
+	q.pending[b.ID] = entry{batch: b, remaining: parts}
 }
 
 // Complete records that one part of batch id has finished processing. When
@@ -40,6 +40,7 @@ func (q *CompletionQueue) Complete(id uint64) {
 		return
 	}
 	e.remaining--
+	q.pending[id] = e
 	q.drain()
 }
 
@@ -62,6 +63,6 @@ func (q *CompletionQueue) Pop() *Batch {
 		return nil
 	}
 	b := q.ready[0]
-	q.ready = q.ready[1:]
+	q.ready = append(q.ready[:0], q.ready[1:]...) // keep the capacity
 	return b
 }

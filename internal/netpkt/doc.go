@@ -18,11 +18,13 @@
 //
 // Three clone flavours cover the duplication needs of SFC parallelization:
 // Clone (private heap copy), Batch.ClonePooled/CloneInto (private copy from
-// the sync.Pool arena, returned with Release/PutPacket), and ShallowClone
+// an arena's free stacks, returned with Release/PutPacket), and ShallowClone
 // (a pooled header with private annotations and shared wire bytes — for
-// branches that hazard analysis proves read-only). The arena's ownership
-// rules — one Put per Get, double release panics, shared buffers are never
-// recycled until Unshare — are spelled out in pool.go and DESIGN.md §8.
+// branches that hazard analysis proves read-only). The arena's rules — one
+// Put per Get, double release panics, shared buffers are never recycled
+// until Unshare, release by run under one lock, an exact Outstanding
+// ledger, heap-built objects left to the GC — are spelled out in pool.go
+// and DESIGN.md §8.
 //
 // Packet.FlowKey is a packet's flow-affinity key: the emulated RSS NIC
 // (internal/ingress) hashes it for frames without an IP flow tuple, so each

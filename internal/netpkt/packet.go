@@ -92,15 +92,16 @@ type Packet struct {
 	// shared marks Data as aliased by a shallow clone (or as the aliasing
 	// clone itself); PutPacket refuses to recycle shared buffers.
 	shared bool
-	// pooled marks the packet as currently resident in the arena; PutPacket
-	// uses it to panic on double release.
+	// pooled marks the packet as released; PutPacket uses it to panic on
+	// double release.
 	pooled bool
 	// arena is the recycling domain this packet was drawn from (nil for
 	// packets built outside any arena); PutPacket routes the release there.
 	arena *Arena
 	// counted marks the packet as included in its arena's outstanding
 	// ledger (set by Arena.GetPacket, cleared by PutPacket); clones never
-	// inherit it, so the audit tracks each drawn buffer exactly once.
+	// inherit it, so the audit tracks each drawn buffer exactly once (and
+	// a released arena packet without it is a shallow-clone header).
 	counted bool
 }
 
@@ -149,7 +150,7 @@ func (p *Packet) CloneInto(q *Packet) {
 // recycled by the arena while the other may still read it.
 //
 // The clone is a pooled header: it is drawn from p's arena (the default one
-// for packets built outside any) and PutPacket returns it there, to a pool
+// for packets built outside any) and PutPacket returns it there, to a stack
 // of buffer-less headers that GetPacket never draws from. Once every clone
 // is released, Unshare makes p's buffer recyclable again.
 func (p *Packet) ShallowClone() *Packet {
@@ -158,7 +159,9 @@ func (p *Packet) ShallowClone() *Packet {
 		a = defaultArena
 	}
 	p.shared = true
-	q := a.headers.Get().(*Packet)
+	a.mu.Lock()
+	q := a.headers.pop()
+	a.mu.Unlock()
 	*q = *p
 	q.pooled, q.arena, q.counted = false, a, false
 	return q

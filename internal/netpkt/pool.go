@@ -5,9 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the packet/batch arena: sync.Pool-backed recycling
-// of Packet objects (with their wire-byte buffers) and Batch headers, so a
-// steady-state dataplane hot path allocates nothing per batch.
+// This file implements the packet/batch arena: per-domain LIFO free stacks
+// (DPDK's rte_mempool without the per-core caches) of Packet objects with
+// their wire-byte buffers, buffer-less shallow-clone headers and Batch
+// headers, so a steady-state dataplane hot path allocates nothing per
+// batch. A draw pops under the arena's lock; Batch.Release pushes each run
+// of same-arena packets under one lock, then the header.
 //
 // Ownership rules (see DESIGN.md §8 for the full story):
 //
@@ -20,9 +23,9 @@ import (
 //     of as corruption downstream.
 //   - Packets whose bytes are shared with a shallow clone (ShallowClone /
 //     read-only Duplicator branches) are never recycled with their buffer:
-//     Put drops the aliased buffer and parks the bare header in the arena's
-//     header pool, which only ShallowClone draws from — a pooled header
-//     never carries a buffer in and is never handed one by GetPacket.
+//     Put drops the aliased buffer. A shallow clone goes back to the
+//     arena's header stack, which only ShallowClone draws from; an original
+//     released while still shared is left to the garbage collector.
 //   - Packet.Unshare ends the sharing once every shallow clone is released
 //     (the parallel stage's merge does this), so the original's buffer
 //     recycles like any other.
@@ -30,14 +33,13 @@ import (
 //     PoisonByte, converting any use-after-release into a loud payload
 //     mismatch.
 //
-// Arenas: recycling is organized into Arena domains. The package-level
-// GetPacket/GetBatch draw from one process-wide default arena; callers that
-// want isolation — one arena per dataplane shard, so replicas stop
-// contending on (and cross-pollinating) a single global pool — construct
-// their own with NewArena and allocate through its methods. Every packet
-// and batch remembers its origin arena, so the release side stays uniform:
-// PutPacket/PutBatch/Batch.Release route each object back to the arena it
-// came from, whichever goroutine releases it.
+// Arenas: the package-level GetPacket draws from one process-wide default
+// arena; callers that want isolation (one arena per NIC queue) construct
+// their own with NewArena. Every drawn packet and batch remembers its
+// arena, and PutPacket/PutBatch/Batch.Release route it back there,
+// whichever goroutine releases it. An object no arena handed out
+// (NewPacket, NewBatch, Clone, Derive) is left to the garbage collector, so
+// each free stack holds at most its own arena's peak draw.
 
 // PoisonByte fills released buffers when poisoning is enabled.
 const PoisonByte = 0xDB
@@ -49,51 +51,60 @@ var poisonPut atomic.Bool
 // instead of plausible stale data.
 func SetPoolPoison(on bool) { poisonPut.Store(on) }
 
-// Arena is one packet/batch recycling domain. The zero value is not usable;
-// construct with NewArena. All methods are safe for concurrent use (the
-// underlying sync.Pools are per-P sharded), but the point of multiple
-// arenas is affinity: a shard that allocates and releases from its own
-// arena keeps its buffers hot in its own cache and never steals capacity
-// from a neighbour.
+// stack is a LIFO free list of released objects; its arena's lock guards it.
+type stack[T any] []*T
+
+func (s *stack[T]) push(x *T) { *s = append(*s, x) }
+
+// pop returns the most recently pushed object, or a new zero one.
+func (s *stack[T]) pop() *T {
+	n := len(*s) - 1
+	if n < 0 {
+		return new(T)
+	}
+	x := (*s)[n]
+	(*s)[n] = nil
+	*s = (*s)[:n]
+	return x
+}
+
+// Arena is one packet/batch recycling domain. Construct with NewArena. All
+// methods are safe for concurrent use; an arena per queue keeps its buffers
+// hot and its lock uncontended.
 type Arena struct {
-	packets sync.Pool
-	batches sync.Pool
-	// headers holds buffer-less Packet structs: released shallow clones and
-	// packets released while still shared. Kept apart from packets so that
-	// GetPacket always finds a recycled buffer.
-	headers sync.Pool
-	// outstanding counts packets drawn from this arena and not yet
-	// released back — the pool-audit ledger. Clones and builder packets
-	// are not counted (only Arena.GetPacket increments), so a drained
-	// system reads exactly zero.
-	outstanding atomic.Int64
+	mu      sync.Mutex
+	packets stack[Packet]
+	// headers holds released shallow clones, kept apart from packets so
+	// that GetPacket always finds a recycled buffer.
+	headers stack[Packet]
+	batches stack[Batch]
+	// outstanding counts packets drawn by GetPacket and not yet released
+	// back — the pool-audit ledger; a drained system reads exactly zero.
+	outstanding int64
 }
 
 // NewArena constructs an empty recycling domain.
-func NewArena() *Arena {
-	a := &Arena{}
-	a.packets.New = func() any { return &Packet{L3Offset: -1, L4Offset: -1, arena: a} }
-	a.batches.New = func() any { return &Batch{arena: a} }
-	a.headers.New = func() any { return new(Packet) }
-	return a
-}
+func NewArena() *Arena { return &Arena{} }
 
-// defaultArena backs the package-level GetPacket/GetBatch.
+// defaultArena backs the package-level GetPacket.
 var defaultArena = NewArena()
 
 // GetPacket returns a reset packet from this arena with an n-byte buffer,
 // reusing the recycled buffer's capacity when it suffices. The buffer
 // contents are unspecified; callers overwrite them (CloneInto, copy).
 func (a *Arena) GetPacket(n int) *Packet {
-	p := a.packets.Get().(*Packet)
+	a.mu.Lock()
+	p := a.packets.pop()
+	a.outstanding++
+	a.mu.Unlock()
 	data := p.Data
 	if cap(data) < n {
 		data = make([]byte, n)
 	} else {
 		data = data[:n]
 	}
-	*p = Packet{Data: data, L3Offset: -1, L4Offset: -1, arena: a, counted: true}
-	a.outstanding.Add(1)
+	*p = Packet{} // zeroed in place: a composite literal would be copied in
+	p.Data, p.L3Offset, p.L4Offset, p.arena, p.counted = data, -1, -1, a, true
 	return p
 }
 
@@ -101,12 +112,18 @@ func (a *Arena) GetPacket(n int) *Packet {
 // been released back. Zero after a full drain; a positive residue is a leak
 // (a packet abandoned without PutPacket). Batch headers and clones are not
 // tracked — the audit follows buffer ownership, which is what leaks hurt.
-func (a *Arena) Outstanding() int64 { return a.outstanding.Load() }
+func (a *Arena) Outstanding() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.outstanding
+}
 
 // GetBatch returns an empty batch from this arena whose Packets slice has
 // at least the given capacity.
 func (a *Arena) GetBatch(capacity int) *Batch {
-	b := a.batches.Get().(*Batch)
+	a.mu.Lock()
+	b := a.batches.pop()
+	a.mu.Unlock()
 	pkts := b.Packets[:0]
 	if cap(pkts) < capacity {
 		pkts = make([]*Packet, 0, capacity)
@@ -123,46 +140,58 @@ func GetPacket(n int) *Packet { return defaultArena.GetPacket(n) }
 // code that clones batches built outside any arena must leave as it found.
 func Outstanding() int64 { return defaultArena.Outstanding() }
 
-// PutPacket returns a packet to the arena it was drawn from (packets that
-// never came from an arena — builders, Clone — join the default arena's
-// pool). The caller must not touch the packet afterwards. Double release
-// panics (see the ownership rules above); buffers aliased by a shallow
-// clone are dropped rather than recycled.
+// PutPacket returns a packet to the arena it was drawn from; a packet that
+// never came from an arena (builders, Clone) is left to the garbage
+// collector. The caller must not touch the packet afterwards. Double release
+// panics (see the ownership rules above); buffers aliased by a shallow clone
+// are dropped rather than recycled.
 func PutPacket(p *Packet) {
-	if p == nil {
-		return
+	if p != nil {
+		putRun([]*Packet{p})
 	}
-	if p.pooled {
-		panic("netpkt: double release of Packet (already in pool)")
-	}
-	p.pooled = true
-	if p.counted {
-		p.counted = false
-		if p.arena != nil {
-			p.arena.outstanding.Add(-1)
-		}
-	}
-	a := p.arena
-	if a == nil {
-		a = defaultArena
-		p.arena = a
-	}
-	if p.shared {
-		// A shallow clone aliases these bytes (or this is the clone);
-		// recycling them would hand live data to an unrelated GetPacket.
-		p.Data = nil
-		a.headers.Put(p)
-		return
-	}
-	if poisonPut.Load() {
-		for i := range p.Data {
-			p.Data[i] = PoisonByte
-		}
-	}
-	a.packets.Put(p)
 }
 
-// PutBatch returns the batch header (not its packets) to its arena. Use
+// putRun releases packets that all belong to one arena (run[0]'s), taking
+// its lock once for the run.
+func putRun(run []*Packet) {
+	poison := poisonPut.Load()
+	for _, p := range run {
+		if p.pooled {
+			panic("netpkt: double release of Packet (already in pool)")
+		}
+		p.pooled = true
+		if p.shared {
+			// A shallow clone aliases these bytes (or this is the clone);
+			// recycling them would hand live data to an unrelated GetPacket.
+			p.Data = nil
+		} else if poison {
+			for i := range p.Data {
+				p.Data[i] = PoisonByte
+			}
+		}
+	}
+	a := run[0].arena
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	for _, p := range run {
+		switch {
+		case !p.counted: // a shallow clone: ShallowClone drew it from headers
+			a.headers.push(p)
+		case p.shared: // drawn with a buffer some clone still reads
+			a.outstanding--
+		default:
+			a.outstanding--
+			a.packets.push(p)
+		}
+		p.counted = false
+	}
+	a.mu.Unlock()
+}
+
+// PutBatch returns the batch header (not its packets) to its arena; a
+// header no arena handed out is left to the garbage collector. Use
 // Batch.Release to return both. Double release panics.
 func PutBatch(b *Batch) {
 	if b == nil {
@@ -171,27 +200,30 @@ func PutBatch(b *Batch) {
 	if b.pooled {
 		panic("netpkt: double release of Batch (already in pool)")
 	}
-	for i := range b.Packets {
-		b.Packets[i] = nil // drop refs so pooled headers don't pin packets
-	}
+	clear(b.Packets) // drop refs so pooled headers don't pin packets
 	b.Packets = b.Packets[:0]
 	b.ID, b.Branch, b.Origin = 0, 0, nil
 	b.pooled = true
-	a := b.arena
-	if a == nil {
-		a = defaultArena
-		b.arena = a
+	if a := b.arena; a != nil {
+		a.mu.Lock()
+		a.batches.push(b)
+		a.mu.Unlock()
 	}
-	a.batches.Put(b)
 }
 
-// Release returns the batch and every packet it holds to their arenas. It
-// is the sink-side counterpart of ClonePooled: whoever consumes a pooled
-// batch calls Release exactly once, after which neither the batch nor its
-// packets may be used.
+// Release returns the batch and every packet it holds to their arenas, one
+// lock per run of consecutive same-arena packets, then the header. It is
+// the sink-side counterpart of ClonePooled: whoever consumes a pooled batch
+// calls Release exactly once, after which neither the batch nor its packets
+// may be used.
 func (b *Batch) Release() {
-	for _, p := range b.Packets {
-		PutPacket(p)
+	for run := b.Packets; len(run) > 0; {
+		n := 1
+		for n < len(run) && run[n].arena == run[0].arena {
+			n++
+		}
+		putRun(run[:n])
+		run = run[n:]
 	}
 	PutBatch(b)
 }

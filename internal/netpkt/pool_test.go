@@ -111,7 +111,8 @@ func TestPoolSharedBuffersNotRecycled(t *testing.T) {
 			t.Fatalf("shallow clone byte %d corrupted to %#x by release", i, c)
 		}
 	}
-	// The packet object is recycled but must come back with a fresh buffer.
+	// The original is left to the garbage collector; no GetPacket may hand
+	// out the buffer the clone still reads.
 	r := GetPacket(16)
 	defer PutPacket(r)
 	if len(q.Data) == len(r.Data) && &q.Data[0] == &r.Data[0] {

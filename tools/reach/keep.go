@@ -69,10 +69,6 @@ var keep = []struct {
 			"element.(*Discard).NumOutputs", "element.(*Discard).Signature",
 			"element.(*Discard).Process", "element.(*Discard).Reset",
 			"core.NewDuplicator",
-			// ClassBench filter sets feed the HiCuts flat-vs-recursive
-			// reference differential.
-			"acl.ParseClassBench", "acl.parseClassBenchLine", "acl.parsePrefix",
-			"acl.parseRange", "acl.parseProto", "acl.WriteClassBench",
 		},
 	},
 	{
