@@ -196,13 +196,11 @@ func (e *XORMerge) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
 	return orig
 }
 
-// consume releases the batch this call was handed: its packets at once, its
-// header through spent.
+// consume releases the batch this call was handed: its packets at once, one
+// arena lock per run, its header through spent.
 func (e *XORMerge) consume(b *netpkt.Batch) {
-	for i, p := range b.Packets {
-		netpkt.PutPacket(p)
-		b.Packets[i] = nil
-	}
+	netpkt.PutPackets(b.Packets)
+	clear(b.Packets)
 	b.Packets = b.Packets[:0]
 	netpkt.PutBatch(e.spent)
 	e.spent = b

@@ -172,3 +172,64 @@ func TestArenaBatchClonePooled(t *testing.T) {
 	}
 	cl.Release() // must not panic; routes everything back to a
 }
+
+// TestPutPacketsMixedArenas: a slice interleaving two arenas' packets with
+// a heap-built one returns each arena packet to its own arena, ends both
+// ledgers at zero, and a second release of any of them still panics.
+func TestPutPacketsMixedArenas(t *testing.T) {
+	a, b := NewArena(), NewArena()
+	heap := NewPacket(make([]byte, 8))
+	pkts := []*Packet{a.GetPacket(8), a.GetPacket(8), b.GetPacket(8), heap, a.GetPacket(8), b.GetPacket(8)}
+	PutPackets(pkts)
+	if a.Outstanding() != 0 || b.Outstanding() != 0 {
+		t.Fatalf("Outstanding = %d, %d after PutPackets, want 0, 0", a.Outstanding(), b.Outstanding())
+	}
+	for _, p := range pkts {
+		if !p.pooled || (p != heap && p.arena != a && p.arena != b) {
+			t.Fatalf("packet %p not released to its arena", p)
+		}
+	}
+	// Each arena's free stack holds exactly its own three / two packets.
+	if len(a.packets) != 3 || len(b.packets) != 2 {
+		t.Fatalf("free stacks hold %d and %d packets, want 3 and 2", len(a.packets), len(b.packets))
+	}
+	for _, p := range a.packets {
+		if p.arena != a {
+			t.Fatal("arena a's free stack holds a foreign packet")
+		}
+	}
+	for _, p := range pkts {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second release of %p did not panic", p)
+				}
+			}()
+			PutPackets([]*Packet{p})
+		}()
+	}
+}
+
+// TestGrow: a private packet with room grows in place; one without room, or
+// one whose bytes a shallow clone reads, moves to a copy and leaves the old
+// bytes as they were.
+func TestGrow(t *testing.T) {
+	data := append(make([]byte, 0, 16), "abcd"...)
+	p := NewPacket(data)
+	p.Grow(12)
+	if len(p.Data) != 16 || &p.Data[0] != &data[0] {
+		t.Fatalf("Grow within room: len %d, moved %v", len(p.Data), &p.Data[0] != &data[0])
+	}
+	p.Grow(1)
+	if len(p.Data) != 17 || &p.Data[0] == &data[0] || string(p.Data[:4]) != "abcd" {
+		t.Fatalf("Grow past room: len %d, copied %q", len(p.Data), p.Data[:4])
+	}
+	q := NewPacket(append(make([]byte, 0, 16), "wxyz"...))
+	c := q.ShallowClone()
+	defer PutPacket(c)
+	q.Grow(4)
+	q.Data[0] = '!'
+	if len(q.Data) != 8 || string(c.Data) != "wxyz" {
+		t.Fatalf("Grow of a shared packet wrote the clone's bytes: %q", c.Data)
+	}
+}

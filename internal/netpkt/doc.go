@@ -9,7 +9,8 @@
 // style elements attach to packets as they traverse an element graph: the
 // paint annotation written by the Paint and load-balancer elements, a flow
 // identifier, the arrival and departure timestamps (in simulated
-// nanoseconds), and the parsed L3/L4 offsets.
+// nanoseconds), and the parsed L3/L4 offsets. Unless it is shared, a packet
+// owns its buffer up to cap(Data); Grow appends into that tailroom in place.
 //
 // A Batch is the processing granularity: elements consume and emit whole
 // batches. An element with several outputs splits a batch into per-port

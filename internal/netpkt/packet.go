@@ -174,6 +174,20 @@ func (p *Packet) ShallowClone() *Packet {
 // would belong to someone else.
 func (p *Packet) Unshare() { p.shared = false }
 
+// Grow extends Data by n bytes at the tail, whose contents are unspecified
+// (DPDK's rte_pktmbuf_append). A packet owns its buffer up to cap(Data)
+// unless it is shared, so the bytes are appended in place when that room
+// suffices; a shared packet, or one without the room, moves to a fresh
+// buffer with its bytes copied, and an arena packet recycles that buffer,
+// room included.
+func (p *Packet) Grow(n int) {
+	if l := len(p.Data) + n; l <= cap(p.Data) && !p.shared {
+		p.Data = p.Data[:l]
+	} else {
+		p.Data = append(p.Data[:len(p.Data):len(p.Data)], make([]byte, n)...)
+	}
+}
+
 // FlowKey returns the packet's flow-affinity key, which keeps every packet
 // of a flow on the same shard where no IP flow tuple is available. The
 // FlowID annotation wins when set (generators and stateful NFs key on it);

@@ -151,6 +151,19 @@ func PutPacket(p *Packet) {
 	}
 }
 
+// PutPackets is PutPacket for every packet of pkts, each back to its own
+// arena, taking one lock per run of consecutive same-arena packets.
+func PutPackets(pkts []*Packet) {
+	for run := pkts; len(run) > 0; {
+		n := 1
+		for n < len(run) && run[n].arena == run[0].arena {
+			n++
+		}
+		putRun(run[:n])
+		run = run[n:]
+	}
+}
+
 // putRun releases packets that all belong to one arena (run[0]'s), taking
 // its lock once for the run.
 func putRun(run []*Packet) {
@@ -211,19 +224,11 @@ func PutBatch(b *Batch) {
 	}
 }
 
-// Release returns the batch and every packet it holds to their arenas, one
-// lock per run of consecutive same-arena packets, then the header. It is
-// the sink-side counterpart of ClonePooled: whoever consumes a pooled batch
-// calls Release exactly once, after which neither the batch nor its packets
-// may be used.
+// Release returns the batch and every packet it holds to their arenas
+// (PutPackets, then the header). It is the sink-side counterpart of
+// ClonePooled: whoever consumes a pooled batch calls Release exactly once,
+// after which neither the batch nor its packets may be used.
 func (b *Batch) Release() {
-	for run := b.Packets; len(run) > 0; {
-		n := 1
-		for n < len(run) && run[n].arena == run[0].arena {
-			n++
-		}
-		putRun(run[:n])
-		run = run[n:]
-	}
+	PutPackets(b.Packets)
 	PutBatch(b)
 }

@@ -320,18 +320,16 @@ func (e *IPsecSeal) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
 		if p.Dropped || p.L3Proto != netpkt.ProtoIPv4 || p.L4Offset < 0 {
 			continue
 		}
-		// The outgoing packet is built once, in its own buffer: the
-		// original bytes up to L4, then the ESP payload sealed in place.
-		inner := p.Data[p.L4Offset:]
-		out := make([]byte, p.L4Offset, p.L4Offset+ipsec.Overhead()+len(inner))
-		copy(out, p.Data)
-		out, err := e.sa.Seal(out, inner)
-		if err != nil {
+		// The ESP payload is sealed in the packet's own buffer, grown by
+		// the overhead (in place when it has the room).
+		end := len(p.Data)
+		p.Grow(ipsec.Overhead())
+		if err := e.sa.Seal(p.Data[p.L4Offset:]); err != nil {
+			p.Data = p.Data[:end]
 			e.Errors++
 			p.Drop(e.name)
 			continue
 		}
-		p.Data = out
 		// Fix the IP header: protocol = ESP, total length, checksum over
 		// the whole header, options included.
 		h := p.Data[p.L3Offset:p.L4Offset]

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nfcompass/internal/ac"
 	"nfcompass/internal/element"
+	"nfcompass/internal/ipsec"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/trie"
 )
@@ -214,25 +216,110 @@ func TestIPsecSealAllocs(t *testing.T) {
 	b := testBatch(64, 1000)
 	plain := make([][]byte, len(b.Packets))
 	for i, p := range b.Packets {
+		// A buffer with the ESP overhead as tailroom, as an arena packet
+		// holds once it has been sealed once.
 		plain[i] = p.Data
+		p.Data = append(make([]byte, 0, len(p.Data)+ipsec.Overhead()), p.Data...)
 	}
 	run := func() {
 		for i, p := range b.Packets { // unseal: each run sees fresh plaintext
-			p.Data, p.L4Proto = plain[i], netpkt.IPProtoUDP
+			p.Data, p.L4Proto = p.Data[:copy(p.Data[:cap(p.Data)], plain[i])], netpkt.IPProtoUDP
 		}
 		host.Process(e, b)
 	}
-	run()
-	// Per packet: the outgoing buffer and the standard library's CTR stream
-	// (one object on go1.24 — two allocations in all — three before it).
+	bufs := make([]*byte, len(b.Packets))
+	for i, p := range b.Packets {
+		bufs[i] = &p.Data[0]
+	}
+	// Per packet: the standard library's CTR stream (one object on go1.24,
+	// three before it) and nothing for the buffer.
 	block, _ := aes.NewCipher(make([]byte, 16))
 	var buf [64]byte
 	ctr := testing.AllocsPerRun(50, func() { cipher.NewCTR(block, buf[:16]).XORKeyStream(buf[:], buf[:]) })
-	if n := testing.AllocsPerRun(50, run) / float64(len(b.Packets)); n > 1+ctr {
-		t.Errorf("IPsecSeal: %.2f allocs per packet, want <= %.0f (buffer + CTR stream)", n, 1+ctr)
+	if n := testing.AllocsPerRun(50, run) / float64(len(b.Packets)); n > ctr {
+		t.Errorf("IPsecSeal: %.2f allocs per packet, want <= %.0f (the CTR stream)", n, ctr)
+	}
+	for i, p := range b.Packets {
+		if &p.Data[0] != bufs[i] {
+			t.Fatalf("packet %d sealed outside the buffer it had room in", i)
+		}
 	}
 	if e.Sealed == 0 || e.Errors != 0 {
 		t.Errorf("Sealed = %d, Errors = %d", e.Sealed, e.Errors)
+	}
+}
+
+// The seal's buffer handling cannot show in its bytes: a packet with dirty
+// tailroom is sealed where it is, one without room and a shallow-cloned
+// one move to a buffer of their own, and all three seal the same bytes,
+// which decrypt. The sealed packet's clone keeps reading the plaintext.
+func TestIPsecSealBuffers(t *testing.T) {
+	enc, auth := []byte("0123456789abcdef"), []byte("auth")
+	frame := testBatch(1, 300).Packets[0]
+	l4, plain := frame.L4Offset, append([]byte(nil), frame.Data...)
+	parsed := func(data []byte) *netpkt.Packet {
+		p := netpkt.NewPacket(data)
+		if err := p.Parse(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	roomy := append(bytes.Repeat([]byte{0xee}, len(plain)+64)[:0], plain...)
+	withRoom := func() []byte { return append(make([]byte, 0, len(plain)+64), plain...) }
+	tight := parsed(slices.Clip(append([]byte(nil), plain...)))
+	orig := parsed(withRoom()) // room, but a clone reads its bytes
+	clone := orig.ShallowClone()
+	defer netpkt.PutPacket(clone)
+	var sealed [][]byte
+	for _, p := range []*netpkt.Packet{parsed(roomy), tight, orig} {
+		g := element.NewGraph()
+		_, exit := NewIPsecGateway("ipsec", 0x99, enc, auth).Build(g, "ipsec")
+		g.Node(exit).(*IPsecSeal).ProcessSingle(netpkt.NewBatch(0, []*netpkt.Packet{p}))
+		if p.Dropped || len(p.Data) != len(plain)+ipsec.Overhead() {
+			t.Fatalf("seal: dropped=%v len=%d", p.Dropped, len(p.Data))
+		}
+		sealed = append(sealed, p.Data)
+	}
+	if &sealed[0][0] != &roomy[0] || !bytes.Equal(roomy[len(sealed[0]):len(plain)+64], bytes.Repeat([]byte{0xee}, 64-ipsec.Overhead())) {
+		t.Error("a packet with room was not sealed in place, or sealed past its growth")
+	}
+	if !bytes.Equal(sealed[0], sealed[1]) || !bytes.Equal(sealed[0], sealed[2]) {
+		t.Errorf("sealed bytes depend on the buffer:\n%x\n%x\n%x", sealed[0], sealed[1], sealed[2])
+	}
+	if !bytes.Equal(clone.Data, plain) {
+		t.Error("sealing a shallow-cloned packet changed the bytes its clone reads")
+	}
+	rx, _ := ipsec.NewSA(0x99, enc, auth)
+	if pt, err := rx.Open(sealed[1][l4:]); err != nil || !bytes.Equal(pt, plain[l4:]) {
+		t.Errorf("Open = %x, %v", pt, err)
+	}
+	// The other way round: the clone is sealed, the original keeps its bytes.
+	orig = parsed(withRoom())
+	clone2 := orig.ShallowClone()
+	defer netpkt.PutPacket(clone2)
+	g := element.NewGraph()
+	_, exit := NewIPsecGateway("ipsec", 0x99, enc, auth).Build(g, "ipsec")
+	g.Node(exit).(*IPsecSeal).ProcessSingle(netpkt.NewBatch(0, []*netpkt.Packet{clone2}))
+	if !bytes.Equal(orig.Data, plain) || !bytes.Equal(clone2.Data, sealed[0]) {
+		t.Error("sealing a shallow clone changed the original's bytes")
+	}
+}
+
+// BenchmarkIPsecSealBatch seals a 64-packet batch of 1 KiB frames in the
+// packets' own buffers; each iteration truncates them back first.
+func BenchmarkIPsecSealBatch(b *testing.B) {
+	g := element.NewGraph()
+	_, exit := NewIPsecGateway("ipsec", 0x99, []byte("0123456789abcdef"), []byte("auth")).Build(g, "ipsec")
+	e := g.Node(exit).(*IPsecSeal)
+	batch := testBatch(64, 1024-42)
+	n := len(batch.Packets[0].Data)
+	b.SetBytes(int64(n * len(batch.Packets)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range batch.Packets {
+			p.Data = p.Data[:n]
+		}
+		e.ProcessSingle(batch)
 	}
 }
 

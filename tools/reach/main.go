@@ -266,8 +266,9 @@ func readSymbols(dir, prefix string, linked map[string]bool) error {
 }
 
 // closure matches the suffix the compiler gives a function literal, a go or
-// defer wrapper, or a method value inside its enclosing function's symbol.
-var closure = regexp.MustCompile(`(\.(func|gowrap|deferwrap)[0-9]+.*|-fm)$`)
+// defer wrapper, or a method value inside its enclosing function's symbol,
+// and the ABI suffix of a function written in assembly.
+var closure = regexp.MustCompile(`(\.(func|gowrap|deferwrap)[0-9]+.*|-fm|\.abi0)$`)
 
 // symbolName strips the type arguments of a generic instantiation (the
 // brackets may nest) and the closure suffix, leaving the symbol of the

@@ -16,6 +16,7 @@ func TestSymbolName(t *testing.T) {
 		"nfcompass/internal/ingress.(*NIC).Steer.func1.1":                               "nfcompass/internal/ingress.(*NIC).Steer",
 		"nfcompass/internal/dataplane.(*Pipeline).run.gowrap3":                          "nfcompass/internal/dataplane.(*Pipeline).run",
 		"nfcompass/internal/telemetry.(*Server).handleChainsSubmit-fm":                  "nfcompass/internal/telemetry.(*Server).handleChainsSubmit",
+		"nfcompass/internal/ipsec.blockSHANI.abi0":                                      "nfcompass/internal/ipsec.blockSHANI",
 		"nfcompass/internal/flowtable.(*Table[*nfcompass/internal/nf.flowState]).Reset": "nfcompass/internal/flowtable.(*Table).Reset",
 	} {
 		if got := symbolName(sym); got != want {
