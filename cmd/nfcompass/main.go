@@ -193,7 +193,6 @@ func main() {
 		if err := runServe(d, serveOpts{
 			addr: *serve, duration: *duration, shards: *shards,
 			pkt: *pkt, batchSize: *batchSize, seed: *seed,
-			platform: p,
 		}); err != nil {
 			fatal(err)
 		}
@@ -255,7 +254,6 @@ func main() {
 		sp, err := runLive(d, dataplane.Config{
 			Metrics:    true,
 			Assignment: d.Assignment,
-			Offload:    &dataplane.OffloadConfig{Platform: &p},
 		}, 1, mkBatches(4000))
 		if err != nil {
 			fatal(err)

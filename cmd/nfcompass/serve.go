@@ -11,7 +11,6 @@ import (
 	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/flight"
-	"nfcompass/internal/hetsim"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/telemetry"
@@ -25,7 +24,6 @@ type serveOpts struct {
 	pkt       int
 	batchSize int
 	seed      int64
-	platform  hetsim.Platform
 }
 
 // runServe is the `-serve` continuous mode: run replicas of the deployment
@@ -65,7 +63,6 @@ func runServe(d *core.Deployment, o serveOpts) error {
 	cfg := dataplane.Config{Metrics: true, Flight: rec}
 	if d.Alloc != nil {
 		cfg.Assignment = d.Assignment
-		cfg.Offload = &dataplane.OffloadConfig{Platform: &o.platform}
 	}
 
 	// Replicas keep per-flow order, which the NIC's flow steering gives

@@ -81,7 +81,6 @@ func main() {
 		dataplane.Config{
 			PreserveOrder: true, Metrics: true,
 			Assignment: d.Assignment,
-			Offload:    &dataplane.OffloadConfig{Platform: &platform},
 		},
 		mk(traffic.PayloadFullMatch, 5, 20))
 	if err != nil {
@@ -99,7 +98,6 @@ func main() {
 	sp, err := dataplane.NewSharded(d.Build, dataplane.ShardedConfig{
 		Config: dataplane.Config{
 			Metrics: true,
-			Offload: &dataplane.OffloadConfig{Platform: &platform},
 		},
 		Shards: 2,
 	})

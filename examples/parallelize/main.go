@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	list := acl.Generate(acl.DefaultGenConfig(200, 7))
+	list := acl.Generate(200, 7)
 	mk := func(name string) *nf.NF { return nf.NewFirewall(name, list, true) }
 
 	// The orchestrator's own analysis: four read-only firewalls are

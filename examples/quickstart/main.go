@@ -20,7 +20,7 @@ import (
 
 func main() {
 	// 1. Describe the service function chain: firewall -> router -> IDS.
-	rules := acl.Generate(acl.DefaultGenConfig(500, 42))
+	rules := acl.Generate(500, 42)
 	var routes trie.IPv4Trie
 	if err := routes.Insert(0, 0, 1); err != nil { // default route
 		log.Fatal(err)

@@ -26,7 +26,7 @@ func main() {
 	platform := hetsim.DefaultPlatform()
 
 	for _, rules := range []int{200, 2000} {
-		list := acl.Generate(acl.DefaultGenConfig(rules, 7))
+		list := acl.Generate(rules, 7)
 		chain := func() []*nf.NF {
 			var tr trie.IPv4Trie
 			_ = tr.Insert(0, 0, 1)
@@ -75,8 +75,7 @@ func main() {
 		// Baselines.
 		for _, sys := range []baseline.System{baseline.FastClick, baseline.NBA} {
 			b, err := baseline.Build(sys, chain(), platform,
-				func(n int) []*netpkt.Batch { return mkTraffic(2)[:n] },
-				baseline.Config{})
+				func(n int) []*netpkt.Batch { return mkTraffic(2)[:n] })
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -84,8 +84,8 @@ func TestKeyFromPacket(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(DefaultGenConfig(100, 7))
-	b := Generate(DefaultGenConfig(100, 7))
+	a := Generate(100, 7)
+	b := Generate(100, 7)
 	if a.Len() != 100 || b.Len() != 100 {
 		t.Fatalf("lens = %d, %d", a.Len(), b.Len())
 	}
@@ -94,7 +94,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("rule %d differs between same-seed runs", i)
 		}
 	}
-	c := Generate(DefaultGenConfig(100, 8))
+	c := Generate(100, 8)
 	same := 0
 	for i := range a.Rules {
 		if a.Rules[i] == c.Rules[i] {
@@ -107,7 +107,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestRandomMatchingKey(t *testing.T) {
-	l := Generate(DefaultGenConfig(200, 3))
+	l := Generate(200, 3)
 	rng := rand.New(rand.NewSource(9))
 	for i := range l.Rules {
 		k := RandomMatchingKey(rng, &l.Rules[i])
@@ -120,7 +120,7 @@ func TestRandomMatchingKey(t *testing.T) {
 
 func TestTreeMatchesLinear(t *testing.T) {
 	for _, n := range []int{50, 200, 1000} {
-		l := Generate(DefaultGenConfig(n, int64(n)))
+		l := Generate(n, int64(n))
 		tree := BuildTree(l, 8)
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		for i := 0; i < 3000; i++ {
@@ -144,8 +144,8 @@ func TestTreeMatchesLinear(t *testing.T) {
 }
 
 func TestTreeGrowsWithRules(t *testing.T) {
-	small := BuildTree(Generate(DefaultGenConfig(200, 1)), 8)
-	large := BuildTree(Generate(DefaultGenConfig(2000, 1)), 8)
+	small := BuildTree(Generate(200, 1), 8)
+	large := BuildTree(Generate(2000, 1), 8)
 	if large.Nodes() <= small.Nodes() {
 		t.Errorf("tree did not grow: %d vs %d nodes", small.Nodes(), large.Nodes())
 	}
@@ -161,7 +161,7 @@ func TestActionString(t *testing.T) {
 }
 
 func BenchmarkMatchLinear1000(b *testing.B) {
-	l := Generate(DefaultGenConfig(1000, 1))
+	l := Generate(1000, 1)
 	rng := rand.New(rand.NewSource(2))
 	keys := make([]Key, 1024)
 	for i := range keys {
@@ -180,7 +180,7 @@ func BenchmarkMatchLinear1000(b *testing.B) {
 // own `firewall:1000` list (spec.Parse seed 1 generates with seed 8).
 func benchMatch(b *testing.B, compile func(*List) func(Key) (Action, int, int)) {
 	rng := rand.New(rand.NewSource(2))
-	rules, telco := Generate(DefaultGenConfig(1000, 1)), Generate(DefaultGenConfig(1000, 8))
+	rules, telco := Generate(1000, 1), Generate(1000, 8)
 	ruleKeys, telcoKeys := make([]Key, 1024), make([]Key, 1024)
 	for i := range ruleKeys {
 		ruleKeys[i] = RandomMatchingKey(rng, &rules.Rules[rng.Intn(len(rules.Rules))])

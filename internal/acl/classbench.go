@@ -6,31 +6,29 @@ import (
 	"nfcompass/internal/netpkt"
 )
 
-// GenConfig controls the ClassBench-style synthetic ACL generator.
-type GenConfig struct {
-	// Rules is the number of rules to generate.
-	Rules int
-	// Seed makes generation deterministic.
-	Seed int64
-	// DenyFraction is the fraction of rules with action Deny.
-	DenyFraction float64
-	// WildcardBias in [0,1] raises the share of short (wildcard-ish)
-	// prefixes, which inflates classification-tree size — the effect
-	// behind the Fig. 17 ACL-10000 blowup.
-	WildcardBias float64
-}
-
-// DefaultGenConfig mirrors the skew of real ClassBench ACL seeds: mostly
+// The generator mirrors the skew of real ClassBench ACL seeds: mostly
 // /16.../32 source/destination prefixes, a quarter of rules with port
 // ranges, TCP/UDP/any protocol mix.
-func DefaultGenConfig(rules int, seed int64) GenConfig {
-	return GenConfig{Rules: rules, Seed: seed, DenyFraction: 0.3, WildcardBias: 0.25}
+const (
+	// denyFraction is the fraction of rules with action Deny.
+	denyFraction = 0.3
+	// wildcardBias is the chance that a rule's prefix is short
+	// (wildcard-ish), which inflates classification-tree size — the effect
+	// behind the Fig. 17 ACL-10000 blowup.
+	wildcardBias = 0.25
+)
+
+// Generate produces a deterministic synthetic ACL of the given number of
+// rules.
+func Generate(rules int, seed int64) *List {
+	return generate(rules, seed, denyFraction, wildcardBias)
 }
 
-// Generate produces a deterministic synthetic ACL.
-func Generate(cfg GenConfig) *List {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	l := &List{DefaultAction: Permit, Rules: make([]Rule, 0, cfg.Rules)}
+// generate is Generate with the deny fraction and the wildcard bias (in
+// [0,1]) as arguments, so tests can vary the rule distribution.
+func generate(rules int, seed int64, deny, wildcard float64) *List {
+	rng := rand.New(rand.NewSource(seed))
+	l := &List{DefaultAction: Permit, Rules: make([]Rule, 0, rules)}
 
 	// A small fixed pool of "site" prefixes makes rules overlap the way
 	// real ACLs do (many rules refine the same address blocks); keeping the
@@ -48,16 +46,16 @@ func Generate(cfg GenConfig) *List {
 		{8000, 8999}, {22, 22}, {5000, 5100},
 	}
 
-	for i := 0; i < cfg.Rules; i++ {
+	for i := 0; i < rules; i++ {
 		var r Rule
 		r.SrcAddr = sites[rng.Intn(nSites)] | netpkt.IPv4Addr(rng.Uint32()&0xffff)
 		r.DstAddr = sites[rng.Intn(nSites)] | netpkt.IPv4Addr(rng.Uint32()&0xffff)
 		r.SrcPlen = plenChoices[rng.Intn(len(plenChoices))]
 		r.DstPlen = plenChoices[rng.Intn(len(plenChoices))]
-		if rng.Float64() < cfg.WildcardBias {
+		if rng.Float64() < wildcard {
 			r.SrcPlen = rng.Intn(9) // 0..8: near-wildcard
 		}
-		if rng.Float64() < cfg.WildcardBias {
+		if rng.Float64() < wildcard {
 			r.DstPlen = rng.Intn(9)
 		}
 		r.SrcAddr = maskAddr(r.SrcAddr, r.SrcPlen)
@@ -72,7 +70,7 @@ func Generate(cfg GenConfig) *List {
 		default:
 			r.ProtoAny = true
 		}
-		if rng.Float64() < cfg.DenyFraction {
+		if rng.Float64() < deny {
 			r.Action = Deny
 		}
 		l.Rules = append(l.Rules, r)

@@ -218,7 +218,7 @@ func TestParseClassBenchErrors(t *testing.T) {
 }
 
 func TestClassBenchRoundTrip(t *testing.T) {
-	orig := Generate(DefaultGenConfig(150, 5))
+	orig := Generate(150, 5)
 	var buf bytes.Buffer
 	if err := WriteClassBench(&buf, orig); err != nil {
 		t.Fatal(err)

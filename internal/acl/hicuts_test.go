@@ -78,7 +78,7 @@ func TestBuildTreeMatchesReference(t *testing.T) {
 		for seed := int64(1); seed <= 9; seed++ {
 			for _, binth := range []int{4, 8} {
 				t.Run(fmt.Sprintf("n%d/seed%d/binth%d", n, seed, binth), func(t *testing.T) {
-					checkAgainstReference(t, Generate(DefaultGenConfig(n, seed)), binth, seed)
+					checkAgainstReference(t, Generate(n, seed), binth, seed)
 				})
 			}
 		}
@@ -88,7 +88,7 @@ func TestBuildTreeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteClassBench(&buf, Generate(DefaultGenConfig(150, 5))); err != nil {
+	if err := WriteClassBench(&buf, Generate(150, 5)); err != nil {
 		t.Fatal(err)
 	}
 	roundTrip, err := ParseClassBench(&buf)
@@ -107,7 +107,7 @@ func TestBuildTreeMatchesReference(t *testing.T) {
 // TestBuildTreeAllocs guards the flat build: a 1000-rule tree is a handful
 // of arrays, not one heap object per node and child list.
 func TestBuildTreeAllocs(t *testing.T) {
-	l := Generate(DefaultGenConfig(1000, 8))
+	l := Generate(1000, 8)
 	if allocs := testing.AllocsPerRun(1, func() { BuildTree(l, 8) }); allocs > 1000 {
 		t.Errorf("BuildTree(1000 rules) made %.0f allocations, want <= 1000", allocs)
 	}
@@ -117,7 +117,7 @@ func TestBuildTreeAllocs(t *testing.T) {
 // the seed-8 ACLs the firewall deploys.
 func BenchmarkBuildTree(b *testing.B) {
 	for _, n := range []int{200, 1000, 10000} {
-		l := Generate(DefaultGenConfig(n, 8))
+		l := Generate(n, 8)
 		b.Run(fmt.Sprintf("new/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var tree *Tree

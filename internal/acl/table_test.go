@@ -70,17 +70,21 @@ func boundaryKeys(rng *rand.Rand, r *Rule) []Key {
 // keys, and adversarial boundary keys sitting on every rule's interval
 // edges.
 func TestTableVsTreeClassBench(t *testing.T) {
-	configs := []GenConfig{
-		{Rules: 1, Seed: 9, DenyFraction: 0.5, WildcardBias: 0},
-		{Rules: 16, Seed: 1, DenyFraction: 0.3, WildcardBias: 0.25},
-		{Rules: 200, Seed: 2, DenyFraction: 0.3, WildcardBias: 0.25},
-		{Rules: 700, Seed: 3, DenyFraction: 0.3, WildcardBias: 0.6},
+	configs := []struct {
+		rules          int
+		seed           int64
+		deny, wildcard float64
+	}{
+		{1, 9, 0.5, 0},
+		{16, 1, 0.3, 0.25},
+		{200, 2, 0.3, 0.25},
+		{700, 3, 0.3, 0.6},
 	}
 	for _, cfg := range configs {
-		l := Generate(cfg)
+		l := generate(cfg.rules, cfg.seed, cfg.deny, cfg.wildcard)
 		tab := CompileTable(l)
 		tree := BuildTree(l, 8)
-		rng := rand.New(rand.NewSource(cfg.Seed * 977))
+		rng := rand.New(rand.NewSource(cfg.seed * 977))
 		for i := range l.Rules {
 			compareEngines(t, l, tab, tree, RandomMatchingKey(rng, &l.Rules[i]))
 			for _, k := range boundaryKeys(rng, &l.Rules[i]) {
@@ -139,7 +143,7 @@ func TestTableFirstMatchWins(t *testing.T) {
 // TestTableWideList exercises the multi-word bit-vector path (>64 rules →
 // words > 1) including the early-exit scan.
 func TestTableWideList(t *testing.T) {
-	l := Generate(DefaultGenConfig(300, 41))
+	l := Generate(300, 41)
 	tab := CompileTable(l)
 	if tab.Words() != (300+63)/64 {
 		t.Fatalf("Words=%d", tab.Words())
@@ -162,9 +166,8 @@ func FuzzTableVsTree(f *testing.F) {
 		if n == 0 {
 			n = 1
 		}
-		cfg := DefaultGenConfig(int(n), seed)
-		cfg.WildcardBias = float64(n%4) * 0.2 // vary overlap density with the corpus
-		l := Generate(cfg)
+		// Vary overlap density with the corpus.
+		l := generate(int(n), seed, denyFraction, float64(n%4)*0.2)
 		tab := CompileTable(l)
 		tree := BuildTree(l, 4)
 
@@ -186,7 +189,7 @@ func FuzzTableVsTree(f *testing.F) {
 // write nothing — concurrent lookups agree with the linear reference, and
 // under -race any write to the shared classifier is reported.
 func TestTableAndTreeSharedAcrossGoroutines(t *testing.T) {
-	l := Generate(DefaultGenConfig(300, 5))
+	l := Generate(300, 5)
 	tab, tree := CompileTable(l), BuildTree(l, 8)
 	var wg sync.WaitGroup
 	errs := make(chan string, 4)

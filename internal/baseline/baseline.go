@@ -25,7 +25,7 @@ const (
 	CPUOnly System = iota
 	// GPUOnly offloads every offloadable element wholly to the GPU.
 	GPUOnly
-	// FixedRatio offloads a single configured fraction of every
+	// FixedRatio offloads the same fraction (fixedRatio, 0.7) of every
 	// offloadable element ("a one-size-fits-all offload ratio").
 	FixedRatio
 	// FastClick models the FastClick baseline: an optimized CPU batch
@@ -65,37 +65,20 @@ type Deployment struct {
 	NBARatios map[string]float64
 }
 
-// Config parameterizes baseline construction.
-type Config struct {
-	// Ratio is the FixedRatio fraction (default 0.7, the paper's
-	// "70% offload to GPU" reference point).
-	Ratio float64
-	// BatchSize for NBA's calibration runs (default 64).
-	BatchSize int
-	// CalibrationBatches for NBA's local search (default 20).
-	CalibrationBatches int
-	// Costs overrides the platform cost table.
-	Costs map[string]hetsim.ElemCost
-}
-
-func (c *Config) defaults() {
-	if c.Ratio == 0 {
-		c.Ratio = 0.7
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
-	}
-	if c.CalibrationBatches == 0 {
-		c.CalibrationBatches = 20
-	}
-}
+const (
+	// fixedRatio is the FixedRatio GPU fraction, the paper's "70% offload
+	// to GPU" reference point.
+	fixedRatio = 0.7
+	// calibrationBatches is how many calibration batches NBA's local
+	// search simulates per candidate ratio.
+	calibrationBatches = 20
+)
 
 // Build constructs the baseline deployment for a sequential chain.
 // calibration supplies sample traffic for NBA's local ratio search (its
 // batches are consumed); other systems ignore it.
 func Build(sys System, chain []*nf.NF, p hetsim.Platform,
-	calibration func(n int) []*netpkt.Batch, cfg Config) (*Deployment, error) {
-	cfg.defaults()
+	calibration func(n int) []*netpkt.Batch) (*Deployment, error) {
 	g, _, _ := nf.BuildChain(chain)
 	d := &Deployment{System: sys, Graph: g}
 	switch sys {
@@ -104,12 +87,12 @@ func Build(sys System, chain []*nf.NF, p hetsim.Platform,
 	case GPUOnly:
 		d.Assignment = hetsim.AllGPU(g)
 	case FixedRatio:
-		d.Assignment = hetsim.UniformSplit(g, cfg.Ratio)
+		d.Assignment = hetsim.UniformSplit(g, fixedRatio)
 	case NBA:
 		if calibration == nil {
 			return nil, fmt.Errorf("baseline: NBA needs calibration traffic")
 		}
-		a, ratios, err := nbaAssign(chain, p, calibration, cfg)
+		a, ratios, err := nbaAssign(chain, p, calibration)
 		if err != nil {
 			return nil, err
 		}
@@ -128,17 +111,17 @@ func Build(sys System, chain []*nf.NF, p hetsim.Platform,
 // locally-optimal, globally-oblivious behaviour the paper contrasts GTA
 // against: it ignores cross-NF transfers and whole-chain balance.
 func nbaAssign(chain []*nf.NF, p hetsim.Platform,
-	calibration func(n int) []*netpkt.Batch, cfg Config) (map[string]float64, map[string]float64, error) {
+	calibration func(n int) []*netpkt.Batch) (map[string]float64, map[string]float64, error) {
 	ratios := make(map[string]float64, len(chain))
 	for _, f := range chain {
 		best, bestGbps := 0.0, -1.0
 		for r := 0.0; r <= 1.0001; r += 0.1 {
 			g, _, _ := nf.BuildChain([]*nf.NF{f})
-			sim, err := hetsim.NewSimulator(p, cfg.Costs, g, hetsim.UniformSplit(g, r))
+			sim, err := hetsim.NewSimulator(p, nil, g, hetsim.UniformSplit(g, r))
 			if err != nil {
 				return nil, nil, err
 			}
-			res, err := sim.Run(calibration(cfg.CalibrationBatches), 0)
+			res, err := sim.Run(calibration(calibrationBatches), 0)
 			if err != nil {
 				return nil, nil, err
 			}

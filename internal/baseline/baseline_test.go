@@ -29,7 +29,7 @@ func gen(seed int64, pkt int) func(n int) []*netpkt.Batch {
 func TestBuildAllSystems(t *testing.T) {
 	p := hetsim.DefaultPlatform()
 	for _, sys := range []System{CPUOnly, GPUOnly, FixedRatio, FastClick, NBA} {
-		d, err := Build(sys, testChain(), p, gen(1, 256), Config{})
+		d, err := Build(sys, testChain(), p, gen(1, 256))
 		if err != nil {
 			t.Fatalf("%v: %v", sys, err)
 		}
@@ -51,7 +51,7 @@ func TestBuildAllSystems(t *testing.T) {
 
 func TestCPUOnlyNeverTouchesGPU(t *testing.T) {
 	p := hetsim.DefaultPlatform()
-	d, err := Build(CPUOnly, testChain(), p, nil, Config{})
+	d, err := Build(CPUOnly, testChain(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCPUOnlyNeverTouchesGPU(t *testing.T) {
 
 func TestGPUOnlyOffloadsEverything(t *testing.T) {
 	p := hetsim.DefaultPlatform()
-	d, err := Build(GPUOnly, testChain(), p, nil, Config{})
+	d, err := Build(GPUOnly, testChain(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +81,17 @@ func TestGPUOnlyOffloadsEverything(t *testing.T) {
 
 func TestFixedRatioUsesBoth(t *testing.T) {
 	p := hetsim.DefaultPlatform()
-	d, err := Build(FixedRatio, testChain(), p, nil, Config{Ratio: 0.5})
+	d, err := Build(FixedRatio, testChain(), p, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for id, pl := range d.Assignment {
+		if pl.Mode != hetsim.ModeSplit || pl.GPUFraction != 0.7 {
+			t.Errorf("node %d placed %+v, want a 0.7 GPU split", id, pl)
+		}
+	}
+	if len(d.Assignment) == 0 {
+		t.Error("fixed ratio placed no element")
 	}
 	res, err := d.Simulate(p, nil, gen(5, 64)(10), 0)
 	if err != nil {
@@ -96,7 +104,7 @@ func TestFixedRatioUsesBoth(t *testing.T) {
 
 func TestNBAPicksPerNFRatios(t *testing.T) {
 	p := hetsim.DefaultPlatform()
-	d, err := Build(NBA, testChain(), p, gen(6, 512), Config{})
+	d, err := Build(NBA, testChain(), p, gen(6, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestNBAPicksPerNFRatios(t *testing.T) {
 }
 
 func TestNBARequiresCalibration(t *testing.T) {
-	if _, err := Build(NBA, testChain(), hetsim.DefaultPlatform(), nil, Config{}); err == nil {
+	if _, err := Build(NBA, testChain(), hetsim.DefaultPlatform(), nil); err == nil {
 		t.Error("NBA without calibration accepted")
 	}
 }

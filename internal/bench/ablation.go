@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nfcompass/internal/core"
+	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
@@ -66,11 +67,11 @@ func Ablation(cfg Config) (*Table, error) {
 	}
 	for vi, v := range variants {
 		opt := v.opt()
-		d, err := core.Deploy(mkChain(), cfg.Platform, mkBatches(int64(300+vi))(), opt)
+		d, err := core.Deploy(mkChain(), hetsim.DefaultPlatform(), mkBatches(int64(300+vi))(), opt)
 		if err != nil {
 			return nil, err
 		}
-		m, err := measure(cfg.Platform, d.Costs, d.Graph, d.Assignment, mkBatches(310))
+		m, err := measure(hetsim.DefaultPlatform(), d.Costs, d.Graph, d.Assignment, mkBatches(310))
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nfcompass/internal/core"
+	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
@@ -65,13 +66,13 @@ func Algos(cfg Config) (*Table, error) {
 			// Deploy and evaluate on the same traffic distribution (the
 			// runtime profiles the traffic it serves), so algorithm
 			// differences are not masked by workload drift.
-			d, err := core.Deploy(c.chain(), cfg.Platform,
+			d, err := core.Deploy(c.chain(), hetsim.DefaultPlatform(),
 				mkBatches(450+int64(ci))(), opt)
 			if err != nil {
 				return nil, err
 			}
 			allocMs := float64(time.Since(start).Microseconds()) / 1e3
-			m, err := measure(cfg.Platform, d.Costs, d.Graph, d.Assignment,
+			m, err := measure(hetsim.DefaultPlatform(), d.Costs, d.Graph, d.Assignment,
 				mkBatches(450+int64(ci)))
 			if err != nil {
 				return nil, err

@@ -21,8 +21,6 @@ import (
 
 // Config scales the experiments.
 type Config struct {
-	// Platform is the simulated server (default DefaultPlatform).
-	Platform hetsim.Platform
 	// Batches and BatchSize size each measurement run.
 	Batches   int
 	BatchSize int
@@ -35,7 +33,6 @@ type Config struct {
 // DefaultConfig returns the full-scale experiment configuration.
 func DefaultConfig() Config {
 	return Config{
-		Platform:  hetsim.DefaultPlatform(),
 		Batches:   120,
 		BatchSize: 64,
 		Seed:      1,
@@ -43,9 +40,6 @@ func DefaultConfig() Config {
 }
 
 func (c *Config) defaults() {
-	if c.Platform.CPUCores == 0 {
-		c.Platform = hetsim.DefaultPlatform()
-	}
 	if c.Batches == 0 {
 		c.Batches = 120
 	}
@@ -181,7 +175,7 @@ func mkDPI(name string) *nf.NF {
 
 // mkFirewall builds a never-drop firewall over a synthetic ACL.
 func mkFirewall(name string, rules int) *nf.NF {
-	return nf.NewFirewall(name, acl.Generate(acl.DefaultGenConfig(rules, 7)), true)
+	return nf.NewFirewall(name, acl.Generate(rules, 7), true)
 }
 
 // mkNAT builds the source-NAT NF.

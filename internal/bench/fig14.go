@@ -155,7 +155,7 @@ func Fig14(cfg Config) (*Table, error) {
 				if platform == "GPU" {
 					a = gpuOnly(g)
 				}
-				return hetsim.NewSimulator(cfg.Platform, nil, g, a)
+				return hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, a)
 			}
 
 			// Pass 1: saturation throughput per configuration. The

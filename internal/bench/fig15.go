@@ -70,14 +70,14 @@ func Fig15(cfg Config) (*Table, error) {
 		// GTA: allocation only (re-organization is evaluated in fig14).
 		opt := core.DefaultOptions()
 		opt.Parallelize, opt.Synthesize = false, false
-		d, err := core.Deploy(setup.chain(), cfg.Platform, mkBatches(100)(), opt)
+		d, err := core.Deploy(setup.chain(), hetsim.DefaultPlatform(), mkBatches(100)(), opt)
 		if err != nil {
 			return nil, err
 		}
 		g := d.Graph
 
 		run := func(a hetsim.Assignment, seedOff int64) (Measurement, error) {
-			return measure(cfg.Platform, nil, g, a, mkBatches(seedOff))
+			return measure(hetsim.DefaultPlatform(), nil, g, a, mkBatches(seedOff))
 		}
 
 		cpu, err := run(nil, 101)

@@ -37,7 +37,7 @@ func Fig17(cfg Config) (*Table, error) {
 	}
 
 	for ai, rules := range aclSizes {
-		list := acl.Generate(acl.DefaultGenConfig(rules, 7))
+		list := acl.Generate(rules, 7)
 		// One firewall NF per ACL: every Build gives its graph fresh
 		// elements over the NF's one write-free tree.
 		fw := nf.NewFirewall("fw", list, true)
@@ -68,22 +68,22 @@ func Fig17(cfg Config) (*Table, error) {
 			var systems []system
 
 			fc, err := baseline.Build(baseline.FastClick, mkChain(),
-				cfg.Platform, nil, baseline.Config{})
+				hetsim.DefaultPlatform(), nil)
 			if err != nil {
 				return nil, err
 			}
 			systems = append(systems, system{"FastClick", fc.Graph, fc.Assignment, nil})
 
 			nba, err := baseline.Build(baseline.NBA, mkChain(),
-				cfg.Platform, func(n int) []*netpkt.Batch {
+				hetsim.DefaultPlatform(), func(n int) []*netpkt.Batch {
 					return aclTraffic(list, min(n, cfg.Batches), cfg.BatchSize, pkt, seedBase+1)
-				}, baseline.Config{})
+				})
 			if err != nil {
 				return nil, err
 			}
 			systems = append(systems, system{"NBA", nba.Graph, nba.Assignment, nil})
 
-			d, err := core.Deploy(mkChain(), cfg.Platform, mkBatches(2)(),
+			d, err := core.Deploy(mkChain(), hetsim.DefaultPlatform(), mkBatches(2)(),
 				core.DefaultOptions())
 			if err != nil {
 				return nil, err
@@ -98,7 +98,7 @@ func Fig17(cfg Config) (*Table, error) {
 			var interarrival float64
 			for si, sys := range systems {
 				sys.graph.Reset()
-				sim, err := hetsim.NewSimulator(cfg.Platform, sys.costs, sys.graph, sys.a)
+				sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), sys.costs, sys.graph, sys.a)
 				if err != nil {
 					return nil, err
 				}
@@ -118,7 +118,7 @@ func Fig17(cfg Config) (*Table, error) {
 			// Pass 2: latency under the common offered load.
 			for si, sys := range systems {
 				sys.graph.Reset()
-				sim, err := hetsim.NewSimulator(cfg.Platform, sys.costs, sys.graph, sys.a)
+				sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), sys.costs, sys.graph, sys.a)
 				if err != nil {
 					return nil, err
 				}

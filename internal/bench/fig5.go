@@ -68,7 +68,7 @@ func Fig5(cfg Config) (*Table, error) {
 		light := costs["Classifier"]
 		light.CPUCyclesPerPkt, light.MemAccessPerPkt = 60, 0
 		costs["Classifier"] = light
-		sim, err := hetsim.NewSimulator(cfg.Platform, costs, g, nil)
+		sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), costs, g, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -80,8 +80,8 @@ func Fig5(cfg Config) (*Table, error) {
 		if res.CPUBusyNs > 0 && res.SplitEvents > 0 {
 			// Re-organization share: approximate each split event by the
 			// mean per-event cost model.
-			perEvent := cfg.Platform.SplitPerBatchNs*2 +
-				cfg.Platform.SplitPerPacketNs*float64(cfg.BatchSize)/4
+			perEvent := hetsim.DefaultPlatform().SplitPerBatchNs*2 +
+				hetsim.DefaultPlatform().SplitPerPacketNs*float64(cfg.BatchSize)/4
 			frac = float64(res.SplitEvents) * perEvent / res.CPUBusyNs
 		}
 		label := "without_split"

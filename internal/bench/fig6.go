@@ -48,7 +48,7 @@ func Fig6(cfg Config) (*Table, error) {
 			if wl.name == "DPI" {
 				kinds = append(kinds, "RegexDFA")
 			}
-			sim, err := hetsim.NewSimulator(cfg.Platform, nil, g,
+			sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g,
 				hetsim.KindSplit(g, frac, kinds...))
 			if err != nil {
 				return nil, err

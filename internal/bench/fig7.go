@@ -48,7 +48,7 @@ func Fig7(cfg Config) (*Table, error) {
 			default:
 				a = hetsim.UniformSplit(g, 0.7)
 			}
-			sim, err := hetsim.NewSimulator(cfg.Platform, nil, g, a)
+			sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, a)
 			if err != nil {
 				return nil, err
 			}

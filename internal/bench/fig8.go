@@ -45,7 +45,7 @@ func Fig8BatchSize(cfg Config) (*Table, error) {
 				if gpu {
 					a = gpuOnly(g)
 				}
-				sim, err := hetsim.NewSimulator(cfg.Platform, nil, g, a)
+				sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, a)
 				if err != nil {
 					return nil, err
 				}
@@ -92,7 +92,7 @@ func Fig8Traffic(cfg Config) (*Table, error) {
 			if gpu {
 				a = gpuOnly(g)
 			}
-			sim, err := hetsim.NewSimulator(cfg.Platform, nil, g, a)
+			sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, a)
 			if err != nil {
 				return nil, err
 			}
@@ -166,7 +166,7 @@ func Fig8CoRun(cfg Config) (*Table, error) {
 			// NFs to cores) but share the LLC and the GPU — cache
 			// contention and kernel switches are the interference.
 			ctx := hetsim.CoRun{
-				ExtraCPUFootprint: footprint[j] + cfg.Platform.ProcessFootprint,
+				ExtraCPUFootprint: footprint[j] + hetsim.DefaultPlatform().ProcessFootprint,
 				ExtraGPUKinds:     1,
 			}
 			g, err := coRunGbps(cfg, wl.mk, wl.pktSize, ctx, int64(90+i))
@@ -191,7 +191,7 @@ func Fig8CoRun(cfg Config) (*Table, error) {
 func coRunGbps(cfg Config, mk func(string) *nf.NF, pktSize int,
 	ctx hetsim.CoRun, seed int64) (float64, error) {
 	g, _, _ := nf.BuildChain([]*nf.NF{mk("x")})
-	sim, err := hetsim.NewSimulator(cfg.Platform, nil, g, nil)
+	sim, err := hetsim.NewSimulator(hetsim.DefaultPlatform(), nil, g, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nfcompass/internal/hetsim"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/profile"
 )
@@ -27,7 +28,7 @@ func Micro(cfg Config) (*Table, error) {
 	}
 	g, _, _ := nf.BuildChain(chain)
 
-	dict, err := profile.OfflineProfile(cfg.Platform, nil, g, profile.OfflineConfig{
+	dict, err := profile.OfflineProfile(hetsim.DefaultPlatform(), nil, g, profile.OfflineConfig{
 		PacketSizes: []int{64, 1024},
 		BatchSize:   cfg.BatchSize,
 		Batches:     8,

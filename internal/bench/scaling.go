@@ -5,6 +5,7 @@ import (
 
 	"nfcompass/internal/baseline"
 	"nfcompass/internal/core"
+	"nfcompass/internal/hetsim"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/nf"
 	"nfcompass/internal/traffic"
@@ -53,22 +54,22 @@ func Scaling(cfg Config) (*Table, error) {
 	}
 	for n := 1; n <= maxLen; n++ {
 		fc, err := baseline.Build(baseline.FastClick, mkNFs(n),
-			cfg.Platform, nil, baseline.Config{})
+			hetsim.DefaultPlatform(), nil)
 		if err != nil {
 			return nil, err
 		}
-		mFC, err := measure(cfg.Platform, nil, fc.Graph, fc.Assignment,
+		mFC, err := measure(hetsim.DefaultPlatform(), nil, fc.Graph, fc.Assignment,
 			mkBatches(int64(500+n)))
 		if err != nil {
 			return nil, err
 		}
 
-		d, err := core.Deploy(mkNFs(n), cfg.Platform,
+		d, err := core.Deploy(mkNFs(n), hetsim.DefaultPlatform(),
 			mkBatches(int64(520+n))(), core.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
-		mNC, err := measure(cfg.Platform, d.Costs, d.Graph, d.Assignment,
+		mNC, err := measure(hetsim.DefaultPlatform(), d.Costs, d.Graph, d.Assignment,
 			mkBatches(int64(500+n)))
 		if err != nil {
 			return nil, err

@@ -71,20 +71,19 @@ type ChainStatus struct {
 	Err          string  `json:"err,omitempty"`
 }
 
-// Config tunes a Manager. The zero value works: every field has a default
-// chosen for tests and small deployments; -serve raises Shards.
+// Config tunes a Manager. The zero value works; -serve raises Shards.
 type Config struct {
 	// Shards is the default replica count of the shared dataplane (a
 	// spec's Shards knob can raise it; default 2).
 	Shards int
-	// TickInterval paces canary observation ticks (default 20ms).
-	TickInterval time.Duration
-	// GuardTicks is how many consecutive healthy ticks promote a canary
-	// when the spec does not say (default 3).
-	GuardTicks int
 }
 
 const (
+	// tickInterval paces canary observation ticks.
+	tickInterval = 20 * time.Millisecond
+	// guardTicks is how many consecutive healthy ticks promote a canary
+	// when the spec does not say.
+	guardTicks = 3
 	// canaryBatches is the per-tenant traffic burst injected each canary
 	// tick.
 	canaryBatches = 4
@@ -98,12 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 2
 	}
-	if c.TickInterval <= 0 {
-		c.TickInterval = 20 * time.Millisecond
-	}
-	if c.GuardTicks <= 0 {
-		c.GuardTicks = 3
-	}
 	return c
 }
 
@@ -112,7 +105,11 @@ func (c Config) withDefaults() Config {
 // machine above. One rollout runs at a time (rollMu); submissions arriving
 // mid-rollout queue behind it. Every transition is journaled.
 type Manager struct {
-	cfg     Config
+	cfg Config
+	// tick and guard are tickInterval and guardTicks; in-package tests
+	// shorten them before the first Submit.
+	tick    time.Duration
+	guard   int
 	journal *core.DecisionJournal
 	// batchID hands out dataplane-unique batch IDs across all tenants and
 	// generations — the e2e latency ring is keyed by ID.
@@ -183,6 +180,8 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
 		cfg:     cfg,
+		tick:    tickInterval,
+		guard:   guardTicks,
 		journal: core.NewDecisionJournal(journalCap),
 		chains:  map[string]*chainState{},
 	}
@@ -251,7 +250,7 @@ func (m *Manager) Await(name string) ChainStatus {
 		if !ok || terminal(st.State) {
 			return st
 		}
-		time.Sleep(m.cfg.TickInterval / 4)
+		time.Sleep(m.tick / 4)
 	}
 }
 
@@ -427,7 +426,7 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 		m.fail(s, err)
 		return
 	}
-	time.Sleep(m.cfg.TickInterval)
+	time.Sleep(m.tick)
 	base := canary.sp.E2E()
 	m.note(s, StateProfiling, "canary calibration burst", core.Decision{
 		P99Ns: base.Percentile(99),
@@ -459,11 +458,11 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 
 	// Canary: the guard window. Each tick injects a per-tenant burst,
 	// waits an interval, and windows the cumulative e2e ring to this
-	// tick's distribution; GuardTicks consecutive healthy ticks promote,
+	// tick's distribution; guard consecutive healthy ticks promote,
 	// one SLO breach rolls back.
 	guard := s.SLO.GuardTicks
 	if guard <= 0 {
-		guard = m.cfg.GuardTicks
+		guard = m.guard
 	}
 	sloNs := s.SLO.P99Us * 1e3
 	m.note(s, StateCanary, fmt.Sprintf("guard window: %d ticks, SLO p99 %.0fns", guard, sloNs),
@@ -485,7 +484,7 @@ func (m *Manager) rollout(s spec.ChainSpec, chain []*nf.NF) {
 			m.fail(s, err)
 			return
 		}
-		time.Sleep(m.cfg.TickInterval)
+		time.Sleep(m.tick)
 		cur := canary.sp.E2E()
 		w := cur.Window(prev)
 		prev = cur

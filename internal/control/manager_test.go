@@ -11,11 +11,9 @@ import (
 )
 
 func testManager() *Manager {
-	return NewManager(Config{
-		Shards:       2,
-		TickInterval: 5 * time.Millisecond,
-		GuardTicks:   2,
-	})
+	m := NewManager(Config{Shards: 2})
+	m.tick, m.guard = 5*time.Millisecond, 2
+	return m
 }
 
 func mustLive(t *testing.T, m *Manager, s spec.ChainSpec) ChainStatus {

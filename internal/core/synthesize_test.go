@@ -13,7 +13,7 @@ import (
 )
 
 func fwNF(name string) *nf.NF {
-	list := acl.Generate(acl.DefaultGenConfig(50, 3))
+	list := acl.Generate(50, 3)
 	return nf.NewFirewall(name, list, true)
 }
 

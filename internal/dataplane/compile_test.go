@@ -242,7 +242,7 @@ func inOrder(g *element.Graph) []bool {
 // TestBookedReportEquality is the booking rule's gate: a segment's executor
 // books on behalf of members that never see the batch, and the Report and
 // the elements' visits must come out exactly as if every member had booked
-// for itself — compiled against DisableCompile, fused against DisableFusion
+// for itself — compiled against DisableCompile, fused against disableFusion
 // — including a dropper mid-segment and a chain that dies at its second
 // member (nothing booked or run for the members behind it). The
 // observation rule is a function of the batch ID, so every execution times
@@ -254,7 +254,7 @@ func TestBookedReportEquality(t *testing.T) {
 		seeds int64
 		// batches is the run's length (0 = 24, two observed IDs).
 		batches int
-		// gpu compares fusion (against DisableFusion) instead of compilation,
+		// gpu compares fusion (against disableFusion) instead of compilation,
 		// under assign, or under randAssignment when assign is nil.
 		gpu    bool
 		assign hetsim.Assignment
@@ -298,7 +298,7 @@ func TestBookedReportEquality(t *testing.T) {
 						if cfg.Assignment == nil {
 							cfg.Assignment = randAssignment(r.build(seed), seed)
 						}
-						cfg.Offload = &OffloadConfig{MaxOutstanding: 4, DisableFusion: reference}
+						cfg.Offload = &OffloadConfig{maxOutstanding: 4, disableFusion: reference}
 					} else {
 						cfg.DisableCompile = reference
 					}
@@ -414,7 +414,7 @@ func TestHotSwapMidCompiledSegmentZeroLoss(t *testing.T) {
 		t.Run(fmt.Sprintf("qd=%d", qd), func(t *testing.T) {
 			g, probe := hotSwapProbeChain()
 			p := auditHotSwap(t, g, qd,
-				OffloadConfig{Devices: 2, MaxOutstanding: 4, AggregateLimit: 3}, swaps, 90, 10)
+				OffloadConfig{maxOutstanding: 4, aggregateLimit: 3}, swaps, 90, 10)
 			if bad := probe.bad.Load(); bad != nil {
 				t.Fatal(*bad)
 			}

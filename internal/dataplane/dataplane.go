@@ -21,8 +21,8 @@ type Config struct {
 	// back-pressure, not drops.
 	QueueDepth int
 	// PreserveOrder re-sequences batches at the sink in injection order
-	// using a completion queue (default true behaviour is OFF to keep
-	// the zero value cheap; the paper's stateful NFs need it ON).
+	// using a completion queue. It is off by default, which keeps the zero
+	// value cheap.
 	PreserveOrder bool
 	// Metrics enables the per-element observability layer: packet/drop
 	// counters, processing-time histograms, send-wait accounting, and
@@ -40,7 +40,8 @@ type Config struct {
 	// transfer/launch latencies (see Offload). Swap at runtime with
 	// Pipeline.Apply.
 	Assignment hetsim.Assignment
-	// Offload tunes the emulated GPU device backend (nil = defaults).
+	// Offload names the platform the emulated GPU device backend charges
+	// (nil = hetsim.DefaultPlatform).
 	Offload *OffloadConfig
 	// DisableCompile turns off compiled CPU stage-loops (see compile.go):
 	// every ModeCPU element keeps its own goroutine+channel hop per batch,

@@ -394,7 +394,7 @@ func TestBranchParDifferential(t *testing.T) {
 			cfg := Config{
 				QueueDepth: 1 + int(trial%3),
 				Assignment: hetsim.Assignment{scan: {Mode: hetsim.ModeGPU}},
-				Offload:    &OffloadConfig{MaxOutstanding: 1 + int(trial/2)},
+				Offload:    &OffloadConfig{maxOutstanding: 1 + int(trial/2)},
 			}
 			conOut, _, err := RunBatches(context.Background(), g, cfg, in)
 			if err != nil {

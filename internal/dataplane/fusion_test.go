@@ -43,11 +43,11 @@ func TestFusionTransferCounts(t *testing.T) {
 			Config{
 				PreserveOrder: true,
 				Assignment:    allGPUInterior(),
-				// AggregateLimit 1 makes launch counts deterministic (no
+				// aggregateLimit 1 makes launch counts deterministic (no
 				// opportunistic grouping), so the per-batch arithmetic below
 				// is exact.
 				Offload: &OffloadConfig{
-					MaxOutstanding: 4, AggregateLimit: 1, DisableFusion: disable,
+					maxOutstanding: 4, aggregateLimit: 1, disableFusion: disable,
 				},
 			}, seqTraffic(5, batches, perBatch))
 		if err != nil {
@@ -99,7 +99,7 @@ func TestFusionTransferCounts(t *testing.T) {
 	// With a submission window deeper than one buffer, the double-buffered
 	// pipeline hides H2D time behind the previous group's kernels.
 	if fused.OverlapNs == 0 {
-		t.Fatalf("OverlapNs = 0 with MaxOutstanding=4: transfer pipelining never engaged")
+		t.Fatalf("OverlapNs = 0 with maxOutstanding=4: transfer pipelining never engaged")
 	}
 }
 
@@ -124,14 +124,14 @@ func TestFusionDifferential(t *testing.T) {
 						Config{
 							QueueDepth: 1 + int(trial%3),
 							Assignment: randAssignment(build(seed), seed),
-							// AggregateLimit 1 keeps launch grouping — and
+							// aggregateLimit 1 keeps launch grouping — and
 							// with it GPUBusyNs — deterministic, so the
 							// fused-vs-unfused comparison is exact, not
 							// statistical.
 							Offload: &OffloadConfig{
-								MaxOutstanding: 1 + int(trial%4),
-								AggregateLimit: 1,
-								DisableFusion:  disable,
+								maxOutstanding: 1 + int(trial%4),
+								aggregateLimit: 1,
+								disableFusion:  disable,
 							},
 						}, diffTraffic(seed, 24, 16))
 					if err != nil {
@@ -181,8 +181,8 @@ func TestFusionDifferentialExactOrder(t *testing.T) {
 							PreserveOrder: true, QueueDepth: 2,
 							Assignment: randAssignment(build(seed), seed),
 							Offload: &OffloadConfig{
-								MaxOutstanding: 1 + int(trial%4),
-								DisableFusion:  disable,
+								maxOutstanding: 1 + int(trial%4),
+								disableFusion:  disable,
 							},
 						}, diffTraffic(seed, 30, 8))
 					if err != nil {
@@ -242,7 +242,7 @@ func TestHotSwapMidSegmentZeroLoss(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/agg=%d/qd=%d", name, agg, qd), func(t *testing.T) {
 					g, probe := hotSwapProbeChain()
 					p := auditHotSwap(t, g, qd,
-						OffloadConfig{Devices: 2, MaxOutstanding: 4, AggregateLimit: agg}, swaps, 90, 10)
+						OffloadConfig{maxOutstanding: 4, aggregateLimit: agg}, swaps, 90, 10)
 					if bad := probe.bad.Load(); bad != nil {
 						t.Fatal(*bad)
 					}
@@ -283,7 +283,7 @@ func TestFig7FusionBusyDrop(t *testing.T) {
 				PreserveOrder: true,
 				Assignment:    hetsim.AllGPU(g),
 				Offload: &OffloadConfig{
-					MaxOutstanding: 4, AggregateLimit: 1, DisableFusion: disable,
+					maxOutstanding: 4, aggregateLimit: 1, disableFusion: disable,
 				},
 			}, gen.Batches(batches, perBatch))
 		if err != nil {
@@ -351,7 +351,7 @@ func TestFusedOffloadAllocs(t *testing.T) {
 	p, err := New(g, Config{
 		PreserveOrder: true, QueueDepth: 4,
 		Assignment: allGPUInterior(),
-		Offload:    &OffloadConfig{MaxOutstanding: 4, AggregateLimit: 4},
+		Offload:    &OffloadConfig{maxOutstanding: 4, aggregateLimit: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func BenchmarkFusedOffload(b *testing.B) {
 	p, err := New(g, Config{
 		PreserveOrder: true, QueueDepth: 8,
 		Assignment: allGPUInterior(),
-		Offload:    &OffloadConfig{MaxOutstanding: 4},
+		Offload:    &OffloadConfig{maxOutstanding: 4},
 	})
 	if err != nil {
 		b.Fatal(err)

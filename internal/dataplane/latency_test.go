@@ -86,7 +86,7 @@ func TestTraceOriginSurvivesApply(t *testing.T) {
 	g := hotSwapChain()
 	p, err := New(g, Config{
 		QueueDepth: 2, PreserveOrder: true, Metrics: true,
-		Offload: &OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
+		Offload: &OffloadConfig{maxOutstanding: 2, aggregateLimit: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,35 +12,32 @@ import (
 	"nfcompass/internal/netpkt"
 )
 
-// OffloadConfig tunes the emulated GPU device backend. The zero value (or a
-// nil pointer in Config) selects the default platform and cost table, one
-// lane window of 4, and launch aggregation up to 8 submissions.
+// OffloadConfig names the platform the emulated GPU device backend charges.
+// The pool runs one device per Platform.GPUs (at least one), a lane window
+// of 4 in-flight submissions per element, launch aggregation of up to 8
+// submissions, and device-resident segment fusion, all priced by the
+// default cost table. A nil pointer in Config selects the default platform.
 type OffloadConfig struct {
-	// Devices is the number of emulated GPU devices, each with its own
-	// submission queue and worker (default: Platform.GPUs, minimum 1).
-	Devices int
-	// Platform supplies the transfer/launch/kernel latency parameters (nil
-	// = hetsim.DefaultPlatform). It must be the platform the Assignment was
+	// Platform supplies the device count and the transfer/launch/kernel
+	// latency parameters (nil = hetsim.DefaultPlatform, the platform every
+	// command deploys against). It must be the platform the Assignment was
 	// allocated against, so the dataplane charges the same costs the
-	// partitioner optimized.
+	// partitioner optimized. Only the repo benchmark sets it.
 	Platform *hetsim.Platform
-	// Costs is the per-kind cost table (nil = hetsim.DefaultCosts).
-	Costs map[string]hetsim.ElemCost
-	// MaxOutstanding bounds each element's in-flight submissions (default
-	// 4). It is also the capacity of the lane's completion channel, which
-	// is what lets device workers deliver completions without ever
-	// blocking on a slow consumer.
-	MaxOutstanding int
-	// AggregateLimit is the most same-kind submissions folded into one
-	// kernel launch (default 8). Aggregated groups pay the launch latency
-	// and the PCIe round-trip latency once, with transfer bytes summed —
-	// the kernel-launch batching of §III-B.
-	AggregateLimit int
-	// DisableFusion turns off device-resident segment fusion: every
-	// ModeGPU element submits individually and pays its own H2D/D2H round
-	// trip, the pre-fusion behaviour. The fusion differential tests use it
-	// as their unfused reference; no command sets it.
-	DisableFusion bool
+
+	// Test switches; zero selects the default. maxOutstanding bounds each
+	// element's in-flight submissions (4); it is also the capacity of the
+	// lane's completion channel, which lets device workers deliver
+	// completions without ever blocking on a slow consumer. aggregateLimit
+	// is the most same-kind submissions folded into one kernel launch (8):
+	// an aggregated group pays the launch and PCIe round-trip latency once,
+	// with transfer bytes summed — the kernel-launch batching of §III-B.
+	// disableFusion makes every ModeGPU element submit individually and pay
+	// its own H2D/D2H round trip; it is the fusion differential's unfused
+	// reference.
+	maxOutstanding int
+	aggregateLimit int
+	disableFusion  bool
 }
 
 // OffloadStats counts the device backend's activity with atomics (safe to
@@ -247,8 +244,8 @@ type devicePool struct {
 	cm             *hetsim.CostModel
 	maxOutstanding int
 	aggLimit       int
-	// fuse enables device-resident segment fusion (on unless
-	// OffloadConfig.DisableFusion).
+	// fuse enables device-resident segment fusion (on unless the
+	// disableFusion test switch is set).
 	fuse bool
 	devs []*device
 	wg   sync.WaitGroup
@@ -266,26 +263,20 @@ func newDevicePool(p *Pipeline, oc *OffloadConfig) *devicePool {
 	if c.Platform != nil {
 		plat = *c.Platform
 	}
-	if c.Devices <= 0 {
-		c.Devices = plat.GPUs
+	if c.maxOutstanding <= 0 {
+		c.maxOutstanding = 4
 	}
-	if c.Devices <= 0 {
-		c.Devices = 1
-	}
-	if c.MaxOutstanding <= 0 {
-		c.MaxOutstanding = 4
-	}
-	if c.AggregateLimit <= 0 {
-		c.AggregateLimit = 8
+	if c.aggregateLimit <= 0 {
+		c.aggregateLimit = 8
 	}
 	dp := &devicePool{
 		p:              p,
-		cm:             hetsim.NewCostModel(plat, c.Costs),
-		maxOutstanding: c.MaxOutstanding,
-		aggLimit:       c.AggregateLimit,
-		fuse:           !c.DisableFusion,
+		cm:             hetsim.NewCostModel(plat, nil),
+		maxOutstanding: c.maxOutstanding,
+		aggLimit:       c.aggregateLimit,
+		fuse:           !c.disableFusion,
 	}
-	for i := 0; i < c.Devices; i++ {
+	for i := 0; i < max(plat.GPUs, 1); i++ {
 		dp.devs = append(dp.devs, &device{
 			name: fmt.Sprintf("gpu%d", i),
 			q:    make(chan *workItem, p.cfg.QueueDepth),

@@ -63,9 +63,9 @@ func TestPlacementDifferentialMultiset(t *testing.T) {
 						QueueDepth: 1 + int(trial%3),
 						Assignment: randAssignment(build(seed), seed),
 						Offload: &OffloadConfig{
-							Devices:        1 + int(trial%2),
-							MaxOutstanding: 1 + int(trial%4),
-							AggregateLimit: 1 + int(trial%5),
+							Platform:       gpus(1 + int(trial%2)),
+							maxOutstanding: 1 + int(trial%4),
+							aggregateLimit: 1 + int(trial%5),
 						},
 					}, diffTraffic(seed, 24, 16))
 				if err != nil {
@@ -103,7 +103,7 @@ func TestPlacementDifferentialExactOrder(t *testing.T) {
 					Config{
 						PreserveOrder: true, Metrics: true, QueueDepth: 2,
 						Assignment: randAssignment(build(seed), seed),
-						Offload:    &OffloadConfig{MaxOutstanding: 1 + int(trial%4)},
+						Offload:    &OffloadConfig{maxOutstanding: 1 + int(trial%4)},
 					}, diffTraffic(seed, 30, 8))
 				if err != nil {
 					t.Fatal(err)
@@ -165,7 +165,7 @@ func TestPlacementShardedPerFlowOrder(t *testing.T) {
 					Config: Config{
 						QueueDepth: 2,
 						Assignment: randAssignment(ref, 1000+trial),
-						Offload:    &OffloadConfig{MaxOutstanding: 1 + int(trial%4)},
+						Offload:    &OffloadConfig{maxOutstanding: 1 + int(trial%4)},
 					},
 				}, seqTraffic(flows, 40, 16))
 			if seen := checkFlowOrder(t, outs); seen != 40*16 {
@@ -433,7 +433,7 @@ func checkSegmentPlacements(t *testing.T, tbl *placementTable) {
 // packets, keeps batch order, and — audited through every element's visits
 // — never executes an element twice, out of order or on two goroutines.
 func TestHotSwapZeroLoss(t *testing.T) {
-	p := auditHotSwap(t, hotSwapChain(), 2, OffloadConfig{MaxOutstanding: 2, AggregateLimit: 3},
+	p := auditHotSwap(t, hotSwapChain(), 2, OffloadConfig{maxOutstanding: 2, aggregateLimit: 3},
 		hotSwapAssignments(), 80, 20)
 	if got := p.Offload.Swaps.Load(); got != 3 {
 		t.Fatalf("Swaps = %d, want 3", got)
@@ -452,7 +452,7 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 		Shards: 3,
 		Config: Config{
 			QueueDepth: 2, Metrics: true,
-			Offload: &OffloadConfig{MaxOutstanding: 2},
+			Offload: &OffloadConfig{maxOutstanding: 2},
 		},
 	})
 	if err != nil {
@@ -501,6 +501,46 @@ func TestHotSwapShardedZeroLoss(t *testing.T) {
 	}
 }
 
+// gpus returns a copy of the default platform with n GPUs, which is how a
+// test sets the device pool's size.
+func gpus(n int) *hetsim.Platform {
+	p := hetsim.DefaultPlatform()
+	p.GPUs = n
+	return &p
+}
+
+// TestOffloadDefaults pins the device pool's fixed shape: a pipeline built
+// with Offload nil runs DefaultPlatform().GPUs devices, a lane window of 4,
+// launch groups of up to 8 and segment fusion. A platform with n GPUs gets
+// n devices, and at least one.
+func TestOffloadDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		oc   *OffloadConfig
+		devs int
+	}{
+		{"nil", nil, hetsim.DefaultPlatform().GPUs},
+		{"1gpu", &OffloadConfig{Platform: gpus(1)}, 1},
+		{"3gpus", &OffloadConfig{Platform: gpus(3)}, 3},
+		{"0gpus", &OffloadConfig{Platform: gpus(0)}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(hotSwapChain(), Config{Offload: tc.oc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp := p.pool
+			if len(dp.devs) != tc.devs || p.Snapshot().Offload.Devices != tc.devs {
+				t.Errorf("devices = %d (snapshot %d), want %d", len(dp.devs), p.Snapshot().Offload.Devices, tc.devs)
+			}
+			if dp.maxOutstanding != 4 || dp.aggLimit != 8 || !dp.fuse {
+				t.Errorf("lane window %d, aggregation limit %d, fusion %v; want 4, 8, true",
+					dp.maxOutstanding, dp.aggLimit, dp.fuse)
+			}
+		})
+	}
+}
+
 // TestOffloadStatsAccounting pins the device backend's bookkeeping on a
 // fully offloaded chain: every non-endpoint element's batches go through a
 // device, launches aggregate (strictly fewer launches than submissions),
@@ -520,7 +560,7 @@ func TestOffloadStatsAccounting(t *testing.T) {
 		Config{
 			PreserveOrder: true, Metrics: true,
 			Assignment: a,
-			Offload:    &OffloadConfig{Devices: 2, MaxOutstanding: 4, AggregateLimit: 8},
+			Offload:    &OffloadConfig{maxOutstanding: 4, aggregateLimit: 8},
 		}, seqTraffic(5, batches, perBatch))
 	if err != nil {
 		t.Fatal(err)

@@ -82,18 +82,21 @@ type Span struct {
 	EndNs   int64  `json:"end_ns"`
 }
 
-// Config tunes a Recorder.
-type Config struct {
-	// SpansPerLane is the capacity of each lane's span ring (default 512).
-	// Older spans are overwritten; snapshots return the surviving tail.
-	SpansPerLane int
-}
+// Config is New's argument. It has no fields: the repo benchmark calls
+// New(Config{}), and ROADMAP item 10(c) deletes the type with that call.
+type Config struct{}
+
+// spansPerLane is the capacity of each lane's span ring. Older spans are
+// overwritten; snapshots return the surviving tail.
+const spansPerLane = 512
 
 // Recorder owns the lanes, queue probes, and loss ledger for one run. One
 // recorder is shared by the ingress plane and every dataplane shard; lanes
 // are identified by (stage, lane index) and are created on first use.
 type Recorder struct {
-	origin  time.Time
+	origin time.Time
+	// perLane is spansPerLane; in-package tests shrink it before the
+	// first Lane call to exercise ring wrap-around.
 	perLane int
 
 	mu     sync.Mutex
@@ -116,13 +119,10 @@ type queueProbe struct {
 }
 
 // New builds a Recorder with its origin at the current time.
-func New(cfg Config) *Recorder {
-	if cfg.SpansPerLane <= 0 {
-		cfg.SpansPerLane = 512
-	}
+func New(Config) *Recorder {
 	return &Recorder{
 		origin:  time.Now(),
-		perLane: cfg.SpansPerLane,
+		perLane: spansPerLane,
 		byKey:   make(map[laneKey]*LaneRecorder),
 		ledger:  newLedger(),
 	}

@@ -9,8 +9,15 @@ import (
 	"testing"
 )
 
+// newRecorder is New with a span ring of perLane entries per lane.
+func newRecorder(perLane int) *Recorder {
+	r := New(Config{})
+	r.perLane = perLane
+	return r
+}
+
 func TestLaneSpansMergeSorted(t *testing.T) {
-	r := New(Config{SpansPerLane: 8})
+	r := newRecorder(8)
 	a := r.Lane(StageRead, 0)
 	b := r.Lane(StageRX, 1)
 	a.Span(1, 10, 100, 200)
@@ -32,7 +39,7 @@ func TestLaneSpansMergeSorted(t *testing.T) {
 }
 
 func TestLaneRingKeepsTail(t *testing.T) {
-	r := New(Config{SpansPerLane: 4})
+	r := newRecorder(4)
 	l := r.Lane(StageDrain, 0)
 	for i := 0; i < 10; i++ {
 		l.Span(uint64(i), 1, int64(i*10), int64(i*10+5))
@@ -122,7 +129,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	r := New(Config{SpansPerLane: 64})
+	r := newRecorder(64)
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -276,7 +283,7 @@ func TestWriteSpansNDJSONTail(t *testing.T) {
 // counters are resolved, recording spans, meters, and drops allocates
 // nothing.
 func TestRecorderAllocs(t *testing.T) {
-	r := New(Config{SpansPerLane: 128})
+	r := newRecorder(128)
 	l := r.Lane(StageRX, 0)
 	c := r.Ledger().Counter(StageInject, ReasonInjectRefused)
 	var batch uint64

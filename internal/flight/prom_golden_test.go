@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // family WritePrometheus emits, with stage and reason values containing
 // every character the exposition format requires escaping.
 func goldenRecorder() *Recorder {
-	r := New(Config{SpansPerLane: 8})
+	r := newRecorder(8)
 	// Three batches cross every lane; the rule observes ID 0 of them, so
 	// the exact and the observed series differ.
 	read := r.Lane(StageRead, 0)

@@ -33,7 +33,7 @@ func statelessChainBuild(shard int) (*element.Graph, error) {
 	_ = tr.Insert(0, 0, 1)
 	_ = tr.Insert(0xc0a80000, 16, 2)
 	g, _, _ := nf.BuildChain([]*nf.NF{
-		nf.NewFirewall("fw", acl.Generate(acl.DefaultGenConfig(64, 7)), true),
+		nf.NewFirewall("fw", acl.Generate(64, 7), true),
 		nf.NewIPv4Router("router", trie.BuildDir24_8(&tr), "parallel-test"),
 	})
 	return g, nil

@@ -16,16 +16,8 @@ type PcapConfig struct {
 	// (<= 1 means one pass). Loop mode turns a finite trace into a
 	// sustained load for soak runs.
 	Loops int
-	// PaceTimestamps honours the capture's inter-arrival gaps: packet i
-	// is released no earlier than its timestamp delta (divided by
-	// TimeScale) after packet 0. Without pacing the source releases as
-	// fast as the pipeline pulls.
-	PaceTimestamps bool
-	// TimeScale speeds up (<1 slows down) timestamp pacing: 2 replays a
-	// trace at twice its captured rate. 0 means 1.
-	TimeScale float64
-	// PacePPS releases packets at a fixed rate instead of the capture's
-	// gaps. Takes precedence over PaceTimestamps when nonzero.
+	// PacePPS, when positive, releases packets at a fixed rate. Without
+	// it the source releases as fast as the pipeline pulls.
 	PacePPS float64
 	// Arena, when set, supplies record buffers from a recycling pool
 	// instead of the garbage collector — the pump's per-queue arenas end
@@ -54,11 +46,9 @@ type PcapSource struct {
 	// passes start, start+N, start+2N, … — the round-robin pass partition).
 	stride int
 
-	count     uint64    // packets released
-	start     time.Time // wall anchor for pacing, set on first Next
-	prevArr   int64     // previous record timestamp within the pass
-	paceAccum int64     // accumulated trace ns across passes
-	closed    bool
+	count  uint64    // packets released
+	start  time.Time // wall anchor for pacing, set on first Next
+	closed bool
 }
 
 // NewPcapSource replays whatever open returns; open is called once per
@@ -90,7 +80,6 @@ func (s *PcapSource) reopen() error {
 		pr.SetAlloc(s.cfg.Arena.GetPacket)
 	}
 	s.rc, s.pr = rc, pr
-	s.prevArr = -1
 	return nil
 }
 
@@ -120,7 +109,7 @@ func (s *PcapSource) Next() (*netpkt.Packet, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.pace(p.Arrival)
+		s.pace()
 		p.FlowID = traffic.FlowHash(p)
 		if s.cfg.RekeyPerPass && s.pass > 0 {
 			// splitmix64 of the pass number decorrelates the salt from
@@ -135,28 +124,15 @@ func (s *PcapSource) Next() (*netpkt.Packet, error) {
 	}
 }
 
-// pace sleeps until the packet's release time under the configured policy.
-func (s *PcapSource) pace(arrival int64) {
-	if s.cfg.PacePPS <= 0 && !s.cfg.PaceTimestamps {
+// pace sleeps until the packet's release time at PacePPS.
+func (s *PcapSource) pace() {
+	if s.cfg.PacePPS <= 0 {
 		return
 	}
 	if s.start.IsZero() {
 		s.start = time.Now()
 	}
-	var targetNs int64
-	if s.cfg.PacePPS > 0 {
-		targetNs = int64(float64(s.count) / s.cfg.PacePPS * 1e9)
-	} else {
-		if s.prevArr >= 0 && arrival > s.prevArr {
-			s.paceAccum += arrival - s.prevArr
-		}
-		s.prevArr = arrival
-		scale := s.cfg.TimeScale
-		if scale <= 0 {
-			scale = 1
-		}
-		targetNs = int64(float64(s.paceAccum) / scale)
-	}
+	targetNs := int64(float64(s.count) / s.cfg.PacePPS * 1e9)
 	if d := time.Duration(targetNs) - time.Since(s.start); d > 0 {
 		time.Sleep(d)
 	}

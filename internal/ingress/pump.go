@@ -29,12 +29,6 @@ type PumpConfig struct {
 	FlowTTL int64
 	// FlowCapacity bounds the conntrack table (default 2^21 ≈ 2M flows).
 	FlowCapacity int
-	// FlowStripes is the conntrack stripe count (default 64).
-	FlowStripes int
-	// ExpiryBudget caps how many stale conntrack entries are lazily
-	// reclaimed per injected batch (default 64) — the incremental sweep
-	// that replaces stop-the-world expiry.
-	ExpiryBudget int
 	// RXWorkers caps the source readers: a SplittableSource is split into
 	// up to this many (<= 1 reads the source as it is). Callers pass the
 	// NIC's queue count.
@@ -43,10 +37,6 @@ type PumpConfig struct {
 	// to its own OS thread (runtime.LockOSThread) — the RX-core discipline,
 	// pairing with dataplane.Config.PinOSThread on the shard side.
 	PinWorkers bool
-	// RingSize is the capacity of each reader→worker SPSC ring (default
-	// 512). One ring exists per (reader, queue) pair so every ring keeps
-	// exactly one producer and one consumer.
-	RingSize int
 	// Flight, when non-nil, threads the pipeline flight recorder through
 	// the ingress plane: readers, RX workers, conntrack sweeps, shard
 	// injection, and drains count every batch and record lifecycle spans
@@ -55,6 +45,16 @@ type PumpConfig struct {
 	// packets in the loss ledger. Nil disables all of it at the cost of one
 	// nil check per site.
 	Flight *flight.Recorder
+
+	// Test switches; zero selects the default. flowStripes is the conntrack
+	// stripe count (64). expiryBudget caps how many stale conntrack entries
+	// are lazily reclaimed per injected batch (64), the incremental sweep
+	// that replaces stop-the-world expiry. ringSize is the capacity of each
+	// reader→worker SPSC ring (512); one ring exists per (reader, queue)
+	// pair, so every ring keeps exactly one producer and one consumer.
+	flowStripes  int
+	expiryBudget int
+	ringSize     int
 }
 
 // PumpStats reports what a replay run did.
@@ -131,14 +131,14 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 	if cfg.FlowCapacity <= 0 {
 		cfg.FlowCapacity = 1 << 21
 	}
-	if cfg.FlowStripes <= 0 {
-		cfg.FlowStripes = 64
+	if cfg.flowStripes <= 0 {
+		cfg.flowStripes = 64
 	}
-	if cfg.ExpiryBudget <= 0 {
-		cfg.ExpiryBudget = 64
+	if cfg.expiryBudget <= 0 {
+		cfg.expiryBudget = 64
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 512
+	if cfg.ringSize <= 0 {
+		cfg.ringSize = 512
 	}
 	nic := cfg.NIC
 	if nic == nil {
@@ -170,7 +170,7 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 
 	rec := cfg.Flight
 	p := &pump{ctx: ctx, sp: sp, cfg: cfg, start: time.Now(), ledger: rec.Ledger(),
-		ft: flowtable.NewSharded[struct{}](cfg.FlowStripes, cfg.FlowCapacity)}
+		ft: flowtable.NewSharded[struct{}](cfg.flowStripes, cfg.FlowCapacity)}
 	if cfg.FlowTTL > 0 {
 		p.ft.SetTTL(cfg.FlowTTL, p.clock.Now)
 	}
@@ -248,7 +248,7 @@ func (p *pump) runRings(readers []*reader, queues []*rxQueue) {
 	for q := range rings {
 		rings[q] = make([]*spscRing, len(readers))
 		for r := range rings[q] {
-			rings[q][r] = newSPSCRing(p.cfg.RingSize)
+			rings[q][r] = newSPSCRing(p.cfg.ringSize)
 		}
 		// One occupancy probe per queue: the sum over the rings feeding it
 		// (atomic cursor reads, safe from the sampler goroutine).

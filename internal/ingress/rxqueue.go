@@ -190,7 +190,7 @@ func (p *pump) newQueue(q, queues int, arena *netpkt.Arena) *rxQueue {
 	return &rxQueue{pump: p, q: q, arena: arena,
 		// Contiguous stripe ranges: the queues' sweeps together cover the
 		// table every round and never visit one stripe twice.
-		expLo: q * p.cfg.FlowStripes / queues, expHi: (q + 1) * p.cfg.FlowStripes / queues,
+		expLo: q * p.cfg.flowStripes / queues, expHi: (q + 1) * p.cfg.flowStripes / queues,
 		inject: rec.Lane(flight.StageInject, q), conntrack: rec.Lane(flight.StageConntrack, q)}
 }
 
@@ -250,7 +250,7 @@ func (x *rxQueue) flush() bool {
 	}
 	if x.cfg.FlowTTL > 0 {
 		x.conntrack.Observe(id)
-		x.ft.ExpireTailRange(x.expLo, x.expHi, x.cfg.ExpiryBudget)
+		x.ft.ExpireTailRange(x.expLo, x.expHi, x.cfg.expiryBudget)
 		if x.obs {
 			t3 := x.conntrack.Now()
 			x.conntrack.AddBusy(t3 - t2)

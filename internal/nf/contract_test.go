@@ -15,7 +15,7 @@ func allNFs() []*NF {
 	_ = tr4.Insert(0, 0, 1)
 	var tr6 trie.IPv6Trie
 	_ = tr6.Insert(netpkt.IPv6Addr{}, 0, 1)
-	list := acl.Generate(acl.DefaultGenConfig(50, 1))
+	list := acl.Generate(50, 1)
 	return []*NF{
 		NewFirewall("fw", list, true),
 		NewFirewall("fw-drop", list, false),

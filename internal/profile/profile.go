@@ -109,12 +109,8 @@ type OfflineConfig struct {
 	BatchSize int
 	// Batches per measurement point (default 16).
 	Batches int
-	// Payload/MatchTokens configure DPI-relevant traffic content.
-	Payload     traffic.PayloadProfile
-	MatchTokens []string
-	// Seed for deterministic measurement traffic.
-	Seed int64
-	// Sample, when set, replaces synthetic measurement traffic: elements
+	// Sample, when set, replaces the synthetic measurement traffic (seed
+	// 0, random no-match payloads): elements
 	// are profiled against clones of these batches, so content-dependent
 	// costs (ACL tree probes, DFA walks) reflect the deployment's real
 	// traffic. The dictionary then has a single size point (the sample's
@@ -175,10 +171,8 @@ func ProfileElement(p hetsim.Platform, costs map[string]hetsim.ElemCost,
 	cfg.defaults()
 	in := cfg.Sample
 	if len(in) == 0 {
-		in = traffic.NewGenerator(traffic.Config{
-			Size: traffic.Fixed(pktSize), Seed: cfg.Seed,
-			Payload: cfg.Payload, MatchTokens: cfg.MatchTokens,
-		}).Batches(cfg.Batches, cfg.BatchSize)
+		in = traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(pktSize)}).
+			Batches(cfg.Batches, cfg.BatchSize)
 	}
 	reset := func() {
 		if r, ok := el.(element.Resetter); ok {

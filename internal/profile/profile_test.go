@@ -52,7 +52,7 @@ func TestDictionaryPutLookup(t *testing.T) {
 func TestOfflineProfileChain(t *testing.T) {
 	g := testChain()
 	p := hetsim.DefaultPlatform()
-	cfg := OfflineConfig{PacketSizes: []int{64, 512}, Batches: 4, Seed: 1}
+	cfg := OfflineConfig{PacketSizes: []int{64, 512}, Batches: 4}
 	d, err := OfflineProfile(p, nil, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func twoRunEntry(t *testing.T, p hetsim.Platform, el element.Element, cfg Offlin
 			in[i] = b.Clone()
 		}
 		if len(in) == 0 {
-			in = traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(size), Seed: cfg.Seed}).Batches(cfg.Batches, cfg.BatchSize)
+			in = traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(size)}).Batches(cfg.Batches, cfg.BatchSize)
 		}
 		total := 0.0
 		for _, b := range in {
@@ -180,7 +180,7 @@ func TestProfileMatchesTwoRuns(t *testing.T) {
 		Payload: traffic.PayloadFullMatch, MatchTokens: []string{"attack", "evil"}}).Batches(6, 32)
 	for name, cfg := range map[string]OfflineConfig{
 		"sample":    {Sample: sample},
-		"synthetic": {PacketSizes: []int{64, 512}, Batches: 4, Seed: 1},
+		"synthetic": {PacketSizes: []int{64, 512}, Batches: 4},
 	} {
 		t.Run(name, func(t *testing.T) {
 			g := testChain()

@@ -109,7 +109,7 @@ func build(name, arg, label string, seed int64) (*nf.NF, error) {
 			}
 			rules = n
 		}
-		list := acl.Generate(acl.DefaultGenConfig(rules, seed+7))
+		list := acl.Generate(rules, seed+7)
 		return nf.NewFirewall(label, list, true), nil
 	case "ipv4", "router":
 		return nf.NewIPv4Router(label, defaultV4Table(), "spec"), nil

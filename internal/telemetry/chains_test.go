@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"nfcompass/internal/control"
 	"nfcompass/internal/spec"
@@ -14,11 +13,7 @@ import (
 
 func chainsServer(t *testing.T) (*httptest.Server, *control.Manager) {
 	t.Helper()
-	m := control.NewManager(control.Config{
-		Shards:       2,
-		TickInterval: 5 * time.Millisecond,
-		GuardTicks:   2,
-	})
+	m := control.NewManager(control.Config{Shards: 2})
 	t.Cleanup(m.Close)
 	s, err := New(Config{Source: m, Journal: m.Journal(), Control: m})
 	if err != nil {

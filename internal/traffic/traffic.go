@@ -1,7 +1,7 @@
 // Package traffic synthesizes the workloads of the paper's evaluation:
 // fixed-size UDP micro-benchmark loads (Netperf-style), uniformly random
 // lengths, the Intel IMIX mix (61.22% 64 B, 23.47% 536 B, 15.31% 1360 B),
-// TCP streams, Zipf-popular flow mixes, IPv6 traffic, and DPI payload
+// TCP streams, multi-flow mixes, IPv6 traffic, and DPI payload
 // profiles (full-match vs. no-match, Fig. 8). Generation is deterministic
 // under a seed, replacing the paper's two 40 Gbps packet-generator
 // machines.
@@ -96,14 +96,10 @@ const (
 
 // Config describes a traffic generation task.
 type Config struct {
-	// Packets is the number of packets to generate.
-	Packets int
 	// Size chooses wire sizes (default Fixed(64)).
 	Size SizeDist
-	// Flows is the number of distinct flows (default 64).
+	// Flows is the number of distinct, equally popular flows (default 64).
 	Flows int
-	// ZipfS > 1 skews flow popularity (0 = uniform).
-	ZipfS float64
 	// TCP emits TCP segments instead of UDP datagrams.
 	TCP bool
 	// IPv6 emits IPv6 packets (UDP only).
@@ -120,7 +116,6 @@ type Config struct {
 type Generator struct {
 	cfg     Config
 	rng     *rand.Rand
-	zipf    *rand.Zipf
 	nextID  uint64
 	minSize int
 }
@@ -134,9 +129,6 @@ func NewGenerator(cfg Config) *Generator {
 		cfg.Flows = 64
 	}
 	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	if cfg.ZipfS > 1 {
-		g.zipf = rand.NewZipf(g.rng, cfg.ZipfS, 1, uint64(cfg.Flows-1))
-	}
 	g.minSize = netpkt.EthernetHeaderLen + netpkt.IPv4MinHeaderLen + netpkt.UDPHeaderLen
 	if cfg.TCP {
 		g.minSize = netpkt.EthernetHeaderLen + netpkt.IPv4MinHeaderLen + netpkt.TCPMinHeaderLen
@@ -147,11 +139,8 @@ func NewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// flow returns the next flow index under the configured popularity.
+// flow returns the next flow index, each equally likely.
 func (g *Generator) flow() uint64 {
-	if g.zipf != nil {
-		return g.zipf.Uint64()
-	}
 	return uint64(g.rng.Intn(g.cfg.Flows))
 }
 

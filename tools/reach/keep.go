@@ -4,13 +4,10 @@ package main
 // stay anyway, grouped by why. A function belongs here only for one of
 // these reasons; anything else no binary reaches is deleted or moved into
 // the _test.go file that uses it.
-var keep = []struct {
-	reason string
-	funcs  []string
-}{
+var keep = []keepGroup{
 	{
 		reason: "next step of ROADMAP item 3: the compiled decision table every ACL NF is to ship",
-		funcs: []string{
+		names: []string{
 			"acl.CompileTable", "acl.(*Table).compileDim", "acl.scatter", "acl.intervalIndex",
 			"acl.(*Table).Match", "acl.(*Table).Words", "acl.(*Table).Classes",
 			"acl.dimMax", "acl.maxInt",
@@ -19,11 +16,11 @@ var keep = []struct {
 	},
 	{
 		reason: "next step of ROADMAP item 6(a): the price of one fused device-resident segment",
-		funcs:  []string{"hetsim.(*CostModel).SegmentGPUServiceNs"},
+		names:  []string{"hetsim.(*CostModel).SegmentGPUServiceNs"},
 	},
 	{
 		reason: "oracle: tests compare the live code against it",
-		funcs: []string{
+		names: []string{
 			// DIR-24-8 and the hash LPM against the binary tries.
 			"trie.(*IPv4Trie).Lookup", "trie.(*IPv6Trie).Lookup",
 			// Batched and stream scans against the scalar scan.
@@ -45,7 +42,7 @@ var keep = []struct {
 	},
 	{
 		reason: "test switch or checker",
-		funcs: []string{
+		names: []string{
 			"netpkt.SetPoolPoison", "netpkt.Outstanding",
 			"stats.ValidateExposition", "stats.validateComment", "stats.validateSample",
 			"stats.familyOf", "stats.splitName", "stats.parseLabels", "stats.parseQuoted",
@@ -59,7 +56,7 @@ var keep = []struct {
 	},
 	{
 		reason: "fixture: tests in several packages build graphs or inputs from it",
-		funcs: []string{
+		names: []string{
 			"element.NewPaint", "element.(*Paint).Name", "element.(*Paint).Traits",
 			"element.(*Paint).NumOutputs", "element.(*Paint).Signature",
 			"element.(*Paint).Process", "element.(*Paint).ProcessSingle",
@@ -73,16 +70,27 @@ var keep = []struct {
 	},
 	{
 		reason: "method of an interface the type satisfies in live code, which no binary calls on it",
-		funcs:  []string{"traffic.Uniform.Name"},
+		names:  []string{"traffic.Uniform.Name"},
 	},
 }
 
-// keepList maps each kept function to its reason.
-func keepList() map[string]string {
+// keepFields lists the option fields that no file outside their package
+// writes and that stay anyway. Each reason names the ROADMAP item that will
+// set the field or delete it.
+var keepFields = []keepGroup{}
+
+// keepGroup is a keep-list entry: the names that stay for one reason.
+type keepGroup struct {
+	reason string
+	names  []string
+}
+
+// reasons maps each kept name to its reason.
+func reasons(groups []keepGroup) map[string]string {
 	m := map[string]string{}
-	for _, g := range keep {
-		for _, f := range g.funcs {
-			m[f] = g.reason
+	for _, g := range groups {
+		for _, n := range g.names {
+			m[n] = g.reason
 		}
 	}
 	return m

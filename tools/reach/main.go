@@ -1,5 +1,6 @@
 // Command reach fails when a non-test function under internal/ is linked
-// into no binary of the repository and is not on the keep-list.
+// into no binary of the repository, or when an option field under
+// internal/ is set by no caller, and it is not on the keep-list.
 //
 // It lists every func and method that internal/'s non-test files declare
 // for the current GOOS/GOARCH, builds every main package of the root module
@@ -8,6 +9,13 @@
 // binaries' text symbols from go tool nm. A declared function that no
 // symbol names is reached by no command, example or benchmark. It must be
 // deleted, moved into a _test.go file, or listed in keep.go with a reason.
+//
+// An option field is an exported field of an exported *Config or *Options
+// struct declared under internal/. It type-checks every package of both
+// modules and fails on an option field that no non-test file outside its
+// package writes: an option nobody sets has one value, and becomes a
+// constant. A field stays unset only through keep.go, with a reason that
+// names the ROADMAP item which will set it or delete it.
 //
 // Usage, from this directory:
 //
@@ -88,25 +96,25 @@ func run(root string) error {
 		return fmt.Errorf("no main package under %s", root)
 	}
 
-	keep := keepList()
+	keptFuncs := reasons(keep)
 	byName := map[string]decl{}
 	var dead []decl
 	for _, d := range decls {
 		byName[d.name] = d
 		if linked[d.name] || (d.alt != "" && linked[d.alt]) {
-			if _, ok := keep[d.name]; ok {
+			if _, ok := keptFuncs[d.name]; ok {
 				fmt.Printf("%s: %s is linked; drop it from the keep-list\n", d.pos, d.name)
 				dead = append(dead, d)
 			}
 			continue
 		}
-		if _, ok := keep[d.name]; !ok {
+		if _, ok := keptFuncs[d.name]; !ok {
 			fmt.Printf("%s: %s is linked into no binary\n", d.pos, d.name)
 			dead = append(dead, d)
 		}
 	}
 	var stale []string
-	for name := range keep {
+	for name := range keptFuncs {
 		if _, ok := byName[name]; !ok {
 			stale = append(stale, name)
 		}
@@ -115,9 +123,21 @@ func run(root string) error {
 	for _, name := range stale {
 		fmt.Printf("keep.go: %s is not declared in internal/\n", name)
 	}
-	fmt.Printf("reach: %d functions in internal/, %d binaries, %d kept unlinked\n", len(decls), bins, len(keep))
-	if len(dead)+len(stale) > 0 {
-		return fmt.Errorf("%d unreachable functions and %d stale keep-list entries", len(dead), len(stale))
+
+	opts, written, err := optionFields(root)
+	if err != nil {
+		return err
+	}
+	keptFields := reasons(keepFields)
+	badFields := checkFields(opts, written, keptFields)
+	for _, line := range badFields {
+		fmt.Println(line)
+	}
+	fmt.Printf("reach: %d functions in internal/, %d binaries, %d kept unlinked; %d option fields, %d kept unset\n",
+		len(decls), bins, len(keptFuncs), len(opts), len(keptFields))
+	if len(dead)+len(stale)+len(badFields) > 0 {
+		return fmt.Errorf("%d unreachable functions, %d stale keep-list entries and %d option-field problems",
+			len(dead), len(stale), len(badFields))
 	}
 	return nil
 }
