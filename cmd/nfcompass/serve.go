@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
 	"nfcompass/internal/core"
-	"nfcompass/internal/dataplane"
-	"nfcompass/internal/flight"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/telemetry"
@@ -55,24 +54,15 @@ func runServe(d *core.Deployment, o serveOpts) error {
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	// Flight recorder: stage spans + utilization sampling for the whole
-	// run, served at /trace.chrome, /spans, /bottleneck and folded into
-	// /metrics.
-	rec := flight.New(flight.Config{})
-	smp := flight.NewSampler(rec, flight.DefaultSampleInterval)
-	cfg := dataplane.Config{Metrics: true, Flight: rec}
-	if d.Alloc != nil {
-		cfg.Assignment = d.Assignment
-	}
-
+	// The flight recorder's spans and utilization samples are served at
+	// /trace.chrome, /spans, /bottleneck and folded into /metrics.
 	// Replicas keep per-flow order, which the NIC's flow steering gives
 	// them; nothing re-sequences across shards.
-	sp, err := dataplane.NewSharded(d.Build, dataplane.ShardedConfig{
-		Config: cfg, Shards: o.shards,
-	})
+	lp, err := newLivePlane(d, o.shards, false)
 	if err != nil {
 		return err
 	}
+	sp := lp.sp
 	sp.Start(ctx)
 	nic := ingress.NewNIC(sp.NumShards())
 
@@ -84,8 +74,8 @@ func runServe(d *core.Deployment, o serveOpts) error {
 		Done:     sp.Done(),
 		Journal:  adaptor.Journal(),
 		Interval: time.Second,
-		Flight:   rec,
-		Sampler:  smp,
+		Flight:   lp.rec,
+		Sampler:  lp.smp,
 	})
 	if err != nil {
 		return err
@@ -99,15 +89,24 @@ func runServe(d *core.Deployment, o serveOpts) error {
 		defer scancel()
 		srv.Shutdown(sctx)
 	}()
-	smp.Start()
+	lp.smp.Start()
 	fmt.Printf("\ntelemetry plane on http://%s  (/metrics /snapshot /healthz /trace.chrome /spans /bottleneck /decisions /debug/pprof)\n", addr)
 
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for range sp.Out() {
-		}
-	}()
+	// Drain every output: Out(), and each shard's own channel when the
+	// replicas release per shard.
+	var drained sync.WaitGroup
+	outs := []<-chan *netpkt.Batch{sp.Out()}
+	for q := 0; sp.PerShardOut() && q < sp.NumShards(); q++ {
+		outs = append(outs, sp.OutShard(q))
+	}
+	for _, out := range outs {
+		drained.Add(1)
+		go func(out <-chan *netpkt.Batch) {
+			defer drained.Done()
+			for range out {
+			}
+		}(out)
+	}
 
 	// Each replica's e2e latency probe is keyed by batch ID, and the flight
 	// recorder observes by it, while each traffic generator restarts its IDs
@@ -185,21 +184,16 @@ func runServe(d *core.Deployment, o serveOpts) error {
 	}
 
 	sp.CloseInput()
-	<-drained
+	drained.Wait()
 	if err := sp.Wait(); err != nil {
 		return err
 	}
-	smp.Stop()
+	lp.smp.Stop()
 
-	fmt.Printf("\nfinal snapshot:\n%s", sp.Snapshot())
 	// The drain verdict joins the decision journal so a post-mortem
 	// /decisions read (or the printout below) carries the limiting
 	// stage next to the placement decisions that produced it.
-	rep := smp.Report()
-	if lg := rec.Ledger(); lg.Total() > 0 {
-		fmt.Printf("\nloss attribution: %s\n", lg)
-	}
-	fmt.Printf("\nbottleneck report:\n%s", rep)
+	rep := lp.report()
 	adaptor.Journal().Record(core.Decision{
 		Accepted:       true,
 		Reason:         "bottleneck",

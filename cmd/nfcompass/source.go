@@ -11,7 +11,8 @@ package main
 //
 // Every source feeds an emulated RSS NIC with one queue per pipeline shard
 // (-shards, or queues= in nic mode), and each queue injects straight into
-// its own shard (InjectShard). nic mode also splits a looped replay into up
+// its own shard (InjectShard); the shards run the deployment under its
+// placement (newLivePlane). nic mode also splits a looped replay into up
 // to one reader per queue; pcap: and udp: run one reader. Without pcap= it
 // replays a synthetic in-memory trace built from the traffic flags. -pin
 // locks every shard's element goroutines, and every reader and RX worker
@@ -29,9 +30,8 @@ import (
 	"syscall"
 	"time"
 
+	"nfcompass/internal/core"
 	"nfcompass/internal/dataplane"
-	"nfcompass/internal/element"
-	"nfcompass/internal/flight"
 	"nfcompass/internal/ingress"
 	"nfcompass/internal/netpkt"
 	"nfcompass/internal/traffic"
@@ -58,7 +58,7 @@ func parseSourceSpec(o sourceOpts) (ingress.Source, *ingress.NIC, int, error) {
 			return nil, nil, 0, fmt.Errorf("-source pcap: needs a file path")
 		}
 		src, err := ingress.PcapFileSource(rest, ingress.PcapConfig{
-			Loops: o.loops, PacePPS: o.pps, RekeyPerPass: o.loops > 1,
+			Loops: o.loops, PacePPS: o.pps,
 		})
 		return src, nil, o.shards, err
 	case "udp":
@@ -91,10 +91,7 @@ func parseSourceSpec(o sourceOpts) (ingress.Source, *ingress.NIC, int, error) {
 			queues = o.shards
 		}
 		nic := ingress.NewNIC(queues)
-		cfg := ingress.PcapConfig{
-			Loops: o.loops, PacePPS: o.pps, RekeyPerPass: o.loops > 1,
-			Arena: nic.Arena(0),
-		}
+		cfg := ingress.PcapConfig{Loops: o.loops, PacePPS: o.pps, Arena: nic.Arena(0)}
 		if pcapPath != "" {
 			src, err := ingress.PcapFileSource(pcapPath, cfg)
 			return src, nic, queues, err
@@ -123,12 +120,13 @@ func parseSourceSpec(o sourceOpts) (ingress.Source, *ingress.NIC, int, error) {
 	}
 }
 
-// runSource drives the deployed graph from an ingress source and prints
-// the replay statistics plus the aggregated dataplane snapshot.
-func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) error {
+// runSource drives the deployment's live plane from an ingress source,
+// prints the replay statistics and the plane's report, and returns the
+// drained plane.
+func runSource(d *core.Deployment, o sourceOpts) (*dataplane.ShardedPipeline, error) {
 	src, nic, shards, err := parseSourceSpec(o)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer src.Close()
 	// The pump's shape follows the input: one reader in front of one queue
@@ -138,21 +136,9 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 	if nic != nil {
 		readers = nic.Queues()
 	}
-	// Flight recorder: span every stage boundary of the run and sample
-	// utilization so the replay summary can name the limiting stage.
-	rec := flight.New(flight.Config{})
-	smp := flight.NewSampler(rec, flight.DefaultSampleInterval)
-	sp, err := dataplane.NewSharded(build, dataplane.ShardedConfig{
-		Shards: shards,
-		Config: dataplane.Config{
-			QueueDepth: 8, Metrics: true,
-			PinOSThread: o.pin,
-			Flight:      rec,
-		},
-		ShardOut: shards > 1,
-	})
+	lp, err := newLivePlane(d, shards, o.pin)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mode := "one reader injecting inline"
 	if shards > 1 {
@@ -172,18 +158,18 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 		}
 	}()
 
-	smp.Start()
-	st, err := ingress.Pump(context.Background(), src, sp, nil, ingress.PumpConfig{
+	lp.smp.Start()
+	st, err := ingress.Pump(context.Background(), src, lp.sp, nil, ingress.PumpConfig{
 		BatchSize:  o.batchSize,
 		NIC:        nic,
 		FlowTTL:    int64(60 * time.Second),
 		RXWorkers:  readers,
 		PinWorkers: o.pin,
-		Flight:     rec,
+		Flight:     lp.rec,
 	})
-	smp.Stop()
+	lp.smp.Stop()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("\ningress replay: %d packets (%d batches, %.1f MB) in %v = %.0f pps (%d readers, %d queue workers)\n",
 		st.Packets, st.Batches, float64(st.Bytes)/1e6, st.Duration.Round(time.Millisecond), st.PPS,
@@ -192,10 +178,6 @@ func runSource(build func(shard int) (*element.Graph, error), o sourceOpts) erro
 		st.Flows, st.PeakFlows, st.ExpiredFlows, st.EvictedFlows)
 	fmt.Printf("  output: %d forwarded, %d dropped, p99 e2e %v\n",
 		st.OutPackets, st.Drops, st.E2ELabel())
-	fmt.Printf("\ndataplane snapshot:\n%s", sp.Snapshot())
-	if lg := rec.Ledger(); lg.Total() > 0 {
-		fmt.Printf("\nloss attribution: %s\n", lg)
-	}
-	fmt.Printf("\nbottleneck report:\n%s", smp.Report())
-	return nil
+	lp.report()
+	return lp.sp, nil
 }

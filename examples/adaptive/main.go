@@ -4,9 +4,10 @@
 // walk depth. The Adaptor notices the drift through the elements' exact
 // probe counters and re-runs the allocator; throughput recovers.
 //
-// It also runs the refreshed deployment on the concurrent dataplane to
-// show the same graphs execute for real (goroutines + channels), not only
-// under the platform simulator.
+// It then runs the deployment on the sharded live dataplane and swaps the
+// re-allocated placement onto it mid-traffic, to show the same graphs
+// execute for real (goroutines + channels), not only under the platform
+// simulator.
 //
 // Run with:
 //
@@ -66,29 +67,6 @@ func main() {
 	fmt.Printf("adaptor observed shift: re-allocated=%v (%d total)\n",
 		changed, a.Reallocations)
 	show("after dynamic adaptation:")
-
-	// Run the adapted deployment on the concurrent dataplane UNDER its
-	// assignment: ModeGPU/ModeSplit elements execute through the emulated
-	// GPU device backend (asynchronous submission queues, kernel-launch
-	// aggregation, modeled PCIe/launch latency from the allocator's own
-	// cost table). The pipeline runs a replica from d.Build; d.Graph is the
-	// adaptor's.
-	g, err := d.Build(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	outs, pl, err := dataplane.RunBatches(context.Background(), g,
-		dataplane.Config{
-			PreserveOrder: true, Metrics: true,
-			Assignment: d.Assignment,
-		},
-		mk(traffic.PayloadFullMatch, 5, 20))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dataplane: %d batches in, %d out, %d packets processed concurrently\n",
-		pl.Stats.InBatches.Load(), len(outs), pl.Stats.OutPackets.Load())
-	fmt.Print(pl.Snapshot())
 
 	// Live assignment hot-swap on the sharded dataplane. The sharded
 	// pipeline starts with every element on the CPU; mid-traffic a fresh

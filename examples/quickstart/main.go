@@ -44,18 +44,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("deployment: %d stages, %d elements\n",
-		core.EffectiveLength(d.Stages), d.Graph.Len())
-	for _, rep := range d.Synthesis {
-		if len(rep.Removed) > 0 {
-			fmt.Printf("synthesizer removed: %v\n", rep.Removed)
-		}
-	}
-	if d.Alloc != nil {
-		for name, frac := range d.Alloc.OffloadByElement {
-			fmt.Printf("offloaded %s at %.0f%%\n", name, frac*100)
-		}
-	}
+	// The stage plan, the synthesizer's removals, the allocation and
+	// every element's placement beside the model's offload ratio.
+	fmt.Print(d.Describe())
 
 	// 4. Run traffic through the deployment and through a CPU-only
 	// placement of the same graph.

@@ -280,9 +280,13 @@ func TestExpansionInvariants(t *testing.T) {
 	}
 }
 
+// TestDescribeMentionsDecisions: Describe names every phase's decision, and
+// each placement row carries the partitioner's raw GPU ratio for the
+// element (0.00 when the model keeps it on the CPU) after the selected
+// placement; a deployment without GTA has no model column.
 func TestDescribeMentionsDecisions(t *testing.T) {
-	d, err := Deploy(telcoChain(), hetsim.DefaultPlatform(),
-		sampleBatches(4, 32, 128, 60), DefaultOptions())
+	sample := sampleBatches(4, 32, 128, 60)
+	d, err := Deploy(telcoChain(), hetsim.DefaultPlatform(), sample, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +298,34 @@ func TestDescribeMentionsDecisions(t *testing.T) {
 	}
 	if d.Alloc.Selected == "" {
 		t.Error("no selected candidate recorded")
+	}
+
+	if len(d.Alloc.OffloadByElement) == 0 {
+		t.Fatalf("the model offloads nothing, so no ratio is pinned:\n%s", out)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) >= 5 && f[len(f)-2] == "model" {
+			rows[f[0]] = f[len(f)-1]
+		}
+	}
+	if len(rows) != d.Graph.Len() {
+		t.Fatalf("%d rows with a model ratio, want one per element (%d):\n%s", len(rows), d.Graph.Len(), out)
+	}
+	for name, got := range rows {
+		if want := fmt.Sprintf("%.2f", d.Alloc.OffloadByElement[name]); got != want {
+			t.Errorf("%s: model ratio %s, want %s", name, got, want)
+		}
+	}
+
+	opt := DefaultOptions()
+	opt.GTA = false
+	d, err = Deploy(telcoChain(), hetsim.DefaultPlatform(), sample, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := d.Describe(); strings.Contains(out, " model ") {
+		t.Errorf("Describe without GTA shows a model ratio:\n%s", out)
 	}
 }
 

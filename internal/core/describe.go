@@ -10,8 +10,9 @@ import (
 )
 
 // Describe renders a human-readable report of every pipeline decision:
-// stage plan, synthesis changes, per-element placements, and the
-// allocation summary. The CLI prints it; tests assert against it.
+// stage plan, synthesis changes, the allocation summary, and per element
+// the selected placement beside the model's offload ratio. The CLI and the
+// quickstart example print it; tests assert against it.
 func (d *Deployment) Describe() string {
 	var sb strings.Builder
 
@@ -68,16 +69,20 @@ func (d *Deployment) Describe() string {
 			where = "gpu"
 		case hetsim.ModeSplit:
 			where = fmt.Sprintf("split %.0f%% gpu", pl.GPUFraction*100)
-		default:
-			if _, ok := d.Assignment[id]; ok {
-				where = "cpu"
-			}
 		}
 		rows = append(rows, placed{el.Name(), el.Traits().Kind, where})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %-40s %-14s %s\n", r.name, r.kind, r.where)
+		if d.Alloc == nil {
+			fmt.Fprintf(&sb, "  %-40s %-14s %s\n", r.name, r.kind, r.where)
+			continue
+		}
+		// The selected placement, then the partitioner's own GPU ratio:
+		// they differ when validation picked a candidate other than the
+		// model's.
+		fmt.Fprintf(&sb, "  %-40s %-14s %-14s model %.2f\n", r.name, r.kind, r.where,
+			d.Alloc.OffloadByElement[r.name])
 	}
 	return sb.String()
 }

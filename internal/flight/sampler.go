@@ -392,16 +392,22 @@ func (r *BottleneckReport) String() string {
 		fmt.Fprintf(&b, "bottleneck: limiting stage %q at %.0f%% utilization (headroom ≈ %.1fx)\n",
 			r.Limiting, r.LimitingUtil*100, r.HeadroomX)
 	}
-	fmt.Fprintf(&b, "  %-16s %5s %6s %6s %6s %6s %8s %8s\n",
-		"stage", "lanes", "util", "hot", "max", "stall", "qfill", "qgrow/s")
+	// The stage column is as wide as its longest name, so long element
+	// stages keep the other columns aligned.
+	w := len("stage")
+	for _, v := range r.Stages {
+		w = max(w, len(v.Stage))
+	}
+	fmt.Fprintf(&b, "  %-*s %5s %6s %6s %6s %6s %8s %8s\n",
+		w, "stage", "lanes", "util", "hot", "max", "stall", "qfill", "qgrow/s")
 	for _, v := range r.Stages {
 		qf, qg := "-", "-"
 		if v.HasQueue {
 			qf = fmt.Sprintf("%.0f%%", v.QueueFill*100)
 			qg = fmt.Sprintf("%+.0f", v.QueueGrowth)
 		}
-		fmt.Fprintf(&b, "  %-16s %5d %5.0f%% %5.0f%% %5.0f%% %5.0f%% %8s %8s\n",
-			v.Stage, v.Lanes, v.Utilization*100, v.HotUtil*100, v.MaxUtil*100,
+		fmt.Fprintf(&b, "  %-*s %5d %5.0f%% %5.0f%% %5.0f%% %5.0f%% %8s %8s\n",
+			w, v.Stage, v.Lanes, v.Utilization*100, v.HotUtil*100, v.MaxUtil*100,
 			v.StallFrac*100, qf, qg)
 	}
 	return b.String()

@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +117,26 @@ func TestSamplerEmptyReport(t *testing.T) {
 	}
 	if got := rep.String(); got == "" {
 		t.Fatal("empty report should still render")
+	}
+}
+
+// TestBottleneckReportAligns: the stage column fits the longest stage name,
+// so an element lane like nf:seg0/ipsec0#0/esp does not shift the columns
+// after it.
+func TestBottleneckReportAligns(t *testing.T) {
+	rep := &BottleneckReport{Limiting: "nf:seg0/ipsec0#0/esp", Stages: []StageVerdict{
+		{Stage: "nf:seg0/ipsec0#0/esp", Lanes: 1, Utilization: 0.5},
+		{Stage: StageRead, Lanes: 4, Utilization: 0.14},
+		{Stage: "shard", Lanes: 2, HasQueue: true, QueueFill: 0.25, QueueGrowth: 3},
+	}}
+	lines := strings.Split(strings.TrimSuffix(rep.String(), "\n"), "\n")[1:]
+	if len(lines) != 4 {
+		t.Fatalf("%d table lines, want a header and 3 rows:\n%s", len(lines), rep)
+	}
+	for i, l := range lines {
+		if len(l) != len(lines[0]) || i > 0 && strings.Index(l, "%") != strings.Index(lines[1], "%") {
+			t.Fatalf("columns do not line up:\n%s", rep)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func TestPumpFlightCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: 2, RekeyPerPass: true})
+	src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: 2})
 	defer src.Close()
 	st, err := Pump(context.Background(), src, sp, nil, PumpConfig{
 		BatchSize: 32,
@@ -100,7 +100,7 @@ func TestPumpFlightLedgerReconciles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: 4, RekeyPerPass: true})
+			src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: 4})
 			defer src.Close()
 			st, err := Pump(ctx, src, sp, nil, PumpConfig{BatchSize: 32, NIC: nic, RXWorkers: row.readers, Flight: rec})
 			if err == nil {

@@ -51,7 +51,7 @@ func memSource(t *testing.T, capt []byte, cfg PcapConfig) *PcapSource {
 
 func TestPcapSourceLoopAndRekey(t *testing.T) {
 	capt := capture(t, 40, 16, 3)
-	src := memSource(t, capt, PcapConfig{Loops: 3, RekeyPerPass: true})
+	src := memSource(t, capt, PcapConfig{Loops: 3})
 	defer src.Close()
 
 	var flowIDs [][]uint64
@@ -300,7 +300,7 @@ func TestPumpDrainFollowsPipeline(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: loops, RekeyPerPass: true})
+					src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: loops})
 					defer src.Close()
 					st, err := Pump(ctx, src, sp, nil, PumpConfig{BatchSize: 32, NIC: nic, RXWorkers: readers, Flight: rec})
 					if err != nil {

@@ -54,7 +54,7 @@ func runPump(t *testing.T, capt []byte, shards, rxWorkers, loops int, build func
 	}
 	collect := &CollectSink{}
 	src := memSource(t, capt, PcapConfig{
-		Arena: nic.Arena(0), Loops: loops, RekeyPerPass: loops > 1,
+		Arena: nic.Arena(0), Loops: loops,
 	})
 	defer src.Close()
 	st, err := Pump(context.Background(), src, sp, collect, PumpConfig{
@@ -108,7 +108,7 @@ func oracle(t *testing.T, capt []byte, loops, queues int, build func(int) (*elem
 			}
 		}
 	}
-	src := memSource(t, capt, PcapConfig{Loops: loops, RekeyPerPass: loops > 1})
+	src := memSource(t, capt, PcapConfig{Loops: loops})
 	defer src.Close()
 	for {
 		p, err := src.Next()
@@ -272,7 +272,7 @@ func TestPumpParallelPerFlowOrder(t *testing.T) {
 	}
 	sink := &flowOrderSink{seqs: make(map[uint64][]uint32)}
 	src := memSource(t, buf.Bytes(), PcapConfig{
-		Arena: nic.Arena(0), Loops: loops, RekeyPerPass: true,
+		Arena: nic.Arena(0), Loops: loops,
 	})
 	defer src.Close()
 	st, err := Pump(context.Background(), src, sp, sink, PumpConfig{
@@ -368,7 +368,7 @@ func TestPumpParallelPreCancelAudit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := memSource(t, capt, PcapConfig{
-		Arena: nic.Arena(0), Loops: 4, RekeyPerPass: true,
+		Arena: nic.Arena(0), Loops: 4,
 	})
 	defer src.Close()
 	_, err = Pump(ctx, src, sp, nil, PumpConfig{
@@ -409,7 +409,7 @@ func TestPumpParallelMidCancelNoPanic(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &DiscardSink{}
 	src := memSource(t, capt, PcapConfig{
-		Arena: nic.Arena(0), Loops: 64, RekeyPerPass: true, PacePPS: 200_000,
+		Arena: nic.Arena(0), Loops: 64, PacePPS: 200_000,
 	})
 	defer src.Close()
 
@@ -490,9 +490,9 @@ func TestPcapSourceSplitUnion(t *testing.T) {
 		}
 	}
 
-	whole := drain(memSource(t, capt, PcapConfig{Loops: loops, RekeyPerPass: true}))
+	whole := drain(memSource(t, capt, PcapConfig{Loops: loops}))
 
-	parent := memSource(t, capt, PcapConfig{Loops: loops, RekeyPerPass: true})
+	parent := memSource(t, capt, PcapConfig{Loops: loops})
 	subs, err := parent.Split(4)
 	if err != nil {
 		t.Fatal(err)

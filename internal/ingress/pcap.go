@@ -14,7 +14,12 @@ import (
 type PcapConfig struct {
 	// Loops is the total number of replay passes over the capture
 	// (<= 1 means one pass). Loop mode turns a finite trace into a
-	// sustained load for soak runs.
+	// sustained load for soak runs: passes after the first salt FlowID, so
+	// each pass presents fresh flows (the way sustained real traffic
+	// recycles ephemeral ports) instead of re-touching the same ones. Wire
+	// bytes are untouched — only the synthetic flow identity changes — so
+	// per-flow state in the pipeline still behaves, while conntrack sees
+	// genuine churn.
 	Loops int
 	// PacePPS, when positive, releases packets at a fixed rate. Without
 	// it the source releases as fast as the pipeline pulls.
@@ -23,13 +28,6 @@ type PcapConfig struct {
 	// instead of the garbage collector — the pump's per-queue arenas end
 	// up here via round-robin (see Pump).
 	Arena *netpkt.Arena
-	// RekeyPerPass salts FlowID on passes after the first, so loop-mode
-	// replay presents each pass as fresh flows (the way sustained real
-	// traffic recycles ephemeral ports) instead of re-touching the same
-	// ones. Wire bytes are untouched — only the synthetic flow identity
-	// changes — so per-flow state in the pipeline still behaves, while
-	// conntrack sees genuine churn.
-	RekeyPerPass bool
 }
 
 // PcapSource replays a classic pcap capture as a Source. Construct with
@@ -111,7 +109,7 @@ func (s *PcapSource) Next() (*netpkt.Packet, error) {
 		}
 		s.pace()
 		p.FlowID = traffic.FlowHash(p)
-		if s.cfg.RekeyPerPass && s.pass > 0 {
+		if s.pass > 0 {
 			// splitmix64 of the pass number decorrelates the salt from
 			// the hash without touching wire bytes.
 			z := uint64(s.pass) + 0x9e3779b97f4a7c15
@@ -142,12 +140,11 @@ func (s *PcapSource) pace() {
 // up to n readers (reader i replays passes i, i+n, i+2n, …). Per-pass
 // rekeying makes every pass an independent set of flows, so no flow spans
 // two readers and per-flow order is each reader's source order — exactly
-// the contract the parallel pump needs. A source that cannot split safely
-// (single pass, or rekeying off so passes share flow identities) returns
-// itself unsplit. On success the parent is retired: its open reader is
+// the contract the parallel pump needs. A single-pass source returns itself
+// unsplit. On success the parent is retired: its open reader is
 // closed and further Next calls return io.EOF.
 func (s *PcapSource) Split(n int) ([]Source, error) {
-	if n <= 1 || s.cfg.Loops <= 1 || !s.cfg.RekeyPerPass || s.closed {
+	if n <= 1 || s.cfg.Loops <= 1 || s.closed {
 		return []Source{s}, nil
 	}
 	if n > s.cfg.Loops {
