@@ -9,11 +9,12 @@
 // Two table shapes:
 //
 //   - Table is single-goroutine (each stateful element owns one and runs
-//     on one goroutine) with optional lazy TTL expiry.
-//   - Sharded stripes many Tables behind per-stripe locks, scaling to
-//     millions of concurrent flows touched from many shards at once —
-//     expiry stays incremental (a few tail entries per operation), never a
-//     stop-the-world sweep.
+//     on one goroutine, and each ingress NIC queue owns one for its
+//     connection tracking) with optional lazy TTL expiry that stays
+//     incremental (a few tail entries per operation or per ExpireTail
+//     call), never a stop-the-world sweep.
+//   - Sharded stripes many Tables behind per-stripe locks, for millions of
+//     concurrent flows touched from many goroutines at once.
 //
 // Representation. A Table is two flat arrays: a slab of slots {key, stamp,
 // prev, next, value} and an open-addressed index of slot numbers (linear
@@ -36,8 +37,8 @@ package flowtable
 import "math"
 
 // Table is a bounded flow-keyed store with LRU eviction. The zero value is
-// not usable; construct with New. It is not goroutine-safe (each stateful
-// element owns one and runs on a single goroutine).
+// not usable; construct with New. It is not goroutine-safe: its owner — a
+// stateful element, an ingress NIC queue — runs on a single goroutine.
 type Table[V any] struct {
 	// slots is the slab. slots[0] is the LRU list's sentinel — its next is
 	// the most recently used slot, its prev the next victim — so slot
@@ -169,6 +170,16 @@ func (t *Table[V]) expireTail(max int, now int64) int {
 		t.drop(tail, &t.Expired)
 	}
 	return n
+}
+
+// ExpireTail reclaims up to max stale entries from the LRU tail (see
+// SetTTL), returning how many were removed: a per-batch sweep that costs
+// O(removed+1) and nothing without a TTL.
+func (t *Table[V]) ExpireTail(max int) int {
+	if t.ttl <= 0 {
+		return 0
+	}
+	return t.expireTail(max, t.now())
 }
 
 // Get returns the value for key, marking it most recently used. A stale

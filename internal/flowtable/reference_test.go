@@ -262,10 +262,11 @@ func (p *pair) getOrCreate(k uint64, nv int) {
 	p.same(fmt.Sprintf("GetOrCreate(%#x)", k), v, created, rv, rcreated)
 }
 
-// expireTail is the sweep Sharded.ExpireTailRange runs on each stripe.
+// expireTail is the sweep Table.ExpireTail runs once per ingress batch and
+// Sharded.ExpireTailRange runs on each stripe.
 func (p *pair) expireTail(max int) {
 	p.t.Helper()
-	n, rn := p.tb.expireTail(max, p.tb.clock()), p.ref.expireTail(max)
+	n, rn := p.tb.ExpireTail(max), p.ref.expireTail(max)
 	if n != rn {
 		p.failf("expireTail(%d) = %d, model %d", max, n, rn)
 	}

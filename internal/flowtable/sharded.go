@@ -9,9 +9,9 @@ import (
 // Sharded is a concurrent flow-keyed store striped across many bounded LRU
 // Tables, each behind its own mutex. Keys are spread across stripes by a
 // 64-bit mixer, so a table sized for millions of flows sees its lock
-// contention and its eviction/expiry work divided by the stripe count —
-// the ingress plane's connection tracker updates it from every shard's
-// injection goroutine at line rate.
+// contention and its eviction/expiry work divided by the stripe count. (The
+// ingress plane does not use it: each NIC queue there has one writer and
+// owns a Table.)
 //
 // Expiry remains incremental per stripe (see Table.SetTTL): an operation
 // touches at most a couple of stale tail entries of its own stripe, so

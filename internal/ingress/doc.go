@@ -59,11 +59,12 @@
 //
 // # Flow accounting
 //
-// The pump tracks live flows in a sharded flowtable (flowtable.Sharded)
-// with lazy TTL expiry: every batch advances a replay clock from packet
-// timestamps and reclaims a bounded number of stale entries, so the soak
-// experiment can hold >1M concurrent flows without stop-the-world sweeps.
-// PumpStats reports distinct and peak-concurrent flow counts alongside
-// throughput, and what became of every tracked flow: still live at exit,
-// expired, or evicted at the bound.
+// Each NIC queue tracks its flows in its own flowtable.Table, with no lock
+// (RSS gives a flow one queue, one goroutine works a queue) and lazy TTL
+// expiry: every batch advances a replay clock from packet timestamps and
+// reclaims a bounded number of stale entries, so the soak experiment can
+// hold >1M concurrent flows without stop-the-world sweeps. PumpStats
+// reports distinct and peak-concurrent flow counts alongside throughput,
+// and what became of every tracked flow: still live at exit, expired, or
+// evicted at the bound.
 package ingress

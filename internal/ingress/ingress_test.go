@@ -373,23 +373,12 @@ func TestPumpConntrackExpiry(t *testing.T) {
 // trace is two bursts of more flows than the table holds, further apart
 // than the TTL: the first burst overflows the bound (evictions), its
 // survivors are stale when the second arrives (expiries, most of them
-// inside Touch rather than in the per-batch sweep), and the second burst
-// refills the single stripe, so the live count at exit is the capacity.
+// inside the touch rather than in the per-batch sweep), and the second
+// burst refills every queue's share of the bound, so the live count at exit
+// is the capacity.
 func TestPumpFlowLedger(t *testing.T) {
 	const capacity = 128
-	var pkts []*netpkt.Packet
-	for burst, seed := range []int64{37, 41} {
-		gen := traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(96), Flows: 300, Seed: seed})
-		for i := 0; i < 600; i++ {
-			p := gen.NextPacket()
-			p.Arrival = int64(burst)*10*int64(time.Second) + int64(i)*1000
-			pkts = append(pkts, p)
-		}
-	}
-	var buf bytes.Buffer
-	if err := traffic.WritePcap(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
+	capt := twoBursts(t)
 	for _, row := range []struct {
 		name              string
 		shards, rxWorkers int
@@ -405,7 +394,7 @@ func TestPumpFlowLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := memSource(t, buf.Bytes(), PcapConfig{Arena: nic.Arena(0)})
+			src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0)})
 			defer src.Close()
 			st, err := Pump(context.Background(), src, sp, nil, PumpConfig{
 				BatchSize:    32,
@@ -413,7 +402,6 @@ func TestPumpFlowLedger(t *testing.T) {
 				RXWorkers:    row.rxWorkers,
 				FlowTTL:      int64(time.Second),
 				FlowCapacity: capacity,
-				flowStripes:  1,
 				expiryBudget: 4,
 				// Short rings keep the reader — which
 				// advances the replay clock — from crossing the idle gap
@@ -435,6 +423,110 @@ func TestPumpFlowLedger(t *testing.T) {
 			if live := uint64(capacity); st.Flows != live+st.ExpiredFlows+st.EvictedFlows {
 				t.Fatalf("flow ledger: %d inserted != %d live + %d expired + %d evicted",
 					st.Flows, live, st.ExpiredFlows, st.EvictedFlows)
+			}
+		})
+	}
+}
+
+// twoBursts is a capture of two 600-packet bursts over 300 flows each, 10 s
+// of trace time apart.
+func twoBursts(t *testing.T) []byte {
+	t.Helper()
+	var pkts []*netpkt.Packet
+	for burst, seed := range []int64{37, 41} {
+		gen := traffic.NewGenerator(traffic.Config{Size: traffic.Fixed(96), Flows: 300, Seed: seed})
+		for i := 0; i < 600; i++ {
+			p := gen.NextPacket()
+			p.Arrival = int64(burst)*10*int64(time.Second) + int64(i)*1000
+			pkts = append(pkts, p)
+		}
+	}
+	var buf bytes.Buffer
+	if err := traffic.WritePcap(&buf, pkts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPumpPerQueueFlowLedger: four queues fed by two readers each track
+// their own flows. RSS gives every flow one queue, so the queues together
+// count each distinct flow of the replay once; and under a bound and a TTL
+// the ledger balances over the queues, with the peak census within the
+// bound. The replay is the two bursts looped twice, one pass per reader.
+func TestPumpPerQueueFlowLedger(t *testing.T) {
+	const queues, readers = 4, 2
+	capt := twoBursts(t)
+	distinct := map[uint64]bool{}
+	src := memSource(t, capt, PcapConfig{Loops: readers})
+	for {
+		p, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[p.FlowID] = true
+	}
+	src.Close()
+	for _, row := range []struct {
+		name     string
+		capacity int
+		ttl      time.Duration
+		live     uint64 // flows resident at exit
+		reclaims bool   // whether flows expire and are evicted
+	}{
+		// Nothing leaves the tables, so the ledger says every flow was
+		// inserted once, by the one queue RSS gives it.
+		{"roomy", 1 << 12, time.Hour, uint64(len(distinct)), false},
+		// The first burst overflows each queue's 32 flows, its survivors
+		// are stale when the second burst arrives, and the second burst
+		// refills every queue, so the live count at exit is the capacity.
+		{"bounded", 128, time.Second, 128, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			nic := NewNIC(queues)
+			sp, err := dataplane.NewSharded(chainBuild, dataplane.ShardedConfig{
+				Shards: queues, ShardOut: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := memSource(t, capt, PcapConfig{Arena: nic.Arena(0), Loops: readers})
+			defer src.Close()
+			st, err := Pump(context.Background(), src, sp, nil, PumpConfig{
+				BatchSize:    32,
+				NIC:          nic,
+				RXWorkers:    readers,
+				FlowTTL:      int64(row.ttl),
+				FlowCapacity: row.capacity,
+				expiryBudget: 4,
+				// Short rings keep a reader — which advances the replay
+				// clock — from crossing the idle gap before the workers have
+				// tracked its first burst.
+				ringSize: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Readers != readers || st.Workers != queues {
+				t.Fatalf("ran %d readers and %d queue workers, want %d and %d",
+					st.Readers, st.Workers, readers, queues)
+			}
+			switch {
+			case row.reclaims && (st.ExpiredFlows == 0 || st.EvictedFlows == 0):
+				t.Fatalf("trace did not exercise both reclaim paths: %+v", *st)
+			case !row.reclaims && st.ExpiredFlows+st.EvictedFlows > 0:
+				t.Fatalf("%d flows expired and %d evicted from tables with room",
+					st.ExpiredFlows, st.EvictedFlows)
+			}
+			if st.Flows != row.live+st.ExpiredFlows+st.EvictedFlows {
+				t.Fatalf("flow ledger: %d inserted != %d live + %d expired + %d evicted (%d distinct in the replay)",
+					st.Flows, row.live, st.ExpiredFlows, st.EvictedFlows, len(distinct))
+			}
+			if st.PeakFlows > row.capacity || uint64(st.PeakFlows) != row.live {
+				t.Fatalf("PeakFlows = %d, want the %d flows resident at exit, within the bound %d",
+					st.PeakFlows, row.live, row.capacity)
 			}
 		})
 	}

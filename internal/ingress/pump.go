@@ -9,7 +9,6 @@ import (
 
 	"nfcompass/internal/dataplane"
 	"nfcompass/internal/flight"
-	"nfcompass/internal/flowtable"
 	"nfcompass/internal/netpkt"
 )
 
@@ -27,7 +26,8 @@ type PumpConfig struct {
 	// replay-clock nanoseconds (capture timestamps when the source has
 	// them, wall time otherwise). 0 keeps flows until capacity eviction.
 	FlowTTL int64
-	// FlowCapacity bounds the conntrack table (default 2^21 ≈ 2M flows).
+	// FlowCapacity bounds conntrack, split evenly over the NIC queues'
+	// tables (default 2^21 ≈ 2M flows).
 	FlowCapacity int
 	// RXWorkers caps the source readers: a SplittableSource is split into
 	// up to this many (<= 1 reads the source as it is). Callers pass the
@@ -46,13 +46,12 @@ type PumpConfig struct {
 	// nil check per site.
 	Flight *flight.Recorder
 
-	// Test switches; zero selects the default. flowStripes is the conntrack
-	// stripe count (64). expiryBudget caps how many stale conntrack entries
-	// are lazily reclaimed per injected batch (64), the incremental sweep
-	// that replaces stop-the-world expiry. ringSize is the capacity of each
-	// reader→worker SPSC ring (512); one ring exists per (reader, queue)
-	// pair, so every ring keeps exactly one producer and one consumer.
-	flowStripes  int
+	// Test switches; zero selects the default. expiryBudget caps how many
+	// stale conntrack entries a queue lazily reclaims per injected batch
+	// (64), the incremental sweep that replaces stop-the-world expiry.
+	// ringSize is the capacity of each reader→worker SPSC ring (512); one
+	// ring exists per (reader, queue) pair, so every ring keeps exactly one
+	// producer and one consumer.
 	expiryBudget int
 	ringSize     int
 }
@@ -106,13 +105,13 @@ func (st *PumpStats) E2ELabel() string {
 //
 // The source is split into up to RXWorkers readers. Each reader stamps the
 // replay clock and counts every packet it reads, then hands it to the NIC
-// queue that owns it (rxQueue): that queue touches the packet's flow in a
-// sharded conntrack table, gathers its arena batch, injects it into its
-// shard and sweeps a bounded number of stale flows. The shape follows the
-// input. One reader in front of a one-queue NIC calls the queue inline, on
-// the calling goroutine, with no RSS hash. Any other shape classifies each
-// read with RSS and deals it into per-(reader, queue) SPSC rings, and one
-// worker goroutine per queue serves them. Per-flow order holds end to end:
+// queue that owns it (rxQueue): that queue touches the packet's flow in its
+// own, lock-free conntrack table, gathers its arena batch, injects it into
+// its shard and sweeps a bounded number of stale flows. The shape follows
+// the input. One reader in front of a one-queue NIC calls the queue inline,
+// on the calling goroutine, with no RSS hash. Any other shape classifies
+// each read with RSS and deals it into per-(reader, queue) SPSC rings, and
+// one worker goroutine per queue serves them. Per-flow order holds end to end:
 // the split puts each flow on one reader, RSS puts it on one queue, and a
 // ring is FIFO.
 //
@@ -130,9 +129,6 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 	}
 	if cfg.FlowCapacity <= 0 {
 		cfg.FlowCapacity = 1 << 21
-	}
-	if cfg.flowStripes <= 0 {
-		cfg.flowStripes = 64
 	}
 	if cfg.expiryBudget <= 0 {
 		cfg.expiryBudget = 64
@@ -169,11 +165,7 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 	}()
 
 	rec := cfg.Flight
-	p := &pump{ctx: ctx, sp: sp, cfg: cfg, start: time.Now(), ledger: rec.Ledger(),
-		ft: flowtable.NewSharded[struct{}](cfg.flowStripes, cfg.FlowCapacity)}
-	if cfg.FlowTTL > 0 {
-		p.ft.SetTTL(cfg.FlowTTL, p.clock.Now)
-	}
+	p := &pump{ctx: ctx, sp: sp, cfg: cfg, start: time.Now(), ledger: rec.Ledger()}
 	queues := make([]*rxQueue, nic.Queues())
 	for q := range queues {
 		queues[q] = p.newQueue(q, len(queues), nic.Arena(q))
@@ -213,11 +205,12 @@ func Pump(ctx context.Context, src Source, sp *dataplane.ShardedPipeline, sink S
 		st.Batches += x.batches
 		st.Flows += x.flows
 		st.PeakFlows = max(st.PeakFlows, x.peak)
+		st.ExpiredFlows += x.ft.Expired
+		st.EvictedFlows += x.ft.Evictions
 		released += x.released
 		errs = append(errs, x.err)
 	}
 	st.OutPackets, st.Drops = out, drops
-	st.ExpiredFlows, st.EvictedFlows = p.ft.Expired(), p.ft.Evictions()
 	st.Duration = time.Since(p.start)
 	if s := st.Duration.Seconds(); s > 0 {
 		st.PPS = float64(st.Packets) / s

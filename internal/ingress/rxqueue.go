@@ -15,14 +15,14 @@ import (
 
 // pump is what one Pump run's readers and queues share.
 type pump struct {
-	ctx    context.Context
-	sp     *dataplane.ShardedPipeline
-	cfg    PumpConfig
-	start  time.Time
-	ft     *flowtable.Sharded[struct{}]
-	clock  replayClock
-	ids    atomic.Uint64 // next batch ID, drawn by every queue
-	ledger *flight.Ledger
+	ctx     context.Context
+	sp      *dataplane.ShardedPipeline
+	cfg     PumpConfig
+	start   time.Time
+	clock   replayClock
+	ids     atomic.Uint64 // next batch ID, drawn by every queue
+	ledger  *flight.Ledger
+	tracked atomic.Int64 // flows resident in all queues' tables, booked per flushed batch
 }
 
 // replayClock is the pump's monotone replay clock. Readers feed packet
@@ -163,15 +163,16 @@ func (r *reader) abort(pkts []*netpkt.Packet) {
 
 // rxQueue is one NIC receive queue and whoever works it: its worker
 // goroutine (serve), or the one reader when that reader is the queue's only
-// source. It touches each packet's flow, gathers the queue's arena batch,
-// injects it into the queue's own shard, sweeps expiry over the queue's
-// conntrack stripes and samples the flow census. Its counters are its own
-// until Pump joins it.
+// source. It touches each packet's flow in its own conntrack table, gathers
+// the queue's arena batch, injects it into the queue's own shard, sweeps the
+// table's stale tail and books its change in the pump's flow census. The
+// table, like its counters, is its own until Pump joins it.
 type rxQueue struct {
 	*pump
-	q            int
-	arena        *netpkt.Arena
-	expLo, expHi int // the conntrack stripes this queue sweeps
+	q      int
+	arena  *netpkt.Arena
+	ft     *flowtable.Table[struct{}]
+	booked int // ft.Len() as last added to tracked
 	// build spans gathering a batch, first packet to handoff: the rx lane
 	// of a worker, the read lane of an inline reader.
 	build, inject, conntrack *flight.LaneRecorder
@@ -187,10 +188,9 @@ type rxQueue struct {
 
 func (p *pump) newQueue(q, queues int, arena *netpkt.Arena) *rxQueue {
 	rec := p.cfg.Flight
-	return &rxQueue{pump: p, q: q, arena: arena,
-		// Contiguous stripe ranges: the queues' sweeps together cover the
-		// table every round and never visit one stripe twice.
-		expLo: q * p.cfg.flowStripes / queues, expHi: (q + 1) * p.cfg.flowStripes / queues,
+	ft := flowtable.New[struct{}](p.cfg.FlowCapacity / queues)
+	ft.SetTTL(p.cfg.FlowTTL, p.clock.Now) // FlowTTL 0: no expiry
+	return &rxQueue{pump: p, q: q, arena: arena, ft: ft,
 		inject: rec.Lane(flight.StageInject, q), conntrack: rec.Lane(flight.StageConntrack, q)}
 }
 
@@ -200,7 +200,7 @@ func newFlow() struct{} { return struct{}{} }
 // the next batch ID — if none is, and injecting it once full. False means the
 // injection was refused: the run is over.
 func (x *rxQueue) add(p *netpkt.Packet) bool {
-	if x.ft.Touch(p.FlowID, newFlow) {
+	if _, created := x.ft.GetOrCreate(p.FlowID, newFlow); created {
 		x.flows++
 	}
 	if x.cur == nil {
@@ -215,7 +215,7 @@ func (x *rxQueue) add(p *netpkt.Packet) bool {
 }
 
 // flush injects the open batch, if any, into the queue's shard, then sweeps
-// the queue's stripes for stale flows. On a cancelled run it releases and
+// the queue's table for stale flows. On a cancelled run it releases and
 // ledgers the batch instead, and reports false.
 func (x *rxQueue) flush() bool {
 	b := x.cur
@@ -250,14 +250,17 @@ func (x *rxQueue) flush() bool {
 	}
 	if x.cfg.FlowTTL > 0 {
 		x.conntrack.Observe(id)
-		x.ft.ExpireTailRange(x.expLo, x.expHi, x.cfg.expiryBudget)
+		x.ft.ExpireTail(x.cfg.expiryBudget)
 		if x.obs {
 			t3 := x.conntrack.Now()
 			x.conntrack.AddBusy(t3 - t2)
 			x.conntrack.Span(id, 0, t2, t3)
 		}
 	}
-	x.peak = max(x.peak, x.ft.Len())
+	if d := x.ft.Len() - x.booked; d != 0 {
+		x.booked += d
+		x.peak = max(x.peak, int(x.tracked.Add(int64(d))))
+	}
 	return true
 }
 

@@ -7,16 +7,30 @@ func Checksum(b []byte) uint16 {
 	return finishChecksum(sumBytes(0, b))
 }
 
-// sumBytes adds b to a running 32-bit one's-complement accumulator.
+// sumBytes adds b to a running 32-bit one's-complement accumulator. A
+// one's-complement sum is the same at any word width once the carries are
+// folded back in (RFC 1071 §2), so it loads eight bytes at a time and adds
+// their 32-bit halves into a 64-bit sum, which no buffer under 16 GiB can
+// overflow, then folds that sum to 32 bits.
 func sumBytes(sum uint32, b []byte) uint32 {
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	s := uint64(sum)
+	for ; len(b) >= 8; b = b[8:] {
+		w := binary.BigEndian.Uint64(b)
+		s += w>>32 + w&0xffffffff
 	}
-	if n%2 == 1 {
-		sum += uint32(b[n-1]) << 8
+	if len(b) >= 4 {
+		s += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
-	return sum
+	if len(b) >= 2 {
+		s += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		s += uint64(b[0]) << 8
+	}
+	s = s>>32 + s&0xffffffff
+	return uint32(s>>32 + s&0xffffffff)
 }
 
 func finishChecksum(sum uint32) uint16 {

@@ -2,6 +2,7 @@ package netpkt
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +150,53 @@ func TestChecksumRFC1071Example(t *testing.T) {
 	b := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
 	if got := Checksum(b); got != ^uint16(0xddf2) {
 		t.Errorf("Checksum = %#04x, want %#04x", got, ^uint16(0xddf2))
+	}
+}
+
+// sumBytesRef is the one-16-bit-word-per-turn sum sumBytes replaced, kept as
+// its reference.
+func sumBytesRef(sum uint32, b []byte) uint32 {
+	n := len(b)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if n%2 == 1 {
+		sum += uint32(b[n-1]) << 8
+	}
+	return sum
+}
+
+// TestChecksumMatchesWordLoop: at every length from 0 to 2100 bytes, of
+// random bytes, zeros, ones, and ones ending in a 0x0001 word — whose 64-bit
+// sum wraps when folded to 32 bits — Checksum, UDPChecksumIPv4 and
+// TCPChecksumIPv4 return what the 16-bit reference loop computes.
+func TestChecksumMatchesWordLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	src, dst := IPv4Addr(rng.Uint32()), IPv4Addr(rng.Uint32())
+	rnd := make([]byte, 2100)
+	rng.Read(rnd)
+	for n := 0; n <= len(rnd); n++ {
+		ones := bytes.Repeat([]byte{0xff}, n)
+		wrap := bytes.Repeat([]byte{0xff}, n)
+		if n >= 2 {
+			wrap[n-2], wrap[n-1] = 0, 1
+		}
+		for fill, b := range [][]byte{rnd[:n], make([]byte, n), ones, wrap} {
+			if got, want := Checksum(b), finishChecksum(sumBytesRef(0, b)); got != want {
+				t.Fatalf("fill %d, len %d: Checksum = %#04x, reference %#04x", fill, n, got, want)
+			}
+			udp := finishChecksum(sumBytesRef(pseudoHeaderSumIPv4(src, dst, IPProtoUDP, n), b))
+			if udp == 0 {
+				udp = 0xffff
+			}
+			if got := UDPChecksumIPv4(src, dst, b); got != udp {
+				t.Fatalf("fill %d, len %d: UDPChecksumIPv4 = %#04x, reference %#04x", fill, n, got, udp)
+			}
+			tcp := finishChecksum(sumBytesRef(pseudoHeaderSumIPv4(src, dst, IPProtoTCP, n), b))
+			if got := TCPChecksumIPv4(src, dst, b); got != tcp {
+				t.Fatalf("fill %d, len %d: TCPChecksumIPv4 = %#04x, reference %#04x", fill, n, got, tcp)
+			}
+		}
 	}
 }
 

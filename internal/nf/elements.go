@@ -3,6 +3,7 @@ package nf
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nfcompass/internal/ac"
@@ -391,17 +392,26 @@ func NewNATRewrite(name string, public netpkt.IPv4Addr) *NATRewrite {
 	return e
 }
 
-// allocPort hands out the next port no live mapping holds.
+// allocPort hands out the next port no live mapping holds: the first clear
+// bit of portInUse at or after nextPort, wrapping from 65535 to
+// natFirstPort, found a 64-port word at a time.
 func (e *NATRewrite) allocPort() uint16 {
+	p := int(e.nextPort)
 	for {
-		port := e.nextPort
-		e.nextPort++
-		if e.nextPort == 0 {
-			e.nextPort = natFirstPort
+		w := p >> 6
+		// The ports below p in its word count as held: in the first word
+		// they precede nextPort, after the wrap they precede natFirstPort.
+		if free := ^e.portInUse[w] &^ (1<<(p&63) - 1); free != 0 {
+			port := w<<6 | bits.TrailingZeros64(free)
+			e.portInUse[w] |= 1 << (port & 63)
+			e.nextPort = uint16(port + 1)
+			if e.nextPort == 0 {
+				e.nextPort = natFirstPort
+			}
+			return uint16(port)
 		}
-		if w, bit := &e.portInUse[port>>6], uint64(1)<<(port&63); *w&bit == 0 {
-			*w |= bit
-			return port
+		if p = (w + 1) << 6; p == 1<<16 {
+			p = natFirstPort
 		}
 	}
 }

@@ -2,6 +2,7 @@ package nf
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -370,5 +371,62 @@ func TestProbeAndLBFragments(t *testing.T) {
 	_, out = runNF(t, lb, testBatch(5, 4))
 	if out.Live() != 5 {
 		t.Errorf("lb dropped packets")
+	}
+}
+
+// allocPortRef is the one-port-per-turn walk allocPort replaced, kept as its
+// reference: it tests nextPort, then each following port, wrapping from
+// 65535 to natFirstPort.
+func allocPortRef(e *NATRewrite) uint16 {
+	for {
+		port := e.nextPort
+		e.nextPort++
+		if e.nextPort == 0 {
+			e.nextPort = natFirstPort
+		}
+		if w, bit := &e.portInUse[port>>6], uint64(1)<<(port&63); *w&bit == 0 {
+			*w |= bit
+			return port
+		}
+	}
+}
+
+// TestAllocPortMatchesBitWalk: over random occupancy and a random start, the
+// word scan hands out the bit walk's port sequence — wraps included — while
+// ports are freed between allocations, until the range is full.
+func TestAllocPortMatchesBitWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const ports = 1<<16 - natFirstPort
+	for trial := 0; trial < 40; trial++ {
+		e := NewNATRewrite("nat", 0x01010101)
+		density := []float64{0, 0.5, 0.9, 0.99, 0.999}[trial%5]
+		held := 0
+		for port := natFirstPort; port < 1<<16; port++ {
+			if rng.Float64() < density {
+				e.portInUse[port>>6] |= 1 << (port & 63)
+				held++
+			}
+		}
+		e.nextPort = uint16(natFirstPort + rng.Intn(ports))
+		if trial%4 == 0 {
+			e.nextPort = uint16(1<<16 - 1 - rng.Intn(200)) // wrap early
+		}
+		ref := *e
+		for held < ports {
+			got, want := e.allocPort(), allocPortRef(&ref)
+			if got != want || e.nextPort != ref.nextPort || e.portInUse != ref.portInUse {
+				t.Fatalf("trial %d: allocPort = %d (next %d), bit walk %d (next %d)",
+					trial, got, e.nextPort, want, ref.nextPort)
+			}
+			held++
+			if rng.Intn(8) == 0 { // an eviction frees a port
+				port := natFirstPort + rng.Intn(ports)
+				if w, bit := port>>6, uint64(1)<<(port&63); e.portInUse[w]&bit != 0 {
+					e.portInUse[w] &^= bit
+					ref.portInUse[w] &^= bit
+					held--
+				}
+			}
+		}
 	}
 }

@@ -69,6 +69,10 @@ var keep = []keepGroup{
 		},
 	},
 	{
+		reason: "ROADMAP item 10(c): the benchmark's flowtable.* layer still times Sharded, which the pump no longer uses; the item re-defines those rows on Table, then deletes Sharded",
+		names:  []string{"flowtable.(*Sharded).Evictions", "flowtable.(*Sharded).Expired"},
+	},
+	{
 		reason: "method of an interface the type satisfies in live code, which no binary calls on it",
 		names:  []string{"traffic.Uniform.Name"},
 	},
