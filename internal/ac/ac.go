@@ -14,10 +14,16 @@
 //     share cache lines) with every output-bearing state after every silent
 //     one, so "does this state report a match" is s >= firstMatch.
 //
+// An entry is a uint64 whose bit 32 is set when its next state is not the
+// root. A scan sums the entries it loads over windows short enough that the
+// low words cannot carry, so each sum's high word counts the steps off the
+// root (the deep-state count): one load and one add per byte.
+//
 // Every scan entry point walks this one table. ScanStatsBatch and
 // ScanFromBatch walk it four payloads at a time: the four table loads of a
 // step are independent, so they overlap where a single payload's walk waits
-// on each load in turn.
+// on each load in turn. They report per-payload matches and the batch's
+// deep-state count.
 package ac
 
 import (
@@ -30,15 +36,28 @@ import (
 // more than this many.
 const Lanes = 4
 
+// maxEntries caps the table so that one step of Lanes payloads cannot
+// carry out of a sum's low word (windowFor is at least 1).
+const maxEntries = 1 << 30
+
+// windowFor is the most steps over Lanes payloads whose entries' low words,
+// each at most maxState, sum below 1<<32 (and whose count does too).
+func windowFor(maxState uint32) int {
+	return int(min((1<<32-1)/(Lanes*uint64(max(maxState, 1))), 1<<20))
+}
+
 // Matcher is an immutable Aho–Corasick automaton over byte patterns.
 type Matcher struct {
 	// class maps a byte to its column.
 	class [256]uint8
-	// tab[s+class[c]] is the state after reading c in state s, with failure
-	// transitions pre-applied. States are multiples of the row width 1<<shift;
-	// the root is 0.
-	tab   []uint32
+	// The low word of tab[s+class[c]] is the state after reading c in state
+	// s, with failure transitions pre-applied; bit 32 is set when that state
+	// is not the root. States are multiples of the row width 1<<shift; the
+	// root is 0.
+	tab   []uint64
 	shift uint
+	// window is the scans' window in bytes (windowFor).
+	window int
 	// firstMatch is the smallest state at which a pattern ends (directly or
 	// through a suffix link); every state at or above it has output.
 	firstMatch uint32
@@ -110,7 +129,7 @@ func NewMatcher(patterns [][]byte) (*Matcher, error) {
 		ends[pi] = s
 	}
 	n := len(trie) >> m.shift
-	if uint64(n)<<m.shift > 1<<31 {
+	if uint64(n)<<m.shift > maxEntries {
 		return nil, fmt.Errorf("ac: automaton too large (%d states × %d classes)", n, width)
 	}
 	own := make([][]int32, n)
@@ -167,14 +186,15 @@ func NewMatcher(patterns [][]byte) (*Matcher, error) {
 		m.outStart = append(m.outStart, int32(len(m.outs)))
 	}
 
-	m.tab = make([]uint32, len(trie))
+	m.tab = make([]uint64, len(trie))
 	for u, nu := range id {
 		row := trie[u<<m.shift:][:width]
 		out := m.tab[nu:][:width]
 		for k, v := range row {
-			out[k] = id[v]
+			out[k] = uint64(id[v]) | uint64(min(id[v], 1))<<32 // only the root's id is 0
 		}
 	}
+	m.window = windowFor(uint32(len(m.tab) - width))
 	return m, nil
 }
 
@@ -203,7 +223,7 @@ func (m *Matcher) Scan(data []byte) []Match {
 	var matches []Match
 	s := uint32(0)
 	for i, c := range data {
-		s = m.tab[s+uint32(m.class[c])]
+		s = uint32(m.tab[s+uint32(m.class[c])])
 		if s >= m.firstMatch {
 			for _, p := range m.outputs(s) {
 				matches = append(matches, Match{Pattern: int(p), End: i + 1})
@@ -220,102 +240,110 @@ type State uint32
 // StartState is the automaton root.
 const StartState State = 0
 
-// offRoot is 1 when s is not the root and 0 when it is, without a branch.
-func offRoot(s uint32) int { return int((s | -s) >> 31) }
-
 // ScanFrom resumes the automaton at a saved state and scans data,
-// returning the new state plus the match and deep-state counts. Stateful
-// stream inspection (IDS over reassembled TCP flows) uses it to catch
-// patterns spanning packet boundaries.
+// returning the new state plus the match and deep-state counts (the latter
+// a proxy for DFA-table memory pressure). Stateful stream inspection (IDS
+// over reassembled TCP flows) uses it to catch patterns spanning packets.
 func (m *Matcher) ScanFrom(state State, data []byte) (State, int, int) {
 	tab, class, first := m.tab, &m.class, m.firstMatch
-	s := uint32(state)
+	e := uint64(state)
 	matches, deep := 0, 0
-	for _, c := range data {
-		s = tab[s+uint32(class[c])]
-		deep += offRoot(s)
-		if s >= first {
-			matches += len(m.outputs(s))
+	for len(data) > 0 {
+		win := data[:min(len(data), m.window)]
+		data = data[len(win):]
+		var sum uint64
+		for _, c := range win {
+			e = tab[uint32(e)+uint32(class[c])]
+			sum += e
+			if uint32(e) >= first {
+				matches += len(m.outputs(uint32(e)))
+			}
 		}
+		deep += int(sum >> 32)
 	}
-	return State(s), matches, deep
+	return State(e), matches, deep
 }
 
-// ScanStats runs the automaton gathering the statistics the platform cost
-// model consumes: total states visited away from the root (a proxy for
-// DFA-table memory pressure, which separates the paper's full-match and
-// no-match traffic profiles) and the number of matches.
-func (m *Matcher) ScanStats(data []byte) (matches, deepStates int) {
-	_, matches, deepStates = m.ScanFrom(StartState, data)
-	return matches, deepStates
-}
-
-// ScanStatsBatch is ScanStats over many payloads at once: matches[i] and
-// deepStates[i] receive payload i's counts. Both must be at least as long
-// as payloads.
-func (m *Matcher) ScanStatsBatch(payloads [][]byte, matches, deepStates []int) {
+// ScanStatsBatch is ScanFrom from the start state over many payloads at
+// once: matches[i], which must be at least as long as payloads, receives
+// payload i's match count, and the result is the batch's deep-state count.
+func (m *Matcher) ScanStatsBatch(payloads [][]byte, matches []int) (deep int) {
 	i := 0
 	for ; i+Lanes <= len(payloads); i += Lanes {
 		var st [Lanes]State
-		m.scan4(&st, (*[Lanes][]byte)(payloads[i:]), (*[Lanes]int)(matches[i:]), (*[Lanes]int)(deepStates[i:]))
+		deep += m.scan4(&st, (*[Lanes][]byte)(payloads[i:]), (*[Lanes]int)(matches[i:]))
 	}
 	for ; i < len(payloads); i++ {
-		matches[i], deepStates[i] = m.ScanStats(payloads[i])
+		_, mt, d := m.ScanFrom(StartState, payloads[i])
+		matches[i], deep = mt, deep+d
 	}
+	return deep
 }
 
 // ScanFromBatch is ScanFrom over many independent streams at once: payload
-// i resumes at states[i], which is replaced by the state it ends in. No two
-// payloads of one call may belong to the same stream.
-func (m *Matcher) ScanFromBatch(states []State, payloads [][]byte, matches, deepStates []int) {
+// i resumes at states[i], which is replaced by the state it ends in, and
+// its match count goes to matches[i]; the result is the batch's deep-state
+// count. No two payloads of one call may belong to the same stream.
+func (m *Matcher) ScanFromBatch(states []State, payloads [][]byte, matches []int) (deep int) {
 	i := 0
 	for ; i+Lanes <= len(payloads); i += Lanes {
-		m.scan4((*[Lanes]State)(states[i:]), (*[Lanes][]byte)(payloads[i:]), (*[Lanes]int)(matches[i:]), (*[Lanes]int)(deepStates[i:]))
+		deep += m.scan4((*[Lanes]State)(states[i:]), (*[Lanes][]byte)(payloads[i:]), (*[Lanes]int)(matches[i:]))
 	}
 	for ; i < len(payloads); i++ {
-		states[i], matches[i], deepStates[i] = m.ScanFrom(states[i], payloads[i])
+		s, mt, d := m.ScanFrom(states[i], payloads[i])
+		states[i], matches[i], deep = s, mt, deep+d
 	}
+	return deep
 }
 
-// scan4 advances four payloads in lockstep over their common length, then
-// finishes each one's remainder on its own.
-func (m *Matcher) scan4(st *[Lanes]State, p *[Lanes][]byte, matches, deep *[Lanes]int) {
+// scan4 advances four payloads in lockstep over their common length, a
+// window at a time, then finishes each one's remainder on its own.
+func (m *Matcher) scan4(st *[Lanes]State, p *[Lanes][]byte, matches *[Lanes]int) (deep int) {
 	n := min(len(p[0]), len(p[1]), len(p[2]), len(p[3]))
-	p0, p1, p2, p3 := p[0][:n], p[1][:n], p[2][:n], p[3][:n]
-	tab, class, first := m.tab, &m.class, m.firstMatch
-	s0, s1, s2, s3 := uint32(st[0]), uint32(st[1]), uint32(st[2]), uint32(st[3])
-	var m0, m1, m2, m3, d0, d1, d2, d3 int
-	for i := 0; i < n; i++ {
-		s0 = tab[s0+uint32(class[p0[i]])]
-		s1 = tab[s1+uint32(class[p1[i]])]
-		s2 = tab[s2+uint32(class[p2[i]])]
-		s3 = tab[s3+uint32(class[p3[i]])]
-		d0 += offRoot(s0)
-		d1 += offRoot(s1)
-		d2 += offRoot(s2)
-		d3 += offRoot(s3)
-		if s0 >= first {
-			m0 += len(m.outputs(s0))
-		}
-		if s1 >= first {
-			m1 += len(m.outputs(s1))
-		}
-		if s2 >= first {
-			m2 += len(m.outputs(s2))
-		}
-		if s3 >= first {
-			m3 += len(m.outputs(s3))
-		}
+	*matches = [Lanes]int{}
+	for lo := 0; lo < n; lo += m.window {
+		hi := min(lo+m.window, n)
+		deep += m.walk4(st, &[Lanes][]byte{p[0][lo:hi], p[1][lo:hi], p[2][lo:hi], p[3][lo:hi]}, matches)
 	}
-	*st = [Lanes]State{State(s0), State(s1), State(s2), State(s3)}
-	*matches = [Lanes]int{m0, m1, m2, m3}
-	*deep = [Lanes]int{d0, d1, d2, d3}
 	for l, pl := range p {
 		if len(pl) > n {
-			s, mt, dt := m.ScanFrom(st[l], pl[n:])
+			s, mt, d := m.ScanFrom(st[l], pl[n:])
 			st[l] = s
 			matches[l] += mt
-			deep[l] += dt
+			deep += d
 		}
 	}
+	return deep
+}
+
+// walk4 walks one window of four equal-length payloads. One sum serves the
+// lanes and the match counts stay in memory, so the registers go to the
+// walk; written out in scan4's window loop, it spills and runs ~10 % slower.
+func (m *Matcher) walk4(st *[Lanes]State, p *[Lanes][]byte, matches *[Lanes]int) int {
+	tab, class, first := m.tab, &m.class, m.firstMatch
+	e0, e1, e2, e3 := uint64(st[0]), uint64(st[1]), uint64(st[2]), uint64(st[3])
+	p0 := p[0]
+	p1, p2, p3 := p[1][:len(p0)], p[2][:len(p0)], p[3][:len(p0)]
+	var sum uint64
+	for i := range p0 {
+		e0 = tab[uint32(e0)+uint32(class[p0[i]])]
+		e1 = tab[uint32(e1)+uint32(class[p1[i]])]
+		e2 = tab[uint32(e2)+uint32(class[p2[i]])]
+		e3 = tab[uint32(e3)+uint32(class[p3[i]])]
+		sum += e0 + e1 + e2 + e3
+		if uint32(e0) >= first {
+			matches[0] += len(m.outputs(uint32(e0)))
+		}
+		if uint32(e1) >= first {
+			matches[1] += len(m.outputs(uint32(e1)))
+		}
+		if uint32(e2) >= first {
+			matches[2] += len(m.outputs(uint32(e2)))
+		}
+		if uint32(e3) >= first {
+			matches[3] += len(m.outputs(uint32(e3)))
+		}
+	}
+	*st = [Lanes]State{State(e0), State(e1), State(e2), State(e3)}
+	return int(sum >> 32)
 }

@@ -119,14 +119,14 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 
 func TestScanStats(t *testing.T) {
 	m, _ := NewMatcherStrings([]string{"abc"})
-	matches, deep := m.ScanStats([]byte("abcabc"))
+	_, matches, deep := m.ScanFrom(StartState, []byte("abcabc"))
 	if matches != 2 {
 		t.Errorf("matches = %d, want 2", matches)
 	}
 	if deep != 6 { // every byte advances within the pattern
 		t.Errorf("deepStates = %d, want 6", deep)
 	}
-	_, deepMiss := m.ScanStats([]byte("xxxxxx"))
+	_, _, deepMiss := m.ScanFrom(StartState, []byte("xxxxxx"))
 	if deepMiss != 0 {
 		t.Errorf("deepStates on miss = %d, want 0", deepMiss)
 	}

@@ -30,41 +30,66 @@ func naiveStats(patterns [][]byte, data []byte) (matches, deep int) {
 	return matches, deep
 }
 
-// checkBatch compares both batch entry points with the reference: payload i
-// is scanned whole by ScanStatsBatch, and by ScanFromBatch resumed after its
+// windows are the scan windows the batch tests run besides the matcher's
+// own (0): short ones, so that scans cross window edges mid-payload.
+var windows = []int{0, 1, 2, 3, 5}
+
+// checkBatch compares both batch entry points with the reference, each scan
+// summing over the given window (0 keeps the matcher's): payload i is
+// scanned whole by ScanStatsBatch, and by ScanFromBatch resumed after its
 // first cuts[i] bytes.
-func checkBatch(t *testing.T, patterns, payloads [][]byte, cuts []int) {
+func checkBatch(t *testing.T, patterns, payloads [][]byte, cuts []int, window int) {
 	t.Helper()
 	m, err := NewMatcher(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if window > 0 {
+		m.window = window
+	}
 	n := len(payloads)
-	matches, deep := make([]int, n), make([]int, n)
-	m.ScanStatsBatch(payloads, matches, deep)
+	matches := make([]int, n)
+	deep := m.ScanStatsBatch(payloads, matches)
 
 	states, tails := make([]State, n), make([][]byte, n)
-	headM, headD := make([]int, n), make([]int, n)
+	headM, headD := make([]int, n), 0
 	for i, pl := range payloads {
-		states[i], headM[i], headD[i] = m.ScanFrom(StartState, pl[:cuts[i]])
+		var d int
+		states[i], headM[i], d = m.ScanFrom(StartState, pl[:cuts[i]])
+		headD += d
 		tails[i] = pl[cuts[i]:]
 	}
-	tailM, tailD := make([]int, n), make([]int, n)
-	m.ScanFromBatch(states, tails, tailM, tailD)
+	tailM := make([]int, n)
+	tailD := m.ScanFromBatch(states, tails, tailM)
 
+	wantDeep := 0
 	for i, pl := range payloads {
 		wantM, wantD := naiveStats(patterns, pl)
-		if matches[i] != wantM || deep[i] != wantD {
-			t.Errorf("payload %d/%d (%d B): ScanStatsBatch = (%d, %d), reference (%d, %d)",
-				i, n, len(pl), matches[i], deep[i], wantM, wantD)
+		wantDeep += wantD
+		if matches[i] != wantM {
+			t.Errorf("window %d, payload %d/%d (%d B): ScanStatsBatch matches %d, reference %d",
+				window, i, n, len(pl), matches[i], wantM)
 		}
-		if gotM, gotD := headM[i]+tailM[i], headD[i]+tailD[i]; gotM != wantM || gotD != wantD {
-			t.Errorf("payload %d/%d (%d B, resumed at %d): ScanFromBatch = (%d, %d), reference (%d, %d)",
-				i, n, len(pl), cuts[i], gotM, gotD, wantM, wantD)
+		if got := headM[i] + tailM[i]; got != wantM {
+			t.Errorf("window %d, payload %d/%d (%d B, resumed at %d): ScanFromBatch matches %d, reference %d",
+				window, i, n, len(pl), cuts[i], got, wantM)
 		}
-		if end, _, _ := m.ScanFrom(StartState, pl); states[i] != end {
-			t.Errorf("payload %d/%d: ScanFromBatch ends in state %d, the scalar walk in %d", i, n, states[i], end)
+		end, gotM, gotD := m.ScanFrom(StartState, pl)
+		if states[i] != end {
+			t.Errorf("window %d, payload %d/%d: ScanFromBatch ends in state %d, the scalar walk in %d",
+				window, i, n, states[i], end)
 		}
+		if gotM != wantM || gotD != wantD {
+			t.Errorf("window %d, payload %d/%d (%d B): ScanFrom = (%d, %d), reference (%d, %d)",
+				window, i, n, len(pl), gotM, gotD, wantM, wantD)
+		}
+	}
+	if deep != wantDeep {
+		t.Errorf("window %d, %d payloads: ScanStatsBatch deep states %d, reference %d", window, n, deep, wantDeep)
+	}
+	if got := headD + tailD; got != wantDeep {
+		t.Errorf("window %d, %d payloads: ScanFromBatch deep states %d (after %d before the cuts), reference %d",
+			window, n, got, headD, wantDeep)
 	}
 }
 
@@ -101,7 +126,9 @@ func TestScanBatchVsScalar(t *testing.T) {
 					}
 					cuts[i] = rng.Intn(l + 1)
 				}
-				checkBatch(t, patterns, payloads, cuts)
+				for _, w := range windows {
+					checkBatch(t, patterns, payloads, cuts, w)
+				}
 				if t.Failed() {
 					t.Fatalf("pattern set %q, %d payloads", name, group)
 				}
@@ -137,7 +164,9 @@ func FuzzScanBatchVsScalar(f *testing.F) {
 		for i, pl := range payloads {
 			cuts[i] = (i * 7) % (len(pl) + 1)
 		}
-		checkBatch(t, patterns, payloads, cuts)
+		for _, w := range windows {
+			checkBatch(t, patterns, payloads, cuts, w)
+		}
 	})
 }
 
@@ -170,11 +199,11 @@ func BenchmarkScanStatsBatch(b *testing.B) {
 		payloads[i] = make([]byte, 1000)
 		rng.Read(payloads[i])
 	}
-	matches, deep := make([]int, len(payloads)), make([]int, len(payloads))
+	matches := make([]int, len(payloads))
 	b.SetBytes(int64(len(payloads)) * 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ScanStatsBatch(payloads, matches, deep)
+		m.ScanStatsBatch(payloads, matches)
 	}
 }
 
@@ -185,5 +214,61 @@ func BenchmarkNewMatcher(b *testing.B) {
 		if _, err := NewMatcherStrings(patterns); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWindowCarryBound: at the largest table NewMatcher accepts, for every
+// row width, a window's low words cannot carry into the deep-state count,
+// the count cannot overflow its word, and the window is the longest that
+// keeps both (unless capped).
+func TestWindowCarryBound(t *testing.T) {
+	for shift := 0; shift <= 8; shift++ {
+		maxState := uint64(maxEntries - 1<<shift)
+		w := uint64(windowFor(uint32(maxState)))
+		if w < 1 || Lanes*w*maxState >= 1<<32 || Lanes*w >= 1<<32 {
+			t.Errorf("width %d: window %d carries (%d lanes × %d × %d)", 1<<shift, w, Lanes, w, maxState)
+		}
+		if w < 1<<20 && Lanes*(w+1)*maxState < 1<<32 {
+			t.Errorf("width %d: window %d is not the longest safe one", 1<<shift, w)
+		}
+	}
+}
+
+// TestScanWindowsLongDeepPayload scans payloads that stay deep for so long
+// that one lane's entries, summed whole, carry out of the low word: the
+// deep-state counts must still match a walk that counts off-root states
+// directly, so only the window split keeps them exact.
+func TestScanWindowsLongDeepPayload(t *testing.T) {
+	patterns := idsScalePatterns()
+	m, err := NewMatcherStrings(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, Lanes)
+	wantDeep := 0
+	for i := range payloads {
+		for len(payloads[i]) < 1<<16 {
+			payloads[i] = append(payloads[i], patterns[i]...)
+		}
+		var s uint32
+		var low uint64
+		deep := 0
+		for _, c := range payloads[i] {
+			s = uint32(m.tab[s+uint32(m.class[c])])
+			low += uint64(s)
+			if s != 0 {
+				deep++
+			}
+		}
+		if low < 1<<32 {
+			t.Fatalf("payload %d: the low words sum to %d, short of a carry", i, low)
+		}
+		if _, _, got := m.ScanFrom(StartState, payloads[i]); got != deep {
+			t.Errorf("payload %d: ScanFrom deep states %d, off-root walk %d", i, got, deep)
+		}
+		wantDeep += deep
+	}
+	if got := m.ScanStatsBatch(payloads, make([]int, Lanes)); got != wantDeep {
+		t.Errorf("ScanStatsBatch deep states %d, off-root walk %d", got, wantDeep)
 	}
 }

@@ -225,7 +225,7 @@ func TestGrow(t *testing.T) {
 		t.Fatalf("Grow past room: len %d, copied %q", len(p.Data), p.Data[:4])
 	}
 	q := NewPacket(append(make([]byte, 0, 16), "wxyz"...))
-	c := q.ShallowClone()
+	c := shallowClone(q)
 	defer PutPacket(c)
 	q.Grow(4)
 	q.Data[0] = '!'

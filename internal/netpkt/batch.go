@@ -94,58 +94,54 @@ func (b *Batch) Clone() *Batch {
 	return b.Derive(pkts)
 }
 
-// CloneInto deep-copies b into dst, reusing dst's packet objects and buffer
-// capacity where possible. dst's previous contents are discarded; packets
-// dst no longer needs go back to the arena. Packets dst newly acquires come
-// from dst's own arena (the default when dst was built outside one), so a
-// per-shard clone never leaks storage into a foreign pool.
-func (b *Batch) CloneInto(dst *Batch) {
-	a := dst.home()
-	for len(dst.Packets) < len(b.Packets) {
-		dst.Packets = append(dst.Packets, a.GetPacket(0))
-	}
-	for i := len(b.Packets); i < len(dst.Packets); i++ {
-		PutPacket(dst.Packets[i])
-		dst.Packets[i] = nil
-	}
-	dst.Packets = dst.Packets[:len(b.Packets)]
-	for i, p := range b.Packets {
-		q := dst.Packets[i]
-		if q == nil {
-			q = a.GetPacket(0)
-			dst.Packets[i] = q
-		}
-		p.CloneInto(q)
-	}
-	dst.ID, dst.Branch = b.ID, b.Branch
-}
-
 // ClonePooled is Clone backed by the arena b was drawn from (the default
 // one for batches built outside any): batch header and packet storage come
-// from GetBatch/GetPacket. The consumer of the clone calls Release exactly
+// from its free stacks. The consumer of the clone calls Release exactly
 // once when done with it.
 func (b *Batch) ClonePooled() *Batch {
 	return b.home().ClonePooled(b)
 }
 
 // ClonePooled is Batch.ClonePooled drawing the header and all packet
-// storage from this arena — the per-shard injection path's way to keep a
-// replica's working set inside its own recycling domain.
+// storage from this arena, the packets under one lock — the per-shard
+// injection path's way to keep a replica's working set inside its own
+// recycling domain, whichever arena b's packets came from.
 func (a *Arena) ClonePooled(b *Batch) *Batch {
 	dst := a.GetBatch(len(b.Packets))
-	b.CloneInto(dst)
+	a.mu.Lock()
+	for range b.Packets {
+		q := a.packets.pop()
+		q.arena, q.counted = a, true // Packet.CloneInto keeps both
+		dst.Packets = append(dst.Packets, q)
+	}
+	a.outstanding += int64(len(b.Packets))
+	a.mu.Unlock()
+	for i, p := range b.Packets {
+		p.CloneInto(dst.Packets[i])
+	}
+	dst.ID, dst.Branch = b.ID, b.Branch
 	return dst
 }
 
 // ShallowClone copies the batch with per-packet shallow clones: private
 // annotation state, shared wire bytes. Safe to hand to processing that
-// hazard analysis proves read-only on packet bytes (see Packet.ShallowClone
+// hazard analysis proves read-only on packet bytes (see Arena.shallowClone
 // and the Duplicator's writer flags). Header and packet headers are pooled
-// like ClonePooled's; the consumer calls Release exactly once.
+// like ClonePooled's, one lock per run of same-arena packets; the consumer
+// calls Release exactly once.
 func (b *Batch) ShallowClone() *Batch {
 	dst := b.home().GetBatch(len(b.Packets))
-	for _, p := range b.Packets {
-		dst.Packets = append(dst.Packets, p.ShallowClone())
+	for run := b.Packets; len(run) > 0; {
+		n, a := sameArena(run), run[0].arena
+		if a == nil {
+			a = defaultArena
+		}
+		a.mu.Lock()
+		for _, p := range run[:n] {
+			dst.Packets = append(dst.Packets, a.shallowClone(p))
+		}
+		a.mu.Unlock()
+		run = run[n:]
 	}
 	dst.ID, dst.Branch = b.ID, b.Branch
 	return dst

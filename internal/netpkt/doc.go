@@ -18,8 +18,8 @@
 // split batch back in order.
 //
 // Three clone flavours cover the duplication needs of SFC parallelization:
-// Clone (private heap copy), Batch.ClonePooled/CloneInto (private copy from
-// an arena's free stacks, returned with Release/PutPacket), and ShallowClone
+// Clone (private heap copy), Batch.ClonePooled (private copy from an
+// arena's free stacks, returned with Release/PutPacket), and ShallowClone
 // (a pooled header with private annotations and shared wire bytes — for
 // branches that hazard analysis proves read-only). The arena's rules — one
 // Put per Get, double release panics, shared buffers are never recycled

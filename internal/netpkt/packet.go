@@ -141,7 +141,7 @@ func (p *Packet) CloneInto(q *Packet) {
 	q.shared, q.pooled = false, false
 }
 
-// ShallowClone copies the packet struct — annotations, offsets, drop state
+// shallowClone copies the packet struct — annotations, offsets, drop state
 // — but shares the wire bytes with the original. It is the copy the
 // optimized duplication scheme hands to branches whose hazard analysis
 // proves they never write packet bytes (RAR sharing, Table III): annotation
@@ -149,19 +149,14 @@ func (p *Packet) CloneInto(q *Packet) {
 // original and the clone are marked shared so neither buffer is ever
 // recycled by the arena while the other may still read it.
 //
-// The clone is a pooled header: it is drawn from p's arena (the default one
-// for packets built outside any) and PutPacket returns it there, to a stack
-// of buffer-less headers that GetPacket never draws from. Once every clone
-// is released, Unshare makes p's buffer recyclable again.
-func (p *Packet) ShallowClone() *Packet {
-	a := p.arena
-	if a == nil {
-		a = defaultArena
-	}
+// The clone is a pooled header: a is p's arena (the default one for
+// packets built outside any), whose lock the caller holds, and PutPacket
+// returns the clone there, to a stack of buffer-less headers that GetPacket
+// never draws from. Once every clone is released, Unshare makes p's buffer
+// recyclable again.
+func (a *Arena) shallowClone(p *Packet) *Packet {
 	p.shared = true
-	a.mu.Lock()
 	q := a.headers.pop()
-	a.mu.Unlock()
 	*q = *p
 	q.pooled, q.arena, q.counted = false, a, false
 	return q

@@ -10,7 +10,8 @@ import (
 // their wire-byte buffers, buffer-less shallow-clone headers and Batch
 // headers, so a steady-state dataplane hot path allocates nothing per
 // batch. A draw pops under the arena's lock; Batch.Release pushes each run
-// of same-arena packets under one lock, then the header.
+// of same-arena packets under one lock, then the header, and a batch's
+// clones draw each run's packets or headers under one lock too.
 //
 // Ownership rules (see DESIGN.md §8 for the full story):
 //
@@ -155,13 +156,19 @@ func PutPacket(p *Packet) {
 // arena, taking one lock per run of consecutive same-arena packets.
 func PutPackets(pkts []*Packet) {
 	for run := pkts; len(run) > 0; {
-		n := 1
-		for n < len(run) && run[n].arena == run[0].arena {
-			n++
-		}
+		n := sameArena(run)
 		putRun(run[:n])
 		run = run[n:]
 	}
+}
+
+// sameArena is the length of pkts' leading run of packets from one arena.
+func sameArena(pkts []*Packet) int {
+	n := 1
+	for n < len(pkts) && pkts[n].arena == pkts[0].arena {
+		n++
+	}
+	return n
 }
 
 // putRun releases packets that all belong to one arena (run[0]'s), taking

@@ -101,7 +101,7 @@ func TestPoolSharedBuffersNotRecycled(t *testing.T) {
 	defer SetPoolPoison(false)
 
 	p := poolPacket(t, 16, 0x66)
-	q := p.ShallowClone()
+	q := shallowClone(p)
 	if &p.Data[0] != &q.Data[0] {
 		t.Fatal("shallow clone does not share bytes")
 	}
@@ -183,6 +183,11 @@ func buildUDP(t *testing.T, src, dst uint32, sport, dport uint16) []byte {
 	return p.Data
 }
 
+// shallowClone is p's shallow clone, drawn as Batch.ShallowClone draws it.
+func shallowClone(p *Packet) *Packet {
+	return NewBatch(0, []*Packet{p}).ShallowClone().Packets[0]
+}
+
 // TestShallowClonePooledHeaders: a released shallow clone is a buffer-less
 // header and must never come back from GetPacket (which would then allocate
 // a buffer per packet); once every clone is released Unshare makes the
@@ -190,7 +195,7 @@ func buildUDP(t *testing.T, src, dst uint32, sport, dport uint16) []byte {
 func TestShallowClonePooledHeaders(t *testing.T) {
 	a := NewArena()
 	p := a.GetPacket(64)
-	q := p.ShallowClone()
+	q := shallowClone(p)
 	if &q.Data[0] != &p.Data[0] || q.arena != a {
 		t.Fatal("shallow clone must alias the bytes and belong to the original's arena")
 	}
@@ -210,7 +215,7 @@ func TestShallowClonePooledHeaders(t *testing.T) {
 		PutPacket(r)
 	}
 
-	alias := p.ShallowClone()
+	alias := shallowClone(p)
 	PutPacket(alias)
 	if alias.Data != nil {
 		t.Fatal("a shallow clone was released with the original's buffer attached")
@@ -222,5 +227,50 @@ func TestShallowClonePooledHeaders(t *testing.T) {
 	}
 	if n := a.Outstanding(); n != 0 {
 		t.Fatalf("outstanding = %d after releasing everything", n)
+	}
+}
+
+// TestShallowCloneMixedArenas: a batch whose packets come from two arenas
+// and from none is shallow-cloned a run of same-arena packets at a time;
+// every clone header is drawn from its original's arena and released back
+// to it, so a second clone draws the same headers again.
+func TestShallowCloneMixedArenas(t *testing.T) {
+	a, b := NewArena(), NewArena()
+	from := []*Arena{a, a, b, a, b, b, nil, a}
+	pkts := make([]*Packet, len(from))
+	for i, ar := range from {
+		if ar == nil {
+			pkts[i] = NewPacket(make([]byte, 64))
+			from[i] = defaultArena
+		} else {
+			pkts[i] = ar.GetPacket(64)
+		}
+		pkts[i].FlowID = uint64(i)
+	}
+	batch := NewBatch(1, pkts)
+	headers := map[*Arena]map[*Packet]bool{a: {}, b: {}, defaultArena: {}}
+	for round := 0; round < 2; round++ {
+		clone := batch.ShallowClone()
+		for i, q := range clone.Packets {
+			if q.arena != from[i] || q.FlowID != uint64(i) || &q.Data[0] != &pkts[i].Data[0] {
+				t.Fatalf("round %d, clone %d: wrong arena, annotations or bytes", round, i)
+			}
+			if round == 1 && !headers[from[i]][q] {
+				t.Errorf("clone %d: the second clone drew a header its arena did not get back", i)
+			}
+			headers[from[i]][q] = true
+		}
+		clone.Release()
+		for _, ar := range []*Arena{a, b} {
+			if len(ar.headers) != len(headers[ar]) {
+				t.Fatalf("round %d: an arena holds %d free headers, its clones were %d",
+					round, len(ar.headers), len(headers[ar]))
+			}
+			for _, h := range ar.headers {
+				if !headers[ar][h] {
+					t.Fatalf("round %d: a header went back to another packet's arena", round)
+				}
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"nfcompass/internal/ac"
 	"nfcompass/internal/acl"
@@ -112,24 +111,18 @@ func (e *ACLFilter) TreeStats() (nodes, leaves, depth int) {
 }
 
 // scanStage is a matcher element's reusable staging for the batch kernel:
-// the packets to scan, their payloads, and the per-payload results.
+// the packets to scan, their payloads, and a match count slot for each.
 type scanStage struct {
-	pkts          []*netpkt.Packet
-	payloads      [][]byte
-	matches, deep []int
+	pkts     []*netpkt.Packet
+	payloads [][]byte
+	matches  []int
 }
 
 // add stages one packet's payload.
 func (st *scanStage) add(p *netpkt.Packet, payload []byte) {
 	st.pkts = append(st.pkts, p)
 	st.payloads = append(st.payloads, payload)
-}
-
-// results returns the result slices sized for the staged payloads.
-func (st *scanStage) results() (matches, deep []int) {
-	st.matches = slices.Grow(st.matches[:0], len(st.pkts))[:len(st.pkts)]
-	st.deep = slices.Grow(st.deep[:0], len(st.pkts))[:len(st.pkts)]
-	return st.matches, st.deep
+	st.matches = append(st.matches, 0)
 }
 
 // reset empties the stage, keeping its capacity but not the packets: a
@@ -137,7 +130,7 @@ func (st *scanStage) results() (matches, deep []int) {
 func (st *scanStage) reset() {
 	clear(st.pkts)
 	clear(st.payloads)
-	st.pkts, st.payloads = st.pkts[:0], st.payloads[:0]
+	st.pkts, st.payloads, st.matches = st.pkts[:0], st.payloads[:0], st.matches[:0]
 }
 
 // AhoCorasickMatch scans payloads against a multi-pattern set (the IDS /
@@ -207,12 +200,10 @@ func (e *AhoCorasickMatch) ProcessSingle(b *netpkt.Batch) *netpkt.Batch {
 			st.add(p, pl)
 		}
 	}
-	matches, deep := st.results()
-	e.m.ScanStatsBatch(st.payloads, matches, deep)
+	e.DeepStates += uint64(e.m.ScanStatsBatch(st.payloads, st.matches))
 	for i, p := range st.pkts {
-		e.DeepStates += uint64(deep[i])
 		e.ScannedB += uint64(len(st.payloads[i]))
-		if matches[i] > 0 {
+		if st.matches[i] > 0 {
 			e.Alerts++
 			if e.DropOnMatch {
 				p.Drop(e.name)
@@ -778,8 +769,9 @@ func (e *ACLFilter) FootprintBytes() float64 {
 	return float64(nodes)*64 + float64(leaves)*8*8 // nodes + leaf rule buckets
 }
 
-// FootprintBytes reports the dense DFA transition table size
-// (hetsim.Footprinter): 256 int32 entries per state plus outputs.
+// FootprintBytes reports the modelled DFA table size (hetsim.Footprinter):
+// the GPU-style table hetsim charges, 256 int32 entries per state plus
+// outputs, not the class-compressed table this process walks.
 func (e *AhoCorasickMatch) FootprintBytes() float64 {
 	return float64(e.m.NumStates()) * (256*4 + 16)
 }

@@ -29,7 +29,7 @@ func acPerPacket(e *AhoCorasickMatch, b *netpkt.Batch) {
 		if pl == nil {
 			continue
 		}
-		matches, deep := e.m.ScanStats(pl)
+		_, matches, deep := e.m.ScanFrom(ac.StartState, pl)
 		e.DeepStates += uint64(deep)
 		e.ScannedB += uint64(len(pl))
 		if matches > 0 {
@@ -268,7 +268,7 @@ func TestIPsecSealBuffers(t *testing.T) {
 	withRoom := func() []byte { return append(make([]byte, 0, len(plain)+64), plain...) }
 	tight := parsed(slices.Clip(append([]byte(nil), plain...)))
 	orig := parsed(withRoom()) // room, but a clone reads its bytes
-	clone := orig.ShallowClone()
+	clone := netpkt.NewBatch(0, []*netpkt.Packet{orig}).ShallowClone().Packets[0]
 	defer netpkt.PutPacket(clone)
 	var sealed [][]byte
 	for _, p := range []*netpkt.Packet{parsed(roomy), tight, orig} {
@@ -295,7 +295,7 @@ func TestIPsecSealBuffers(t *testing.T) {
 	}
 	// The other way round: the clone is sealed, the original keeps its bytes.
 	orig = parsed(withRoom())
-	clone2 := orig.ShallowClone()
+	clone2 := netpkt.NewBatch(0, []*netpkt.Packet{orig}).ShallowClone().Packets[0]
 	defer netpkt.PutPacket(clone2)
 	g := element.NewGraph()
 	_, exit := NewIPsecGateway("ipsec", 0x99, enc, auth).Build(g, "ipsec")

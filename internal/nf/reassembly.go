@@ -271,13 +271,11 @@ func (e *StreamAhoCorasick) staged(flow uint64) bool {
 // flush scans the staged packets and applies the verdicts in arrival order.
 func (e *StreamAhoCorasick) flush() {
 	st := &e.stage
-	matches, deep := st.results()
-	e.m.ScanFromBatch(e.states, st.payloads, matches, deep)
+	e.DeepStates += uint64(e.m.ScanFromBatch(e.states, st.payloads, st.matches))
 	for i, p := range st.pkts {
 		fs, _ := e.flows.Get(p.FlowID)
 		fs.state = e.states[i]
-		e.DeepStates += uint64(deep[i])
-		if matches[i] > 0 {
+		if st.matches[i] > 0 {
 			e.Alerts++
 			if e.DropOnMatch {
 				fs.tainted = true
