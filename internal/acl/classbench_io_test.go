@@ -192,7 +192,7 @@ func TestParseClassBench(t *testing.T) {
 	// Functional: the parsed rules classify as written.
 	k := Key{Src: 0xc0a80101, Dst: 0x0a010101, SrcPort: 5555, DstPort: 80,
 		Proto: netpkt.IPProtoTCP}
-	if !l.Rules[0].Matches(k) {
+	if !matches(&l.Rules[0], k) {
 		t.Error("parsed rule does not match its own key")
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"nfcompass/internal/netpkt"
 )
 
 // Dimension indexes the 5-tuple fields the tree can cut on.
@@ -40,13 +42,50 @@ type node struct {
 }
 
 // Tree is a built HiCuts classifier: one flat node array (the root is
-// nodes[0]) and one array of leaf rule indices.
+// nodes[0]), one array of leaf rule indices, and the list's rules compiled
+// once, in list order.
 type Tree struct {
-	list     *List
+	compiled []compiledRule
+	deflt    Action
 	nodes    []node
 	rules    []int32
 	leaves   int
 	maxDepth int
+}
+
+// compiledRule is a rule as the leaf scan tests it, in 28 bytes: a key
+// matches when its masked addresses and protocol equal the rule's and each
+// port, less its range's low end, is at most the range's width. A rule with
+// an empty port range gets a source mask/value pair no address meets, so
+// the width's wrap-around never matches it.
+type compiledRule struct {
+	srcMask, srcVal, dstMask, dstVal uint32
+	sportLo, sportW, dportLo, dportW uint16
+	protoMask, proto                 netpkt.IPProto
+	action                           Action
+}
+
+func compileRule(r *Rule) compiledRule {
+	c := compiledRule{
+		srcMask: uint32(^hostMask(r.SrcPlen)), dstMask: uint32(^hostMask(r.DstPlen)),
+		sportLo: r.SrcPort.Lo, sportW: r.SrcPort.Hi - r.SrcPort.Lo,
+		dportLo: r.DstPort.Lo, dportW: r.DstPort.Hi - r.DstPort.Lo,
+		protoMask: 0xff, proto: r.Proto, action: r.Action,
+	}
+	c.srcVal, c.dstVal = uint32(r.SrcAddr)&c.srcMask, uint32(r.DstAddr)&c.dstMask
+	if r.ProtoAny {
+		c.protoMask, c.proto = 0, 0
+	}
+	if r.SrcPort.Lo > r.SrcPort.Hi || r.DstPort.Lo > r.DstPort.Hi {
+		c.srcMask, c.srcVal = 0, 1
+	}
+	return c
+}
+
+func (c *compiledRule) matches(k Key) bool {
+	return uint32(k.Src)&c.srcMask == c.srcVal && uint32(k.Dst)&c.dstMask == c.dstVal &&
+		k.Proto&c.protoMask == c.proto &&
+		k.SrcPort-c.sportLo <= c.sportW && k.DstPort-c.dportLo <= c.dportW
 }
 
 // BuildTree constructs the decision tree. binth is the leaf bucket size
@@ -64,7 +103,11 @@ func BuildTree(l *List, binth int) *Tree {
 	budget := 50*n + 1000
 	// A node splits only while the budget lasts, so the tree holds at most
 	// the budget plus the unvisited siblings along one root-to-leaf path.
-	tree := &Tree{list: l, nodes: make([]node, 1, budget+64*(maxTreeDepth+1))}
+	tree := &Tree{compiled: make([]compiledRule, n), deflt: l.DefaultAction,
+		nodes: make([]node, 1, budget+64*(maxTreeDepth+1))}
+	for i := range l.Rules {
+		tree.compiled[i] = compileRule(&l.Rules[i])
+	}
 	b := &builder{t: tree, binth: binth, budget: budget,
 		proj: make([][numDims][2]uint64, n), ids: make([][numDims]int32, n)}
 	// Project every rule once, and intern each dimension's distinct
@@ -243,6 +286,28 @@ func (b *builder) build(at int, rules []int32, bounds [numDims][2]uint64, depth 
 	b.scratch = b.scratch[:base]
 }
 
+// projectRule projects rule r onto dimension d as an inclusive interval,
+// the geometry the tree cuts the 5-tuple space with.
+func projectRule(r *Rule, d Dimension) (uint64, uint64) {
+	switch d {
+	case DimSrcAddr:
+		lo := uint64(maskAddr(r.SrcAddr, r.SrcPlen))
+		return lo, lo + uint64(hostMask(r.SrcPlen))
+	case DimDstAddr:
+		lo := uint64(maskAddr(r.DstAddr, r.DstPlen))
+		return lo, lo + uint64(hostMask(r.DstPlen))
+	case DimSrcPort:
+		return uint64(r.SrcPort.Lo), uint64(r.SrcPort.Hi)
+	case DimDstPort:
+		return uint64(r.DstPort.Lo), uint64(r.DstPort.Hi)
+	default:
+		if r.ProtoAny {
+			return 0, 255
+		}
+		return uint64(r.Proto), uint64(r.Proto)
+	}
+}
+
 func keyDim(k Key, d Dimension) uint64 {
 	switch d {
 	case DimSrcAddr:
@@ -272,11 +337,11 @@ func (t *Tree) Match(k Key) (Action, int, int) {
 	}
 	for _, ri := range t.rules[n.first : n.first+n.n] {
 		cost++
-		if t.list.Rules[ri].Matches(k) {
-			return t.list.Rules[ri].Action, int(ri), cost
+		if c := &t.compiled[ri]; c.matches(k) {
+			return c.action, int(ri), cost
 		}
 	}
-	return t.list.DefaultAction, -1, cost
+	return t.deflt, -1, cost
 }
 
 // Nodes returns the total node count (tree memory footprint).

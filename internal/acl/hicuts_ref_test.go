@@ -153,7 +153,7 @@ func (t *refTree) Match(k Key) (Action, int, int) {
 	}
 	for _, ri := range n.ruleIdx {
 		cost++
-		if t.list.Rules[ri].Matches(k) {
+		if matches(&t.list.Rules[ri], k) {
 			return t.list.Rules[ri].Action, int(ri), cost
 		}
 	}

@@ -1,17 +1,16 @@
 // Package acl implements 5-tuple packet classification for the firewall
 // network function: rule representation, a ClassBench-style synthetic rule
 // generator (the paper uses ClassBench ACLs of 200/1000/10000 rules for the
-// Fig. 17 validation), a linear matcher, a HiCuts-style decision-tree
+// Fig. 17 validation), a linear matcher, and a HiCuts-style decision-tree
 // classifier whose size growth with rule count reproduces the
-// classification-tree blowup that degrades the FastClick and NBA baselines,
-// and an ahead-of-time-compiled Lucent bit-vector decision table (table.go)
-// that trades memory for rule-count-independent lookups. Tree and Table
-// are interchangeable behind the Classifier interface and fuzz-verified
-// equivalent (FuzzTableVsTree).
+// classification-tree blowup that degrades the FastClick and NBA baselines.
+// The tree's leaves scan the rules compiled once into mask/value pairs and
+// port ranges, and the linear matcher is its fuzz-verified oracle
+// (FuzzTreeVsLinear).
 package acl
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"nfcompass/internal/netpkt"
 )
@@ -41,9 +40,6 @@ type PortRange struct {
 // AnyPort matches every port.
 var AnyPort = PortRange{0, 65535}
 
-// Contains reports whether p falls in the range.
-func (r PortRange) Contains(p uint16) bool { return r.Lo <= p && p <= r.Hi }
-
 // Rule is one 5-tuple classification rule. Priority is its position: lower
 // index = higher priority (first match wins).
 type Rule struct {
@@ -66,42 +62,35 @@ type Key struct {
 	Proto            netpkt.IPProto
 }
 
-// KeyFromPacket extracts the 5-tuple of a parsed IPv4 packet. It returns
-// false for non-IPv4 or truncated packets.
+// KeyFromPacket extracts the 5-tuple of a parsed IPv4 packet, reading the
+// header fields in place. It returns false for non-IPv4 packets, a header
+// that is short, not version 4 or has a bad IHL, and a TCP or UDP header
+// shorter than its ports.
 func KeyFromPacket(p *netpkt.Packet) (Key, bool) {
 	var k Key
 	if p.L3Proto != netpkt.ProtoIPv4 || p.L4Offset < 0 {
 		return k, false
 	}
-	ip, err := netpkt.ParseIPv4(p.L3())
-	if err != nil {
+	h := p.L3()
+	if len(h) < netpkt.IPv4MinHeaderLen || h[0]>>4 != 4 {
 		return k, false
 	}
-	k.Src, k.Dst, k.Proto = ip.Src, ip.Dst, ip.Protocol
-	l4 := p.L4()
-	switch ip.Protocol {
+	if ihl := int(h[0]&0x0f) * 4; ihl < netpkt.IPv4MinHeaderLen || len(h) < ihl {
+		return k, false
+	}
+	k.Src = netpkt.IPv4Addr(binary.BigEndian.Uint32(h[12:16]))
+	k.Dst = netpkt.IPv4Addr(binary.BigEndian.Uint32(h[16:20]))
+	k.Proto = netpkt.IPProto(h[9])
+	switch k.Proto {
 	case netpkt.IPProtoUDP, netpkt.IPProtoTCP:
+		l4 := p.L4()
 		if len(l4) < 4 {
 			return k, false
 		}
-		k.SrcPort = uint16(l4[0])<<8 | uint16(l4[1])
-		k.DstPort = uint16(l4[2])<<8 | uint16(l4[3])
+		k.SrcPort = binary.BigEndian.Uint16(l4[0:2])
+		k.DstPort = binary.BigEndian.Uint16(l4[2:4])
 	}
 	return k, true
-}
-
-// Matches reports whether the rule matches the key.
-func (r *Rule) Matches(k Key) bool {
-	if !r.ProtoAny && r.Proto != k.Proto {
-		return false
-	}
-	if maskAddr(k.Src, r.SrcPlen) != maskAddr(r.SrcAddr, r.SrcPlen) {
-		return false
-	}
-	if maskAddr(k.Dst, r.DstPlen) != maskAddr(r.DstAddr, r.DstPlen) {
-		return false
-	}
-	return r.SrcPort.Contains(k.SrcPort) && r.DstPort.Contains(k.DstPort)
 }
 
 func maskAddr(a netpkt.IPv4Addr, plen int) netpkt.IPv4Addr {
@@ -114,17 +103,6 @@ func maskAddr(a netpkt.IPv4Addr, plen int) netpkt.IPv4Addr {
 	return a &^ netpkt.IPv4Addr(1<<(32-plen)-1)
 }
 
-// String renders the rule in an iptables-like form.
-func (r *Rule) String() string {
-	proto := "any"
-	if !r.ProtoAny {
-		proto = fmt.Sprintf("%d", r.Proto)
-	}
-	return fmt.Sprintf("%s src %v/%d dst %v/%d sport %d-%d dport %d-%d proto %s",
-		r.Action, r.SrcAddr, r.SrcPlen, r.DstAddr, r.DstPlen,
-		r.SrcPort.Lo, r.SrcPort.Hi, r.DstPort.Lo, r.DstPort.Hi, proto)
-}
-
 // List is an ordered access-control list with first-match-wins semantics.
 type List struct {
 	Rules []Rule
@@ -132,13 +110,19 @@ type List struct {
 	DefaultAction Action
 }
 
-// MatchLinear scans rules in priority order; it returns the action and the
-// index of the matching rule (-1 for the default). The scan length is the
-// cost driver for software classification.
+// MatchLinear scans rules in priority order, testing each field of each
+// rule as written; it returns the action and the index of the matching
+// rule (-1 for the default). It is the reference the tree is checked
+// against.
 func (l *List) MatchLinear(k Key) (Action, int) {
 	for i := range l.Rules {
-		if l.Rules[i].Matches(k) {
-			return l.Rules[i].Action, i
+		r := &l.Rules[i]
+		if (r.ProtoAny || r.Proto == k.Proto) &&
+			maskAddr(k.Src, r.SrcPlen) == maskAddr(r.SrcAddr, r.SrcPlen) &&
+			maskAddr(k.Dst, r.DstPlen) == maskAddr(r.DstAddr, r.DstPlen) &&
+			r.SrcPort.Lo <= k.SrcPort && k.SrcPort <= r.SrcPort.Hi &&
+			r.DstPort.Lo <= k.DstPort && k.DstPort <= r.DstPort.Hi {
+			return r.Action, i
 		}
 	}
 	return l.DefaultAction, -1

@@ -17,9 +17,12 @@
 //     concurrent flows touched from many goroutines at once.
 //
 // Representation. A Table is two flat arrays: a slab of slots {key, stamp,
-// prev, next, value} and an open-addressed index of slot numbers (linear
-// probing, backward-shift delete, so there are no tombstones and a probe
-// never outlives the cluster it started in). The LRU list is threaded
+// prev, next, value} and an open-addressed index of slot numbers, each
+// under its key's hash tag (linear probing, backward-shift delete, so there
+// are no tombstones and a probe never outlives the cluster it started in).
+// A probe loads a slot only when the tag matches, and the backward shift
+// reads homes off the tags, so a lookup touches the index and, almost
+// always, the one slot it is after. The LRU list is threaded
 // through the slab by slot number, freed slots recycle through a free
 // list, and both arrays grow on demand up to the bound — so the memory and
 // the cache lines a table touches follow the flows that are live, not the
@@ -44,10 +47,13 @@ type Table[V any] struct {
 	// the most recently used slot, its prev the next victim — so slot
 	// number 0 doubles as "none" in every link and in the index.
 	slots []slot[V]
-	// index maps a key's home position (mixKey(key) >> shift) to its slot
-	// number, 0 for empty. Its length is a power of two kept at least twice
-	// the live count, so every probe ends at an empty cell.
-	index []uint32
+	// index maps a key's home position (mixKey(key) >> shift) to a cell
+	// holding mixKey(key)>>32 in its top half and the slot number in its
+	// bottom half, 0 for empty. Its length is a power of two kept at least
+	// twice the live count, so every probe ends at an empty cell. The
+	// capacity cap keeps it at most 2^32 cells, so shift >= 32 and a cell's
+	// home is cell >> shift.
+	index []uint64
 	shift uint32
 	free  uint32 // head of the free-slot list, linked through next
 	live  int
@@ -91,7 +97,7 @@ func New[V any](capacity int) *Table[V] {
 	return &Table[V]{
 		capacity: capacity,
 		slots:    make([]slot[V], 1),
-		index:    make([]uint32, 1<<minIndexBits),
+		index:    make([]uint64, 1<<minIndexBits),
 		shift:    64 - minIndexBits,
 	}
 }
@@ -149,9 +155,9 @@ func (t *Table[V]) stale(i uint32, now int64) bool {
 func (t *Table[V]) find(h, key uint64) uint32 {
 	mask := uint64(len(t.index) - 1)
 	for p := h >> t.shift; ; p = (p + 1) & mask {
-		i := t.index[p]
-		if i == 0 || t.slots[i].key == key {
-			return i
+		e := t.index[p]
+		if e == 0 || e>>32 == h>>32 && t.slots[uint32(e)].key == key {
+			return uint32(e)
 		}
 	}
 }
@@ -253,20 +259,24 @@ func (t *Table[V]) put(key uint64, value V, now int64) {
 	for t.index[p] != 0 {
 		p = (p + 1) & mask
 	}
-	t.index[p] = i
+	t.index[p] = h&^math.MaxUint32 | uint64(i)
 }
 
 // growIndex doubles the index and re-homes every live slot.
 func (t *Table[V]) growIndex() {
-	t.index = make([]uint32, 2*len(t.index))
+	old := t.index
+	t.index = make([]uint64, 2*len(old))
 	t.shift--
 	mask := uint64(len(t.index) - 1)
-	for i := t.slots[0].next; i != 0; i = t.slots[i].next {
-		p := mixKey(t.slots[i].key) >> t.shift
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		p := e >> t.shift
 		for t.index[p] != 0 {
 			p = (p + 1) & mask
 		}
-		t.index[p] = i
+		t.index[p] = e
 	}
 }
 
@@ -313,17 +323,16 @@ func (t *Table[V]) remove(i uint32) (uint64, V) {
 	key, value := s.key, s.value
 	mask := uint64(len(t.index) - 1)
 	p := mixKey(key) >> t.shift
-	for t.index[p] != i {
+	for uint32(t.index[p]) != i {
 		p = (p + 1) & mask
 	}
 	// Backward shift: pull every later member of the cluster whose home is
 	// at or before the hole into it, so no probe ever crosses an empty cell
 	// that used to be occupied.
 	for q := (p + 1) & mask; t.index[q] != 0; q = (q + 1) & mask {
-		j := t.index[q]
-		home := mixKey(t.slots[j].key) >> t.shift
-		if (q-home)&mask >= (q-p)&mask {
-			t.index[p] = j
+		e := t.index[q]
+		if (q-e>>t.shift)&mask >= (q-p)&mask {
+			t.index[p] = e
 			p = q
 		}
 	}

@@ -125,9 +125,10 @@ func (r *refTable) reset() {
 }
 
 // checkStructure asserts what the representation promises beyond what
-// callers can observe: every live slot is indexed exactly once and reachable
-// by probing from its home, the index is at most half full, and live slots
-// plus free slots account for the whole slab.
+// callers can observe: every live slot is indexed exactly once, under its
+// key's hash tag, and reachable by probing from its home, the index is at
+// most half full, and live slots plus free slots account for the whole
+// slab.
 func checkStructure[V any](t *testing.T, tb *Table[V]) {
 	t.Helper()
 	if 2*tb.live > len(tb.index) {
@@ -137,9 +138,13 @@ func checkStructure[V any](t *testing.T, tb *Table[V]) {
 		t.Fatalf("index length %d does not match shift %d", len(tb.index), tb.shift)
 	}
 	indexed := 0
-	for _, i := range tb.index {
-		if i != 0 {
-			indexed++
+	for c, e := range tb.index {
+		if e == 0 {
+			continue
+		}
+		indexed++
+		if i := uint32(e); i == 0 || int(i) >= len(tb.slots) || e>>32 != mixKey(tb.slots[i].key)>>32 {
+			t.Fatalf("cell %d (%#x): tag does not match slot %d's key", c, e, i)
 		}
 	}
 	listed := 0
@@ -453,7 +458,7 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 				t.Fatalf("index grew to %d; the row needs the 8-cell index", len(p.tb.index))
 			}
 			for c, want := range []uint64{7: keys[0], 0: keys[1], 1: keys[2], 2: keys[3]} {
-				if i := p.tb.index[c]; (want == 0) != (i == 0) || (i != 0 && p.tb.slots[i].key != want) {
+				if i := uint32(p.tb.index[c]); (want == 0) != (i == 0) || (i != 0 && p.tb.slots[i].key != want) {
 					t.Fatalf("cell %d holds slot %d, want key %#x", c, i, want)
 				}
 			}
@@ -508,4 +513,52 @@ func TestClusterSpansGrowth(t *testing.T) {
 	p.get(cluster[1])
 	p.get(cluster[3])
 	p.get(cluster[0]) // expired: a miss that must terminate
+}
+
+// tagTwins returns two keys whose mixed forms share their top 32 bits — the
+// index's hash tag, and with it the home cell at every index size — found
+// by a birthday search.
+func tagTwins(t *testing.T) (uint64, uint64) {
+	seen := make(map[uint32]uint64)
+	for k := uint64(1); k <= 1<<20; k++ {
+		tag := uint32(mixKey(k) >> 32)
+		if prev, ok := seen[tag]; ok {
+			return prev, k
+		}
+		seen[tag] = k
+	}
+	t.Fatal("no two keys up to 2^20 share a hash tag")
+	return 0, 0
+}
+
+// TestSharedTag: two live keys with the same hash tag sit in one cluster, so
+// a tag match alone must not end a probe. Get, put, eviction and expiry on
+// either key agree with the model, whichever of the two goes first.
+func TestSharedTag(t *testing.T) {
+	a, b := tagTwins(t)
+	outsider := keysHomedAt(mixKey(a)>>61^4, 3, 1)[0]
+	for _, evict := range []bool{false, true} {
+		for _, keys := range [][2]uint64{{a, b}, {b, a}} {
+			p := newPair(t, 2, refTTL)
+			p.put(keys[0], 1)
+			p.put(keys[1], 2)
+			p.get(keys[0])
+			p.get(keys[1])
+			p.put(keys[0], 3)
+			p.ranged()
+			if evict {
+				p.put(outsider, 4) // keys[1] is the LRU victim
+			} else {
+				p.expire(keys[1])
+			}
+			p.ranged()
+			p.peek(keys[1])
+			p.get(keys[0])
+			p.put(keys[1], 5)
+			p.expire(keys[0])
+			p.get(keys[1])
+			p.getOrCreate(keys[0], 6)
+			p.ranged()
+		}
+	}
 }

@@ -15,16 +15,14 @@ import (
 	"nfcompass/internal/trie"
 )
 
-// ACLFilter classifies packets against an access-control list and drops
-// denied packets. The classification engine is pluggable behind
-// acl.Classifier — the HiCuts decision tree or the compiled flat decision
-// table — with identical match semantics. When NeverDrop is set the
+// ACLFilter classifies packets against an access-control list, through a
+// HiCuts decision tree, and drops denied packets. When NeverDrop is set the
 // classification still runs (costing the same work) but denied packets pass
 // — the configuration the paper uses to measure pure throughput ("the rules
 // of firewall are modified to never drop packets").
 type ACLFilter struct {
 	name      string
-	cls       acl.Classifier
+	tree      *acl.Tree
 	sig       string
 	NeverDrop bool
 	Denied    uint64
@@ -38,20 +36,9 @@ type ACLFilter struct {
 // tree, letting replicated firewall instances share one (read-only)
 // tree instead of rebuilding it per instance.
 func NewACLFilterTree(name, sig string, tree *acl.Tree, neverDrop bool) *ACLFilter {
-	return newACLFilter(name, sig, tree, neverDrop)
-}
-
-// NewACLFilterTable builds the element over a compiled flat decision table
-// (acl.CompileTable) — same match semantics as the tree, flat per-lookup
-// cost. Replicated instances may share one table.
-func NewACLFilterTable(name, sig string, table *acl.Table, neverDrop bool) *ACLFilter {
-	return newACLFilter(name, sig, table, neverDrop)
-}
-
-func newACLFilter(name, sig string, cls acl.Classifier, neverDrop bool) *ACLFilter {
 	return &ACLFilter{
 		name: name, sig: sig,
-		cls:       cls,
+		tree:      tree,
 		NeverDrop: neverDrop,
 		canDrop:   !neverDrop,
 	}
@@ -85,7 +72,7 @@ func (e *ACLFilter) Process(b *netpkt.Batch) []*netpkt.Batch {
 			p.Drop(e.name)
 			continue
 		}
-		action, _, cost := e.cls.Match(k)
+		action, _, cost := e.tree.Match(k)
 		e.CostAccum += uint64(cost)
 		if action == acl.Deny {
 			e.Denied++
@@ -101,13 +88,9 @@ func (e *ACLFilter) Process(b *netpkt.Batch) []*netpkt.Batch {
 func (e *ACLFilter) Reset() { e.Denied, e.CostAccum = 0, 0 }
 
 // TreeStats exposes the classification-tree size (nodes, leaves, depth),
-// the quantity that blows up with large ACLs in Fig. 17. Zero for the
-// table engine, which has no tree.
+// the quantity that blows up with large ACLs in Fig. 17.
 func (e *ACLFilter) TreeStats() (nodes, leaves, depth int) {
-	if t, ok := e.cls.(*acl.Tree); ok {
-		return t.Nodes(), t.Leaves(), t.MaxDepth()
-	}
-	return 0, 0, 0
+	return e.tree.Nodes(), e.tree.Leaves(), e.tree.MaxDepth()
 }
 
 // scanStage is a matcher element's reusable staging for the batch kernel:
@@ -758,13 +741,9 @@ func (e *AhoCorasickMatch) MemAccesses() uint64 { return e.DeepStates }
 // MemAccesses reports the cumulative LPM hash probes (hetsim.MemProber).
 func (e *V6Lookup) MemAccesses() uint64 { return e.ProbesAccum }
 
-// FootprintBytes reports the classification engine's real working-set
-// size (hetsim.Footprinter): tree nodes plus leaf rule buckets for the
-// HiCuts engine, or the decision table's lookup structures.
+// FootprintBytes reports the classification tree's modelled working-set
+// size (hetsim.Footprinter): tree nodes plus leaf rule buckets.
 func (e *ACLFilter) FootprintBytes() float64 {
-	if tab, ok := e.cls.(*acl.Table); ok {
-		return float64(tab.MemBytes())
-	}
 	nodes, leaves, _ := e.TreeStats()
 	return float64(nodes)*64 + float64(leaves)*8*8 // nodes + leaf rule buckets
 }

@@ -71,27 +71,6 @@ func NewFirewall(name string, list *acl.List, neverDrop bool) *NF {
 	}
 }
 
-// NewFirewallTable builds a firewall NF whose classifier is the compiled
-// flat decision table (acl.CompileTable) instead of the HiCuts tree. Match
-// semantics are identical; per-packet cost is flat in rule overlap. One
-// table is shared by every replica this NF builds, like NewFirewall's tree.
-func NewFirewallTable(name string, list *acl.List, neverDrop bool) *NF {
-	profile := TableII[KindFirewall]
-	if !neverDrop {
-		profile.Drop = true
-	}
-	sig := fmt.Sprintf("%x/%d", list.Fingerprint(), list.Len())
-	table := acl.CompileTable(list)
-	return &NF{
-		Name: name, Kind: KindFirewall, Profile: profile,
-		Build: func(g *element.Graph, prefix string) (element.NodeID, element.NodeID) {
-			chk := g.Add(element.NewCheckIPHeader(prefix + "/chk"))
-			fw := g.Add(NewACLFilterTable(prefix+"/acl", sig, table, neverDrop))
-			return chainNodes(g, chk, fw)
-		},
-	}
-}
-
 // NewIPv4Router builds the IPv4 forwarder: header check, LPM lookup, TTL
 // decrement, L2 rewrite.
 func NewIPv4Router(name string, table *trie.Dir24_8, sig string) *NF {

@@ -6,15 +6,6 @@ package main
 // the _test.go file that uses it.
 var keep = []keepGroup{
 	{
-		reason: "next step of ROADMAP item 3: the compiled decision table every ACL NF is to ship",
-		names: []string{
-			"acl.CompileTable", "acl.(*Table).compileDim", "acl.scatter", "acl.intervalIndex",
-			"acl.(*Table).Match", "acl.(*Table).Words", "acl.(*Table).Classes",
-			"acl.dimMax", "acl.maxInt",
-			"nf.NewFirewallTable", "nf.NewACLFilterTable",
-		},
-	},
-	{
 		reason: "next step of ROADMAP item 6(a): the price of one fused device-resident segment",
 		names:  []string{"hetsim.(*CostModel).SegmentGPUServiceNs"},
 	},
@@ -25,7 +16,7 @@ var keep = []keepGroup{
 			"trie.(*IPv4Trie).Lookup", "trie.(*IPv6Trie).Lookup",
 			// Batched and stream scans against the scalar scan.
 			"ac.(*Matcher).Scan",
-			// HiCuts tree and decision table against the rule list.
+			// HiCuts tree against the rule list.
 			"acl.(*List).MatchLinear",
 			// Set.MatchCount against the list of matching patterns.
 			"redfa.(*Set).Match",
