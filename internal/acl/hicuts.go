@@ -259,7 +259,7 @@ func (b *builder) build(at int, rules []int32, bounds [numDims][2]uint64, depth 
 	for c := 1; c < nCuts; c++ {
 		end[c] += end[c-1]
 	}
-	b.scratch = append(b.scratch, make([]int32, end[nCuts-1])...)
+	b.scratch = extend(b.scratch, end[nCuts-1])
 	kids := b.scratch[base:]
 	for i := len(rules) - 1; i >= 0; i-- { // fill each list from its end
 		first, last := b.cover(rules[i], bestDim, lo, hi, shift)
@@ -270,7 +270,7 @@ func (b *builder) build(at int, rules []int32, bounds [numDims][2]uint64, depth 
 	}
 
 	kid := len(t.nodes)
-	t.nodes = append(t.nodes, make([]node, nCuts)...)
+	t.nodes = extend(t.nodes, nCuts)
 	t.nodes[at] = node{lo: lo, hi: hi, first: int32(kid), n: int32(nCuts),
 		dim: uint8(bestDim), shift: uint8(shift)}
 	for c := 0; c < nCuts; c++ {
@@ -284,6 +284,19 @@ func (b *builder) build(at int, rules []int32, bounds [numDims][2]uint64, depth 
 		b.build(kid+c, kids[end[c]:stop], cb, depth+1)
 	}
 	b.scratch = b.scratch[:base]
+}
+
+// extend returns s lengthened by n zero elements. It grows s itself: the
+// compiler turns append(s, make([]T, n)...) into an in-place grow only in a
+// build it does not instrument, so under -race that idiom allocates a
+// temporary on every call.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
+	}
+	s = s[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 // projectRule projects rule r onto dimension d as an inclusive interval,

@@ -189,9 +189,9 @@ func (o *outputs) add(p *netpkt.Packet) {
 	}
 }
 
-// runComposition executes c on a 2-shard dataplane under its placement and
-// returns each tenant's outputs, keyed by tag.
-func runComposition(t *testing.T, c *Composition, feeds map[uint16][]*netpkt.Batch) map[uint16]*outputs {
+// runComposition executes c on a dataplane of the given shards under its
+// placement and returns each tenant's outputs, keyed by tag.
+func runComposition(t *testing.T, c *Composition, feeds map[uint16][]*netpkt.Batch, shards int) map[uint16]*outputs {
 	t.Helper()
 	// Interleave the tenants' batches with globally unique IDs.
 	var all []*netpkt.Batch
@@ -203,7 +203,7 @@ func runComposition(t *testing.T, c *Composition, feeds map[uint16][]*netpkt.Bat
 	}
 	sp, err := dataplane.NewSharded(c.Build, dataplane.ShardedConfig{
 		Config: dataplane.Config{Metrics: true, QueueDepth: 64, Tenants: c.Tenants, Assignment: c.Assignment},
-		Shards: 2,
+		Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,12 +280,25 @@ func TestComposeDifferentialMultiset(t *testing.T) {
 		name    string
 		specs   []spec.ChainSpec
 		offload bool
+		shards  int
 	}{
-		{"shared-prefix", twoTenantSpecs(), false},
+		{"shared-prefix", twoTenantSpecs(), false, 2},
 		{"one-offloaded", []spec.ChainSpec{
 			twoTenantSpecs()[0],
 			{Name: "heavy", Revision: 1, Chain: "ipv4,dpi", Offload: true, PktSize: 512},
-		}, true},
+		}, true, 2},
+		// Hoisting puts the lookup (or the probe's counter) ahead of the
+		// IDS scan in one tenant only; the scan is shared all the same.
+		// NAT numbers its ports per instance, in arrival order, so only a
+		// one-shard plane can match the oracle's one NAT byte for byte.
+		{"scan-behind-lookup", []spec.ChainSpec{
+			{Name: "fwd", Revision: 1, Chain: "ids,ipv4"},
+			{Name: "nat", Revision: 1, Chain: "ids,nat"},
+		}, false, 1},
+		{"scan-behind-probe", []spec.ChainSpec{
+			{Name: "probed", Revision: 1, Chain: "probe,ids,ipv4"},
+			{Name: "plain", Revision: 1, Chain: "ids,ipv4"},
+		}, false, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			comp := compose(t, c.specs)
@@ -297,7 +310,7 @@ func TestComposeDifferentialMultiset(t *testing.T) {
 				tag := comp.Tags[s.Name]
 				feeds[tag] = feed(tag, batches, n)
 			}
-			got := runComposition(t, comp, feeds)
+			got := runComposition(t, comp, feeds, c.shards)
 			for _, s := range comp.Specs {
 				tag := comp.Tags[s.Name]
 				want := runOracle(t, s, feed(tag, batches, n))

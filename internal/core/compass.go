@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nfcompass/internal/element"
 	"nfcompass/internal/hetsim"
@@ -102,9 +103,12 @@ func Deploy(chain []*nf.NF, p hetsim.Platform, sample []*netpkt.Batch, opt Optio
 //	src → shared prefix → TenantDemux ─┬→ tenant A's plan → dst/A
 //	                                   └→ tenant B's plan → dst/B
 //
-// The shared prefix (see shareable) runs once, on the mixed stream. sample
-// is the tenants' tagged traffic: the one functional pass, the weights and
-// GTA run over the whole composed graph, shared prefix included. Tagged
+// The shared prefix runs once, on the mixed stream: it is every stateless
+// read-only classifier that each tenant's synthesized first segment holds
+// (by signature) in its leading read-only run, where the synthesizer's own
+// re-order rule may move it to the front (runsOnce). sample is the
+// tenants' tagged traffic: the one functional pass, the weights and GTA run
+// over the whole composed graph, shared prefix included. Tagged
 // tenants need distinct names and distinct non-zero tags; one untagged
 // tenant (Deploy) builds src → its plan → dst, with no demux.
 func DeployTenants(tenants []Tenant, p hetsim.Platform, sample []*netpkt.Batch, opt Options) (*Deployment, error) {
@@ -342,8 +346,9 @@ func buildGraph(plans []plan, opt Options) (*element.Graph, []*SynthesisReport, 
 	g := element.NewGraph()
 	prev := g.Add(element.NewFromDevice("src"))
 	// With two or more tenants every first segment is built up front: the
-	// shared prefix is read off their synthesized heads, and the first
-	// tenant's instances of it become the shared ones.
+	// elements of the first tenant's leading read-only run that runsOnce
+	// admits are cut from every tenant's sequence, and the first tenant's
+	// instances of them run once, ahead of the demux.
 	leads := make([]*segment, len(plans))
 	for i, p := range plans {
 		if run := leadRun(p.stages); len(plans) > 1 && len(run) > 0 {
@@ -353,11 +358,24 @@ func buildGraph(plans []plan, opt Options) (*element.Graph, []*SynthesisReport, 
 			}
 		}
 	}
-	shared := 0
-	for ; shareable(leads, shared); shared++ {
-		id := g.Add(leads[0].g.Node(leads[0].seq[shared]))
-		g.MustConnect(prev, 0, id)
-		prev = id
+	if len(plans) > 1 && !slices.Contains(leads, nil) {
+		first := leads[0]
+		for _, id := range slices.Clone(first.seq) {
+			x := first.g.Node(id)
+			if !isReadOnlyClassifier(x.Traits()) {
+				break
+			}
+			at := runsOnce(leads, x)
+			if at == nil {
+				continue
+			}
+			for i, s := range leads {
+				s.seq = slices.Delete(s.seq, at[i], at[i]+1)
+			}
+			shared := g.Add(x)
+			g.MustConnect(prev, 0, shared)
+			prev = shared
+		}
 	}
 	tagged := len(plans) > 1 || plans[0].Tag != 0
 	var tenants map[element.NodeID]string
@@ -376,9 +394,6 @@ func buildGraph(plans []plan, opt Options) (*element.Graph, []*SynthesisReport, 
 		if tagged {
 			name, dst = p.Name+"/", "dst/"+p.Name
 		}
-		if err := leads[i].trim(shared); err != nil {
-			return nil, nil, nil, err
-		}
 		first := g.Len()
 		exit, port, rep, err := appendPlan(g, prev, i, p.stages, name, leads[i], opt)
 		if err != nil {
@@ -396,31 +411,40 @@ func buildGraph(plans []plan, opt Options) (*element.Graph, []*SynthesisReport, 
 	return g, syn, tenants, nil
 }
 
-// shareable is the cross-tenant de-duplication predicate: position k of
-// the tenants' first segments may run once for all of them when every
-// tenant holds an element there, all with one signature, and that element
-// is a read-only classifier (the synthesizer's de-duplication test) that
-// keeps no per-flow state. Such an element computes the same annotations
-// and verdict for a packet whichever tenant owns it.
-func shareable(leads []*segment, k int) bool {
-	if len(leads) < 2 {
-		return false
+// runsOnce is the cross-tenant sharing rule: x runs once, on the mixed
+// stream ahead of the demux, for every tenant when
+//   - every tenant's first segment holds an element with its signature;
+//   - x is a read-only classifier that keeps no per-flow state, so it
+//     computes the same annotations and verdict for a packet whoever owns it;
+//   - each tenant's own re-order rule (mayLead, the synthesizer's) may move
+//     that element ahead of everything before it in the tenant's first
+//     read-only run.
+//
+// It returns each tenant's index of that element in its sequence, or nil.
+func runsOnce(leads []*segment, x element.Element) []int {
+	if t := x.Traits(); t.Stateful || !isReadOnlyClassifier(t) {
+		return nil
 	}
-	for _, s := range leads {
-		if s == nil || k >= len(s.seq) {
-			return false
+	at := make([]int, len(leads))
+	for i, s := range leads {
+		at[i] = -1
+		for k, id := range s.seq {
+			e := s.g.Node(id)
+			if !isReadOnlyClassifier(e.Traits()) {
+				break // the end of the tenant's first read-only run
+			}
+			if e.Signature() == x.Signature() {
+				if mayLead(s.g, e.Traits(), s.seq[:k]) {
+					at[i] = k
+				}
+				break
+			}
+		}
+		if at[i] < 0 {
+			return nil
 		}
 	}
-	e := leads[0].g.Node(leads[0].seq[k])
-	if t := e.Traits(); !isReadOnlyClassifier(t) || t.Stateful {
-		return false
-	}
-	for _, s := range leads[1:] {
-		if s.g.Node(s.seq[k]).Signature() != e.Signature() {
-			return false
-		}
-	}
-	return true
+	return at
 }
 
 // leadRun is the plan's leading run of single-NF stages: the NFs of its
@@ -496,16 +520,19 @@ func appendPlan(g *element.Graph, prev element.NodeID, port int, stages []Stage,
 	return prev, port, syn, nil
 }
 
-// segment is one linear run of NFs built into a scratch graph and, when the
-// options say so, synthesized; seq is its nodes in chain order.
+// segment is one linear run of NFs built into a scratch graph: seq is its
+// nodes in chain order once synthesized, and moved the nodes of the runs
+// the synthesizer re-ordered. The graph is rewired to seq when it joins.
 type segment struct {
-	g   *element.Graph
-	seq []element.NodeID
-	rep *SynthesisReport // nil when synthesis is off
+	g     *element.Graph
+	seq   []element.NodeID
+	moved map[element.NodeID]bool
+	rep   *SynthesisReport // nil when synthesis is off
 }
 
 // newSegment builds run's linear element chain, names its instances
-// prefix+"/<nf>#<k>", and synthesizes it when opt.Synthesize is set.
+// prefix+"/<nf>#<k>", and synthesizes its sequence when opt.Synthesize is
+// set.
 func newSegment(run []*nf.NF, prefix string, opt Options) (*segment, error) {
 	s := &segment{g: element.NewGraph()}
 	var segPrev element.NodeID = -1
@@ -517,43 +544,26 @@ func newSegment(run []*nf.NF, prefix string, opt Options) (*segment, error) {
 		segPrev = x
 	}
 	var err error
-	if opt.Synthesize {
-		if s.rep, err = Synthesize(s.g); err != nil {
-			return nil, fmt.Errorf("core: synthesize %s: %w", prefix, err)
-		}
+	if s.seq, err = LinearSequence(s.g); err != nil {
+		return nil, fmt.Errorf("core: segment %s: %w", prefix, err)
 	}
-	if s.seq, err = linearSequence(s.g); err != nil {
-		return nil, err
+	if opt.Synthesize {
+		s.rep, s.seq, s.moved = synthesize(s.g, s.seq)
 	}
 	return s, nil
 }
 
-// trim removes the segment's first k nodes: their work is shared.
-func (s *segment) trim(k int) error {
-	for ; s != nil && k > 0; k-- {
-		head := s.seq[0]
-		if err := s.g.RemoveNode(head); err != nil {
-			return err
-		}
-		s.seq = s.seq[1:]
-		for i, id := range s.seq {
-			if id > head {
-				s.seq[i]-- // RemoveNode compacts the ids above head
-			}
-		}
-	}
-	return nil
-}
-
-// join imports the segment into g behind output port of prev and returns
-// its exit; an empty segment leaves (prev, port) as they were.
+// join rewires the segment to its sequence, imports it into g behind output
+// port of prev and returns its exit; an empty segment leaves (prev, port) as
+// they were.
 func (s *segment) join(g *element.Graph, prev element.NodeID, port int) (element.NodeID, int) {
 	if len(s.seq) == 0 {
 		return prev, port
 	}
+	seq := relink(s.g, s.seq, s.moved)
 	off := g.Import(s.g)
-	g.MustConnect(prev, port, s.seq[0]+off)
-	return s.seq[len(s.seq)-1] + off, 0
+	g.MustConnect(prev, port, seq[0]+off)
+	return seq[len(seq)-1] + off, 0
 }
 
 // Simulate runs the deployment on the simulated platform.

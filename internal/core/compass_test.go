@@ -535,6 +535,22 @@ func TestStatelessScanShared(t *testing.T) {
 		t.Errorf("ids + ids,nat: %d AhoCorasick nodes, want the one shared scan", shared+own)
 	}
 
+	// Hoisting puts the router's lookup (or the probe's counter) ahead of
+	// the scan in one tenant only; the scan still runs once for both.
+	for _, row := range [][]string{{"ids,ipv4", "ids,nat"}, {"probe,ids,ipv4", "ids,ipv4"}} {
+		var chains [][]*nf.NF
+		for _, c := range row {
+			nfs, err := spec.Parse(c, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chains = append(chains, nfs)
+		}
+		if shared, own := count(deploy(chains...), "AhoCorasick"); shared != 1 || own != 0 {
+			t.Errorf("%s | %s: %d shared, %d own scans; want 1 and 0", row[0], row[1], shared, own)
+		}
+	}
+
 	d = deploy([]*nf.NF{ids(false)}, []*nf.NF{ids(true)})
 	if shared, own := count(d, "AhoCorasick"); shared != 0 || own != 2 {
 		t.Errorf("alert-only + drop-on-match: %d shared, %d own scans; want 0 and 2", shared, own)

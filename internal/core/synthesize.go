@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nfcompass/internal/element"
 )
@@ -27,97 +28,90 @@ type SynthesisReport struct {
 // never move across modifiers or shapers; stateful order is preserved
 // because reordering stays within read-only runs).
 //
-// The graph is modified in place. Non-linear graphs are rejected.
+// The passes work on the chain's element sequence; the graph is then
+// rewired once, in place. Non-linear graphs are rejected.
 func Synthesize(g *element.Graph) (*SynthesisReport, error) {
-	seq, err := linearSequence(g)
+	seq, err := LinearSequence(g)
 	if err != nil {
 		return nil, err
 	}
-	rep := &SynthesisReport{Before: g.Len()}
+	rep, seq, moved := synthesize(g, seq)
+	relink(g, seq, moved)
+	return rep, nil
+}
 
-	// Pass 1: de-duplicate read-only classifiers.
-	removed := map[element.NodeID]bool{}
-	for j := 1; j < len(seq); j++ {
-		ej := g.Node(seq[j])
-		tj := ej.Traits()
-		if !isReadOnlyClassifier(tj) {
+// synthesize runs the three passes over seq, the chain of g in order, and
+// returns the report, the synthesized sequence, and the nodes of the
+// classifier runs that hoisting re-ordered. g is only read.
+func synthesize(g *element.Graph, seq []element.NodeID) (*SynthesisReport, []element.NodeID, map[element.NodeID]bool) {
+	rep := &SynthesisReport{Before: len(seq)}
+
+	// Pass 1: a read-only classifier that may move up to its nearest
+	// earlier twin runs once: the twin's verdict stands for it.
+	var dedup []element.NodeID
+	for _, id := range seq {
+		e := g.Node(id)
+		twin := -1
+		for k, d := range dedup {
+			if g.Node(d).Signature() == e.Signature() {
+				twin = k
+			}
+		}
+		if twin >= 0 && mayLead(g, e.Traits(), dedup[twin+1:]) {
+			rep.Removed = append(rep.Removed, e.Name())
 			continue
 		}
-		for i := 0; i < j; i++ {
-			if removed[seq[i]] {
-				continue
-			}
-			ei := g.Node(seq[i])
-			if ei.Signature() != ej.Signature() {
-				continue
-			}
-			if dedupSafe(g, seq, i, j, tj, removed) {
-				removed[seq[j]] = true
-				rep.Removed = append(rep.Removed, ej.Name())
-				break
-			}
-		}
+		dedup = append(dedup, id)
 	}
 
 	// Pass 2: dead pure-overwrite elimination — an earlier pure
 	// overwrite of the same kind is dead if nothing between it and a
 	// later one reads the written region.
-	for i := 0; i < len(seq); i++ {
-		if removed[seq[i]] {
+	var live []element.NodeID
+	for i, id := range dedup {
+		if deadWrite(g, dedup[i:]) {
+			rep.DeadWrites = append(rep.DeadWrites, g.Node(id).Name())
 			continue
 		}
-		ti := g.Node(seq[i]).Traits()
-		if !ti.PureOverwrite || !ti.WritesHeader {
+		live = append(live, id)
+	}
+
+	// Pass 3: drop hoisting — each maximal run of classifiers is
+	// stable-partitioned so the drop-capable ones lead, and doomed packets
+	// stop consuming downstream work (§IV-B-2 redundancy source #2).
+	moved := map[element.NodeID]bool{}
+	for i := 0; i < len(live); {
+		j := i
+		for j < len(live) && g.Node(live[j]).Traits().Class == element.ClassClassifier {
+			j++
+		}
+		if j == i {
+			i++
 			continue
 		}
-		for j := i + 1; j < len(seq); j++ {
-			if removed[seq[j]] {
-				continue
-			}
-			tj := g.Node(seq[j]).Traits()
-			if tj.ReadsHeader || tj.Class == element.ClassShaper {
-				break // region read (or opaque shaper): the write is live
-			}
-			if tj.PureOverwrite && tj.Kind == ti.Kind {
-				removed[seq[i]] = true
-				rep.DeadWrites = append(rep.DeadWrites, g.Node(seq[i]).Name())
-				break
-			}
-			if tj.WritesHeader {
-				break // a non-pure write intervenes; be conservative
+		var front, back []element.NodeID
+		for _, id := range live[i:j] {
+			if t := g.Node(id).Traits(); t.CanDrop && mayLead(g, t, back) {
+				front = append(front, id)
+			} else {
+				back = append(back, id)
 			}
 		}
-	}
-
-	// Apply removals (descending ids keep earlier ids stable).
-	var order []element.NodeID
-	for id := range removed {
-		order = append(order, id)
-	}
-	for i := range order {
-		for j := i + 1; j < len(order); j++ {
-			if order[j] > order[i] {
-				order[i], order[j] = order[j], order[i]
+		if order := append(front, back...); !slices.Equal(order, live[i:j]) {
+			for k, id := range front {
+				if id != live[i+k] {
+					rep.Hoisted = append(rep.Hoisted, g.Node(id).Name())
+				}
 			}
+			for _, id := range live[i:j] {
+				moved[id] = true
+			}
+			copy(live[i:j], order)
 		}
+		i = j
 	}
-	for _, id := range order {
-		if err := g.RemoveNode(id); err != nil {
-			return nil, fmt.Errorf("core: splice failed: %w", err)
-		}
-	}
-
-	// Pass 3: drop hoisting within classifier runs, on the post-removal
-	// sequence.
-	seq, err = linearSequence(g)
-	if err != nil {
-		return nil, err
-	}
-	hoisted := hoistDrops(g, seq)
-	rep.Hoisted = hoisted
-
-	rep.After = g.Len()
-	return rep, nil
+	rep.After = len(live)
+	return rep, live, moved
 }
 
 // isReadOnlyClassifier reports whether the element only inspects packets.
@@ -126,120 +120,98 @@ func isReadOnlyClassifier(t element.Traits) bool {
 		!t.WritesHeader && !t.WritesPayload && !t.AddsRemovesBytes
 }
 
-// dedupSafe checks that re-running the classifier at position j would give
-// the same verdict it gave at position i: no intermediate element disturbs
-// a region the classifier reads (header writers are tolerated when they
-// preserve header validity; payload writers always block payload readers).
-func dedupSafe(g *element.Graph, seq []element.NodeID, i, j int,
-	cls element.Traits, removed map[element.NodeID]bool) bool {
-	for k := i + 1; k < j; k++ {
-		if removed[seq[k]] {
-			continue
-		}
-		t := g.Node(seq[k]).Traits()
-		if cls.ReadsPayload && (t.WritesPayload || t.AddsRemovesBytes) {
+// mayLead is the one re-order rule of synthesis and composition: a
+// read-only classifier with traits x may run ahead of the elements passed —
+// in place of its twin behind them, or at the front of its run — when none
+// of them disturbs a region it reads (header writers are tolerated when they
+// preserve header validity; payload writers always block payload readers)
+// or is a shaper, whose reordering and duplication are opaque.
+func mayLead(g *element.Graph, x element.Traits, passed []element.NodeID) bool {
+	if !isReadOnlyClassifier(x) {
+		return false
+	}
+	for _, id := range passed {
+		t := g.Node(id).Traits()
+		if x.ReadsPayload && (t.WritesPayload || t.AddsRemovesBytes) ||
+			x.ReadsHeader && (t.WritesHeader || t.AddsRemovesBytes) && !t.PreservesHeaderValidity ||
+			t.Class == element.ClassShaper {
 			return false
-		}
-		if cls.ReadsHeader && (t.WritesHeader || t.AddsRemovesBytes) &&
-			!t.PreservesHeaderValidity {
-			return false
-		}
-		if t.Class == element.ClassShaper {
-			return false // opaque reordering/duplication
 		}
 	}
 	return true
 }
 
-// hoistDrops stable-moves drop-capable classifiers to the front of each
-// maximal run of consecutive classifiers, so doomed packets stop consuming
-// downstream work (§IV-B-2 redundancy source #2). Returns the names moved.
-func hoistDrops(g *element.Graph, seq []element.NodeID) []string {
-	var hoisted []string
-	i := 0
-	for i < len(seq) {
-		// Find a maximal run of classifiers.
-		if g.Node(seq[i]).Traits().Class != element.ClassClassifier {
-			i++
-			continue
-		}
-		j := i
-		for j < len(seq) && g.Node(seq[j]).Traits().Class == element.ClassClassifier {
-			j++
-		}
-		// Stable partition [i,j): CanDrop first.
-		run := append([]element.NodeID(nil), seq[i:j]...)
-		var front, back []element.NodeID
-		for _, id := range run {
-			if g.Node(id).Traits().CanDrop {
-				front = append(front, id)
-			} else {
-				back = append(back, id)
-			}
-		}
-		newRun := append(front, back...)
-		changed := false
-		for k := range run {
-			if newRun[k] != run[k] {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			reorderRun(g, seq, i, j, newRun)
-			for k, id := range newRun {
-				if id != run[k] && g.Node(id).Traits().CanDrop {
-					hoisted = append(hoisted, g.Node(id).Name())
-				}
-			}
-			copy(seq[i:j], newRun)
-		}
-		i = j
+// deadWrite reports whether seq[0], a pure header overwrite, is
+// overwritten by a later one of its kind before anything reads the region.
+func deadWrite(g *element.Graph, seq []element.NodeID) bool {
+	w := g.Node(seq[0]).Traits()
+	if !w.PureOverwrite || !w.WritesHeader {
+		return false
 	}
-	return hoisted
+	for _, id := range seq[1:] {
+		t := g.Node(id).Traits()
+		switch {
+		case t.ReadsHeader || t.Class == element.ClassShaper:
+			return false // region read (or opaque shaper): the write is live
+		case t.PureOverwrite && t.Kind == w.Kind:
+			return true
+		case t.WritesHeader:
+			return false // a non-pure write intervenes; be conservative
+		}
+	}
+	return false
 }
 
-// reorderRun rewires the linear chain so positions [i,j) of seq follow
-// newRun's order.
-func reorderRun(g *element.Graph, seq []element.NodeID, i, j int, newRun []element.NodeID) {
-	// The chain is ... seq[i-1] -> seq[i] -> ... -> seq[j-1] -> seq[j] ...
-	// Remove all edges among {seq[i-1]} ∪ run ∪ {seq[j]} and relink.
-	inRun := map[element.NodeID]bool{}
-	for _, id := range seq[i:j] {
-		inRun[id] = true
+// relink rewires the linear chain g to run seq, a subsequence of its nodes
+// in a new order, and returns seq in the new node ids. Nodes not in seq go
+// and the others keep their relative ids; an edge between two nodes that
+// stay neighbours outside the moved (re-ordered) runs keeps its place in
+// the edge list, and every other link is appended in chain order.
+func relink(g *element.Graph, seq []element.NodeID, moved map[element.NodeID]bool) []element.NodeID {
+	next := make(map[element.NodeID]element.NodeID, len(seq))
+	for k := 1; k < len(seq); k++ {
+		next[seq[k-1]] = seq[k]
 	}
-	var kept []element.Edge
+	var edges []element.Edge
 	for _, e := range g.Edges() {
-		if inRun[e.From] || inRun[e.To] {
-			continue
+		if to, ok := next[e.From]; ok && !moved[e.From] && !moved[to] {
+			edges = append(edges, element.Edge{From: e.From, Port: e.Port, To: to})
 		}
-		kept = append(kept, e)
 	}
-	g.SetEdges(kept)
-	prev := element.NodeID(-1)
-	if i > 0 {
-		prev = seq[i-1]
-	}
-	for _, id := range newRun {
-		if prev >= 0 {
-			g.MustConnect(prev, 0, id)
+	for k := 1; k < len(seq); k++ {
+		if moved[seq[k-1]] || moved[seq[k]] {
+			edges = append(edges, element.Edge{From: seq[k-1], To: seq[k]})
 		}
-		prev = id
 	}
-	if j < len(seq) {
-		g.MustConnect(prev, 0, seq[j])
+	g.SetEdges(edges)
+
+	newID := make([]element.NodeID, g.Len()) // 1 for a node of seq, then its new id
+	for _, id := range seq {
+		newID[id] = 1
 	}
+	n := element.NodeID(0)
+	for id := len(newID) - 1; id >= 0; id-- {
+		if newID[id] == 0 {
+			// No edge touches the node any more, so RemoveNode only
+			// compacts the ids above it and cannot fail.
+			_ = g.RemoveNode(element.NodeID(id))
+		}
+	}
+	for id, k := range newID {
+		newID[id] = n
+		n += k
+	}
+	out := make([]element.NodeID, len(seq))
+	for k, id := range seq {
+		out[k] = newID[id]
+	}
+	return out
 }
 
 // LinearSequence extracts the single path of a linear chain graph, in
-// order. Builders that splice synthesized segments use it to find segment
-// entry/exit nodes.
+// order: the synthesizer's element sequence, and how builders that splice
+// synthesized segments find their entry and exit nodes.
 func LinearSequence(g *element.Graph) ([]element.NodeID, error) {
-	return linearSequence(g)
-}
-
-// linearSequence extracts the single path of a linear graph.
-func linearSequence(g *element.Graph) ([]element.NodeID, error) {
 	srcs := g.Sources()
 	if len(srcs) != 1 {
 		return nil, fmt.Errorf("core: synthesizer requires a linear chain (got %d sources)", len(srcs))

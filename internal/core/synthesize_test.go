@@ -61,7 +61,7 @@ func TestSynthesizeRemovesDuplicateClassifier(t *testing.T) {
 	if g.Len() != before-1 || rep.After != rep.Before-1 {
 		t.Errorf("sizes: %d -> %d (report %d -> %d)", before, g.Len(), rep.Before, rep.After)
 	}
-	if _, err := linearSequence(g); err != nil {
+	if _, err := LinearSequence(g); err != nil {
 		t.Fatalf("not linear after synthesis: %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestSynthesizePreservesSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		seq, err := linearSequence(seg)
+		seq, err := LinearSequence(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestSynthesizeDropHoisting(t *testing.T) {
 	if len(rep.Hoisted) == 0 {
 		t.Fatal("nothing hoisted")
 	}
-	seq, err := linearSequence(g)
+	seq, err := LinearSequence(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSynthesizeNoHoistAcrossModifier(t *testing.T) {
 	if _, err := Synthesize(g); err != nil {
 		t.Fatal(err)
 	}
-	seq, _ := linearSequence(g)
+	seq, _ := LinearSequence(g)
 	names := []string{}
 	for _, id := range seq {
 		names = append(names, g.Node(id).Name())
